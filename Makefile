@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-full
+.PHONY: test bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-full
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -50,6 +50,16 @@ bench-loadgen:
 ## CI-sized loadgen smoke: report parses, zero invariant violations.
 bench-loadgen-smoke:
 	python benchmarks/bench_loadgen.py --smoke
+
+## The perf ledger (BENCHMARK.json; benchmarks/ledger/README.md): every
+## workload untraced then traced, one run record under
+## benchmarks/results/ledger/ (~4 min).  The smoke form runs the same
+## code path at toy sizes (~20 s).
+bench-ledger:
+	python -m benchmarks.ledger
+
+bench-ledger-smoke:
+	python -m benchmarks.ledger --smoke
 
 ## Full benchmark harness (paper-scale; slow).
 bench-full:

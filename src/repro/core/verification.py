@@ -17,11 +17,13 @@ pending state:
   ignored request draws ``f``.
 
 The host interface the engine needs (satisfied by
-:class:`repro.gossip.protocol.GossipNode` and the asyncio runtime node):
-``node_id``, ``clock()``, ``call_later(delay, fn, *args)``, ``random()`` (a
-uniform [0,1) draw), ``send(dst, message, transport)``,
-``send_blame(target, value, reason)``, ``on_request_expired(chunk_ids)``
-and the ``gossip``/``lifting`` parameter sets.
+:class:`repro.gossip.protocol.GossipNode` on both planes): ``node_id``,
+``clock()``, ``defer(delay, fn, *args)`` (fire-and-forget: no handle,
+never cancelled — every timeout here is one), ``random()`` (a uniform
+[0,1) draw), ``send(dst, message, reliable=False)``, optionally
+``send_many(dsts, message)``, ``send_blame(target, value, reason)``,
+``on_request_expired(proposer, chunk_ids)`` and the ``gossip``/
+``lifting`` parameter sets.
 """
 
 from __future__ import annotations
@@ -81,13 +83,13 @@ class VerificationEngine:
         # simulator-backed GossipNode does; test stubs may not).
         self._host_send_many = getattr(host, "send_many", None)
         # Hot-path shortcuts mirroring the host's own: read the sim
-        # clock attribute and schedule on the engine directly instead of
-        # going through the host facade (one frame per serve/ack/round).
-        # Both fall back to the facade for live transports / test stubs.
+        # clock attribute directly instead of going through the host
+        # facade (one frame per serve/ack/round), falling back to
+        # ``host.clock()`` for live transports / test stubs; the host's
+        # ``defer`` is bound once (on a GossipNode it already *is* the
+        # simulator's or the live transport's own method).
         self._sim = getattr(host, "_sim", None)
-        self._call_later = getattr(host, "_transport_call_later", None) or getattr(
-            host, "call_later", None
-        )
+        self._defer = host.defer
         # Pending acks as struct-of-arrays columns: row i is one
         # outstanding (requester, chunk, served_at) triple.  The
         # insertion-ordered ``_ack_live`` dict maps each requester with
@@ -214,7 +216,7 @@ class VerificationEngine:
         overdue-chunk window, and the confirm fan-out it may trigger
         must send at the entry's own instant).
         """
-        sim = getattr(self.host, "_sim", None)
+        sim = self._sim
         on_ack = self.on_ack
         for k in range(lo, hi):
             e = entries[k]
@@ -239,9 +241,7 @@ class VerificationEngine:
         else:
             for witness in witnesses:
                 host.send(witness, confirm)
-        self._call_later(
-            host.lifting.confirm_timeout, self._finish_confirm_round, round_id
-        )
+        self._defer(host.lifting.confirm_timeout, self._finish_confirm_round, round_id)
 
     def on_confirm_response(self, src: NodeId, response: ConfirmResponse) -> None:
         """A witness answered one of our confirm requests."""
@@ -277,9 +277,7 @@ class VerificationEngine:
         self._pending_requests[proposal_id] = _PendingRequest(
             proposer=proposer, expected=set(chunk_ids)
         )
-        self._call_later(
-            self.host.lifting.serve_timeout, self._finish_request, proposal_id
-        )
+        self._defer(self.host.lifting.serve_timeout, self._finish_request, proposal_id)
 
     def on_serve_received(self, proposal_id: int, chunk_id: ChunkId) -> None:
         """A serve matching one of our requests arrived."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from heapq import heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -58,7 +57,6 @@ from repro.membership.base import STATUS_ALIVE, STATUS_DEAD, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams, SwimFailureDetector
 from repro.nodes.behavior import Behavior
 from repro.sim.engine import Simulator
-from repro.sim.engine import _PENDING  # heap-entry status word
 from repro.sim.network import Network, Transport
 from repro.sim.network import _TCP, _UDP
 from repro.util.validation import require
@@ -165,6 +163,12 @@ class GossipNode:
         self._transport_call_later = (
             sim.call_later if sim is not None else transport.call_later
         )
+        #: ``defer(delay, callback, *args)``: run ``callback(*args)``
+        #: after ``delay`` seconds, fire-and-forget — for timers nobody
+        #: cancels.  The simulator files them on its calendar
+        #: (``Simulator.defer``); a live transport's ``call_later``
+        #: handle is simply dropped.
+        self.defer = sim.defer if sim is not None else transport.call_later
         self._sim = sim
         self.sampler = sampler
         self.gossip = gossip
@@ -701,7 +705,7 @@ class GossipNode:
             # Baseline protocol (LiFTinG off): still watch the request so
             # lost serves get retried from an alternative proposer.
             self._naked_requests[proposal_id] = (proposer, set(chunk_ids))
-            self.call_later(
+            self.defer(
                 self.lifting.serve_timeout, self._check_naked_request, proposal_id
             )
 
@@ -807,30 +811,12 @@ class GossipNode:
             self.history.record_confirm_sender(message.proposer, src)
         # Defer the answer: the confirm races the propose it asks about
         # (verifier is only an ack + confirm hop behind the proposer), so
-        # the testimony is evaluated after a grace delay.  The timer is
-        # never cancelled, so under the simulator it goes through the
-        # handle-free ``schedule`` fast path.
+        # the testimony is evaluated after a grace delay.  One Confirm
+        # per served batch makes this the biggest timer source of a run,
+        # and it is never cancelled.
         delay = self.lifting.witness_answer_delay
         if delay > 0:
-            sim = self._sim
-            if sim is not None:
-                # Inlined Simulator.schedule (the network does the same
-                # for deliveries) — one Confirm per served batch makes
-                # this the engine's biggest timer source.  schedule()'s
-                # validation survives as one comparison: a non-finite
-                # configured delay must raise, not enqueue a timer that
-                # never fires.
-                time = sim.now + delay
-                if not time < float("inf"):  # also rejects NaN
-                    raise ValueError(f"witness answer due at invalid time {time!r}")
-                heappush(
-                    sim._queue,
-                    [time, sim._sequence, self._answer_confirm, (src, message), _PENDING],
-                )
-                sim._sequence += 1
-                sim._live += 1
-            else:
-                self.call_later(delay, self._answer_confirm, src, message)
+            self.defer(delay, self._answer_confirm, src, message)
         else:
             self._answer_confirm(src, message)
 

@@ -1,23 +1,34 @@
-"""The discrete-event engine: a simulated clock and a two-tier event queue.
+"""The discrete-event engine: a simulated clock and one ordered event spine.
 
 Design notes
 ------------
-* Events are plain-list heap entries ``[time, seq, callback, args,
-  status]`` in a binary heap — no closure is required on the hot path:
-  callers pass positional ``args`` inline (``sim.schedule(t, fn, a,
-  b)``) instead of wrapping them in a lambda.  The monotonically
-  increasing sequence number breaks ties, so two events scheduled for
-  the same instant fire in scheduling order — this keeps runs fully
-  deterministic.
-* The engine is *two-tier*: the binary heap holds timers and periodic
-  control events, and an optionally attached :class:`DeliveryTimeline`
-  (a calendar queue of fixed-width time buckets) holds network
-  deliveries — by far the largest event population.  Scheduling a
-  delivery is an O(1) bucket append instead of an O(log n) sift, and
-  firing one is an amortized O(1) walk of a once-sorted bucket.  The
-  run loop merges the two tiers by ``(time, seq)`` — both draw from the
-  same sequence counter — so the global firing order is *identical* to
-  a single heap's (pinned by the heap-vs-calendar equivalence tests).
+* Every event draws its tie-break from one monotonically increasing
+  sequence counter and fires in ``(time, seq)`` order, so two events
+  scheduled for the same instant fire in scheduling order — this keeps
+  runs fully deterministic.  The spine is held in two containers, and
+  what decides where an event lives is *whether anyone may cancel it*:
+
+  - the **calendar** — an optionally attached :class:`DeliveryTimeline`
+    of fixed-width time buckets — holds everything that is scheduled
+    and then simply happens: network deliveries (filed by
+    :mod:`repro.sim.network`) and fire-and-forget calls (filed by
+    :meth:`Simulator.defer`: the witness-answer delay, the confirm and
+    serve timeouts — the largest timer populations of a LiFTinG run).
+    Filing is an O(1) bucket append instead of an O(log n) sift, and
+    firing is an amortized O(1) walk of a once-sorted bucket;
+  - the **binary heap** holds what is left: plain-list entries ``[time,
+    seq, callback, args, status]`` for period ticks (which reschedule
+    themselves) and for genuinely cancellable timers, plus the rare
+    calendar entry due beyond the ring horizon.  With no calendar
+    attached it holds everything.
+
+  The run loop merges the two by ``(time, seq)``, so the global firing
+  order is *identical* to a single heap's by construction — the same
+  counter is read at the same call sites whichever container receives
+  the entry (pinned by the heap-vs-calendar equivalence tests).
+* No closure is required on the hot path: callers pass positional
+  ``args`` inline (``sim.schedule(t, fn, a, b)``, ``sim.defer(d, fn,
+  a)``) instead of wrapping them in a lambda.
 * :class:`Timer` handles (returned by ``call_at`` / ``call_later``) are
   a ``list`` subclass: the handle *is* the heap entry, so a cancellable
   event costs one allocation, and the handle-free :meth:`Simulator.
@@ -69,6 +80,25 @@ _CANCELLED = 2
 _COMPACT_MIN = 64
 
 
+class _Deferred:
+    """Type of :data:`DEFERRED`, the mark of a deferred-call calendar entry."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "DEFERRED"
+
+
+#: Occupies the ``dst`` slot of a calendar entry filed by
+#: :meth:`Simulator.defer` — ``[time, seq, callback, DEFERRED, args]``
+#: beside a delivery's ``[time, seq, src, dst, message]``.  The drain
+#: tells the two apart by identity on that slot, so no message payload
+#: (``None``, an ``int``, a tuple) can be mistaken for a call; and with
+#: the default identity ``__eq__`` it equals no node id, so code that
+#: matches entries by destination never matches a deferred call.
+DEFERRED = _Deferred()
+
+
 class Timer(list):
     """Handle for a scheduled event; supports cancellation.
 
@@ -112,23 +142,27 @@ class Timer(list):
 
 
 class DeliveryTimeline:
-    """Calendar-queue tier for network deliveries.
+    """The calendar queue: deliveries and deferred calls, never cancelled.
 
     A ring of ``ring_size`` fixed-width time buckets; entries are plain
-    lists ``[time, seq, src, dst, message]`` appended unsorted and
-    sorted once when their bucket becomes *current* (the list-vs-list
-    comparison stops at the unique ``seq``, so ties are broken exactly
-    like heap entries).  A small heap of occupied bucket indices makes
-    cursor advancement O(1) amortized regardless of how sparse the
-    timeline is — no empty-bucket scans.
+    five-slot lists — ``[time, seq, src, dst, message]`` for a network
+    delivery, ``[time, seq, callback, DEFERRED, args]`` for a
+    :meth:`Simulator.defer` call — appended unsorted and sorted once
+    when their bucket becomes *current* (the list-vs-list comparison
+    stops at the unique ``seq``, so ties are broken exactly like heap
+    entries and the later slots are never compared).  A small heap of
+    occupied bucket indices makes cursor advancement O(1) amortized
+    regardless of how sparse the timeline is — no empty-bucket scans.
+    Entries cannot be cancelled; a timer someone may cancel belongs on
+    the engine's heap (``call_later``).
 
     Invariants the engine and network rely on:
 
     * entry times are ``>= sim.now`` at insertion, so every occupied
       bucket index is ``>= int(now / width)`` and the ring (which spans
       ``ring_size`` buckets from there) never aliases two occupied
-      indices to one slot — the network falls back to the heap tier for
-      the rare delivery scheduled beyond the horizon;
+      indices to one slot — callers fall back to the heap for the rare
+      entry due beyond the horizon;
     * an insertion into the bucket currently being drained lands
       *behind* the drain cursor via ``insort`` (its seq is larger than
       every already-scheduled entry's, and its time is ``>= now``), so
@@ -174,13 +208,14 @@ class DeliveryTimeline:
         self.count = 0  # pending entries across ring + cur
 
     def add(self, entry: list, base_idx: int) -> bool:
-        """Insert ``entry`` (``[time, seq, src, dst, message]``).
+        """Insert ``entry`` (a delivery or a deferred call, see above).
 
         ``base_idx`` is ``int(now * inv_width)``.  Returns False when
         the entry lies beyond the ring horizon — the caller must then
-        schedule it on the heap tier instead.  The network inlines the
-        common branch of this method on its send path; this method is
-        the reference implementation and the rare-branch handler.
+        schedule it on the heap instead.  The two hot callers — the
+        network's send path and :meth:`Simulator.defer` — inline the
+        common branch of this method; this method is the reference
+        implementation and the rare-branch handler.
         """
         idx = int(entry[0] * self.inv_width)
         if idx - base_idx >= self.horizon:
@@ -280,19 +315,22 @@ class Simulator:
         self._drain: Optional[Callable[[float, float], int]] = None
 
     # ------------------------------------------------------------------
-    # the delivery tier
+    # the calendar
     # ------------------------------------------------------------------
     def attach_timeline(
         self, timeline: DeliveryTimeline, drain: Callable[[float, float], int]
     ) -> None:
-        """Attach the calendar-queue delivery tier (at most one).
+        """Attach the calendar queue (at most one).
 
         ``drain(until, budget)`` must fire pending timeline entries in
         ``(time, seq)`` order — setting ``now`` per entry and yielding
         back when a live heap event preempts, an entry is due past
         ``until``, ``budget`` entries have fired, or the timeline is
-        exhausted — and return how many entries it fired.  The network
-        owns the drain so delivery semantics stay out of the engine.
+        exhausted — and return how many entries it fired.  An entry
+        whose ``dst`` slot is :data:`DEFERRED` is a call filed by
+        :meth:`defer`: the drain must run ``entry[2](*entry[4])`` and
+        count it as one fired entry.  The network owns the drain so
+        delivery semantics stay out of the engine.
         """
         require(self._timeline is None, "a delivery timeline is already attached")
         require(self.now >= 0.0, "delivery timeline requires a non-negative clock")
@@ -352,6 +390,47 @@ class Simulator:
         heappush(self._queue, timer)
         self._live += 1
         return timer
+
+    def defer(self, delay: float, callback: Callback, *args) -> None:
+        """Fire-and-forget: run ``callback(*args)`` after ``delay`` seconds.
+
+        For timers nobody will ever cancel.  No handle is returned, and
+        the call is filed on the attached calendar as a
+        :data:`DEFERRED` entry — an O(1) bucket append that the delivery
+        drain fires in line, instead of a heap push, a heap pop and a
+        preemption of the drain.  It takes the next sequence number
+        exactly as :meth:`call_later` would, so the firing order is the
+        same wherever the entry lives; with no calendar attached, or a
+        due time past the ring horizon, it lives on the heap.
+        """
+        if delay < 0:
+            require(delay >= 0, "delay must be >= 0, got %r", delay)
+        now = self.now
+        time = now + delay
+        if not time < _INF:  # also rejects NaN
+            require(math.isfinite(time), "event time must be finite, got %r", time)
+        timeline = self._timeline
+        on_heap = timeline is None
+        if not on_heap:
+            # DeliveryTimeline.add with its common branch inlined, as on
+            # the network's send path: a future in-horizon bucket costs
+            # one append and no frame.
+            entry = [time, self._sequence, callback, DEFERRED, args]
+            inv_width = timeline.inv_width
+            idx = int(time * inv_width)
+            base_idx = int(now * inv_width)
+            if idx > timeline.cur_idx and idx - base_idx < timeline.horizon:
+                slot = timeline._ring[idx & timeline._mask]
+                if not slot:
+                    heappush(timeline._order, idx)
+                slot.append(entry)
+                timeline.count += 1
+            else:
+                on_heap = not timeline.add(entry, base_idx)
+        if on_heap:
+            heappush(self._queue, [time, self._sequence, callback, args, _PENDING])
+        self._sequence += 1
+        self._live += 1
 
     def call_every(
         self,
@@ -464,11 +543,11 @@ class Simulator:
         see values as of the run's start, plus anything they scheduled
         or cancelled themselves.
 
-        With a delivery timeline attached the loop merges the two tiers
-        by ``(time, seq)``: runs of timeline entries due before the next
+        With a calendar attached the loop merges it with the heap by
+        ``(time, seq)``: runs of calendar entries due before the next
         live heap event are handed to the drain in one call, so the
-        per-event engine overhead is paid per *batch* of deliveries and
-        per heap event, never per delivered message.
+        per-event engine overhead is paid per *batch* of entries and
+        per heap event, never per delivered message or deferred call.
         """
         if self._timeline is not None:
             self._run_two_tier(until=until, max_events=max_events)
@@ -511,11 +590,12 @@ class Simulator:
             self._live -= fired
 
     def _run_two_tier(self, *, until: float, max_events: Optional[int]) -> None:
-        """The run loop with the calendar-queue delivery tier attached.
+        """The run loop with the calendar queue attached.
 
-        Same contract as :meth:`run`.  Heap events fire here; timeline
-        entries fire inside the attached drain, which yields back
-        whenever a live heap event is due first.
+        Same contract as :meth:`run`.  Heap events fire here; calendar
+        entries (deliveries and deferred calls, one event each) fire
+        inside the attached drain, which yields back whenever a live
+        heap event is due first.
         """
         queue = self._queue
         timeline = self._timeline

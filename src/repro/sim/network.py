@@ -26,7 +26,7 @@ from bisect import insort
 from heapq import heappop, heappush
 
 from repro.sim.bandwidth import UploadLink
-from repro.sim.engine import DeliveryTimeline, Simulator
+from repro.sim.engine import DEFERRED, DeliveryTimeline, Simulator
 from repro.sim.engine import _PENDING  # heap-entry status word (see below)
 from repro.sim.latency import SAMPLE_BLOCK, ConstantLatency, LatencyModel, UniformLatency
 from repro.sim.loss import LossModel, NoLoss, PerNodeLoss
@@ -153,11 +153,12 @@ class Network:
         Schedule deliveries on a calendar-queue
         :class:`~repro.sim.engine.DeliveryTimeline` attached to the
         engine (O(1) amortized per message) instead of the binary heap.
-        Firing order is identical either way (pinned by the
-        heap-vs-calendar equivalence tests); disable to run the heap
-        scheduler, e.g. for A/B testing.  A simulator holds at most one
-        timeline: a second network on the same engine silently keeps
-        the heap path.
+        ``Simulator.defer`` calls ride the same calendar, and this
+        network's drain fires them.  Firing order is identical either
+        way (pinned by the heap-vs-calendar equivalence tests); disable
+        to run the heap scheduler, e.g. for A/B testing.  A simulator
+        holds at most one timeline: a second network on the same engine
+        silently keeps the heap path.
 
     The ``latency`` and ``loss`` models are fixed at construction (their
     *state* may be mutated — ``set_node_loss`` etc. — but the attributes
@@ -311,6 +312,12 @@ class Network:
         everything found here was already in flight when the node went
         down.  Purged messages are accounted as lost in the trace, same
         as a datagram dropped on the wire.
+
+        Deferred calls share the calendar with deliveries and stay: a
+        node's timers are its own process's business, not buffered
+        traffic.  Their ``dst`` slot holds ``DEFERRED``, which equals no
+        node id, so the destination match below never selects one (on
+        the heap they carry their own callback, not ``_deliver_cb``).
         """
         lost = self.trace._lost
         dropped = 0
@@ -428,8 +435,9 @@ class Network:
         cls = message.__class__
         ws = self.wire_size
         if ws is default_wire_size:
-            cached = self._size_cache.get(cls)
-            if cached is None:
+            try:
+                cached = self._size_cache[cls]
+            except KeyError:
                 cached = self._size_cache[cls] = _size_strategy(cls, message)
             size = cached if type(cached) is int else int(cached(message))
         else:
@@ -451,9 +459,10 @@ class Network:
         lost_counts = None
         fault = self.fault_plane
         # Per-fan-out hoists of the inlined model state: the source
-        # loss factor is destination-independent, and the block lengths
-        # only change on refill (always to SAMPLE_BLOCK) — this keeps
-        # the loop free of len() and repeated dict lookups while the
+        # loss factor is destination-independent, and a sample block is
+        # either the models' initial empty list or SAMPLE_BLOCK long
+        # (every refill draws exactly that many) — this keeps the whole
+        # fan-out free of len() and repeated dict lookups while the
         # float expressions stay associatively identical to the models'.
         if loss_inline:
             node_loss = loss.node_loss
@@ -463,10 +472,10 @@ class Network:
             else:
                 p_fixed = 1.0 - (1.0 - loss.base)
             loss_block = loss._block
-            loss_len = len(loss_block)
+            loss_len = SAMPLE_BLOCK if loss_block else 0
         if latency_inline:
             lat_block = latency._block
-            lat_len = len(lat_block)
+            lat_len = SAMPLE_BLOCK if lat_block else 0
         # Calendar-queue tier state (see DeliveryTimeline.add, whose
         # common branch is inlined below: one list append per message).
         tl = self._timeline
@@ -616,7 +625,7 @@ class Network:
         receiver[0].on_message(src, message)
 
     def _drain(self, until: float, budget) -> int:
-        """Fire pending timeline deliveries in global ``(time, seq)`` order.
+        """Fire pending calendar entries in global ``(time, seq)`` order.
 
         The engine's run loop calls this whenever the timeline head is
         due before the next live heap event; it returns the number of
@@ -625,6 +634,11 @@ class Network:
         delivery handlers interleave exactly as they would under the
         heap scheduler), an entry is due past ``until``, ``budget``
         entries have fired, or the timeline is exhausted.
+
+        A ``DEFERRED`` entry (``Simulator.defer``) is a call, not a
+        delivery: it fires in line as one event, bypassing the receiver
+        lookup, the expulsion check and the delivery trace, and — its
+        ``dst`` slot matching no node — it ends any batch run before it.
 
         Consecutive entries for the same destination and message class
         are handed to the endpoint's batch table in one call when the
@@ -676,6 +690,13 @@ class Network:
                     return fired
                 dst = e[3]
                 message = e[4]
+                if dst is DEFERRED:
+                    tl.cur_pos = i + 1
+                    sim.now = t
+                    fired += 1
+                    e[2](*message)
+                    i += 1
+                    continue
                 cls = message.__class__
                 receiver = receivers[dst]
                 if batch_runs and not disconnected:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,49 @@ import pytest
 
 from repro.config import GossipParams, LiftingParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig, SimCluster
+
+
+def _assert_results_identical(a, b, path="result"):
+    """Structural, value-exact equality of two experiment results.
+
+    Recurses through dataclasses, plain objects, dicts (same key order)
+    and sequences; arrays must agree in dtype, shape and every element,
+    floats exactly (NaN matching NaN).  Unlike comparing
+    ``pickle.dumps`` streams it is blind to object *identity*: a result
+    whose curves share one array object equals one carrying equal
+    copies, which is all a process boundary can preserve.
+    """
+    assert type(a) is type(b), f"{path}: {type(a).__name__} vs {type(b).__name__}"
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape, (
+            f"{path}: {a.dtype}{a.shape} vs {b.dtype}{b.shape}"
+        )
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind in "fc"), f"{path}: arrays differ"
+    elif isinstance(a, dict):
+        assert list(a) == list(b), f"{path}: keys {list(a)} vs {list(b)}"
+        for key in a:
+            _assert_results_identical(a[key], b[key], f"{path}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), f"{path}: length {len(a)} vs {len(b)}"
+        for i, (left, right) in enumerate(zip(a, b)):
+            _assert_results_identical(left, right, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert a == b or (math.isnan(a) and math.isnan(b)), f"{path}: {a!r} vs {b!r}"
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_results_identical(
+                getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}"
+            )
+    elif hasattr(a, "__dict__") and not isinstance(a, type):
+        _assert_results_identical(vars(a), vars(b), path)
+    else:
+        assert a == b, f"{path}: {a!r} vs {b!r}"
+
+
+@pytest.fixture
+def assert_results_identical():
+    """The one equality every equivalence test asserts results with."""
+    return _assert_results_identical
 
 
 @pytest.fixture

@@ -32,6 +32,9 @@ class FakeHost:
     def call_later(self, delay, callback, *args):
         return self.sim.call_later(delay, callback, *args)
 
+    def defer(self, delay, callback, *args):
+        self.sim.defer(delay, callback, *args)
+
     def random(self):
         if self.forced_random is not None:
             return self.forced_random

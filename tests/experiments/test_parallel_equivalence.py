@@ -3,17 +3,16 @@
 Every ``run_*`` experiment accepts ``jobs=``; these tests pin the
 determinism contract of :mod:`repro.runtime.parallel`: the job list —
 and with it every seed and RNG stream — is fixed before fan-out, so
-``jobs=2`` produces byte-identical results to ``jobs=1``.
+``jobs=2`` produces results identical to ``jobs=1``.
 
-"Byte-identical" is asserted with ``pickle.dumps`` where the result
-contains no numpy arrays, and with exact ``tobytes()`` equality per
-array otherwise (the raw pickle stream of an *aggregate* can differ
-across process boundaries for equal values, because serial results may
-share memoized sub-objects such as dtype instances that pool-returned
-results cannot share).
+"Identical" is ``assert_results_identical`` (``tests/conftest.py``):
+the same structure with every value exact.  The raw ``pickle.dumps``
+stream is *not* compared — it can differ across process boundaries for
+equal values, because a serial result may share one sub-object (an
+array, a dtype instance) between fields where a pool-returned result
+carries equal copies, and pickle memoises by identity.
 """
 
-import math
 import pickle
 
 import numpy as np
@@ -28,42 +27,20 @@ from repro.experiments.table3 import run_table3
 from repro.experiments.table5 import run_table5
 
 
-def assert_bit_identical(a, b):
-    """Recursive exact (bitwise) equality for experiment results."""
-    assert type(a) is type(b)
-    if isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-    elif isinstance(a, dict):
-        assert list(a.keys()) == list(b.keys())
-        for key in a:
-            assert_bit_identical(a[key], b[key])
-    elif isinstance(a, (list, tuple)):
-        assert len(a) == len(b)
-        for left, right in zip(a, b):
-            assert_bit_identical(left, right)
-    elif isinstance(a, float):
-        assert (math.isnan(a) and math.isnan(b)) or a == b
-    elif hasattr(a, "__dict__") and not isinstance(a, type):
-        assert_bit_identical(vars(a), vars(b))
-    else:
-        assert a == b
-
-
 class TestFig1Equivalence:
     @pytest.fixture(scope="class")
     def results(self):
         kwargs = dict(n=24, duration=4.0, seed=7, lags=[0.0, 2.0, 4.0])
         return run_fig1(jobs=1, **kwargs), run_fig1(jobs=2, **kwargs)
 
-    def test_parallel_bit_identical_to_serial(self, results):
+    def test_parallel_bit_identical_to_serial(self, results, assert_results_identical):
         serial, fanned = results
-        assert_bit_identical(serial, fanned)
+        assert_results_identical(serial, fanned)
 
-    def test_result_pickle_round_trip(self, results):
+    def test_result_pickle_round_trip(self, results, assert_results_identical):
         serial, _fanned = results
         clone = pickle.loads(pickle.dumps(serial))
-        assert_bit_identical(serial, clone)
+        assert_results_identical(serial, clone)
 
 
 class TestTable5Equivalence:
@@ -78,10 +55,9 @@ class TestTable5Equivalence:
         )
         return run_table5(jobs=1, **kwargs), run_table5(jobs=2, **kwargs)
 
-    def test_parallel_byte_identical_to_serial(self, results):
+    def test_parallel_byte_identical_to_serial(self, results, assert_results_identical):
         serial, fanned = results
-        # Table5Result carries no arrays: the full pickle streams match.
-        assert pickle.dumps(serial) == pickle.dumps(fanned)
+        assert_results_identical(serial, fanned)
 
     def test_cells_cover_the_grid(self, results):
         serial, _fanned = results
@@ -92,18 +68,18 @@ class TestTable5Equivalence:
             (1082.0, 1.0),
         }
 
-    def test_result_pickle_round_trip(self, results):
+    def test_result_pickle_round_trip(self, results, assert_results_identical):
         serial, _fanned = results
         clone = pickle.loads(pickle.dumps(serial))
-        assert pickle.dumps(clone) == pickle.dumps(serial)
+        assert_results_identical(clone, serial)
 
 
 class TestMonteCarloEquivalence:
-    def test_fig11_parallel_bit_identical(self):
+    def test_fig11_parallel_bit_identical(self, assert_results_identical):
         kwargs = dict(n=800, freeriders=80, rounds=10, seed=13, shards=4)
         serial = run_fig11(jobs=1, **kwargs)
         fanned = run_fig11(jobs=2, **kwargs)
-        assert_bit_identical(serial, fanned)
+        assert_results_identical(serial, fanned)
 
     def test_fig11_shard_count_changes_streams_but_not_jobs(self):
         # The RNG layout depends on the (fixed) shard count only.
@@ -112,21 +88,21 @@ class TestMonteCarloEquivalence:
         assert base.sample.honest.shape == other.sample.honest.shape
         assert not np.array_equal(base.sample.honest, other.sample.honest)
 
-    def test_fig12_parallel_bit_identical(self):
+    def test_fig12_parallel_bit_identical(self, assert_results_identical):
         kwargs = dict(deltas=[0.0, 0.05, 0.1], rounds=10, samples_per_point=400, seed=17)
         serial = run_fig12(jobs=1, **kwargs)
         fanned = run_fig12(jobs=3, **kwargs)
-        assert_bit_identical(serial, fanned)
+        assert_results_identical(serial, fanned)
 
 
 class TestClusterExperimentEquivalence:
-    def test_table3_parallel_bit_identical(self):
+    def test_table3_parallel_bit_identical(self, assert_results_identical):
         kwargs = dict(n=24, duration=2.0, seed=29, fanout_sweep=(4, 5))
         serial = run_table3(jobs=1, **kwargs)
         fanned = run_table3(jobs=2, **kwargs)
-        assert_bit_identical(serial, fanned)
+        assert_results_identical(serial, fanned)
 
-    def test_fig14_parallel_byte_identical(self):
+    def test_fig14_parallel_byte_identical(self, assert_results_identical):
         kwargs = dict(
             n=24,
             seed=23,
@@ -136,7 +112,7 @@ class TestClusterExperimentEquivalence:
         )
         serial = run_fig14(jobs=1, **kwargs)
         fanned = run_fig14(jobs=2, **kwargs)
-        assert pickle.dumps(serial) == pickle.dumps(fanned)
+        assert_results_identical(serial, fanned)
 
 
 class TestResultPickling:
@@ -150,22 +126,22 @@ class TestResultPickling:
         assert clone == result
         assert isinstance(clone, CalibrationResult)
 
-    def test_fig11_result_round_trip(self):
+    def test_fig11_result_round_trip(self, assert_results_identical):
         result = run_fig11(n=200, freeriders=20, rounds=5, seed=13, shards=2)
         clone = pickle.loads(pickle.dumps(result))
-        assert_bit_identical(result, clone)
+        assert_results_identical(result, clone)
 
-    def test_fig12_result_round_trip(self):
+    def test_fig12_result_round_trip(self, assert_results_identical):
         result = run_fig12(deltas=[0.0, 0.1], rounds=5, samples_per_point=100, seed=17)
         clone = pickle.loads(pickle.dumps(result))
-        assert_bit_identical(result, clone)
+        assert_results_identical(result, clone)
 
-    def test_table3_result_round_trip(self):
+    def test_table3_result_round_trip(self, assert_results_identical):
         result = run_table3(n=24, duration=2.0, seed=29, fanout_sweep=(4, 5))
         clone = pickle.loads(pickle.dumps(result))
-        assert_bit_identical(result, clone)
+        assert_results_identical(result, clone)
 
-    def test_fig14_result_round_trip(self):
+    def test_fig14_result_round_trip(self, assert_results_identical):
         result = run_fig14(
             n=24,
             seed=23,
@@ -174,4 +150,4 @@ class TestResultPickling:
             calibration_duration=3.0,
         )
         clone = pickle.loads(pickle.dumps(result))
-        assert pickle.dumps(clone) == pickle.dumps(result)
+        assert_results_identical(result, clone)

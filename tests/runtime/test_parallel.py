@@ -138,7 +138,7 @@ class TestRunJobs:
         assert result.get("now") == pytest.approx(2.0)
         assert result.at("events", 1.0) <= result.get("events")
 
-    def test_parallel_results_bit_identical_to_serial(self):
+    def test_parallel_results_bit_identical_to_serial(self, assert_results_identical):
         job_list = [
             Job(
                 config=_small_config(seed=seed),
@@ -150,11 +150,7 @@ class TestRunJobs:
         ]
         serial = run_jobs(job_list, jobs=1)
         fanned = run_jobs(job_list, jobs=3)
-        # Compare per result: pickling the whole list at once would let
-        # the serial side memoize objects shared *across* results (e.g.
-        # interned extractor-name strings), which the fanned results —
-        # each deserialised from its own worker — cannot share.
-        assert [pickle.dumps(r) for r in serial] == [pickle.dumps(r) for r in fanned]
+        assert_results_identical(serial, fanned)
 
     def test_job_result_pickle_round_trip(self):
         result = JobResult(

@@ -1,16 +1,15 @@
 """Registry acceptance: every scenario runs, round-trips, and matches
-its legacy entry point byte for byte.
+its legacy entry point value for value.
 
 Three pins, parametrised over the registry:
 
 * every registered scenario runs at its declared smoke size and its
   ``RunResult`` envelope round-trips losslessly through JSON;
-* every *paper* scenario's artifact is byte-identical (pickle) to the
-  legacy ``run_*`` entry point called with the same parameters;
+* every *paper* scenario's artifact is identical — structurally, every
+  value exact (``assert_results_identical`` in ``tests/conftest.py``) —
+  to the legacy ``run_*`` entry point called with the same parameters;
 * the ``jobs`` fan-out stays bit-identical through the registry path.
 """
-
-import pickle
 
 import pytest
 
@@ -134,13 +133,13 @@ PAPER_SCENARIOS = sorted(_legacy_calls())
 
 
 @pytest.mark.parametrize("name", PAPER_SCENARIOS)
-def test_registry_byte_identical_to_legacy_runner(smoke_results, name):
+def test_registry_byte_identical_to_legacy_runner(smoke_results, name, assert_results_identical):
     """Acceptance: fixed-seed output of the registry path is
-    byte-identical to the legacy ``run_*`` entry point."""
+    value-identical to the legacy ``run_*`` entry point."""
     smoke = get(name).smoke_params()
     legacy = _legacy_calls()[name](smoke)
     via_registry = smoke_results(name).artifact
-    assert pickle.dumps(legacy) == pickle.dumps(via_registry)
+    assert_results_identical(legacy, via_registry)
 
 
 def test_scaling_registry_matches_legacy_structure(smoke_results):
@@ -160,7 +159,7 @@ def test_scaling_registry_matches_legacy_structure(smoke_results):
     assert [p.events for p in legacy.points] == [p.events for p in via_registry.points]
 
 
-def test_fig1_jobs_fanout_bit_identical():
+def test_fig1_jobs_fanout_bit_identical(assert_results_identical):
     """``run_scenario("fig1", jobs=2)`` == legacy ``run_fig1(jobs=2)``."""
     from repro.experiments.fig1 import run_fig1
 
@@ -168,5 +167,5 @@ def test_fig1_jobs_fanout_bit_identical():
     legacy = run_fig1(jobs=2, **kwargs)
     via_registry = run_scenario("fig1", jobs=2, **kwargs).artifact
     serial = run_scenario("fig1", jobs=1, **kwargs).artifact
-    assert pickle.dumps(legacy) == pickle.dumps(via_registry)
-    assert pickle.dumps(serial) == pickle.dumps(via_registry)
+    assert_results_identical(legacy, via_registry)
+    assert_results_identical(serial, via_registry)

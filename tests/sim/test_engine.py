@@ -232,6 +232,50 @@ class TestHotPathScheduling:
         assert order == [0, 1, 2]
 
 
+class TestDeferWithoutCalendar:
+    """``defer`` on a heap-only simulator: the same call, filed on the heap
+    (the calendar side is in ``test_timeline.py``)."""
+
+    def test_fires_with_args_and_returns_no_handle(self):
+        sim = Simulator()
+        seen = []
+        assert sim.defer(1.5, lambda a, b: seen.append((sim.now, a, b)), "x", 7) is None
+        assert sim.heap_size == 1 and sim.pending_events == 1
+        sim.run()
+        assert seen == [(1.5, "x", 7)]
+        assert sim.events_processed == 1 and sim.pending_events == 0
+
+    def test_ties_with_other_primitives_break_by_scheduling_order(self):
+        sim = Simulator()
+        order = []
+        sim.defer(1.0, order.append, 0)
+        sim.call_later(1.0, order.append, 1)
+        sim.defer(1.0, order.append, 2)
+        sim.schedule(1.0, order.append, 3)
+        sim.defer(0.0, order.append, "now")
+        sim.run()
+        assert order == ["now", 0, 1, 2, 3]
+
+    def test_until_max_events_and_step_count_it_as_one_event(self):
+        sim = Simulator()
+        fired = []
+        for i in range(4):
+            sim.defer(1.0 + i, fired.append, i)
+        sim.run(until=1.5)
+        assert fired == [0] and sim.now == 1.5
+        sim.run(max_events=1)
+        assert fired == [0, 1]
+        assert sim.step() and fired == [0, 1, 2]
+        assert (sim.events_processed, sim.pending_events) == (3, 1)
+
+    @pytest.mark.parametrize("delay", [-0.1, float("inf"), float("nan")])
+    def test_rejects_negative_and_nonfinite_delays(self, delay):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.defer(delay, lambda: None)
+        assert sim.pending_events == 0 and sim.heap_size == 0
+
+
 class TestMaxEventsCountsFiredOnly:
     """Regression: cancelled timers skipped by lazy deletion must not
     consume the ``max_events`` budget (they never fire)."""

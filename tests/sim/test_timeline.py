@@ -5,13 +5,14 @@ engine fires events in *exactly* the order the single binary heap would
 have — ``(time, seq)`` ascending across both tiers — including under
 re-entrant scheduling from delivery handlers, zero-latency models (same
 bucket), sparse gaps (cursor rewind) and past-horizon outliers (heap
-fallback).
+fallback).  The calendar carries two kinds of entry — deliveries and
+``Simulator.defer`` calls — and the contract holds for both.
 """
 
 import numpy as np
 import pytest
 
-from repro.sim.engine import DeliveryTimeline, Simulator
+from repro.sim.engine import DEFERRED, DeliveryTimeline, Simulator
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.loss import BernoulliLoss, NoLoss
 from repro.sim.network import Network, Transport
@@ -102,18 +103,32 @@ class TestDeliveryTimelineUnit:
         assert second._timeline is None
 
 
-def _scripted_run(use_timeline, latency, loss_seed=None, n=6):
-    """One deterministic scripted scenario; returns the delivery log.
+#: Delays the scripted scenario defers calls by: the same instant (tie
+#: broken by seq alone), inside the current bucket, a few buckets ahead,
+#: and far enough to skip empty gaps.
+_DEFER_DELAYS = (0.0, 0.0004, 0.021, 0.3)
+
+
+def _scripted_run(use_timeline, latency, loss_seed=None, n=6, deferred=False):
+    """One deterministic scripted scenario; returns the firing logs.
 
     Exercises re-entrant sends (each delivery triggers a further
     fan-out for a few hops), interleaved timers, TCP traffic and, with
     ``loss_seed``, datagram loss — everything the cluster hot path does,
-    in miniature.
+    in miniature.  With ``deferred`` every delivery and every timer also
+    defers a call (which itself sends), the way the verification
+    timeouts ride along with real traffic; all callbacks append to one
+    log, so any reordering between the three kinds of event shows.
     """
     sim = Simulator()
     loss = NoLoss() if loss_seed is None else BernoulliLoss(np.random.default_rng(loss_seed), 0.1)
     net = Network(sim, latency=latency, loss=loss, use_timeline=use_timeline)
     log = []
+
+    def deferred_call(origin, tag):
+        log.append((sim.now, "deferred", origin, tag))
+        if tag % 3 == 0:
+            net.send(origin, (origin + 1) % n, (0, -tag))
 
     class Node:
         def __init__(self, node_id):
@@ -122,6 +137,9 @@ def _scripted_run(use_timeline, latency, loss_seed=None, n=6):
         def on_message(self, src, message):
             hops, payload = message
             log.append((sim.now, src, self.node_id, hops, payload))
+            if deferred:
+                tag = len(log)
+                sim.defer(_DEFER_DELAYS[tag % 4], deferred_call, self.node_id, tag)
             if hops > 0:
                 for k in range(2):
                     net.send(self.node_id, (self.node_id + k + 1) % n, (hops - 1, payload))
@@ -130,8 +148,15 @@ def _scripted_run(use_timeline, latency, loss_seed=None, n=6):
         net.register(Node(i))
 
     timer_log = []
+
+    def timer(i):
+        timer_log.append((sim.now, i))
+        log.append((sim.now, "timer", i))
+        if deferred:
+            sim.defer(_DEFER_DELAYS[i % 4], deferred_call, i % n, 1000 + i)
+
     for i in range(20):
-        sim.call_later(0.013 * (i + 1), lambda i=i: timer_log.append((sim.now, i)))
+        sim.call_later(0.013 * (i + 1), timer, i)
     for i in range(n):
         net.send(i, (i + 1) % n, (4, i))
         net.send(i, (i + 2) % n, (2, 100 + i), Transport.TCP)
@@ -153,13 +178,16 @@ class TestHeapCalendarEquivalence:
             (lambda: ConstantLatency(0.0), None),
         ],
     )
-    def test_scripted_scenarios_fire_identically(self, latency_factory, loss_seed):
-        a = _scripted_run(True, latency_factory(), loss_seed)
-        b = _scripted_run(False, latency_factory(), loss_seed)
+    @pytest.mark.parametrize("deferred", [False, True], ids=["plain", "deferred"])
+    def test_scripted_scenarios_fire_identically(self, latency_factory, loss_seed, deferred):
+        a = _scripted_run(True, latency_factory(), loss_seed, deferred=deferred)
+        b = _scripted_run(False, latency_factory(), loss_seed, deferred=deferred)
         assert a == b
         assert len(a[0]) > 50  # the scenario actually exercised traffic
+        assert any(e[1] == "deferred" for e in a[0]) == deferred
 
-    def test_past_horizon_deliveries_merge_in_order(self):
+    @pytest.mark.parametrize("deferred", [False, True], ids=["plain", "deferred"])
+    def test_past_horizon_deliveries_merge_in_order(self, deferred):
         # A latency far beyond the ring horizon rides the heap tier but
         # must still interleave correctly with timeline deliveries.
         class TwoScale(ConstantLatency):
@@ -174,8 +202,8 @@ class TestHeapCalendarEquivalence:
             def delivery_window(self):
                 return (0.02, 0.0)
 
-        a = _scripted_run(True, TwoScale())
-        b = _scripted_run(False, TwoScale())
+        a = _scripted_run(True, TwoScale(), deferred=deferred)
+        b = _scripted_run(False, TwoScale(), deferred=deferred)
         assert a == b
 
     def test_step_merges_tiers(self):
@@ -226,3 +254,180 @@ class TestHeapCalendarEquivalence:
         sim.run(until=0.06)
         assert seen == list(range(10))
         assert sim.now == 0.06
+
+
+class _Recorder:
+    """Endpoint that appends every delivery to a shared log."""
+
+    def __init__(self, node_id, log, on_delivery=None):
+        self.node_id = node_id
+        self._log = log
+        self._on_delivery = on_delivery
+
+    def on_message(self, src, message):
+        self._log.append(("msg", message))
+        if self._on_delivery is not None:
+            self._on_delivery(message)
+
+
+def _pair(log, latency=0.05, use_timeline=True, on_delivery=None):
+    """Two recorders on a constant-latency network (bucket width = latency / 2)."""
+    sim = Simulator()
+    net = Network(sim, latency=ConstantLatency(latency), loss=NoLoss(), use_timeline=use_timeline)
+    net.register(_Recorder(0, log))
+    net.register(_Recorder(1, log, on_delivery))
+    return sim, net
+
+
+class TestDeferredCalls:
+    """``Simulator.defer`` entries on the calendar, branch by branch."""
+
+    def note(self, log, tag):
+        log.append(("deferred", tag))
+
+    def test_rides_the_calendar_not_the_heap(self):
+        log = []
+        sim, _net = _pair(log)
+        assert sim.defer(0.1, self.note, log, "x") is None
+        assert sim.heap_size == 0 and len(sim.timeline) == 1
+        assert sim.pending_events == 1
+        sim.run()
+        assert log == [("deferred", "x")] and sim.now == 0.1
+        assert sim.pending_events == 0 and len(sim.timeline) == 0
+
+    def test_same_bucket_insert_during_drain(self):
+        log = []
+        buckets = []
+
+        def on_delivery(message):
+            if message == "a":  # t=0.05; the call is due inside the bucket being drained
+                buckets.append(sim.timeline.cur_idx)
+                sim.defer(0.01, self.note, log, "between")
+
+        sim, net = _pair(log, on_delivery=on_delivery)
+        net.send(0, 1, "a")  # due 0.05
+        sim.call_at(0.02, net.send, 0, 1, "b")  # due 0.07: same 25 ms bucket as "a"
+        sim.run()
+        assert buckets == [int(0.06 * sim.timeline.inv_width)]
+        assert log == [("msg", "a"), ("deferred", "between"), ("msg", "b")]
+
+    def test_gap_bucket_rewind(self):
+        log = []
+        cursor = []
+        sim, net = _pair(log)
+
+        def in_the_gap():
+            # The cursor already sits on the bucket of "late" (0.55);
+            # this call is due in a bucket it skipped over.
+            cursor.append(sim.timeline.cur_idx)
+            sim.defer(0.005, self.note, log, "early")
+            cursor.append(sim.timeline.cur_idx)
+
+        sim.call_at(0.5, net.send, 0, 1, "late")
+        sim.call_at(0.52, in_the_gap)
+        sim.run()
+        late_idx = int(0.55 * sim.timeline.inv_width)
+        assert cursor == [late_idx, int(0.525 * sim.timeline.inv_width) - 1]
+        assert log == [("deferred", "early"), ("msg", "late")]
+
+    def test_past_horizon_falls_back_to_the_heap(self):
+        log = []
+        sim, net = _pair(log, latency=0.002)  # 1 ms buckets: the ring spans 0.511 s
+        sim.defer(0.5, self.note, log, "near")
+        assert (sim.heap_size, len(sim.timeline)) == (0, 1)
+        sim.defer(1.0, self.note, log, "far")
+        assert (sim.heap_size, len(sim.timeline)) == (1, 1)
+        assert sim.pending_events == 2
+        sim.call_at(0.9985, net.send, 0, 1, "after")  # due 1.0005, sent before "far" fires
+        sim.run()
+        assert log == [("deferred", "near"), ("deferred", "far"), ("msg", "after")]
+
+    def test_counts_as_one_event_for_until_max_events_and_step(self):
+        log = []
+        sim, net = _pair(log)
+        for i, delay in enumerate((0.01, 0.02, 0.03)):
+            sim.defer(delay, self.note, log, i)
+        net.send(0, 1, "m")  # due 0.05
+        assert sim.pending_events == 4
+        sim.run(until=0.015)
+        assert log == [("deferred", 0)] and sim.now == 0.015
+        assert (sim.events_processed, sim.pending_events) == (1, 3)
+        sim.run(max_events=1)
+        assert log[-1] == ("deferred", 1) and sim.now == 0.02
+        assert (sim.events_processed, sim.pending_events) == (2, 2)
+        assert sim.step() and log[-1] == ("deferred", 2)
+        assert (sim.events_processed, sim.pending_events) == (3, 1)
+        assert sim.step() and log[-1] == ("msg", "m")
+        assert not sim.step()
+        assert (sim.events_processed, sim.pending_events, len(sim.timeline)) == (4, 0, 0)
+
+    @pytest.mark.parametrize("interleave", [True, False], ids=["cut", "whole"])
+    def test_batch_run_is_cut_at_a_deferred_entry(self, interleave):
+        log = []
+
+        class Batcher:
+            node_id = 1
+
+            def __init__(self):
+                self.dispatch_table = {str: self.one}
+                self.batch_dispatch_table = {str: self.many}
+
+            def one(self, src, message):
+                log.append(("one", message))
+
+            def many(self, entries, lo, hi):
+                log.append(("run", [e[4] for e in entries[lo:hi]]))
+
+        sim = Simulator()
+        net = Network(sim, latency=ConstantLatency(0.05), loss=NoLoss())
+        assert net._batch_runs
+        net.register(_Recorder(0, log))
+        net.register(Batcher())
+        # All due at t=0.05, in seq order: m1 m2 [call] m3 m4.
+        net.send(0, 1, "m1")
+        net.send(0, 1, "m2")
+        if interleave:
+            sim.defer(0.05, self.note, log, "timeout")
+        net.send(0, 1, "m3")
+        net.send(0, 1, "m4")
+        sim.run()
+        if interleave:
+            assert log == [("run", ["m1", "m2"]), ("deferred", "timeout"), ("run", ["m3", "m4"])]
+        else:
+            assert log == [("run", ["m1", "m2", "m3", "m4"])]
+        assert sim.events_processed == 4 + interleave
+
+    @pytest.mark.parametrize("use_timeline", [True, False])
+    def test_any_payload_type_is_still_a_message(self, use_timeline):
+        # The drain tells calls from deliveries by the DEFERRED mark in
+        # the dst slot, never by looking at the payload.
+        log = []
+        sim, net = _pair(log, use_timeline=use_timeline)
+        payloads = [None, 7, (len, ("x",)), DEFERRED, ()]
+        for payload in payloads:
+            net.send(0, 1, payload)
+        sim.run()
+        assert log == [("msg", payload) for payload in payloads]
+
+    @pytest.mark.parametrize("use_timeline", [True, False])
+    def test_reconnect_purge_leaves_deferred_calls_pending(self, use_timeline):
+        log = []
+        sim, net = _pair(log, use_timeline=use_timeline)
+        net.send(0, 0, "other-node")  # due 0.05, nothing to do with the restarting node
+        sim.call_at(0.01, net.send, 0, 1, "x")  # due 0.06
+        sim.call_at(0.04, net.send, 0, 1, "y")  # due 0.09
+        sim.defer(0.045, net.disconnect, 1)
+        # On the calendar this fires while the bucket [0.05, 0.075) is
+        # being drained: "x" is purged from behind the cursor, "y" from
+        # the ring, and the two calls filed beside them stay.
+        sim.defer(0.051, net.reconnect, 1)
+        sim.defer(0.061, self.note, log, "same-bucket")
+        sim.defer(0.1, self.note, log, "ring")
+        sim.run()
+        assert log == [
+            ("msg", "other-node"),
+            ("deferred", "same-bucket"),
+            ("deferred", "ring"),
+        ]
+        assert sum(net.trace._lost.values()) == 2
+        assert sim.pending_events == 0
