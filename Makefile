@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-full
+.PHONY: test bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-full
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -60,6 +60,11 @@ bench-ledger:
 
 bench-ledger-smoke:
 	python -m benchmarks.ledger --smoke
+
+## One untraced run of the live-plane workload alone: checks a change to
+## the codec or the transport in ~15 s, without the 4-minute suite.
+bench-ledger-live:
+	python3 benchmarks/ledger/__main__.py --workload live_loopback --trace 0
 
 ## Full benchmark harness (paper-scale; slow).
 bench-full:

@@ -225,17 +225,19 @@ class BoundedIngressQueue:
     def push(self, item) -> bool:
         """Enqueue ``item``; False when rejected by the overflow policy."""
         queue = self._queue
-        if len(queue) >= self.capacity:
-            if self.policy == REJECT:
-                self.rejected += 1
-                return False
+        depth = len(queue)
+        if depth < self.capacity:
+            depth += 1
+        elif self.policy == REJECT:
+            self.rejected += 1
+            return False
+        else:  # evict the head: the depth stays at capacity
             evicted = queue.popleft()
             self.dropped_oldest += 1
             if self.on_evict is not None:
                 self.on_evict(evicted)
         queue.append(item)
         self.accepted += 1
-        depth = len(queue)
         if depth > self.high_water:
             self.high_water = depth
         return True

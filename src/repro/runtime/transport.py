@@ -48,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import struct
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -75,19 +76,26 @@ class NodeRegistry:
         self._udp: Dict[NodeId, Address] = {}
         self._tcp: Dict[NodeId, Address] = {}
         self._expelled: set = set()
+        #: registered and not expelled — what :meth:`is_connected`
+        #: answers; the transport's per-frame paths test membership on
+        #: it directly instead of paying a call per question.
+        self.connected: Set[NodeId] = set()
 
     def register(self, node_id: NodeId, udp: Address, tcp: Address) -> None:
         """Publish a node's endpoints."""
         self._udp[node_id] = udp
         self._tcp[node_id] = tcp
+        if node_id not in self._expelled:
+            self.connected.add(node_id)
 
     def expel(self, node_id: NodeId) -> None:
         """Remove a node from the fabric."""
         self._expelled.add(node_id)
+        self.connected.discard(node_id)
 
     def is_connected(self, node_id: NodeId) -> bool:
         """Whether a node is registered and not expelled."""
-        return node_id in self._udp and node_id not in self._expelled
+        return node_id in self.connected
 
     def udp_address(self, node_id: NodeId) -> Optional[Address]:
         """UDP endpoint of ``node_id`` (None when unreachable)."""
@@ -314,7 +322,8 @@ class AsyncTransport:
         breaker, or a full egress queue — and ``sends_refused`` is
         incremented exactly once per refusal.
         """
-        if not self.registry.is_connected(src) or not self.registry.is_connected(dst):
+        connected = self.registry.connected
+        if src not in connected or dst not in connected:
             self.sends_refused += 1
             return False
         if src in self._crashed:
@@ -392,8 +401,8 @@ class AsyncTransport:
         """Open both sockets (``port 0`` = ephemeral) and register them."""
         transport, _protocol = await self.loop.create_datagram_endpoint(
             lambda: _DatagramProtocol(
-                lambda data: self._dispatch(node_id, data),
-                lambda exc: self._on_datagram_error(node_id, exc),
+                partial(self._dispatch, node_id),
+                partial(self._on_datagram_error, node_id),
             ),
             local_addr=udp_addr,
         )
@@ -484,14 +493,14 @@ class AsyncTransport:
     def _deliver_batch(self, batch) -> None:
         """Deliver drained entries, coalescing same-destination runs."""
         i, n = 0, len(batch)
-        registry = self.registry
+        connected = self.registry.connected
         probe = self.probe
         while i < n:
             dst = batch[i][1]
             j = i + 1
             while j < n and batch[j][1] == dst:
                 j += 1
-            if not registry.is_connected(dst) or dst in self._crashed:
+            if dst not in connected or dst in self._crashed:
                 i = j
                 continue
             entry = self._receivers.get(dst)
@@ -550,7 +559,7 @@ class AsyncTransport:
         channel.breaker.record_failure()
 
     def _dispatch(self, node_id: NodeId, data: bytes) -> None:
-        if not self.registry.is_connected(node_id) or node_id in self._crashed:
+        if node_id not in self.registry.connected or node_id in self._crashed:
             return
         try:
             src, message = wire_codec.decode_frame(data)
@@ -575,7 +584,7 @@ class AsyncTransport:
                     self._on_decode_error(b"")
                     break
                 payload = await reader.readexactly(length)
-                if not self.registry.is_connected(node_id) or node_id in self._crashed:
+                if node_id not in self.registry.connected or node_id in self._crashed:
                     continue
                 try:
                     src, message = wire_codec.decode_frame(payload)

@@ -15,8 +15,6 @@ UDP datagrams carry one frame verbatim)::
 
     tag:1 | src:8 (signed big-endian) | body (per-field packing)
 
-Field encodings, compiled once per message class from its type hints:
-
 ====================  ==================================================
 ``int``               8-byte signed big-endian (``!q``)
 ``float``             8-byte IEEE-754 big-endian (``!d``)
@@ -26,24 +24,41 @@ Field encodings, compiled once per message class from its type hints:
 ``Tuple[A, B, C]``    fixed: the three elements back to back
 ====================  ==================================================
 
-Encoding canonicalises numpy scalars (``np.int64``, ``np.float64``,
-``np.bool_``) to their Python equivalents, so a round-trip always
-yields plain Python values — the property the hypothesis suite pins.
+The type hints are the schema; what executes it is *compiled* once, at
+import, into one ``(encode, decode)`` pair of closures per class.  Every
+maximal run of ``int``/``float``/``bool`` fields — the ``tag|src``
+header included — is a single precompiled ``struct.Struct`` fed by one
+``attrgetter``, so an all-scalar message (``Serve``) is one ``pack``
+out and one ``unpack_from`` in; a sequence of numbers, or of fixed
+tuples of numbers (``Update``), is its count plus one ``pack`` of all
+its elements; strings and sequences of composites compose the same
+closures.  No frame is walked field by field.
+
+Encoding is strict about types: an ``int`` field takes exactly the
+objects with ``__index__`` (``np.int64`` yes, ``3.7`` and ``"5"`` no),
+a ``float`` field anything with ``__float__``, a ``bool`` field
+``bool`` / ``np.bool_``; anything else is a :class:`MalformedFrameError`,
+never a silent coercion.  A string over the cap is cut on a character
+boundary, so the decoder accepts every frame the encoder emits, and a
+round-trip always yields plain Python values, never numpy scalars.
 
 The codec is intentionally *not* versioned per message: the tag is the
 class's index in :data:`repro.wire.WIRE_MESSAGE_CLASSES`, so the wire
 format is frozen exactly as hard as that tuple's order — appending new
 classes is compatible, reordering is a flag-day (and the test suite
-pins the tag assignment).
+pins the tag assignment and one golden frame per class).
 """
 
 from __future__ import annotations
 
 import struct
 import typing
+from itertools import chain
+from operator import attrgetter
 from typing import Tuple
 
-from repro import wire
+import numpy as np
+
 from repro.wire import WIRE_MESSAGE_CLASSES
 
 __all__ = [
@@ -88,48 +103,213 @@ MAX_SEQ_ITEMS = 4096
 MAX_STR_BYTES = 255
 
 _INT = struct.Struct("!q")
-_FLOAT = struct.Struct("!d")
 _COUNT = struct.Struct("!H")
-
 _HEADER_LEN = 1 + _INT.size  # tag + src
 
+#: struct codes of the fixed-width leaves (``"tag"`` is the header's
+#: pseudo-hint).  A bool is *packed* as ``?`` but *unpacked* as ``B``:
+#: ``?`` would read any non-zero byte as True.
+_PRIM_CODES = {"tag": "B", int: "q", float: "d", bool: "?"}
+
 
 # ----------------------------------------------------------------------
-# schema compilation: type hints -> spec trees
+# plan compilation: type hint -> (encode, decode) closures
+#
+#   encode(value) -> bytes               (a record: encode(*values))
+#   decode(data, offset, limit) -> (value, offset after it)
 # ----------------------------------------------------------------------
-def _compile_spec(hint) -> tuple:
-    """Compile one type hint into a spec tree the codec can execute."""
-    if hint is int:
-        return ("int",)
-    if hint is float:
-        return ("float",)
-    if hint is bool:
-        return ("bool",)
+def _read_count(data: bytes, offset: int, limit: int, cap: int, what: str):
+    """The 2-byte count at ``offset``, checked against ``cap``, and its end."""
+    start = offset + _COUNT.size
+    if start > limit:
+        raise MalformedFrameError(f"truncated {what} count")
+    count = _COUNT.unpack_from(data, offset)[0]
+    if count > cap:
+        raise OversizedFrameError(f"{what} of {count} exceeds cap {cap}")
+    return count, start
+
+
+def _encode_str(value) -> bytes:
+    data = str(value).encode("utf-8")
+    if len(data) > MAX_STR_BYTES:
+        # Cut on a character boundary: back off while the first byte
+        # left out is a continuation byte (10xxxxxx) of a kept lead.
+        cut = MAX_STR_BYTES
+        while data[cut] & 0xC0 == 0x80:
+            cut -= 1
+        data = data[:cut]
+    return _COUNT.pack(len(data)) + data
+
+
+def _decode_str(data: bytes, offset: int, limit: int):
+    length, start = _read_count(data, offset, limit, MAX_STR_BYTES, "string")
+    end = start + length
+    if end > limit:
+        raise MalformedFrameError("truncated string body")
+    try:
+        return data[start:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise MalformedFrameError("invalid UTF-8 in string field") from exc
+
+
+def _record_codec(hints):
+    """Codec of a heterogeneous record: a class body or a fixed tuple.
+
+    Each maximal run of fixed-width members is one ``Struct``; the
+    members in between bring their own closures.  ``decode`` yields the
+    values as a list; a record that is a single run without bools
+    encodes with the bare ``Struct.pack``.
+    """
+    codes = [_PRIM_CODES.get(hint) for hint in hints]
+    enc_steps, dec_steps = [], []  # (enc, i, j, bools) / (dec, size, bools)
+    i = 0
+    while i < len(codes):
+        j = i
+        while j < len(codes) and codes[j] is not None:
+            j += 1
+        if j == i:  # a variable-width member: no j, no size
+            enc, dec = _value_codec(hints[i])
+            enc_steps.append((enc, i, None, ()))
+            dec_steps.append((dec, None, ()))
+            i += 1
+            continue
+        fmt = "!" + "".join(codes[i:j])
+        bools = tuple(k for k in range(i, j) if codes[k] == "?")
+        unpacker = struct.Struct(fmt.replace("?", "B"))
+        enc_steps.append((struct.Struct(fmt).pack, i, j, bools))
+        dec_steps.append((unpacker.unpack_from, unpacker.size, tuple(k - i for k in bools)))
+        i = j
+
+    def encode(*values) -> bytes:
+        frame = b""
+        for enc, i, j, bools in enc_steps:
+            if j is None:
+                frame += enc(values[i])
+                continue
+            for k in bools:
+                flag = values[k]
+                if flag is not True and flag is not False and not isinstance(flag, np.bool_):
+                    raise MalformedFrameError(f"bool field holds {flag!r}")
+            frame += enc(*values[i:j])
+        return frame
+
+    def decode(data: bytes, offset: int, limit: int):
+        values = []
+        for dec, size, bools in dec_steps:
+            if size is None:
+                value, offset = dec(data, offset, limit)
+                values.append(value)
+                continue
+            end = offset + size
+            if end > limit:
+                raise MalformedFrameError("truncated fixed-width fields")
+            run = dec(data, offset)
+            if bools:
+                run = list(run)
+                for k in bools:
+                    if run[k] > 1:
+                        raise MalformedFrameError(f"non-canonical bool byte {run[k]:#x}")
+                    run[k] = run[k] == 1
+            values += run
+            offset = end
+        return values, offset
+
+    if None not in codes and "?" not in codes:  # one run, nothing to check
+        encode = enc_steps[0][0]
+    return encode, decode
+
+
+def _seq_codec(elem):
+    """Codec of ``Tuple[elem, ...]``: 2-byte count, then the elements."""
+    kinds = typing.get_args(elem) if typing.get_origin(elem) is tuple else (elem,)
+    if kinds and kinds[0] in (int, float) and all(kind is kinds[0] for kind in kinds):
+        return _flat_seq_codec(_PRIM_CODES[kinds[0]], len(kinds), elem is not kinds[0])
+    enc_one, dec_one = _value_codec(elem)
+
+    def encode(value) -> bytes:
+        if len(value) > MAX_SEQ_ITEMS:
+            raise OversizedFrameError(f"sequence of {len(value)} items exceeds cap")
+        return _COUNT.pack(len(value)) + b"".join(map(enc_one, value))
+
+    def decode(data: bytes, offset: int, limit: int):
+        count, offset = _read_count(data, offset, limit, MAX_SEQ_ITEMS, "sequence")
+        items = []
+        for _ in range(count):
+            item, offset = dec_one(data, offset, limit)
+            items.append(item)
+        return tuple(items), offset
+
+    return encode, decode
+
+
+def _flat_seq_codec(code: str, width: int, grouped: bool):
+    """A sequence of one numeric kind — ``int``, ``float``, or (``grouped``)
+    fixed ``width``-tuples of either, such as ``Update`` — travels as a
+    single ``pack`` / ``unpack_from`` of ``count * width`` numbers."""
+    item_size = width * struct.calcsize("!" + code)
+
+    def encode(value) -> bytes:
+        count = len(value)
+        if count > MAX_SEQ_ITEMS:
+            raise OversizedFrameError(f"sequence of {count} items exceeds cap")
+        if grouped:
+            if any(map(width.__ne__, map(len, value))):
+                raise MalformedFrameError(f"fixed tuple needs {width} items")
+            value = chain.from_iterable(value)
+        return struct.pack(f"!H{count * width}{code}", count, *value)
+
+    def decode(data: bytes, offset: int, limit: int):
+        count, start = _read_count(data, offset, limit, MAX_SEQ_ITEMS, "sequence")
+        end = start + count * item_size
+        if end > limit:
+            raise MalformedFrameError("truncated sequence body")
+        items = struct.unpack_from(f"!{count * width}{code}", data, start)
+        if grouped:
+            items = tuple(zip(*[iter(items)] * width))
+        return items, end
+
+    return encode, decode
+
+
+def _value_codec(hint):
+    """``(encode, decode)`` closures for one variable-width value."""
     if hint is str:
-        return ("str",)
-    origin = typing.get_origin(hint)
-    if origin is tuple:
-        args = typing.get_args(hint)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return ("seq", _compile_spec(args[0]))
-        return ("fixed", tuple(_compile_spec(a) for a in args))
-    raise TypeError(f"unsupported wire field type: {hint!r}")
+        return _encode_str, _decode_str
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is not tuple or not args:
+        raise TypeError(f"unsupported wire field type: {hint!r}")
+    if len(args) == 2 and args[1] is Ellipsis:
+        return _seq_codec(args[0])
+    encode_record, decode_record = _record_codec(args)
+
+    def encode(value) -> bytes:
+        if len(value) != len(args):
+            raise MalformedFrameError(f"fixed tuple needs {len(args)} items, got {len(value)}")
+        return encode_record(*value)
+
+    def decode(data: bytes, offset: int, limit: int):
+        values, offset = decode_record(data, offset, limit)
+        return tuple(values), offset
+
+    return encode, decode
 
 
-def _compile_all() -> dict:
-    """Field specs for every wire class, keyed by class."""
-    compiled = {}
-    for cls in WIRE_MESSAGE_CLASSES:
-        hints = typing.get_type_hints(cls)
-        compiled[cls] = tuple(
-            (name, _compile_spec(hints[name])) for name in cls.__slots__
-        )
-    return compiled
+def _compile(cls, tag: int):
+    """``(tag, field getter, encode)`` and ``(cls, decode)`` of one class."""
+    hints = typing.get_type_hints(cls)
+    encode, decode = _record_codec(["tag", int, *(hints[name] for name in cls.__slots__)])
+    getter = attrgetter(*cls.__slots__)
+    if len(cls.__slots__) == 1:  # attrgetter of one name yields it bare
+        getter = lambda message, field=getter: (field(message),)  # noqa: E731
+    return (tag, getter, encode), (cls, decode)
 
 
-_SPECS = _compile_all()
+# Compiled at import: a field type added to wire.py without a codec
+# mapping fails here, not on the first live send.
 _TAG_OF = {cls: tag for tag, cls in enumerate(WIRE_MESSAGE_CLASSES)}
-_CLS_OF = {tag: cls for tag, cls in enumerate(WIRE_MESSAGE_CLASSES)}
+_ENCODERS, _DECODERS = {}, {}
+for _cls, _tag in _TAG_OF.items():
+    _ENCODERS[_cls], _DECODERS[_tag] = _compile(_cls, _tag)
 
 
 def tag_of(cls) -> int:
@@ -137,127 +317,33 @@ def tag_of(cls) -> int:
     return _TAG_OF[cls]
 
 
-# ----------------------------------------------------------------------
-# encoding
-# ----------------------------------------------------------------------
-def _encode_value(spec: tuple, value, out: list) -> None:
-    kind = spec[0]
-    if kind == "int":
-        out.append(_INT.pack(int(value)))
-    elif kind == "float":
-        out.append(_FLOAT.pack(float(value)))
-    elif kind == "bool":
-        out.append(b"\x01" if value else b"\x00")
-    elif kind == "str":
-        data = str(value).encode("utf-8")[:MAX_STR_BYTES]
-        out.append(_COUNT.pack(len(data)))
-        out.append(data)
-    elif kind == "seq":
-        items = tuple(value)
-        if len(items) > MAX_SEQ_ITEMS:
-            raise OversizedFrameError(
-                f"sequence of {len(items)} items exceeds cap {MAX_SEQ_ITEMS}"
-            )
-        out.append(_COUNT.pack(len(items)))
-        elem = spec[1]
-        for item in items:
-            _encode_value(elem, item, out)
-    else:  # fixed
-        elems = spec[1]
-        items = tuple(value)
-        if len(items) != len(elems):
-            raise MalformedFrameError(
-                f"fixed tuple needs {len(elems)} items, got {len(items)}"
-            )
-        for elem, item in zip(elems, items):
-            _encode_value(elem, item, out)
-
-
 def encode_frame(src: int, message) -> bytes:
     """Serialise ``(src, message)`` into one self-contained frame.
 
-    Raises :class:`UnknownTypeError` for a non-wire message class and
-    :class:`OversizedFrameError` when the result exceeds
-    :data:`MAX_FRAME_BYTES` — both are sender-side programming errors,
-    not network conditions, so they propagate instead of being counted.
+    Raises :class:`UnknownTypeError` for a non-wire message class,
+    :class:`MalformedFrameError` for a field value its declared type
+    cannot carry, and :class:`OversizedFrameError` when the result
+    exceeds :data:`MAX_FRAME_BYTES` — all sender-side programming
+    errors, not network conditions, so they propagate instead of being
+    counted.
     """
-    tag = _TAG_OF.get(message.__class__)
-    if tag is None:
+    try:
+        tag, getter, encode = _ENCODERS[message.__class__]
+    except KeyError:
         raise UnknownTypeError(
             f"{message.__class__.__name__} is not a wire message class"
-        )
-    out = [bytes((tag,)), _INT.pack(int(src))]
+        ) from None
     try:
-        for name, spec in _SPECS[message.__class__]:
-            _encode_value(spec, getattr(message, name), out)
-    except (TypeError, ValueError, struct.error) as exc:
-        if isinstance(exc, CodecError):
-            raise
+        frame = encode(tag, src, *getter(message))
+    except CodecError:
+        raise
+    except (TypeError, ValueError, OverflowError, struct.error) as exc:
         raise MalformedFrameError(f"unencodable field value: {exc}") from exc
-    frame = b"".join(out)
     if len(frame) > MAX_FRAME_BYTES:
         raise OversizedFrameError(
             f"frame of {len(frame)} bytes exceeds cap {MAX_FRAME_BYTES}"
         )
     return frame
-
-
-# ----------------------------------------------------------------------
-# decoding
-# ----------------------------------------------------------------------
-def _decode_value(spec: tuple, data: bytes, offset: int):
-    kind = spec[0]
-    if kind == "int":
-        end = offset + _INT.size
-        if end > len(data):
-            raise MalformedFrameError("truncated int field")
-        return _INT.unpack_from(data, offset)[0], end
-    if kind == "float":
-        end = offset + _FLOAT.size
-        if end > len(data):
-            raise MalformedFrameError("truncated float field")
-        return _FLOAT.unpack_from(data, offset)[0], end
-    if kind == "bool":
-        if offset >= len(data):
-            raise MalformedFrameError("truncated bool field")
-        byte = data[offset]
-        if byte > 1:
-            raise MalformedFrameError(f"non-canonical bool byte {byte:#x}")
-        return byte == 1, offset + 1
-    if kind == "str":
-        end = offset + _COUNT.size
-        if end > len(data):
-            raise MalformedFrameError("truncated string length")
-        length = _COUNT.unpack_from(data, offset)[0]
-        if length > MAX_STR_BYTES:
-            raise OversizedFrameError(f"string of {length} bytes exceeds cap")
-        offset, end = end, end + length
-        if end > len(data):
-            raise MalformedFrameError("truncated string body")
-        try:
-            return data[offset:end].decode("utf-8"), end
-        except UnicodeDecodeError as exc:
-            raise MalformedFrameError("invalid UTF-8 in string field") from exc
-    if kind == "seq":
-        end = offset + _COUNT.size
-        if end > len(data):
-            raise MalformedFrameError("truncated sequence count")
-        count = _COUNT.unpack_from(data, offset)[0]
-        if count > MAX_SEQ_ITEMS:
-            raise OversizedFrameError(f"sequence of {count} items exceeds cap")
-        elem = spec[1]
-        offset = end
-        items = []
-        for _ in range(count):
-            item, offset = _decode_value(elem, data, offset)
-            items.append(item)
-        return tuple(items), offset
-    # fixed
-    items = []
-    for elem in spec[1]:
-        item, offset = _decode_value(elem, data, offset)
-        items.append(item)
-    return tuple(items), offset
 
 
 def decode_frame(data: bytes):
@@ -267,27 +353,24 @@ def decode_frame(data: bytes):
     bounds, and the body must be consumed exactly — trailing bytes are
     rejected (they would silently smuggle state past the schema).
     """
-    if len(data) > MAX_FRAME_BYTES:
+    size = len(data)
+    if size > MAX_FRAME_BYTES:
         raise OversizedFrameError(
-            f"frame of {len(data)} bytes exceeds cap {MAX_FRAME_BYTES}"
+            f"frame of {size} bytes exceeds cap {MAX_FRAME_BYTES}"
         )
-    if len(data) < _HEADER_LEN:
-        raise MalformedFrameError(f"frame of {len(data)} bytes has no header")
-    cls = _CLS_OF.get(data[0])
-    if cls is None:
-        raise UnknownTypeError(f"unknown message tag {data[0]:#x}")
-    src = _INT.unpack_from(data, 1)[0]
-    offset = _HEADER_LEN
-    values = []
-    for _name, spec in _SPECS[cls]:
-        value, offset = _decode_value(spec, data, offset)
-        values.append(value)
-    if offset != len(data):
+    if size < _HEADER_LEN:
+        raise MalformedFrameError(f"frame of {size} bytes has no header")
+    try:
+        cls, decode = _DECODERS[data[0]]
+    except KeyError:
+        raise UnknownTypeError(f"unknown message tag {data[0]:#x}") from None
+    values, offset = decode(data, 0, size)
+    if offset != size:
         raise MalformedFrameError(
-            f"{len(data) - offset} trailing bytes after {cls.__name__} body"
+            f"{size - offset} trailing bytes after {cls.__name__} body"
         )
     try:
-        return src, cls(*values)
+        return values[1], cls(*values[2:])
     except (TypeError, ValueError) as exc:  # dataclass-level validation
         raise MalformedFrameError(f"rejected {cls.__name__}: {exc}") from exc
 
@@ -300,7 +383,7 @@ def peek_src(data: bytes):
     proof — good enough to quarantine a babbling peer, not to convict
     it (exactly like an IP source address).
     """
-    if len(data) < _HEADER_LEN or data[0] not in _CLS_OF:
+    if len(data) < _HEADER_LEN or data[0] not in _DECODERS:
         return None
     return _INT.unpack_from(data, 1)[0]
 
@@ -308,11 +391,3 @@ def peek_src(data: bytes):
 def supported_classes() -> Tuple[type, ...]:
     """The classes this codec can carry (the frozen wire tuple)."""
     return WIRE_MESSAGE_CLASSES
-
-
-# Self-check at import: every wire class must compile to a spec whose
-# leaves are the four primitive kinds.  A new field type added to
-# wire.py without a codec mapping fails here, at import, not on the
-# first live send.
-assert len(_SPECS) == len(WIRE_MESSAGE_CLASSES)
-del wire

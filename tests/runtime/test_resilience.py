@@ -152,6 +152,7 @@ class TestBoundedIngressQueue:
         assert queue.push("b")
         assert queue.push("c")  # evicts "a", still accepted
         assert queue.dropped_oldest == 1
+        assert queue.high_water == 2  # an eviction never deepens the queue
         assert queue.drain(10) == ["b", "c"]
 
     def test_reject_policy(self):
@@ -160,6 +161,7 @@ class TestBoundedIngressQueue:
         assert queue.push("b")
         assert not queue.push("c")
         assert queue.rejected == 1
+        assert queue.high_water == 2
         assert queue.drain(10) == ["a", "b"]
 
     def test_as_dict(self):

@@ -28,15 +28,18 @@ class TestNodeRegistryExpulsion:
         registry.expel(5)
         registry.register(5, ("127.0.0.1", 1000), ("127.0.0.1", 1001))
         assert not registry.is_connected(5)
+        assert registry.connected == set()  # what the per-frame paths read
         assert registry.udp_address(5) is None
         assert registry.tcp_address(5) is None
 
     def test_double_expel_is_idempotent(self):
         registry = NodeRegistry()
         registry.register(5, ("127.0.0.1", 1000), ("127.0.0.1", 1001))
+        assert registry.is_connected(5) and registry.connected == {5}
         registry.expel(5)
         registry.expel(5)
         assert not registry.is_connected(5)
+        assert registry.connected == set()
 
 
 class TestDatagramErrors:
