@@ -4,11 +4,16 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-full
+.PHONY: test loc bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-full
 
 ## Tier-1 test suite (must stay green).
 test:
 	python -m pytest -x -q
+
+## Physical line counts of src/ and tests/ — the number ROADMAP aim 2
+## ("a negative line count") is judged by.  Reported, never gated.
+loc:
+	@for d in src tests; do printf '%-5s %6d lines\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; done
 
 ## Quick substrate benchmark run (pytest-benchmark timings + reports).
 bench-smoke:

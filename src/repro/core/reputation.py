@@ -396,37 +396,6 @@ class ReputationManager:
             pool.blame_events[row] += 1
             pool.row_dirty[row] = True
 
-    def on_blame_entries(self, entries, lo: int, hi: int) -> None:
-        """Wire-level batched blames: a same-destination delivery run.
-
-        The calendar-queue drain's batch entry point (see
-        ``GossipNode.batch_dispatch_table``): ``entries[lo:hi]`` are
-        timeline entries ``[time, seq, src, dst, message]``, applied in
-        firing order with the same float addition sequence as
-        per-message delivery — one frame for the whole run instead of
-        one :meth:`on_blame_message` frame each.  Blame recording never
-        reads the clock, so the drain's run-end ``now`` is already
-        correct.
-        """
-        row_of = self._row_of.get
-        pool = self.pool
-        suspected = pool.suspected
-        blame_total = pool.blame_total
-        blame_events = pool.blame_events
-        row_dirty = pool.row_dirty
-        for k in range(lo, hi):
-            message = entries[k][4]
-            row = row_of(message.target)
-            if row is None:
-                continue
-            if suspected[row]:
-                pool.quarantined_total[row] += message.value
-                pool.quarantined_events[row] += 1
-                continue
-            blame_total[row] += message.value
-            blame_events[row] += 1
-            row_dirty[row] = True
-
     # ------------------------------------------------------------------
     # churn-aware blame quarantine (see membership.failure_detector)
     # ------------------------------------------------------------------

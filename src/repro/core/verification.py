@@ -207,23 +207,6 @@ class VerificationEngine:
         if ack.partners and self.host.random() < self.host.lifting.p_dcc:
             self._start_confirm_round(src, ack)
 
-    def on_ack_batch(self, entries, lo: int, hi: int) -> None:
-        """Batched :meth:`on_ack` for a same-destination delivery run.
-
-        ``entries[lo:hi]`` are delivery-timeline entries ``[time, seq,
-        src, dst, message]``; the clock is advanced to each entry's
-        delivery time before processing (``on_ack`` reads it for the
-        overdue-chunk window, and the confirm fan-out it may trigger
-        must send at the entry's own instant).
-        """
-        sim = self._sim
-        on_ack = self.on_ack
-        for k in range(lo, hi):
-            e = entries[k]
-            if sim is not None:
-                sim.now = e[0]
-            on_ack(e[2], e[4])
-
     def _start_confirm_round(self, proposer: NodeId, ack: Ack) -> None:
         self._round_counter += 1
         round_id = self._round_counter

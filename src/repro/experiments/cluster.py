@@ -92,12 +92,6 @@ class ClusterConfig:
     #: upload capacity of degraded nodes (bytes/s; None = same).
     degraded_upload: Optional[float] = None
 
-    # --- substrate switches ------------------------------------------
-    #: schedule deliveries on the calendar-queue timeline (the default);
-    #: False pins every delivery to the binary heap — same firing order
-    #: by contract, kept for A/B equivalence tests and debugging.
-    delivery_timeline: bool = True
-
     # --- LiFTinG switches --------------------------------------------
     lifting_enabled: bool = True
     expulsion_enabled: bool = False
@@ -137,12 +131,7 @@ class SimCluster:
         self.loss = PerNodeLoss(seeds.generator("loss"), base=config.loss_rate)
         low, high = config.latency_range
         self.latency = UniformLatency(seeds.generator("latency"), low, high)
-        self.network = Network(
-            self.sim,
-            latency=self.latency,
-            loss=self.loss,
-            use_timeline=config.delivery_timeline,
-        )
+        self.network = Network(self.sim, latency=self.latency, loss=self.loss)
         self.trace = self.network.trace
 
         node_ids = list(range(gossip.n))

@@ -246,9 +246,6 @@ class GossipNode:
         #: public alias the network uses to deliver straight to handlers
         #: (must not be mutated after the node registers).
         self.dispatch_table = self._dispatch
-        #: type-keyed batch handlers for same-destination delivery runs
-        #: (see :meth:`_build_batch_dispatch`; same mutation rule).
-        self.batch_dispatch_table = self._build_batch_dispatch()
         behavior.bind(self)
 
     def _build_dispatch(self) -> Dict[type, Callable]:
@@ -294,34 +291,6 @@ class GossipNode:
         # message; an absent component still drops its messages.
         for cls in WIRE_MESSAGE_CLASSES:
             table.setdefault(cls, None)
-        return table
-
-    def _build_batch_dispatch(self) -> Dict[type, Callable]:
-        """Type-keyed batch handlers for same-destination delivery runs.
-
-        The calendar-queue drain (``Network._drain``) hands a run of
-        consecutive same-class deliveries to one of these in a single
-        call instead of one handler frame per message.  Contract:
-        ``handler(entries, lo, hi)`` with timeline entries ``[time, seq,
-        src, dst, message]`` — the drain has already advanced the clock
-        to the run's *last* entry time, so handlers whose per-message
-        logic reads the clock or sends messages must walk ``sim.now``
-        entry by entry (the ones below do).  Only handlers that cannot
-        misorder a run are published: they must not expel nodes, and any
-        timer they arm must be due beyond the timeline's bucket width —
-        Propose and Ack handlers arm serve/confirm timeouts, so they are
-        included only when those timeouts clear the bucket width.
-        """
-        network = getattr(self.transport, "network", None)
-        timeline = network._timeline if network is not None else None
-        width = timeline.width if timeline is not None else 0.0
-        table: Dict[type, Callable] = {Serve: self._on_serve_batch}
-        if self.lifting.serve_timeout > width:
-            table[Propose] = self._on_propose_batch
-        if self.engine is not None and self.lifting.confirm_timeout > width:
-            table[Ack] = self.engine.on_ack_batch
-        if self.manager is not None:
-            table[Blame] = self.manager.on_blame_entries
         return table
 
     # ------------------------------------------------------------------
@@ -568,42 +537,6 @@ class GossipNode:
         if handler is not None:
             handler(src, message)
 
-    def on_message_batch(self, entries, lo: int, hi: int) -> None:
-        """Deliver a batch of messages for this node in one call.
-
-        ``entries[lo:hi]`` are delivery-timeline entries ``[time, seq,
-        src, dst, message]`` in firing order.  Consecutive same-class
-        spans go through :attr:`batch_dispatch_table` when a batch
-        handler exists, the rest through the per-message dispatch table
-        — semantics are identical to delivering each message alone.
-        This is the generic entry point for transports that coalesce
-        (the simulator's drain calls the batch table directly; a live
-        transport draining several datagrams per wakeup would call
-        this).
-        """
-        sim = self._sim
-        dispatch = self._dispatch
-        batch = self.batch_dispatch_table
-        i = lo
-        while i < hi:
-            e = entries[i]
-            cls = e[4].__class__
-            j = i + 1
-            while j < hi and entries[j][4].__class__ is cls:
-                j += 1
-            handler = batch.get(cls)
-            if handler is not None and j > i + 1:
-                handler(entries, i, j)
-            else:
-                handler = dispatch.get(cls)
-                for k in range(i, j):
-                    e = entries[k]
-                    if sim is not None:
-                        sim.now = e[0]
-                    if handler is not None:
-                        handler(e[2], e[4])
-            i = j
-
     def _on_score_reply(self, src: NodeId, message: ScoreReply) -> None:
         self.score_reader.on_reply(src, message.target, message.score, message.known)
 
@@ -638,51 +571,6 @@ class GossipNode:
             return
         needed = tuple(needed)
         self._send_request(src, message.proposal_id, needed)
-
-    def _on_propose_batch(self, entries, lo: int, hi: int) -> None:
-        """Batched :meth:`_on_propose`: one frame for a delivery run.
-
-        Identical per-message effects in the same order, with the
-        shared lookups (store alias, offer map, history flag) hoisted
-        out of the loop and the clock advanced per entry.
-        """
-        sim = self._sim
-        stats = self.stats
-        history = self.history
-        history_open = self._history_open
-        owned = self.store.owned
-        offer_map = self._offers
-        pending_rows = self._pending_rows
-        slot = self._state_slot
-        for k in range(lo, hi):
-            e = entries[k]
-            if sim is not None:
-                sim.now = e[0]
-                now = e[0]
-            else:
-                now = self.clock()
-            src = e[2]
-            message = e[4]
-            stats.proposals_received += 1
-            if history_open:
-                history.record_received_proposal(src, message.chunk_ids)
-            proposal_id = message.proposal_id
-            needed = []
-            # Re-read per message: _send_request below appends rows.
-            pending = pending_rows.values(slot)
-            for chunk_id in message.chunk_ids:
-                if chunk_id in owned:
-                    continue
-                offers = offer_map.get(chunk_id)
-                if offers is None:
-                    offers = offer_map[chunk_id] = []
-                offers.append((src, proposal_id, now))
-                if len(offers) > MAX_OFFERS_PER_CHUNK:
-                    del offers[0]
-                if chunk_id not in pending:
-                    needed.append(chunk_id)
-            if needed:
-                self._send_request(src, proposal_id, tuple(needed))
 
     def _send_request(
         self, proposer: NodeId, proposal_id: int, chunk_ids: Tuple[ChunkId, ...]
@@ -765,43 +653,6 @@ class GossipNode:
         self._fresh_rows.append(self._state_slot, message.chunk_id, origin)
         if self._history_open and origin != SOURCE_ID:
             self.history.record_fanin(origin)
-
-    def _on_serve_batch(self, entries, lo: int, hi: int) -> None:
-        """Batched :meth:`_on_serve`: one frame for a delivery run."""
-        sim = self._sim
-        engine = self.engine
-        stats = self.stats
-        store = self.store
-        created_at = self.chunk_created_at
-        history = self.history
-        history_open = self._history_open
-        fresh_rows = self._fresh_rows
-        pending_rows = self._pending_rows
-        slot = self._state_slot
-        for k in range(lo, hi):
-            e = entries[k]
-            if sim is not None:
-                sim.now = e[0]
-                now = e[0]
-            else:
-                now = self.clock()
-            message = e[4]
-            chunk_id = message.chunk_id
-            if engine is not None:
-                engine.on_serve_received(message.proposal_id, chunk_id)
-            created = created_at(chunk_id) if created_at is not None else now
-            fresh = store.add(
-                chunk_id, message.payload_size, received_at=now, created_at=created
-            )
-            pending_rows.discard(slot, chunk_id)
-            if not fresh:
-                stats.duplicate_serves += 1
-                continue
-            stats.chunks_received += 1
-            origin = message.origin
-            fresh_rows.append(slot, chunk_id, origin)
-            if history_open and origin != SOURCE_ID:
-                history.record_fanin(origin)
 
     # ------------------------------------------------------------------
     # LiFTinG message handlers

@@ -3,7 +3,7 @@
 This package measures what the asyncio runtime actually sustains: a
 deterministic constant-arrival-rate (open-loop) frame schedule is driven
 through a live :class:`~repro.runtime.transport.AsyncTransport` node,
-per-stage latencies (socket→queue, queue wait, batch dispatch) are
+per-stage latencies (socket→queue, queue wait, dispatch) are
 recorded into mergeable log-linear histograms, and a knee detector steps
 the offered rate until goodput stops tracking it.  See
 ``docs/LOADGEN.md`` for the methodology (open- vs closed-loop load,

@@ -8,8 +8,8 @@ attribute load):
   ingress queue (or was rejected by the overflow policy);
 * :meth:`StageProbe.on_evicted` — a queued frame was evicted by the
   drop-oldest overflow policy to admit a newcomer;
-* :meth:`StageProbe.on_dispatched` — a coalesced same-destination run
-  was drained and handed to ``on_message_batch``.
+* :meth:`StageProbe.on_dispatched` — a same-destination run was drained
+  and delivered, message by message, to its receiver.
 
 From the driver's send-side timestamps and these hooks the probe
 decomposes each measured frame's life into four stages, each recorded
@@ -20,15 +20,15 @@ stage     interval               what it measures
 ========  =====================  ==========================================
 ingress   t_sent → t_ingest      socket + decode (UDP loopback + codec)
 queue     t_ingest → t_drain     wait in the BoundedIngressQueue
-dispatch  t_drain → t_done       batch handoff + protocol handler work
+dispatch  t_drain → t_done       protocol handler work of the frame's run
 sojourn   t_sched → t_done       end-to-end from the *scheduled* arrival
 ========  =====================  ==========================================
 
 ``sojourn`` is anchored at the scheduled (not actual) send time, so a
 driver that falls behind charges the stall to the frames it delayed —
 the standard coordinated-omission correction.  ``dispatch`` shares one
-``t_done`` across a coalesced run, so it reports the amortised batch
-cost per frame, which is the quantity the pump actually spends.
+``t_drain``/``t_done`` pair across a same-destination run, so each frame
+is charged the time the pump spent on its whole run.
 
 Measured frames are ``Serve`` messages whose ``proposal_id`` encodes the
 schedule sequence number as a negative integer (real proposal ids count
@@ -158,11 +158,11 @@ class StageProbe:
     def on_dispatched(
         self, batch, lo: int, hi: int, t_drain: float, t_done: float
     ) -> None:
-        """Entries ``batch[lo:hi]`` were handed to one receiver.
+        """Entries ``batch[lo:hi]`` were delivered to one receiver.
 
-        ``t_drain`` is taken just before the handler runs, ``t_done``
-        just after it returns, so the dispatch stage charges each frame
-        the amortised cost of its coalesced run.
+        ``t_drain`` is taken just before the run's first handler call,
+        ``t_done`` just after its last returns, so the dispatch stage
+        charges each frame the time spent on its same-destination run.
         """
         phase_of = self._phase_of
         t_sched = self._t_sched

@@ -5,28 +5,21 @@ Keeps the alive set as an array with O(1) swap-remove, and samples
 regardless of system size, which matters when every node samples every
 500 ms.
 
-The reverse index (node -> position in the alive array) has two
-layouts.  Simulation node ids are small contiguous ints, so the default
-is a dense list indexed by node id (-1 == absent): membership probes on
-the sampling hot path are a list index instead of a dict hash, and the
-index costs one machine int per id instead of a dict entry.  A non-int
-or pathological id demotes the directory to the dict layout for good —
-behaviour is identical, only the constant changes.
+The reverse index (node -> position in the alive array) is a dense list
+indexed by node id (-1 == absent): membership probes on the sampling hot
+path are a list index instead of a dict hash, and the index costs one
+machine int per id.  Ids entering the directory (constructor, ``add``)
+must therefore pass :func:`~repro.util.validation.require_node_id`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from repro.membership.base import NodeId, PeerSampler
-from repro.util.validation import require
-
-#: Ids at or above this never get a dense slot (a stray huge id must
-#: not allocate gigabytes of index); the directory falls back to the
-#: dict layout instead.
-_DENSE_ID_LIMIT = 1_048_576
+from repro.util.validation import require, require_node_id
 
 
 class FullMembership(PeerSampler):
@@ -41,78 +34,44 @@ class FullMembership(PeerSampler):
 
     def __init__(self, rng: np.random.Generator, nodes: Iterable[NodeId]) -> None:
         self._rng = rng
-        self._nodes: List[NodeId] = list(nodes)
+        self._nodes: List[NodeId] = [require_node_id(node) for node in nodes]
         require(len(set(self._nodes)) == len(self._nodes), "duplicate node ids")
-        self._index: Optional[Dict[NodeId, int]] = None
-        self._pos: Optional[List[int]] = None
-        if all(
-            type(node) is int and 0 <= node < _DENSE_ID_LIMIT for node in self._nodes
-        ):
-            pos = [-1] * ((max(self._nodes) + 1) if self._nodes else 0)
-            for i, node in enumerate(self._nodes):
-                pos[node] = i
-            self._pos = pos
-        else:
-            self._index = {node: i for i, node in enumerate(self._nodes)}
-
-    def _demote_to_dict(self) -> None:
-        """Switch to the dict index permanently (a weird id appeared)."""
-        self._index = {node: i for i, node in enumerate(self._nodes)}
-        self._pos = None
+        pos = [-1] * (max(self._nodes, default=-1) + 1)
+        for i, node in enumerate(self._nodes):
+            pos[node] = i
+        self._pos: List[int] = pos
 
     def add(self, node: NodeId) -> None:
         """Add a (re)joining node."""
+        node = require_node_id(node)
         pos = self._pos
-        if pos is not None:
-            if type(node) is int and 0 <= node < _DENSE_ID_LIMIT:
-                if node >= len(pos):
-                    pos.extend([-1] * (node + 1 - len(pos)))
-                if pos[node] >= 0:
-                    return
-                pos[node] = len(self._nodes)
-                self._nodes.append(node)
-                return
-            self._demote_to_dict()
-        if node in self._index:
+        if node >= len(pos):
+            pos.extend([-1] * (node + 1 - len(pos)))
+        if pos[node] >= 0:
             return
-        self._index[node] = len(self._nodes)
+        pos[node] = len(self._nodes)
         self._nodes.append(node)
 
     def remove(self, node: NodeId) -> None:
         """Swap-remove ``node`` from the alive set (no-op if absent)."""
+        if not self.contains(node):
+            return
         pos_list = self._pos
-        if pos_list is not None:
-            try:
-                pos = pos_list[node] if node >= 0 else -1
-            except (IndexError, TypeError):
-                return
-            if pos < 0:
-                return
-            pos_list[node] = -1
-            last = self._nodes.pop()
-            if last != node:
-                self._nodes[pos] = last
-                pos_list[last] = pos
-            return
-        pos = self._index.pop(node, None)
-        if pos is None:
-            return
+        pos = pos_list[node]
+        pos_list[node] = -1
         last = self._nodes.pop()
         if last != node:
             self._nodes[pos] = last
-            self._index[last] = pos
+            pos_list[last] = pos
 
     def alive_nodes(self) -> Sequence[NodeId]:
         return tuple(self._nodes)
 
     def contains(self, node: NodeId) -> bool:
-        pos = self._pos
-        if pos is not None:
-            try:
-                return node >= 0 and pos[node] >= 0
-            except (IndexError, TypeError):
-                return False
-        return node in self._index
+        try:
+            return node >= 0 and self._pos[node] >= 0
+        except (IndexError, TypeError):
+            return False
 
     def _readmit(self, node: NodeId) -> bool:
         self.add(node)

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.membership.base import NodeId, PeerSampler
-from repro.util.validation import require
+from repro.util.validation import require, require_node_id
 
 
 class _View:
@@ -119,10 +119,8 @@ class GossipPeerSampling(PeerSampler):
         self._alive: Dict[NodeId, bool] = {node: True for node in self._nodes}
         self.rounds = 0
         if vectorized:
-            require(
-                all(isinstance(n, (int, np.integer)) and n >= 0 for n in self._nodes),
-                "vectorized peer sampling requires non-negative integer node ids",
-            )
+            # The view matrices hold ids as int64 with -1 == empty slot.
+            self._nodes = [require_node_id(node) for node in self._nodes]
             self._row: Dict[NodeId, int] = {n: i for i, n in enumerate(self._nodes)}
             count = len(self._nodes)
             #: view matrices; ids == -1 marks an empty slot.

@@ -25,10 +25,10 @@ Resilience layer (see :mod:`repro.runtime.resilience`):
   burning sockets and backoff sleeps on every attempt.
 * **Ingress** — decoded messages from both sockets land in one
   :class:`~repro.runtime.resilience.BoundedIngressQueue`; a pump task
-  drains them in bounded batches into each node's
-  ``on_message_batch`` fast path (the same coalesced entry point the
-  simulator's calendar-queue drain uses), yielding to the event loop
-  between batches so a burst cannot starve timers.
+  drains them in bounded batches, one message at a time through each
+  node's ``dispatch_table`` (the same per-message entry the simulated
+  network uses), yielding to the event loop between batches so a burst
+  cannot starve timers.
 
 Scripted faults (:class:`~repro.runtime.faults.FaultPlane`) hook the
 send path — drops and slow links — while node crash/restart is a
@@ -258,8 +258,8 @@ class AsyncTransport:
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.fault_plane = fault_plane
         self._endpoints: Dict[NodeId, asyncio.DatagramTransport] = {}
-        #: node -> (receiver callable, dispatch table or None, batch entry point or None)
-        self._receivers: Dict[NodeId, Tuple[Callable, Optional[dict], Optional[Callable]]] = {}
+        #: node -> (receiver callable, dispatch table or None)
+        self._receivers: Dict[NodeId, Tuple[Callable, Optional[dict]]] = {}
         self._servers: Dict[NodeId, asyncio.AbstractServer] = {}
         self._server_conns: Dict[NodeId, Set[asyncio.StreamWriter]] = {}
         self._serve_tasks: Set[asyncio.Task] = set()
@@ -279,7 +279,6 @@ class AsyncTransport:
         )
         self._ingress_event = asyncio.Event()
         self._pump_task: Optional[asyncio.Task] = None
-        self._seq = 0
         # counters
         self.datagrams_sent = 0
         self.datagrams_dropped = 0
@@ -384,15 +383,11 @@ class AsyncTransport:
 
         When ``receiver`` is a bound method of an endpoint that
         publishes a ``dispatch_table`` (``GossipNode.on_message`` does),
-        incoming messages jump straight to the type-keyed handler; when
-        the owner also exposes ``on_message_batch``, the ingress pump
-        delivers whole same-destination runs through it — the same
-        coalesced fast path the simulated network uses.
+        incoming messages jump straight to the type-keyed handler, one
+        call per message — the same entry the simulated network uses.
         """
         owner = getattr(receiver, "__self__", None)
-        table = getattr(owner, "dispatch_table", None)
-        batch = getattr(owner, "on_message_batch", None)
-        self._receivers[node_id] = (receiver, table, batch)
+        self._receivers[node_id] = (receiver, getattr(owner, "dispatch_table", None))
         await self._bind(node_id, ("127.0.0.1", 0), ("127.0.0.1", 0))
         if self._pump_task is None:
             self._pump_task = self.loop.create_task(self._pump())
@@ -491,7 +486,12 @@ class AsyncTransport:
             await asyncio.sleep(0)
 
     def _deliver_batch(self, batch) -> None:
-        """Deliver drained entries, coalescing same-destination runs."""
+        """Deliver drained entries one by one.
+
+        Same-destination runs share the liveness check, the receiver
+        lookup and one probe span (``on_dispatched`` stamps the run's
+        drain and done times on each of its frames).
+        """
         i, n = 0, len(batch)
         connected = self.registry.connected
         probe = self.probe
@@ -507,26 +507,18 @@ class AsyncTransport:
             if entry is None:
                 i = j
                 continue
-            receiver, table, batch_fn = entry
+            receiver, table = entry
             t_drain = self.clock() if probe is not None else 0.0
-            if batch_fn is not None:
-                entries = []
-                for k in range(i, j):
-                    t, _dst, src, message = batch[k]
-                    entries.append([t, self._seq, src, dst, message])
-                    self._seq += 1
-                batch_fn(entries, 0, len(entries))
-            else:
-                for k in range(i, j):
-                    _t, _dst, src, message = batch[k]
-                    self._deliver_local(receiver, table, src, message)
+            for k in range(i, j):
+                _t, _dst, src, message = batch[k]
+                self._deliver_local(receiver, table, src, message)
             if probe is not None:
                 probe.on_dispatched(batch, i, j, t_drain, self.clock())
             i = j
 
     @staticmethod
     def _deliver_local(receiver, table, src: NodeId, message: object) -> None:
-        """Per-message fallback for receivers without a batch entry."""
+        """Hand one message to its handler (or the bare receiver)."""
         if table is not None:
             handler = table.get(message.__class__)
             if handler is not None:

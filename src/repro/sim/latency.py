@@ -42,12 +42,11 @@ class LatencyModel(abc.ABC):
     def delivery_window(self) -> tuple:
         """``(min_delay, span)`` hint for the delivery-plane scheduler.
 
-        ``min_delay`` must be a *lower bound* on any delay the model can
-        produce (the network only enables same-bucket batch dispatch
-        when the bucket width fits under it), and ``span`` the typical
-        spread of delays (used to size the calendar-queue buckets).
-        Unknown models return ``(0.0, 0.0)``: the timeline still works,
-        just with conservative defaults and batching disabled.
+        ``min_delay`` is a *lower bound* on any delay the model can
+        produce and ``span`` the typical spread of delays; both only
+        size the calendar-queue buckets.  Unknown models return
+        ``(0.0, 0.0)``: the timeline still works, with the 1 ms floor
+        as bucket width.
         """
         return (0.0, 0.0)
 
@@ -125,8 +124,8 @@ class LogNormalLatency(LatencyModel):
         return block[i]
 
     def delivery_window(self) -> tuple:
-        # A lognormal's infimum is 0: batching stays off, and the median
-        # (not the cap) sizes the buckets — the tail is rare by design.
+        # A lognormal's infimum is 0, and the median (not the cap)
+        # sizes the buckets — the tail is rare by design.
         return (0.0, self.median)
 
 

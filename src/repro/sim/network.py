@@ -31,7 +31,7 @@ from repro.sim.engine import _PENDING  # heap-entry status word (see below)
 from repro.sim.latency import SAMPLE_BLOCK, ConstantLatency, LatencyModel, UniformLatency
 from repro.sim.loss import LossModel, NoLoss, PerNodeLoss
 from repro.sim.trace import MessageTrace
-from repro.util.validation import require
+from repro.util.validation import require, require_node_id
 
 NodeId = int
 
@@ -86,52 +86,6 @@ def _size_strategy(cls: type, message: object):
     return sizer
 
 
-class _ReceiverTable(dict):
-    """``node -> (endpoint, dispatch, batch)`` with a dense mirror.
-
-    Writes land both in the dict and in the owning network's ``_rcv``
-    list (index == node id; the stream source, id -1, occupies the last
-    slot via Python's negative-index rule — the list is kept at max id
-    + 2 entries so no registered id can alias it).  Delivery reads the
-    dense list when it is live, so *every* entry rebind — registration,
-    or a test wrapping a dispatch table in place — must go through
-    ``__setitem__``; bulk mutators (``update`` etc.) are not mirrored
-    and must not be used.  A non-int or pathological id retires the
-    mirror permanently (``_rcv = None``) and the dict serves lookups.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "Network") -> None:
-        super().__init__()
-        self._owner = owner
-
-    def __setitem__(self, node_id, entry) -> None:
-        super().__setitem__(node_id, entry)
-        owner = self._owner
-        rcv = owner._rcv
-        if rcv is None:
-            return
-        if type(node_id) is int and -1 <= node_id < 1_048_576:
-            need = node_id + 2  # own slot plus the source slot at [-1]
-            if need > len(rcv):
-                # The old last slot held the source entry; it becomes an
-                # interior (still unregistered) slot after the growth.
-                source_entry = rcv[-1]
-                rcv[-1] = None
-                rcv.extend([None] * (need - len(rcv)))
-                rcv[-1] = source_entry
-            rcv[node_id] = entry
-        else:
-            owner._rcv = None
-
-    def __delitem__(self, node_id) -> None:
-        super().__delitem__(node_id)
-        rcv = self._owner._rcv
-        if rcv is not None and type(node_id) is int and -1 <= node_id < len(rcv) - 1:
-            rcv[node_id] = None
-
-
 class Network:
     """Connects registered endpoints through modelled channels.
 
@@ -154,11 +108,19 @@ class Network:
         :class:`~repro.sim.engine.DeliveryTimeline` attached to the
         engine (O(1) amortized per message) instead of the binary heap.
         ``Simulator.defer`` calls ride the same calendar, and this
-        network's drain fires them.  Firing order is identical either
-        way (pinned by the heap-vs-calendar equivalence tests); disable
-        to run the heap scheduler, e.g. for A/B testing.  A simulator
-        holds at most one timeline: a second network on the same engine
-        silently keeps the heap path.
+        network's drain fires them.  ``False`` is the engine-level
+        reference scheduler: everything on the heap, identical firing
+        order, which is what ``tests/sim/test_timeline.py`` compares the
+        calendar against.  A simulator holds at most one timeline: a
+        second network on the same engine silently keeps the heap path.
+
+    Either way a message reaches its endpoint one way only: one
+    delivery event per message, through the endpoint's
+    ``dispatch_table`` (or ``on_message`` when it publishes none).
+    Node ids are indices into one dense table, so :meth:`register`
+    accepts only ids that pass
+    :func:`~repro.util.validation.require_node_id`; destinations named
+    by a sender are unvalidated input and unknown ones are skipped.
 
     The ``latency`` and ``loss`` models are fixed at construction (their
     *state* may be mutated — ``set_node_loss`` etc. — but the attributes
@@ -180,12 +142,10 @@ class Network:
         "wire_size",
         "_size_cache",
         "_receivers",
-        "_rcv",
         "_loss_inline",
         "_latency_inline",
         "_deliver_cb",
         "_timeline",
-        "_batch_runs",
         "fault_plane",
     )
 
@@ -222,57 +182,57 @@ class Network:
         # type -> int (fixed size) | unbound sizer; only consulted while
         # ``wire_size`` is the default (a custom sizer bypasses it).
         self._size_cache: Dict[type, object] = {}
-        # node -> (endpoint, dispatch table or None, batch table or
-        # None); delivery jumps straight to the handler when the
-        # endpoint publishes a table.
-        # Dense receiver mirror first (``_ReceiverTable.__setitem__``
-        # writes through to it): simulation ids are small contiguous
-        # ints, which makes the send fan-out's membership probe and the
-        # drain's receiver lookup a list index instead of a dict hash.
-        self._rcv: Optional[list] = [None, None]
-        self._receivers: Dict[NodeId, tuple] = _ReceiverTable(self)
+        # Dense receiver table, index == node id: ``(endpoint, dispatch
+        # table or None)`` per registered node, ``None`` otherwise.  The
+        # stream source (id -1) occupies the last slot via Python's
+        # negative-index rule — the list is kept at max id + 2 entries
+        # so no registered id can alias it.  Delivery jumps straight to
+        # the handler when the endpoint publishes a table, and the send
+        # fan-out's membership probe is one list index.
+        self._receivers: list = [None, None]
         # --- the calendar-queue delivery tier --------------------------
         # Bucket width heuristic: an eighth of the latency spread, at
         # least half the minimum delay (so constant-latency models get
-        # sensibly coarse buckets), floored at 1 ms.  Same-destination
-        # batch dispatch additionally requires width <= the minimum
-        # possible arrival delay: then nothing can land *between* the
-        # entries of an already-committed same-bucket run.
+        # sensibly coarse buckets), floored at 1 ms.
         self._timeline: Optional[DeliveryTimeline] = None
-        self._batch_runs = False
         #: optional scripted-fault hook (see ``attach_faults``); the send
         #: loop pays one hoisted ``is not None`` check when absent.
         self.fault_plane = None
         if use_timeline and sim._timeline is None and sim.now >= 0.0:
             window = getattr(self.latency, "delivery_window", None)
             min_delay, span = window() if window is not None else (0.0, 0.0)
-            width = max(span / 8.0, min_delay / 2.0, 0.001)
-            timeline = DeliveryTimeline(width)
+            timeline = DeliveryTimeline(max(span / 8.0, min_delay / 2.0, 0.001))
             sim.attach_timeline(timeline, self._drain)
             self._timeline = timeline
-            min_arrival = min_delay * min(1.0, tcp_latency_factor)
-            self._batch_runs = min_arrival > 0.0 and width <= min_arrival
 
     # ------------------------------------------------------------------
     # membership of the network fabric
     # ------------------------------------------------------------------
     def register(self, endpoint: Endpoint, upload_rate: float = math.inf) -> None:
-        """Attach ``endpoint``; duplicate ids are configuration errors."""
-        node_id = endpoint.node_id
+        """Attach ``endpoint`` under its ``node_id``.
+
+        The id must satisfy :func:`~repro.util.validation.require_node_id`
+        (the stream source's -1 included) and be unused; either breach
+        raises ``ValueError`` before the network is touched.  An
+        endpoint that exposes a type-keyed ``dispatch_table`` (see
+        ``GossipNode.dispatch_table``) is delivered to through it,
+        without the intermediate ``on_message`` frame; the table must be
+        fixed after registration.
+        """
+        node_id = require_node_id(endpoint.node_id, allow_source=True)
         require(node_id not in self._endpoints, "node %s already registered", node_id)
         self._endpoints[node_id] = endpoint
         self._links[node_id] = UploadLink(upload_rate)
-        # Endpoints that expose their type-keyed dispatch table (see
-        # GossipNode.dispatch_table) are delivered to through it without
-        # the intermediate ``on_message`` frame; a batch table (see
-        # GossipNode.batch_dispatch_table) additionally lets the drain
-        # hand over whole same-type delivery runs.  Both tables must be
-        # fixed after registration.
-        self._receivers[node_id] = (
-            endpoint,
-            getattr(endpoint, "dispatch_table", None),
-            getattr(endpoint, "batch_dispatch_table", None),
-        )
+        receivers = self._receivers
+        need = node_id + 2  # own slot plus the source slot at [-1]
+        if need > len(receivers):
+            # The old last slot held the source entry; it becomes an
+            # interior (still unregistered) slot after the growth.
+            source_entry = receivers[-1]
+            receivers[-1] = None
+            receivers.extend([None] * (need - len(receivers)))
+            receivers[-1] = source_entry
+        receivers[node_id] = (endpoint, getattr(endpoint, "dispatch_table", None))
 
     def set_upload_rate(self, node: NodeId, rate_bytes_per_s: float) -> None:
         """Replace the upload capacity of ``node``."""
@@ -488,23 +448,21 @@ class Network:
             base_idx = int(now * tl_inv_width)
         tl_added = 0
 
-        rcv = self._rcv
+        receivers = self._receivers
         sent = 0
         for dst in dsts:
-            # Membership probe: one list index in dense mode (`rcv[dst]
-            # is None` == "unregistered"), dict hash in fallback mode.
-            # ids below -1 would wrap into the table, hence the guard;
-            # non-int ids raise TypeError out of the comparison and are
-            # skipped exactly like the dict miss they used to be.
-            if rcv is not None:
-                try:
-                    if dst < -1 or rcv[dst] is None:
-                        continue
-                except (IndexError, TypeError):
+            # Membership probe: one list index (``None`` ==
+            # "unregistered").  Destinations are unvalidated input (a
+            # Byzantine ``Ack.partners``, say): ids below -1 would wrap
+            # into the table, hence the guard; out-of-range and non-int
+            # ids raise out of the comparison or the index and are
+            # skipped like any unknown destination.
+            try:
+                if dst < -1 or receivers[dst] is None:
                     continue
-                if disconnected and dst in disconnected:
-                    continue
-            elif dst not in endpoints or (disconnected and dst in disconnected):
+            except (IndexError, TypeError):
+                continue
+            if disconnected and dst in disconnected:
                 continue
             if link_unbounded:
                 link.bytes_sent += size
@@ -611,9 +569,9 @@ class Network:
             # Expulsion takes effect immediately: in-flight traffic of an
             # expelled node is discarded at delivery time.
             return
-        receiver = self._receivers.get(dst)
-        if receiver is None:
-            return
+        # Only destinations that passed the send-side membership probe
+        # are ever scheduled, so the table slot is populated.
+        receiver = self._receivers[dst]
         cls = message.__class__
         self.trace._delivered[cls] += 1
         dispatch = receiver[1]
@@ -637,29 +595,20 @@ class Network:
 
         A ``DEFERRED`` entry (``Simulator.defer``) is a call, not a
         delivery: it fires in line as one event, bypassing the receiver
-        lookup, the expulsion check and the delivery trace, and — its
-        ``dst`` slot matching no node — it ends any batch run before it.
-
-        Consecutive entries for the same destination and message class
-        are handed to the endpoint's batch table in one call when the
-        network certified batch dispatch (bucket width <= minimum
-        arrival delay, so nothing can land inside a committed run; see
-        ``__init__``).  Batching is suspended while any node is
-        disconnected — the per-entry path re-checks expulsion per
-        message, exactly like :meth:`_deliver`.
+        lookup, the expulsion check and the delivery trace.  Every other
+        entry is one delivery through the receiver's dispatch table,
+        re-checking expulsion per message exactly like :meth:`_deliver`.
         """
         sim = self.sim
         tl = self._timeline
         queue = sim._queue
         # Timeline entries only exist for destinations that passed the
-        # send-side membership probe, so the dense table (when live)
-        # serves the lookup by plain index — id -1 (the source) lands on
-        # the last slot by Python's negative-index rule.
-        rcv = self._rcv
-        receivers = rcv if rcv is not None else self._receivers
+        # send-side membership probe, so the table serves the lookup by
+        # plain index — id -1 (the source) lands on the last slot by
+        # Python's negative-index rule.
+        receivers = self._receivers
         delivered = self.trace._delivered
         disconnected = self._disconnected
-        batch_runs = self._batch_runs
         advance = tl.advance
         fired = 0
         while tl.cur_pos < len(tl.cur) or advance():
@@ -697,62 +646,15 @@ class Network:
                     e[2](*message)
                     i += 1
                     continue
-                cls = message.__class__
-                receiver = receivers[dst]
-                if batch_runs and not disconnected:
-                    batch_table = receiver[2]
-                    if batch_table is not None:
-                        # Cheap gate first: only probe the batch table
-                        # when the next entry already matches.
-                        j = i + 1
-                        run = False
-                        try:
-                            e2 = cur[j]
-                            run = e2[3] == dst and e2[4].__class__ is cls
-                        except IndexError:
-                            pass
-                        if run:
-                            handler = batch_table.get(cls)
-                            if handler is not None:
-                                if queue:
-                                    h = queue[0]
-                                    ht = h[0]
-                                    hs = h[1]
-                                else:
-                                    ht = _INF
-                                    hs = 0
-                                limit = i + (budget - fired)
-                                j = i + 1
-                                while j < limit:
-                                    try:
-                                        e2 = cur[j]
-                                    except IndexError:
-                                        break
-                                    if e2[3] != dst or e2[4].__class__ is not cls:
-                                        break
-                                    t2 = e2[0]
-                                    if t2 > until or t2 > ht or (t2 == ht and e2[1] > hs):
-                                        break
-                                    j += 1
-                                if j > i + 1:
-                                    tl.cur_pos = j
-                                    fired += j - i
-                                    delivered[cls] += j - i
-                                    # The run's end time becomes ``now``;
-                                    # handlers needing per-entry times
-                                    # (clock reads, sends) advance it
-                                    # entry by entry themselves.
-                                    sim.now = cur[j - 1][0]
-                                    handler(cur, i, j)
-                                    i = j
-                                    continue
                 tl.cur_pos = i + 1
                 sim.now = t
                 fired += 1
                 if disconnected and (dst in disconnected or e[2] in disconnected):
                     i += 1
                     continue
+                cls = message.__class__
                 delivered[cls] += 1
+                receiver = receivers[dst]
                 dispatch = receiver[1]
                 if dispatch is not None:
                     # Subscript, not .get: GossipNode pre-seeds every

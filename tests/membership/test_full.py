@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.membership.full import FullMembership
 
+#: Not node ids: wrong type, negative (the source's -1 included), too big.
+BAD_IDS = ["x", 1.5, None, -1, -7, 2**20]
+
 
 class TestSampling:
     def test_excludes_caller(self, rng):
@@ -52,6 +55,18 @@ class TestSampling:
         with pytest.raises(ValueError):
             FullMembership(rng, [1, 1, 2])
 
+    @pytest.mark.parametrize("bad_id", BAD_IDS)
+    def test_invalid_ids_rejected(self, rng, bad_id):
+        with pytest.raises(ValueError, match="node id"):
+            FullMembership(rng, [0, 1, bad_id])
+
+    def test_numpy_ids_are_stored_as_plain_ints(self, rng):
+        fm = FullMembership(rng, np.arange(5))
+        fm.add(np.int64(9))
+        assert sorted(fm.alive_nodes()) == [0, 1, 2, 3, 4, 9]
+        assert all(type(node) is int for node in fm.alive_nodes())
+        assert fm.contains(np.int64(9)) and fm.contains(9)
+
 
 class TestMembershipChanges:
     def test_remove(self, rng):
@@ -73,6 +88,17 @@ class TestMembershipChanges:
         assert fm.contains(7)
         fm.add(7)  # idempotent
         assert len(fm) == 4
+
+    @pytest.mark.parametrize("bad_id", BAD_IDS)
+    def test_add_invalid_id_rejected_and_directory_untouched(self, rng, bad_id):
+        fm = FullMembership(rng, range(3))
+        with pytest.raises(ValueError, match="node id"):
+            fm.add(bad_id)
+        assert fm.alive_nodes() == (0, 1, 2) and len(fm) == 3
+        assert not fm.contains(bad_id)
+        fm.remove(bad_id)  # lookups of a non-id stay tolerant no-ops
+        fm.add(3)
+        assert sorted(fm.sample(caller=0, count=3)) == [1, 2, 3]
 
     def test_remove_then_add(self, rng):
         fm = FullMembership(rng, range(4))

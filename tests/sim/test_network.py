@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.latency import ConstantLatency
-from repro.sim.loss import BernoulliLoss, NoLoss
+from repro.sim.latency import ConstantLatency, UniformLatency
+from repro.sim.loss import BernoulliLoss, NoLoss, PerNodeLoss
 from repro.sim.network import Network, Transport
 from repro.sim.trace import CATEGORY_DATA, CATEGORY_VERIFICATION, MessageTrace
 
@@ -26,6 +26,11 @@ class VerifMsg:
 
     def wire_size(self) -> int:
         return 10
+
+
+#: Destinations a Byzantine sender may name (e.g. in ``Ack.partners``):
+#: unregistered, wrapping into the table, out of range, not an id at all.
+HOSTILE_DESTINATIONS = (99, -2, -5, 2**40, 1.5, "x", None)
 
 
 class Recorder:
@@ -64,7 +69,12 @@ class TestDelivery:
 
     def test_unknown_destination_is_dropped(self, net):
         sim, network, nodes = net
-        assert network.send(0, 99, DataMsg()) is False
+        for dst in HOSTILE_DESTINATIONS:
+            assert network.send(0, dst, DataMsg()) is False
+        assert network.send_many(0, HOSTILE_DESTINATIONS + (1,), DataMsg(4)) == 1
+        sim.run()
+        assert sim.events_processed == 1
+        assert [node.received for node in nodes.values()] == [[], [(0, DataMsg(4))], []]
 
     def test_unknown_sender_raises(self, net):
         _sim, network, _nodes = net
@@ -75,6 +85,33 @@ class TestDelivery:
         _sim, network, _nodes = net
         with pytest.raises(ValueError):
             network.register(Recorder(0))
+
+    @pytest.mark.parametrize("bad_id", ["x", 1.5, None, -7, -2, 2**20])
+    def test_invalid_node_id_rejected_and_network_untouched(self, net, bad_id):
+        sim, network, nodes = net
+        before = (dict(network._endpoints), dict(network._links), list(network._receivers))
+        with pytest.raises(ValueError, match="node id"):
+            network.register(Recorder(bad_id))
+        assert (dict(network._endpoints), dict(network._links), list(network._receivers)) == before
+        late = Recorder(3)
+        network.register(late)
+        assert network.send(0, 3, DataMsg(5)) is True
+        sim.run()
+        assert late.received == [(0, DataMsg(5))]
+
+    def test_numpy_and_source_ids_register_as_plain_ints(self, net):
+        import numpy as np
+
+        sim, network, nodes = net
+        source, late = Recorder(-1), Recorder(np.int64(7))
+        network.register(source)
+        network.register(late)
+        assert all(type(node_id) is int for node_id in network.node_ids)
+        network.send(-1, 7, DataMsg(1))
+        network.send(7, -1, DataMsg(2))
+        sim.run()
+        assert late.received == [(-1, DataMsg(1))]
+        assert source.received == [(7, DataMsg(2))]
 
 
 class TestLoss:
@@ -271,12 +308,25 @@ class TestDisconnectedDestinationShortCircuit:
         assert network.trace.sent_count() == 0
 
     def test_no_bandwidth_charged_for_unknown_destination(self):
+        import numpy as np
+
         sim = Simulator()
-        network = Network(sim, latency=ConstantLatency(0.05))
+        loss_rng, latency_rng = np.random.default_rng(3), np.random.default_rng(4)
+        network = Network(
+            sim,
+            latency=UniformLatency(latency_rng, 0.01, 0.05),
+            loss=PerNodeLoss(loss_rng, base=0.5),
+        )
         network.register(Recorder(0), upload_rate=1000.0)
-        assert network.send(0, 99, DataMsg()) is False
+        rng_states = (loss_rng.bit_generator.state, latency_rng.bit_generator.state)
+        for dst in HOSTILE_DESTINATIONS:
+            assert network.send(0, dst, DataMsg()) is False
+        assert network.send_many(0, HOSTILE_DESTINATIONS, DataMsg()) == 0
         assert network.link(0).bytes_sent == 0
-        assert network.trace.sent_count() == 0
+        assert network.trace.sent_count() == 0 and network.trace.lost_count() == 0
+        assert sim.pending_events == 0
+        # Neither model drew (the first draw would refill its block).
+        assert (loss_rng.bit_generator.state, latency_rng.bit_generator.state) == rng_states
 
     def test_no_rng_consumed_for_disconnected_destination(self, rng):
         import numpy as np

@@ -361,41 +361,25 @@ class TestDeferredCalls:
         assert not sim.step()
         assert (sim.events_processed, sim.pending_events, len(sim.timeline)) == (4, 0, 0)
 
-    @pytest.mark.parametrize("interleave", [True, False], ids=["cut", "whole"])
-    def test_batch_run_is_cut_at_a_deferred_entry(self, interleave):
+    def test_same_instant_run_fires_per_message_in_seq_order(self):
         log = []
-
-        class Batcher:
-            node_id = 1
-
-            def __init__(self):
-                self.dispatch_table = {str: self.one}
-                self.batch_dispatch_table = {str: self.many}
-
-            def one(self, src, message):
-                log.append(("one", message))
-
-            def many(self, entries, lo, hi):
-                log.append(("run", [e[4] for e in entries[lo:hi]]))
-
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.05), loss=NoLoss())
-        assert net._batch_runs
-        net.register(_Recorder(0, log))
-        net.register(Batcher())
-        # All due at t=0.05, in seq order: m1 m2 [call] m3 m4.
+        sim, net = _pair(log)
+        # All due at t=0.05 for one destination, in seq order:
+        # m1 m2 [call] m3 m4 — each entry is one event.
         net.send(0, 1, "m1")
         net.send(0, 1, "m2")
-        if interleave:
-            sim.defer(0.05, self.note, log, "timeout")
+        sim.defer(0.05, self.note, log, "timeout")
         net.send(0, 1, "m3")
         net.send(0, 1, "m4")
         sim.run()
-        if interleave:
-            assert log == [("run", ["m1", "m2"]), ("deferred", "timeout"), ("run", ["m3", "m4"])]
-        else:
-            assert log == [("run", ["m1", "m2", "m3", "m4"])]
-        assert sim.events_processed == 4 + interleave
+        assert log == [
+            ("msg", "m1"),
+            ("msg", "m2"),
+            ("deferred", "timeout"),
+            ("msg", "m3"),
+            ("msg", "m4"),
+        ]
+        assert sim.events_processed == 5
 
     @pytest.mark.parametrize("use_timeline", [True, False])
     def test_any_payload_type_is_still_a_message(self, use_timeline):

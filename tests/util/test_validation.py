@@ -3,7 +3,9 @@
 import pytest
 
 from repro.util.validation import (
+    NODE_ID_LIMIT,
     require,
+    require_node_id,
     require_non_negative,
     require_positive,
     require_probability,
@@ -58,3 +60,27 @@ class TestRequireNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             require_non_negative(-0.01, "x")
+
+
+class TestRequireNodeId:
+    def test_returns_plain_int(self):
+        import numpy as np
+
+        for value in (0, 7, np.int64(7), np.uint8(7), NODE_ID_LIMIT - 1):
+            assert type(require_node_id(value)) is int
+            assert require_node_id(value) == value
+
+    @pytest.mark.parametrize("value", ["x", "3", 1.5, 2.0, None, (1,)])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            require_node_id(value)
+
+    @pytest.mark.parametrize("value", [-1, -7, NODE_ID_LIMIT, 2**40])
+    def test_rejects_out_of_range(self, value):
+        with pytest.raises(ValueError, match="out of range"):
+            require_node_id(value)
+
+    def test_source_id_only_where_allowed(self):
+        assert require_node_id(-1, allow_source=True) == -1
+        with pytest.raises(ValueError, match="out of range"):
+            require_node_id(-2, allow_source=True)
