@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test loc bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-full
+.PHONY: test loc live-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-full
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -14,6 +14,19 @@ test:
 ## ("a negative line count") is judged by.  Reported, never gated.
 loc:
 	@for d in src tests; do printf '%-5s %6d lines\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; done
+
+## The live-plane acceptance, each step under a hard 120 s cap so a hung
+## event loop fails fast: chaos over loopback (real sockets, scripted
+## faults, expulsion + audit chain armed), the simulated churn and
+## coalition sweeps that share its detector / fault path, the live +
+## chaos registry smokes, and the open-loop loadgen smoke.  This is what
+## the CI `live-smoke` job runs.
+live-smoke:
+	timeout 120 python -m repro.cli run chaos --set n=12 --set duration=6.0
+	timeout 120 python -m repro.cli run churn --set n=24 --set duration=14.0 --set rates=0.3
+	timeout 120 python -m repro.cli run coalition --set n=24 --set duration=12.0 --set sizes=3
+	timeout 120 python benchmarks/bench_scenarios.py --smoke --only live --only chaos
+	timeout 120 python benchmarks/bench_loadgen.py --smoke
 
 ## Quick substrate benchmark run (pytest-benchmark timings + reports).
 bench-smoke:

@@ -4,8 +4,9 @@ Expulsion in the paper is carried out "using the very same managers"
 (§5.1): a quorum of a node's managers observing its compensated score
 below ``η`` (or an auditor whose entropy checks failed) triggers it.
 This module is the enforcement end shared by the simulator and the
-runtime: it disconnects the node from the network fabric and removes it
-from the peer samplers, and records when/why for the metrics layer.
+runtime: it takes the node off the host's fabric (``host.expel``),
+removes it from the peer samplers, and records when (``host.clock``)
+and why for the metrics layer.
 
 The controller can run in *observation mode* (``enabled=False``): every
 would-be expulsion is recorded but not enforced.  Figure 14 needs this
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.membership.base import PeerSampler
-from repro.sim.network import Network
 
 NodeId = int
 
@@ -39,13 +39,13 @@ class ExpulsionController:
 
     def __init__(
         self,
-        network: Network,
+        host,
         samplers: Iterable[PeerSampler] = (),
         *,
         enabled: bool = True,
         on_expel: Optional[Callable[[ExpulsionRecord], None]] = None,
     ) -> None:
-        self.network = network
+        self.host = host
         self.samplers = list(samplers)
         self.enabled = enabled
         self.on_expel = on_expel
@@ -57,13 +57,13 @@ class ExpulsionController:
             return False
         record = ExpulsionRecord(
             node=target,
-            time=self.network.sim.now,
+            time=self.host.clock(),
             reason=reason,
             enforced=self.enabled,
         )
         self.records[target] = record
         if self.enabled:
-            self.network.disconnect(target)
+            self.host.expel(target)
             for sampler in self.samplers:
                 # Record the expulsion in the lifecycle ledger (rejoin
                 # refused permanently), not just a plain removal.

@@ -201,33 +201,3 @@ class InvariantMonitor:
             "violations": len(self.violations),
             "by_invariant": by_invariant,
         }
-
-
-def monitor_for_cluster(cluster, *, include_audit_logs: bool = True) -> InvariantMonitor:
-    """An :class:`InvariantMonitor` wired over a ``SimCluster``.
-
-    Reads the cluster's role sets, expulsion controller, manager map and
-    (optionally) any attached audit logs; the result is read-only over
-    all of them.
-    """
-    managers = {
-        nid: node.manager
-        for nid, node in cluster.nodes.items()
-        if node.manager is not None
-    }
-    audit_logs: List[object] = []
-    if include_audit_logs:
-        for manager in managers.values():
-            if manager.audit_log is not None:
-                audit_logs.append(manager.audit_log)
-    return InvariantMonitor(
-        managers=managers,
-        honest_ids=cluster.honest_ids,
-        adversary_ids=cluster.freerider_ids,
-        is_expelled=cluster.controller.is_expelled,
-        node_ids=cluster.node_ids,
-        assignment=cluster.assignment,
-        expel_quorum=cluster.config.lifting.expel_quorum,
-        audit_logs=audit_logs,
-        clock=lambda: cluster.sim.now,
-    )

@@ -1,10 +1,16 @@
-"""Build and drive a complete simulated deployment.
+"""The simulated plane of a deployment.
 
 :class:`SimCluster` is the testbed-in-a-box used by the PlanetLab-style
-experiments (Figures 1, 14, Tables 3, 5): a discrete-event simulator, a
-lossy network with per-node heterogeneity, a stream source, ``n``
-protocol nodes with configured roles (honest / freerider / colluder /
-degraded), the manager assignment and the expulsion controller.
+experiments (Figures 1, 14, Tables 3, 5).  The protocol wiring — roles,
+membership, manager assignment, expulsion, the nodes themselves, the
+crash/restart rules and the score read-outs — is a
+:class:`~repro.deployment.Deployment`, shared with the live runtime;
+this module keeps what only a simulation has: the discrete-event
+simulator, a lossy network with per-node heterogeneity, the pooled
+struct-of-arrays node state (and its slot remap on readmission), the
+stream source, the adversary behaviours, the oracle ``leave`` /
+``rejoin`` used when no failure detector runs, and the health /
+overhead metrics read off the simulated trace.
 
 Roles are assigned pseudo-randomly from the seed, so a cluster is fully
 reproducible from its :class:`ClusterConfig`.
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.config import (
     FreeriderDegree,
@@ -22,25 +28,14 @@ from repro.config import (
     HONEST_DEGREE,
     LiftingParams,
 )
-from repro.core.detector import ExpulsionController
-from repro.core.reputation import (
-    ManagerAssignment,
-    ReputationPool,
-    ScoreBoard,
-    compensation_per_period,
-)
+from repro.core.reputation import ReputationPool, compensation_per_period
 from repro.core.soa import DenseIdRegistry, ProtocolStatePool
+from repro.deployment import Deployment
 from repro.gossip.chunks import StreamSource
 from repro.gossip.protocol import GossipNode, SimTransport
-from repro.membership.failure_detector import (
-    ChurnMonitor,
-    FailureDetectorParams,
-    apply_membership_event,
-)
-from repro.membership.full import FullMembership
+from repro.membership.failure_detector import FailureDetectorParams
 from repro.metrics.health import HealthReport, health_curve
 from repro.metrics.overhead import OverheadReport, bandwidth_overhead
-from repro.metrics.scores import DetectionReport, detection_report
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.colluder import Coalition, ColludingBehavior
 from repro.nodes.freerider import FreeriderBehavior
@@ -134,47 +129,48 @@ class SimCluster:
         self.network = Network(self.sim, latency=self.latency, loss=self.loss)
         self.trace = self.network.trace
 
-        node_ids = list(range(gossip.n))
-        self.node_ids = node_ids
+        # --- the protocol wiring (shared with the live plane) -----------
+        deployment = Deployment(
+            SimTransport(self.sim, self.network),
+            seeds,
+            gossip,
+            lifting,
+            freerider_fraction=config.freerider_fraction,
+            degraded_fraction=config.degraded_fraction,
+            expulsion_enabled=config.expulsion_enabled,
+            p_audit=config.p_audit,
+            failure_detector=config.failure_detector,
+        )
+        self.deployment = deployment
+        self.node_ids = deployment.node_ids
+        self.freerider_ids: Set[NodeId] = deployment.freerider_ids
+        self.honest_ids: Set[NodeId] = deployment.honest_ids
+        self.degraded_ids: Set[NodeId] = deployment.degraded_ids
+        self.membership = deployment.membership
+        self.assignment = deployment.assignment
+        self.controller = deployment.controller
+        self.churn_monitor = deployment.churn_monitor
+        self.nodes: Dict[NodeId, GossipNode] = deployment.nodes
+        self.scoreboard = deployment.scoreboard
+        self.scores = deployment.scores
+        self.detection = deployment.detection
+        self.churn_summary = deployment.churn_summary
 
-        # --- roles ----------------------------------------------------
-        role_rng = seeds.generator("roles")
-        n_freeriders = int(round(config.freerider_fraction * gossip.n))
-        shuffled = list(node_ids)
-        role_rng.shuffle(shuffled)
-        self.freerider_ids: Set[NodeId] = set(shuffled[:n_freeriders])
-        honest_pool = shuffled[n_freeriders:]
-        n_degraded = int(round(config.degraded_fraction * len(honest_pool)))
-        self.degraded_ids: Set[NodeId] = set(honest_pool[:n_degraded])
-        self.honest_ids: Set[NodeId] = set(honest_pool)
-
-        # --- shared services -------------------------------------------
+        # --- pooled node state ------------------------------------------
         # Dense-id registry + struct-of-arrays pools: every node's hot
         # transient state is a slot in one cluster-owned pool, and every
         # manager's records are a row block in one reputation pool.  The
-        # registry remaps slots on readmission (see _remap_node_state).
+        # registry remaps slots on readmission (see _fresh_slot).
         self.registry = DenseIdRegistry()
         self.state_pool = ProtocolStatePool(capacity=gossip.n)
         self.registry.attach(self.state_pool)
         self.reputation_pool = ReputationPool(
             capacity=gossip.n * min(lifting.managers, gossip.n - 1)
         )
-        self.membership = FullMembership(seeds.generator("membership"), node_ids)
-        self.assignment = ManagerAssignment(
-            node_ids, lifting.managers, seeds.seed("managers")
-        )
-        self.controller = ExpulsionController(
-            self.network, [self.membership], enabled=config.expulsion_enabled
-        )
         self.compensation = (
             compensation_per_period(gossip, lifting)
             if config.compensation is None
             else config.compensation
-        )
-        self.churn_monitor: Optional[ChurnMonitor] = (
-            ChurnMonitor(clock=lambda: self.sim.now)
-            if config.failure_detector is not None
-            else None
         )
 
         # --- source -----------------------------------------------------
@@ -201,46 +197,23 @@ class SimCluster:
 
         # --- nodes -------------------------------------------------------
         coalition = Coalition(self.freerider_ids) if config.colluding else None
-        transport = SimTransport(self.sim, self.network)
-        self.nodes: Dict[NodeId, GossipNode] = {}
-        for node_id in node_ids:
-            behavior = self._make_behavior(node_id, coalition)
-            state_slot = self.registry.register(node_id)
-            node = GossipNode(
-                node_id=node_id,
-                transport=transport,
-                sampler=self.membership,
-                gossip=gossip,
-                lifting=lifting,
-                behavior=behavior,
-                assignment=self.assignment,
-                rng=seeds.generator("node", node_id),
+        for node_id in self.node_ids:
+            node = deployment.add_node(
+                node_id,
+                self._make_behavior(node_id, coalition),
                 lifting_enabled=config.lifting_enabled,
                 compensation=self.compensation,
                 chunk_created_at=self.source.created_times.__getitem__,
-                on_expel_quorum=self._on_expel_quorum,
-                p_audit=config.p_audit,
-                detector=config.failure_detector,
-                on_membership_event=(
-                    self._on_membership_event
-                    if config.failure_detector is not None
-                    else None
-                ),
                 state_pool=self.state_pool,
-                state_slot=state_slot,
+                state_slot=self.registry.register(node_id),
                 reputation_pool=self.reputation_pool,
             )
-            self.nodes[node_id] = node
             upload = config.upload_rate if config.upload_rate is not None else math.inf
             if node_id in self.degraded_ids:
                 self.loss.set_node_loss(node_id, config.degraded_loss)
                 if config.degraded_upload is not None:
                     upload = config.degraded_upload
             self.network.register(node, upload_rate=upload)
-
-        self.scoreboard = ScoreBoard(
-            {nid: node.manager for nid, node in self.nodes.items() if node.manager}
-        )
         self._started = False
 
     def _make_behavior(self, node_id: NodeId, coalition: Optional[Coalition]):
@@ -259,14 +232,6 @@ class SimCluster:
                 period_stride=config.period_stride,
             )
         return FreeriderBehavior(config.freerider_degree, period_stride=config.period_stride)
-
-    def _on_expel_quorum(self, issuer: NodeId, target: NodeId, reason: str) -> None:
-        # An expelled node keeps its local timers running (the simulator
-        # cannot reach into closures), but it has lost all authority: its
-        # pending audit verdicts and quorum claims are void.
-        if self.controller.is_expelled(issuer):
-            return
-        self.controller.expel(target, reason)
 
     # ------------------------------------------------------------------
     # running
@@ -296,15 +261,6 @@ class SimCluster:
     # ------------------------------------------------------------------
     # measurements
     # ------------------------------------------------------------------
-    def scores(self) -> Dict[NodeId, float]:
-        """Min-vote compensated scores of every node (§5.1's read)."""
-        return self.scoreboard.scores(self.node_ids, self.assignment)
-
-    def detection(self, eta: Optional[float] = None) -> DetectionReport:
-        """Detection / false-positive report at threshold ``eta``."""
-        threshold = self.config.lifting.eta if eta is None else eta
-        return detection_report(self.scores(), self.freerider_ids, threshold)
-
     def health(
         self, *, lags=None, coverage: float = 0.99, window=None, include=None
     ) -> HealthReport:
@@ -320,35 +276,9 @@ class SimCluster:
         elapsed = self.sim.now if duration is None else duration
         return bandwidth_overhead(self.trace, elapsed, self.config.gossip.n)
 
-    def node(self, node_id: NodeId) -> GossipNode:
-        """Access one protocol node."""
-        return self.nodes[node_id]
-
-    def alive_ids(self) -> List[NodeId]:
-        """Node ids not (yet) expelled."""
-        return [nid for nid in self.node_ids if not self.controller.is_expelled(nid)]
-
     # ------------------------------------------------------------------
     # churn
     # ------------------------------------------------------------------
-    def _on_membership_event(
-        self, reporter: NodeId, node: NodeId, status: str, incarnation: int
-    ) -> None:
-        """A node-local detector transition; fold it into the shared
-        directory (the in-process stand-in for everyone applying the
-        same disseminated update)."""
-        # The callback is in-process, so it would happily carry verdicts
-        # from nodes the network can no longer hear: an expelled node's
-        # probes all time out and it "suspects" the whole cluster.  Only
-        # connected members get a say.
-        if self.controller.is_expelled(reporter) or not self.network.is_connected(
-            reporter
-        ):
-            return
-        apply_membership_event(
-            self.membership, self.churn_monitor, reporter, node, status, incarnation
-        )
-
     def leave(self, node_id: NodeId) -> bool:
         """A node departs gracefully: announce, stop, deregister.
 
@@ -376,43 +306,29 @@ class SimCluster:
         Refused (returns False) for expelled nodes: expulsion is
         permanent, enforced by the membership lifecycle ledger.
         """
-        if self.controller.is_expelled(node_id):
-            if self.churn_monitor is not None:
-                self.churn_monitor.on_rejoin_refused(node_id)
-            return False
         node = self.nodes[node_id]
-        incarnation = 0
-        if node.failure_detector is not None:
-            # start() below bumps the incarnation; register the bumped
-            # value so stale suspicions cannot instantly re-evict.
-            incarnation = node.failure_detector.incarnation + 1
-        if not self.membership.readmit(node_id, incarnation):
+        detector = node.failure_detector
+        # start() below bumps the incarnation; register the bumped
+        # value so stale suspicions cannot instantly re-evict.
+        incarnation = 0 if detector is None else detector.incarnation + 1
+        if not self.deployment.may_restart(node_id) or not self.membership.readmit(
+            node_id, incarnation
+        ):
             return False
         self.network.reconnect(node_id)
-        if node.failure_detector is not None:
-            self._remap_node_state(node_id)
-            node.reset_gossip_state()
+        if detector is not None:
+            self._fresh_slot(node_id)
+            self.deployment.fresh_incarnation(node_id)
         node.start()
         if self.churn_monitor is not None:
             self.churn_monitor.on_rejoined(node_id)
         return True
 
-    def _remap_node_state(self, node_id: NodeId) -> None:
-        """Move a readmitted node onto a fresh pooled state slot.
-
-        The registry retires the old slot (zeroing its columns in every
-        attached pool) so the bumped incarnation starts clean, and every
-        peer's verification engine drops stale ack expectations naming
-        the node — state from the previous incarnation must neither leak
-        into the new one nor keep drawing blames against it.  Durable
-        reputation records are untouched (absolute scores, §6.2).
-        """
-        node = self.nodes[node_id]
-        node.adopt_state_slot(self.registry.remap(node_id))
-        for other in self.nodes.values():
-            engine = other.engine
-            if engine is not None:
-                engine.purge_requester(node_id)
+    def _fresh_slot(self, node_id: NodeId) -> None:
+        """Move a readmitted node onto a fresh pooled state slot: the
+        registry retires the old one (zeroing its columns in every
+        attached pool), so the bumped incarnation starts clean."""
+        self.nodes[node_id].adopt_state_slot(self.registry.remap(node_id))
 
     # ------------------------------------------------------------------
     # fault injection
@@ -423,7 +339,9 @@ class SimCluster:
         Window faults (drops, partitions, slow links) are enforced by a
         :class:`~repro.runtime.faults.FaultPlane` hooked into the
         network's send path; crash/restart instants are scheduled as
-        simulator timers mapped onto :meth:`leave` / :meth:`rejoin`.
+        simulator timers mapped onto the deployment's silent-failure
+        lifecycle — or, with no failure detector to notice a silent
+        crash, onto the oracle :meth:`leave` / :meth:`rejoin`.
         Returns the plane (its counters feed scenario metrics).  The
         plane draws from its own seeded stream, so an un-faulted run's
         RNG sequences are untouched.
@@ -446,43 +364,23 @@ class SimCluster:
 
     def _crash(self, node_id: NodeId, plane) -> None:
         if self.churn_monitor is not None:
-            # Silent failure: the node stops and its sockets die, but the
-            # shared directory is NOT told — peers must *detect* the
-            # crash (ping timeouts → suspicion → confirmation).  A crash
-            # of an already-left node only flips the fault-plane flag.
-            if self.network.is_connected(node_id):
-                self.nodes[node_id].stop()
-                self.network.disconnect(node_id)
-                self.churn_monitor.on_crashed(node_id)
-            plane.mark_crashed(node_id)
-            return
-        if self.membership.contains(node_id):
-            self.leave(node_id)
+            # Silent: peers must *detect* it.  A crash of an already-left
+            # node only flips the fault-plane flag.
+            self.deployment.crash(node_id)
+        elif self.membership.contains(node_id):
+            self.leave(node_id)  # no detector: the directory is the oracle
         plane.mark_crashed(node_id)
 
     def _restart(self, node_id: NodeId, plane) -> None:
-        if self.churn_monitor is not None:
-            if self.controller.is_expelled(node_id):
-                self.churn_monitor.on_rejoin_refused(node_id)
-                return
-            if self.network.is_connected(node_id):
-                plane.mark_restarted(node_id)
-                return  # never crashed; nothing to restart
-            node = self.nodes[node_id]
-            self.network.reconnect(node_id)
+        if self.churn_monitor is None:
             if not self.membership.contains(node_id):
-                # Confirmed dead while down: readmit under the bumped
-                # incarnation (the young-node audit rule covers the
-                # fresh history).
-                self.membership.readmit(node_id, node.failure_detector.incarnation + 1)
-            self._remap_node_state(node_id)
-            node.reset_gossip_state()
-            node.start()
-            self.churn_monitor.on_restarted(node_id)
-            plane.mark_restarted(node_id)
-            return
-        if not self.membership.contains(node_id):
-            self.rejoin(node_id)
+                self.rejoin(node_id)
+        elif self.deployment.may_restart(node_id):
+            self.network.reconnect(node_id)
+            self._fresh_slot(node_id)
+            self.deployment.restarted(node_id)
+        elif self.controller.is_expelled(node_id):
+            return  # refused: the plane keeps the node flagged down
         plane.mark_restarted(node_id)
 
     def attach_invariants(self, interval: float = 1.0):
@@ -494,9 +392,7 @@ class SimCluster:
         call its :meth:`~repro.core.invariants.InvariantMonitor.check`
         once more after the run for the final-state sweep.
         """
-        from repro.core.invariants import monitor_for_cluster
-
-        monitor = monitor_for_cluster(self)
+        monitor = self.deployment.invariant_monitor()
 
         def sweep() -> None:
             monitor.check()
@@ -512,39 +408,3 @@ class SimCluster:
             if node.auditor is not None:
                 out.extend(node.auditor.results)
         return out
-
-    def churn_summary(self) -> Dict[str, object]:
-        """Cluster-level churn/detector metrics (empty without a
-        failure detector): the monitor's transition counters and
-        convergence delays plus the aggregated quarantine outcome."""
-        if self.churn_monitor is None:
-            return {}
-        summary = self.churn_monitor.summary()
-        quarantines = 0
-        started = discarded = released = 0
-        quarantined_events = 0
-        for node in self.nodes.values():
-            manager = node.manager
-            if manager is None:
-                continue
-            started += manager.quarantines_started
-            discarded += manager.quarantines_discarded
-            released += manager.quarantines_released
-            quarantines += manager.suspected_records()
-            quarantined_events += manager.pending_quarantined_events()
-        detectors = [
-            node.failure_detector
-            for node in self.nodes.values()
-            if node.failure_detector is not None
-        ]
-        summary["suspected_now"] = len(self.membership.suspected_nodes())
-        summary["quarantines_started"] = started
-        summary["quarantines_discarded"] = discarded
-        summary["quarantines_released"] = released
-        summary["records_in_quarantine"] = quarantines
-        summary["quarantined_events_pending"] = quarantined_events
-        summary["probes_sent"] = sum(d.probes_sent for d in detectors)
-        summary["indirect_probes"] = sum(d.indirect_probes for d in detectors)
-        summary["local_suspicions"] = sum(d.suspicions_raised for d in detectors)
-        summary["local_refutations"] = sum(d.refutations_sent for d in detectors)
-        return summary

@@ -6,51 +6,22 @@ random partners, partners *request* the chunk ids they need, and the
 proposer *serves* the requested chunks.  The protocol is infect-and-die:
 a chunk is proposed exactly once by each node.
 
-The package provides the wire messages (with byte-accurate sizing for
-the overhead measurements), the stream source, the bounded local history
-log that LiFTinG audits, and the protocol node itself.
+The package provides the stream source, the bounded local history log
+that LiFTinG audits, and the protocol node itself; the wire messages
+(with byte-accurate sizing for the overhead measurements) are
+:mod:`repro.wire`.
 """
 
 from repro.gossip.chunks import SOURCE_ID, Chunk, ChunkStore, StreamSource
 from repro.gossip.history import LocalHistory, PeriodRecord
-from repro.gossip.messages import (
-    Ack,
-    AuditRequest,
-    AuditResponse,
-    Blame,
-    Confirm,
-    ConfirmResponse,
-    ExpelVote,
-    HistoryPollRequest,
-    HistoryPollResponse,
-    Propose,
-    Request,
-    ScoreQuery,
-    ScoreReply,
-    Serve,
-)
 from repro.gossip.protocol import GossipNode
 
 __all__ = [
-    "Ack",
-    "AuditRequest",
-    "AuditResponse",
-    "Blame",
     "Chunk",
     "ChunkStore",
-    "Confirm",
-    "ConfirmResponse",
-    "ExpelVote",
     "GossipNode",
-    "HistoryPollRequest",
-    "HistoryPollResponse",
     "LocalHistory",
     "PeriodRecord",
-    "Propose",
-    "Request",
     "SOURCE_ID",
-    "ScoreQuery",
-    "ScoreReply",
-    "Serve",
     "StreamSource",
 ]

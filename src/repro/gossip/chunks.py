@@ -2,7 +2,7 @@
 
 The source splits the stream into fixed-size chunks identified by a
 monotonically increasing id, and pushes each fresh chunk to
-``source_fanout`` random nodes (one :class:`~repro.gossip.messages.Serve`
+``source_fanout`` random nodes (one :class:`~repro.wire.Serve`
 each); dissemination to the remaining ``n - source_fanout`` nodes is the
 gossip protocol's job.  The source does not take part in verification —
 nodes recognise :data:`SOURCE_ID` and skip acks towards it.
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.config import GossipParams
-from repro.gossip.messages import Serve
 from repro.membership.base import PeerSampler
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, Transport
 from repro.util.validation import require
+from repro.wire import Serve
 
 NodeId = int
 ChunkId = int

@@ -32,7 +32,14 @@ from repro.core.soa import ProtocolStatePool
 from repro.core.verification import VerificationEngine
 from repro.gossip.chunks import SOURCE_ID, ChunkStore
 from repro.gossip.history import LocalHistory
-from repro.gossip.messages import (
+from repro.membership.base import STATUS_ALIVE, STATUS_DEAD, STATUS_SUSPECT
+from repro.membership.failure_detector import FailureDetectorParams, SwimFailureDetector
+from repro.nodes.behavior import Behavior
+from repro.sim.engine import Simulator
+from repro.sim.network import Network, Transport
+from repro.sim.network import _TCP, _UDP
+from repro.util.validation import require
+from repro.wire import (
     Ack,
     AuditRequest,
     AuditResponse,
@@ -53,13 +60,6 @@ from repro.gossip.messages import (
     Serve,
     WIRE_MESSAGE_CLASSES,
 )
-from repro.membership.base import STATUS_ALIVE, STATUS_DEAD, STATUS_SUSPECT
-from repro.membership.failure_detector import FailureDetectorParams, SwimFailureDetector
-from repro.nodes.behavior import Behavior
-from repro.sim.engine import Simulator
-from repro.sim.network import Network, Transport
-from repro.sim.network import _TCP, _UDP
-from repro.util.validation import require
 
 NodeId = int
 ChunkId = int
@@ -75,12 +75,18 @@ class SimTransport:
     The transport facade (``clock`` / ``call_later`` / ``call_every`` /
     ``send``) is everything a protocol node needs from its environment;
     :class:`repro.runtime.transport.AsyncTransport` provides the same
-    facade over real sockets and the asyncio event loop.
+    facade over real sockets and the asyncio event loop.  The fabric
+    names a :class:`~repro.deployment.Deployment` adds (``is_connected``
+    / ``disconnect`` / ``expel``) are the network's own methods: the
+    simulated fabric has one way to drop a node, and permanence is the
+    membership ledger's job.
     """
 
     def __init__(self, sim: Simulator, network: Network) -> None:
         self.sim = sim
         self.network = network
+        self.is_connected = network.is_connected
+        self.disconnect = self.expel = network.disconnect
 
     def clock(self) -> float:
         return self.sim.now

@@ -1,10 +1,14 @@
-"""A local live deployment: N protocol nodes over real sockets.
+"""The live plane of a deployment: N protocol nodes over real sockets.
 
-Builds the same component graph as the simulated
-:class:`~repro.experiments.cluster.SimCluster` — membership, manager
-assignment, behaviours, a stream source — but on the asyncio transport
-and in real time.  Chunk creation times are kept in a shared in-process
-table so the health metric works identically.
+The protocol wiring — roles, membership, manager assignment, expulsion,
+the nodes, the crash/restart rules, the read-outs — is the same
+:class:`~repro.deployment.Deployment` the simulated
+:class:`~repro.experiments.cluster.SimCluster` runs, hosted here on the
+asyncio transport and in real time.  This module keeps what only a live
+run has: the sockets, the tamper-evident audit log, the real-time tasks
+(source, fault driver, breaker probe, invariant sweeps, load generator)
+and the :class:`RuntimeReport`.  Chunk creation times are kept in a
+shared in-process table so the health metric works identically.
 
 Robustness features (all off by default, switched on per config):
 
@@ -16,9 +20,10 @@ Robustness features (all off by default, switched on per config):
   audit requests to the crashed nodes from a healthy peer, which is
   what walks the per-peer circuit breaker through
   open → half-open → closed as the node dies and returns;
-* expulsion quorums reached by the reputation managers are enforced on
-  the :class:`~repro.runtime.transport.NodeRegistry` and chained into a
-  tamper-evident :class:`~repro.core.auditlog.AuditLog`.
+* expulsion verdicts reached by the reputation managers are chained
+  into a tamper-evident :class:`~repro.core.auditlog.AuditLog` (one
+  record per target) and, with ``expulsion_enabled``, enforced on the
+  :class:`~repro.runtime.transport.NodeRegistry`.
 
 Usage (see ``examples/live_cluster.py``)::
 
@@ -35,17 +40,12 @@ from typing import Dict, List, Optional, Set
 
 from repro.config import FreeriderDegree, GossipParams, HONEST_DEGREE, LiftingParams
 from repro.core.auditlog import AuditLog
-from repro.core.reputation import ManagerAssignment, ScoreBoard
-from repro.gossip.chunks import SOURCE_ID, Chunk
+from repro.deployment import Deployment
+from repro.gossip.chunks import SOURCE_ID
 from repro.gossip.protocol import GossipNode
 from repro.loadgen.driver import LoadGenerator, LoadProfile
-from repro.membership.failure_detector import (
-    ChurnMonitor,
-    FailureDetectorParams,
-    apply_membership_event,
-)
-from repro.membership.full import FullMembership
-from repro.metrics.scores import DetectionReport, detection_report
+from repro.membership.failure_detector import FailureDetectorParams
+from repro.metrics.scores import DetectionReport
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.freerider import FreeriderBehavior
 from repro.runtime.faults import FaultPlane, FaultSchedule
@@ -157,13 +157,11 @@ class RuntimeCluster:
             confirm_timeout=1.5 * config.gossip_period,
         )
         self.chunk_created_at: Dict[int, float] = {}
+        #: built by :meth:`run` (the transport needs the running loop).
+        self.deployment: Optional[Deployment] = None
         self.nodes: Dict[NodeId, GossipNode] = {}
         self.freerider_ids: Set[NodeId] = set()
         self.audit_log: Optional[AuditLog] = None
-        self.expelled: List[NodeId] = []
-        self._monitor: Optional[ChurnMonitor] = None
-        self._membership = None
-        self._expelled_set: Set[NodeId] = set()
         #: armed by :meth:`run`; exposes live invariant state to tests.
         self.invariants = None
         #: armed by :meth:`run` when a load profile is configured.
@@ -195,99 +193,40 @@ class RuntimeCluster:
         self.audit_log = log
         log.append("run_start", n=config.n, seed=config.seed)
 
-        node_ids = list(range(config.n))
-        role_rng = seeds.generator("roles")
-        shuffled = list(node_ids)
-        role_rng.shuffle(shuffled)
-        n_freeriders = int(round(config.freerider_fraction * config.n))
-        self.freerider_ids = set(shuffled[:n_freeriders])
-
-        membership = FullMembership(seeds.generator("membership"), node_ids)
-        assignment = ManagerAssignment(node_ids, self.lifting.managers, seeds.seed("mgr"))
-
-        monitor: Optional[ChurnMonitor] = None
-        if config.failure_detector is not None:
-            monitor = ChurnMonitor(clock=transport.clock)
-        self._monitor = monitor
-        self._membership = membership
-        self._expelled_set: Set[NodeId] = set()
-        expelled_set = self._expelled_set
-
-        def on_expel_quorum(manager_id: NodeId, target: NodeId, reason: str) -> None:
-            log.append(
-                "expulsion", target=int(target), by=int(manager_id), reason=reason
-            )
-            if not config.expulsion_enabled or target in expelled_set:
-                return
-            expelled_set.add(target)
-            self.expelled.append(target)
-            registry.expel(target)
-            membership.mark_expelled(target)
-
-        def on_membership_event(
-            reporter: NodeId, node: NodeId, status: str, incarnation: int
-        ) -> None:
-            # In-process callback: shun verdicts from expelled nodes —
-            # on the wire nobody would hear them.
-            if reporter in expelled_set:
-                return
-            apply_membership_event(
-                membership, monitor, reporter, node, status, incarnation, audit_log=log
-            )
-
-        for node_id in node_ids:
+        deployment = Deployment(
+            transport,
+            seeds,
+            self.gossip,
+            self.lifting,
+            freerider_fraction=config.freerider_fraction,
+            expulsion_enabled=config.expulsion_enabled,
+            p_audit=config.p_audit,
+            failure_detector=config.failure_detector,
+            audit_log=log,
+        )
+        self.deployment = deployment
+        self.nodes = deployment.nodes
+        self.freerider_ids = deployment.freerider_ids
+        for node_id in deployment.node_ids:
             behavior = (
                 FreeriderBehavior(config.freerider_degree)
                 if node_id in self.freerider_ids
                 else HonestBehavior()
             )
-            node = GossipNode(
-                node_id=node_id,
-                transport=transport,
-                sampler=membership,
-                gossip=self.gossip,
-                lifting=self.lifting,
-                behavior=behavior,
-                assignment=assignment,
-                rng=seeds.generator("node", node_id),
-                chunk_created_at=self._created_at,
-                on_expel_quorum=on_expel_quorum,
-                p_audit=config.p_audit,
-                detector=config.failure_detector,
-                on_membership_event=(
-                    on_membership_event if config.failure_detector is not None else None
-                ),
+            node = deployment.add_node(
+                node_id, behavior, chunk_created_at=self._created_at
             )
-            if node.manager is not None:
-                node.manager.audit_log = log
-            self.nodes[node_id] = node
             await transport.open_endpoints(node_id, node.on_message)
 
         # Safety-invariant sweeps ride their own task: read-only over
         # the managers/registry, so they observe the run without
         # perturbing it.
-        from repro.core.invariants import InvariantMonitor
-
-        invariants = InvariantMonitor(
-            managers={
-                nid: n.manager
-                for nid, n in self.nodes.items()
-                if n.manager is not None
-            },
-            honest_ids=set(node_ids) - self.freerider_ids,
-            adversary_ids=self.freerider_ids,
-            is_expelled=expelled_set.__contains__,
-            node_ids=node_ids,
-            assignment=assignment,
-            expel_quorum=self.lifting.expel_quorum,
-            audit_logs=(log,),
-            clock=transport.clock,
-        )
+        invariants = deployment.invariant_monitor()
         self.invariants = invariants
         invariant_task = loop.create_task(self._invariant_sweeps(invariants))
 
         # The source: a plain coroutine pushing fresh chunks over UDP.
-        source_task = loop.create_task(self._source(transport, membership, seeds))
+        source_task = loop.create_task(self._source(transport, deployment.membership))
 
         fault_task = probe_task = None
         if plane is not None:
@@ -332,12 +271,12 @@ class RuntimeCluster:
         await transport.close()
 
         invariants.check()  # final-state sweep on the settled run
-        return self._report(transport, assignment, plane, log, invariants)
+        return self._report(transport, plane, log, invariants)
 
     # ------------------------------------------------------------------
     # background tasks
     # ------------------------------------------------------------------
-    async def _source(self, transport: AsyncTransport, membership, seeds) -> None:
+    async def _source(self, transport: AsyncTransport, membership) -> None:
         # The source owns a real endpoint like any node; it just follows a
         # push schedule instead of the three-phase protocol.
         await transport.open_endpoints(SOURCE_ID, lambda _src, _msg: None)
@@ -360,43 +299,29 @@ class RuntimeCluster:
         self, transport: AsyncTransport, plane: FaultPlane, log: AuditLog
     ) -> None:
         """Apply the schedule's crash/restart instants in real time."""
+        deployment = self.deployment
         for event in self.config.fault_schedule.lifecycle_events():
             delay = event.at - transport.clock()
             if delay > 0:
                 await asyncio.sleep(delay)
             for node_id in event.nodes:
-                node = self.nodes.get(node_id)
-                if node is None:
+                if node_id not in self.nodes:
                     continue
                 if event.kind == "crash":
-                    node.stop()
-                    transport.crash_node(node_id)
+                    deployment.crash(node_id)
                     plane.mark_crashed(node_id)
-                    if self._monitor is not None:
-                        self._monitor.on_crashed(node_id)
                     log.append("fault", event="crash", node=int(node_id))
-                else:
-                    if node_id in self._expelled_set:
-                        # Expulsion outlives the crash: the quorum's
-                        # verdict bars the node from rebinding.
-                        if self._monitor is not None:
-                            self._monitor.on_rejoin_refused(node_id)
-                        log.append(
-                            "fault", event="restart_refused", node=int(node_id)
-                        )
-                        continue
+                elif deployment.may_restart(node_id):
                     await transport.restart_node(node_id)
+                    if not transport.is_connected(node_id):
+                        continue  # expelled while its sockets were rebinding
                     plane.mark_restarted(node_id)
-                    if self.config.failure_detector is not None:
-                        if not self._membership.contains(node_id):
-                            self._membership.readmit(
-                                node_id, node.failure_detector.incarnation + 1
-                            )
-                        node.reset_gossip_state()
-                    node.start()
-                    if self._monitor is not None:
-                        self._monitor.on_restarted(node_id)
+                    deployment.restarted(node_id)
                     log.append("fault", event="restart", node=int(node_id))
+                elif deployment.controller.is_expelled(node_id):
+                    # Expulsion outlives the crash: the quorum's verdict
+                    # bars the node from rebinding.
+                    log.append("fault", event="restart_refused", node=int(node_id))
 
     async def _probe_crashed(
         self, transport: AsyncTransport, targets: List[NodeId]
@@ -433,7 +358,8 @@ class RuntimeCluster:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def _report(self, transport, assignment, plane, log, invariants) -> RuntimeReport:
+    def _report(self, transport, plane, log, invariants) -> RuntimeReport:
+        deployment = self.deployment
         emitted = len(self.chunk_created_at)
         if emitted and self.nodes:
             ratios = [
@@ -443,51 +369,15 @@ class RuntimeCluster:
             delivery = sum(ratios) / len(ratios)
         else:
             delivery = 0.0
-        scoreboard = ScoreBoard(
-            {nid: node.manager for nid, node in self.nodes.items() if node.manager}
-        )
-        scores = scoreboard.scores(list(self.nodes.keys()), assignment)
+        records = deployment.controller.records
+        expelled = [node for node, record in records.items() if record.enforced]
         log.snapshot(
             {
                 "chunks_emitted": emitted,
                 "delivery_ratio": round(delivery, 6),
-                "expelled": [int(n) for n in self.expelled],
+                "expelled": [int(n) for n in expelled],
             }
         )
-        membership_stats: Dict[str, object] = {}
-        if self._monitor is not None:
-            membership_stats = self._monitor.summary()
-            quarantines = {"started": 0, "discarded": 0, "released": 0}
-            pending_records = pending_events = 0
-            probes = indirect = local_susp = local_refut = 0
-            for node in self.nodes.values():
-                manager = node.manager
-                if manager is not None:
-                    quarantines["started"] += manager.quarantines_started
-                    quarantines["discarded"] += manager.quarantines_discarded
-                    quarantines["released"] += manager.quarantines_released
-                    for record in manager.records.values():
-                        if record.suspected:
-                            pending_records += 1
-                        pending_events += record.quarantined_events
-                detector = node.failure_detector
-                if detector is not None:
-                    probes += detector.probes_sent
-                    indirect += detector.indirect_probes
-                    local_susp += detector.suspicions_raised
-                    local_refut += detector.refutations_sent
-            membership_stats.update(
-                quarantines_started=quarantines["started"],
-                quarantines_discarded=quarantines["discarded"],
-                quarantines_released=quarantines["released"],
-                records_in_quarantine=pending_records,
-                quarantined_events_pending=pending_events,
-                suspected_now=len(self._membership.suspected_nodes()),
-                probes_sent=probes,
-                indirect_probes=indirect,
-                local_suspicions=local_susp,
-                local_refutations=local_refut,
-            )
         chain = log.verify_all()
         log.close()
         resilience = transport.resilience_snapshot()
@@ -497,8 +387,8 @@ class RuntimeCluster:
         return RuntimeReport(
             chunks_emitted=emitted,
             delivery_ratio=delivery,
-            scores=scores,
-            detection=detection_report(scores, self.freerider_ids, self.lifting.eta),
+            scores=deployment.scores(),
+            detection=deployment.detection(),
             datagrams_sent=transport.datagrams_sent,
             datagrams_dropped=transport.datagrams_dropped,
             freerider_ids=set(self.freerider_ids),
@@ -506,13 +396,11 @@ class RuntimeCluster:
             sends_refused=transport.sends_refused,
             resilience=resilience,
             faults=plane.counters() if plane is not None else {},
-            expelled=list(self.expelled),
-            wrongful_expulsions=[
-                n for n in self.expelled if n not in self.freerider_ids
-            ],
+            expelled=expelled,
+            wrongful_expulsions=[n for n in expelled if n not in self.freerider_ids],
             audit_ok=chain.ok,
             audit_records=chain.length,
-            membership=membership_stats,
+            membership=deployment.churn_summary(),
             invariants=invariants.summary(),
             load=load_report,
         )

@@ -235,7 +235,9 @@ class AsyncTransport:
     Satisfies the same interface as
     :class:`repro.gossip.protocol.SimTransport`: ``clock``,
     ``call_later``, ``call_every``, ``send`` — so a
-    :class:`~repro.gossip.protocol.GossipNode` runs on it unmodified.
+    :class:`~repro.gossip.protocol.GossipNode` runs on it unmodified —
+    plus ``is_connected`` / ``disconnect`` / ``expel``, so a
+    :class:`~repro.deployment.Deployment` does too.
     """
 
     def __init__(
@@ -432,6 +434,17 @@ class AsyncTransport:
         channel = self._channels.get(node_id)
         if channel is not None:
             channel.drop_connection()
+
+    #: the fabric names a :class:`~repro.deployment.Deployment` uses.
+    disconnect = crash_node
+
+    def expel(self, node_id: NodeId) -> None:
+        """Take the node off the fabric for good (see the registry)."""
+        self.registry.expel(node_id)
+
+    def is_connected(self, node_id: NodeId) -> bool:
+        """Whether the node is registered, not expelled and not crashed."""
+        return node_id in self.registry.connected and node_id not in self._crashed
 
     async def restart_node(self, node_id: NodeId) -> None:
         """Rebind a crashed node's sockets (same ports when possible)."""

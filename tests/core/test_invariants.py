@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import FreeriderDegree, planetlab_params
-from repro.core.invariants import InvariantMonitor, monitor_for_cluster
+from repro.core.invariants import InvariantMonitor
 from repro.experiments.cluster import ClusterConfig, SimCluster
 
 
@@ -230,7 +230,7 @@ class TestClusterWiring:
             gossip=gossip, lifting=lifting, seed=2, loss_rate=0.02,
             expulsion_enabled=True,
         ))
-        monitor = monitor_for_cluster(cluster)
+        monitor = cluster.deployment.invariant_monitor()
         assert set(monitor.managers) <= set(cluster.node_ids)
         assert monitor.honest_ids == cluster.honest_ids
         assert monitor.expel_quorum == cluster.config.lifting.expel_quorum

@@ -15,7 +15,7 @@ import pytest
 from repro.core.auditlog import AuditLog
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
-from repro.runtime.faults import FaultSchedule
+from repro.runtime.faults import FaultEvent, FaultSchedule
 
 DURATION = 4.0
 KEY_SEED = "live-churn-test"
@@ -86,3 +86,33 @@ class TestLiveChurn:
         ]
         assert "suspect" in transitions
         assert "refute" in transitions
+
+
+class TestScriptedRestartWithoutCrash:
+    """A ``restart`` of a node that never went down must be a no-op.
+
+    Rebinding the live node's sockets and calling ``start()`` again arms
+    a second period timer whose handle overwrites the first, so the node
+    gossips at twice the rate and ``stop()`` can never cancel it.  The
+    simulated plane pins the same rule in
+    ``tests/experiments/test_churn.py::test_restart_of_never_crashed_node_is_noop``.
+    """
+
+    def test_node_is_not_started_twice(self):
+        config = RuntimeConfig(
+            n=8,
+            duration=3.0,
+            seed=3,
+            failure_detector=FailureDetectorParams(),
+            fault_schedule=FaultSchedule(
+                events=(FaultEvent(kind="restart", at=0.5, nodes=(1,)),)
+            ),
+        )
+        cluster = RuntimeCluster(config)
+        report = asyncio.run(asyncio.wait_for(cluster.run(), timeout=30.0))
+        periods = {nid: node.period for nid, node in cluster.nodes.items()}
+        peers = [count for nid, count in periods.items() if nid != 1]
+        assert min(peers) - 1 <= periods[1] <= max(peers) + 1
+        assert report.membership["restarts"] == 0
+        assert report.membership["crashes"] == 0
+        assert report.faults["crashed_now"] == 0

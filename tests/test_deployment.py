@@ -1,0 +1,231 @@
+"""The rules both planes share, pinned once on a fake host.
+
+A :class:`~repro.deployment.Deployment` needs nothing from its host but
+a clock and three fabric names, so every rule ``SimCluster`` and
+``RuntimeCluster`` inherit from it — who may convict, who may report,
+what a crash and a restart do — is checked here without a simulator or
+a socket.  Nodes are built, never started.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.config import planetlab_params
+from repro.deployment import Deployment, assign_roles
+from repro.membership.base import STATUS_ALIVE, STATUS_SUSPECT
+from repro.membership.failure_detector import FailureDetectorParams
+from repro.nodes.behavior import HonestBehavior
+from repro.util.rng import SeedSequenceFactory
+
+N = 6
+
+
+class FakeHost:
+    """A hand-set clock and a fabric that records what it is asked."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.down = set()
+        self.expelled = []
+
+    def clock(self):
+        return self.now
+
+    def call_later(self, delay, fn, *args):
+        return None
+
+    def send(self, src, dst, message, reliable):
+        return True
+
+    def is_connected(self, node_id):
+        return node_id not in self.down and node_id not in self.expelled
+
+    def disconnect(self, node_id):
+        self.down.add(node_id)
+
+    def expel(self, node_id):
+        self.expelled.append(node_id)
+
+
+def make_deployment(**kwargs):
+    gossip, lifting = planetlab_params()
+    deployment = Deployment(
+        FakeHost(),
+        SeedSequenceFactory(5),
+        replace(gossip, n=N, fanout=3, source_fanout=3),
+        replace(lifting, managers=3),
+        **kwargs,
+    )
+    for node_id in deployment.node_ids:
+        deployment.add_node(node_id, HonestBehavior())
+    return deployment
+
+
+@pytest.fixture
+def deployment():
+    return make_deployment(
+        expulsion_enabled=True, failure_detector=FailureDetectorParams()
+    )
+
+
+#: (seed, n, freerider_fraction, degraded_fraction) -> the role sets
+#: ``SimCluster`` drew before the shuffle moved here.
+ROLE_TABLE = [
+    ((0, 8, 0.25, 0.0), {4, 5}, {0, 1, 2, 3, 6, 7}, set()),
+    ((3, 10, 0.2, 0.25), {3, 7}, {0, 1, 2, 4, 5, 6, 8, 9}, {4, 6}),
+    ((7, 12, 0.0, 0.5), set(), set(range(12)), {0, 2, 3, 4, 8, 10}),
+    ((42, 9, 0.5, 0.0), {0, 2, 3, 8}, {1, 4, 5, 6, 7}, set()),
+]
+
+
+@pytest.mark.parametrize("args, freeriders, honest, degraded", ROLE_TABLE)
+def test_assign_roles_draws_the_pinned_sets(args, freeriders, honest, degraded):
+    seed, n, freerider_fraction, degraded_fraction = args
+    roles = assign_roles(
+        SeedSequenceFactory(seed), n, freerider_fraction, degraded_fraction
+    )
+    assert roles == (freeriders, honest, degraded)
+
+
+class TestVerdictRules:
+    def test_quorum_claim_expels_on_the_host(self, deployment):
+        deployment.on_expel_quorum(0, 3, "score")
+        assert deployment.controller.is_expelled(3)
+        assert deployment.host.expelled == [3]
+        assert not deployment.membership.contains(3)
+
+    def test_expelled_issuers_claim_is_void(self, deployment):
+        deployment.controller.expel(0, "score")
+        deployment.on_expel_quorum(0, 3, "score")
+        assert 3 not in deployment.controller.records
+        assert deployment.host.expelled == [0]
+
+    def test_observation_mode_records_without_expelling(self):
+        deployment = make_deployment(expulsion_enabled=False)
+        deployment.on_expel_quorum(0, 3, "score")
+        assert 3 in deployment.controller.records
+        assert not deployment.controller.is_expelled(3)
+        assert deployment.host.expelled == []
+        assert deployment.membership.contains(3)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_one_expulsion_record_per_target(self, enabled):
+        class Log:
+            def __init__(self):
+                self.records = []
+
+            def append(self, kind, **data):
+                self.records.append((kind, data))
+
+        deployment = make_deployment(expulsion_enabled=enabled, audit_log=Log())
+        deployment.on_expel_quorum(0, 3, "score")
+        deployment.on_expel_quorum(1, 3, "score")  # a second manager's callback
+        assert deployment.audit_log.records == [
+            ("expulsion", {"target": 3, "reason": "score", "enforced": enabled})
+        ]
+
+    def test_connected_reporters_event_is_applied(self, deployment):
+        deployment.on_membership_event(1, 4, STATUS_SUSPECT, 0)
+        assert deployment.membership.status_of(4) == STATUS_SUSPECT
+        assert deployment.churn_monitor.suspicions == 1
+
+    @pytest.mark.parametrize("silence", ["expel", "crash"])
+    def test_unreachable_reporters_event_is_dropped(self, deployment, silence):
+        if silence == "expel":
+            deployment.controller.expel(1, "score")
+        else:
+            assert deployment.crash(1)
+        deployment.on_membership_event(1, 4, STATUS_SUSPECT, 0)
+        assert deployment.membership.status_of(4) == STATUS_ALIVE
+        assert deployment.churn_monitor.suspicions == 0
+
+
+class TestSilentFailureLifecycle:
+    def test_crash_disconnects_and_tells_nobody(self, deployment):
+        assert deployment.crash(2)
+        assert not deployment.host.is_connected(2)
+        assert deployment.membership.contains(2)  # peers must detect it
+        assert deployment.churn_monitor.crashes == 1
+
+    def test_crash_of_unreachable_node_counts_nothing(self, deployment):
+        deployment.crash(2)
+        assert not deployment.crash(2)
+        assert deployment.churn_monitor.crashes == 1
+
+    def test_may_restart_refuses_an_expelled_node(self, deployment):
+        deployment.crash(2)
+        deployment.controller.expel(2, "score")
+        assert not deployment.may_restart(2)
+        assert deployment.churn_monitor.rejoins_refused == 1
+
+    def test_may_restart_refuses_a_node_that_never_went_down(self, deployment):
+        assert not deployment.may_restart(2)
+        assert deployment.churn_monitor.rejoins_refused == 0
+        deployment.crash(2)
+        assert deployment.may_restart(2)
+
+    def test_restarted_brings_up_a_fresh_incarnation(self, deployment):
+        victim, peer = deployment.nodes[2], deployment.nodes[4]
+        starts = []
+        victim.start = lambda: starts.append(1)
+        deployment.crash(2)
+        deployment.membership.mark_dead(2)  # confirmed while down
+        peer.engine.on_serve_sent(2, 55)  # the dead incarnation's debt
+        peer.engine.on_serve_sent(3, 56)
+        victim.engine.on_serve_sent(3, 57)
+        victim._sent_proposals[9] = object()
+
+        deployment.host.down.discard(2)  # the host's own step
+        deployment.restarted(2)
+
+        assert deployment.membership.contains(2)
+        assert deployment.membership.incarnation_of(2) == 1
+        assert peer.engine.pending_ack_count == 1  # only node 3's row left
+        assert victim.engine.pending_ack_count == 0
+        assert victim._sent_proposals == {}
+        assert starts == [1]
+        assert deployment.churn_monitor.restarts == 1
+
+
+class TestReadOuts:
+    def test_churn_summary_is_empty_without_a_detector(self):
+        assert make_deployment().churn_summary() == {}
+
+    def test_churn_summary_keys(self, deployment):
+        # The keys RuntimeReport.membership and the churn scenario expose.
+        assert list(deployment.churn_summary()) == [
+            "crashes",
+            "restarts",
+            "leaves",
+            "rejoins",
+            "rejoins_refused",
+            "suspicions",
+            "refutations",
+            "confirmed_dead",
+            "readmissions",
+            "mean_detection_delay",
+            "max_detection_delay",
+            "mean_recovery_delay",
+            "max_recovery_delay",
+            "suspected_now",
+            "quarantines_started",
+            "quarantines_discarded",
+            "quarantines_released",
+            "records_in_quarantine",
+            "quarantined_events_pending",
+            "probes_sent",
+            "indirect_probes",
+            "local_suspicions",
+            "local_refutations",
+        ]
+
+    def test_scores_and_detection_cover_every_node(self, deployment):
+        assert sorted(deployment.scores()) == deployment.node_ids
+        assert deployment.detection().false_positives == 0.0
+
+    def test_invariant_monitor_reads_live_state(self, deployment):
+        monitor = deployment.invariant_monitor()
+        assert monitor.check() == []
+        deployment.controller.expel(3, "score")  # an honest node, honest quorum
+        assert [v.invariant for v in monitor.check()] == ["wrongful_expulsion"]
