@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test loc live-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-full
+.PHONY: test loc live-smoke examples-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-full
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -27,6 +27,15 @@ live-smoke:
 	timeout 120 python -m repro.cli run coalition --set n=24 --set duration=12.0 --set sizes=3
 	timeout 120 python benchmarks/bench_scenarios.py --smoke --only live --only chaos
 	timeout 120 python benchmarks/bench_loadgen.py --smoke
+
+## Every runnable demo under examples/, each under a hard 120 s cap
+## (~75 s in all): the only thing that executes them.  This is what the
+## CI `tests` job runs after the suite.
+examples-smoke:
+	@for example in examples/*.py; do \
+		echo "== $$example"; \
+		timeout 120 python $$example > /dev/null || exit 1; \
+	done
 
 ## Quick substrate benchmark run (pytest-benchmark timings + reports).
 bench-smoke:

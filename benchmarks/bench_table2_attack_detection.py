@@ -19,7 +19,8 @@ from dataclasses import replace
 import pytest
 
 from benchmarks.conftest import record_report
-from repro.config import FreeriderDegree, planetlab_params
+from repro import adversary
+from repro.config import planetlab_params
 from repro.core.blames import (
     REASON_FANOUT_DECREASE,
     REASON_INVALID_PROPOSAL,
@@ -36,6 +37,13 @@ def _cluster(**overrides):
     defaults = dict(gossip=gossip, lifting=lifting, seed=77, loss_rate=0.0, compensation=0.0)
     defaults.update(overrides)
     return SimCluster(ClusterConfig(**defaults))
+
+
+def _freeriders(degree, **params):
+    return _cluster(
+        freerider_fraction=0.25,
+        adversary=adversary.spec("freerider", degree=degree, **params),
+    )
 
 
 def _freerider_blame_share(cluster, reason):
@@ -65,30 +73,26 @@ def table2_report():
     rows = []
 
     # (i) fanout decrease → direct cross-check (f - f̂ blames).
-    c = _cluster(freerider_fraction=0.25, freerider_degree=FreeriderDegree(0.5, 0, 0))
+    c = _freeriders((0.5, 0, 0))
     c.run(until=10.0)
     value, share = _freerider_blame_share(c, REASON_FANOUT_DECREASE)
     rows.append(("fanout decrease", "direct cross-check", value > 0 and share > 0.8, share))
 
     # (ii) partial propose → direct cross-check (invalid proposal / no ack).
-    c = _cluster(freerider_fraction=0.25, freerider_degree=FreeriderDegree(0, 0.5, 0))
+    c = _freeriders((0, 0.5, 0))
     c.run(until=10.0)
     v1, share = _freerider_blame_share(c, REASON_NO_ACK)
     v2, _ = _freerider_blame_share(c, REASON_INVALID_PROPOSAL)
     rows.append(("partial propose", "direct cross-check", (v1 + v2) > 0 and share > 0.8, share))
 
     # (iii) partial serve → direct verification.
-    c = _cluster(freerider_fraction=0.25, freerider_degree=FreeriderDegree(0, 0, 0.5))
+    c = _freeriders((0, 0, 0.5))
     c.run(until=10.0)
     value, share = _freerider_blame_share(c, REASON_PARTIAL_SERVE)
     rows.append(("partial serve", "direct verification", value > 0 and share > 0.8, share))
 
     # (iv) decreased gossip period → local audit period count.
-    c = _cluster(
-        freerider_fraction=0.25,
-        freerider_degree=FreeriderDegree(0, 0, 0),
-        period_stride=3,
-    )
+    c = _freeriders((0, 0, 0), period_stride=3)
     c.run(until=10.0)
     target = next(iter(c.freerider_ids))
     auditor = c.nodes[next(n for n in c.node_ids if n not in c.freerider_ids)]
@@ -101,9 +105,9 @@ def table2_report():
     # (v) biased partner selection → local audit entropy.
     c = _cluster(
         freerider_fraction=0.25,
-        freerider_degree=FreeriderDegree(0, 0, 0),
-        colluding=True,
-        collusion_bias=0.9,
+        adversary=adversary.spec(
+            "coalition", degree=(0, 0, 0), bias=0.9, launder=0.0
+        ),
     )
     c.run(until=10.0)
     target = next(iter(c.freerider_ids))

@@ -18,7 +18,7 @@ Run with::
 
 from dataclasses import replace
 
-from repro import ClusterConfig, FreeriderDegree, SimCluster, planetlab_params
+from repro import ClusterConfig, SimCluster, adversary, planetlab_params
 from repro.analysis.entropy_analysis import (
     achievable_max_bias,
     max_bias_probability,
@@ -55,10 +55,14 @@ def main() -> None:
         seed=11,
         loss_rate=0.0,
         freerider_fraction=0.25,
-        freerider_degree=FreeriderDegree(0, 0, 0),  # they hide in plain sight...
-        colluding=True,
-        collusion_bias=0.85,  # ...but feed their friends 85 % of the time
-        man_in_the_middle=True,
+        # The paper's colluders are the coalition policy without laundering.
+        adversary=adversary.spec(
+            "coalition",
+            launder=0.0,
+            degree=(0, 0, 0),  # they hide in plain sight...
+            bias=0.85,  # ...but feed their friends 85 % of the time
+            man_in_the_middle=True,
+        ),
     )
     cluster = SimCluster(config)
     print("running a deployment with a colluding coalition (25 % of nodes)...")

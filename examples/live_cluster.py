@@ -14,7 +14,7 @@ Run with::
 
 import asyncio
 
-from repro.config import FreeriderDegree
+from repro import adversary
 from repro.runtime import RuntimeCluster, RuntimeConfig
 
 
@@ -27,7 +27,7 @@ def main() -> None:
         managers=5,
         loss_rate=0.03,
         freerider_fraction=0.25,
-        freerider_degree=FreeriderDegree(delta1=0.25, delta2=0.3, delta3=0.3),
+        adversary=adversary.spec("freerider", degree=(0.25, 0.3, 0.3)),
         seed=42,
     )
     print(

@@ -3,19 +3,20 @@
 ``from repro import adversary`` gives the full registry: importing the
 package imports every concrete policy module, which self-registers via
 :func:`repro.adversary.policy.register`.  Use :func:`create` to build a
-policy by name and :func:`available` to enumerate them::
-
-    policy = adversary.create("coalition", {"launder": 2.0})
-    policy.prepare(ctx)          # AdversaryContext from the cluster
-    behavior = policy.build(17)  # Behavior for adversarial node 17
+policy by name and :func:`available` to enumerate them; a deployment,
+on either plane, is armed through the one ``adversary`` field of its
+config: ``ClusterConfig(..., adversary=adversary.spec("coalition",
+launder=2.0))``.
 """
 
 from repro.adversary.policy import (
     AdversaryContext,
     BehaviorPolicy,
+    FreeriderPolicy,
     available,
     create,
     register,
+    spec,
 )
 from repro.adversary.adaptive import (
     AdaptiveFreeriderBehavior,
@@ -32,6 +33,8 @@ __all__ = [
     "available",
     "create",
     "register",
+    "spec",
+    "FreeriderPolicy",
     "AdaptiveFreeriderBehavior",
     "AdaptiveFreeriderPolicy",
     "degree_ladder",

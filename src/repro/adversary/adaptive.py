@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 from repro.analysis.freerider_blames import expected_blame_excess
 from repro.config import FreeriderDegree
 from repro.nodes.freerider import FreeriderBehavior
+from repro.util.validation import require_int, require_positive
 
 from repro.adversary.policy import AdversaryContext, BehaviorPolicy, register
 
@@ -41,6 +42,7 @@ def degree_ladder(
     per-period excess blame is at most ``headroom · (-η)`` — the
     analytical "just under the threshold" operating point.
     """
+    require_positive(step, "step")  # the loop below must advance
     gossip, lifting = ctx.gossip, ctx.lifting
     p_r = 1.0 - lifting.assumed_loss_rate
     budget = headroom * -lifting.eta
@@ -122,9 +124,9 @@ class AdaptiveFreeriderPolicy(BehaviorPolicy):
         retreat_at: float = 0.6,
         advance_at: float = 0.25,
     ) -> None:
-        self.headroom = headroom
-        self.step = step
-        self.check_every = check_every
+        self.headroom = require_positive(headroom, "headroom")
+        self.step = require_positive(step, "step")
+        self.check_every = require_int(check_every, "check_every", minimum=1)
         self.retreat_at = retreat_at
         self.advance_at = advance_at
 

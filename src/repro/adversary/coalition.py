@@ -1,23 +1,25 @@
-"""The laundering coalition: collusion plus reputation-budget transfer.
+"""The coalition: the paper's colluders, optionally laundering blame.
 
-Extends the paper's colluders (§4.1(iii): mutual confirms, never blame
-each other, biased partner selection) with an attack the paper does not
-model: *blame laundering*.  Credits — negative blames — are legitimate
-protocol traffic (compensation for the chunks a partner did serve), so
-each coalition member spends a per-period credit budget on its
-co-members, draining their accumulated blame at the managers.  The
-coalition thereby converts the one resource the detector cannot audit
-(the right to praise) into score, and the sweep in the ``coalition``
-scenario measures how much laundering η absorbs before freeriders
-escape.
+At ``launder=0`` this *is* the paper's coalition (§4.1(iii): mutual
+confirms, never blame each other, biased partner selection, optionally
+the man-in-the-middle attack and forged audit histories).  A positive
+budget adds an attack the paper does not model: *blame laundering*.
+Credits — negative blames — are legitimate protocol traffic
+(compensation for the chunks a partner did serve), so each coalition
+member spends a per-period credit budget on its co-members, draining
+their accumulated blame at the managers.  The coalition thereby converts
+the one resource the detector cannot audit (the right to praise) into
+score, and the sweep in the ``coalition`` scenario measures how much
+laundering η absorbs before freeriders escape.
 """
 
 from __future__ import annotations
 
 from repro.config import FreeriderDegree
 from repro.nodes.colluder import Coalition, ColludingBehavior
+from repro.util.validation import require, require_int, require_non_negative, require_probability
 
-from repro.adversary.policy import AdversaryContext, BehaviorPolicy, register
+from repro.adversary.policy import AdversaryContext, BehaviorPolicy, Degree, register
 
 NodeId = int
 
@@ -28,22 +30,9 @@ class LaunderingColluderBehavior(ColludingBehavior):
     name = "laundering_colluder"
 
     def __init__(
-        self,
-        degree: FreeriderDegree,
-        coalition: Coalition,
-        *,
-        bias: float = 0.0,
-        launder: float = 0.0,
-        man_in_the_middle: bool = False,
-        forge_history: bool = False,
+        self, degree: FreeriderDegree, coalition: Coalition, *, launder: float = 0.0, **colluder
     ) -> None:
-        super().__init__(
-            degree,
-            coalition,
-            bias=bias,
-            man_in_the_middle=man_in_the_middle,
-            forge_history=forge_history,
-        )
+        super().__init__(degree, coalition, **colluder)
         #: total credit (negative blame) granted to co-members per period.
         self.launder = launder
         self.credits_sent = 0.0
@@ -76,17 +65,24 @@ class LaunderingCoalitionPolicy(BehaviorPolicy):
 
     def __init__(
         self,
-        delta: float = 0.4,
+        degree: Degree = (0.4, 0.4, 0.4),
         bias: float = 0.3,
         launder: float = 2.0,
         man_in_the_middle: bool = False,
         forge_history: bool = False,
+        period_stride: int = 1,
     ) -> None:
-        self.degree = FreeriderDegree.uniform(delta)
-        self.bias = bias
-        self.launder = launder
-        self.man_in_the_middle = man_in_the_middle
-        self.forge_history = forge_history
+        for flag in (man_in_the_middle, forge_history):
+            require(isinstance(flag, bool), "the attack switches take a bool, got %r", flag)
+        self.degree = FreeriderDegree(*degree)
+        self.launder = require_non_negative(launder, "launder")
+        #: what every member's :class:`ColludingBehavior` is built with.
+        self.member_kwargs = dict(
+            bias=require_probability(bias, "bias"),
+            man_in_the_middle=man_in_the_middle,
+            forge_history=forge_history,
+            period_stride=require_int(period_stride, "period_stride", minimum=1),
+        )
 
     def prepare(self, ctx: AdversaryContext) -> None:
         super().prepare(ctx)
@@ -94,12 +90,7 @@ class LaunderingCoalitionPolicy(BehaviorPolicy):
 
     def build(self, node_id: NodeId) -> LaunderingColluderBehavior:
         return LaunderingColluderBehavior(
-            self.degree,
-            self.coalition,
-            bias=self.bias,
-            launder=self.launder,
-            man_in_the_middle=self.man_in_the_middle,
-            forge_history=self.forge_history,
+            self.degree, self.coalition, launder=self.launder, **self.member_kwargs
         )
 
     def describe(self):
@@ -107,6 +98,6 @@ class LaunderingCoalitionPolicy(BehaviorPolicy):
             "policy": self.name,
             "size": len(self.coalition),
             "delta": self.degree.delta1,
-            "bias": self.bias,
+            "bias": self.member_kwargs["bias"],
             "launder": self.launder,
         }

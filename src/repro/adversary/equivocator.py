@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.nodes.behavior import Behavior
+from repro.util.validation import require_probability
 
 from repro.adversary.policy import BehaviorPolicy, register
 
@@ -79,7 +80,7 @@ class EquivocatorPolicy(BehaviorPolicy):
     name = "equivocator"
 
     def __init__(self, deny_share: float = 0.5) -> None:
-        self.deny_share = deny_share
+        self.deny_share = require_probability(deny_share, "deny_share")
 
     def build(self, node_id: NodeId) -> EquivocatorBehavior:
         return EquivocatorBehavior(deny_share=self.deny_share)

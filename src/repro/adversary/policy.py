@@ -8,23 +8,28 @@ policy owns whatever state the attackers share — the coalition roster, a
 stuffing campaign's victim list — so the cluster stays attack-agnostic:
 it only knows *which* nodes are adversarial, never *how*.
 
-Policies are registered by name; :func:`create` instantiates one from a
-``ClusterConfig``-style flat parameter mapping, coercing strings so
-parameters survive a CLI round-trip.  The concrete adversaries live in
-sibling modules and self-register on import (see ``__init__``).
+Policies are registered by name.  A config selects one with the value
+:func:`spec` builds, and :class:`repro.deployment.Deployment` is the one
+place that runs :func:`create` → ``prepare`` → ``build``, on either
+plane.  The paper's freerider is :class:`FreeriderPolicy` below; the
+other adversaries live in sibling modules and self-register on import.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple, Type
 
 import numpy as np
 
-from repro.config import GossipParams, LiftingParams
+from repro.config import FreeriderDegree, GossipParams, LiftingParams
 from repro.nodes.behavior import Behavior
+from repro.nodes.freerider import FreeriderBehavior
+from repro.util.validation import require_int
 
 NodeId = int
+Degree = Tuple[float, float, float]  #: (δ1, δ2, δ3), as policies take it
 
 
 @dataclass(frozen=True)
@@ -83,29 +88,21 @@ def available() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _coerce(value):
-    """Best-effort typed view of a possibly-stringly parameter value."""
-    if not isinstance(value, str):
-        return value
-    lowered = value.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
+def spec(kind: str, **params: object) -> Tuple[object, ...]:
+    """The config value selecting policy ``kind`` with ``params``: a
+    plain ``(kind, ((key, value), ...))`` tuple, frozen and hashable
+    like the configs that carry it.  Their default, the empty tuple,
+    selects nothing — every node is honest."""
+    return (kind, tuple(sorted(params.items())))
 
 
 def create(kind: str, params: Mapping[str, object] = ()) -> BehaviorPolicy:
     """Instantiate the policy registered under ``kind``.
 
-    ``params`` are keyword arguments for the policy constructor; string
-    values are coerced (bool/int/float) so ``("rate", "1.5")`` pairs
-    from a frozen config tuple work unchanged.
+    ``params`` (a mapping or ``(key, value)`` pairs) are keyword
+    arguments for the policy constructor, which validates them; every
+    rejection — unknown policy, unknown key, out-of-range or wrongly
+    typed value — is a :class:`ValueError`.
     """
     try:
         cls = _REGISTRY[kind]
@@ -113,5 +110,26 @@ def create(kind: str, params: Mapping[str, object] = ()) -> BehaviorPolicy:
         raise ValueError(
             f"unknown adversary policy {kind!r}; available: {available()}"
         ) from None
-    kwargs = {key: _coerce(value) for key, value in dict(params).items()}
-    return cls(**kwargs)
+    try:
+        return cls(**dict(params))
+    except TypeError as exc:  # a misspelt key, or a value of the wrong type
+        accepted = tuple(inspect.signature(cls).parameters)
+        raise ValueError(
+            f"adversary policy {kind!r}: {exc}; accepted parameters: {accepted}"
+        ) from None
+
+
+@register
+class FreeriderPolicy(BehaviorPolicy):
+    """The paper's wise freerider (§6.3.1): every adversarial node
+    deviates by one fixed ``degree`` (δ1, δ2, δ3) and optionally runs
+    its gossip period ``period_stride`` times slower (§4.1(iv))."""
+
+    name = "freerider"
+
+    def __init__(self, degree: Degree = (0.0, 0.0, 0.0), period_stride: int = 1) -> None:
+        self.degree = FreeriderDegree(*degree)
+        self.period_stride = require_int(period_stride, "period_stride", minimum=1)
+
+    def build(self, node_id: NodeId) -> FreeriderBehavior:
+        return FreeriderBehavior(self.degree, period_stride=self.period_stride)

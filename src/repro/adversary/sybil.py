@@ -19,6 +19,7 @@ from typing import Tuple
 
 from repro.config import FreeriderDegree
 from repro.nodes.freerider import FreeriderBehavior
+from repro.util.validation import require_int, require_non_negative
 
 from repro.adversary.policy import AdversaryContext, BehaviorPolicy, register
 
@@ -85,9 +86,9 @@ class SybilBlamePolicy(BehaviorPolicy):
         start_period: int = 10,
         delta: float = 0.5,
     ) -> None:
-        self.rate = rate
-        self.victim_count = victims
-        self.start_period = start_period
+        self.rate = require_non_negative(rate, "rate")
+        self.victim_count = require_int(victims, "victims", minimum=1)
+        self.start_period = require_int(start_period, "start_period", minimum=0)
         self.degree = FreeriderDegree.uniform(delta)
 
     def prepare(self, ctx: AdversaryContext) -> None:

@@ -3,7 +3,8 @@
 LiFTinG is one protocol evaluated on two hosts — the discrete-event
 simulator and the asyncio socket runtime.  A :class:`Deployment` is
 everything about a cluster that no host does differently: the role
-split, the membership directory, the manager assignment, the expulsion
+split, the arming of the freeriders from a :mod:`repro.adversary`
+policy, the membership directory, the manager assignment, the expulsion
 controller, the churn monitor, the one place a
 :class:`~repro.gossip.protocol.GossipNode` is constructed, the two
 in-process verdict rules, the silent-failure lifecycle and the
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.adversary import AdversaryContext, BehaviorPolicy, create
 from repro.config import GossipParams, LiftingParams
 from repro.core.detector import ExpulsionController, ExpulsionRecord
 from repro.core.invariants import InvariantMonitor
@@ -35,6 +37,7 @@ from repro.membership.failure_detector import (
 )
 from repro.membership.full import FullMembership
 from repro.metrics.scores import DetectionReport, detection_report
+from repro.nodes.behavior import HonestBehavior
 from repro.util.rng import SeedSequenceFactory
 
 NodeId = int
@@ -61,6 +64,14 @@ def assign_roles(
     return set(shuffled[:n_freeriders]), set(honest), set(honest[:n_degraded])
 
 
+def adversary_policy(adversary: tuple) -> Optional[BehaviorPolicy]:
+    """A fresh instance of the policy a config's ``adversary`` value
+    (:func:`repro.adversary.spec`) selects, None for the empty one.
+    Both configs call it at construction, so an unknown policy or a
+    rejected parameter fails before anything is built or forked."""
+    return create(*adversary) if adversary else None
+
+
 class Deployment:
     """The protocol wiring of one cluster, on whichever host runs it."""
 
@@ -73,11 +84,14 @@ class Deployment:
         *,
         freerider_fraction: float = 0.0,
         degraded_fraction: float = 0.0,
+        adversary: tuple = (),
         expulsion_enabled: bool = False,
         p_audit: float = 0.0,
         failure_detector: Optional[FailureDetectorParams] = None,
         audit_log=None,
     ) -> None:
+        #: what the freeriders run (None = every node is honest).
+        self.adversary_policy = adversary_policy(adversary)
         self.host = host
         self.seeds = seeds
         self.gossip = gossip
@@ -92,6 +106,16 @@ class Deployment:
         self.freerider_ids, self.honest_ids, self.degraded_ids = assign_roles(
             seeds, gossip.n, freerider_fraction, degraded_fraction
         )
+        if self.adversary_policy is not None:
+            self.adversary_policy.prepare(
+                AdversaryContext(
+                    gossip=gossip,
+                    lifting=lifting,
+                    freerider_ids=frozenset(self.freerider_ids),
+                    honest_ids=frozenset(self.honest_ids),
+                    rng=seeds.generator("adversary"),
+                )
+            )
         self.membership = FullMembership(seeds.generator("membership"), self.node_ids)
         self.assignment = ManagerAssignment(
             self.node_ids, lifting.managers, seeds.seed("managers")
@@ -111,13 +135,19 @@ class Deployment:
         self.managers: Dict[NodeId, ReputationManager] = {}
         self.scoreboard = ScoreBoard(self.managers)
 
-    def add_node(self, node_id: NodeId, behavior, **plane_kwargs) -> GossipNode:
+    def add_node(self, node_id: NodeId, **plane_kwargs) -> GossipNode:
         """Construct, wire and record one protocol node (not started).
 
-        ``plane_kwargs`` are the :class:`GossipNode` arguments only the
-        plane can supply: the chunk-creation lookup, and under the
-        simulator the pooled state slots and the LiFTinG switches.
+        Freeriders run what the adversary policy builds, everyone else
+        (and everyone, without a policy) is honest.  ``plane_kwargs`` are
+        the :class:`GossipNode` arguments only the plane can supply: the
+        chunk-creation lookup, and under the simulator the pooled state
+        slots and the LiFTinG switches.
         """
+        if self.adversary_policy is not None and node_id in self.freerider_ids:
+            behavior = self.adversary_policy.build(node_id)
+        else:
+            behavior = HonestBehavior()
         node = GossipNode(
             node_id=node_id,
             transport=self.host,

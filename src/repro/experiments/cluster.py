@@ -8,12 +8,12 @@ crash/restart rules and the score read-outs — is a
 this module keeps what only a simulation has: the discrete-event
 simulator, a lossy network with per-node heterogeneity, the pooled
 struct-of-arrays node state (and its slot remap on readmission), the
-stream source, the adversary behaviours, the oracle ``leave`` /
-``rejoin`` used when no failure detector runs, and the health /
-overhead metrics read off the simulated trace.
+stream source, the oracle ``leave`` / ``rejoin`` used when no failure
+detector runs, and the health / overhead metrics read off the simulated
+trace.
 
-Roles are assigned pseudo-randomly from the seed, so a cluster is fully
-reproducible from its :class:`ClusterConfig`.
+Roles are assigned pseudo-randomly from the seed and armed from the one
+``adversary`` value, so a cluster is fully reproducible from its config.
 """
 
 from __future__ import annotations
@@ -22,29 +22,21 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Set
 
-from repro.config import (
-    FreeriderDegree,
-    GossipParams,
-    HONEST_DEGREE,
-    LiftingParams,
-)
+from repro.config import GossipParams, LiftingParams
 from repro.core.reputation import ReputationPool, compensation_per_period
 from repro.core.soa import DenseIdRegistry, ProtocolStatePool
-from repro.deployment import Deployment
+from repro.deployment import Deployment, adversary_policy
 from repro.gossip.chunks import StreamSource
 from repro.gossip.protocol import GossipNode, SimTransport
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.metrics.health import HealthReport, health_curve
 from repro.metrics.overhead import OverheadReport, bandwidth_overhead
-from repro.nodes.behavior import HonestBehavior
-from repro.nodes.colluder import Coalition, ColludingBehavior
-from repro.nodes.freerider import FreeriderBehavior
 from repro.sim.engine import Simulator
 from repro.sim.latency import UniformLatency
 from repro.sim.loss import PerNodeLoss
 from repro.sim.network import Network
 from repro.util.rng import SeedSequenceFactory
-from repro.util.validation import require, require_probability
+from repro.util.validation import require_probability
 
 NodeId = int
 
@@ -65,19 +57,10 @@ class ClusterConfig:
 
     # --- adversary population ---------------------------------------
     freerider_fraction: float = 0.0
-    freerider_degree: FreeriderDegree = HONEST_DEGREE
-    colluding: bool = False
-    collusion_bias: float = 0.0
-    man_in_the_middle: bool = False
-    forge_history: bool = False
-    period_stride: int = 1
-    #: named adversary policy armed on the freerider population (see
-    #: :mod:`repro.adversary`); empty = the legacy degree/colluding
-    #: switches above.  ``adversary_params`` is a tuple of ``(key,
-    #: value)`` pairs forwarded to the policy constructor (a tuple, not
-    #: a dict, to keep the config frozen and hashable).
-    adversary: str = ""
-    adversary_params: tuple = ()
+    #: what the freeriders run, built by :func:`repro.adversary.spec`:
+    #: ``spec("freerider", degree=(0.25, 0.3, 0.3))``; the paper's colluders
+    #: are ``spec("coalition", launder=0.0, ...)``.  Empty = all honest.
+    adversary: tuple = ()
 
     # --- PlanetLab-style heterogeneity -------------------------------
     #: fraction of *honest* nodes with a poor connection.
@@ -106,7 +89,7 @@ class ClusterConfig:
         require_probability(self.freerider_fraction, "freerider_fraction")
         require_probability(self.degraded_fraction, "degraded_fraction")
         require_probability(self.loss_rate, "loss_rate")
-        require(self.period_stride >= 1, "period_stride must be >= 1")
+        adversary_policy(self.adversary)  # unknown policy / bad parameter
 
     def with_changes(self, **changes) -> "ClusterConfig":
         """A modified copy (sweeps use this)."""
@@ -137,6 +120,7 @@ class SimCluster:
             lifting,
             freerider_fraction=config.freerider_fraction,
             degraded_fraction=config.degraded_fraction,
+            adversary=config.adversary,
             expulsion_enabled=config.expulsion_enabled,
             p_audit=config.p_audit,
             failure_detector=config.failure_detector,
@@ -150,6 +134,7 @@ class SimCluster:
         self.assignment = deployment.assignment
         self.controller = deployment.controller
         self.churn_monitor = deployment.churn_monitor
+        self.adversary_policy = deployment.adversary_policy
         self.nodes: Dict[NodeId, GossipNode] = deployment.nodes
         self.scoreboard = deployment.scoreboard
         self.scores = deployment.scores
@@ -177,30 +162,10 @@ class SimCluster:
         self.source = StreamSource(self.sim, self.network, self.membership, gossip)
         self.network.register(self.source)
 
-        # --- adversary policy -------------------------------------------
-        self.adversary_policy = None
-        if config.adversary:
-            from repro import adversary as adversary_pkg
-
-            self.adversary_policy = adversary_pkg.create(
-                config.adversary, dict(config.adversary_params)
-            )
-            self.adversary_policy.prepare(
-                adversary_pkg.AdversaryContext(
-                    gossip=gossip,
-                    lifting=lifting,
-                    freerider_ids=frozenset(self.freerider_ids),
-                    honest_ids=frozenset(self.honest_ids),
-                    rng=seeds.generator("adversary"),
-                )
-            )
-
         # --- nodes -------------------------------------------------------
-        coalition = Coalition(self.freerider_ids) if config.colluding else None
         for node_id in self.node_ids:
             node = deployment.add_node(
                 node_id,
-                self._make_behavior(node_id, coalition),
                 lifting_enabled=config.lifting_enabled,
                 compensation=self.compensation,
                 chunk_created_at=self.source.created_times.__getitem__,
@@ -215,23 +180,6 @@ class SimCluster:
                     upload = config.degraded_upload
             self.network.register(node, upload_rate=upload)
         self._started = False
-
-    def _make_behavior(self, node_id: NodeId, coalition: Optional[Coalition]):
-        config = self.config
-        if node_id not in self.freerider_ids:
-            return HonestBehavior()
-        if self.adversary_policy is not None:
-            return self.adversary_policy.build(node_id)
-        if coalition is not None:
-            return ColludingBehavior(
-                config.freerider_degree,
-                coalition,
-                bias=config.collusion_bias,
-                man_in_the_middle=config.man_in_the_middle,
-                forge_history=config.forge_history,
-                period_stride=config.period_stride,
-            )
-        return FreeriderBehavior(config.freerider_degree, period_stride=config.period_stride)
 
     # ------------------------------------------------------------------
     # running

@@ -24,6 +24,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro import adversary
 from repro.config import FreeriderDegree, GossipParams, LiftingParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.health import HealthReport
@@ -103,13 +104,13 @@ def fig1_configs(
         "baseline": base,
         "freeriders_no_lifting": base.with_changes(
             freerider_fraction=freerider_fraction,
-            freerider_degree=heavy_degree,
+            adversary=adversary.spec("freerider", degree=heavy_degree.as_tuple()),
         ),
         "freeriders_with_lifting": base.with_changes(
             lifting_enabled=True,
             expulsion_enabled=True,
             freerider_fraction=freerider_fraction,
-            freerider_degree=wise_degree,
+            adversary=adversary.spec("freerider", degree=wise_degree.as_tuple()),
         ),
     }
 

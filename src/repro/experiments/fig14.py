@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Tuple
 
+from repro import adversary
 from repro.config import FreeriderDegree, GossipParams, LiftingParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.scores import DetectionReport, detection_report
@@ -164,7 +165,7 @@ def _compute_fig14(
             seed=seed,
             loss_rate=loss_rate,
             freerider_fraction=freerider_fraction,
-            freerider_degree=degree,
+            adversary=adversary.spec("freerider", degree=degree.as_tuple()),
             degraded_fraction=degraded_fraction,
             degraded_loss=degraded_loss,
             degraded_upload=degraded_upload,

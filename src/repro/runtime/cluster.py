@@ -38,16 +38,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.config import FreeriderDegree, GossipParams, HONEST_DEGREE, LiftingParams
+from repro.config import GossipParams, LiftingParams
 from repro.core.auditlog import AuditLog
-from repro.deployment import Deployment
+from repro.deployment import Deployment, adversary_policy
 from repro.gossip.chunks import SOURCE_ID
 from repro.gossip.protocol import GossipNode
 from repro.loadgen.driver import LoadGenerator, LoadProfile
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.metrics.scores import DetectionReport
-from repro.nodes.behavior import HonestBehavior
-from repro.nodes.freerider import FreeriderBehavior
 from repro.runtime.faults import FaultPlane, FaultSchedule
 from repro.runtime.resilience import ResilienceConfig
 from repro.runtime.transport import AsyncTransport, NodeRegistry
@@ -74,7 +72,9 @@ class RuntimeConfig:
     chunk_interval: float = 0.05
     loss_rate: float = 0.03
     freerider_fraction: float = 0.0
-    freerider_degree: FreeriderDegree = HONEST_DEGREE
+    #: what the freeriders run: any registered policy, as on
+    #: ``ClusterConfig`` (:func:`repro.adversary.spec`); empty = all honest.
+    adversary: tuple = ()
     seed: int = 0
     #: per-period probability of a sporadic entropy audit (0 = never).
     p_audit: float = 0.0
@@ -96,6 +96,9 @@ class RuntimeConfig:
     #: profile's schedule for the sweep to complete.
     load_profile: Optional[LoadProfile] = None
     load_target: int = 0
+
+    def __post_init__(self) -> None:
+        adversary_policy(self.adversary)  # unknown policy / bad parameter
 
 
 @dataclass
@@ -199,6 +202,7 @@ class RuntimeCluster:
             self.gossip,
             self.lifting,
             freerider_fraction=config.freerider_fraction,
+            adversary=config.adversary,
             expulsion_enabled=config.expulsion_enabled,
             p_audit=config.p_audit,
             failure_detector=config.failure_detector,
@@ -208,14 +212,7 @@ class RuntimeCluster:
         self.nodes = deployment.nodes
         self.freerider_ids = deployment.freerider_ids
         for node_id in deployment.node_ids:
-            behavior = (
-                FreeriderBehavior(config.freerider_degree)
-                if node_id in self.freerider_ids
-                else HonestBehavior()
-            )
-            node = deployment.add_node(
-                node_id, behavior, chunk_created_at=self._created_at
-            )
+            node = deployment.add_node(node_id, chunk_created_at=self._created_at)
             await transport.open_endpoints(node_id, node.on_message)
 
         # Safety-invariant sweeps ride their own task: read-only over

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro import adversary
 from repro.runtime.parallel import Task
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import Param, RunResult
@@ -40,7 +41,7 @@ def _compute_detect(params: dict) -> DetectResult:
     """Calibrate, deploy with freeriders, run, report (staged task)."""
     from dataclasses import replace
 
-    from repro.config import FreeriderDegree, planetlab_params
+    from repro.config import planetlab_params
     from repro.experiments.calibration import calibrate
     from repro.experiments.cluster import ClusterConfig, SimCluster
 
@@ -64,8 +65,9 @@ def _compute_detect(params: dict) -> DetectResult:
             seed=params["seed"],
             loss_rate=params["loss"],
             freerider_fraction=params["freeriders"],
-            freerider_degree=FreeriderDegree(
-                params["delta1"], params["delta2"], params["delta3"]
+            adversary=adversary.spec(
+                "freerider",
+                degree=(params["delta1"], params["delta2"], params["delta3"]),
             ),
             compensation=calibration.compensation,
             expulsion_enabled=params["expel"],
@@ -315,7 +317,6 @@ def _compute_live(params: dict):
     """One real-time run over loopback sockets (asyncio)."""
     import asyncio
 
-    from repro.config import FreeriderDegree
     from repro.runtime import RuntimeCluster, RuntimeConfig
 
     config = RuntimeConfig(
@@ -323,7 +324,7 @@ def _compute_live(params: dict):
         duration=params["duration"],
         seed=params["seed"],
         freerider_fraction=params["freeriders"],
-        freerider_degree=FreeriderDegree(*params["deltas"]),
+        adversary=adversary.spec("freerider", degree=params["deltas"]),
     )
     return asyncio.run(RuntimeCluster(config).run())
 
@@ -419,7 +420,6 @@ def _compute_chaos(params: dict):
     """One live run driven through the scripted fault schedule."""
     import asyncio
 
-    from repro.config import FreeriderDegree
     from repro.runtime import RuntimeCluster, RuntimeConfig
 
     config = RuntimeConfig(
@@ -427,7 +427,7 @@ def _compute_chaos(params: dict):
         duration=params["duration"],
         seed=params["seed"],
         freerider_fraction=params["freeriders"],
-        freerider_degree=FreeriderDegree(*params["deltas"]),
+        adversary=adversary.spec("freerider", degree=params["deltas"]),
         p_audit=0.1,
         expulsion_enabled=True,
         fault_schedule=default_fault_schedule(
@@ -652,7 +652,7 @@ def _compute_churn(params: dict) -> Dict[str, object]:
     sweep can fan out to a process pool)."""
     from dataclasses import replace
 
-    from repro.config import FreeriderDegree, planetlab_params
+    from repro.config import planetlab_params
     from repro.experiments.cluster import ClusterConfig, SimCluster
     from repro.membership.failure_detector import FailureDetectorParams
     from repro.runtime.faults import FaultSchedule
@@ -668,7 +668,7 @@ def _compute_churn(params: dict) -> Dict[str, object]:
             seed=params["seed"],
             loss_rate=params["loss"],
             freerider_fraction=params["freeriders"],
-            freerider_degree=FreeriderDegree.uniform(params["delta"]),
+            adversary=adversary.spec("freerider", degree=(params["delta"],) * 3),
             expulsion_enabled=True,
             failure_detector=FailureDetectorParams(
                 suspicion_periods=params["suspicion"]
@@ -817,7 +817,7 @@ def _churn_scenario(params):
 # coalition — laundering colluders vs. detection (simulator sweep)
 # ----------------------------------------------------------------------
 
-def _adversary_cluster(params: dict, kind: str, adversary_params: tuple):
+def _adversary_cluster(params: dict, kind: str, **policy_params):
     """A SimCluster armed with a named adversary policy (shared by the
     coalition and sybil_blame sweeps; module-level for process pools)."""
     from dataclasses import replace
@@ -835,8 +835,7 @@ def _adversary_cluster(params: dict, kind: str, adversary_params: tuple):
             seed=params["seed"],
             loss_rate=params["loss"],
             freerider_fraction=params["adversaries"] / params["n"],
-            adversary=kind,
-            adversary_params=adversary_params,
+            adversary=adversary.spec(kind, **policy_params),
             expulsion_enabled=True,
         )
     )
@@ -872,11 +871,9 @@ def _compute_coalition(params: dict) -> Dict[str, object]:
     cluster = _adversary_cluster(
         {**params, "adversaries": size},
         "coalition",
-        (
-            ("delta", params["delta"]),
-            ("bias", params["bias"]),
-            ("launder", params["launder"]),
-        ),
+        degree=(params["delta"],) * 3,
+        bias=params["bias"],
+        launder=params["launder"],
     )
     invariants = cluster.attach_invariants()
     cluster.run(until=params["duration"])
@@ -978,12 +975,10 @@ def _compute_sybil(params: dict) -> Dict[str, object]:
     cluster = _adversary_cluster(
         {**params, "adversaries": params["sybils"]},
         "sybil_blame",
-        (
-            ("rate", rate),
-            ("victims", params["victims"]),
-            ("delta", params["delta"]),
-            ("start_period", params["start_period"]),
-        ),
+        rate=rate,
+        victims=params["victims"],
+        delta=params["delta"],
+        start_period=params["start_period"],
     )
     invariants = cluster.attach_invariants()
     cluster.run(until=params["duration"])

@@ -50,6 +50,16 @@ def require_non_negative(value: float, name: str) -> float:
     return value
 
 
+def require_int(value: Any, name: str, *, minimum: int) -> int:
+    """Validate an integer ``>= minimum`` and return it as ``int``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    require(number >= minimum, "%s must be >= %d, got %r", name, minimum, value)
+    return number
+
+
 def require_node_id(value: Any, *, allow_source: bool = False) -> int:
     """Validate a node id at a registration boundary; return it as ``int``.
 

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import adversary
 from repro.config import FreeriderDegree, planetlab_params
 from repro.core.invariants import InvariantMonitor
 from repro.experiments.cluster import ClusterConfig, SimCluster
@@ -79,7 +80,7 @@ class TestCleanSweeps:
         cluster = SimCluster(ClusterConfig(
             gossip=gossip, lifting=lifting, seed=5, loss_rate=0.04,
             freerider_fraction=0.125,
-            freerider_degree=FreeriderDegree.uniform(0.5),
+            adversary=adversary.spec("freerider", degree=(0.5,) * 3),
             expulsion_enabled=True,
         ))
         monitor = cluster.attach_invariants()

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import adversary
 from repro.config import FreeriderDegree, planetlab_params
 from repro.experiments.cluster import ClusterConfig, SimCluster
 from repro.membership.base import STATUS_EXPELLED, STATUS_LEFT
@@ -31,7 +32,7 @@ def make_cluster(n=30, **changes) -> SimCluster:
         seed=3,
         loss_rate=0.04,
         freerider_fraction=0.15,
-        freerider_degree=FreeriderDegree.uniform(0.25),
+        adversary=adversary.spec("freerider", degree=(0.25,) * 3),
         expulsion_enabled=True,
         failure_detector=FailureDetectorParams(),
     )

@@ -3,14 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.config import FreeriderDegree
+from repro import adversary
+
+
+def freerider_policy(degree, **params):
+    return adversary.spec("freerider", degree=degree, **params)
+
+
+def colluder_policy(degree=(0, 0, 0), **params):
+    """The paper's coalition: the ``coalition`` policy without laundering."""
+    return adversary.spec("coalition", degree=degree, launder=0.0, **params)
 
 
 class TestFreeriderDetection:
     def test_freeriders_score_below_honest(self, small_cluster_factory):
         cluster = small_cluster_factory(
             freerider_fraction=0.25,
-            freerider_degree=FreeriderDegree(0.25, 0.3, 0.3),
+            adversary=freerider_policy((0.25, 0.3, 0.3)),
             loss_rate=0.02,
             compensation=0.0,
         )
@@ -24,7 +33,7 @@ class TestFreeriderDetection:
         def mean_freerider_score(degree):
             cluster = small_cluster_factory(
                 freerider_fraction=0.25,
-                freerider_degree=degree,
+                adversary=freerider_policy(degree),
                 loss_rate=0.0,
                 compensation=0.0,
             )
@@ -34,14 +43,14 @@ class TestFreeriderDetection:
                 np.mean([s for n, s in scores.items() if n in cluster.freerider_ids])
             )
 
-        mild = mean_freerider_score(FreeriderDegree(0.0, 0.1, 0.1))
-        heavy = mean_freerider_score(FreeriderDegree(0.25, 0.4, 0.4))
+        mild = mean_freerider_score((0.0, 0.1, 0.1))
+        heavy = mean_freerider_score((0.25, 0.4, 0.4))
         assert heavy < mild
 
     def test_detection_report(self, small_cluster_factory):
         cluster = small_cluster_factory(
             freerider_fraction=0.25,
-            freerider_degree=FreeriderDegree(0.25, 0.4, 0.4),
+            adversary=freerider_policy((0.25, 0.4, 0.4)),
             loss_rate=0.02,
             compensation=0.0,
         )
@@ -59,7 +68,7 @@ class TestExpulsion:
     def test_score_based_expulsion_removes_freeriders(self, small_cluster_factory):
         cluster = small_cluster_factory(
             freerider_fraction=0.25,
-            freerider_degree=FreeriderDegree(0.3, 0.5, 0.5),
+            adversary=freerider_policy((0.3, 0.5, 0.5)),
             loss_rate=0.0,
             compensation=0.0,
             expulsion_enabled=True,
@@ -76,7 +85,7 @@ class TestExpulsion:
     def test_observation_mode_records_without_enforcing(self, small_cluster_factory):
         cluster = small_cluster_factory(
             freerider_fraction=0.25,
-            freerider_degree=FreeriderDegree(0.3, 0.5, 0.5),
+            adversary=freerider_policy((0.3, 0.5, 0.5)),
             loss_rate=0.0,
             compensation=0.0,
             expulsion_enabled=False,
@@ -91,7 +100,7 @@ class TestExpulsion:
     def test_expelled_nodes_stop_receiving_stream(self, small_cluster_factory):
         cluster = small_cluster_factory(
             freerider_fraction=0.25,
-            freerider_degree=FreeriderDegree(0.3, 0.5, 0.5),
+            adversary=freerider_policy((0.3, 0.5, 0.5)),
             loss_rate=0.0,
             compensation=0.0,
             expulsion_enabled=True,
@@ -131,9 +140,7 @@ class TestAudits:
     def test_audit_detects_biased_colluders(self, small_cluster_factory):
         cluster = small_cluster_factory(
             freerider_fraction=0.3,
-            freerider_degree=FreeriderDegree(0, 0, 0),
-            colluding=True,
-            collusion_bias=0.95,
+            adversary=colluder_policy(bias=0.95),
             loss_rate=0.0,
             gamma=3.0,
         )
@@ -154,10 +161,8 @@ class TestAudits:
         # senders concentrate on the coalition (§5.3).
         cluster = small_cluster_factory(
             freerider_fraction=0.3,
-            freerider_degree=FreeriderDegree(0, 0, 0),
-            colluding=True,
-            collusion_bias=0.0,  # partner selection looks uniform
-            man_in_the_middle=True,
+            # bias 0: partner selection looks uniform
+            adversary=colluder_policy(bias=0.0, man_in_the_middle=True),
             loss_rate=0.0,
             gamma=3.0,
         )
@@ -178,10 +183,7 @@ class TestAudits:
         # deny, so unacknowledged blames pile up (§5.3).
         cluster = small_cluster_factory(
             freerider_fraction=0.3,
-            freerider_degree=FreeriderDegree(0, 0, 0),
-            colluding=True,
-            collusion_bias=0.9,
-            forge_history=True,
+            adversary=colluder_policy(bias=0.9, forge_history=True),
             loss_rate=0.0,
             gamma=3.0,
         )
@@ -200,12 +202,16 @@ class TestAudits:
 
 class TestColluderCoverUps:
     def test_cover_up_reduces_coalition_blames(self, small_cluster_factory):
+        degree = (0.2, 0.4, 0.4)
+
         def freerider_blame_mean(colluding):
             cluster = small_cluster_factory(
                 freerider_fraction=0.3,
-                freerider_degree=FreeriderDegree(0.2, 0.4, 0.4),
-                colluding=colluding,
-                collusion_bias=0.8 if colluding else 0.0,
+                adversary=(
+                    colluder_policy(degree, bias=0.8)
+                    if colluding
+                    else freerider_policy(degree)
+                ),
                 loss_rate=0.0,
                 compensation=0.0,
             )
@@ -265,3 +271,40 @@ class TestSeededDeterminismGolden:
         assert trace.category_bytes("reputation") == 65676
         assert trace.sent_count("Serve") == 4482
         assert trace.sent_count("Confirm") == 3308
+
+    # The two adversarial traces: behaviours draw from their node's
+    # stream and policies from "adversary", so how the config *selects*
+    # an attack must never move these (pinned at the PR 15 commit).
+    def test_fixed_seed_freerider_trace(self, small_cluster_factory):
+        cluster = small_cluster_factory(
+            freerider_fraction=0.25,
+            adversary=freerider_policy((0.25, 0.3, 0.3), period_stride=2),
+        )
+        cluster.run(until=5.0)
+        trace = cluster.trace
+        assert cluster.sim.events_processed == 16789
+        assert trace.sent_count() == 13590
+        assert trace.delivered_count() == 12960
+        assert trace.lost_count() == 428
+        assert trace.sent_count("Serve") == 4358
+        assert trace.sent_count("Confirm") == 2447
+
+    def test_fixed_seed_colluder_trace(self, small_cluster_factory):
+        cluster = small_cluster_factory(
+            freerider_fraction=0.25,
+            adversary=colluder_policy(
+                (0.25, 0.3, 0.3),
+                bias=0.6,
+                man_in_the_middle=True,
+                forge_history=True,
+            ),
+            p_audit=0.1,
+        )
+        cluster.run(until=5.0)
+        trace = cluster.trace
+        assert cluster.sim.events_processed == 16905
+        assert trace.sent_count() == 13439
+        assert trace.delivered_count() == 12917
+        assert trace.lost_count() == 425
+        assert trace.sent_count("Serve") == 4275
+        assert trace.sent_count("Confirm") == 2470

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.config import FreeriderDegree
+from repro import adversary
+from repro.config import HONEST_DEGREE
 
 
 class TestScoreReader:
@@ -49,9 +50,9 @@ class TestSporadicAudits:
             p_audit=0.08,
             gamma=3.1,
             freerider_fraction=0.25,
-            freerider_degree=FreeriderDegree(0, 0, 0),
-            colluding=True,
-            collusion_bias=0.95,
+            adversary=adversary.spec(
+                "coalition", degree=(0, 0, 0), bias=0.95, launder=0.0
+            ),
             expulsion_enabled=True,
         )
         cluster.run(until=20.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import adversary
 from repro.config import FreeriderDegree
 
 
@@ -31,7 +32,7 @@ class TestHeavyLoss:
             loss_rate=0.12,
             compensation=0.0,
             freerider_fraction=0.25,
-            freerider_degree=FreeriderDegree(0.3, 0.5, 0.5),
+            adversary=adversary.spec("freerider", degree=(0.3, 0.5, 0.5)),
         )
         cluster.run(until=12.0)
         scores = cluster.scores()

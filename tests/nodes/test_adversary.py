@@ -4,10 +4,11 @@ Each adversary's *mechanism* is tested in isolation against a recording
 fake node — the adaptive freerider walks its ladder under synthetic
 score feedback, the launderer splits its credit budget, the stuffer
 respects its start period, the equivocator splits the requester
-population — and the cluster wiring tests prove a ``ClusterConfig``
-string is all it takes to arm a deployment.
+population — and the cluster wiring tests prove the ``adversary`` value
+of a ``ClusterConfig`` is all it takes to arm a deployment.
 """
 
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -64,18 +65,77 @@ class FakeNode:
         self.blames.append((target, value, reason))
 
 
+@pytest.fixture
+def hard_timeout():
+    """Fail, rather than hang the suite, if the body runs past 2 s."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("policy construction did not return")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(2)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestRegistry:
     def test_all_four_adversaries_registered(self):
-        assert set(available()) >= {"adaptive", "coalition", "sybil_blame", "equivocator"}
-
-    def test_create_coerces_stringly_params(self):
-        policy = create("sybil_blame", {"rate": "1.5", "victims": "3"})
-        assert policy.rate == 1.5
-        assert policy.victim_count == 3
+        assert set(available()) >= {
+            "freerider", "adaptive", "coalition", "sybil_blame", "equivocator"
+        }
 
     def test_unknown_kind_lists_available(self):
         with pytest.raises(ValueError, match="adaptive"):
             create("nope")
+
+    @pytest.mark.parametrize(
+        "kind, params, complaint",
+        [
+            ("adaptive", {"step": 0}, "step must be > 0"),  # looped forever
+            ("adaptive", {"step": -0.05}, "step must be > 0"),
+            ("adaptive", {"headroom": 0.0}, "headroom must be > 0"),
+            ("adaptive", {"check_every": 0}, "check_every must be >= 1"),
+            ("coalition", {"bias": 7, "launder": -3}, "(bias|launder) must be"),
+            ("coalition", {"bias": 7}, "bias must be a probability"),
+            ("coalition", {"launder": -3}, "launder must be >= 0"),
+            ("coalition", {"degree": (0.1, 0.1, 1.1)}, "delta3 must be a probability"),
+            ("freerider", {"degree": 0.5}, "'freerider'.*accepted parameters"),
+            ("coalition", {"period_stride": 0}, "period_stride must be >= 1"),
+            ("freerider", {"period_stride": 1.5}, "period_stride must be an integer"),
+            ("sybil_blame", {"victims": "two"}, "victims must be an integer"),
+            ("sybil_blame", {"rate": "1.5"}, "'sybil_blame'"),  # no string coercion
+            ("sybil_blame", {"rate": -1.0}, "rate must be >= 0"),
+            ("equivocator", {"deny_share": 1.5}, "deny_share must be a probability"),
+            (  # a misspelt key names the policy and what it accepts
+                "coalition",
+                {"laundre": 1.0},
+                "'coalition': .*'laundre'; accepted parameters: .*'launder'",
+            ),
+        ],
+    )
+    def test_hostile_parameters_fail_at_create(
+        self, hard_timeout, kind, params, complaint
+    ):
+        with pytest.raises(ValueError, match=complaint):
+            create(kind, params)
+
+    @pytest.mark.parametrize("step", [0, -1.0])
+    def test_degree_ladder_refuses_a_step_that_cannot_advance(
+        self, hard_timeout, step
+    ):
+        with pytest.raises(ValueError, match="step must be > 0"):
+            degree_ladder(make_context(), headroom=0.8, step=step)
+
+    def test_a_bad_adversary_fails_at_config_construction(self, hard_timeout):
+        from repro.runtime import RuntimeConfig
+
+        gossip, lifting = planetlab_params()
+        bad = adversary.spec("adaptive", step=0)
+        with pytest.raises(ValueError, match="step must be > 0"):
+            ClusterConfig(gossip=gossip, lifting=lifting, adversary=bad)
+        with pytest.raises(ValueError, match="step must be > 0"):
+            RuntimeConfig(adversary=bad)
 
 
 class TestAdaptiveFreerider:
@@ -250,9 +310,7 @@ class TestClusterWiring:
         return SimCluster(ClusterConfig(gossip=gossip, lifting=lifting, **kwargs))
 
     def test_config_string_arms_the_freeriders(self):
-        cluster = self.make_cluster(
-            adversary="coalition", adversary_params=(("launder", "1.5"),)
-        )
+        cluster = self.make_cluster(adversary=adversary.spec("coalition", launder=1.5))
         for nid in cluster.freerider_ids:
             behavior = cluster.nodes[nid].behavior
             assert isinstance(behavior, LaunderingColluderBehavior)
@@ -262,12 +320,12 @@ class TestClusterWiring:
                                   LaunderingColluderBehavior)
 
     def test_policy_describe_is_exposed(self):
-        cluster = self.make_cluster(adversary="equivocator")
+        cluster = self.make_cluster(adversary=adversary.spec("equivocator"))
         assert cluster.adversary_policy.describe()["policy"] == "equivocator"
 
     def test_unknown_adversary_fails_fast(self):
         with pytest.raises(ValueError, match="available"):
-            self.make_cluster(adversary="not-a-policy")
+            self.make_cluster(adversary=adversary.spec("not-a-policy"))
 
     def test_no_adversary_leaves_legacy_paths_untouched(self):
         cluster = self.make_cluster()

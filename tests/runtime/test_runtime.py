@@ -4,7 +4,10 @@ import asyncio
 
 import pytest
 
+from repro import adversary
 from repro.config import FreeriderDegree
+from repro.nodes.behavior import HonestBehavior
+from repro.nodes.colluder import ColludingBehavior
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
 from repro.runtime.transport import NodeRegistry
 
@@ -53,7 +56,7 @@ class TestLiveCluster:
             loss_rate=0.0,
             seed=3,
             freerider_fraction=0.2,
-            freerider_degree=FreeriderDegree(0.25, 0.4, 0.4),
+            adversary=adversary.spec("freerider", degree=(0.25, 0.4, 0.4)),
         )
         report = asyncio.run(RuntimeCluster(config).run())
         honest = [s for n, s in report.scores.items() if n not in report.freerider_ids]
@@ -65,3 +68,34 @@ class TestLiveCluster:
         config = RuntimeConfig(n=8, duration=2.0, loss_rate=0.0, seed=4)
         report = asyncio.run(RuntimeCluster(config).run())
         assert len(report.scores) == 8
+
+    def test_coalition_policy_runs_over_sockets(self):
+        # Any registered policy arms the live plane through Deployment:
+        # here the paper's colluders, with laundering and the MITM attack.
+        config = RuntimeConfig(
+            n=10,
+            duration=2.0,
+            loss_rate=0.0,
+            seed=5,
+            freerider_fraction=0.3,
+            adversary=adversary.spec(
+                "coalition",
+                degree=(0.25, 0.4, 0.4),
+                bias=0.5,
+                launder=1.0,
+                man_in_the_middle=True,
+            ),
+        )
+        cluster = RuntimeCluster(config)
+        report = asyncio.run(cluster.run())
+        assert len(report.freerider_ids) == 3
+        members = [cluster.nodes[n].behavior for n in report.freerider_ids]
+        assert all(isinstance(b, ColludingBehavior) for b in members)
+        assert len({id(b.coalition) for b in members}) == 1
+        assert members[0].coalition.members == report.freerider_ids
+        assert sum(b.credits_sent for b in members) > 0
+        for node_id in set(cluster.nodes) - report.freerider_ids:
+            assert type(cluster.nodes[node_id].behavior) is HonestBehavior
+        assert report.invariants["checks"] >= 2
+        assert report.invariants["violations"] == 0
+        assert report.audit_ok is True

@@ -3,22 +3,28 @@
 A :class:`~repro.deployment.Deployment` needs nothing from its host but
 a clock and three fabric names, so every rule ``SimCluster`` and
 ``RuntimeCluster`` inherit from it — who may convict, who may report,
-what a crash and a restart do — is checked here without a simulator or
-a socket.  Nodes are built, never started.
+what its freeriders run, what a crash and a restart do — is checked
+here without a simulator or a socket.  Nodes are built, never started.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.config import planetlab_params
+from repro import adversary
+from repro.adversary import BehaviorPolicy
+from repro.config import FreeriderDegree, planetlab_params
 from repro.deployment import Deployment, assign_roles
+from repro.experiments.cluster import ClusterConfig
 from repro.membership.base import STATUS_ALIVE, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.nodes.behavior import HonestBehavior
+from repro.nodes.freerider import FreeriderBehavior
+from repro.runtime import RuntimeConfig
 from repro.util.rng import SeedSequenceFactory
 
 N = 6
+SEED = 5
 
 
 class FakeHost:
@@ -52,13 +58,13 @@ def make_deployment(**kwargs):
     gossip, lifting = planetlab_params()
     deployment = Deployment(
         FakeHost(),
-        SeedSequenceFactory(5),
+        SeedSequenceFactory(SEED),
         replace(gossip, n=N, fanout=3, source_fanout=3),
         replace(lifting, managers=3),
         **kwargs,
     )
     for node_id in deployment.node_ids:
-        deployment.add_node(node_id, HonestBehavior())
+        deployment.add_node(node_id)
     return deployment
 
 
@@ -86,6 +92,92 @@ def test_assign_roles_draws_the_pinned_sets(args, freeriders, honest, degraded):
         SeedSequenceFactory(seed), n, freerider_fraction, degraded_fraction
     )
     assert roles == (freeriders, honest, degraded)
+
+
+class RecordingPolicy(BehaviorPolicy):
+    name = "recording"
+
+    def __init__(self):
+        self.contexts = []
+        self.built = {}
+
+    def prepare(self, ctx):
+        self.contexts.append(ctx)
+
+    def build(self, node_id):
+        self.built[node_id] = FreeriderBehavior(FreeriderDegree.uniform(0.5))
+        return self.built[node_id]
+
+
+class TestAdversaryArming:
+    """The one ``create`` → ``prepare`` → ``build`` site of either plane."""
+
+    def test_freeriders_run_the_policy_and_the_rest_are_honest(self, monkeypatch):
+        policy = RecordingPolicy()
+        monkeypatch.setattr("repro.deployment.create", lambda kind, params: policy)
+        deployment = make_deployment(
+            freerider_fraction=0.5, adversary=adversary.spec("recording")
+        )
+        assert deployment.adversary_policy is policy
+        assert len(deployment.freerider_ids) == 3
+        assert set(policy.built) == deployment.freerider_ids
+        for node_id, node in deployment.nodes.items():
+            if node_id in deployment.freerider_ids:
+                assert node.behavior is policy.built[node_id]
+            else:
+                assert type(node.behavior) is HonestBehavior
+
+    def test_prepare_runs_once_with_the_roles_and_the_adversary_stream(
+        self, monkeypatch
+    ):
+        policy = RecordingPolicy()
+        monkeypatch.setattr("repro.deployment.create", lambda kind, params: policy)
+        deployment = make_deployment(
+            freerider_fraction=0.5, adversary=adversary.spec("recording")
+        )
+        (ctx,) = policy.contexts
+        assert ctx.freerider_ids == deployment.freerider_ids
+        assert ctx.honest_ids == deployment.honest_ids
+        assert (ctx.gossip, ctx.lifting) == (deployment.gossip, deployment.lifting)
+        expected = SeedSequenceFactory(SEED).generator("adversary")
+        assert list(ctx.rng.random(4)) == list(expected.random(4))
+
+    def test_spec_parameters_reach_the_registered_policy(self):
+        degree = (0.25, 0.3, 0.3)
+        deployment = make_deployment(
+            freerider_fraction=0.5,
+            adversary=adversary.spec("freerider", degree=degree, period_stride=2),
+        )
+        for node_id in deployment.freerider_ids:
+            behavior = deployment.nodes[node_id].behavior
+            assert type(behavior) is FreeriderBehavior
+            assert (behavior.degree.as_tuple(), behavior.period_stride()) == (degree, 2)
+
+    def test_unknown_policy_raises_before_any_node_exists(self, monkeypatch):
+        constructed = []
+        monkeypatch.setattr(
+            "repro.deployment.GossipNode", lambda **kwargs: constructed.append(kwargs)
+        )
+        with pytest.raises(ValueError, match="available"):
+            make_deployment(freerider_fraction=0.5, adversary=adversary.spec("nope"))
+        assert constructed == []
+
+    def test_empty_adversary_means_everyone_is_honest(self):
+        deployment = make_deployment(freerider_fraction=0.5)
+        assert deployment.adversary_policy is None
+        assert deployment.freerider_ids  # the role split still happens
+        assert all(
+            type(node.behavior) is HonestBehavior
+            for node in deployment.nodes.values()
+        )
+
+    def test_both_configs_carry_the_adversary_as_one_field(self):
+        # A new switch on either config has to argue for itself here.
+        assert len(fields(ClusterConfig)) <= 16
+        assert len(fields(RuntimeConfig)) <= 20
+        for config in (ClusterConfig, RuntimeConfig):
+            names = [f.name for f in fields(config)]
+            assert [n for n in names if "adversar" in n] == ["adversary"]
 
 
 class TestVerdictRules:
