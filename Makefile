@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test loc live-smoke examples-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-full
+.PHONY: test loc transport-strict live-smoke examples-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-full
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -14,6 +14,15 @@ test:
 ## ("a negative line count") is judged by.  Reported, never gated.
 loc:
 	@for d in src tests; do printf '%-5s %6d lines\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; done
+
+## The wire codec, the ingress fuzzers and the transport's own tests with
+## leaks as failures: the transport owns raw file descriptors, and only a
+## ResourceWarning (or an exception swallowed in a finaliser / callback)
+## would show a forgotten remove_reader / close.  CI's "Wire codec +
+## ingress fuzz smoke" step.
+transport-strict:
+	python -m pytest -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning \
+		tests/test_wire_codec.py tests/runtime/test_ingress_fuzz.py tests/runtime/test_transport.py
 
 ## The live-plane acceptance, each step under a hard 120 s cap so a hung
 ## event loop fails fast: chaos over loopback (real sockets, scripted

@@ -18,12 +18,15 @@ into a per-phase :class:`~repro.loadgen.histogram.LatencyHistogram`:
 ========  =====================  ==========================================
 stage     interval               what it measures
 ========  =====================  ==========================================
-ingress   t_sent → t_ingest      socket + decode (UDP loopback + codec)
-queue     t_ingest → t_drain     wait in the BoundedIngressQueue
+ingress   t_sent → t_ingest      socket (UDP loopback + wait for the loop)
+queue     t_ingest → t_drain     decode + wait in the BoundedIngressQueue
 dispatch  t_drain → t_done       protocol handler work of the frame's run
 sojourn   t_sched → t_done       end-to-end from the *scheduled* arrival
 ========  =====================  ==========================================
 
+``t_ingest`` is the arrival stamp of the frame's *run*: the transport
+reads every datagram a readable socket holds in one go and takes one
+clock reading for all of them, before decoding (docs/LOADGEN.md).
 ``sojourn`` is anchored at the scheduled (not actual) send time, so a
 driver that falls behind charges the stall to the frames it delayed —
 the standard coordinated-omission correction.  ``dispatch`` shares one

@@ -1,7 +1,7 @@
 """Socket transport for the asyncio runtime.
 
-Each node owns one UDP datagram endpoint (unreliable path) and one TCP
-server (reliable path, used by audits).  Messages are serialised with
+Each node owns one UDP socket (unreliable path) and one TCP server
+(reliable path, used by audits).  Messages are serialised with
 the strict schema codec of :mod:`repro.wire_codec` — per-field typed
 packing derived from the frozen wire dataclasses, framed by a 4-byte
 length prefix on TCP and sent as one frame per datagram on UDP.  No
@@ -30,6 +30,20 @@ Resilience layer (see :mod:`repro.runtime.resilience`):
   network uses), yielding to the event loop between batches so a burst
   cannot starve timers.
 
+The UDP sockets are the transport's own: plain non-blocking
+``socket.socket`` objects registered with ``loop.add_reader`` (which
+needs a selector event loop — asyncio's default on every platform CI
+runs; the Windows proactor loop has no ``add_reader``).  One readiness
+event reads a *run*: every datagram the kernel holds, up to
+``ingress_batch``, each liveness-checked, strictly decoded and pushed on
+its own, the run sharing one arrival stamp and one pump wake-up — an
+event-loop turn per run, not per frame.  Whatever the cap leaves behind
+the level-triggered selector reports again on the next turn, after the
+other sockets and the timers had theirs.  Egress is ``sendto`` on the
+same socket: a full send buffer drops the datagram (UDP is the lossy
+path; counted in ``datagrams_dropped``), any other ``OSError`` is a
+counted ``datagram_errors``, and nothing is buffered out of sight.
+
 Scripted faults (:class:`~repro.runtime.faults.FaultPlane`) hook the
 send path — drops and slow links — while node crash/restart is a
 transport operation (:meth:`AsyncTransport.crash_node` really closes
@@ -46,9 +60,9 @@ are refused).
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
 from collections import deque
-from functools import partial
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -67,6 +81,10 @@ NodeId = int
 Address = Tuple[str, int]
 
 _LENGTH = struct.Struct("!I")
+
+#: read size per datagram.  No IPv4 UDP payload is larger (65 507
+#: bytes), so a read never truncates a frame into one that might decode.
+_MAX_DATAGRAM = wire_codec.MAX_FRAME_BYTES
 
 
 class NodeRegistry:
@@ -97,6 +115,10 @@ class NodeRegistry:
         """Whether a node is registered and not expelled."""
         return node_id in self.connected
 
+    def is_known(self, node_id: NodeId) -> bool:
+        """Whether a node ever registered (connected, expelled or down)."""
+        return node_id in self._udp
+
     def udp_address(self, node_id: NodeId) -> Optional[Address]:
         """UDP endpoint of ``node_id`` (None when unreachable)."""
         if node_id in self._expelled:
@@ -108,24 +130,6 @@ class NodeRegistry:
         if node_id in self._expelled:
             return None
         return self._tcp.get(node_id)
-
-
-class _DatagramProtocol(asyncio.DatagramProtocol):
-    def __init__(
-        self,
-        on_datagram: Callable[[bytes], None],
-        on_error: Callable[[Exception], None],
-    ) -> None:
-        self._on_datagram = on_datagram
-        self._on_error = on_error
-
-    def datagram_received(self, data: bytes, addr) -> None:  # noqa: D102
-        self._on_datagram(data)
-
-    def error_received(self, exc) -> None:  # noqa: D102
-        # ICMP errors (port unreachable after a peer crash) are the
-        # only cheap liveness signal UDP has — count them.
-        self._on_error(exc)
 
 
 class _PeerChannel:
@@ -259,7 +263,7 @@ class AsyncTransport:
         self.epoch = loop.time() if epoch is None else epoch
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.fault_plane = fault_plane
-        self._endpoints: Dict[NodeId, asyncio.DatagramTransport] = {}
+        self._endpoints: Dict[NodeId, socket.socket] = {}
         #: node -> (receiver callable, dispatch table or None)
         self._receivers: Dict[NodeId, Tuple[Callable, Optional[dict]]] = {}
         self._servers: Dict[NodeId, asyncio.AbstractServer] = {}
@@ -342,9 +346,9 @@ class AsyncTransport:
             extra = fate
         payload = wire_codec.encode_frame(src, message)
         if not reliable:
-            endpoint = self._endpoints.get(src)
+            sock = self._endpoints.get(src)
             address = self.registry.udp_address(dst)
-            if endpoint is None or address is None:
+            if sock is None or address is None:
                 self.sends_refused += 1
                 return False
             self.datagrams_sent += 1
@@ -353,8 +357,11 @@ class AsyncTransport:
                 return True
             if extra > 0.0:
                 self.loop.call_later(extra, self._sendto_late, src, payload, address)
-            else:
-                endpoint.sendto(payload, address)
+                return True
+            try:
+                sock.sendto(payload, address)
+            except OSError as exc:
+                self._on_datagram_error(exc)
             return True
         channel = self._channels.get(dst)
         if channel is None:
@@ -371,9 +378,12 @@ class AsyncTransport:
 
     def _sendto_late(self, src: NodeId, payload: bytes, address: Address) -> None:
         """Transmit a fault-delayed datagram (unless the node crashed)."""
-        endpoint = self._endpoints.get(src)
-        if endpoint is not None:
-            endpoint.sendto(payload, address)
+        sock = self._endpoints.get(src)
+        if sock is not None:
+            try:
+                sock.sendto(payload, address)
+            except OSError as exc:
+                self._on_datagram_error(exc)
 
     # ------------------------------------------------------------------
     # endpoint lifecycle
@@ -395,37 +405,49 @@ class AsyncTransport:
             self._pump_task = self.loop.create_task(self._pump())
 
     async def _bind(self, node_id: NodeId, udp_addr: Address, tcp_addr: Address) -> None:
-        """Open both sockets (``port 0`` = ephemeral) and register them."""
-        transport, _protocol = await self.loop.create_datagram_endpoint(
-            lambda: _DatagramProtocol(
-                partial(self._dispatch, node_id),
-                partial(self._on_datagram_error, node_id),
-            ),
-            local_addr=udp_addr,
-        )
-        self._endpoints[node_id] = transport
-        bound_udp = transport.get_extra_info("sockname")
+        """Open both sockets (``port 0`` = ephemeral) and register them.
 
-        server = await asyncio.start_server(
-            lambda r, w: self._serve_stream(node_id, r, w), tcp_addr[0], tcp_addr[1]
-        )
+        Both or neither: the UDP socket joins the loop only once the TCP
+        server is up, and is closed again when that bind fails, so a
+        caller that retries on other ports leaves nothing reading on
+        these.
+        """
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind(udp_addr)
+            server = await asyncio.start_server(
+                lambda r, w: self._serve_stream(node_id, r, w), tcp_addr[0], tcp_addr[1]
+            )
+        except BaseException:
+            sock.close()
+            raise
+        self.loop.add_reader(sock, self._on_readable, node_id, sock)
+        self._endpoints[node_id] = sock
         self._servers[node_id] = server
-        bound_tcp = server.sockets[0].getsockname()
-        self.registry.register(node_id, bound_udp, bound_tcp)
+        self.registry.register(
+            node_id, sock.getsockname(), server.sockets[0].getsockname()
+        )
+
+    def _release(self, sock: socket.socket) -> None:
+        """Take a UDP socket off the loop and free its port, synchronously."""
+        self.loop.remove_reader(sock)
+        sock.close()
 
     def crash_node(self, node_id: NodeId) -> None:
         """Really tear the node's sockets down (fault injection).
 
-        Peers sending datagrams get ICMP port-unreachable back
-        (``datagram_errors`` on their shared endpoint protocol); TCP
-        connects fail with ECONNREFUSED, which is what opens the circuit
-        breaker.  The registry entry is kept so :meth:`restart_node` can
-        rebind on the same ports.
+        Datagrams sent to it vanish (where the kernel reports the ICMP
+        port-unreachable on the sender's socket, it is a counted
+        ``datagram_errors``); TCP connects fail with ECONNREFUSED, which
+        is what opens the circuit breaker.  The registry entry is kept
+        and both ports are free when this returns, so
+        :meth:`restart_node` can rebind on them.
         """
         self._crashed.add(node_id)
-        endpoint = self._endpoints.pop(node_id, None)
-        if endpoint is not None:
-            endpoint.close()
+        sock = self._endpoints.pop(node_id, None)
+        if sock is not None:
+            self._release(sock)
         server = self._servers.pop(node_id, None)
         if server is not None:
             server.close()
@@ -463,8 +485,55 @@ class AsyncTransport:
     # ------------------------------------------------------------------
     # ingress: sockets -> bounded queue -> pump -> nodes
     # ------------------------------------------------------------------
-    def _on_datagram_error(self, node_id: NodeId, exc: Exception) -> None:
-        self.datagram_errors += 1
+    def _on_datagram_error(self, exc: OSError) -> None:
+        """Account a failed call on a UDP socket (never raised to callers).
+
+        A send that would block found the socket's send buffer full:
+        UDP is the lossy path, the datagram is dropped and counted as
+        such.  Anything else — ICMP errors surfacing on the next socket
+        call are the only cheap liveness signal UDP has — is an error.
+        """
+        if isinstance(exc, BlockingIOError):
+            self.datagrams_dropped += 1
+        else:
+            self.datagram_errors += 1
+
+    def _on_readable(self, node_id: NodeId, sock: socket.socket) -> None:
+        """Readiness callback of ``node_id``'s UDP socket: ingest one run.
+
+        Reads until the socket would block, at most ``ingress_batch``
+        datagrams per event so a flooded socket cannot starve the other
+        sockets and the timers.  Every datagram gets the checks a lone
+        one would — decode, error accounting, bounded ``push``, probe —
+        and the run shares the receiver's liveness test, one arrival
+        stamp and one pump wake-up.  An expelled or down node's
+        datagrams are read and discarded undecoded.
+        """
+        live = node_id in self.registry.connected and node_id not in self._crashed
+        recv = sock.recv
+        decode = wire_codec.decode_frame
+        push = self._ingress.push
+        probe = self.probe
+        now = self.clock()
+        try:
+            for _ in range(self.resilience.ingress_batch):
+                data = recv(_MAX_DATAGRAM)
+                if not live:
+                    continue
+                try:
+                    src, message = decode(data)
+                except wire_codec.CodecError:
+                    self._on_decode_error(data)
+                    continue  # malformed datagram: drop, count, never deliver
+                accepted = push((now, node_id, src, message))
+                if probe is not None:
+                    probe.on_ingest(src, message, now, accepted)
+        except BlockingIOError:
+            pass  # drained
+        except OSError as exc:
+            self._on_datagram_error(exc)
+        if live:
+            self._ingress_event.set()
 
     def _on_ingress_evict(self, item) -> None:
         """Drop-oldest evicted ``item``; forward it to the probe."""
@@ -547,11 +616,15 @@ class AsyncTransport:
         rises and its egress breaker records a failure, which after
         ``breaker_failure_threshold`` consecutive rejections opens the
         circuit — we stop spending sockets on a peer that talks garbage.
-        Unreadable headers land in ``decode_errors_unattributed``.
+        Unreadable headers land in ``decode_errors_unattributed``, and so
+        do claims of an id that never registered: the header's id is a
+        free 64-bit field anyone can fill, so only the registry's ids
+        may own a counter and a channel, or the tables grow with every
+        spoofed datagram.
         """
         self.decode_errors += 1
         claimed = wire_codec.peek_src(data)
-        if claimed is None:
+        if claimed is None or not self.registry.is_known(claimed):
             self.decode_errors_unattributed += 1
             return
         self.decode_errors_by_peer[claimed] = (
@@ -562,16 +635,6 @@ class AsyncTransport:
             channel = _PeerChannel(self, claimed)
             self._channels[claimed] = channel
         channel.breaker.record_failure()
-
-    def _dispatch(self, node_id: NodeId, data: bytes) -> None:
-        if node_id not in self.registry.connected or node_id in self._crashed:
-            return
-        try:
-            src, message = wire_codec.decode_frame(data)
-        except wire_codec.CodecError:
-            self._on_decode_error(data)
-            return  # malformed datagram: drop, count, never deliver
-        self._ingest(node_id, src, message)
 
     async def _serve_stream(self, node_id: NodeId, reader, writer) -> None:
         """Persistent inbound stream: read length-prefixed frames until EOF."""
@@ -644,8 +707,8 @@ class AsyncTransport:
             self._pump_task.cancel()
         for channel in self._channels.values():
             channel.close()
-        for transport in self._endpoints.values():
-            transport.close()
+        for sock in self._endpoints.values():
+            self._release(sock)
         for writers in self._server_conns.values():
             for writer in writers:
                 writer.close()

@@ -90,10 +90,10 @@ class TestUdpIngressFuzz:
 
     def test_attributed_garbage_opens_the_peer_breaker(self):
         async def scenario():
-            transport, received = await make_pair()
+            transport, received = await make_pair(node_ids=(1, 2, 3))
             addr = transport.registry.udp_address(2)
-            # A frame with a *valid* header claiming src=3 and a corrupt
-            # body: attributable garbage.
+            # A frame with a *valid* header claiming src=3 (a registered
+            # peer) and a corrupt body: attributable garbage.
             good = wire_codec.encode_frame(3, valid_ping(1))
             bad = good[: wire_codec._HEADER_LEN] + b"\xff\xff\xff"
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -116,6 +116,37 @@ class TestUdpIngressFuzz:
         assert opened, "breaker did not open against the babbling peer"
         assert by_peer[3] >= 2
         assert snapshot["by_peer"]["3"] == by_peer[3]
+
+    def test_spoofed_ids_create_no_per_peer_state(self):
+        # The header's id is a free 64-bit field of an unauthenticated
+        # frame: only ids the registry knows may own a counter and a
+        # channel, whatever a sender claims.
+        claims, chunk = 2000, 100
+
+        async def scenario():
+            transport, received = await make_pair()
+            addr = transport.registry.udp_address(2)
+            tag = wire_codec.tag_of(Ping)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                for start in range(0, claims, chunk):  # paced: no kernel overflow
+                    for claimed in range(start, start + chunk):
+                        # valid tag, never-registered id, truncated body
+                        sock.sendto(struct.pack("!Bq", tag, 10**6 + claimed) + b"\x00", addr)
+                    await settle(lambda: transport.decode_errors >= start + chunk)
+            finally:
+                sock.close()
+            assert transport.send(1, 2, valid_ping(7), reliable=False)
+            delivered = await settle(lambda: len(received[2]) == 1)
+            tables = (len(transport._channels), len(transport.decode_errors_by_peer))
+            snapshot = transport.resilience_snapshot()["decode_errors"]
+            await transport.close()
+            return delivered, tables, snapshot
+
+        delivered, tables, snapshot = asyncio.run(scenario())
+        assert delivered, "valid traffic no longer delivered after the spray"
+        assert max(tables) <= 2  # never larger than the registry
+        assert snapshot == {"total": claims, "unattributed": claims, "by_peer": {}}
 
     def test_headerless_garbage_is_unattributed(self):
         async def scenario():

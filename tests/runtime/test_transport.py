@@ -1,11 +1,18 @@
 """Transport-level tests: registry expulsion edge cases, the send
-contract, datagram error surfacing, and the persistent reliable path."""
+contract, datagram error surfacing, the run-per-readiness-event UDP
+ingress, and the persistent reliable path."""
 
 import asyncio
+import cProfile
+import pstats
+import socket
 
+import pytest
+
+from repro import wire_codec
 from repro.runtime.resilience import ResilienceConfig, RetryPolicy, STATE_OPEN
-from repro.runtime.transport import AsyncTransport, NodeRegistry, _DatagramProtocol
-from repro.wire import Ping as WirePing
+from repro.runtime.transport import AsyncTransport, NodeRegistry
+from repro.wire import Ping as WirePing, Serve
 
 
 def Ping(value: int) -> WirePing:
@@ -43,18 +50,11 @@ class TestNodeRegistryExpulsion:
 
 
 class TestDatagramErrors:
-    def test_error_received_is_surfaced(self):
-        errors = []
-        protocol = _DatagramProtocol(lambda data: None, errors.append)
-        exc = OSError(111, "Connection refused")
-        protocol.error_received(exc)
-        assert errors == [exc]
-
     def test_transport_counts_datagram_errors(self):
         async def scenario():
             transport = AsyncTransport(asyncio.get_running_loop(), NodeRegistry())
-            transport._on_datagram_error(1, OSError(111, "Connection refused"))
-            transport._on_datagram_error(1, OSError(113, "No route to host"))
+            transport._on_datagram_error(OSError(111, "Connection refused"))
+            transport._on_datagram_error(OSError(113, "No route to host"))
             return transport.datagram_errors
 
         assert asyncio.run(scenario()) == 2
@@ -99,6 +99,50 @@ async def settle(condition, timeout=2.0, interval=0.01):
             return False
         await asyncio.sleep(interval)
     return True
+
+
+def frames_from(src, count):
+    """``count`` encoded Ping frames claiming ``src``, seq 0, 1, 2, ..."""
+    return [wire_codec.encode_frame(src, Ping(seq)) for seq in range(count)]
+
+
+def spray(address, frames):
+    """Write ``frames`` to ``address`` from a plain socket.  Loopback
+    delivery is synchronous: they all sit in the receiver's kernel
+    buffer before the event loop gets its next turn."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        for frame in frames:
+            sock.sendto(frame, address)
+
+
+class RecordingProbe:
+    """The transport's three probe hooks, recorded."""
+
+    def __init__(self):
+        self.ingested = []  # (t_ingest, src, seq, accepted)
+        self.evicted = []  # seq
+
+    def on_ingest(self, src, message, t_ingest, accepted):
+        self.ingested.append((t_ingest, src, message.seq, accepted))
+
+    def on_evicted(self, item):
+        self.evicted.append(item[3].seq)
+
+    def on_dispatched(self, batch, lo, hi, t_drain, t_done):
+        pass
+
+
+class FailingSocket:
+    """Stands in for a node's UDP socket: every I/O call raises ``exc``."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def recv(self, _size):
+        raise self.exc
+
+    def sendto(self, _data, _address):
+        raise self.exc
 
 
 class TestSendContract:
@@ -158,6 +202,31 @@ class TestSendContract:
         assert ok is False
         assert refused == 1
 
+    @pytest.mark.parametrize("exc, expected", [
+        (OSError(111, "Connection refused"), {"errors": 2, "dropped": 0}),
+        (BlockingIOError(11, "Resource temporarily unavailable"), {"errors": 0, "dropped": 2}),
+    ], ids=["oserror", "would-block"])
+    def test_a_failing_sendto_is_counted_and_still_accepted(self, exc, expected):
+        # The sender did its part: a full send buffer is UDP losing a
+        # datagram, any other socket error is a counted error, and
+        # neither is a refusal.
+        async def scenario():
+            transport, _received = await make_pair()
+            address = transport.registry.udp_address(2)
+            real = transport._endpoints[1]
+            transport._endpoints[1] = FailingSocket(exc)
+            try:
+                ok = transport.send(1, 2, Ping(1), reliable=False)
+                transport._sendto_late(1, b"late", address)  # the fault-delayed twin
+            finally:
+                transport._endpoints[1] = real
+            counts = {"errors": transport.datagram_errors, "dropped": transport.datagrams_dropped}
+            refused = transport.sends_refused
+            await transport.close()
+            return ok, counts, refused
+
+        assert asyncio.run(scenario()) == (True, expected, 0)
+
 
 class TestDeliveryPaths:
     def test_udp_roundtrip_through_ingress_pump(self):
@@ -204,6 +273,180 @@ class TestDeliveryPaths:
         assert snapshot["ingress"]["accepted"] == 5
         assert snapshot["ingress"]["high_water"] >= 1
         assert snapshot["ingress"]["depth"] == 0  # fully drained
+
+
+class TestRunPerReadinessEvent:
+    """One readiness event ingests every datagram the kernel holds (up to
+    ``ingress_batch``), each with the checks a lone datagram gets."""
+
+    def test_a_backlog_is_ingested_in_a_handful_of_loop_turns(self):
+        backlog = 64
+
+        async def scenario():
+            transport, received = await make_pair()
+            loop = asyncio.get_running_loop()
+            spray(transport.registry.udp_address(2), frames_from(1, backlog))
+            turns = 0
+
+            def tick():  # re-arms itself: fires once per loop iteration
+                nonlocal turns
+                turns += 1
+                if len(received[2]) < backlog and turns < 10 * backlog:
+                    loop.call_soon(tick)
+
+            loop.call_soon(tick)
+            ok = await settle(lambda: len(received[2]) == backlog)
+            await transport.close()
+            return ok, turns, [message.seq for _src, message in received[2]]
+
+        ok, turns, seqs = asyncio.run(scenario())
+        assert ok
+        assert seqs == list(range(backlog))
+        assert turns <= 8  # a datagram per turn would need >= 64
+
+    def test_closed_loop_call_budget(self):
+        # Machine-independent cost witness, as TestCallBudget is for the
+        # codec: a frame round the 32-outstanding closed loop is ~25
+        # profiled calls (73 when every frame paid its own loop turn).
+        frames, window = 2000, 32
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            if loop.get_debug():  # python -X dev: every callback is wrapped and timed
+                pytest.skip("the budget prices the production loop, not asyncio's debug mode")
+            transport = AsyncTransport(loop, NodeRegistry())
+            message = Serve(proposal_id=1, chunk_id=2, payload_size=3, origin=1)
+            done = asyncio.Event()
+            received = 0
+
+            def sink(_src, _message):
+                nonlocal received
+                received += 1
+                if received + window <= frames:
+                    transport.send(1, 2, message, False)
+                elif received == frames:
+                    done.set()
+
+            await transport.open_endpoints(1, lambda _src, _message: None)
+            await transport.open_endpoints(2, sink)
+            profile = cProfile.Profile()
+            profile.enable()
+            for _ in range(window):
+                transport.send(1, 2, message, False)
+            try:
+                await asyncio.wait_for(done.wait(), timeout=20.0)
+            finally:
+                profile.disable()
+                await transport.close()
+            return profile
+
+        stats = pstats.Stats(asyncio.run(scenario())).stats
+        calls = sum(nc for _func, (_cc, nc, *_rest) in stats.items())
+        assert calls / frames <= 32
+
+    def test_a_flooded_socket_starves_neither_its_neighbour_nor_the_timers(self):
+        batch = 8
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            registry = NodeRegistry()
+            transport = AsyncTransport(
+                loop, registry, resilience=ResilienceConfig(ingress_batch=batch)
+            )
+            transport.probe = probe = RecordingProbe()
+            log = []
+            await transport.open_endpoints(1, lambda _src, _message: log.append("A"))
+            await transport.open_endpoints(2, lambda _src, _message: log.append("B"))
+            spray(registry.udp_address(1), frames_from(2, 4 * batch))
+            spray(registry.udp_address(2), frames_from(1, 1))
+            loop.call_soon(log.append, "timer")
+            ok = await settle(lambda: len(log) == 4 * batch + 2)
+            await transport.close()
+            return ok, log, probe
+
+        ok, log, probe = asyncio.run(scenario())
+        assert ok
+        last_of_the_flood = len(log) - 1 - log[::-1].index("A")
+        assert log.index("B") < last_of_the_flood
+        assert log.index("timer") < last_of_the_flood
+        # a run shares one arrival stamp, so the stamps count the events
+        runs = {}
+        for stamp, src, _seq, _accepted in probe.ingested:
+            if src == 2:  # the flood's claimed source
+                runs[stamp] = runs.get(stamp, 0) + 1
+        assert sum(runs.values()) == 4 * batch
+        assert max(runs.values()) <= batch
+
+    @pytest.mark.parametrize("policy", ["drop-oldest", "reject"])
+    def test_the_overflow_policy_runs_on_a_backlog(self, policy):
+        capacity, backlog = 8, 64
+        excess = backlog - capacity
+
+        async def scenario():
+            transport, received = await make_pair(resilience=ResilienceConfig(
+                ingress_capacity=capacity, ingress_policy=policy,
+            ))
+            transport.probe = probe = RecordingProbe()
+            spray(transport.registry.udp_address(2), frames_from(1, backlog))
+            ok = await settle(
+                lambda: len(probe.ingested) == backlog and len(received[2]) == capacity
+            )
+            ingress = transport.resilience_snapshot()["ingress"]
+            await transport.close()
+            return ok, ingress, probe, [message.seq for _src, message in received[2]]
+
+        ok, ingress, probe, delivered = asyncio.run(scenario())
+        assert ok
+        assert ingress["high_water"] == capacity
+        refused = [seq for _t, _src, seq, accepted in probe.ingested if not accepted]
+        if policy == "drop-oldest":
+            assert (ingress["dropped_oldest"], ingress["rejected"]) == (excess, 0)
+            assert probe.evicted == list(range(excess))  # every evicted frame seen
+            assert refused == []
+            assert delivered == list(range(excess, backlog))  # freshest data wins
+        else:
+            assert (ingress["dropped_oldest"], ingress["rejected"]) == (0, excess)
+            assert probe.evicted == []
+            assert refused == list(range(capacity, backlog))
+            assert delivered == list(range(capacity))
+
+    @pytest.mark.parametrize("state", ["expelled", "down"])
+    def test_a_dead_nodes_datagrams_are_drained_undecoded(self, state):
+        async def scenario():
+            transport, received = await make_pair()
+            address = transport.registry.udp_address(2)
+            if state == "expelled":
+                transport.expel(2)
+            else:  # no public call leaves a down node's socket on the loop;
+                # the liveness test must not lean on that ordering
+                transport._crashed.add(2)
+            # the last one would be a decode error, were it decoded
+            spray(address, frames_from(1, 5) + [b"\xfe\x01"])
+            await asyncio.sleep(0.05)
+            try:
+                left = transport._endpoints[2].recv(64)
+            except BlockingIOError:
+                left = None  # the socket was drained, not left readable
+            outcome = (left, transport.decode_errors, transport._ingress.accepted,
+                       received[2])
+            await transport.close()
+            return outcome
+
+        assert asyncio.run(scenario()) == (None, 0, 0, [])
+
+    def test_a_failing_recv_is_counted(self):
+        async def scenario():
+            transport, received = await make_pair()
+            transport._on_readable(2, FailingSocket(OSError(111, "Connection refused")))
+            transport._on_readable(2, FailingSocket(BlockingIOError(11, "drained")))
+            # ...and the real socket still delivers afterwards
+            assert transport.send(1, 2, Ping(3), reliable=False)
+            ok = await settle(lambda: len(received[2]) == 1)
+            counts = (transport.datagram_errors, transport.datagrams_dropped)
+            await transport.close()
+            return ok, counts
+
+        assert asyncio.run(scenario()) == (True, (1, 0))
 
 
 class TestCrashRecovery:
@@ -261,3 +504,33 @@ class TestCrashRecovery:
             return crashed
 
         assert asyncio.run(scenario()) is True
+
+    def test_fallback_rebind_releases_the_ports_it_tried(self):
+        # The old TCP port is taken while node 1 is down, so the restart
+        # falls back to fresh ports: the UDP socket it had already bound
+        # on the old port must be closed, not left reading as node 1.
+        async def scenario():
+            transport, received = await make_pair()
+            old_udp = transport.registry.udp_address(1)
+            old_tcp = transport.registry.tcp_address(1)
+            transport.crash_node(1)
+            await asyncio.sleep(0.01)  # the crash is over, however sockets are closed
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as squatter:
+                squatter.bind(old_tcp)
+                squatter.listen(1)
+                await transport.restart_node(1)
+            moved = (transport.registry.udp_address(1) != old_udp
+                     and transport.registry.tcp_address(1) != old_tcp)
+            try:
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+                    probe.bind(old_udp)
+                released = True
+            except OSError:
+                released = False
+            # the node is back, on its new ports
+            assert transport.send(2, 1, Ping(5), reliable=False)
+            delivered = await settle(lambda: len(received[1]) == 1)
+            await transport.close()
+            return moved, released, delivered
+
+        assert asyncio.run(scenario()) == (True, True, True)
