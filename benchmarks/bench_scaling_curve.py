@@ -2,10 +2,11 @@
 """The large-n scalability curve: s of wall clock per simulated second vs n.
 
 Runs :func:`repro.experiments.scaling.run_scaling` over a size sweep and
-prints (and optionally records) the curve, now including the
-tracemalloc peak over construction + warm-up per point — the MiB/node
-column is the struct-of-arrays acceptance curve (it must *fall* as n
-grows).  This is the benchmark behind the "Scaling with n" section of
+prints (and optionally records) the curve, including the tracemalloc
+peak over construction + warm-up per point — the KiB/node column is the
+per-node state budget (it must *fall* as n grows: fixed overheads
+amortise, and no per-node container may grow with n).  Run it after any
+change to per-node state.  This is the benchmark behind the "Scaling with n" section of
 ``docs/PERFORMANCE.md`` and the ``scaling`` section of
 ``benchmarks/BENCH_substrate.json``.
 
@@ -19,7 +20,7 @@ Usage::
 
 ``--smoke`` runs a short sweep through n=2000 (fractions of a timed
 simulated second per point) that asserts the sweep machinery — and the
-pooled-state layout at a four-digit size — end to end without
+per-node memory trend at a four-digit size — end to end without
 benchmark-grade load; CI runs it on every push.  Setting
 ``REPRO_BENCH_FULL=1`` in the environment is equivalent to passing
 ``--include-10000`` (CI's opt-in full-curve job uses it).  ``--record``
@@ -107,9 +108,11 @@ def main(argv=None) -> int:
         if point.events <= 0:
             print(f"FAIL: no events fired for n={point.n}", file=sys.stderr)
             return 1
-    # The memory curve is the point of the pooled layout: per-node peak
-    # footprint must not grow with n (jobs>1 workers inherit tracing in
-    # some pools and report 0.0 — only enforce on traced points).
+    # Per-node state is bounded by design (one timeout's worth of
+    # verification state plus the h-period history), so the per-node
+    # peak footprint must not grow with n (jobs>1 workers inherit
+    # tracing in some pools and report 0.0 — only enforce on traced
+    # points).
     traced = [p for p in result.points if p.peak_mem_mib > 0.0]
     if len(traced) >= 2:
         first, last = traced[0], traced[-1]
@@ -135,8 +138,9 @@ def main(argv=None) -> int:
                 "managers, seed below), per system size, plus the tracemalloc "
                 "peak over construction + warm-up. The per-node cost is what "
                 "the flattened hot paths keep roughly constant, and the "
-                "per-node peak memory is what the struct-of-arrays layout "
-                "keeps falling; refresh together with the 'current' kernels."
+                "per-node peak memory must keep falling with n (per-node "
+                "state is bounded; fixed overheads amortise); refresh "
+                "together with the 'current' kernels."
             ),
             **result.as_dict(),
         }

@@ -185,12 +185,13 @@ def bench_cluster1000() -> float:
 def bench_cluster1000_peak_mem() -> float:
     """Peak tracemalloc MiB allocated over one warm cluster1000 sim-second.
 
-    The large-n counterpart of ``bench_cluster300_peak_mem``: the
-    struct-of-arrays node state keeps the *marginal* allocation churn of
-    a steady-state sim-second from scaling with per-node dict traffic,
-    and this kernel is the gate.  Like the 300-node version it measures
-    allocations, not time, so it is enforced even on noisy CI runners
-    (``--skip-cluster`` does not skip it).
+    The large-n counterpart of ``bench_cluster300_peak_mem``.  Together
+    they are the only CI gate that measures allocation: per-node state
+    that never forgets (a map keyed per witness per confirm round was
+    40 % of this number until PR 18) shows up here first.  Like the
+    300-node version it measures allocations, not time, so it is
+    enforced even on noisy CI runners (``--skip-cluster`` does not skip
+    it).
     """
     import tracemalloc
 

@@ -38,7 +38,6 @@ from repro.core.reputation import (
     ReputationPool,
     ScoreBoard,
 )
-from repro.core.soa import DenseIdRegistry, ProtocolStatePool, SlotRows
 from repro.core.verification import VerificationEngine
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "Auditor",
     "ExpulsionController",
     "ExpulsionRecord",
-    "DenseIdRegistry",
     "ManagerAssignment",
     "ManagerRecord",
     "REASON_AUDIT_COMPENSATION",
@@ -63,9 +61,7 @@ __all__ = [
     "REASON_WITNESS_CONTRADICTION",
     "ReputationManager",
     "ReputationPool",
-    "ProtocolStatePool",
     "ScoreBoard",
-    "SlotRows",
     "VerificationEngine",
     "fanout_decrease_blame",
     "no_ack_blame",

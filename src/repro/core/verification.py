@@ -28,11 +28,9 @@ never cancelled — every timeout here is one), ``random()`` (a uniform
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Set, Tuple
-
-import numpy as np
+from typing import Dict, Set, Tuple
 
 from repro.core.blames import (
     REASON_FANOUT_DECREASE,
@@ -90,21 +88,14 @@ class VerificationEngine:
         # simulator's or the live transport's own method).
         self._sim = getattr(host, "_sim", None)
         self._defer = host.defer
-        # Pending acks as struct-of-arrays columns: row i is one
-        # outstanding (requester, chunk, served_at) triple.  The
-        # insertion-ordered ``_ack_live`` dict maps each requester with
-        # live rows to its row count — it reproduces the key order the
-        # old dict-of-dicts exposed (first-serve order, re-insertion at
-        # the end after draining), which the period sweep's blame order
-        # depends on, and makes the pending-ack count exact by
-        # construction: a requester is a key iff it has live rows.
-        self._ack_req = np.zeros(16, dtype=np.int64)
-        self._ack_chunk = np.zeros(16, dtype=np.int64)
-        self._ack_time = np.zeros(16, dtype=np.float64)
-        self._ack_n = 0
-        self._ack_live: Dict[NodeId, int] = {}
+        # requester -> {chunk_id: served_at}.  A requester is a key iff
+        # it has an outstanding serve, so the dict's order is first-serve
+        # order with a drained requester re-entering at the end — the
+        # order the period sweep blames in.
+        self._pending_acks: Dict[NodeId, Dict[ChunkId, float]] = {}
+        # round id -> open round, in start order; each is popped by its
+        # own confirm timeout.
         self._confirm_rounds: Dict[int, _ConfirmRound] = {}
-        self._awaiting_response: Dict[Tuple[NodeId, NodeId], Deque[int]] = defaultdict(deque)
         self._pending_requests: Dict[int, _PendingRequest] = {}
         self._round_counter = 0
         # Diagnostics.
@@ -115,89 +106,43 @@ class VerificationEngine:
     # serving side: expect acks, run cross-checks
     # ------------------------------------------------------------------
     def on_serve_sent(self, requester: NodeId, chunk_id: ChunkId) -> None:
-        """We served ``chunk_id`` to ``requester``; an ack must follow."""
+        """We served ``chunk_id`` to ``requester``; an ack must follow.
+
+        A duplicate serve of the same chunk — a retry chain looping back
+        to us — just refreshes its clock.
+        """
         sim = self._sim
         now = sim.now if sim is not None else self.host.clock()
-        live = self._ack_live
-        n = self._ack_n
-        cnt = live.get(requester)
-        if cnt is not None:
-            # A duplicate serve of the same (requester, chunk) — e.g. a
-            # retry chain looping back to us — just refreshes its clock,
-            # matching the old per-requester dict overwrite.
-            # ndarray.nonzero() over np.nonzero(): same result, one Python
-            # frame instead of four on a per-serve hot path.
-            hits = (
-                (self._ack_req[:n] == requester) & (self._ack_chunk[:n] == chunk_id)
-            ).nonzero()[0]
-            if hits.size:
-                self._ack_time[hits[0]] = now
-                return
-            live[requester] = cnt + 1
+        pending = self._pending_acks.get(requester)
+        if pending is None:
+            self._pending_acks[requester] = {chunk_id: now}
         else:
-            live[requester] = 1
-        if n == self._ack_req.shape[0]:
-            self._grow_acks()
-        self._ack_req[n] = requester
-        self._ack_chunk[n] = chunk_id
-        self._ack_time[n] = now
-        self._ack_n = n + 1
-
-    def _grow_acks(self) -> None:
-        for name in ("_ack_req", "_ack_chunk", "_ack_time"):
-            old = getattr(self, name)
-            new = np.zeros(old.shape[0] * 2, dtype=old.dtype)
-            new[: old.shape[0]] = old
-            setattr(self, name, new)
-
-    def _drop_ack_rows(self, indices: List[int]) -> None:
-        """Remove rows (ascending indices) by swapping the tail in."""
-        req = self._ack_req
-        chunk = self._ack_chunk
-        time = self._ack_time
-        live = self._ack_live
-        n = self._ack_n
-        for i in reversed(indices):
-            requester = int(req[i])
-            cnt = live[requester] - 1
-            if cnt:
-                live[requester] = cnt
-            else:
-                del live[requester]
-            n -= 1
-            if i != n:
-                req[i] = req[n]
-                chunk[i] = chunk[n]
-                time[i] = time[n]
-        self._ack_n = n
+            pending[chunk_id] = now
 
     def on_ack(self, src: NodeId, ack: Ack) -> None:
         """Handle the ack of a node we served; §5.2's verifier role."""
         host = self.host
         fanout = host.gossip.fanout
-        sim = self._sim
-        now = sim.now if sim is not None else host.clock()
-        if src in self._ack_live:
-            n = self._ack_n
-            rows = (self._ack_req[:n] == src).nonzero()[0]
+        pending = self._pending_acks.get(src)
+        if pending is not None:
+            sim = self._sim
+            now = sim.now if sim is not None else host.clock()
             acked = set(ack.chunk_ids)
-            period = self.host.gossip.gossip_period
-            time = self._ack_time
-            drop: List[int] = []
+            period = host.gossip.gossip_period
             overdue = False
-            for i, chunk_id in zip(rows.tolist(), self._ack_chunk[rows].tolist()):
+            for chunk_id, served_at in list(pending.items()):
                 if chunk_id in acked:
-                    drop.append(i)
+                    del pending[chunk_id]
                 # Chunks we served long enough ago that they *must* have
                 # been in this proposal (one gossip period, §5.2) but are
                 # absent: the proposal is invalid — blame f.
-                elif now - float(time[i]) >= period:
-                    drop.append(i)
+                elif now - served_at >= period:
+                    del pending[chunk_id]
                     overdue = True
             if overdue:
                 self._blame(src, no_ack_blame(fanout), REASON_INVALID_PROPOSAL)
-            if drop:
-                self._drop_ack_rows(drop)
+            if not pending:
+                del self._pending_acks[src]
 
         if len(ack.partners) < fanout:
             value = fanout_decrease_blame(fanout, len(ack.partners))
@@ -214,9 +159,6 @@ class VerificationEngine:
         self._confirm_rounds[round_id] = _ConfirmRound(proposer=proposer, witnesses=witnesses)
         self.confirm_rounds_started += 1
         confirm = Confirm(proposer=proposer, chunk_ids=ack.chunk_ids)
-        awaiting = self._awaiting_response
-        for witness in witnesses:
-            awaiting[(proposer, witness)].append(round_id)
         host = self.host
         send_many = self._host_send_many
         if send_many is not None:
@@ -227,17 +169,24 @@ class VerificationEngine:
         self._defer(host.lifting.confirm_timeout, self._finish_confirm_round, round_id)
 
     def on_confirm_response(self, src: NodeId, response: ConfirmResponse) -> None:
-        """A witness answered one of our confirm requests."""
-        queue = self._awaiting_response.get((response.proposer, src))
-        while queue:
-            round_id = queue.popleft()
-            round_state = self._confirm_rounds.get(round_id)
-            if round_state is None or src in round_state.answered:
-                continue
-            round_state.answered.add(src)
-            if response.valid:
-                round_state.valid += 1
-            return
+        """A witness answered one of our confirm requests.
+
+        The response names only the proposer, so it is credited to the
+        oldest open round about that proposer which asked ``src`` and
+        has not heard from it yet; a late, duplicate or unsolicited
+        response finds no such round and is ignored.
+        """
+        proposer = response.proposer
+        for round_state in self._confirm_rounds.values():
+            if (
+                round_state.proposer == proposer
+                and src in round_state.witnesses
+                and src not in round_state.answered
+            ):
+                round_state.answered.add(src)
+                if response.valid:
+                    round_state.valid += 1
+                return
 
     def _finish_confirm_round(self, round_id: int) -> None:
         round_state = self._confirm_rounds.pop(round_id, None)
@@ -285,30 +234,26 @@ class VerificationEngine:
     # periodic sweep: missing acks
     # ------------------------------------------------------------------
     def on_period_tick(self) -> None:
-        """Blame requesters whose acks never arrived (once per sweep).
-
-        The sweep is one masked array pass over the pending-ack columns;
-        the common no-expiry case exits after a single vectorised
-        compare instead of walking a dict of dicts.
-        """
-        n = self._ack_n
-        if not n:
+        """Blame requesters whose acks never arrived (once per sweep)."""
+        pending_acks = self._pending_acks
+        if not pending_acks:
             return
         host = self.host
         sim = self._sim
         now = sim.now if sim is not None else host.clock()
         timeout = host.lifting.ack_timeout
-        mask = (now - self._ack_time[:n]) >= timeout
-        if not mask.any():
-            return
-        fanout = self.host.gossip.fanout
-        expired = mask.nonzero()[0]
-        affected = set(self._ack_req[expired].tolist())
-        # Blame in the requester insertion order the old dict walk used.
-        for requester in self._ack_live:
-            if requester in affected:
+        fanout = host.gossip.fanout
+        drained = []
+        for requester, pending in pending_acks.items():
+            expired = [c for c, served_at in pending.items() if now - served_at >= timeout]
+            if expired:
+                for chunk_id in expired:
+                    del pending[chunk_id]
                 self._blame(requester, no_ack_blame(fanout), REASON_NO_ACK)
-        self._drop_ack_rows(expired.tolist())
+                if not pending:
+                    drained.append(requester)
+        for requester in drained:
+            del pending_acks[requester]
 
     # ------------------------------------------------------------------
     def _blame(self, target: NodeId, value: float, reason: str) -> None:
@@ -316,29 +261,24 @@ class VerificationEngine:
         self.host.send_blame(target, value, reason)
 
     def purge_requester(self, node_id: NodeId) -> None:
-        """Drop any pending-ack rows naming ``node_id`` as requester.
+        """Drop any pending acks naming ``node_id`` as requester.
 
         Called when a node is readmitted under a bumped incarnation so
         that no stale ack expectations (and the blames they would draw)
         leak across incarnations.
         """
-        if node_id not in self._ack_live:
-            return
-        rows = (self._ack_req[: self._ack_n] == node_id).nonzero()[0]
-        self._drop_ack_rows(rows.tolist())
+        self._pending_acks.pop(node_id, None)
 
     def reset_transient(self) -> None:
         """Clear all pending verification state (new incarnation)."""
-        self._ack_n = 0
-        self._ack_live.clear()
+        self._pending_acks.clear()
         self._confirm_rounds.clear()
-        self._awaiting_response.clear()
         self._pending_requests.clear()
 
     @property
     def pending_ack_count(self) -> int:
         """Requesters we are currently awaiting acks from."""
-        return len(self._ack_live)
+        return len(self._pending_acks)
 
     @property
     def open_confirm_rounds(self) -> int:

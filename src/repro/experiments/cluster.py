@@ -6,11 +6,10 @@ membership, manager assignment, expulsion, the nodes themselves, the
 crash/restart rules and the score read-outs — is a
 :class:`~repro.deployment.Deployment`, shared with the live runtime;
 this module keeps what only a simulation has: the discrete-event
-simulator, a lossy network with per-node heterogeneity, the pooled
-struct-of-arrays node state (and its slot remap on readmission), the
-stream source, the oracle ``leave`` / ``rejoin`` used when no failure
-detector runs, and the health / overhead metrics read off the simulated
-trace.
+simulator, a lossy network with per-node heterogeneity, the one shared
+:class:`~repro.core.reputation.ReputationPool`, the stream source, the
+oracle ``leave`` / ``rejoin`` used when no failure detector runs, and
+the health / overhead metrics read off the simulated trace.
 
 Roles are assigned pseudo-randomly from the seed and armed from the one
 ``adversary`` value, so a cluster is fully reproducible from its config.
@@ -24,7 +23,6 @@ from typing import Dict, Optional, Set
 
 from repro.config import GossipParams, LiftingParams
 from repro.core.reputation import ReputationPool, compensation_per_period
-from repro.core.soa import DenseIdRegistry, ProtocolStatePool
 from repro.deployment import Deployment, adversary_policy
 from repro.gossip.chunks import StreamSource
 from repro.gossip.protocol import GossipNode, SimTransport
@@ -141,14 +139,8 @@ class SimCluster:
         self.detection = deployment.detection
         self.churn_summary = deployment.churn_summary
 
-        # --- pooled node state ------------------------------------------
-        # Dense-id registry + struct-of-arrays pools: every node's hot
-        # transient state is a slot in one cluster-owned pool, and every
-        # manager's records are a row block in one reputation pool.  The
-        # registry remaps slots on readmission (see _fresh_slot).
-        self.registry = DenseIdRegistry()
-        self.state_pool = ProtocolStatePool(capacity=gossip.n)
-        self.registry.attach(self.state_pool)
+        # Every manager's records are a row block in one pool: the
+        # score read-out and the expulsion sweep are vectorised over it.
         self.reputation_pool = ReputationPool(
             capacity=gossip.n * min(lifting.managers, gossip.n - 1)
         )
@@ -169,8 +161,6 @@ class SimCluster:
                 lifting_enabled=config.lifting_enabled,
                 compensation=self.compensation,
                 chunk_created_at=self.source.created_times.__getitem__,
-                state_pool=self.state_pool,
-                state_slot=self.registry.register(node_id),
                 reputation_pool=self.reputation_pool,
             )
             upload = config.upload_rate if config.upload_rate is not None else math.inf
@@ -265,18 +255,11 @@ class SimCluster:
             return False
         self.network.reconnect(node_id)
         if detector is not None:
-            self._fresh_slot(node_id)
             self.deployment.fresh_incarnation(node_id)
         node.start()
         if self.churn_monitor is not None:
             self.churn_monitor.on_rejoined(node_id)
         return True
-
-    def _fresh_slot(self, node_id: NodeId) -> None:
-        """Move a readmitted node onto a fresh pooled state slot: the
-        registry retires the old one (zeroing its columns in every
-        attached pool), so the bumped incarnation starts clean."""
-        self.nodes[node_id].adopt_state_slot(self.registry.remap(node_id))
 
     # ------------------------------------------------------------------
     # fault injection
@@ -325,7 +308,6 @@ class SimCluster:
                 self.rejoin(node_id)
         elif self.deployment.may_restart(node_id):
             self.network.reconnect(node_id)
-            self._fresh_slot(node_id)
             self.deployment.restarted(node_id)
         elif self.controller.is_expelled(node_id):
             return  # refused: the plane keeps the node flagged down

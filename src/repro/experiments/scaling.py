@@ -40,8 +40,8 @@ class ScalingPoint:
     #: engine events fired during the timed window.
     events: int
     #: tracemalloc peak over construction + warm-up (MiB).  Dominated by
-    #: the standing per-node state, which is what the SoA re-layout
-    #: targets; 0.0 when the worker could not trace (nested tracing).
+    #: the standing per-node state (history rings, chunk store, open
+    #: windows); 0.0 when the worker could not trace (nested tracing).
     peak_mem_mib: float = 0.0
 
     @property
@@ -59,7 +59,8 @@ class ScalingPoint:
     @property
     def peak_mem_kib_per_node(self) -> float:
         """Peak traced memory per deployment node (KiB) — the curve that
-        must bend *down* as n grows for the pooled layout to pay off."""
+        must bend *down* as n grows: per-node state is bounded, and the
+        fixed overheads amortise."""
         if self.n <= 0:
             return 0.0
         return self.peak_mem_mib * 1024.0 / self.n

@@ -28,7 +28,6 @@ from repro.core.reputation import (
     ReputationPool,
     ScoreReader,
 )
-from repro.core.soa import ProtocolStatePool
 from repro.core.verification import VerificationEngine
 from repro.gossip.chunks import SOURCE_ID, ChunkStore
 from repro.gossip.history import LocalHistory
@@ -148,8 +147,6 @@ class GossipNode:
         p_audit: float = 0.0,
         detector: Optional[FailureDetectorParams] = None,
         on_membership_event: Optional[Callable[[NodeId, NodeId, str, int], None]] = None,
-        state_pool: Optional[ProtocolStatePool] = None,
-        state_slot: Optional[int] = None,
         reputation_pool: Optional[ReputationPool] = None,
     ) -> None:
         require(node_id >= 0, "node ids must be non-negative (SOURCE_ID=-1 is reserved)")
@@ -193,21 +190,15 @@ class GossipNode:
         #: True once the first gossip period opened the history (checked
         #: per received message; cheaper than the history property).
         self._history_open = False
-        # Hot transient state (fresh chunk map, pending-chunk set, blame
-        # outbox) lives in pooled struct-of-arrays columns — one
-        # cluster-owned pool slot per node when ``state_pool`` is given,
-        # a private capacity-1 pool for standalone nodes.  Row append
-        # order stands in for the dict insertion order the old per-node
-        # containers exposed (the propose phase and blame flush depend
-        # on it for byte-identical RNG behaviour).
-        if state_pool is None:
-            state_pool = ProtocolStatePool(capacity=1)
-            state_slot = 0
-        self._state_pool = state_pool
-        self._state_slot = state_slot if state_slot is not None else 0
-        self._fresh_rows = state_pool.fresh
-        self._pending_rows = state_pool.pending
-        self._blame_rows = state_pool.blame
+        # Transient state: each entry is deleted by the event that ends
+        # what it waits for, and ``reset_gossip_state`` clears the lot.
+        # chunk -> who served it, since the last propose phase (the
+        # phase walks it in insertion order: RNG draws depend on it).
+        self._fresh: Dict[ChunkId, NodeId] = {}
+        # chunks requested and neither served nor given up on.
+        self._pending_chunks: Set[ChunkId] = set()
+        # target -> blame summed since the last flush (first-blame order).
+        self._blame_outbox: Dict[NodeId, float] = {}
         self._sent_proposals: Dict[int, _SentProposal] = {}
         self._proposal_counter = 0
         self._timer = None
@@ -378,7 +369,9 @@ class GossipNode:
         """
         self.history = LocalHistory(max_periods=self.lifting.history_periods + 2)
         self._history_open = False
-        self._state_pool.clear_slot(self._state_slot)
+        self._fresh.clear()
+        self._pending_chunks.clear()
+        self._blame_outbox.clear()
         self._sent_proposals.clear()
         self._offers.clear()
         self._naked_requests.clear()
@@ -386,20 +379,6 @@ class GossipNode:
             # The old incarnation's ack expectations and open windows
             # must not draw blames against the new one (or its peers).
             self.engine.reset_transient()
-
-    def adopt_state_slot(self, slot: int) -> None:
-        """Point this node at a fresh (zeroed) pooled state slot.
-
-        Called by the cluster after a remap-on-readmit: the registry has
-        already retired and zeroed the old slot, so the node starts its
-        new incarnation with empty columns.
-        """
-        self._state_slot = slot
-
-    @property
-    def _pending_chunks(self) -> Set[ChunkId]:
-        """Pending-chunk ids as a set (debug/test view of pooled rows)."""
-        return set(self._pending_rows.values(self._state_slot))
 
     # ------------------------------------------------------------------
     # the gossip period
@@ -448,14 +427,12 @@ class GossipNode:
             del self._offers[chunk_id]
 
     def _propose_phase(self) -> None:
-        # Consume the fresh-map rows; append order == the old dict's
-        # insertion order, so ``by_server`` (and the per-server RNG
-        # draws inside propose_filter) sees the identical sequence.
-        fresh_chunks, fresh_origins = self._fresh_rows.take(self._state_slot)
-        if not fresh_chunks:
+        fresh = self._fresh
+        if not fresh:
             return
+        self._fresh = {}
         by_server: Dict[NodeId, List[ChunkId]] = {}
-        for chunk_id, server in zip(fresh_chunks, fresh_origins):
+        for chunk_id, server in fresh.items():
             chunks = by_server.get(server)
             if chunks is None:
                 chunks = by_server[server] = []
@@ -557,7 +534,7 @@ class GossipNode:
         now = sim.now if sim is not None else self.clock()
         needed = []
         owned = self.store.owned
-        pending = self._pending_rows.values(self._state_slot)
+        pending = self._pending_chunks
         for chunk_id in message.chunk_ids:
             if chunk_id in owned:
                 continue
@@ -587,12 +564,7 @@ class GossipNode:
             send_many(self.node_id, (proposer,), request, _UDP)
         else:
             self.send(proposer, request)
-        pending_rows = self._pending_rows
-        slot = self._state_slot
-        for chunk_id in chunk_ids:
-            # add_unique: retry requests re-request chunks that are
-            # already pending (the old set.update was idempotent too).
-            pending_rows.add_unique(slot, chunk_id)
+        self._pending_chunks.update(chunk_ids)
         if self.engine is not None:
             self.engine.on_request_sent(proposer, proposal_id, chunk_ids)
         else:
@@ -650,13 +622,13 @@ class GossipNode:
         fresh = self.store.add(
             message.chunk_id, message.payload_size, received_at=now, created_at=created_at
         )
-        self._pending_rows.discard(self._state_slot, message.chunk_id)
+        self._pending_chunks.discard(message.chunk_id)
         if not fresh:
             self.stats.duplicate_serves += 1
             return
         self.stats.chunks_received += 1
         origin = message.origin
-        self._fresh_rows.append(self._state_slot, message.chunk_id, origin)
+        self._fresh[message.chunk_id] = origin
         if self._history_open and origin != SOURCE_ID:
             self.history.record_fanin(origin)
 
@@ -742,23 +714,18 @@ class GossipNode:
         if value > 0 and not self.behavior.should_blame(target):
             return
         self.stats.blames_emitted += max(value, 0.0)
-        self._blame_rows.append(self._state_slot, target, value)
+        outbox = self._blame_outbox
+        outbox[target] = outbox.get(target, 0.0) + value
 
     def _flush_blames(self) -> None:
-        blame_rows = self._blame_rows
-        slot = self._state_slot
-        if not blame_rows.counts[slot]:
+        outbox = self._blame_outbox
+        if not outbox:
             return
-        targets_log, values_log = blame_rows.take(slot)
-        # Aggregate per target in first-occurrence order with the same
-        # left-to-right float additions the old defaultdict accumulated.
-        totals: Dict[NodeId, float] = {}
-        for target, value in zip(targets_log, values_log):
-            totals[target] = totals.get(target, 0.0) + value
+        self._blame_outbox = {}
         node_id = self.node_id
         local_targets: List[NodeId] = []
         local_values: List[float] = []
-        for target, value in totals.items():
+        for target, value in outbox.items():
             if value == 0.0:
                 continue
             blame = Blame(target=target, value=value, reason="period-batch")
@@ -797,7 +764,7 @@ class GossipNode:
             if alternative is not None:
                 retry[alternative].append(chunk_id)
             else:
-                self._pending_rows.discard(self._state_slot, chunk_id)
+                self._pending_chunks.discard(chunk_id)
         for (src, pid), ids in retry.items():
             self._send_request(src, pid, tuple(ids))
 

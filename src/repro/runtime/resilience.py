@@ -35,7 +35,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.util.validation import require
+from repro.util.validation import require, require_int, require_positive
 
 __all__ = [
     "BoundedIngressQueue",
@@ -275,3 +275,20 @@ class ResilienceConfig:
     egress_queue_limit: int = 512
     #: max frames coalesced into one TCP write.
     coalesce_frames: int = 64
+
+    def __post_init__(self) -> None:
+        # A batch of 0 is a silent hang, not an error anyone sees: the
+        # socket stays readable and the pump drains nothing, for ever.
+        for name in (
+            "breaker_failure_threshold",
+            "ingress_capacity",
+            "ingress_batch",
+            "egress_queue_limit",
+            "coalesce_frames",
+        ):
+            require_int(getattr(self, name), name, minimum=1)
+        require_positive(self.breaker_reset_timeout, "breaker_reset_timeout")
+        require(
+            self.ingress_policy in (DROP_OLDEST, REJECT),
+            "ingress_policy must be drop-oldest or reject",
+        )

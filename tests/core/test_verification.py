@@ -1,5 +1,7 @@
 """Unit tests for the verification engine (§5.2) against a fake host."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.blames import (
@@ -175,8 +177,8 @@ class TestBookkeeping:
 
     def test_partial_ack_keeps_exact_count(self, engine, fake_host):
         """Regression: a partial ack must not leave an empty per-requester
-        entry behind (the old dict-of-dicts could strand one on the
-        partial-pop path and overcount pending requesters)."""
+        entry behind (a requester is a key iff it has an outstanding
+        serve — a stranded empty entry overcounts pending requesters)."""
         engine.on_serve_sent(5, 1)
         engine.on_serve_sent(5, 2)
         engine.on_serve_sent(8, 3)
@@ -187,21 +189,21 @@ class TestBookkeeping:
         # Ack the remainder: requester 5 must vanish entirely.
         engine.on_ack(5, Ack(chunk_ids=(2,), partners=full_partners()))
         assert engine.pending_ack_count == 1
-        assert 5 not in engine._ack_live
+        assert 5 not in engine._pending_acks
         engine.on_ack(8, Ack(chunk_ids=(3,), partners=full_partners()))
         assert engine.pending_ack_count == 0
-        assert engine._ack_n == 0 and engine._ack_live == {}
+        assert engine._pending_acks == {}
 
     def test_overdue_drop_path_keeps_exact_count(self, engine, fake_host):
         """The overdue-chunk pop inside ``on_ack`` (invalid-proposal path)
-        must release the requester the moment its last row drops."""
+        must release the requester the moment its last chunk drops."""
         engine.on_serve_sent(5, 1)
         engine.on_serve_sent(5, 2)
         fake_host.sim.run(until=fake_host.gossip.gossip_period + 0.05)
         # Ack names chunk 1 only; chunk 2 is overdue and dropped with blame.
         engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
         assert engine.pending_ack_count == 0
-        assert engine._ack_live == {}
+        assert engine._pending_acks == {}
 
     def test_sweep_drop_path_keeps_exact_count(self, engine, fake_host):
         engine.on_serve_sent(5, 1)
@@ -209,14 +211,14 @@ class TestBookkeeping:
         fake_host.sim.run(until=fake_host.lifting.ack_timeout + 0.1)
         engine.on_period_tick()
         assert engine.pending_ack_count == 0
-        assert engine._ack_live == {} and engine._ack_n == 0
+        assert engine._pending_acks == {}
 
     def test_duplicate_serve_refreshes_not_duplicates(self, engine, fake_host):
         engine.on_serve_sent(5, 1)
         fake_host.sim.run(until=0.2)
         engine.on_serve_sent(5, 1)  # retry chain looped back to us
         assert engine.pending_ack_count == 1
-        assert engine._ack_n == 1
+        assert engine._pending_acks == {5: {1: 0.2}}
         engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
         assert engine.pending_ack_count == 0
 
@@ -226,7 +228,7 @@ class TestBookkeeping:
         engine.on_serve_sent(5, 3)
         engine.purge_requester(5)
         assert engine.pending_ack_count == 1
-        assert 5 not in engine._ack_live and 8 in engine._ack_live
+        assert 5 not in engine._pending_acks and 8 in engine._pending_acks
         engine.purge_requester(99)  # absent requester is a no-op
         assert engine.pending_ack_count == 1
 
@@ -243,3 +245,73 @@ class TestBookkeeping:
             engine.on_confirm_response(witness, ConfirmResponse(5, True))
         fake_host.sim.run()
         assert fake_host.blames == []
+
+    def test_late_response_credits_the_next_open_round(self, engine, fake_host):
+        timeout = fake_host.lifting.confirm_timeout
+        engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
+        fake_host.sim.run(until=timeout / 2)
+        engine.on_ack(5, Ack(chunk_ids=(2,), partners=full_partners()))
+        # The first round times out unanswered: four contradictions.
+        fake_host.sim.run(until=timeout + 0.01)
+        assert fake_host.blames == [(5, 4.0, REASON_WITNESS_CONTRADICTION)]
+        assert engine.open_confirm_rounds == 1
+        # Answers meant for the dead round now land on the second one.
+        for witness in full_partners():
+            engine.on_confirm_response(witness, ConfirmResponse(5, True))
+        fake_host.sim.run()
+        assert fake_host.blames == [(5, 4.0, REASON_WITNESS_CONTRADICTION)]
+
+    def test_duplicate_response_from_one_witness_ignored(self, engine, fake_host):
+        engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
+        engine.on_confirm_response(10, ConfirmResponse(5, True))
+        engine.on_confirm_response(10, ConfirmResponse(5, True))
+        (round_state,) = engine._confirm_rounds.values()
+        assert round_state.valid == 1 and round_state.answered == {10}
+        fake_host.sim.run()
+        assert fake_host.blames == [(5, 3.0, REASON_WITNESS_CONTRADICTION)]
+
+    def test_unsolicited_responses_ignored(self, engine, fake_host):
+        engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
+        engine.on_confirm_response(99, ConfirmResponse(5, True))  # not a witness
+        engine.on_confirm_response(10, ConfirmResponse(6, True))  # no round about 6
+        (round_state,) = engine._confirm_rounds.values()
+        assert round_state.valid == 0 and round_state.answered == set()
+        fake_host.sim.run()
+        assert fake_host.blames == [(5, 4.0, REASON_WITNESS_CONTRADICTION)]
+
+    def test_no_confirm_matching_state_outlives_its_rounds(self, engine, fake_host):
+        # Witness 13 never answers, 12 answers only once: nothing may stay
+        # queued on their behalf once both rounds have timed out.
+        for chunk_id in (1, 2):
+            engine.on_ack(5, Ack(chunk_ids=(chunk_id,), partners=full_partners()))
+        for witness in (10, 11, 12, 10, 11):
+            engine.on_confirm_response(witness, ConfirmResponse(5, True))
+        fake_host.sim.run()
+        leftovers = {
+            name: value
+            for name, value in vars(engine).items()
+            if isinstance(value, (dict, set, list, deque)) and value
+        }
+        assert set(leftovers) == {"blames_by_reason"}  # the diagnostic
+
+
+class TestOrderContracts:
+    """Blame order reaches the managers' float sums, so the order the
+    pending-ack dict is walked in is behaviour, not an accident."""
+
+    def test_sweep_blames_in_first_serve_order(self, engine, fake_host):
+        for requester in (9, 5, 7):
+            engine.on_serve_sent(requester, 1)
+        engine.on_serve_sent(9, 2)  # a second serve does not move 9
+        fake_host.sim.run(until=fake_host.lifting.ack_timeout + 0.1)
+        engine.on_period_tick()
+        assert [t for t, _v, _r in fake_host.blames] == [9, 5, 7]
+
+    def test_drained_requester_reenters_at_the_end(self, engine, fake_host):
+        for requester in (9, 5, 7):
+            engine.on_serve_sent(requester, 1)
+        engine.on_ack(9, Ack(chunk_ids=(1,), partners=full_partners()))
+        engine.on_serve_sent(9, 2)
+        fake_host.sim.run(until=fake_host.lifting.ack_timeout + 0.1)
+        engine.on_period_tick()
+        assert [t for t, _v, r in fake_host.blames if r == REASON_NO_ACK] == [5, 7, 9]

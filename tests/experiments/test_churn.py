@@ -19,9 +19,9 @@ from repro.membership.failure_detector import FailureDetectorParams
 from repro.runtime.faults import FaultSchedule
 
 # Long enough for the *last* restarting victim to re-confirm the
-# expelled freeriders dead: readmission now purges peers' stale ack
-# expectations (no cross-incarnation blame), which shifts the late-run
-# suspicion timing by about a period compared to the pre-SoA trajectory.
+# expelled freeriders dead: readmission purges peers' stale ack
+# expectations (no cross-incarnation blame), which puts the late-run
+# suspicions about a period later than they would otherwise fall.
 DURATION = 16.0
 
 
@@ -168,40 +168,41 @@ class TestLeaveRejoinEdgeCases:
 
 
 class TestReadmissionRemap:
-    """Satellite: a bumped-incarnation readmit must land on a clean
-    pooled slot and purge every peer's stale ack expectations — no
-    transient state (or the blames it would draw) leaks across
-    incarnations."""
+    """Satellite: a bumped-incarnation readmit must start with empty
+    transient state and purge every peer's stale ack expectations — no
+    state (or the blames it would draw) leaks across incarnations."""
 
     @pytest.fixture
     def cluster(self):
         return make_cluster(n=12, freerider_fraction=0.0)
 
-    def test_readmit_remaps_to_zeroed_columns(self, cluster):
+    def test_readmit_starts_with_empty_transient_state(self, cluster):
         node_id = sorted(cluster.honest_ids)[0]
         node = cluster.nodes[node_id]
-        slot = node._state_slot
-        pool = cluster.state_pool
-        # Dirty every pooled block of the first incarnation's slot.
-        pool.fresh.append(slot, 7, 3)
-        pool.pending.append(slot, 9)
-        pool.blame.append(slot, 4, 2.0)
-        capacity_before = cluster.registry.capacity
+        # Dirty the first incarnation's transient containers.
+        node._fresh[7] = 3
+        node._pending_chunks.add(9)
+        node._blame_outbox[4] = 2.0
 
         cluster.leave(node_id)
         assert cluster.rejoin(node_id)
 
-        new_slot = cluster.registry.slot_of(node_id)
-        assert node._state_slot == new_slot
-        assert cluster.registry.node_at(new_slot) == node_id
         assert cluster.membership.incarnation_of(node_id) >= 1
-        # The retired slot went through the free-list (no growth) and
-        # every recycled column starts zeroed.
-        assert cluster.registry.capacity == capacity_before
-        for rows in (pool.fresh, pool.pending, pool.blame):
-            assert rows.count(new_slot) == 0
-            assert not rows.col0[new_slot].any()
-        assert not pool.blame.col1[new_slot].any()
+        assert node._fresh == {}
+        assert node._pending_chunks == set()
+        assert node._blame_outbox == {}
+
+    def test_rejoin_without_detector_keeps_transient_state(self):
+        # No detector, no incarnation: a graceful leave/rejoin is the
+        # same node coming back, in-flight state and all.
+        cluster = make_cluster(n=12, freerider_fraction=0.0, failure_detector=None)
+        node = cluster.nodes[0]
+        node._pending_chunks.add(9)
+        node._blame_outbox[4] = 2.0
+        cluster.leave(0)
+        assert cluster.rejoin(0)
+        assert node._pending_chunks == {9}
+        assert node._blame_outbox == {4: 2.0}
 
     def test_readmit_purges_peers_stale_ack_rows(self, cluster):
         victim, peer_a, peer_b = sorted(cluster.honest_ids)[:3]
@@ -216,8 +217,8 @@ class TestReadmissionRemap:
         cluster.leave(victim)
         assert cluster.rejoin(victim)
 
-        assert victim not in cluster.nodes[peer_a].engine._ack_live
-        assert victim not in cluster.nodes[peer_b].engine._ack_live
+        assert victim not in cluster.nodes[peer_a].engine._pending_acks
+        assert victim not in cluster.nodes[peer_b].engine._pending_acks
         assert cluster.nodes[peer_a].engine.pending_ack_count == 0
         # The unrelated expectation against peer_a is untouched.
         assert cluster.nodes[peer_b].engine.pending_ack_count == 1

@@ -1,9 +1,15 @@
 """End-to-end integration: freeriders, colluders, audits, expulsion."""
 
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import adversary
+from repro.config import planetlab_params
+from repro.core import blames
+from repro.experiments.cluster import ClusterConfig, SimCluster
 
 
 def freerider_policy(degree, **params):
@@ -308,3 +314,79 @@ class TestSeededDeterminismGolden:
         assert trace.lost_count() == 425
         assert trace.sent_count("Serve") == 4275
         assert trace.sent_count("Confirm") == 2470
+
+
+#: what a node keeps between events, bar the h-period history, the chunk
+#: store and ``_pending_chunks`` (see the strict xfail below).
+NODE_STATE = ("_fresh", "_blame_outbox", "_sent_proposals", "_offers", "_naked_requests")
+
+
+def engine_state(engine):
+    """Every container attribute of a verification engine, by name."""
+    return {
+        name: value
+        for name, value in vars(engine).items()
+        if isinstance(value, (dict, set, list, deque))
+    }
+
+
+class TestBoundedState:
+    """LiFTinG is lightweight because a node's verification state lives
+    for one timeout (§5.2): in steady state it must not grow with the
+    length of the run."""
+
+    @pytest.fixture(scope="class")
+    def steady_run(self):
+        gossip, lifting = planetlab_params()
+        gossip = replace(gossip, n=40, chunk_size=1400)
+        cluster = SimCluster(ClusterConfig(gossip=gossip, lifting=lifting, seed=3))
+        census = {}
+        for until in (6.0, 12.0, 18.0):
+            cluster.run(until=until)
+            sizes = census[until] = dict.fromkeys(NODE_STATE, 0)
+            for node in cluster.nodes.values():
+                for name in NODE_STATE:
+                    sizes[name] += len(getattr(node, name))
+                for name, value in engine_state(node.engine).items():
+                    sizes[name] = sizes.get(name, 0) + len(value)
+        return cluster, census
+
+    def test_transient_state_does_not_grow_with_run_length(self, steady_run):
+        _cluster, census = steady_run
+        for name, early in census[6.0].items():
+            assert census[18.0][name] <= 1.5 * early, (name, census)
+
+    def test_engine_keeps_no_other_container(self, steady_run):
+        cluster, _census = steady_run
+        reasons = {v for k, v in vars(blames).items() if k.startswith("REASON_")}
+        assert len(reasons) == 7
+        for node in cluster.nodes.values():
+            assert set(engine_state(node.engine)) == {
+                "_pending_acks",
+                "_confirm_rounds",
+                "_pending_requests",
+                "blames_by_reason",  # a diagnostic, bounded by its keys
+            }
+            assert set(node.engine.blames_by_reason) <= reasons
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="request windows are keyed by proposal_id and a retry reuses the "
+        "alternative proposer's id: the overwritten window's chunks stay marked "
+        "pending for ever (ROADMAP item 8)",
+    )
+    def test_every_old_pending_mark_is_covered_by_an_open_window(self, steady_run):
+        cluster, _census = steady_run
+        created_at = cluster.source.created_times
+        now = cluster.sim.now
+        orphans = []
+        for node in cluster.nodes.values():
+            watched = set()
+            for window in node.engine._pending_requests.values():
+                watched |= window.expected
+            orphans += [
+                (node.node_id, chunk_id)
+                for chunk_id in node._pending_chunks - watched
+                if now - created_at[chunk_id] > 2.0
+            ]
+        assert orphans == []

@@ -234,3 +234,21 @@ class TestOfferPruning:
         # the oldest entries were evicted, the newest kept
         assert offers[-1][0] == MAX_OFFERS_PER_CHUNK + 7
         assert offers[0][0] == 8
+
+
+class TestBlameOutbox:
+    def test_flush_sends_one_summed_blame_per_target_in_first_blame_order(
+        self, small_cluster_factory
+    ):
+        node = small_cluster_factory(loss_rate=0.0).nodes[0]
+        sent = []
+        node.send_many = lambda dsts, message, reliable=False: sent.append(message)
+        for target, value in ((7, 0.1), (3, 1.0), (7, 0.2), (7, 0.3), (3, 2.0)):
+            node.send_blame(target, value, "test")
+        node._flush_blames()
+        # Managers add these into float totals, so both the order of the
+        # messages and the order of the additions inside one are behaviour.
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert [(b.target, b.value) for b in sent] == [(7, (0.1 + 0.2) + 0.3), (3, 3.0)]
+        node._flush_blames()  # nothing is sent twice
+        assert len(sent) == 2

@@ -1,5 +1,7 @@
 """Unit tests for the live plane's resilience primitives."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,25 @@ class TestResilienceConfig:
         assert config.breaker_failure_threshold >= 1
         assert config.ingress_capacity >= 1
         assert config.ingress_policy == DROP_OLDEST
+        assert len(fields(ResilienceConfig)) == 8  # validation added no knob
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"ingress_batch": 0},  # the live plane spins: nothing read, nothing pumped
+            {"ingress_capacity": 0},
+            {"egress_queue_limit": 0},
+            {"coalesce_frames": 0},
+            {"breaker_failure_threshold": 0},
+            {"breaker_reset_timeout": 0.0},
+            {"breaker_reset_timeout": -1.0},
+            {"ingress_policy": "newest-wins"},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_values_fail_at_construction(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ResilienceConfig(**bad)
 
     def test_hashable_for_frozen_configs(self):
         # RuntimeConfig is frozen; its resilience field must hash.

@@ -179,6 +179,20 @@ class TestAdversaryArming:
             names = [f.name for f in fields(config)]
             assert [n for n in names if "adversar" in n] == ["adversary"]
 
+    def test_node_state_is_not_pooled_from_outside(self):
+        # Transient node state is plain containers the node owns: no
+        # plane hands it a pool, a slot or a registry to remember.
+        import inspect
+
+        import repro.core
+        from repro.gossip.protocol import GossipNode
+
+        parameters = inspect.signature(GossipNode.__init__).parameters
+        assert not {"state_pool", "state_slot"} & set(parameters)
+        assert not {"DenseIdRegistry", "ProtocolStatePool", "SlotRows"} & set(
+            repro.core.__all__
+        )
+
 
 class TestVerdictRules:
     def test_quorum_claim_expels_on_the_host(self, deployment):
@@ -267,6 +281,9 @@ class TestSilentFailureLifecycle:
         peer.engine.on_serve_sent(3, 56)
         victim.engine.on_serve_sent(3, 57)
         victim._sent_proposals[9] = object()
+        victim._fresh[7] = 3
+        victim._pending_chunks.add(9)
+        victim._blame_outbox[4] = 2.0
 
         deployment.host.down.discard(2)  # the host's own step
         deployment.restarted(2)
@@ -276,6 +293,11 @@ class TestSilentFailureLifecycle:
         assert peer.engine.pending_ack_count == 1  # only node 3's row left
         assert victim.engine.pending_ack_count == 0
         assert victim._sent_proposals == {}
+        assert (victim._fresh, victim._pending_chunks, victim._blame_outbox) == (
+            {},
+            set(),
+            {},
+        )
         assert starts == [1]
         assert deployment.churn_monitor.restarts == 1
 
