@@ -1,7 +1,7 @@
 """Command-line interface: one generic entry point over the scenario registry.
 
-Installed as ``python -m repro.cli`` (or via the ``repro`` console
-script when packaged).  Core subcommands:
+Run as ``python -m repro.cli``, or as the ``repro`` console script
+``setup.py`` installs.  Core subcommands:
 
 * ``repro list [--tag TAG]`` — every registered scenario.
 * ``repro describe <scenario>`` — description, tags and the declared

@@ -35,7 +35,6 @@ from repro.core.reputation import (
     ManagerAssignment,
     ManagerRecord,
     ReputationManager,
-    ReputationPool,
     ScoreBoard,
 )
 from repro.core.verification import VerificationEngine
@@ -60,7 +59,6 @@ __all__ = [
     "REASON_UNACKNOWLEDGED_HISTORY",
     "REASON_WITNESS_CONTRADICTION",
     "ReputationManager",
-    "ReputationPool",
     "ScoreBoard",
     "VerificationEngine",
     "fanout_decrease_blame",

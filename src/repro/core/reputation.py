@@ -18,11 +18,18 @@ where ``B`` is the cumulative blame a manager recorded and ``b̃`` the
 closed-form expectation of Eq. (5) under the deployment's assumed loss
 rate.  Honest nodes therefore hover around 0 regardless of how lossy
 the network is, which is what makes a *fixed* threshold usable.
+
+State takes the representation its reader needs: a manager's ``M``
+records are plain objects its handlers and per-period sweep walk in a
+loop; the only array is the ``n·M`` blame snapshot :class:`ScoreBoard`
+gathers per read (measured in docs/PERFORMANCE.md, "The PR 8 question,
+part 2").
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -78,92 +85,12 @@ class ManagerAssignment:
         return node in self._managers
 
 
-class ReputationPool:
-    """Flat struct-of-arrays storage for manager records.
-
-    One pool can back every manager in a cluster: each manager owns a
-    contiguous block of rows (one row per managed target), so the
-    per-period expulsion sweep and the :class:`ScoreBoard` snapshot read
-    become numpy slice/gather passes over shared columns instead of
-    walks over ~``n·M`` per-record Python objects.
-
-    ``row_dirty`` is the sweep's skip flag: every score-relevant
-    mutation (blame arithmetic, quarantine transitions, flag writes —
-    including writes through :class:`ManagerRecord` proxies) marks its
-    row, and :meth:`ReputationManager.expulsion_candidates` clears its
-    block after sweeping it.
-
-    Rows are durable: the paper's scores are absolute, so records
-    survive a target's crash/readmission (only *transient* protocol
-    state is zeroed by the dense-id remap).
-    """
-
-    def __init__(self, capacity: int = 0) -> None:
-        cap = max(1, capacity)
-        self.target = np.zeros(cap, dtype=np.int64)
-        self.joined_at = np.zeros(cap, dtype=np.float64)
-        self.blame_total = np.zeros(cap, dtype=np.float64)
-        self.blame_events = np.zeros(cap, dtype=np.int64)
-        self.quarantined_total = np.zeros(cap, dtype=np.float64)
-        self.quarantined_events = np.zeros(cap, dtype=np.int64)
-        self.voted_expel = np.zeros(cap, dtype=bool)
-        self.expelled = np.zeros(cap, dtype=bool)
-        self.suspected = np.zeros(cap, dtype=bool)
-        self.row_dirty = np.zeros(cap, dtype=bool)
-        self.size = 0
-        # Expulsion votes are rare and set-valued; kept per-row on the
-        # side rather than widening the columns.
-        self._votes: Dict[int, Set[NodeId]] = {}
-
-    def alloc_block(self, targets: Sequence[NodeId], joined_at: float) -> int:
-        """Allocate a contiguous row block; returns the base row."""
-        base = self.size
-        end = base + len(targets)
-        cap = self.target.shape[0]
-        if end > cap:
-            new_cap = cap
-            while new_cap < end:
-                new_cap *= 2
-            for name in (
-                "target",
-                "joined_at",
-                "blame_total",
-                "blame_events",
-                "quarantined_total",
-                "quarantined_events",
-                "voted_expel",
-                "expelled",
-                "suspected",
-                "row_dirty",
-            ):
-                old = getattr(self, name)
-                new = np.zeros(new_cap, dtype=old.dtype)
-                new[:cap] = old
-                setattr(self, name, new)
-        if targets:
-            self.target[base:end] = targets
-            self.joined_at[base:end] = joined_at
-            self.row_dirty[base:end] = True
-        self.size = end
-        return base
-
-    def votes_of(self, row: int) -> Set[NodeId]:
-        votes = self._votes.get(row)
-        if votes is None:
-            votes = self._votes[row] = set()
-        return votes
-
-
+@dataclass(slots=True)
 class ManagerRecord:
     """One manager's copy of one node's reputation state.
 
-    A lightweight proxy over one :class:`ReputationPool` row — the
-    attribute surface of the former dataclass is preserved, but the
-    values live in the pooled columns (materialising a proxy is cheap
-    and transient; nothing holds ``n·M`` record objects alive anymore).
-    Attribute writes mark the row dirty so the expulsion sweep's
-    skip-when-clean fast path stays sound no matter who mutates a
-    record.
+    Records are durable: the paper's scores are absolute, so they
+    survive their target's crash / readmission untouched.
 
     ``suspected`` flips while the failure detector suspects the target:
     incoming blames are then diverted into the quarantine buffer
@@ -173,97 +100,26 @@ class ManagerRecord:
     (silence is freerider-compatible) and discarded on refutation.
     """
 
-    __slots__ = ("pool", "row")
+    target: NodeId
+    joined_at: float
+    blame_total: float = 0.0
+    blame_events: int = 0
+    quarantined_total: float = 0.0
+    quarantined_events: int = 0
+    voted_expel: bool = False
+    expelled: bool = False
+    suspected: bool = False
+    #: managers known to have voted to expel the target; expulsion is
+    #: rare, so the set is created by the first vote.
+    expel_votes: Optional[Set[NodeId]] = None
 
-    def __init__(self, pool: ReputationPool, row: int) -> None:
-        self.pool = pool
-        self.row = row
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ManagerRecord(target={int(self.pool.target[self.row])}, "
-            f"blame_total={float(self.pool.blame_total[self.row])!r})"
-        )
-
-    @property
-    def target(self) -> NodeId:
-        return int(self.pool.target[self.row])
-
-    @property
-    def expel_votes(self) -> Set[NodeId]:
-        return self.pool.votes_of(self.row)
-
-
-def _record_field(column: str, caster):
-    def getter(self):
-        return caster(getattr(self.pool, column)[self.row])
-
-    def setter(self, value):
-        getattr(self.pool, column)[self.row] = value
-        self.pool.row_dirty[self.row] = True
-
-    return property(getter, setter)
-
-
-for _column, _caster in (
-    ("joined_at", float),
-    ("blame_total", float),
-    ("blame_events", int),
-    ("quarantined_total", float),
-    ("quarantined_events", int),
-    ("voted_expel", bool),
-    ("expelled", bool),
-    ("suspected", bool),
-):
-    setattr(ManagerRecord, _column, _record_field(_column, _caster))
-del _column, _caster
-
-
-class _RecordsView:
-    """Read-through mapping ``target -> ManagerRecord`` over pool rows.
-
-    Behaves like the dict of records the manager used to hold
-    (insertion order == ``assignment.managed_by`` order) but
-    materialises proxies on demand.
-    """
-
-    __slots__ = ("_pool", "_row_of")
-
-    def __init__(self, pool: ReputationPool, row_of: Dict[NodeId, int]) -> None:
-        self._pool = pool
-        self._row_of = row_of
-
-    def __len__(self) -> int:
-        return len(self._row_of)
-
-    def __contains__(self, target: NodeId) -> bool:
-        return target in self._row_of
-
-    def __iter__(self):
-        return iter(self._row_of)
-
-    def __getitem__(self, target: NodeId) -> ManagerRecord:
-        return ManagerRecord(self._pool, self._row_of[target])
-
-    def get(self, target: NodeId, default=None):
-        row = self._row_of.get(target)
-        if row is None:
-            return default
-        return ManagerRecord(self._pool, row)
-
-    def keys(self):
-        return self._row_of.keys()
-
-    def values(self):
-        pool = self._pool
-        return [ManagerRecord(pool, row) for row in self._row_of.values()]
-
-    def items(self):
-        pool = self._pool
-        return [
-            (target, ManagerRecord(pool, row))
-            for target, row in self._row_of.items()
-        ]
+    def add_vote(self, voter: NodeId) -> int:
+        """Register ``voter``'s expulsion vote; returns the distinct votes so far."""
+        votes = self.expel_votes
+        if votes is None:
+            votes = self.expel_votes = set()
+        votes.add(voter)
+        return len(votes)
 
 
 def compensation_per_period(gossip: GossipParams, lifting: LiftingParams) -> float:
@@ -301,7 +157,6 @@ class ReputationManager:
         now: Callable[[], float],
         compensation: Optional[float] = None,
         start_time: float = 0.0,
-        pool: Optional[ReputationPool] = None,
     ) -> None:
         self.owner = owner
         self.assignment = assignment
@@ -311,22 +166,12 @@ class ReputationManager:
         self.compensation = (
             compensation_per_period(gossip, lifting) if compensation is None else compensation
         )
-        targets = assignment.managed_by(owner)
-        # Records live as a contiguous row block in a (possibly shared)
-        # struct-of-arrays pool; ``records`` is a read-through view with
-        # the old dict surface.
-        self.pool = pool if pool is not None else ReputationPool(len(targets))
-        self._base = self.pool.alloc_block(targets, start_time)
-        self._count = len(targets)
-        self._block = slice(self._base, self._base + self._count)
-        self._row_of: Dict[NodeId, int] = {
-            target: self._base + i for i, target in enumerate(targets)
+        #: target -> record, in ``assignment.managed_by`` order — the
+        #: order the expulsion sweep votes in.
+        self.records: Dict[NodeId, ManagerRecord] = {
+            target: ManagerRecord(target, start_time)
+            for target in assignment.managed_by(owner)
         }
-        self.records = _RecordsView(self.pool, self._row_of)
-        #: True once an expulsion sweep saw every managed record past the
-        #: grace period (r >= min_periods_before_expel) — a precondition
-        #: of the sweep's skip-when-clean fast path.
-        self._all_mature = False
         self._quorum_votes = max(
             1, math.ceil(lifting.expel_quorum * assignment.managers_per_node)
         )
@@ -343,17 +188,15 @@ class ReputationManager:
     # ------------------------------------------------------------------
     def on_blame(self, target: NodeId, value: float) -> None:
         """Record a blame (positive) or a compensation credit (negative)."""
-        row = self._row_of.get(target)
-        if row is None:
+        record = self.records.get(target)
+        if record is None:
             return  # not a manager of this node; drop silently
-        pool = self.pool
-        if pool.suspected[row]:
-            pool.quarantined_total[row] += value
-            pool.quarantined_events[row] += 1
+        if record.suspected:
+            record.quarantined_total += value
+            record.quarantined_events += 1
             return
-        pool.blame_total[row] += value
-        pool.blame_events[row] += 1
-        pool.row_dirty[row] = True
+        record.blame_total += value
+        record.blame_events += 1
 
     def on_blame_message(self, src: NodeId, message) -> None:
         """Wire-level blame handler (dispatch-table entry point).
@@ -362,39 +205,21 @@ class ReputationManager:
         directly into the hosting node's dispatch table, a delivered
         ``Blame`` costs exactly this one frame.
         """
-        row = self._row_of.get(message.target)
-        if row is None:
+        record = self.records.get(message.target)
+        if record is None:
             return  # not a manager of this node; drop silently
-        pool = self.pool
-        if pool.suspected[row]:
-            pool.quarantined_total[row] += message.value
-            pool.quarantined_events[row] += 1
+        if record.suspected:
+            record.quarantined_total += message.value
+            record.quarantined_events += 1
             return
-        pool.blame_total[row] += message.value
-        pool.blame_events[row] += 1
-        pool.row_dirty[row] = True
+        record.blame_total += message.value
+        record.blame_events += 1
 
     def on_blame_batch(self, targets, values) -> None:
-        """Apply one period's batched blames: arrays of (target, value).
-
-        Equivalent to calling :meth:`on_blame` per pair in order (each
-        pair is one recorded blame event, applied with the same float
-        addition sequence — bit-identical scores).
-        """
-        row_of = self._row_of.get
-        pool = self.pool
-        suspected = pool.suspected
+        """Apply one period's batched blames: :meth:`on_blame` per
+        ``(target, value)`` pair, in order."""
         for target, value in zip(targets, values):
-            row = row_of(target)
-            if row is None:
-                continue
-            if suspected[row]:
-                pool.quarantined_total[row] += value
-                pool.quarantined_events[row] += 1
-                continue
-            pool.blame_total[row] += value
-            pool.blame_events[row] += 1
-            pool.row_dirty[row] = True
+            self.on_blame(target, value)
 
     # ------------------------------------------------------------------
     # churn-aware blame quarantine (see membership.failure_detector)
@@ -501,70 +326,38 @@ class ReputationManager:
     def expulsion_candidates(self) -> List[NodeId]:
         """Managed nodes this manager should now vote to expel.
 
-        Marks them as voted so each manager votes at most once.  This
-        sweep runs once per gossip period over every managed record, so
-        it is one vectorised pass over this manager's pool block (same
-        IEEE operations as :meth:`periods_elapsed` /
-        :meth:`normalized_score`, elementwise — bit-identical scores),
-        guarded by a skip-when-clean fast path:
-
-        With no dirty row since the last sweep, every record mature
-        (``r >= min_r``) and ``compensation >= eta``, no new candidate
-        can appear — a fixed blame total ``B`` gives a score
-        ``compensation - B/r`` that moves monotonically *towards*
-        ``compensation`` as ``r`` grows, so a record that was ``>= eta``
-        at the last sweep stays there.  Every score-relevant mutation
-        (blame arithmetic, quarantine transitions — including the
-        un-suspend paths, which can re-expose a below-threshold record)
-        marks its row dirty, so the guard is sound for all of them.
+        Marks them as voted so each manager votes at most once.  Runs
+        once per gossip period over the ``M`` managed records, in
+        ``records`` order, with the scalar operations of
+        :meth:`periods_elapsed` / :meth:`normalized_score` inlined.
         """
         candidates: List[NodeId] = []
-        if not self._count:
-            return candidates
         now = self.now()
         period = self.gossip.gossip_period
         min_r = self.lifting.min_periods_before_expel
         eta = self.lifting.eta
         compensation = self.compensation
-        pool = self.pool
-        block = self._block
-        dirty = pool.row_dirty[block]
-        if not dirty.any():
-            if self._all_mature and compensation >= eta:
-                return candidates
-        else:
-            pool.row_dirty[block] = False
-        joined = pool.joined_at[block]
-        r = (now - joined) / period
-        np.maximum(r, 1e-9, out=r)
-        score = compensation - pool.blame_total[block] / r
-        mature = r >= min_r
-        eligible = (
-            mature
-            & (score < eta)
-            & ~(pool.voted_expel[block] | pool.expelled[block] | pool.suspected[block])
-        )
-        # r only grows between sweeps, so once every record was mature
-        # at a sweep it stays mature for all later ones.
-        self._all_mature = bool(mature.all())
-        hits = np.nonzero(eligible)[0]
-        if not hits.size:
-            return candidates
-        base = self._base
-        for i in hits.tolist():
-            row = base + i
-            target = int(pool.target[row])
-            pool.voted_expel[row] = True
-            pool.votes_of(row).add(self.owner)
-            candidates.append(target)
-            if self.audit_log is not None:
-                self.audit_log.append(
-                    "expel_vote",
-                    ts=now,
-                    voter=int(self.owner),
-                    target=int(target),
-                    score=float(score[i]),
-                )
+        for target, record in self.records.items():
+            if record.voted_expel or record.expelled or record.suspected:
+                continue
+            r = (now - record.joined_at) / period
+            if r < 1e-9:
+                r = 1e-9
+            if r < min_r:
+                continue
+            score = compensation - record.blame_total / r
+            if score < eta:
+                record.voted_expel = True
+                record.add_vote(self.owner)
+                candidates.append(target)
+                if self.audit_log is not None:
+                    self.audit_log.append(
+                        "expel_vote",
+                        ts=now,
+                        voter=int(self.owner),
+                        target=int(target),
+                        score=float(score),
+                    )
         return candidates
 
     def on_expel_vote(self, voter: NodeId, target: NodeId) -> bool:
@@ -576,8 +369,7 @@ class ReputationManager:
         record = self.records.get(target)
         if record is None or record.expelled:
             return False
-        record.expel_votes.add(voter)
-        if len(record.expel_votes) >= self._quorum_votes:
+        if record.add_vote(voter) >= self._quorum_votes:
             record.expelled = True
             if self.audit_log is not None:
                 self.audit_log.append(
@@ -591,12 +383,12 @@ class ReputationManager:
         return False
 
     def suspected_records(self) -> int:
-        """Records currently holding a quarantine (one numpy reduce)."""
-        return int(self.pool.suspected[self._block].sum())
+        """Records currently holding a quarantine."""
+        return sum([record.suspected for record in self.records.values()])
 
     def pending_quarantined_events(self) -> int:
-        """Blame events sitting in quarantine buffers (one reduce)."""
-        return int(self.pool.quarantined_events[self._block].sum())
+        """Blame events sitting in quarantine buffers."""
+        return sum([record.quarantined_events for record in self.records.values()])
 
     def mark_expelled(self, target: NodeId) -> None:
         """Note that ``target`` was expelled (stops further voting)."""
@@ -663,9 +455,10 @@ class ScoreBoard:
 
     :meth:`scores` is the hot read of every detection / score-CDF
     experiment (it runs once per snapshot over the whole population), so
-    it computes all compensated scores in one vectorised numpy pass over
-    a cached ``(target, manager-record)`` layout instead of per-node
-    Python loops.  The arithmetic is the same IEEE operations as
+    it gathers the ``n·M`` blame totals into one array and computes all
+    compensated scores in one vectorised numpy pass over a cached
+    ``(target, manager-record)`` layout instead of per-node Python
+    loops.  The arithmetic is the same IEEE operations as
     :meth:`ReputationManager.normalized_score`, so the values are
     bit-identical to the scalar path (pinned by
     ``tests/core/test_reputation.py``).
@@ -728,13 +521,6 @@ class ScoreBoard:
         compensation = np.array([m.compensation for m in managers], dtype=float)
         joined_at = np.array([r.joined_at for r in records], dtype=float)
         periods = np.array([m.gossip.gossip_period for m in managers], dtype=float)
-        # When every record row lives in one shared ReputationPool (the
-        # cluster wiring), the blame snapshot is a single fancy-index
-        # gather over its columns instead of a per-record iteration.
-        pool = records[0].pool if records else None
-        rows: Optional[np.ndarray] = None
-        if pool is not None and all(r.pool is pool for r in records):
-            rows = np.array([r.row for r in records], dtype=np.intp)
         layout = (
             tuple(kept),
             tuple(records),
@@ -743,8 +529,6 @@ class ScoreBoard:
             joined_at,
             periods,
             np.array(starts, dtype=np.intp),
-            pool if rows is not None else None,
-            rows,
         )
         self._layouts[key] = layout
         return layout
@@ -791,7 +575,7 @@ class ScoreBoard:
                 record = manager.records.get(target)
                 if record is None:
                     continue
-                record.blame_total += total
+                record.blame_total += float(total)
                 record.blame_events += int(events)
                 hit = True
             if hit:
@@ -802,8 +586,8 @@ class ScoreBoard:
         self, targets: Iterable[NodeId], assignment: ManagerAssignment
     ) -> Dict[NodeId, float]:
         """Min-vote scores for many targets (missing ones omitted)."""
-        kept, records, managers, compensation, joined_at, periods, starts, pool, rows = (
-            self._layout(tuple(targets), assignment)
+        kept, records, managers, compensation, joined_at, periods, starts = self._layout(
+            tuple(targets), assignment
         )
         if not kept:
             return {}
@@ -811,14 +595,11 @@ class ScoreBoard:
         # the snapshot is taken at a single instant (as the scalar loop
         # does within one event-loop step).
         now = managers[0].now()
-        if rows is not None:
-            blame = pool.blame_total[rows]
-        else:
-            blame = np.fromiter(
-                (record.blame_total for record in records),
-                dtype=float,
-                count=len(records),
-            )
+        blame = np.fromiter(
+            (record.blame_total for record in records),
+            dtype=float,
+            count=len(records),
+        )
         elapsed = np.maximum((now - joined_at) / periods, 1e-9)
         values = compensation - blame / elapsed
         minima = np.minimum.reduceat(values, starts)

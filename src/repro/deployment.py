@@ -140,9 +140,9 @@ class Deployment:
 
         Freeriders run what the adversary policy builds, everyone else
         (and everyone, without a policy) is honest.  ``plane_kwargs`` are
-        the :class:`GossipNode` arguments only the plane can supply: the
-        chunk-creation lookup, and under the simulator the shared
-        reputation pool and the LiFTinG switches.
+        the :class:`GossipNode` arguments only a plane sets: the
+        simulator's two LiFTinG switches (``lifting_enabled``,
+        ``compensation``); the live plane passes none.
         """
         if self.adversary_policy is not None and node_id in self.freerider_ids:
             behavior = self.adversary_policy.build(node_id)

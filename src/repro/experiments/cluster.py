@@ -6,10 +6,9 @@ membership, manager assignment, expulsion, the nodes themselves, the
 crash/restart rules and the score read-outs — is a
 :class:`~repro.deployment.Deployment`, shared with the live runtime;
 this module keeps what only a simulation has: the discrete-event
-simulator, a lossy network with per-node heterogeneity, the one shared
-:class:`~repro.core.reputation.ReputationPool`, the stream source, the
-oracle ``leave`` / ``rejoin`` used when no failure detector runs, and
-the health / overhead metrics read off the simulated trace.
+simulator, a lossy network with per-node heterogeneity, the stream
+source, the oracle ``leave`` / ``rejoin`` used when no failure detector
+runs, and the health / overhead metrics read off the simulated trace.
 
 Roles are assigned pseudo-randomly from the seed and armed from the one
 ``adversary`` value, so a cluster is fully reproducible from its config.
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Set
 
 from repro.config import GossipParams, LiftingParams
-from repro.core.reputation import ReputationPool, compensation_per_period
+from repro.core.reputation import compensation_per_period
 from repro.deployment import Deployment, adversary_policy
 from repro.gossip.chunks import StreamSource
 from repro.gossip.protocol import GossipNode, SimTransport
@@ -139,11 +138,6 @@ class SimCluster:
         self.detection = deployment.detection
         self.churn_summary = deployment.churn_summary
 
-        # Every manager's records are a row block in one pool: the
-        # score read-out and the expulsion sweep are vectorised over it.
-        self.reputation_pool = ReputationPool(
-            capacity=gossip.n * min(lifting.managers, gossip.n - 1)
-        )
         self.compensation = (
             compensation_per_period(gossip, lifting)
             if config.compensation is None
@@ -160,8 +154,6 @@ class SimCluster:
                 node_id,
                 lifting_enabled=config.lifting_enabled,
                 compensation=self.compensation,
-                chunk_created_at=self.source.created_times.__getitem__,
-                reputation_pool=self.reputation_pool,
             )
             upload = config.upload_rate if config.upload_rate is not None else math.inf
             if node_id in self.degraded_ids:

@@ -49,19 +49,17 @@ class ChunkStore:
     def __init__(self) -> None:
         self._received_at: Dict[ChunkId, float] = {}
         self._sizes: Dict[ChunkId, int] = {}
-        self._created_at: Dict[ChunkId, float] = {}
         #: stable public alias of the chunk-id -> reception-time map;
         #: hot paths test membership against it directly instead of
         #: paying a ``__contains__`` frame per chunk id.
         self.owned = self._received_at
 
-    def add(self, chunk_id: ChunkId, size: int, received_at: float, created_at: float) -> bool:
+    def add(self, chunk_id: ChunkId, size: int, received_at: float) -> bool:
         """Record a chunk; returns False if it was already owned."""
         if chunk_id in self._received_at:
             return False
         self._received_at[chunk_id] = received_at
         self._sizes[chunk_id] = size
-        self._created_at[chunk_id] = created_at
         return True
 
     def __contains__(self, chunk_id: ChunkId) -> bool:
@@ -77,10 +75,6 @@ class ChunkStore:
     def received_at(self, chunk_id: ChunkId) -> float:
         """When the chunk arrived."""
         return self._received_at[chunk_id]
-
-    def delay_of(self, chunk_id: ChunkId) -> float:
-        """Reception lag relative to the chunk's creation time."""
-        return self._received_at[chunk_id] - self._created_at[chunk_id]
 
     def chunk_ids(self) -> List[ChunkId]:
         """All owned chunk ids."""
@@ -111,9 +105,8 @@ class StreamSource:
         self.stop_after = stop_after
         self.chunks: List[Chunk] = []
         #: chunk id -> creation time as a plain list (chunk ids are
-        #: dense).  Nodes bind ``created_times.__getitem__`` as their
-        #: ``chunk_created_at`` hook — a C-level lookup on the serve
-        #: path instead of a method frame.
+        #: dense): the source's own record, read through
+        #: :meth:`created_at`.
         self.created_times: List[float] = []
         self._next_id = 0
         self._timer = None

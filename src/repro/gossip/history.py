@@ -20,18 +20,14 @@ Flattened layout
 The ring preallocates its :class:`PeriodRecord` slots and *reuses* them
 on wraparound (containers are cleared in place), so a steady-state node
 allocates no per-period record objects.  Alongside the raw ring the
-history maintains:
-
-* the full-window fanout :class:`~repro.util.multiset.Multiset` and the
-  propose-event count, updated incrementally on record/evict — the
-  audited aggregates read in O(1) instead of a scan.  (The fanin
-  multiset stays a lazy scan: it is only read by diagnostics, while
-  ``record_fanin`` runs once per received chunk.);
-* per-proposer indexes over received proposals and confirm senders, so
-  the witness queries (:meth:`was_proposed_by`,
-  :meth:`confirm_senders_about` — both run per Confirm / HistoryPoll
-  message) touch only the queried proposer's entries instead of every
-  record in the window.
+history maintains per-proposer indexes over received proposals and
+confirm senders, so the witness queries (:meth:`was_proposed_by`,
+:meth:`confirm_senders_about` — both run per Confirm / HistoryPoll
+message) touch only the queried proposer's entries instead of every
+record in the window.  Nothing else is kept incrementally: an audited
+node only *ships* its propose events (:meth:`proposals_snapshot`) and
+the auditor computes ``F_h`` from the response, so the multiset and
+count reads below are scans of the window.
 
 Records returned by :meth:`records` are the live ring slots: they are
 valid until the ring wraps past them, at which point they are recycled.
@@ -80,9 +76,6 @@ class LocalHistory:
         self._current: Optional[PeriodRecord] = None
         #: number of begin_period calls so far (== seq of the open record).
         self._seq = 0
-        # Incrementally maintained full-window aggregates.
-        self._fanout: Multiset = Multiset()
-        self._proposal_count = 0
         # proposer -> {seq -> chunk-id set} (the sets are shared with the
         # owning record's ``received_proposals``).
         self._received_idx: Dict[NodeId, Dict[int, Set[ChunkId]]] = {}
@@ -113,12 +106,7 @@ class LocalHistory:
         self._current = record
 
     def _evict(self, record: PeriodRecord) -> None:
-        """Unwind an overwritten record from the incremental aggregates."""
-        if record.proposal is not None:
-            self._proposal_count -= 1
-            fanout = self._fanout
-            for partner in record.proposal[0]:
-                fanout.discard(partner)
+        """Unwind an overwritten record from the per-proposer indexes."""
         seq = record.seq
         if record.received_proposals:
             received_idx = self._received_idx
@@ -146,16 +134,7 @@ class LocalHistory:
     ) -> None:
         """Log this period's propose event (one per period)."""
         record = self._ensure_open()
-        fanout = self._fanout
-        if record.proposal is not None:  # overwrite: unwind the old event
-            self._proposal_count -= 1
-            for partner in record.proposal[0]:
-                fanout.discard(partner)
-        partners = tuple(partners)
-        record.proposal = (partners, tuple(chunk_ids))
-        self._proposal_count += 1
-        for partner in partners:
-            fanout.add(partner)
+        record.proposal = (tuple(partners), tuple(chunk_ids))
 
     def record_fanin(self, server: NodeId) -> None:
         """Log that ``server`` served us a chunk this period."""
@@ -211,8 +190,6 @@ class LocalHistory:
 
     def fanout_multiset(self, last: Optional[int] = None) -> Multiset:
         """``F_h`` — partners of our propose events over the window."""
-        if last is None or last >= min(self._seq, self.max_periods):
-            return self._fanout.copy()
         fanout: Multiset = Multiset()
         for record in self.records(last):
             if record.proposal is not None:
@@ -231,8 +208,6 @@ class LocalHistory:
     def proposal_count(self, last: Optional[int] = None) -> int:
         """Number of propose events in the window — §5.3 uses this to
         check that the node respected the gossip period ``T_g``."""
-        if last is None or last >= min(self._seq, self.max_periods):
-            return self._proposal_count
         return sum(1 for r in self.records(last) if r.proposal is not None)
 
     def proposals_snapshot(

@@ -25,7 +25,6 @@ from repro.core.audit import Auditor, AuditResult
 from repro.core.reputation import (
     ManagerAssignment,
     ReputationManager,
-    ReputationPool,
     ScoreReader,
 )
 from repro.core.verification import VerificationEngine
@@ -141,13 +140,11 @@ class GossipNode:
         *,
         lifting_enabled: bool = True,
         compensation: Optional[float] = None,
-        chunk_created_at: Optional[Callable[[ChunkId], float]] = None,
         on_expel_quorum: Optional[Callable[[NodeId, str], None]] = None,
         start_time: float = 0.0,
         p_audit: float = 0.0,
         detector: Optional[FailureDetectorParams] = None,
         on_membership_event: Optional[Callable[[NodeId, NodeId, str, int], None]] = None,
-        reputation_pool: Optional[ReputationPool] = None,
     ) -> None:
         require(node_id >= 0, "node ids must be non-negative (SOURCE_ID=-1 is reserved)")
         self.node_id = node_id
@@ -161,7 +158,6 @@ class GossipNode:
         sim = getattr(transport, "sim", None)
         network = getattr(transport, "network", None)
         self._transport_send = transport.send
-        self._net_send = network.send if network is not None else None
         self._net_send_many = network.send_many if network is not None else None
         self._transport_call_later = (
             sim.call_later if sim is not None else transport.call_later
@@ -180,7 +176,6 @@ class GossipNode:
         self.assignment = assignment
         self.rng = rng if rng is not None else np.random.default_rng(node_id)
         self.lifting_enabled = lifting_enabled
-        self.chunk_created_at = chunk_created_at
         self.on_expel_quorum = on_expel_quorum
 
         self.store = ChunkStore()
@@ -223,7 +218,6 @@ class GossipNode:
                 now=self.clock,
                 compensation=compensation,
                 start_time=start_time,
-                pool=reputation_pool,
             )
         self.audit_scheduler = None
         if lifting_enabled and p_audit > 0.0:
@@ -614,14 +608,7 @@ class GossipNode:
             self.engine.on_serve_received(message.proposal_id, message.chunk_id)
         sim = self._sim
         now = sim.now if sim is not None else self.clock()
-        created_at = (
-            self.chunk_created_at(message.chunk_id)
-            if self.chunk_created_at is not None
-            else now
-        )
-        fresh = self.store.add(
-            message.chunk_id, message.payload_size, received_at=now, created_at=created_at
-        )
+        fresh = self.store.add(message.chunk_id, message.payload_size, received_at=now)
         self._pending_chunks.discard(message.chunk_id)
         if not fresh:
             self.stats.duplicate_serves += 1
@@ -752,13 +739,13 @@ class GossipNode:
         mark so future proposals can pick it up.
         """
         retry: Dict[Tuple[NodeId, int], List[ChunkId]] = defaultdict(list)
+        is_connected = self.transport.is_connected
         for chunk_id in chunk_ids:
             if chunk_id in self.store:
                 continue
-            network = getattr(self.transport, "network", None)
             alternative = None
             for src, pid, _at in reversed(self._offers.get(chunk_id, ())):
-                if src != proposer and (network is None or network.is_connected(src)):
+                if src != proposer and is_connected(src):
                     alternative = (src, pid)
                     break
             if alternative is not None:

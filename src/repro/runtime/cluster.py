@@ -159,7 +159,7 @@ class RuntimeCluster:
             serve_timeout=1.5 * config.gossip_period,
             confirm_timeout=1.5 * config.gossip_period,
         )
-        self.chunk_created_at: Dict[int, float] = {}
+        self.chunks_emitted = 0
         #: built by :meth:`run` (the transport needs the running loop).
         self.deployment: Optional[Deployment] = None
         self.nodes: Dict[NodeId, GossipNode] = {}
@@ -212,7 +212,7 @@ class RuntimeCluster:
         self.nodes = deployment.nodes
         self.freerider_ids = deployment.freerider_ids
         for node_id in deployment.node_ids:
-            node = deployment.add_node(node_id, chunk_created_at=self._created_at)
+            node = deployment.add_node(node_id)
             await transport.open_endpoints(node_id, node.on_message)
 
         # Safety-invariant sweeps ride their own task: read-only over
@@ -277,19 +277,17 @@ class RuntimeCluster:
         # The source owns a real endpoint like any node; it just follows a
         # push schedule instead of the three-phase protocol.
         await transport.open_endpoints(SOURCE_ID, lambda _src, _msg: None)
-        next_id = 0
         while True:
-            self.chunk_created_at[next_id] = transport.clock()
             targets = membership.sample(SOURCE_ID, self.gossip.source_fanout)
             serve = Serve(
                 proposal_id=-1,
-                chunk_id=next_id,
+                chunk_id=self.chunks_emitted,
                 payload_size=self.config.chunk_size,
                 origin=SOURCE_ID,
             )
             for target in targets:
                 transport.send(SOURCE_ID, target, serve, reliable=False)
-            next_id += 1
+            self.chunks_emitted += 1
             await asyncio.sleep(self.config.chunk_interval)
 
     async def _fault_driver(
@@ -349,15 +347,12 @@ class RuntimeCluster:
             await asyncio.sleep(interval)
             monitor.check()
 
-    def _created_at(self, chunk_id: int) -> float:
-        return self.chunk_created_at.get(chunk_id, 0.0)
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def _report(self, transport, plane, log, invariants) -> RuntimeReport:
         deployment = self.deployment
-        emitted = len(self.chunk_created_at)
+        emitted = self.chunks_emitted
         if emitted and self.nodes:
             ratios = [
                 sum(1 for c in range(emitted) if c in node.store) / emitted

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.wrongful_blames import expected_blame_honest
 from repro.config import planetlab_params
@@ -182,6 +183,67 @@ class TestExpulsionVoting:
         manager.on_blame(target, 1000.0)
         manager.mark_expelled(target)
         assert manager.expulsion_candidates() == []
+
+
+_SWEEP_TARGET = st.integers(min_value=0, max_value=5)
+_SWEEP_OPERATION = st.one_of(
+    # At compensation 0 and eta = -9.75 a record falls below threshold at
+    # B > 9.75 r: these magnitudes straddle it for the first ~30 periods.
+    st.tuples(st.just("blame"), _SWEEP_TARGET, st.sampled_from([3.25, 45.5, 97.5, 300.0])),
+    st.tuples(st.just("blame"), _SWEEP_TARGET, st.sampled_from([-300.0, -45.5, -3.25])),
+    st.tuples(st.just("quarantine"), _SWEEP_TARGET),
+    st.tuples(st.just("discard"), _SWEEP_TARGET),
+    st.tuples(st.just("release"), _SWEEP_TARGET),
+    st.tuples(st.just("vote"), _SWEEP_TARGET, st.integers(min_value=1, max_value=6)),
+    st.tuples(st.just("expelled"), _SWEEP_TARGET),
+    st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 2.0])),
+)
+
+
+class TestSweepContract:
+    """``expulsion_candidates`` against the scalar definitions, over
+    generated operation sequences: an un-suspended record re-exposes a
+    below-threshold score, a credit lifts one above ``eta`` and later
+    blame drops it back — and nobody is voted against twice."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(operations=st.lists(_SWEEP_OPERATION, min_size=20, max_size=40))
+    def test_candidates_are_exactly_the_scalar_definition(self, operations):
+        gossip, lifting = planetlab_params()
+        lifting = replace(lifting, min_periods_before_expel=5)
+        # 7 nodes, 6 managers each: node 0 manages the six others.
+        assignment = ManagerAssignment(range(7), managers=6, seed=3)
+        clock = FakeClock()
+        manager = ReputationManager(
+            0, assignment, gossip, lifting, now=clock, compensation=0.0
+        )
+        targets = list(manager.records)
+        assert len(targets) == 6
+        voted = set()
+        for name, *args in operations:
+            if name == "advance":
+                clock.now += args[0]
+            elif name == "blame":
+                manager.on_blame(targets[args[0]], args[1])
+            elif name == "vote":
+                manager.on_expel_vote(args[1], targets[args[0]])
+            else:
+                {
+                    "quarantine": manager.quarantine_target,
+                    "discard": manager.discard_quarantine,
+                    "release": manager.release_quarantine,
+                    "expelled": manager.mark_expelled,
+                }[name](targets[args[0]])
+            expected = [
+                target
+                for target, record in manager.records.items()
+                if not (record.voted_expel or record.expelled or record.suspected)
+                and manager.periods_elapsed(record) >= lifting.min_periods_before_expel
+                and manager.normalized_score(target) < lifting.eta
+            ]
+            assert manager.expulsion_candidates() == expected
+            assert voted.isdisjoint(expected)
+            voted.update(expected)
 
 
 class TestScoreBoard:

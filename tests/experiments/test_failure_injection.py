@@ -5,6 +5,7 @@ import pytest
 
 from repro import adversary
 from repro.config import FreeriderDegree
+from repro.wire import Serve
 
 
 class TestHeavyLoss:
@@ -74,6 +75,21 @@ class TestExpelledNodeContainment:
         # expelled auditor) and must NOT expel the innocent target.
         cluster.sim.run(until=cluster.sim.now + 15.0)
         assert not cluster.controller.is_expelled(target_id)
+
+
+class TestHostileDatagram:
+    def test_serve_for_a_chunk_the_source_never_emitted_is_contained(
+        self, small_cluster_factory
+    ):
+        # One Byzantine message must not take the host down: the chunk id
+        # indexes nothing on the receiving side.
+        cluster = small_cluster_factory(n=20, loss_rate=0.0)
+        cluster.run(until=2.0)
+        forged = Serve(proposal_id=1, chunk_id=10**6, payload_size=10, origin=3)
+        assert cluster.network.send(3, 5, forged)
+        cluster.run(until=3.0)
+        assert 10**6 in cluster.nodes[5].store  # it was delivered
+        assert cluster.deployment.invariant_monitor().check() == []
 
 
 class TestSlowNodes:

@@ -13,22 +13,21 @@ from repro.wire import Serve
 class TestChunkStore:
     def test_add_and_lookup(self):
         store = ChunkStore()
-        assert store.add(1, size=100, received_at=2.0, created_at=1.0)
+        assert store.add(1, size=100, received_at=2.0)
         assert 1 in store
         assert store.size_of(1) == 100
         assert store.received_at(1) == 2.0
-        assert store.delay_of(1) == pytest.approx(1.0)
 
     def test_duplicate_rejected(self):
         store = ChunkStore()
-        store.add(1, 100, 2.0, 1.0)
-        assert not store.add(1, 100, 3.0, 1.0)
+        store.add(1, 100, 2.0)
+        assert not store.add(1, 100, 3.0)
         assert store.received_at(1) == 2.0  # first reception wins
 
     def test_len_and_ids(self):
         store = ChunkStore()
         for i in range(5):
-            store.add(i, 10, float(i), 0.0)
+            store.add(i, 10, float(i))
         assert len(store) == 5
         assert sorted(store.chunk_ids()) == list(range(5))
 

@@ -22,6 +22,7 @@ from repro.nodes.behavior import HonestBehavior
 from repro.nodes.freerider import FreeriderBehavior
 from repro.runtime import RuntimeConfig
 from repro.util.rng import SeedSequenceFactory
+from repro.wire import Propose, Request
 
 N = 6
 SEED = 5
@@ -54,10 +55,10 @@ class FakeHost:
         self.expelled.append(node_id)
 
 
-def make_deployment(**kwargs):
+def make_deployment(host=None, **kwargs):
     gossip, lifting = planetlab_params()
     deployment = Deployment(
-        FakeHost(),
+        host or FakeHost(),
         SeedSequenceFactory(SEED),
         replace(gossip, n=N, fanout=3, source_fanout=3),
         replace(lifting, managers=3),
@@ -192,6 +193,57 @@ class TestAdversaryArming:
         assert not {"DenseIdRegistry", "ProtocolStatePool", "SlotRows"} & set(
             repro.core.__all__
         )
+
+
+    def test_manager_records_are_plain_objects_no_plane_supplies(self):
+        # State takes the representation its reader needs: a manager
+        # walks M records in a loop, so they are slotted objects it
+        # builds itself, and nothing per-node is fed from outside.
+        import inspect
+
+        import repro.core
+        from repro.core.reputation import ReputationManager
+        from repro.gossip.protocol import GossipNode
+
+        parameters = inspect.signature(GossipNode.__init__).parameters
+        assert not {"reputation_pool", "chunk_created_at"} & set(parameters)
+        assert "pool" not in inspect.signature(ReputationManager.__init__).parameters
+        assert "ReputationPool" not in repro.core.__all__
+        manager = make_deployment().nodes[0].manager
+        assert type(manager.records) is dict
+        assert list(manager.records) == list(manager.assignment.managed_by(0))
+        assert not any(hasattr(r, "__dict__") for r in manager.records.values())
+        # Expulsion is rare: no vote set exists until a vote is cast.
+        assert all(r.expel_votes is None for r in manager.records.values())
+        target = next(iter(manager.records))
+        manager.on_expel_vote(4, target)
+        assert manager.records[target].expel_votes == {4}
+
+
+class TestRetryAsksTheHost:
+    """A lost serve is re-requested only from a proposer the *host*
+    reports reachable — on every plane, not just under the simulator."""
+
+    @pytest.mark.parametrize("alternative_down", [True, False])
+    def test_retry_skips_a_proposer_the_host_reports_down(self, alternative_down):
+        host = FakeHost()
+        sent = []
+        host.send = lambda src, dst, message, reliable: sent.append((dst, message)) or True
+        node = make_deployment(host).nodes[0]
+        node.on_message(2, Propose(proposal_id=7, chunk_ids=(5,)))  # requested from 2
+        node.on_message(3, Propose(proposal_id=8, chunk_ids=(5,)))  # remembered offer
+        assert sent == [(2, Request(proposal_id=7, chunk_ids=(5,)))]
+        assert 5 in node._pending_chunks
+        del sent[:]
+        if alternative_down:
+            host.down.add(3)
+        node.on_request_expired(2, {5})
+        if alternative_down:
+            assert sent == []
+            assert 5 not in node._pending_chunks  # released for a later proposal
+        else:
+            assert sent == [(3, Request(proposal_id=8, chunk_ids=(5,)))]
+            assert 5 in node._pending_chunks
 
 
 class TestVerdictRules:

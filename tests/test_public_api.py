@@ -1,5 +1,9 @@
 """The public API surface advertised in the README must exist and work."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -8,6 +12,19 @@ import repro
 class TestExports:
     def test_version(self):
         assert repro.__version__
+
+    def test_setup_py_carries_the_package_metadata(self):
+        # ``pip install -e .`` reads this; nothing is built or downloaded.
+        root = Path(__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.split() == ["repro", repro.__version__]
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
