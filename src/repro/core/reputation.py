@@ -188,8 +188,9 @@ class ReputationManager:
     # ------------------------------------------------------------------
     def on_blame(self, target: NodeId, value: float) -> None:
         """Record a blame (positive) or a compensation credit (negative)."""
-        record = self.records.get(target)
-        if record is None:
+        try:
+            record = self.records[target]
+        except KeyError:
             return  # not a manager of this node; drop silently
         if record.suspected:
             record.quarantined_total += value
@@ -205,8 +206,9 @@ class ReputationManager:
         directly into the hosting node's dispatch table, a delivered
         ``Blame`` costs exactly this one frame.
         """
-        record = self.records.get(message.target)
-        if record is None:
+        try:
+            record = self.records[message.target]
+        except KeyError:
             return  # not a manager of this node; drop silently
         if record.suspected:
             record.quarantined_total += message.value

@@ -105,8 +105,9 @@ class VerificationEngine:
     # ------------------------------------------------------------------
     # serving side: expect acks, run cross-checks
     # ------------------------------------------------------------------
-    def on_serve_sent(self, requester: NodeId, chunk_id: ChunkId) -> None:
-        """We served ``chunk_id`` to ``requester``; an ack must follow.
+    def on_serve_sent(self, requester: NodeId, *chunk_ids: ChunkId) -> None:
+        """We served ``chunk_ids`` (at least one) to ``requester`` in
+        answer to one request; an ack must follow.
 
         A duplicate serve of the same chunk — a retry chain looping back
         to us — just refreshes its clock.
@@ -115,8 +116,8 @@ class VerificationEngine:
         now = sim.now if sim is not None else self.host.clock()
         pending = self._pending_acks.get(requester)
         if pending is None:
-            self._pending_acks[requester] = {chunk_id: now}
-        else:
+            pending = self._pending_acks[requester] = {}
+        for chunk_id in chunk_ids:
             pending[chunk_id] = now
 
     def on_ack(self, src: NodeId, ack: Ack) -> None:

@@ -261,10 +261,11 @@ class SimCluster:
 
         Window faults (drops, partitions, slow links) are enforced by a
         :class:`~repro.runtime.faults.FaultPlane` hooked into the
-        network's send path; crash/restart instants are scheduled as
-        simulator timers mapped onto the deployment's silent-failure
-        lifecycle — or, with no failure detector to notice a silent
-        crash, onto the oracle :meth:`leave` / :meth:`rejoin`.
+        network's send path (only if the schedule has one); crash/restart
+        instants are scheduled as simulator timers mapped onto the
+        deployment's silent-failure lifecycle — or, with no failure
+        detector to notice a silent crash, onto the oracle
+        :meth:`leave` / :meth:`rejoin`.
         Returns the plane (its counters feed scenario metrics).  The
         plane draws from its own seeded stream, so an un-faulted run's
         RNG sequences are untouched.
@@ -272,7 +273,8 @@ class SimCluster:
         from repro.runtime.faults import FaultPlane
 
         plane = FaultPlane(schedule, rng=self.seeds.generator("faults"))
-        self.network.attach_faults(plane)
+        if schedule.window_events():
+            self.network.attach_faults(plane)
         for event in schedule.lifecycle_events():
             for node_id in event.nodes:
                 if event.kind == "crash":

@@ -48,7 +48,9 @@ class ChunkStore:
 
     def __init__(self) -> None:
         self._received_at: Dict[ChunkId, float] = {}
-        self._sizes: Dict[ChunkId, int] = {}
+        #: chunk id -> payload size; the serve loop subscripts it
+        #: directly, like ``owned`` below.
+        self.sizes: Dict[ChunkId, int] = {}
         #: stable public alias of the chunk-id -> reception-time map;
         #: hot paths test membership against it directly instead of
         #: paying a ``__contains__`` frame per chunk id.
@@ -59,7 +61,7 @@ class ChunkStore:
         if chunk_id in self._received_at:
             return False
         self._received_at[chunk_id] = received_at
-        self._sizes[chunk_id] = size
+        self.sizes[chunk_id] = size
         return True
 
     def __contains__(self, chunk_id: ChunkId) -> bool:
@@ -70,7 +72,7 @@ class ChunkStore:
 
     def size_of(self, chunk_id: ChunkId) -> int:
         """Payload size of an owned chunk."""
-        return self._sizes[chunk_id]
+        return self.sizes[chunk_id]
 
     def received_at(self, chunk_id: ChunkId) -> float:
         """When the chunk arrived."""

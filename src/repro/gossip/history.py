@@ -237,8 +237,8 @@ class LocalHistory:
                     return True
             return False
         lo = self._seq - last + 1
-        for seq, seen in per_seq.items():
-            if seq >= lo and wanted <= seen:
+        for seq in per_seq:
+            if seq >= lo and wanted <= per_seq[seq]:
                 return True
         return False
 

@@ -14,9 +14,11 @@ the simulator the facade is :class:`SimTransport` below.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from functools import partial
+from itertools import chain
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -62,9 +64,18 @@ from repro.wire import (
 NodeId = int
 ChunkId = int
 
-#: Upper bound on remembered alternative proposers per chunk; retries
-#: walk the list newest-first, so older entries are rarely reachable.
+#: How many logged proposals naming a chunk a retry considers, newest
+#: first, before it gives the chunk up.
 MAX_OFFERS_PER_CHUNK = 16
+
+
+def _send_each(send, src: NodeId, dsts, message: object, kind: Transport) -> int:
+    """``Network.send_many`` over a host that only has a unicast ``send``."""
+    sent = 0
+    for dst in dsts:
+        if send(src, dst, message, kind is _TCP):
+            sent += 1
+    return sent
 
 
 class SimTransport:
@@ -149,16 +160,20 @@ class GossipNode:
         require(node_id >= 0, "node ids must be non-negative (SOURCE_ID=-1 is reserved)")
         self.node_id = node_id
         self.transport = transport
-        # Hot-path shortcuts: ``send`` runs per protocol message, and
+        # Hot-path shortcuts: a send runs per protocol message, and
         # ``call_later`` / ``clock`` per verification window, so the
-        # transport's bound methods are cached once instead of
-        # re-resolved per call.  Under the simulator the facade is
-        # bypassed entirely: the network/engine methods are bound
-        # directly, skipping one wrapper frame per call.
+        # host's methods are bound once instead of re-resolved per call.
+        # Under the simulator the facade is bypassed entirely: the
+        # network/engine methods are bound directly, skipping one
+        # wrapper frame per call.
         sim = getattr(transport, "sim", None)
         network = getattr(transport, "network", None)
-        self._transport_send = transport.send
-        self._net_send_many = network.send_many if network is not None else None
+        #: ``_send_many(src, dsts, message, kind) -> sent``: the one
+        #: send primitive.  The simulated network's own fan-out entry
+        #: point, or a loop over a live transport's unicast ``send``.
+        self._send_many = (
+            network.send_many if network is not None else partial(_send_each, transport.send)
+        )
         self._transport_call_later = (
             sim.call_later if sim is not None else transport.call_later
         )
@@ -197,8 +212,10 @@ class GossipNode:
         self._sent_proposals: Dict[int, _SentProposal] = {}
         self._proposal_counter = 0
         self._timer = None
-        # chunk -> alternative proposers (for re-requesting lost serves).
-        self._offers: Dict[ChunkId, List[Tuple[NodeId, int, float]]] = {}
+        # (at, proposer, proposal_id, chunk_ids) of each received
+        # proposal naming a chunk we lacked, oldest first: where a lost
+        # serve is re-requested.  The retry is rare, so it scans.
+        self._offers: Deque[Tuple[float, NodeId, int, Tuple[ChunkId, ...]]] = deque()
         # pending requests tracked by the node itself when no verification
         # engine runs (the baseline protocol also retries lost serves).
         self._naked_requests: Dict[int, Tuple[NodeId, Set[ChunkId]]] = {}
@@ -302,13 +319,8 @@ class GossipNode:
 
     def send(self, dst: NodeId, message: object, reliable: bool = False) -> bool:
         """Send ``message`` to ``dst`` (TCP when ``reliable``)."""
-        # A unicast is a one-destination fan-out; calling the network's
-        # send_many directly skips the Network.send delegation frame on
-        # the hottest per-message path.
-        send_many = self._net_send_many
-        if send_many is not None:
-            return send_many(self.node_id, (dst,), message, _TCP if reliable else _UDP) > 0
-        return self._transport_send(self.node_id, dst, message, reliable)
+        # A unicast is a one-destination fan-out.
+        return self._send_many(self.node_id, (dst,), message, _TCP if reliable else _UDP) > 0
 
     def send_many(self, dsts, message: object, reliable: bool = False) -> int:
         """Send ``message`` to every node in ``dsts`` (fan-out batch).
@@ -317,14 +329,7 @@ class GossipNode:
         simulator the per-message fixed costs are paid once per batch
         (see :meth:`Network.send_many`).  Returns how many were sent.
         """
-        send_many = self._net_send_many
-        if send_many is not None:
-            return send_many(self.node_id, dsts, message, _TCP if reliable else _UDP)
-        sent = 0
-        for dst in dsts:
-            if self._transport_send(self.node_id, dst, message, reliable):
-                sent += 1
-        return sent
+        return self._send_many(self.node_id, dsts, message, _TCP if reliable else _UDP)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -404,21 +409,11 @@ class GossipNode:
         self._propose_phase()
 
     def _prune_offers(self) -> None:
-        """Drop alternative-source bookkeeping older than two periods.
-
-        Pruning looks *inside* each per-chunk list, not just at its most
-        recent entry — otherwise one fresh offer would keep arbitrarily
-        many stale earlier entries (and their node references) alive.
-        """
+        """Drop logged proposals older than two periods."""
         horizon = self.clock() - 2 * self.gossip.gossip_period
-        dead = []
-        for chunk_id, offers in self._offers.items():
-            if not offers or offers[-1][2] < horizon:
-                dead.append(chunk_id)
-            elif offers[0][2] < horizon:
-                offers[:] = [o for o in offers if o[2] >= horizon]
-        for chunk_id in dead:
-            del self._offers[chunk_id]
+        offers = self._offers
+        while offers and offers[0][0] < horizon:
+            offers.popleft()
 
     def _propose_phase(self) -> None:
         fresh = self._fresh
@@ -433,7 +428,7 @@ class GossipNode:
             chunks.append(chunk_id)
         filtered = self.behavior.propose_filter(by_server)
         chunk_ids: Tuple[ChunkId, ...] = tuple(
-            sorted(c for ids in filtered.values() for c in ids)
+            sorted(chain.from_iterable(filtered.values()))
         )
         partners = self.behavior.select_partners(self.gossip.fanout)
         if not partners or not chunk_ids:
@@ -442,7 +437,7 @@ class GossipNode:
         self._proposal_counter += 1
         proposal_id = (self.node_id << 20) | (self._proposal_counter & 0xFFFFF)
         propose = Propose(proposal_id=proposal_id, chunk_ids=chunk_ids)
-        self.send_many(partners, propose)
+        self._send_many(self.node_id, partners, propose, _UDP)
         self.stats.proposals_sent += 1
         self.history.record_proposal(tuple(partners), chunk_ids)
         self._sent_proposals[proposal_id] = _SentProposal(
@@ -455,7 +450,8 @@ class GossipNode:
             for server, ids in filtered.items():
                 if server == SOURCE_ID or server == self.node_id:
                     continue
-                self.send(server, Ack(chunk_ids=tuple(sorted(ids)), partners=reported))
+                ack = Ack(chunk_ids=tuple(sorted(ids)), partners=reported)
+                self._send_many(self.node_id, (server,), ack, _UDP)
 
     def _expire_old_proposals(self) -> None:
         """Drop proposal bookkeeping older than a few periods."""
@@ -522,42 +518,28 @@ class GossipNode:
     # ------------------------------------------------------------------
     def _on_propose(self, src: NodeId, message: Propose) -> None:
         self.stats.proposals_received += 1
+        chunk_ids = message.chunk_ids
         if self._history_open:
-            self.history.record_received_proposal(src, message.chunk_ids)
+            self.history.record_received_proposal(src, chunk_ids)
+        owned = self.store.owned
+        missing = [c for c in chunk_ids if c not in owned]
+        if not missing:
+            return
+        # One entry per message, holding the message's own tuple: also
+        # the alternative source for the chunks we do not request now.
         sim = self._sim
         now = sim.now if sim is not None else self.clock()
-        needed = []
-        owned = self.store.owned
+        self._offers.append((now, src, message.proposal_id, chunk_ids))
         pending = self._pending_chunks
-        for chunk_id in message.chunk_ids:
-            if chunk_id in owned:
-                continue
-            # Remember alternative sources for chunks we do not request
-            # now — a lost serve is re-requested from one of them.  Each
-            # list is bounded: retries walk it newest-first, so beyond
-            # MAX_OFFERS_PER_CHUNK the oldest entries are dead weight.
-            offers = self._offers.get(chunk_id)
-            if offers is None:
-                offers = self._offers[chunk_id] = []
-            offers.append((src, message.proposal_id, now))
-            if len(offers) > MAX_OFFERS_PER_CHUNK:
-                del offers[0]
-            if chunk_id not in pending:
-                needed.append(chunk_id)
-        if not needed:
-            return
-        needed = tuple(needed)
-        self._send_request(src, message.proposal_id, needed)
+        needed = tuple([c for c in missing if c not in pending])
+        if needed:
+            self._send_request(src, message.proposal_id, needed)
 
     def _send_request(
         self, proposer: NodeId, proposal_id: int, chunk_ids: Tuple[ChunkId, ...]
     ) -> None:
         request = Request(proposal_id=proposal_id, chunk_ids=chunk_ids)
-        send_many = self._net_send_many
-        if send_many is not None:
-            send_many(self.node_id, (proposer,), request, _UDP)
-        else:
-            self.send(proposer, request)
+        self._send_many(self.node_id, (proposer,), request, _UDP)
         self._pending_chunks.update(chunk_ids)
         if self.engine is not None:
             self.engine.on_request_sent(proposer, proposal_id, chunk_ids)
@@ -584,24 +566,34 @@ class GossipNode:
             return  # §4.2: requests not matching a proposal are ignored
         self.stats.requests_received += 1
         owned = self.store.owned
+        proposed = record.chunk_ids
+        # Each named chunk is served at most once per request: repeating
+        # an id must not buy its payload again.
         valid = [
-            c for c in message.chunk_ids if c in record.chunk_ids and c in owned
+            c for c in dict.fromkeys(message.chunk_ids) if c in proposed and c in owned
         ]
         to_serve = self.behavior.serve_filter(valid)
+        # Drawn once per valid request even when nothing is served: a
+        # MITM colluder's origin comes off the node's RNG stream.
         origin = self.behavior.serve_origin()
+        if not to_serve:
+            return
+        node_id = self.node_id
+        sizes = self.store.sizes
+        send_many = self._send_many
         for chunk_id in to_serve:
             serve = Serve(
                 proposal_id=message.proposal_id,
                 chunk_id=chunk_id,
-                payload_size=self.store.size_of(chunk_id),
+                payload_size=sizes[chunk_id],
                 origin=origin,
             )
-            self.send(src, serve)
-            self.stats.chunks_served += 1
-            if self.engine is not None and origin == self.node_id:
-                # A MITM colluder points the ack at the spoofed origin,
-                # so it cannot (and does not) expect one itself.
-                self.engine.on_serve_sent(src, chunk_id)
+            send_many(node_id, (src,), serve, _UDP)
+        self.stats.chunks_served += len(to_serve)
+        if self.engine is not None and origin == node_id:
+            # A MITM colluder points the ack at the spoofed origin,
+            # so it cannot (and does not) expect one itself.
+            self.engine.on_serve_sent(src, *to_serve)
 
     def _on_serve(self, src: NodeId, message: Serve) -> None:
         if self.engine is not None:
@@ -642,13 +634,7 @@ class GossipNode:
         )
         valid = self.behavior.confirm_answer(src, message.proposer, truthful)
         response = ConfirmResponse(proposer=message.proposer, valid=valid)
-        # One ConfirmResponse per witness per confirm round makes this a
-        # top-three unicast site; go straight to the network fan-out.
-        send_many = self._net_send_many
-        if send_many is not None:
-            send_many(self.node_id, (src,), response, _UDP)
-        else:
-            self.send(src, response)
+        self._send_many(self.node_id, (src,), response, _UDP)
 
     def _on_expel_vote(self, src: NodeId, message: ExpelVote) -> None:
         if self.manager is None:
@@ -744,9 +730,15 @@ class GossipNode:
             if chunk_id in self.store:
                 continue
             alternative = None
-            for src, pid, _at in reversed(self._offers.get(chunk_id, ())):
+            named = 0
+            for _at, src, pid, offered in reversed(self._offers):
+                if chunk_id not in offered:
+                    continue
                 if src != proposer and is_connected(src):
                     alternative = (src, pid)
+                    break
+                named += 1
+                if named == MAX_OFFERS_PER_CHUNK:
                     break
             if alternative is not None:
                 retry[alternative].append(chunk_id)

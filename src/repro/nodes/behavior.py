@@ -84,14 +84,10 @@ class Behavior:
         """The partner list reported in acks (forged by colluders)."""
         return partners
 
-    def witness_valid(self, proposer: NodeId, truthful: bool) -> bool:
-        """Answer to a confirm request about ``proposer``."""
-        return truthful
-
     def confirm_answer(self, requester: NodeId, proposer: NodeId, truthful: bool) -> bool:
-        """Requester-aware confirm answer (equivocators differentiate by
-        who asks); defaults to the requester-blind :meth:`witness_valid`."""
-        return self.witness_valid(proposer, truthful)
+        """Answer to ``requester``'s confirm request about ``proposer``
+        (equivocators differentiate by who asks)."""
+        return truthful
 
     def should_blame(self, target: NodeId) -> bool:
         """Whether to emit a blame against ``target`` (cover-ups say no)."""

@@ -97,7 +97,7 @@ class ColludingBehavior(FreeriderBehavior):
     # ------------------------------------------------------------------
     # cover-ups
     # ------------------------------------------------------------------
-    def witness_valid(self, proposer: NodeId, truthful: bool) -> bool:
+    def confirm_answer(self, requester: NodeId, proposer: NodeId, truthful: bool) -> bool:
         if proposer in self.coalition:
             return True
         return truthful

@@ -177,16 +177,18 @@ class RuntimeCluster:
         seeds = SeedSequenceFactory(config.seed)
         registry = NodeRegistry()
 
+        schedule = config.fault_schedule
         plane: Optional[FaultPlane] = None
-        if config.fault_schedule is not None:
-            plane = FaultPlane(config.fault_schedule, rng=seeds.generator("faults"))
+        if schedule is not None:
+            plane = FaultPlane(schedule, rng=seeds.generator("faults"))
         transport = AsyncTransport(
             loop,
             registry,
             loss_rate=config.loss_rate,
             rng=seeds.generator("loss"),
             resilience=config.resilience,
-            fault_plane=plane,
+            # consulted per send: only a window fault gives it something to say
+            fault_plane=plane if plane is not None and schedule.window_events() else None,
         )
         log = AuditLog(
             key_seed=config.audit_key_seed,

@@ -30,8 +30,8 @@ def full_partners():
 
 class TestAckHappyPath:
     def test_complete_ack_no_blame(self, engine, fake_host):
-        engine.on_serve_sent(requester=5, chunk_id=1)
-        engine.on_serve_sent(requester=5, chunk_id=2)
+        engine.on_serve_sent(5, 1)
+        engine.on_serve_sent(5, 2)
         fake_host.sim.run(until=0.6)
         engine.on_ack(5, Ack(chunk_ids=(1, 2), partners=full_partners()))
         assert fake_host.blames == []

@@ -4,9 +4,15 @@ These drive real :class:`GossipNode` objects through the simulator and
 assert three-phase dissemination semantics (§3) and the LiFTinG hooks.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.config import FreeriderDegree, planetlab_params
 from repro.gossip.chunks import SOURCE_ID
+from repro.gossip.protocol import MAX_OFFERS_PER_CHUNK, GossipNode, _SentProposal
+from repro.nodes.behavior import HonestBehavior
+from repro.nodes.colluder import Coalition, ColludingBehavior
 from repro.wire import Ack, Blame, Confirm, Propose, Request, Serve
 
 
@@ -204,36 +210,51 @@ class TestOfferPruning:
         period = node.gossip.gossip_period
         cluster.sim.run(until=10 * period)
         now = node.clock()
-        # one chunk with many stale offers and one fresh one
-        node._offers[999] = [
-            (src, 1, now - 5 * period) for src in range(2, 12)
-        ] + [(1, 2, now)]
+        # many stale proposals naming a chunk and one fresh one
+        node._offers.clear()
+        node._offers.extend((now - 5 * period, src, 1, (999,)) for src in range(2, 12))
+        node._offers.append((now, 1, 2, (999,)))
         node._prune_offers()
-        assert node._offers[999] == [(1, 2, now)]
+        assert list(node._offers) == [(now, 1, 2, (999,))]
 
     def test_fully_stale_lists_dropped(self, small_cluster_factory):
         cluster, node = self._fresh_node(small_cluster_factory)
         period = node.gossip.gossip_period
         cluster.sim.run(until=10 * period)
         now = node.clock()
-        node._offers[999] = [(2, 1, now - 5 * period)]
-        node._offers[1000] = []
+        node._offers.clear()
+        node._prune_offers()  # an empty log prunes to an empty log
+        node._offers.append((now - 5 * period, 2, 1, (999,)))
+        node._offers.append((now - 3 * period, 3, 2, (1000,)))
         node._prune_offers()
-        assert 999 not in node._offers
-        assert 1000 not in node._offers
+        assert not node._offers
 
     def test_per_chunk_offer_lists_bounded(self, small_cluster_factory):
-        from repro.gossip.protocol import MAX_OFFERS_PER_CHUNK
-
-        cluster, node = self._fresh_node(small_cluster_factory)
         chunk_id = 777_777  # never served: stays missing, keeps collecting offers
-        for src in range(1, MAX_OFFERS_PER_CHUNK + 8):
-            node.on_message(src, Propose(proposal_id=src, chunk_ids=(chunk_id,)))
-        offers = node._offers[chunk_id]
-        assert len(offers) == MAX_OFFERS_PER_CHUNK
-        # the oldest entries were evicted, the newest kept
-        assert offers[-1][0] == MAX_OFFERS_PER_CHUNK + 7
-        assert offers[0][0] == 8
+
+        def retried_after(repeats):
+            """Node 1 offers the chunk, then node 2 does ``repeats``
+            times; is the request node 2 let expire retried at node 1?"""
+            _cluster, node = self._fresh_node(small_cluster_factory)
+            node.on_message(1, Propose(proposal_id=1, chunk_ids=(chunk_id,)))
+            for pid in range(2, 2 + repeats):
+                node.on_message(2, Propose(proposal_id=pid, chunk_ids=(chunk_id,)))
+            assert len(node._offers) == 1 + repeats
+            node.on_request_expired(2, {chunk_id})
+            return chunk_id in node._pending_chunks
+
+        # The retry looks at the newest MAX_OFFERS_PER_CHUNK offers of a
+        # chunk and no further: the 17th-newest is ignored, the pending
+        # mark released.
+        assert retried_after(MAX_OFFERS_PER_CHUNK - 1)
+        assert not retried_after(MAX_OFFERS_PER_CHUNK)
+
+        # A proposal costs one log entry however many ids it names.
+        _cluster, node = self._fresh_node(small_cluster_factory)
+        flood = tuple(range(1_000_000, 1_000_000 + 4096))
+        node.on_message(3, Propose(proposal_id=9, chunk_ids=flood))
+        assert len(node._offers) == 1
+        assert node._offers[0][3] is flood
 
 
 class TestBlameOutbox:
@@ -252,3 +273,209 @@ class TestBlameOutbox:
         assert [(b.target, b.value) for b in sent] == [(7, (0.1 + 0.2) + 0.3), (3, 3.0)]
         node._flush_blames()  # nothing is sent twice
         assert len(sent) == 2
+
+
+class HandClockHost:
+    """A transport facade on a hand-set clock that records every send."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.down = set()
+        self.sent = []
+
+    def clock(self):
+        return self.now
+
+    def call_later(self, delay, fn, *args):
+        return None
+
+    def send(self, src, dst, message, reliable):
+        self.sent.append((dst, message))
+        return True
+
+    def is_connected(self, node_id):
+        return node_id not in self.down
+
+
+def node_on(host, behavior=None, seed=0):
+    gossip, lifting = planetlab_params()
+    return GossipNode(
+        0, host, None, gossip, lifting, behavior or HonestBehavior(),
+        rng=np.random.default_rng(seed),
+    )
+
+
+class PerChunkLists:
+    """The alternative-source index the log replaced, verbatim from the
+    parent commit — append per named chunk, cap at 16, prune at the tick
+    — kept as the reference the log is compared against."""
+
+    def __init__(self, period):
+        self.period = period
+        self.offers = {}
+
+    def on_propose(self, src, proposal_id, chunk_ids, owned, now):
+        for chunk_id in chunk_ids:
+            if chunk_id in owned:
+                continue
+            offers = self.offers.setdefault(chunk_id, [])
+            offers.append((src, proposal_id, now))
+            if len(offers) > MAX_OFFERS_PER_CHUNK:
+                del offers[0]
+
+    def prune(self, now):
+        horizon = now - 2 * self.period
+        dead = []
+        for chunk_id, offers in self.offers.items():
+            if not offers or offers[-1][2] < horizon:
+                dead.append(chunk_id)
+            elif offers[0][2] < horizon:
+                offers[:] = [o for o in offers if o[2] >= horizon]
+        for chunk_id in dead:
+            del self.offers[chunk_id]
+
+    def alternative(self, proposer, chunk_id, is_connected):
+        for src, proposal_id, _at in reversed(self.offers.get(chunk_id, ())):
+            if src != proposer and is_connected(src):
+                return src, proposal_id
+        return None
+
+
+ALL_CHUNKS = (0, 1, 2, 3, 4)
+CHUNK_SETS = st.frozensets(st.sampled_from(ALL_CHUNKS), min_size=1, max_size=3)
+PROPOSERS = st.integers(min_value=1, max_value=6)
+#: the clock moves in half periods (T_g = 0.5 s is exact in binary), so
+#: offers land exactly on the two-period horizon, not only around it.
+HALF_PERIODS = st.integers(min_value=0, max_value=3)
+STEPS = st.one_of(
+    st.tuples(st.just("propose"), PROPOSERS, CHUNK_SETS, st.just(1)),
+    st.tuples(st.just("propose"), PROPOSERS, CHUNK_SETS, st.just(1)),
+    # one proposer repeating itself past the cap on considered offers
+    st.tuples(st.just("propose"), PROPOSERS, CHUNK_SETS, st.integers(14, 20)),
+    st.tuples(st.just("advance"), HALF_PERIODS),
+    st.tuples(st.just("tick"), HALF_PERIODS),
+    st.tuples(st.just("own"), st.sampled_from(ALL_CHUNKS)),
+    st.tuples(st.just("disconnect"), PROPOSERS),
+    st.tuples(st.just("reconnect"), PROPOSERS),
+)
+
+
+class TestAlternativeSourceLog:
+    """The time-ordered log answers every retry as the per-chunk lists did."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=3, max_value=6),
+        st.frozensets(st.sampled_from(ALL_CHUNKS), max_size=2),
+        st.lists(STEPS, min_size=30, max_size=60),
+    )
+    def test_log_answers_what_the_lists_answered(self, proposers, owned_at_start, steps):
+        host = HandClockHost()
+        node = node_on(host)
+        model = PerChunkLists(node.gossip.gossip_period)
+        for chunk_id in owned_at_start:
+            node.store.add(chunk_id, 1, received_at=0.0)
+        proposal_id = 0
+        for step in steps:
+            kind = step[0]
+            if kind == "propose":
+                _, src, chunk_set, repeats = step
+                src = 1 + src % proposers
+                chunk_ids = tuple(sorted(chunk_set))
+                for _repeat in range(repeats):
+                    proposal_id += 1
+                    model.on_propose(src, proposal_id, chunk_ids, node.store.owned, host.now)
+                    node.on_message(src, Propose(proposal_id, chunk_ids))
+            elif kind == "advance":
+                host.now += step[1] * 0.25
+            elif kind == "tick":
+                host.now += step[1] * 0.25
+                node._on_period()
+                model.prune(host.now)
+            elif kind == "own":
+                node.store.add(step[1], 1, received_at=host.now)
+            elif kind == "disconnect":
+                host.down.add(1 + step[1] % proposers)
+            else:
+                host.down.discard(1 + step[1] % proposers)
+            # A retry reads the log and leaves it alone, so every state
+            # is asked every question: each proposer's request for all
+            # the chunks expiring (0 proposed nothing: nobody is skipped).
+            for proposer in range(proposers + 1):
+                self._expire_and_compare(node, host, model, proposer)
+
+    @staticmethod
+    def _expire_and_compare(node, host, model, proposer):
+        expected_retry = {}
+        pending = set(node._pending_chunks)
+        for chunk_id in ALL_CHUNKS:
+            if chunk_id in node.store:
+                continue
+            target = model.alternative(proposer, chunk_id, host.is_connected)
+            if target is None:
+                pending.discard(chunk_id)
+            else:
+                expected_retry.setdefault(target, []).append(chunk_id)
+                pending.add(chunk_id)
+        del host.sent[:]
+        node.on_request_expired(proposer, ALL_CHUNKS)
+        assert host.sent == [
+            (src, Request(pid, tuple(ids))) for (src, pid), ids in expected_retry.items()
+        ]
+        assert node._pending_chunks == pending
+
+
+class TestServeOncePerRequest:
+    """What a ``Request`` costs its server: one ``Serve`` per distinct
+    chunk, one engine booking per request, one origin draw per request."""
+
+    PROPOSAL_ID = 77
+
+    def _proposed(self, node, partner, chunk_ids, now=0.0):
+        for chunk_id in chunk_ids:
+            node.store.add(chunk_id, 100 + chunk_id, received_at=now)
+        node._sent_proposals[self.PROPOSAL_ID] = _SentProposal(
+            partners={partner}, chunk_ids=set(chunk_ids), at=now
+        )
+
+    def test_repeated_chunk_id_is_served_once(self, small_cluster_factory):
+        cluster = small_cluster_factory(loss_rate=0.0)
+        node = cluster.nodes[0]
+        self._proposed(node, partner=1, chunk_ids=(5,))
+        node.on_message(1, Request(self.PROPOSAL_ID, (5,) * 200))
+        assert cluster.trace.sent_count("Serve") == 1
+        assert node.stats.chunks_served == 1
+        assert node.engine._pending_acks == {1: {5: 0.0}}
+
+    def test_one_booking_in_chunk_order_with_one_timestamp(self):
+        host = HandClockHost()
+        node = node_on(host)
+        host.now = 3.25
+        self._proposed(node, partner=4, chunk_ids=(8, 2, 5), now=host.now)
+        node.on_message(4, Request(self.PROPOSAL_ID, (8, 2, 5)))
+        assert [(dst, m.chunk_id, m.payload_size) for dst, m in host.sent] == [
+            (4, 8, 108), (4, 2, 102), (4, 5, 105)
+        ]
+        assert list(node.engine._pending_acks[4].items()) == [
+            (8, 3.25), (2, 3.25), (5, 3.25)
+        ]
+        assert node.stats.chunks_served == 3
+
+    def test_mitm_origin_is_drawn_even_when_nothing_is_served(self):
+        """``serve_origin`` of a man-in-the-middle colluder comes off the
+        node's RNG stream: skipping it for a request whose every chunk
+        the serve filter dropped would shift every later draw."""
+        host = HandClockHost()
+        behavior = ColludingBehavior(
+            FreeriderDegree(delta3=1.0), Coalition({0, 5, 6}), man_in_the_middle=True
+        )
+        node = node_on(host, behavior, seed=11)
+        self._proposed(node, partner=4, chunk_ids=(1, 2, 3))
+        node.on_message(4, Request(self.PROPOSAL_ID, (1, 2, 3)))
+        assert host.sent == []
+        assert node.engine._pending_acks == {}
+        twin = np.random.default_rng(11)
+        for _chunk in range(3):
+            twin.random()  # serve_filter: one draw per valid chunk
+        twin.integers(0, 2)  # serve_origin: one co-colluder pick
+        assert node.rng.random() == twin.random()

@@ -179,6 +179,27 @@ class TestSimClusterFaults:
         assert drops > 0
         assert cluster.trace.lost_count() >= drops
 
+    def test_churn_only_schedule_stays_off_the_send_path(self, small_cluster_factory):
+        """Crash/restart instants are timers; with no drop, partition or
+        slow window the plane has nothing to say about a send, so the
+        network is not made to ask it."""
+        cluster = small_cluster_factory()
+        plane = cluster.attach_faults(FaultSchedule.churn([23], 2.5, downtime=0.8))
+        assert cluster.network.fault_plane is None
+        cluster.run(until=1.0)
+        assert not cluster.membership.contains(23)  # crashed at 0.5
+        assert plane.counters()["crashed_now"] == 1
+        cluster.run(until=2.5)
+        assert cluster.membership.contains(23)  # restarted at 1.3
+        assert plane.counters()["crashed_now"] == 0
+
+    def test_one_window_puts_the_plane_on_the_send_path(self, small_cluster_factory):
+        cluster = small_cluster_factory()
+        plane = cluster.attach_faults(
+            FaultSchedule.from_dicts([{"kind": "drop", "at": 1.0, "until": 2.0, "rate": 0.1}])
+        )
+        assert cluster.network.fault_plane is plane
+
     def test_faulted_run_is_deterministic(self, small_cluster_factory):
         def run_once():
             cluster = small_cluster_factory()

@@ -16,13 +16,14 @@ from repro.adversary import BehaviorPolicy
 from repro.config import FreeriderDegree, planetlab_params
 from repro.deployment import Deployment, assign_roles
 from repro.experiments.cluster import ClusterConfig
+from repro.gossip.protocol import _SentProposal
 from repro.membership.base import STATUS_ALIVE, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.freerider import FreeriderBehavior
 from repro.runtime import RuntimeConfig
 from repro.util.rng import SeedSequenceFactory
-from repro.wire import Propose, Request
+from repro.wire import Propose, Request, Serve
 
 N = 6
 SEED = 5
@@ -244,6 +245,22 @@ class TestRetryAsksTheHost:
         else:
             assert sent == [(3, Request(proposal_id=8, chunk_ids=(5,)))]
             assert 5 in node._pending_chunks
+
+
+class TestRequestAmplification:
+    """A ``Request`` buys each chunk it names once, however often it
+    names it — on every plane: the handler is the shared one."""
+
+    def test_repeated_chunk_id_draws_one_serve(self):
+        host = FakeHost()
+        sent = []
+        host.send = lambda src, dst, message, reliable: sent.append((dst, message)) or True
+        node = make_deployment(host).nodes[0]
+        node.store.add(5, 1400, received_at=0.0)
+        node._sent_proposals[7] = _SentProposal(partners={2}, chunk_ids={5}, at=0.0)
+        node.on_message(2, Request(proposal_id=7, chunk_ids=(5,) * 200))
+        assert sent == [(2, Serve(proposal_id=7, chunk_id=5, payload_size=1400, origin=0))]
+        assert node.engine._pending_acks == {2: {5: 0.0}}
 
 
 class TestVerdictRules:
