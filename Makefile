@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test loc transport-strict live-smoke examples-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-paper bench-full
+.PHONY: test loc collector-cost transport-strict live-smoke examples-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-paper bench-full
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -14,6 +14,15 @@ test:
 ## ("a negative line count") is judged by.  Reported, never gated.
 loc:
 	@for d in src tests; do printf '%-5s %6d lines\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; done
+
+## What CPython's cyclic collector costs a simulated second (n = 300,
+## seed 1, 30 simulated seconds, ~30 s): per second, the collections
+## that started inside Simulator.run per generation and their CPU
+## seconds, then what one gc.collect() finds after the run.  The run
+## loop holds the collector off, so both read 0 (docs/PERFORMANCE.md
+## "The run loop and the cyclic collector"); `--smoke` is CI's gate.
+collector-cost:
+	python scripts/collector_cost.py
 
 ## The wire codec, the ingress fuzzers and the transport's own tests with
 ## leaks as failures: the transport owns raw file descriptors, and only a

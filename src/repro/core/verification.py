@@ -214,9 +214,11 @@ class VerificationEngine:
 
     def on_serve_received(self, proposal_id: int, chunk_id: ChunkId) -> None:
         """A serve matching one of our requests arrived."""
-        pending = self._pending_requests.get(proposal_id)
-        if pending is not None:
-            pending.received.add(chunk_id)
+        try:
+            pending = self._pending_requests[proposal_id]
+        except KeyError:
+            return  # the window closed, or the serve answers no request of ours
+        pending.received.add(chunk_id)
 
     def _finish_request(self, proposal_id: int) -> None:
         pending = self._pending_requests.pop(proposal_id, None)

@@ -16,6 +16,7 @@ Roles are assigned pseudo-randomly from the seed and armed from the one
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Set
@@ -94,9 +95,16 @@ class ClusterConfig:
 
 
 class SimCluster:
-    """A fully wired simulated deployment."""
+    """A fully wired simulated deployment.
+
+    Construction starts with one ``gc.collect()``: a deployment is the
+    only cyclic structure this package builds and ``Simulator.run``
+    keeps the collector off, so a dropped cluster dies where its
+    successor is built.
+    """
 
     def __init__(self, config: ClusterConfig) -> None:
+        gc.collect()
         self.config = config
         gossip, lifting = config.gossip, config.lifting
         seeds = SeedSequenceFactory(config.seed)

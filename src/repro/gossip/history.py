@@ -20,14 +20,14 @@ Flattened layout
 The ring preallocates its :class:`PeriodRecord` slots and *reuses* them
 on wraparound (containers are cleared in place), so a steady-state node
 allocates no per-period record objects.  Alongside the raw ring the
-history maintains per-proposer indexes over received proposals and
-confirm senders, so the witness queries (:meth:`was_proposed_by`,
-:meth:`confirm_senders_about` — both run per Confirm / HistoryPoll
-message) touch only the queried proposer's entries instead of every
-record in the window.  Nothing else is kept incrementally: an audited
-node only *ships* its propose events (:meth:`proposals_snapshot`) and
-the auditor computes ``F_h`` from the response, so the multiset and
-count reads below are scans of the window.
+history maintains one per-proposer index, over received proposals, so
+the witness query that runs per Confirm (:meth:`was_proposed_by`)
+touches only the queried proposer's entries instead of every record in
+the window.  Nothing else is kept incrementally: a Confirm's sender is
+one append to its period's log, and what is read per audit rather than
+per message (:meth:`confirm_senders_about` per HistoryPoll,
+:meth:`proposals_snapshot` from which the auditor computes ``F_h``, the
+multiset and count reads below) scans the window.
 
 Records returned by :meth:`records` are the live ring slots: they are
 valid until the ring wraps past them, at which point they are recycled.
@@ -59,10 +59,10 @@ class PeriodRecord:
     fanin: List[NodeId] = field(default_factory=list)
     #: proposer -> chunk ids of proposals received during this period.
     received_proposals: Dict[NodeId, Set[ChunkId]] = field(default_factory=dict)
-    #: proposer -> verifiers that sent us a Confirm about that proposer.
-    confirm_senders: Dict[NodeId, List[NodeId]] = field(default_factory=dict)
+    #: (proposer, verifier) of each Confirm received, in arrival order.
+    confirm_senders: List[Tuple[NodeId, NodeId]] = field(default_factory=list)
     #: monotone position of this record in the ring (internal: the
-    #: per-proposer indexes and window queries key on it).
+    #: per-proposer index and window queries key on it).
     seq: int = 0
 
 
@@ -79,9 +79,6 @@ class LocalHistory:
         # proposer -> {seq -> chunk-id set} (the sets are shared with the
         # owning record's ``received_proposals``).
         self._received_idx: Dict[NodeId, Dict[int, Set[ChunkId]]] = {}
-        # proposer -> {seq -> verifier list} (shared with
-        # ``confirm_senders``), chronological per proposer.
-        self._confirm_idx: Dict[NodeId, Dict[int, List[NodeId]]] = {}
 
     # ------------------------------------------------------------------
     # writing
@@ -106,22 +103,14 @@ class LocalHistory:
         self._current = record
 
     def _evict(self, record: PeriodRecord) -> None:
-        """Unwind an overwritten record from the per-proposer indexes."""
+        """Unwind an overwritten record from the per-proposer index."""
         seq = record.seq
-        if record.received_proposals:
-            received_idx = self._received_idx
-            for proposer in record.received_proposals:
-                per_seq = received_idx[proposer]
-                del per_seq[seq]
-                if not per_seq:
-                    del received_idx[proposer]
-        if record.confirm_senders:
-            confirm_idx = self._confirm_idx
-            for proposer in record.confirm_senders:
-                per_seq = confirm_idx[proposer]
-                del per_seq[seq]
-                if not per_seq:
-                    del confirm_idx[proposer]
+        received_idx = self._received_idx
+        for proposer in record.received_proposals:
+            per_seq = received_idx[proposer]
+            del per_seq[seq]
+            if not per_seq:
+                del received_idx[proposer]
 
     def _ensure_open(self) -> PeriodRecord:
         record = self._current
@@ -162,14 +151,7 @@ class LocalHistory:
         record = self._current
         if record is None:
             self._ensure_open()
-        senders = record.confirm_senders.get(proposer)
-        if senders is None:
-            senders = record.confirm_senders[proposer] = []
-            per_seq = self._confirm_idx.get(proposer)
-            if per_seq is None:
-                per_seq = self._confirm_idx[proposer] = {}
-            per_seq[record.seq] = senders
-        senders.append(verifier)
+        record.confirm_senders.append((proposer, verifier))
 
     # ------------------------------------------------------------------
     # reading
@@ -227,8 +209,9 @@ class LocalHistory:
         """Did we receive a proposal from ``proposer`` containing all of
         ``chunk_ids`` within the window?  Witnesses use this to answer
         confirm requests and a-posteriori polls."""
-        per_seq = self._received_idx.get(proposer)
-        if per_seq is None:
+        try:
+            per_seq = self._received_idx[proposer]
+        except KeyError:
             return False
         wanted = set(chunk_ids)
         if last is None:
@@ -253,20 +236,14 @@ class LocalHistory:
         return any(seq >= lo for seq in per_seq)
 
     def confirm_senders_about(self, proposer: NodeId, last: Optional[int] = None) -> List[NodeId]:
-        """All verifiers that asked us about ``proposer`` in the window."""
-        per_seq = self._confirm_idx.get(proposer)
-        out: List[NodeId] = []
-        if per_seq is None:
-            return out
-        if last is None:
-            for senders in per_seq.values():
-                out.extend(senders)
-            return out
-        lo = self._seq - last + 1
-        for seq, senders in per_seq.items():
-            if seq >= lo:
-                out.extend(senders)
-        return out
+        """All verifiers that asked us about ``proposer`` in the window
+        (oldest period first, arrival order within a period)."""
+        return [
+            verifier
+            for record in self.records(last)
+            for about, verifier in record.confirm_senders
+            if about == proposer
+        ]
 
     @property
     def current_period(self) -> Optional[int]:

@@ -709,7 +709,7 @@ class GossipNode:
                 remote = [m for m in managers if m != node_id]
             else:
                 remote = managers
-            self.send_many(remote, blame)
+            self._send_many(node_id, remote, blame, _UDP)
             self.stats.blame_messages += len(remote)
         if local_targets and self.manager is not None:
             # This node manages some of its blame targets: apply the

@@ -49,6 +49,7 @@ Design notes
 
 from __future__ import annotations
 
+import gc
 import math
 from bisect import insort
 from heapq import heapify, heappop, heappush
@@ -535,7 +536,8 @@ class Simulator:
         cancelled timers skipped by lazy deletion do not count towards
         the budget.  When stopping at ``until``, the clock is advanced
         exactly to ``until`` so that a subsequent ``run`` resumes
-        cleanly.
+        cleanly; an ``until`` already passed fires nothing and leaves
+        the clock where it is — it only ever advances.
 
         The fired/live counters are accumulated in locals and written
         back when the loop exits (including on an exception): callbacks
@@ -548,15 +550,25 @@ class Simulator:
         live heap event are handed to the drain in one call, so the
         per-event engine overhead is paid per *batch* of entries and
         per heap event, never per delivered message or deferred call.
+
+        Automatic cyclic garbage collection is held off while events
+        fire and the caller's setting is restored on every way out (a
+        nested ``run`` finds it off and leaves it off; :meth:`step`
+        does not touch it).  Nothing an event allocates is cyclic, so a
+        collection in here walks a heap that grows with the run and
+        frees nothing; a finished deployment, which is cyclic, is
+        collected where the next is built (``SimCluster.__init__``).
         """
-        if self._timeline is not None:
-            self._run_two_tier(until=until, max_events=max_events)
-            return
-        queue = self._queue
+        collecting = gc.isenabled()
+        gc.disable()
         fired = 0
-        unbounded = max_events is None
-        pop = heappop  # localised: one global load per event adds up
         try:
+            if self._timeline is not None:
+                self._run_two_tier(until=until, max_events=max_events)
+                return
+            queue = self._queue
+            unbounded = max_events is None
+            pop = heappop  # localised: one global load per event adds up
             while queue:
                 entry = queue[0]
                 if entry[_STATUS] != _PENDING:
@@ -570,8 +582,7 @@ class Simulator:
                     continue
                 time = entry[_TIME]
                 if time > until:
-                    self.now = until
-                    return
+                    break
                 if not unbounded and fired >= max_events:
                     return
                 pop(queue)
@@ -588,6 +599,8 @@ class Simulator:
         finally:
             self._events_processed += fired
             self._live -= fired
+            if collecting:
+                gc.enable()
 
     def _run_two_tier(self, *, until: float, max_events: Optional[int]) -> None:
         """The run loop with the calendar queue attached.
@@ -622,8 +635,7 @@ class Simulator:
                         time == head[_TIME] and d[_SEQ] < head[_SEQ]
                     ):
                         if time > until:
-                            self.now = until
-                            return
+                            break
                         if not unbounded and fired >= max_events:
                             return
                         n = drain(until, _INF if unbounded else max_events - fired)
@@ -634,8 +646,7 @@ class Simulator:
                     break
                 time = head[_TIME]
                 if time > until:
-                    self.now = until
-                    return
+                    break
                 if not unbounded and fired >= max_events:
                     return
                 pop(queue)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 from dataclasses import replace
 
@@ -54,6 +55,16 @@ def _assert_results_identical(a, b, path="result"):
 def assert_results_identical():
     """The one equality every equivalence test asserts results with."""
     return _assert_results_identical
+
+
+@pytest.fixture
+def collector_on():
+    """Automatic cyclic collection enabled for the test (it may switch
+    it off itself); whatever the suite had is restored afterwards."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.fixture

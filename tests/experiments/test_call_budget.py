@@ -16,15 +16,21 @@ import pytest
 
 from repro import ClusterConfig, SimCluster, planetlab_params
 
-#: profiled calls per fired event over the window: 8.05 measured with
-#: the per-message chain (9.24 with the per-chunk one it replaced).
-MEASURED_CALLS_PER_EVENT = 8.05
+#: profiled calls per fired event over the window: 7.55 measured with a
+#: Confirm booked by one append and the blame flush on the bound send
+#: primitive (8.05 with the confirm index, 9.24 with the per-chunk chain).
+MEASURED_CALLS_PER_EVENT = 7.55
 BUDGET_CALLS_PER_EVENT = MEASURED_CALLS_PER_EVENT * 1.05
 
 
+def qualified(code):
+    """A profile entry's code as a name (built-ins arrive as strings)."""
+    return code if isinstance(code, str) else code.co_qualname
+
+
 @pytest.fixture(scope="module")
-def window():
-    """``(calls per qualified name, events fired)`` over t in [2, 4]."""
+def profiled():
+    """``(getstats() entries, events fired)`` over t in [2, 4]."""
     gossip, lifting = planetlab_params()
     gossip = replace(gossip, n=24, fanout=5, source_fanout=5)
     lifting = replace(lifting, managers=10, p_dcc=1.0)
@@ -35,13 +41,19 @@ def window():
     profile.enable()
     cluster.run(until=4.0)
     profile.disable()
+    return profile.getstats(), cluster.sim.events_processed - fired
+
+
+@pytest.fixture(scope="module")
+def window(profiled):
+    """``(calls per qualified name, events fired)`` over the window."""
+    entries, events = profiled
     calls = {}
-    for entry in profile.getstats():
-        code = entry.code
-        name = code if isinstance(code, str) else code.co_qualname
+    for entry in entries:
+        name = qualified(entry.code)
         if "disable" not in name:
             calls[name] = calls.get(name, 0) + entry.callcount
-    return calls, cluster.sim.events_processed - fired
+    return calls, events
 
 
 class TestProtocolCallBudget:
@@ -57,6 +69,15 @@ class TestProtocolCallBudget:
     def test_one_witness_hook_per_answer(self, window):
         calls, _events = window
         assert calls["Behavior.confirm_answer"] == calls["GossipNode._answer_confirm"] > 0
+
+    def test_a_confirm_is_booked_with_one_append(self, profiled):
+        entries, _events = profiled
+        (booking,) = [
+            e for e in entries if qualified(e.code) == "LocalHistory.record_confirm_sender"
+        ]
+        assert booking.callcount > 0
+        callees = {qualified(callee.code): callee.callcount for callee in booking.calls}
+        assert callees == {"<method 'append' of 'list' objects>": booking.callcount}
 
     @pytest.mark.parametrize(
         "frame", ["Behavior.witness_valid", "ChunkStore.size_of", "GossipNode.send"]

@@ -1,7 +1,7 @@
 """Tests for the bounded local history log."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.gossip.history import LocalHistory
 
@@ -193,7 +193,7 @@ class TestRingWraparound:
         assert reused.proposal is None
         assert reused.fanin == []
         assert reused.received_proposals == {}
-        assert reused.confirm_senders == {}
+        assert reused.confirm_senders == []
 
     def test_fanin_lazy_scan_respects_window(self):
         h = LocalHistory(max_periods=3)
@@ -210,3 +210,120 @@ class TestRingWraparound:
             h.record_confirm_sender(proposer=2, verifier=period)
         assert h.confirm_senders_about(2) == [5, 6, 7, 8]
         assert h.confirm_senders_about(2, last=2) == [7, 8]
+
+
+class IndexedConfirmSenders:
+    """The per-proposer confirm index the flat log replaced — ``record_
+    confirm_sender``, its eviction unwinding and ``confirm_senders_about``
+    verbatim from the parent commit, on the least ring that carries them
+    — kept as the reference the log is compared against."""
+
+    class Record:
+        def __init__(self, seq):
+            self.seq = seq
+            self.confirm_senders = {}
+
+    def __init__(self, max_periods):
+        self.max_periods = max_periods
+        self._slots = [None] * max_periods
+        self._current = None
+        self._seq = 0
+        self._confirm_idx = {}
+
+    def begin_period(self, period):
+        seq = self._seq + 1
+        self._seq = seq
+        slot = (seq - 1) % self.max_periods
+        record = self._slots[slot]
+        if record is None:
+            record = self._slots[slot] = self.Record(seq)
+        else:
+            self._evict(record)
+            record.seq = seq
+            record.confirm_senders.clear()
+        self._current = record
+
+    def _evict(self, record):
+        seq = record.seq
+        if record.confirm_senders:
+            confirm_idx = self._confirm_idx
+            for proposer in record.confirm_senders:
+                per_seq = confirm_idx[proposer]
+                del per_seq[seq]
+                if not per_seq:
+                    del confirm_idx[proposer]
+
+    def record_confirm_sender(self, proposer, verifier):
+        record = self._current
+        senders = record.confirm_senders.get(proposer)
+        if senders is None:
+            senders = record.confirm_senders[proposer] = []
+            per_seq = self._confirm_idx.get(proposer)
+            if per_seq is None:
+                per_seq = self._confirm_idx[proposer] = {}
+            per_seq[record.seq] = senders
+        senders.append(verifier)
+
+    def confirm_senders_about(self, proposer, last=None):
+        per_seq = self._confirm_idx.get(proposer)
+        out = []
+        if per_seq is None:
+            return out
+        if last is None:
+            for senders in per_seq.values():
+                out.extend(senders)
+            return out
+        lo = self._seq - last + 1
+        for seq, senders in per_seq.items():
+            if seq >= lo:
+                out.extend(senders)
+        return out
+
+
+CONFIRM_PROPOSERS = (0, 1, 2, 3)
+#: windows asked for: all, empty, the open period, a few, more than the ring holds.
+CONFIRM_WINDOWS = (None, 0, 1, 3, 99)
+CONFIRM_STEPS = st.one_of(
+    st.just(("begin",)),
+    st.tuples(
+        st.just("confirm"),
+        st.sampled_from(CONFIRM_PROPOSERS),
+        st.integers(min_value=10, max_value=14),
+    ),
+    st.tuples(
+        st.just("confirm"),
+        st.sampled_from(CONFIRM_PROPOSERS),
+        st.integers(min_value=10, max_value=14),
+    ),
+)
+
+
+class TestConfirmSendersLog:
+    """The flat per-period ``(proposer, verifier)`` log answers every
+    ``confirm_senders_about`` query as the index it replaced did — same
+    verifiers, same order (oldest period first, arrival order within
+    one, repeats kept) — across ring wraparound."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        max_periods=st.sampled_from((1, 2, 5)),
+        steps=st.lists(CONFIRM_STEPS, min_size=1, max_size=60),
+    )
+    def test_matches_the_indexed_reference_after_every_step(self, max_periods, steps):
+        log = LocalHistory(max_periods=max_periods)
+        reference = IndexedConfirmSenders(max_periods)
+        period = 0
+        for step in [("begin",)] + steps:
+            if step[0] == "begin":
+                period += 1
+                log.begin_period(period)
+                reference.begin_period(period)
+            else:
+                _kind, proposer, verifier = step
+                log.record_confirm_sender(proposer, verifier)
+                reference.record_confirm_sender(proposer, verifier)
+            for proposer in CONFIRM_PROPOSERS:
+                for last in CONFIRM_WINDOWS:
+                    assert log.confirm_senders_about(
+                        proposer, last
+                    ) == reference.confirm_senders_about(proposer, last), (proposer, last)

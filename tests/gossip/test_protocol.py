@@ -263,7 +263,7 @@ class TestBlameOutbox:
     ):
         node = small_cluster_factory(loss_rate=0.0).nodes[0]
         sent = []
-        node.send_many = lambda dsts, message, reliable=False: sent.append(message)
+        node._send_many = lambda src, dsts, message, kind: sent.append(message)
         for target, value in ((7, 0.1), (3, 1.0), (7, 0.2), (7, 0.3), (3, 2.0)):
             node.send_blame(target, value, "test")
         node._flush_blames()

@@ -1,9 +1,25 @@
 """Tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.engine import Simulator
+from repro.sim.network import Network
+
+#: the two containers of the event spine: the bare heap, and the heap
+#: with a network's calendar attached (``defer`` then files there and
+#: ``run`` goes through the two-tier loop).
+SCHEDULERS = ("heap", "calendar")
+
+
+def make_sim(scheduler):
+    sim = Simulator()
+    if scheduler == "calendar":
+        Network(sim)
+        assert sim.timeline is not None
+    return sim
 
 
 class TestScheduling:
@@ -419,3 +435,116 @@ class TestCancellationHeavyWorkloads:
         sim.run(until=5.0)
         assert chain["n"] == 1000
         assert observed["heap"] < 500  # cancelled block compacted mid-run
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+class TestClockOnlyAdvances:
+    """``run(until=t)`` with ``t`` already passed fires nothing and
+    leaves the clock alone — whichever container holds the next event
+    (each is its own early stop in the loop)."""
+
+    @pytest.mark.parametrize("queued", ["call_later", "defer", "nothing"])
+    def test_until_in_the_past_does_not_rewind(self, scheduler, queued):
+        sim = make_sim(scheduler)
+        fired = []
+        if queued != "nothing":
+            getattr(sim, queued)(10.0, fired.append, "late")
+        sim.run(until=5.0)
+        sim.run(until=3.0)
+        assert sim.now == 5.0
+        assert fired == []
+        # Due times are computed from the clock: not rewound either.
+        assert sim.call_later(1.0, fired.append, "timer").time == 6.0
+        sim.defer(0.5, fired.append, "deferred")
+        sim.run(until=5.75)
+        assert fired == ["deferred"] and sim.now == 5.75
+        sim.run()
+        assert fired == ["deferred", "timer"] + (["late"] if queued != "nothing" else [])
+
+    def test_until_equal_to_now_is_a_no_op(self, scheduler):
+        sim = make_sim(scheduler)
+        sim.defer(2.0, lambda: None)
+        sim.run(until=1.0)
+        sim.run(until=1.0)
+        assert sim.now == 1.0 and sim.pending_events == 1
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+class TestCollectorPause:
+    """``run`` holds automatic cyclic collection off while events fire
+    and hands the caller's setting back on every way out."""
+
+    def observed(self, sim, seen, *delays):
+        for delay in delays:
+            sim.call_later(delay, lambda: seen.append(gc.isenabled()))
+            sim.defer(delay, lambda: seen.append(gc.isenabled()))
+
+    def test_off_inside_callbacks_and_back_on_after_a_drained_queue(
+        self, scheduler, collector_on
+    ):
+        sim = make_sim(scheduler)
+        seen = []
+        self.observed(sim, seen, 1.0, 2.0)
+        sim.run()
+        assert seen == [False] * 4
+        assert gc.isenabled()
+
+    def test_restored_after_an_until_stop(self, scheduler, collector_on):
+        sim = make_sim(scheduler)
+        seen = []
+        self.observed(sim, seen, 1.0, 9.0)
+        sim.run(until=5.0)
+        assert seen == [False] * 2 and sim.pending_events == 2
+        assert gc.isenabled()
+
+    def test_restored_after_a_max_events_stop(self, scheduler, collector_on):
+        sim = make_sim(scheduler)
+        seen = []
+        self.observed(sim, seen, 1.0, 2.0)
+        sim.run(max_events=3)
+        assert seen == [False] * 3 and sim.pending_events == 1
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("file", ["call_later", "defer"])
+    def test_restored_after_a_callback_raises(self, scheduler, file, collector_on):
+        sim = make_sim(scheduler)
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        getattr(sim, file)(1.0, boom)
+        with pytest.raises(RuntimeError, match="callback failed"):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_a_caller_with_collection_off_finds_it_still_off(self, scheduler, collector_on):
+        sim = make_sim(scheduler)
+        seen = []
+        self.observed(sim, seen, 1.0)
+        gc.disable()
+        sim.run()
+        assert seen == [False] * 2
+        assert not gc.isenabled()
+
+    def test_nested_run_does_not_reenable_early(self, scheduler, collector_on):
+        sim = make_sim(scheduler)
+        seen = []
+
+        def outer():
+            sim.run(max_events=1)  # fires "inner", then returns to us
+            seen.append(("after nested run", gc.isenabled()))
+
+        sim.call_later(1.0, outer)
+        sim.call_later(2.0, lambda: seen.append(("inner", gc.isenabled())))
+        sim.call_later(3.0, lambda: seen.append(("later", gc.isenabled())))
+        sim.run()
+        assert seen == [("inner", False), ("after nested run", False), ("later", False)]
+        assert gc.isenabled()
+
+    def test_step_leaves_the_collector_alone(self, scheduler, collector_on):
+        sim = make_sim(scheduler)
+        seen = []
+        self.observed(sim, seen, 1.0)
+        while sim.step():
+            pass
+        assert seen == [True] * 2
