@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test loc collector-cost transport-strict live-smoke examples-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-paper bench-full
+.PHONY: test loc reach reach-product collector-cost transport-strict live-smoke examples-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live bench-paper bench-full
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -14,6 +14,20 @@ test:
 ## ("a negative line count") is judged by.  Reported, never gated.
 loc:
 	@for d in src tests; do printf '%-5s %6d lines\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; done
+
+## Who enters each definition under src/repro (docs/REACHABILITY.md):
+## every product entry point — each scenario at smoke size through
+## bench_scenarios.py and `repro run`, list / describe / audit-verify,
+## the examples, the ledger smoke, the live-smoke steps — then tier-1,
+## all under a call-event tracer; prints the per-module table of
+## definitions only tests enter and definitions nothing enters (-v lists
+## them).  ~10 min; `reach-product` skips tier-1 (~5 min, CI's form).
+## Reported like `loc`; the only gate is every entry point exiting 0.
+reach:
+	python scripts/reach.py -v
+
+reach-product:
+	python scripts/reach.py --product-only
 
 ## What CPython's cyclic collector costs a simulated second (n = 300,
 ## seed 1, 30 simulated seconds, ~30 s): per second, the collections

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import full_scale, record_report
+from repro import run_scenario
 from repro.config import analysis_params
-from repro.experiments.fig10 import run_fig10
 from repro.mc.blame_model import BlameModel
 from repro.util.rng import make_generator
 
@@ -18,7 +18,7 @@ from repro.util.rng import make_generator
 @pytest.fixture(scope="module")
 def fig10_result():
     n = 10_000 if not full_scale() else 50_000
-    result = run_fig10(n=n, seed=11)
+    result = run_scenario("fig10", n=n, seed=11).artifact
     lines = [
         f"n={n} honest nodes, one gossip period, p_dcc=1, p_l=7%, f=12, |R|=4",
         f"compensation -b~            paper: 72.95   measured: {result.compensation:.2f}",

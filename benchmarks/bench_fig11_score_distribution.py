@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import full_scale, record_report
-from repro.experiments.fig11 import run_fig11
+from repro import run_scenario
 
 
 @pytest.fixture(scope="module")
 def fig11_result():
     n = 10_000
-    result = run_fig11(n=n, freeriders=1_000, rounds=50, delta=0.1, seed=13)
+    result = run_scenario(
+        "fig11", n=n, freeriders=1_000, rounds=50, delta=0.1, seed=13
+    ).artifact
     hx, hf, fx, ff = result.cdf_series()
     lines = [
         "n=10,000 (1,000 freeriders Δ=(0.1,0.1,0.1)), r=50 periods, eta=-9.75",

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import full_scale, record_report
-from repro.experiments.fig12 import run_fig12
+from repro import run_scenario
 
 
 @pytest.fixture(scope="module")
 def fig12_result():
     samples = 6_000 if full_scale() else 3_000
-    result = run_fig12(rounds=50, samples_per_point=samples, seed=17)
+    result = run_scenario("fig12", rounds=50, samples_per_point=samples, seed=17).artifact
     lines = [
         "delta sweep, r=50 periods, eta=-9.75 (analysis parameters)",
         "   delta   detection(alpha)   gain      [paper: alpha(0.05)~0.65, alpha(0.1)>0.99]",

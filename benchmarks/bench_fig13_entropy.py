@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import record_report
-from repro.experiments.fig13 import run_fig13
+from repro import run_scenario
 from repro.mc.entropy import sample_fanout_entropies
 from repro.util.rng import make_generator
 
 
 @pytest.fixture(scope="module")
 def fig13_result():
-    result = run_fig13(n=10_000, seed=19)
+    result = run_scenario("fig13", n=10_000, seed=19).artifact
     fo_lo, fo_hi = result.fanout_range
     fi_lo, fi_hi = result.fanin_range
     lines = [

@@ -16,13 +16,15 @@ latter reproduces the detection/false-positive landmark.
 import pytest
 
 from benchmarks.conftest import full_scale, record_report
-from repro.experiments.fig14 import run_fig14
+from repro import run_scenario
 
 
 @pytest.fixture(scope="module")
 def fig14_result():
     n = 300 if full_scale() else 120
-    result = run_fig14(n=n, times=(25.0, 30.0, 35.0), p_dcc_values=(1.0, 0.5), seed=23)
+    result = run_scenario(
+        "fig14", n=n, times=(25.0, 30.0, 35.0), p_dcc_values=(1.0, 0.5), seed=23
+    ).artifact
     lines = [
         f"n={n}, 10% freeriders (delta1=1/7, delta2=0.1, delta3=0.1), 10% degraded honest",
         f"calibrated compensation b~ = {result.compensation:.2f}; "

@@ -9,15 +9,15 @@ collapse dissemination (curve shifted right and capped well below 1).
 import pytest
 
 from benchmarks.conftest import full_scale, record_report
-from repro.experiments.fig1 import run_fig1
+from repro import run_scenario
 
 
 @pytest.fixture(scope="module")
 def fig1_result():
     if full_scale():
-        result = run_fig1(n=300, duration=60.0)
+        result = run_scenario("fig1", n=300, duration=60.0).artifact
     else:
-        result = run_fig1(n=120, duration=25.0)
+        result = run_scenario("fig1", n=120, duration=25.0).artifact
     lines = [
         "fraction of nodes viewing a clear stream vs stream lag",
         "(paper: no-LiFTinG curve collapses; LiFTinG curve tracks the baseline)",

@@ -25,7 +25,7 @@ import time
 import pytest
 
 from benchmarks.conftest import full_scale, record_report
-from repro.experiments.table5 import run_table5
+from repro import run_scenario
 
 #: the ISSUE 2 acceptance grid: 2 rates x 3 p_dcc = 6 independent cells.
 #: Mirrored (deliberately, with the same values) by GRID_KWARGS in
@@ -65,11 +65,11 @@ def _grid_kwargs():
 def parallel_measurements():
     kwargs = _grid_kwargs()
     start = time.perf_counter()
-    serial = run_table5(jobs=1, **kwargs)
+    serial = run_scenario("table5", jobs=1, **kwargs).artifact
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    fanned = run_table5(jobs=SPEEDUP_JOBS, **kwargs)
+    fanned = run_scenario("table5", jobs=SPEEDUP_JOBS, **kwargs).artifact
     parallel_s = time.perf_counter() - start
 
     identical = pickle.dumps(serial) == pickle.dumps(fanned)

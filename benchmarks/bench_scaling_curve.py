@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """The large-n scalability curve: s of wall clock per simulated second vs n.
 
-Runs :func:`repro.experiments.scaling.run_scaling` over a size sweep and
-prints (and optionally records) the curve, including the tracemalloc
+Runs the ``scaling`` scenario (``repro.experiments.scaling``) over a
+size sweep and prints (and optionally records) the curve, including the
+tracemalloc
 peak over construction + warm-up per point — the KiB/node column is the
 per-node state budget (it must *fall* as n grows: fixed overheads
 amortise, and no per-node container may grow with n).  Run it after any
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
     parser.add_argument("--record", action="store_true", help="write the curve into BENCH_substrate.json")
     args = parser.parse_args(argv)
 
-    from repro.experiments.scaling import run_scaling
+    from repro import run_scenario
 
     if args.smoke:
         sizes = list(args.sizes or SMOKE_SIZES)
@@ -92,9 +93,9 @@ def main(argv=None) -> int:
     if (args.include_10000 or os.environ.get("REPRO_BENCH_FULL") == "1") and 10000 not in sizes:
         sizes.append(10000)
 
-    result = run_scaling(
-        sizes=sizes, duration=duration, warmup=warmup, seed=args.seed, jobs=args.jobs
-    )
+    result = run_scenario(
+        "scaling", sizes=sizes, duration=duration, warmup=warmup, seed=args.seed, jobs=args.jobs
+    ).artifact
     table = render_table(result)
     print(table)
     RESULTS_FILE.parent.mkdir(parents=True, exist_ok=True)

@@ -2,12 +2,13 @@
 """Registry-driven scenario sweep: run everything, validate the schema.
 
 Runs **every registered scenario** (``repro.scenarios.list_scenarios``)
-at its declared smoke size and validates that the resulting
+at its declared smoke size, validates that the resulting
 ``RunResult`` envelope round-trips losslessly through its JSON schema
 (``to_json`` → ``from_json`` → identical envelope and identical
-serialisation).  This is the drift gate for the Unified Scenario API:
-a scenario whose parameters stop resolving, whose reducer breaks, or
-whose metrics stop being JSON-safe fails here before it fails a user.
+serialisation) and renders it the way ``repro run`` would.  This is the
+drift gate for the Unified Scenario API: a scenario whose parameters
+stop resolving, whose reducer breaks, whose renderer raises or whose
+metrics stop being JSON-safe fails here before it fails a user.
 
 Usage::
 
@@ -79,6 +80,8 @@ def main(argv=None) -> int:
             continue
         try:
             result = run_scenario(spec.name, **spec.smoke)
+            if spec.render is not None and not spec.render(result).strip():
+                failures.append(f"{spec.name}: renderer returned no text")
         except Exception as exc:  # noqa: BLE001 - report, keep sweeping
             failures.append(f"{spec.name}: run failed: {exc!r}")
             print(f"{spec.name:12s} {'-':>7s}  {'-':>7s}  RUN FAILED")
@@ -102,7 +105,7 @@ def main(argv=None) -> int:
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print(f"\n{len(specs) - len(skipped)} scenarios ran; all envelopes round-trip")
+    print(f"\n{len(specs) - len(skipped)} scenarios ran and rendered; all envelopes round-trip")
     return 0
 
 

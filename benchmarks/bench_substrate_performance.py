@@ -26,9 +26,8 @@ from repro.util.rng import make_generator
 def test_event_engine_throughput(benchmark):
     """10k self-rescheduling events through the engine's hot path.
 
-    Uses :meth:`Simulator.schedule` (callback + args inline, no handle)
-    — the path the network delivery layer drives — mirroring how the
-    seed engine's hot path was driven through ``call_later`` + closure.
+    Uses :meth:`Simulator.schedule` (callback + args inline) — the
+    absolute-time heap path period ticks take.
     """
 
     def run_10k_events():
@@ -49,7 +48,8 @@ def test_event_engine_throughput(benchmark):
 
 
 def test_event_engine_timer_throughput(benchmark):
-    """The handle-returning ``call_later`` path (cancellable timers)."""
+    """The relative-delay ``call_later`` path (no calendar attached here,
+    so the calls ride the heap)."""
 
     def run_10k_events():
         sim = Simulator()

@@ -13,13 +13,13 @@ import math
 import pytest
 
 from benchmarks.conftest import full_scale, record_report
-from repro.experiments.table3 import run_table3
+from repro import run_scenario
 
 
 @pytest.fixture(scope="module")
 def table3_result():
     n = 200 if full_scale() else 80
-    result = run_table3(n=n, duration=12.0, fanout_sweep=(4, 6, 8))
+    result = run_scenario("table3", n=n, duration=12.0, fanout_sweep=(4, 6, 8)).artifact
     model = result.model
     lines = [
         f"per-node per-period message counts (n={n}, f=7, |R|=4, p_dcc=1, M=25)",

@@ -17,14 +17,15 @@ paper's deployment, so absolute percentages run higher by a factor ≈ 2.
 import pytest
 
 from benchmarks.conftest import full_scale, record_report
-from repro.experiments.table5 import PAPER_OVERHEAD_PERCENT, run_table5
+from repro import run_scenario
+from repro.experiments.table5 import PAPER_OVERHEAD_PERCENT
 
 
 @pytest.fixture(scope="module")
 def table5_result():
     n = 150 if full_scale() else 80
     duration = 15.0 if full_scale() else 10.0
-    result = run_table5(n=n, duration=duration)
+    result = run_scenario("table5", n=n, duration=duration).artifact
     lines = [
         f"cross-checking and blaming overhead (n={n}, {duration:.0f}s)",
         "",

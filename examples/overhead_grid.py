@@ -14,8 +14,7 @@ Run with::
     python examples/overhead_grid.py [--jobs N]
 
 ``--jobs 0`` (the default here) uses every core.  Equivalent CLI:
-``repro run table5 --n 80 --duration 8 --jobs 0`` (or the legacy alias
-``repro overhead``).
+``repro run table5 --n 80 --duration 8 --jobs 0``.
 """
 
 import argparse

@@ -19,8 +19,7 @@ Run with::
 
     python examples/parameter_tuning.py
 
-Equivalent CLI: ``repro run analyze --set mc-samples=100000`` (the
-legacy alias ``repro analyze`` works too).
+Equivalent CLI: ``repro run analyze --set mc-samples=100000``.
 """
 
 from repro import run_scenario

@@ -215,19 +215,19 @@ _SERIAL_GRID_S: list = []  # memo so the speedup check reuses the kernel's run
 def bench_table5_grid_serial() -> float:
     """Wall-clock seconds for the six-cell grid through the job runner
     (``jobs=1``) — guards the orchestration layer's serial overhead."""
-    from repro.experiments.table5 import run_table5
+    from repro import run_scenario
 
-    measured = best_of(lambda: run_table5(jobs=1, **GRID_KWARGS), reps=2)
+    measured = best_of(lambda: run_scenario("table5", jobs=1, **GRID_KWARGS), reps=2)
     _SERIAL_GRID_S.append(measured)
     return measured
 
 
 def bench_table5_grid_speedup() -> float:
     """``jobs=4`` speedup over ``jobs=1`` on the six-cell grid."""
-    from repro.experiments.table5 import run_table5
+    from repro import run_scenario
 
     serial = _SERIAL_GRID_S[-1] if _SERIAL_GRID_S else bench_table5_grid_serial()
-    parallel = best_of(lambda: run_table5(jobs=SPEEDUP_JOBS, **GRID_KWARGS), reps=2)
+    parallel = best_of(lambda: run_scenario("table5", jobs=SPEEDUP_JOBS, **GRID_KWARGS), reps=2)
     return serial / parallel
 
 

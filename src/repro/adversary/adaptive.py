@@ -144,10 +144,3 @@ class AdaptiveFreeriderPolicy(BehaviorPolicy):
             retreat_at=self.retreat_at,
             advance_at=self.advance_at,
         )
-
-    def describe(self):
-        return {
-            "policy": self.name,
-            "start_delta": self.ladder[self.start_rung].delta1,
-            "headroom": self.headroom,
-        }

@@ -84,6 +84,3 @@ class EquivocatorPolicy(BehaviorPolicy):
 
     def build(self, node_id: NodeId) -> EquivocatorBehavior:
         return EquivocatorBehavior(deny_share=self.deny_share)
-
-    def describe(self):
-        return {"policy": self.name, "deny_share": self.deny_share}

@@ -88,17 +88,6 @@ def max_bias_probability(gamma: float, m_colluders: int, history_size: int) -> f
     )
 
 
-def contribution_decrease_from_bias(p_m: float) -> float:
-    """Extra contribution decrease collusion buys (§6.3.2).
-
-    A freerider serving colluders ``p_m`` of the time effectively
-    removes that fraction of its upload from the honest system — the
-    paper concludes a 25-node coalition can decrease contribution by a
-    further 21 % at γ = 8.95.
-    """
-    return require_probability(p_m, "p_m")
-
-
 def achievable_collusion_entropy(p_m: float, m_colluders: int, history_size: int) -> float:
     """Best *integer-feasible* history entropy at bias ``p_m``.
 

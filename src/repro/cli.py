@@ -8,24 +8,17 @@ Run as ``python -m repro.cli``, or as the ``repro`` console script
   parameters (types, defaults, constraints).
 * ``repro run <scenario> [--<param> ...] [--set k=v ...]`` — run any
   scenario.  **Flags are derived from the scenario's ``Param``
-  declarations**, so every scenario-backed command uniformly accepts
-  exactly the parameters it declares (``--seed``, ``--jobs``, ... —
-  nothing is hand-wired and nothing can silently go missing).
+  declarations**, so every scenario accepts exactly the parameters it
+  declares (``--seed``, ``--jobs``, ... — nothing is hand-wired and
+  nothing can silently go missing).
 
-Every run-style command also accepts ``--json PATH`` (write the
+``repro run`` also accepts ``--json PATH`` (write the
 structured :class:`~repro.scenarios.RunResult` envelope; ``-`` =
 stdout) and ``--profile PATH`` (dump sorted cProfile stats of the run —
 the starting point of every performance PR, see docs/PERFORMANCE.md).
 
-The pre-registry subcommands remain as **aliases** that delegate to the
-registry with their historical defaults and flag spellings:
-
-* ``detect``   → ``run detect``   (quickstart detection report)
-* ``health``   → ``run fig1``     (Figure 1 health curves, n=100)
-* ``overhead`` → ``run table5``   (Table 5 bandwidth-overhead grid)
-* ``analyze``  → ``run analyze``  (closed-form design constants)
-* ``scale``    → ``run scaling``  (large-n scalability sweep)
-* ``live``     → ``run live``     (asyncio loopback deployment)
+``repro audit-verify PATH`` checks (and with ``--recover`` rolls back)
+the HMAC-chained audit log a ``chaos`` run writes.
 
 Experiments that drive several independent deployments accept
 ``--jobs N`` to fan them out over N worker processes (``--jobs 0`` =
@@ -36,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.scenarios import (
@@ -55,99 +47,23 @@ from repro.scenarios import (
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Alias:
-    """A legacy subcommand delegating to a registered scenario."""
-
-    scenario: str
-    help: str
-    #: historical defaults that differ from the scenario's own.
-    defaults: Mapping[str, Any] = field(default_factory=dict)
-    #: param name -> historical flag spelling (without ``--``).
-    renames: Mapping[str, str] = field(default_factory=dict)
-    #: flag spelling -> short option (e.g. ``{"nodes": "-n"}``).
-    shorts: Mapping[str, str] = field(default_factory=dict)
-    #: historical flags with no declared parameter behind them — still
-    #: accepted (scripts keep working) but ignored with a warning.
-    ignored_flags: Mapping[str, str] = field(default_factory=dict)
-
-
-#: the pre-registry CLI surface, kept stable.
-ALIASES: Dict[str, Alias] = {
-    "detect": Alias(
-        scenario="detect",
-        help="run a deployment and detect freeriders",
-        renames={"n": "nodes"},
-        shorts={"nodes": "-n"},
-    ),
-    "health": Alias(
-        scenario="fig1",
-        help="Figure 1's three health curves",
-        defaults={"n": 100, "seed": 1},
-        renames={"n": "nodes", "freerider_fraction": "freeriders"},
-        shorts={"nodes": "-n", "jobs": "-j"},
-        # The pre-registry CLI accepted --loss here and silently ignored
-        # it (the fig1 runner never took a loss argument); keep scripts
-        # working, but say so out loud.
-        ignored_flags={"loss": "historically accepted but never used by fig1"},
-    ),
-    "overhead": Alias(
-        scenario="table5",
-        help="Table 5's bandwidth-overhead grid",
-        renames={"n": "nodes", "rates_kbps": "rates", "p_dcc_values": "p-dcc"},
-        shorts={"nodes": "-n", "jobs": "-j"},
-    ),
-    "analyze": Alias(
-        scenario="analyze",
-        help="closed-form design constants",
-        shorts={"fanout": "-f", "request-size": "-R"},
-    ),
-    "scale": Alias(
-        scenario="scaling",
-        help="large-n scalability sweep (s per sim-second vs n)",
-        shorts={"jobs": "-j"},
-    ),
-    "live": Alias(
-        scenario="live",
-        help="run over real loopback sockets (asyncio)",
-        shorts={"nodes": "-n"},
-        renames={"n": "nodes"},
-    ),
-}
-
-
 def _flag_spelling(name: str) -> str:
     return name.replace("_", "-")
 
 
-def _add_scenario_flags(
-    parser: argparse.ArgumentParser,
-    spec: ScenarioSpec,
-    *,
-    defaults: Mapping[str, Any] = (),
-    renames: Mapping[str, str] = (),
-    shorts: Mapping[str, str] = (),
-) -> Dict[str, str]:
+def _add_scenario_flags(parser: argparse.ArgumentParser, spec: ScenarioSpec) -> Dict[str, str]:
     """Derive one flag per declared parameter; returns dest -> param name.
 
     Flags default to ``argparse.SUPPRESS`` so that only explicitly
     passed values become overrides — the scenario's own declarations
-    (or the alias's historical defaults) fill in the rest.
+    fill in the rest.
     """
-    defaults = dict(defaults)
-    renames = dict(renames)
-    shorts = dict(shorts)
     dest_to_param: Dict[str, str] = {}
     for param in spec.params:
-        spelling = _flag_spelling(renames.get(param.name, param.name))
-        flags = [f"--{spelling}"]
-        if spelling in shorts:
-            flags.append(shorts[spelling])
-        default = defaults.get(param.name, param.default)
         help_text = param.help or param.name
         if param.constraint:
             help_text += f" [{param.constraint}]"
-        help_text += f" (default: {default!r})"
+        help_text += f" (default: {param.default!r})"
         kwargs: Dict[str, Any] = dict(default=argparse.SUPPRESS, help=help_text)
         if param.type is bool:
             kwargs["action"] = argparse.BooleanOptionalAction
@@ -155,7 +71,7 @@ def _add_scenario_flags(
             kwargs.update(nargs="+", type=param.type, metavar=param.type.__name__.upper())
         else:
             kwargs.update(type=param.type, metavar=param.type.__name__.upper())
-        action = parser.add_argument(*flags, **kwargs)
+        action = parser.add_argument(f"--{_flag_spelling(param.name)}", **kwargs)
         dest_to_param[action.dest] = param.name
     return dest_to_param
 
@@ -271,11 +187,13 @@ def _execute(
     spec: ScenarioSpec, overrides: Mapping[str, Any], args: argparse.Namespace
 ) -> int:
     axes = _collect_sweep_axes(args)
+    profile_path = getattr(args, "profile", None)
     if axes:
+        if profile_path:
+            raise ParamError("--profile cannot be combined with --sweep: profile one cell")
         # A parameter that is both swept and pinned is a ParamError from
         # run_sweep — surfaced like any other parameter mistake.
         return _execute_sweep(spec, axes, overrides, args)
-    profile_path = getattr(args, "profile", None)
     if profile_path:
         from repro.util.profiling import maybe_profile
 
@@ -367,24 +285,6 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_alias_handler(alias: Alias, dest_to_param: Mapping[str, str]):
-    def handler(args: argparse.Namespace) -> int:
-        spec = get(alias.scenario)
-        for spelling in alias.ignored_flags:
-            dest = spelling.replace("-", "_")
-            if hasattr(args, dest):
-                print(
-                    f"warning: --{spelling} is deprecated and ignored "
-                    f"({alias.ignored_flags[spelling]})",
-                    file=sys.stderr,
-                )
-        overrides = dict(alias.defaults)
-        overrides.update(_collect_overrides(spec, args, dest_to_param))
-        return _execute(spec, overrides, args)
-
-    return handler
-
-
 def _cmd_audit_verify(args: argparse.Namespace) -> int:
     """Verify (and optionally recover) an HMAC-chained audit log."""
     from repro.core.auditlog import AuditLog
@@ -448,25 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     audit.set_defaults(handler=_cmd_audit_verify)
 
-    # Legacy aliases, flags derived from the same Param declarations.
-    for command, alias in ALIASES.items():
-        spec = get(alias.scenario)
-        alias_parser = sub.add_parser(command, help=alias.help)
-        dest_to_param = _add_scenario_flags(
-            alias_parser,
-            spec,
-            defaults=alias.defaults,
-            renames=alias.renames,
-            shorts=alias.shorts,
-        )
-        for spelling, reason in alias.ignored_flags.items():
-            alias_parser.add_argument(
-                f"--{spelling}",
-                default=argparse.SUPPRESS,
-                help=f"deprecated, ignored ({reason})",
-            )
-        _add_run_options(alias_parser)
-        alias_parser.set_defaults(handler=_make_alias_handler(alias, dest_to_param))
     return parser
 
 

@@ -20,7 +20,7 @@ configurations of the paper: the analysis setting (n=10,000, f=12,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.util.validation import require, require_probability
@@ -43,7 +43,7 @@ class GossipParams:
         Source bitrate in kilobits/second (674 in most experiments).
     chunk_size:
         Payload bytes per chunk.  With the default 4 KiB and 674 kbps
-        the source emits ~2.6 chunks/second... see ``chunks_per_second``.
+        the source emits ~20.6 chunks/second... see ``chunk_interval``.
     source_fanout:
         How many random nodes the source pushes each fresh chunk to.
     request_size:
@@ -71,23 +71,9 @@ class GossipParams:
         require(self.request_size >= 1, "request_size must be >= 1")
 
     @property
-    def chunks_per_second(self) -> float:
-        """Fresh chunks the source must emit per second to sustain the rate."""
-        return self.stream_rate_kbps * 125.0 / self.chunk_size
-
-    @property
     def chunk_interval(self) -> float:
         """Seconds between consecutive chunk creations at the source."""
         return self.chunk_size / (self.stream_rate_kbps * 125.0)
-
-    @property
-    def periods_per_second(self) -> float:
-        """Gossip periods per second (``1 / T_g``)."""
-        return 1.0 / self.gossip_period
-
-    def with_rate(self, stream_rate_kbps: float) -> "GossipParams":
-        """Copy with a different stream bitrate (Table 5 sweeps this)."""
-        return replace(self, stream_rate_kbps=stream_rate_kbps)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ auto-guilty.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -44,9 +45,19 @@ from repro.wire import (
     HistoryPollRequest,
     HistoryPollResponse,
 )
-from repro.util.multiset import Multiset
 
 NodeId = int
+
+
+def shannon_entropy(counts: Counter) -> float:
+    """Eq. (1): Shannon entropy (base 2) of a multiset given as
+    occurrences per element, ``H = log2(T) - Σ c·log2(c) / T`` with
+    ``T`` the total; 0.0 for an empty multiset."""
+    total = counts.total()
+    if total == 0:
+        return 0.0
+    entropy = math.log2(total) - sum(c * math.log2(c) for c in counts.values()) / total
+    return entropy if entropy > 0.0 else 0.0
 
 
 @dataclass
@@ -97,7 +108,7 @@ class _AuditState:
     expected_polls: int = 0
     received_polls: int = 0
     unacknowledged: int = 0
-    fanin: Multiset = field(default_factory=Multiset)
+    fanin: Counter = field(default_factory=Counter)
     polled_witnesses: Set[NodeId] = field(default_factory=set)
     witnesses_with_traffic: Set[NodeId] = field(default_factory=set)
     response_seen: bool = False
@@ -202,8 +213,7 @@ class Auditor:
             state.polled_witnesses.add(src)
             if response.confirm_senders:
                 state.witnesses_with_traffic.add(src)
-            for sender in response.confirm_senders:
-                state.fanin.add(sender)
+            state.fanin.update(response.confirm_senders)
         if state.received_polls >= state.expected_polls:
             self._finalize(state)
 
@@ -232,14 +242,9 @@ class Auditor:
         gossip = self.host.gossip
         full_window = lifting.history_periods * gossip.fanout
 
-        # Array-backed counting: one bincount pass over the claimed
-        # partner ids instead of a Python-level add per history entry;
-        # the multiset's maintained accumulator then gives both
-        # entropies in O(1) (no per-audit re-summation).
-        fanout: Multiset = Multiset()
-        claimed = [p for _period, partners, _chunk_ids in state.proposals for p in partners]
-        if claimed:
-            fanout.add_ids(claimed)
+        # F_h, the claimed partners over the window, as occurrences per
+        # partner: built once and read once, here.
+        fanout = Counter(p for _period, partners, _chunk_ids in state.proposals for p in partners)
 
         result = AuditResult(
             target=state.target,
@@ -255,15 +260,15 @@ class Auditor:
             >= self.PERIOD_COUNT_TOLERANCE * state.requested_periods
         )
 
-        result.fanout_size = len(fanout)
-        result.fanout_entropy = fanout.shannon_entropy()
+        result.fanout_size = fanout.total()
+        result.fanout_entropy = shannon_entropy(fanout)
         result.passed_fanout = result.fanout_size > 0 and (
             result.fanout_entropy
             >= self._effective_threshold(lifting.gamma, result.fanout_size, full_window)
         )
 
-        result.fanin_size = len(state.fanin)
-        result.fanin_entropy = state.fanin.shannon_entropy()
+        result.fanin_size = state.fanin.total()
+        result.fanin_entropy = shannon_entropy(state.fanin)
         # The aggregated witness logs repeat each server once per witness,
         # which rescales multiplicities uniformly and leaves the entropy
         # of the distribution intact.  The sample-size proxy for the

@@ -81,9 +81,6 @@ class ManagerAssignment:
         """Whether ``manager`` holds a copy of ``node``'s score."""
         return manager in self._managers.get(node, ())
 
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._managers
-
 
 @dataclass(slots=True)
 class ManagerRecord:

@@ -18,8 +18,8 @@ pending state:
 
 The host interface the engine needs (satisfied by
 :class:`repro.gossip.protocol.GossipNode` on both planes): ``node_id``,
-``clock()``, ``defer(delay, fn, *args)`` (fire-and-forget: no handle,
-never cancelled — every timeout here is one), ``random()`` (a uniform
+``clock()``, ``call_later(delay, fn, *args)`` (fire-and-forget: every
+timeout here inspects state when it fires), ``random()`` (a uniform
 [0,1) draw), ``send(dst, message, reliable=False)``, optionally
 ``send_many(dsts, message)``, ``send_blame(target, value, reason)``,
 ``on_request_expired(proposer, chunk_ids)`` and the ``gossip``/
@@ -84,10 +84,10 @@ class VerificationEngine:
         # clock attribute directly instead of going through the host
         # facade (one frame per serve/ack/round), falling back to
         # ``host.clock()`` for live transports / test stubs; the host's
-        # ``defer`` is bound once (on a GossipNode it already *is* the
-        # simulator's or the live transport's own method).
+        # ``call_later`` is bound once (on a GossipNode it already *is*
+        # the simulator's or the live transport's own method).
         self._sim = getattr(host, "_sim", None)
-        self._defer = host.defer
+        self._call_later = host.call_later
         # requester -> {chunk_id: served_at}.  A requester is a key iff
         # it has an outstanding serve, so the dict's order is first-serve
         # order with a drained requester re-entering at the end — the
@@ -167,7 +167,7 @@ class VerificationEngine:
         else:
             for witness in witnesses:
                 host.send(witness, confirm)
-        self._defer(host.lifting.confirm_timeout, self._finish_confirm_round, round_id)
+        self._call_later(host.lifting.confirm_timeout, self._finish_confirm_round, round_id)
 
     def on_confirm_response(self, src: NodeId, response: ConfirmResponse) -> None:
         """A witness answered one of our confirm requests.
@@ -210,7 +210,7 @@ class VerificationEngine:
         self._pending_requests[proposal_id] = _PendingRequest(
             proposer=proposer, expected=set(chunk_ids)
         )
-        self._defer(self.host.lifting.serve_timeout, self._finish_request, proposal_id)
+        self._call_later(self.host.lifting.serve_timeout, self._finish_request, proposal_id)
 
     def on_serve_received(self, proposal_id: int, chunk_id: ChunkId) -> None:
         """A serve matching one of our requests arrived."""

@@ -1,24 +1,26 @@
-"""Experiment runners — one per paper figure/table.
+"""Experiment scenarios — one per paper figure/table.
 
 :class:`~repro.experiments.cluster.SimCluster` builds a full simulated
 deployment (network, membership, source, nodes with roles, managers,
 expulsion controller) from a :class:`ClusterConfig`; the per-figure
-modules configure and run it (or the Monte-Carlo engine) and return the
-series the paper plots.  The benchmark harness under ``benchmarks/``
-prints those series next to the paper's reference values.
+modules register a scenario that configures and runs it (or the
+Monte-Carlo engine) and reduces to the series the paper plots.  Run one
+with ``repro.run_scenario(name, ...)``: its ``artifact`` is the result
+class exported here.  The benchmark harness under ``benchmarks/`` prints
+those series next to the paper's reference values.
 """
 
-from repro.experiments.calibration import CalibrationResult, calibrate, run_calibration
+from repro.experiments.calibration import CalibrationResult, calibrate
 from repro.experiments.cluster import ClusterConfig, SimCluster
-from repro.experiments.fig1 import Fig1Result, run_fig1
-from repro.experiments.fig10 import Fig10Result, run_fig10
-from repro.experiments.fig11 import Fig11Result, run_fig11
-from repro.experiments.fig12 import Fig12Result, run_fig12
-from repro.experiments.fig13 import Fig13Result, run_fig13
-from repro.experiments.fig14 import Fig14Result, run_fig14
-from repro.experiments.scaling import ScalingResult, run_scaling
-from repro.experiments.table3 import Table3Result, run_table3
-from repro.experiments.table5 import Table5Result, run_table5
+from repro.experiments.fig1 import Fig1Result
+from repro.experiments.fig10 import Fig10Result
+from repro.experiments.fig11 import Fig11Result
+from repro.experiments.fig12 import Fig12Result
+from repro.experiments.fig13 import Fig13Result
+from repro.experiments.fig14 import Fig14Result
+from repro.experiments.scaling import ScalingResult
+from repro.experiments.table3 import Table3Result
+from repro.experiments.table5 import Table5Result
 
 __all__ = [
     "CalibrationResult",
@@ -34,14 +36,4 @@ __all__ = [
     "Table3Result",
     "Table5Result",
     "calibrate",
-    "run_calibration",
-    "run_fig1",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
-    "run_fig13",
-    "run_fig14",
-    "run_scaling",
-    "run_table3",
-    "run_table5",
 ]

@@ -30,7 +30,7 @@ import numpy as np
 from repro.config import GossipParams, LiftingParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.runtime.parallel import Job, run_jobs
-from repro.scenarios import Param, RunResult, run_scenario, scenario
+from repro.scenarios import Param, RunResult, scenario
 from repro.util.validation import require
 
 
@@ -202,15 +202,6 @@ def _calibration_scenario(params):
             degraded_upload=params["degraded_upload"] or None,
         )
     ]
-
-
-def run_calibration(**overrides) -> CalibrationResult:
-    """Run the calibration scenario and return its rich result.
-
-    Thin wrapper over ``run_scenario("calibration", ...)``; accepts the
-    scenario's declared parameters as keywords.
-    """
-    return run_scenario("calibration", **overrides).artifact
 
 
 def calibrate(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.config import FreeriderDegree, GossipParams, LiftingParams, planetlab
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.health import HealthReport
 from repro.runtime.parallel import Job
-from repro.scenarios import Param, RunResult, run_scenario, scenario
+from repro.scenarios import Param, RunResult, scenario
 
 #: what "as much as possible" means when nothing watches: serve/propose
 #: barely anything while still requesting everything.
@@ -214,39 +214,3 @@ def _fig1_scenario(params):
         for name, config in configs.items()
     ]
 
-
-def run_fig1(
-    *,
-    n: int = 150,
-    duration: float = 30.0,
-    seed: int = 7,
-    freerider_fraction: float = 0.25,
-    stream_rate_kbps: float = 674.0,
-    heavy_degree: FreeriderDegree = HEAVY_FREERIDING,
-    wise_degree: FreeriderDegree = WISE_FREERIDING,
-    lags: Optional[Sequence[float]] = None,
-    coverage: float = 0.97,
-    jobs: int = 1,
-) -> Fig1Result:
-    """Run the three deployments and collect their health curves.
-
-    Thin backward-compatible wrapper over ``run_scenario("fig1", ...)``
-    — bit-identical to the pre-registry runner.  Defaults are scaled
-    down from the paper's 300 nodes / 60 s for tractability on one
-    machine; pass ``n=300, duration=60`` for the full setting.  The
-    three deployments are independent; ``jobs`` fans them out to a
-    process pool (bit-identical to ``jobs=1``).
-    """
-    return run_scenario(
-        "fig1",
-        n=n,
-        duration=duration,
-        seed=seed,
-        freerider_fraction=freerider_fraction,
-        stream_rate_kbps=stream_rate_kbps,
-        heavy_deltas=heavy_degree.as_tuple(),
-        wise_deltas=wise_degree.as_tuple(),
-        lags=None if lags is None else tuple(float(lag) for lag in lags),
-        coverage=coverage,
-        jobs=jobs,
-    ).artifact

@@ -17,7 +17,7 @@ import numpy as np
 from repro.config import analysis_params
 from repro.mc.blame_model import BlameModel, simulate_scores
 from repro.runtime.parallel import Task
-from repro.scenarios import Param, run_scenario, scenario
+from repro.scenarios import Param, scenario
 from repro.util.rng import make_generator
 from repro.util.stats import histogram_density
 
@@ -82,10 +82,3 @@ def _fig10_metrics(result: Fig10Result, params) -> dict:
 def _fig10_scenario(params):
     return [Task(fn=_compute_fig10, args=(params["n"], params["seed"]), key="fig10")]
 
-
-def run_fig10(*, n: int = 10_000, seed: int = 11) -> Fig10Result:
-    """Sample the one-period compensated score distribution.
-
-    Thin backward-compatible wrapper over ``run_scenario("fig10", ...)``.
-    """
-    return run_scenario("fig10", n=n, seed=seed).artifact

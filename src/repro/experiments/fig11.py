@@ -16,11 +16,9 @@ import numpy as np
 
 from repro.config import FreeriderDegree, analysis_params
 from repro.mc.blame_model import BlameModel, ScoreSample, simulate_scores
-from repro.metrics.scores import DetectionReport
 from repro.runtime.parallel import Task
-from repro.scenarios import Param, run_scenario, scenario
+from repro.scenarios import Param, scenario
 from repro.util.rng import make_generator
-from repro.util.stats import EmpiricalDistribution
 
 
 @dataclass
@@ -48,12 +46,6 @@ class Fig11Result:
             np.quantile(self.sample.honest, 0.01)
             - np.quantile(self.sample.freeriders, 0.99)
         )
-
-    def report(self) -> DetectionReport:
-        """As a :class:`DetectionReport` for uniform printing."""
-        honest = EmpiricalDistribution(list(self.sample.honest))
-        freeriders = EmpiricalDistribution(list(self.sample.freeriders))
-        return DetectionReport(threshold=self.eta, honest=honest, freeriders=freeriders)
 
     def cdf_series(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(honest_x, honest_frac, freerider_x, freerider_frac)."""
@@ -171,33 +163,3 @@ def _fig11_scenario(params):
         )
     ]
 
-
-def run_fig11(
-    *,
-    n: int = 10_000,
-    freeriders: int = 1_000,
-    rounds: int = 50,
-    delta: float = 0.1,
-    seed: int = 13,
-    jobs: int = 1,
-    shards: int = 8,
-) -> Fig11Result:
-    """Simulate the two-population score distribution.
-
-    Thin backward-compatible wrapper over ``run_scenario("fig11", ...)``.
-    The populations are split into ``shards`` fixed sub-populations,
-    each with its own seed-derived RNG stream, so the Monte-Carlo work
-    fans out over ``jobs`` processes.  The shard count — not the worker
-    count — determines the streams, so results depend only on
-    ``(seed, shards)`` and are bit-identical for every ``jobs`` value.
-    """
-    return run_scenario(
-        "fig11",
-        n=n,
-        freeriders=freeriders,
-        rounds=rounds,
-        delta=delta,
-        seed=seed,
-        jobs=jobs,
-        shards=shards,
-    ).artifact

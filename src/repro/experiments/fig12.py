@@ -21,7 +21,7 @@ import numpy as np
 from repro.config import FreeriderDegree, analysis_params
 from repro.mc.blame_model import BlameModel, simulate_scores
 from repro.runtime.parallel import Task
-from repro.scenarios import Param, run_scenario, scenario
+from repro.scenarios import Param, scenario
 from repro.util.rng import make_generator
 
 
@@ -38,10 +38,6 @@ class Fig12Result:
     def detection_at(self, delta: float) -> float:
         """Interpolated detection probability at ``delta``."""
         return float(np.interp(delta, self.deltas, self.detection))
-
-    def gain_at(self, delta: float) -> float:
-        """Interpolated bandwidth gain at ``delta``."""
-        return float(np.interp(delta, self.deltas, self.gain))
 
     def delta_for_gain(self, gain: float) -> float:
         """The δ achieving a given bandwidth gain."""
@@ -162,27 +158,3 @@ def _fig12_scenario(params):
         for index, delta in enumerate(params["deltas"])
     ]
 
-
-def run_fig12(
-    *,
-    deltas: Sequence[float] = None,
-    rounds: int = 50,
-    samples_per_point: int = 3_000,
-    seed: int = 17,
-    jobs: int = 1,
-) -> Fig12Result:
-    """Run the δ sweep with the analysis parameters.
-
-    Thin backward-compatible wrapper over ``run_scenario("fig12", ...)``.
-    Each sweep point is an independent Monte-Carlo task with a
-    seed-derived per-point RNG stream, so ``jobs`` fans the sweep out
-    over processes with bit-identical series for every ``jobs`` value.
-    """
-    return run_scenario(
-        "fig12",
-        deltas=None if deltas is None else tuple(float(d) for d in deltas),
-        rounds=rounds,
-        samples_per_point=samples_per_point,
-        seed=seed,
-        jobs=jobs,
-    ).artifact

@@ -21,9 +21,8 @@ from repro.analysis.entropy_analysis import max_fanout_entropy
 from repro.config import analysis_params
 from repro.mc.entropy import sample_fanin_entropies, sample_fanout_entropies
 from repro.runtime.parallel import Task
-from repro.scenarios import Param, run_scenario, scenario
+from repro.scenarios import Param, scenario
 from repro.util.rng import make_generator
-from repro.util.stats import histogram_density
 
 
 @dataclass
@@ -55,14 +54,6 @@ class Fig13Result:
     def fanin_false_expulsions(self) -> float:
         """Fraction of honest fanin histories below γ."""
         return float(np.mean(self.fanin_entropies < self.gamma))
-
-    def fanout_pdf(self, bins: int = 40):
-        """Figure 13a's histogram."""
-        return histogram_density(self.fanout_entropies, bins=bins, value_range=(8.8, 9.4))
-
-    def fanin_pdf(self, bins: int = 40):
-        """Figure 13b's histogram."""
-        return histogram_density(self.fanin_entropies, bins=bins, value_range=(8.8, 9.4))
 
 
 def _compute_fig13(n: int, seed: int) -> Fig13Result:
@@ -109,10 +100,3 @@ def _fig13_metrics(result: Fig13Result, params) -> dict:
 def _fig13_scenario(params):
     return [Task(fn=_compute_fig13, args=(params["n"], params["seed"]), key="fig13")]
 
-
-def run_fig13(*, n: int = 10_000, seed: int = 19) -> Fig13Result:
-    """Sample both entropy distributions at the analysis parameters.
-
-    Thin backward-compatible wrapper over ``run_scenario("fig13", ...)``.
-    """
-    return run_scenario("fig13", n=n, seed=seed).artifact

@@ -25,7 +25,7 @@ from repro.config import FreeriderDegree, GossipParams, LiftingParams, planetlab
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.scores import DetectionReport, detection_report
 from repro.runtime.parallel import Job, Task, run_jobs
-from repro.scenarios import Param, RunResult, run_scenario, scenario
+from repro.scenarios import Param, RunResult, scenario
 
 #: the paper's freerider configuration (§7.1).
 PLANETLAB_DEGREE = FreeriderDegree(delta1=1.0 / 7.0, delta2=0.1, delta3=0.1)
@@ -290,39 +290,3 @@ def _fig14_scenario(params):
     itself (see docs/SCENARIOS.md, "Staged scenarios")."""
     return [Task(fn=_fig14_task, args=(dict(params),), key="fig14")]
 
-
-def run_fig14(
-    *,
-    n: int = 120,
-    seed: int = 23,
-    times: Sequence[float] = (25.0, 30.0, 35.0),
-    p_dcc_values: Sequence[float] = (1.0, 0.5),
-    freerider_fraction: float = 0.10,
-    degree: FreeriderDegree = PLANETLAB_DEGREE,
-    degraded_fraction: float = 0.10,
-    degraded_loss: float = 0.12,
-    degraded_upload: float = 40_000.0,
-    loss_rate: float = 0.04,
-    chunk_size: int = 1400,
-    calibration_duration: float = 20.0,
-    false_positive_target: float = 0.01,
-    jobs: int = 1,
-) -> Fig14Result:
-    """Backward-compatible wrapper over ``run_scenario("fig14", ...)``."""
-    return run_scenario(
-        "fig14",
-        n=n,
-        seed=seed,
-        times=tuple(float(t) for t in times),
-        p_dcc_values=tuple(float(p) for p in p_dcc_values),
-        freerider_fraction=freerider_fraction,
-        deltas=degree.as_tuple(),
-        degraded_fraction=degraded_fraction,
-        degraded_loss=degraded_loss,
-        degraded_upload=degraded_upload,
-        loss_rate=loss_rate,
-        chunk_size=chunk_size,
-        calibration_duration=calibration_duration,
-        false_positive_target=false_positive_target,
-        jobs=jobs,
-    ).artifact

@@ -21,13 +21,12 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.config import planetlab_params
 from repro.experiments.cluster import ClusterConfig, SimCluster
 from repro.runtime.parallel import Task
-from repro.scenarios import Param, RunResult, run_scenario, scenario
-from repro.util.validation import require
+from repro.scenarios import Param, RunResult, scenario
 
 
 @dataclass(frozen=True)
@@ -74,12 +73,6 @@ class ScalingResult:
     warmup: float
     duration: float
     seed: int
-
-    def rows(self) -> Tuple[Tuple[int, float, float], ...]:
-        """(n, s_per_sim_second, events_per_wall_second) per size."""
-        return tuple(
-            (p.n, p.s_per_sim_second, p.events_per_wall_second) for p in self.points
-        )
 
     def as_dict(self) -> dict:
         """JSON-friendly form (used by the benchmark recorder)."""
@@ -210,25 +203,3 @@ def _scaling_scenario(params):
         for n in params["sizes"]
     ]
 
-
-def run_scaling(
-    sizes: Sequence[int] = (100, 300, 1000),
-    *,
-    duration: float = 3.0,
-    warmup: float = 2.0,
-    seed: int = 1,
-    jobs: int = 1,
-) -> ScalingResult:
-    """Measure the s-per-sim-second curve over ``sizes``.
-
-    Thin backward-compatible wrapper over ``run_scenario("scaling", ...)``.
-    """
-    require(len(sizes) >= 1, "need at least one size")
-    return run_scenario(
-        "scaling",
-        sizes=tuple(int(n) for n in sizes),
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        jobs=jobs,
-    ).artifact

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.overhead import MessageCountModel, expected_message_counts, scaling_exponent
 from repro.config import GossipParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.overhead import message_counts_per_node_period
 from repro.runtime.parallel import Job
-from repro.scenarios import Param, RunResult, run_scenario, scenario
+from repro.scenarios import Param, RunResult, scenario
 
 
 @dataclass
@@ -155,28 +155,3 @@ def _table3_scenario(params):
         )
     return job_list
 
-
-def run_table3(
-    *,
-    n: int = 100,
-    duration: float = 12.0,
-    seed: int = 29,
-    p_dcc: float = 1.0,
-    fanout_sweep: Sequence[int] = (4, 6, 8),
-    jobs: int = 1,
-) -> Table3Result:
-    """Measure verification message counts and their fanout scaling.
-
-    Thin backward-compatible wrapper over ``run_scenario("table3", ...)``.
-    The main deployment and each fanout-sweep deployment are
-    independent; ``jobs`` fans them out to a process pool.
-    """
-    return run_scenario(
-        "table3",
-        n=n,
-        duration=duration,
-        seed=seed,
-        p_dcc=p_dcc,
-        fanout_sweep=tuple(int(f) for f in fanout_sweep),
-        jobs=jobs,
-    ).artifact

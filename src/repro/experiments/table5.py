@@ -24,7 +24,7 @@ from repro.config import planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.overhead import OverheadReport
 from repro.runtime.parallel import Job
-from repro.scenarios import Param, RunResult, run_scenario, scenario
+from repro.scenarios import Param, RunResult, scenario
 
 PAPER_OVERHEAD_PERCENT = {
     (674.0, 0.0): 1.07,
@@ -151,29 +151,3 @@ def _table5_scenario(params):
         p_dcc_values=params["p_dcc_values"],
     )
 
-
-def run_table5(
-    *,
-    n: int = 100,
-    duration: float = 10.0,
-    seed: int = 31,
-    rates_kbps: Sequence[float] = (674.0, 1082.0, 2036.0),
-    p_dcc_values: Sequence[float] = (0.0, 0.5, 1.0),
-    jobs: int = 1,
-) -> Table5Result:
-    """Measure the overhead grid on a scaled-down deployment.
-
-    Thin backward-compatible wrapper over ``run_scenario("table5", ...)``.
-    The grid cells are independent deployments; ``jobs`` fans them out
-    to a process pool with bit-identical cells (every cell's seed and
-    RNG streams depend only on its config, never on the worker count).
-    """
-    return run_scenario(
-        "table5",
-        n=n,
-        duration=duration,
-        seed=seed,
-        rates_kbps=tuple(float(rate) for rate in rates_kbps),
-        p_dcc_values=tuple(float(p) for p in p_dcc_values),
-        jobs=jobs,
-    ).artifact

@@ -70,17 +70,9 @@ class ChunkStore:
     def __len__(self) -> int:
         return len(self._received_at)
 
-    def size_of(self, chunk_id: ChunkId) -> int:
-        """Payload size of an owned chunk."""
-        return self.sizes[chunk_id]
-
     def received_at(self, chunk_id: ChunkId) -> float:
         """When the chunk arrived."""
         return self._received_at[chunk_id]
-
-    def chunk_ids(self) -> List[ChunkId]:
-        """All owned chunk ids."""
-        return list(self._received_at.keys())
 
 
 class StreamSource:
@@ -107,8 +99,7 @@ class StreamSource:
         self.stop_after = stop_after
         self.chunks: List[Chunk] = []
         #: chunk id -> creation time as a plain list (chunk ids are
-        #: dense): the source's own record, read through
-        #: :meth:`created_at`.
+        #: dense): the source's own record.
         self.created_times: List[float] = []
         self._next_id = 0
         self._timer = None
@@ -148,7 +139,3 @@ class StreamSource:
     def emitted(self) -> int:
         """Number of chunks emitted so far."""
         return self._next_id
-
-    def created_at(self, chunk_id: ChunkId) -> float:
-        """Creation time of ``chunk_id``."""
-        return self.created_times[chunk_id]

@@ -26,8 +26,8 @@ touches only the queried proposer's entries instead of every record in
 the window.  Nothing else is kept incrementally: a Confirm's sender is
 one append to its period's log, and what is read per audit rather than
 per message (:meth:`confirm_senders_about` per HistoryPoll,
-:meth:`proposals_snapshot` from which the auditor computes ``F_h``, the
-multiset and count reads below) scans the window.
+:meth:`proposals_snapshot` from which the auditor computes ``F_h``)
+scans the window.
 
 Records returned by :meth:`records` are the live ring slots: they are
 valid until the ring wraps past them, at which point they are recycled.
@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.util.multiset import Multiset
 from repro.util.validation import require
 
 NodeId = int
@@ -170,28 +169,6 @@ class LocalHistory:
         slots = self._slots
         return [slots[(s - 1) % cap] for s in range(seq - count + 1, seq + 1)]
 
-    def fanout_multiset(self, last: Optional[int] = None) -> Multiset:
-        """``F_h`` — partners of our propose events over the window."""
-        fanout: Multiset = Multiset()
-        for record in self.records(last):
-            if record.proposal is not None:
-                for partner in record.proposal[0]:
-                    fanout.add(partner)
-        return fanout
-
-    def fanin_multiset(self, last: Optional[int] = None) -> Multiset:
-        """Nodes that served us over the window (claimed origins)."""
-        fanin: Multiset = Multiset()
-        for record in self.records(last):
-            for server in record.fanin:
-                fanin.add(server)
-        return fanin
-
-    def proposal_count(self, last: Optional[int] = None) -> int:
-        """Number of propose events in the window — §5.3 uses this to
-        check that the node respected the gossip period ``T_g``."""
-        return sum(1 for r in self.records(last) if r.proposal is not None)
-
     def proposals_snapshot(
         self, last: Optional[int] = None
     ) -> Tuple[Tuple[int, Tuple[NodeId, ...], Tuple[ChunkId, ...]], ...]:
@@ -225,16 +202,6 @@ class LocalHistory:
                 return True
         return False
 
-    def received_any_proposal_from(self, proposer: NodeId, *, last: Optional[int] = None) -> bool:
-        """Did ``proposer`` send us any proposal within the window?"""
-        per_seq = self._received_idx.get(proposer)
-        if per_seq is None:
-            return False
-        if last is None:
-            return True
-        lo = self._seq - last + 1
-        return any(seq >= lo for seq in per_seq)
-
     def confirm_senders_about(self, proposer: NodeId, last: Optional[int] = None) -> List[NodeId]:
         """All verifiers that asked us about ``proposer`` in the window
         (oldest period first, arrival order within a period)."""
@@ -244,11 +211,3 @@ class LocalHistory:
             for about, verifier in record.confirm_senders
             if about == proposer
         ]
-
-    @property
-    def current_period(self) -> Optional[int]:
-        """Index of the open period (None before the first)."""
-        return self._current.period if self._current is not None else None
-
-    def __len__(self) -> int:
-        return min(self._seq, self.max_periods)

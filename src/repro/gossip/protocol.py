@@ -7,9 +7,11 @@ reputation manager for the nodes it manages (§5.1), and an auditor
 node's :class:`~repro.nodes.behavior.Behavior`.
 
 The node is transport-agnostic: it talks to the world through a small
-``transport`` facade (``send``, ``call_later``, ``clock``) which the
-discrete-event simulator and the asyncio runtime both provide.  Under
-the simulator the facade is :class:`SimTransport` below.
+``transport`` facade (``send``, ``call_later``, ``call_every``,
+``clock``), which the asyncio runtime's ``AsyncTransport`` provides.
+Under the simulator the transport is :class:`SimTransport` below, which
+names the engine and the network: the node binds *their* ``call_later``
+and ``send_many`` at construction, with no facade frame in between.
 """
 
 from __future__ import annotations
@@ -81,12 +83,13 @@ def _send_each(send, src: NodeId, dsts, message: object, kind: Transport) -> int
 class SimTransport:
     """Binds a node to the discrete-event simulator and network.
 
-    The transport facade (``clock`` / ``call_later`` / ``call_every`` /
-    ``send``) is everything a protocol node needs from its environment;
-    :class:`repro.runtime.transport.AsyncTransport` provides the same
-    facade over real sockets and the asyncio event loop.  The fabric
-    names a :class:`~repro.deployment.Deployment` adds (``is_connected``
-    / ``disconnect`` / ``expel``) are the network's own methods: the
+    ``clock`` / ``call_every`` are the facade a protocol node shares
+    with :class:`repro.runtime.transport.AsyncTransport`; for the two
+    per-message names a :class:`GossipNode` reads ``sim`` and
+    ``network`` here and binds ``Simulator.call_later`` and
+    ``Network.send_many`` themselves.  The fabric names a
+    :class:`~repro.deployment.Deployment` adds (``is_connected`` /
+    ``disconnect`` / ``expel``) are the network's own methods: the
     simulated fabric has one way to drop a node, and permanence is the
     membership ledger's job.
     """
@@ -100,16 +103,10 @@ class SimTransport:
     def clock(self) -> float:
         return self.sim.now
 
-    def call_later(self, delay: float, callback: Callable[..., None], *args):
-        return self.sim.call_later(delay, callback, *args)
-
     def call_every(self, interval: float, callback, *, first_delay: float, jitter=None):
         return self.sim.call_every(
             interval, callback, first_at=self.sim.now + first_delay, jitter=jitter
         )
-
-    def send(self, src: NodeId, dst: NodeId, message: object, reliable: bool) -> bool:
-        return self.network.send(src, dst, message, _TCP if reliable else _UDP)
 
 
 @dataclass(slots=True)
@@ -174,15 +171,13 @@ class GossipNode:
         self._send_many = (
             network.send_many if network is not None else partial(_send_each, transport.send)
         )
-        self._transport_call_later = (
-            sim.call_later if sim is not None else transport.call_later
-        )
-        #: ``defer(delay, callback, *args)``: run ``callback(*args)``
-        #: after ``delay`` seconds, fire-and-forget — for timers nobody
-        #: cancels.  The simulator files them on its calendar
-        #: (``Simulator.defer``); a live transport's ``call_later``
-        #: handle is simply dropped.
-        self.defer = sim.defer if sim is not None else transport.call_later
+        #: ``call_later(delay, callback, *args)``: run ``callback(*args)``
+        #: after ``delay`` seconds.  The host's own method, bound once —
+        #: under the simulator ``Simulator.call_later``, which files the
+        #: call on the calendar; nobody keeps a handle (a live
+        #: transport's is simply dropped): a deadline inspects state
+        #: when it fires.
+        self.call_later = sim.call_later if sim is not None else transport.call_later
         self._sim = sim
         self.sampler = sampler
         self.gossip = gossip
@@ -308,10 +303,6 @@ class GossipNode:
         """Current time."""
         sim = self._sim
         return sim.now if sim is not None else self.transport.clock()
-
-    def call_later(self, delay: float, callback: Callable[..., None], *args):
-        """Schedule ``callback(*args)`` after ``delay`` seconds."""
-        return self._transport_call_later(delay, callback, *args)
 
     def random(self) -> float:
         """One uniform [0, 1) draw from the node's stream."""
@@ -547,7 +538,7 @@ class GossipNode:
             # Baseline protocol (LiFTinG off): still watch the request so
             # lost serves get retried from an alternative proposer.
             self._naked_requests[proposal_id] = (proposer, set(chunk_ids))
-            self.defer(
+            self.call_later(
                 self.lifting.serve_timeout, self._check_naked_request, proposal_id
             )
 
@@ -620,11 +611,10 @@ class GossipNode:
         # Defer the answer: the confirm races the propose it asks about
         # (verifier is only an ack + confirm hop behind the proposer), so
         # the testimony is evaluated after a grace delay.  One Confirm
-        # per served batch makes this the biggest timer source of a run,
-        # and it is never cancelled.
+        # per served batch makes this the biggest timer source of a run.
         delay = self.lifting.witness_answer_delay
         if delay > 0:
-            self.defer(delay, self._answer_confirm, src, message)
+            self.call_later(delay, self._answer_confirm, src, message)
         else:
             self._answer_confirm(src, message)
 

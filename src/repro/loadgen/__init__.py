@@ -22,14 +22,13 @@ scenario (``repro run loadgen``) for the packaged sweep.
 """
 
 from repro.loadgen.driver import LOADGEN_ID, LoadGenerator, LoadProfile
-from repro.loadgen.histogram import HISTOGRAM_SCHEMA, LatencyHistogram
+from repro.loadgen.histogram import LatencyHistogram
 from repro.loadgen.knee import KneeReport, detect_knee
 from repro.loadgen.probe import STAGES, StageProbe
 from repro.loadgen.schedule import ArrivalSchedule, Phase, RateStep, rate_ladder
 
 __all__ = [
     "ArrivalSchedule",
-    "HISTOGRAM_SCHEMA",
     "KneeReport",
     "LOADGEN_ID",
     "LatencyHistogram",

@@ -27,14 +27,11 @@ against a sorted-array reference.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.util.validation import require
 
-__all__ = ["HISTOGRAM_SCHEMA", "LatencyHistogram"]
-
-#: schema tag stamped into every serialised histogram.
-HISTOGRAM_SCHEMA = "repro.latency_histogram/1"
+__all__ = ["LatencyHistogram"]
 
 
 class LatencyHistogram:
@@ -128,11 +125,6 @@ class LatencyHistogram:
         upper = base * (1.0 + (sub + 1) / self.subbuckets)
         return (lower, upper)
 
-    def bucket_width(self, index: int) -> float:
-        """Width of one bucket (inf for the overflow bucket)."""
-        lower, upper = self.bucket_bounds(index)
-        return upper - lower
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -211,47 +203,6 @@ class LatencyHistogram:
         if result is None:
             return cls()
         return result
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe serialisation (sparse counts)."""
-        return {
-            "schema": HISTOGRAM_SCHEMA,
-            "min_value": self.min_value,
-            "max_value": self.max_value,
-            "subbuckets": self.subbuckets,
-            "count": self.count,
-            "total": self.total,
-            "min_recorded": self.min_recorded if self.count else None,
-            "max_recorded": self.max_recorded if self.count else None,
-            "counts": {
-                str(index): bucket_count
-                for index, bucket_count in enumerate(self.counts)
-                if bucket_count
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "LatencyHistogram":
-        schema = payload.get("schema")
-        if schema != HISTOGRAM_SCHEMA:
-            raise ValueError(
-                f"unsupported histogram schema {schema!r} "
-                f"(expected {HISTOGRAM_SCHEMA!r})"
-            )
-        out = cls(
-            min_value=float(payload["min_value"]),
-            max_value=float(payload["max_value"]),
-            subbuckets=int(payload["subbuckets"]),
-        )
-        for key, bucket_count in dict(payload["counts"]).items():
-            out.counts[int(key)] = int(bucket_count)
-        out.count = int(payload["count"])
-        out.total = float(payload["total"])
-        minimum = payload.get("min_recorded")
-        maximum = payload.get("max_recorded")
-        out.min_recorded = math.inf if minimum is None else float(minimum)
-        out.max_recorded = 0.0 if maximum is None else float(maximum)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

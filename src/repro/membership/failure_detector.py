@@ -29,10 +29,10 @@ ranks alive(0) < suspect(1) < left(2) < dead(3): within one incarnation
 bad news beats good news; a bumped incarnation (only the node itself
 can bump — that *is* the refutation) beats everything older.
 
-The detector is plane-agnostic: it talks to its host through the same
-``send`` / ``call_later`` / ``clock`` surface that
-:class:`~repro.gossip.protocol.SimTransport` and the live
-``AsyncTransport`` both provide, and all timeouts are expressed in
+The detector is plane-agnostic: it talks to its host through the
+``send`` / ``call_later`` / ``clock`` surface a
+:class:`~repro.gossip.protocol.GossipNode` offers on both planes, and
+all timeouts are expressed in
 gossip-period units so one parameter set works at any timescale.
 """
 

@@ -2,17 +2,14 @@
 
 The protocol produces a compensated, normalised score per node (via the
 min-vote over its managers); this module splits the population by
-ground-truth role, builds the pdf/cdf series the paper plots, and
-applies the fixed threshold ``η`` to report detection (α) and false
-positives (β).
+ground-truth role and applies the fixed threshold ``η`` to report
+detection (α) and false positives (β).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set, Tuple
-
-import numpy as np
+from typing import Dict, Set, Tuple
 
 from repro.util.stats import EmpiricalDistribution
 
@@ -69,17 +66,3 @@ def detection_report(
     """Apply threshold ``eta`` to a score map."""
     honest, freeriders = score_distributions(scores, freerider_ids)
     return DetectionReport(threshold=eta, honest=honest, freeriders=freeriders)
-
-
-def gap_between_populations(report: DetectionReport) -> float:
-    """Distance between the honest 1st percentile and the freerider
-    99th percentile — positive when the two modes are fully separated
-    (the "gap" the paper observes in Figure 11a)."""
-    if len(report.honest) == 0 or len(report.freeriders) == 0:
-        return float("nan")
-    return report.honest.quantile(0.01) - report.freeriders.quantile(0.99)
-
-
-def cdf_series(distribution: EmpiricalDistribution) -> Tuple[np.ndarray, np.ndarray]:
-    """Convenience: the (x, fraction) CDF series used by the figures."""
-    return distribution.cdf()

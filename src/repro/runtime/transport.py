@@ -236,10 +236,10 @@ class _PeerChannel:
 class AsyncTransport:
     """The transport facade over asyncio sockets.
 
-    Satisfies the same interface as
-    :class:`repro.gossip.protocol.SimTransport`: ``clock``,
-    ``call_later``, ``call_every``, ``send`` — so a
-    :class:`~repro.gossip.protocol.GossipNode` runs on it unmodified —
+    ``clock``, ``call_later``, ``call_every``, ``send`` — what a
+    :class:`~repro.gossip.protocol.GossipNode` needs of its host, the
+    simulator's :class:`~repro.gossip.protocol.SimTransport` being the
+    other one —
     plus ``is_connected`` / ``disconnect`` / ``expel``, so a
     :class:`~repro.deployment.Deployment` does too.
     """

@@ -1,11 +1,9 @@
-"""Built-in scenarios without a legacy ``experiments/`` runner module.
+"""Built-in scenarios without an ``experiments/`` module of their own.
 
-These used to be hand-wired CLI subcommands only (``detect``,
-``analyze``, ``live``); registering them makes every workload reachable
-through the same ``run_scenario`` engine, gives them the uniform
-``RunResult`` envelope, and derives their CLI flags from the same
-:class:`~repro.scenarios.spec.Param` declarations as every figure —
-no subcommand can silently lack a flag its parameters support anymore.
+Registering them (``detect``, ``analyze``, ``live``, ...) makes every
+workload reachable through the same ``run_scenario`` engine, gives them
+the uniform ``RunResult`` envelope, and derives their CLI flags from the
+same :class:`~repro.scenarios.spec.Param` declarations as every figure.
 """
 
 from __future__ import annotations
@@ -792,8 +790,7 @@ def _churn_render(run: RunResult) -> str:
         Param("suspicion", float, 8.0,
               "suspicion window (gossip periods) before confirm-dead",
               validate=lambda v: v > 0, constraint="> 0"),
-        Param("jobs", int, 1, "worker processes for the sweep",
-              validate=lambda v: v >= 1, constraint=">= 1"),
+        Param("jobs", int, 1, "worker processes for the sweep (0 = all cores)"),
     ),
     reduce=_churn_reduce,
     summarize=_churn_metrics,
@@ -944,8 +941,7 @@ def _coalition_render(run: RunResult) -> str:
         Param("launder", float, 2.0,
               "credit (negative blame) each member grants co-members per period",
               validate=lambda v: v >= 0.0, constraint=">= 0"),
-        Param("jobs", int, 1, "worker processes for the sweep",
-              validate=lambda v: v >= 1, constraint=">= 1"),
+        Param("jobs", int, 1, "worker processes for the sweep (0 = all cores)"),
     ),
     reduce=_coalition_reduce,
     summarize=_coalition_metrics,
@@ -1045,8 +1041,7 @@ def _sybil_render(run: RunResult) -> str:
         Param("delta", float, 0.5, "uniform freeriding degree of the stuffers"),
         Param("start_period", int, 10, "first period of the campaign",
               validate=lambda v: v >= 0, constraint=">= 0"),
-        Param("jobs", int, 1, "worker processes for the sweep",
-              validate=lambda v: v >= 1, constraint=">= 1"),
+        Param("jobs", int, 1, "worker processes for the sweep (0 = all cores)"),
     ),
     reduce=_sybil_reduce,
     summarize=_sybil_metrics,

@@ -63,8 +63,8 @@ def load_builtins() -> None:
         return
     _BUILTINS_LOADED = True
     # The experiments package imports every fig/table/scaling module;
-    # builtin.py holds the scenarios without a legacy runner module
-    # (detect, analyze, live).
+    # builtin.py holds the scenarios without a module of their own
+    # (detect, analyze, live, ...).
     import repro.experiments  # noqa: F401
     import repro.scenarios.builtin  # noqa: F401
 

@@ -400,10 +400,6 @@ class ScenarioSpec:
     def param_names(self) -> Tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
-    def defaults(self) -> Dict[str, Any]:
-        """The fully-defaulted parameter set."""
-        return {p.name: p.default for p in self.params}
-
     def _unknown_param(self, name: str) -> ParamError:
         import difflib
 
@@ -431,9 +427,8 @@ class ScenarioSpec:
         resolved: Dict[str, Any] = {}
         for p in self.params:
             if p.name in overrides and overrides[p.name] is not None:
-                # ``None`` means "use the default" — the convention that
-                # lets thin legacy wrappers forward their own optional
-                # keyword arguments verbatim.
+                # ``None`` means "use the default": a caller forwards
+                # its own optional keyword arguments verbatim.
                 try:
                     resolved[p.name] = p.coerce(overrides[p.name])
                 except ParamError as exc:

@@ -4,7 +4,7 @@ The paper evaluates LiFTinG on PlanetLab (300 nodes, UDP data path, TCP
 audits, ~4 % message loss, heterogeneous links).  This package is the
 testbed substitute: a deterministic discrete-event simulator with
 
-* an event engine with a simulated clock and cancellable timers
+* an event engine with a simulated clock and one ordered event spine
   (:mod:`repro.sim.engine`),
 * lossy-datagram and reliable-stream channel models with pluggable
   latency/loss models and per-node upload-bandwidth throttling
@@ -17,8 +17,8 @@ the asyncio runtime in :mod:`repro.runtime`.
 """
 
 from repro.sim.bandwidth import UploadLink
-from repro.sim.engine import Simulator, Timer
-from repro.sim.latency import ConstantLatency, LatencyModel, LogNormalLatency, UniformLatency
+from repro.sim.engine import Simulator
+from repro.sim.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.sim.loss import BernoulliLoss, LossModel, NoLoss, PerNodeLoss
 from repro.sim.network import Endpoint, Network, Transport
 from repro.sim.trace import MessageTrace
@@ -28,14 +28,12 @@ __all__ = [
     "ConstantLatency",
     "Endpoint",
     "LatencyModel",
-    "LogNormalLatency",
     "LossModel",
     "MessageTrace",
     "Network",
     "NoLoss",
     "PerNodeLoss",
     "Simulator",
-    "Timer",
     "Transport",
     "UniformLatency",
     "UploadLink",

@@ -60,18 +60,3 @@ class UploadLink:
         finish = start + size_bytes / rate
         self.free_at = finish
         return finish
-
-    def queueing_delay(self, now: float) -> float:
-        """Seconds a message enqueued at ``now`` waits before starting."""
-        return max(0.0, self.free_at - now)
-
-    def reset(self) -> None:
-        """Clear the queue and byte counter (used between experiment runs)."""
-        self.free_at = 0.0
-        self.bytes_sent = 0
-
-
-def kbps(value: float) -> float:
-    """Convert kilobits/second to bytes/second (1 kbps = 125 B/s)."""
-    require(value >= 0, "rate must be >= 0, got %r", value)
-    return value * 125.0

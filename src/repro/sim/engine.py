@@ -6,40 +6,39 @@ Design notes
   sequence counter and fires in ``(time, seq)`` order, so two events
   scheduled for the same instant fire in scheduling order — this keeps
   runs fully deterministic.  The spine is held in two containers, and
-  what decides where an event lives is *whether anyone may cancel it*:
+  what decides where an event lives is *whether anyone may take it
+  back*:
 
   - the **calendar** — an optionally attached :class:`DeliveryTimeline`
     of fixed-width time buckets — holds everything that is scheduled
     and then simply happens: network deliveries (filed by
-    :mod:`repro.sim.network`) and fire-and-forget calls (filed by
-    :meth:`Simulator.defer`: the witness-answer delay, the confirm and
-    serve timeouts — the largest timer populations of a LiFTinG run).
-    Filing is an O(1) bucket append instead of an O(log n) sift, and
-    firing is an amortized O(1) walk of a once-sorted bucket;
+    :mod:`repro.sim.network`) and every relative-delay call
+    (:meth:`Simulator.call_later`).  LiFTinG's timers are deadlines at
+    which state is inspected — the ack, confirm and serve windows, the
+    failure detector's probe timeouts, audit deadlines, score reads,
+    scripted faults — so a timeout that no longer matters finds nothing
+    to do and nobody needs a handle to disarm it.  Filing is an O(1)
+    bucket append instead of an O(log n) sift, and firing is an
+    amortized O(1) walk of a once-sorted bucket;
   - the **binary heap** holds what is left: plain-list entries ``[time,
-    seq, callback, args, status]`` for period ticks (which reschedule
-    themselves) and for genuinely cancellable timers, plus the rare
-    calendar entry due beyond the ring horizon.  With no calendar
-    attached it holds everything.
+    seq, callback, args]`` filed at an absolute time by
+    :meth:`Simulator.schedule` — period ticks, which reschedule
+    themselves and which :meth:`Simulator.unschedule` takes back when a
+    node stops — plus the rare calendar entry due beyond the ring
+    horizon.  With no calendar attached it holds everything.
 
   The run loop merges the two by ``(time, seq)``, so the global firing
   order is *identical* to a single heap's by construction — the same
   counter is read at the same call sites whichever container receives
   the entry (pinned by the heap-vs-calendar equivalence tests).
 * No closure is required on the hot path: callers pass positional
-  ``args`` inline (``sim.schedule(t, fn, a, b)``, ``sim.defer(d, fn,
-  a)``) instead of wrapping them in a lambda.
-* :class:`Timer` handles (returned by ``call_at`` / ``call_later``) are
-  a ``list`` subclass: the handle *is* the heap entry, so a cancellable
-  event costs one allocation, and the handle-free :meth:`Simulator.
-  schedule` path costs one plain list.
-* Cancellation is lazy: cancelling flips the entry's status word and
-  bumps the engine's cancellation generation counter; the entry is
-  skipped when popped.  When cancelled entries outnumber live ones the
-  heap is compacted in place, so retry/audit churn cannot make the heap
-  grow without bound.
-* The engine keeps an O(1) live-event counter (``pending_events``)
-  instead of scanning the heap.
+  ``args`` inline (``sim.schedule(t, fn, a, b)``, ``sim.call_later(d,
+  fn, a)``) instead of wrapping them in a lambda.
+* Nothing is cancelled lazily: an entry in either container is an event
+  that will fire, so ``pending_events`` is the two lengths added and
+  the loops never skip.  Taking a heap entry back is eager and rare (a
+  node stopping its period tick; a restart purging in-flight
+  deliveries) and pays one ``heapify``.
 * The scheduling and run loops are deliberately inlined (no helper
   calls, validation by plain comparison on the happy path): CPython
   frame setup dominates at millions of events per second.
@@ -61,24 +60,12 @@ Callback = Callable[..., None]
 
 _INF = math.inf
 
-# Heap-entry slots: [_TIME, _SEQ, _CALLBACK, _ARGS, _STATUS(, _SIM)].
-# The trailing _SIM slot exists only on Timer entries; the unique _SEQ
+# Heap-entry slots: [_TIME, _SEQ, _CALLBACK, _ARGS]; the unique _SEQ
 # guarantees heap comparisons never look past the first two slots.
 _TIME = 0
 _SEQ = 1
 _CALLBACK = 2
 _ARGS = 3
-_STATUS = 4
-_SIM = 5
-
-# Status words.
-_PENDING = 0
-_FIRED = 1
-_CANCELLED = 2
-
-#: Compaction trigger: at least this many cancelled entries *and* more
-#: cancelled than live entries in the heap.
-_COMPACT_MIN = 64
 
 
 class _Deferred:
@@ -91,7 +78,7 @@ class _Deferred:
 
 
 #: Occupies the ``dst`` slot of a calendar entry filed by
-#: :meth:`Simulator.defer` — ``[time, seq, callback, DEFERRED, args]``
+#: :meth:`Simulator.call_later` — ``[time, seq, callback, DEFERRED, args]``
 #: beside a delivery's ``[time, seq, src, dst, message]``.  The drain
 #: tells the two apart by identity on that slot, so no message payload
 #: (``None``, an ``int``, a tuple) can be mistaken for a call; and with
@@ -100,62 +87,20 @@ class _Deferred:
 DEFERRED = _Deferred()
 
 
-class Timer(list):
-    """Handle for a scheduled event; supports cancellation.
-
-    Instances are returned by :meth:`Simulator.call_at` /
-    :meth:`Simulator.call_later`.  Cancelling after the event has fired
-    is a harmless no-op.  The handle *is* the engine's heap entry (a
-    ``list`` subclass), so cancellable events cost a single allocation;
-    code that never cancels should use :meth:`Simulator.schedule`,
-    which allocates a plain list.
-    """
-
-    __slots__ = ()
-
-    @property
-    def time(self) -> float:
-        """Absolute simulated time the event is (or was) due."""
-        return self[_TIME]
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has taken effect."""
-        return self[_STATUS] == _CANCELLED
-
-    @property
-    def fired(self) -> bool:
-        """True once the callback has run."""
-        return self[_STATUS] == _FIRED
-
-    @property
-    def active(self) -> bool:
-        """True while the timer is pending (not fired, not cancelled)."""
-        return self[_STATUS] == _PENDING
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if already fired)."""
-        self[_SIM]._cancel(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("pending", "fired", "cancelled")[self[_STATUS]]
-        return f"Timer(time={self[_TIME]!r}, {state})"
-
-
 class DeliveryTimeline:
-    """The calendar queue: deliveries and deferred calls, never cancelled.
+    """The calendar queue: deliveries and deferred calls, never taken back.
 
     A ring of ``ring_size`` fixed-width time buckets; entries are plain
     five-slot lists — ``[time, seq, src, dst, message]`` for a network
     delivery, ``[time, seq, callback, DEFERRED, args]`` for a
-    :meth:`Simulator.defer` call — appended unsorted and sorted once
+    :meth:`Simulator.call_later` call — appended unsorted and sorted once
     when their bucket becomes *current* (the list-vs-list comparison
     stops at the unique ``seq``, so ties are broken exactly like heap
     entries and the later slots are never compared).  A small heap of
     occupied bucket indices makes cursor advancement O(1) amortized
     regardless of how sparse the timeline is — no empty-bucket scans.
-    Entries cannot be cancelled; a timer someone may cancel belongs on
-    the engine's heap (``call_later``).
+    An entry someone may take back belongs on the engine's heap
+    (``schedule`` / ``unschedule``).
 
     Invariants the engine and network rely on:
 
@@ -169,7 +114,7 @@ class DeliveryTimeline:
       every already-scheduled entry's, and its time is ``>= now``), so
       in-order draining survives re-entrant scheduling;
     * an insertion into an already-passed *empty gap* bucket (possible
-      when a timer callback fires inside a gap the cursor skipped over)
+      when a heap event fires inside a gap the cursor skipped over)
       rewinds the cursor — the untouched current bucket is pushed back
       into the ring.
     """
@@ -214,7 +159,7 @@ class DeliveryTimeline:
         ``base_idx`` is ``int(now * inv_width)``.  Returns False when
         the entry lies beyond the ring horizon — the caller must then
         schedule it on the heap instead.  The two hot callers — the
-        network's send path and :meth:`Simulator.defer` — inline the
+        network's send path and :meth:`Simulator.call_later` — inline the
         common branch of this method; this method is the reference
         implementation and the rare-branch handler.
         """
@@ -285,8 +230,8 @@ class Simulator:
 
     >>> sim = Simulator()
     >>> order = []
-    >>> _ = sim.call_later(2.0, lambda: order.append("b"))
-    >>> _ = sim.call_later(1.0, lambda: order.append("a"))
+    >>> sim.call_later(2.0, order.append, "b")
+    >>> sim.call_later(1.0, order.append, "a")
     >>> sim.run()
     >>> order, sim.now
     (['a', 'b'], 2.0)
@@ -297,9 +242,6 @@ class Simulator:
         "_queue",
         "_sequence",
         "_events_processed",
-        "_live",
-        "_cancelled_in_heap",
-        "_cancel_generation",
         "_timeline",
         "_drain",
     )
@@ -309,9 +251,6 @@ class Simulator:
         self._queue: List[list] = []
         self._sequence = 0
         self._events_processed = 0
-        self._live = 0  # O(1) pending-event counter (heap + timeline)
-        self._cancelled_in_heap = 0  # cancelled entries awaiting lazy deletion
-        self._cancel_generation = 0  # total cancellations ever issued
         self._timeline: Optional[DeliveryTimeline] = None
         self._drain: Optional[Callable[[float, float], int]] = None
 
@@ -325,12 +264,12 @@ class Simulator:
 
         ``drain(until, budget)`` must fire pending timeline entries in
         ``(time, seq)`` order — setting ``now`` per entry and yielding
-        back when a live heap event preempts, an entry is due past
+        back when a heap event is due first, an entry is due past
         ``until``, ``budget`` entries have fired, or the timeline is
         exhausted — and return how many entries it fired.  An entry
         whose ``dst`` slot is :data:`DEFERRED` is a call filed by
-        :meth:`defer`: the drain must run ``entry[2](*entry[4])`` and
-        count it as one fired entry.  The network owns the drain so
+        :meth:`call_later`: the drain must run ``entry[2](*entry[4])``
+        and count it as one fired entry.  The network owns the drain so
         delivery semantics stay out of the engine.
         """
         require(self._timeline is None, "a delivery timeline is already attached")
@@ -347,62 +286,51 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def schedule(self, time: float, callback: Callback, *args) -> list:
-        """Hot-path scheduling: no cancellation handle is allocated.
+        """File ``callback(*args)`` on the heap at absolute simulated ``time``.
 
-        ``callback`` is invoked as ``callback(*args)`` at absolute
-        simulated ``time``; the args are stored inline in the heap entry
-        so callers need no closure.  Returns the raw heap entry (opaque;
-        pass it to :meth:`cancel_entry` if cancellation is ever needed).
+        The args are stored inline in the heap entry so callers need no
+        closure.  Returns the heap entry (opaque; the one thing to do
+        with it is hand it to :meth:`unschedule`).  Scheduling in the
+        past raises — that is always a logic error in protocol code
+        (e.g. a negative latency).
         """
         if not (self.now <= time < _INF):  # also rejects NaN
             raise ValueError(
                 f"event time must be finite and >= now={self.now!r}, got {time!r}"
             )
-        entry = [time, self._sequence, callback, args, _PENDING]
+        entry = [time, self._sequence, callback, args]
         self._sequence += 1
         heappush(self._queue, entry)
-        self._live += 1
         return entry
 
-    def call_at(self, time: float, callback: Callback, *args) -> Timer:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+    def unschedule(self, entry: list) -> bool:
+        """Take back an entry :meth:`schedule` returned; False once it
+        fired or was already taken back.
 
-        Scheduling in the past raises — that is always a logic error in
-        protocol code (e.g. a negative latency).
+        Eager: the entry leaves the heap now, in place — a ``run`` in
+        progress and the delivery drain alias the list.  Meant for the
+        rare stop (a node's period tick at a crash), not for timeouts:
+        those are deadlines that inspect state (:meth:`call_later`).
         """
-        if not (self.now <= time < _INF):
-            require(time >= self.now, "cannot schedule in the past (%r < now=%r)", time, self.now)
-            require(math.isfinite(time), "event time must be finite, got %r", time)
-        timer = Timer((time, self._sequence, callback, args, _PENDING, self))
-        self._sequence += 1
-        heappush(self._queue, timer)
-        self._live += 1
-        return timer
+        queue = self._queue
+        try:
+            queue.remove(entry)
+        except ValueError:
+            return False
+        heapify(queue)
+        return True
 
-    def call_later(self, delay: float, callback: Callback, *args) -> Timer:
-        """Schedule ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            require(delay >= 0, "delay must be >= 0, got %r", delay)
-        time = self.now + delay
-        if not time < _INF:  # also rejects NaN
-            require(math.isfinite(time), "event time must be finite, got %r", time)
-        timer = Timer((time, self._sequence, callback, args, _PENDING, self))
-        self._sequence += 1
-        heappush(self._queue, timer)
-        self._live += 1
-        return timer
+    def call_later(self, delay: float, callback: Callback, *args) -> None:
+        """Run ``callback(*args)`` after ``delay`` simulated seconds.
 
-    def defer(self, delay: float, callback: Callback, *args) -> None:
-        """Fire-and-forget: run ``callback(*args)`` after ``delay`` seconds.
-
-        For timers nobody will ever cancel.  No handle is returned, and
-        the call is filed on the attached calendar as a
-        :data:`DEFERRED` entry — an O(1) bucket append that the delivery
-        drain fires in line, instead of a heap push, a heap pop and a
-        preemption of the drain.  It takes the next sequence number
-        exactly as :meth:`call_later` would, so the firing order is the
-        same wherever the entry lives; with no calendar attached, or a
-        due time past the ring horizon, it lives on the heap.
+        Fire-and-forget: no handle is returned and nothing can take the
+        call back — a deadline inspects state when it fires.  It is
+        filed on the attached calendar as a :data:`DEFERRED` entry, an
+        O(1) bucket append that the delivery drain fires in line.  It
+        takes the next sequence number exactly as :meth:`schedule`
+        would, so the firing order is the same wherever the entry lives;
+        with no calendar attached, or a due time past the ring horizon,
+        it lives on the heap.
         """
         if delay < 0:
             require(delay >= 0, "delay must be >= 0, got %r", delay)
@@ -429,9 +357,8 @@ class Simulator:
             else:
                 on_heap = not timeline.add(entry, base_idx)
         if on_heap:
-            heappush(self._queue, [time, self._sequence, callback, args, _PENDING])
+            heappush(self._queue, [time, self._sequence, callback, args])
         self._sequence += 1
-        self._live += 1
 
     def call_every(
         self,
@@ -453,180 +380,56 @@ class Simulator:
         return PeriodicTimer(self, interval, callback, first_at=first_at, jitter=jitter)
 
     # ------------------------------------------------------------------
-    # cancellation
-    # ------------------------------------------------------------------
-    def cancel_entry(self, entry: list) -> None:
-        """Cancel a raw entry returned by :meth:`schedule`."""
-        self._cancel(entry)
-
-    def _cancel(self, entry: list) -> None:
-        if entry[_STATUS] != _PENDING:
-            return
-        entry[_STATUS] = _CANCELLED
-        entry[_CALLBACK] = None  # release references eagerly
-        entry[_ARGS] = None
-        self._live -= 1
-        self._cancelled_in_heap += 1
-        self._cancel_generation += 1
-        # Compact when cancelled entries are the majority of the
-        # *physical* heap.  len(queue) is always exact, unlike the live
-        # counter, whose updates run() batches — comparing against
-        # self._live here would leave compaction suppressed for the
-        # whole of a long run() call.
-        if (
-            self._cancelled_in_heap >= _COMPACT_MIN
-            and 2 * self._cancelled_in_heap > len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (in place: the queue
-        list identity is preserved for aliases held by the run loop)."""
-        self._queue[:] = [e for e in self._queue if e[_STATUS] == _PENDING]
-        heapify(self._queue)
-        self._cancelled_in_heap = 0
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Run the next event.  Returns False when no live event remains."""
-        queue = self._queue
-        timeline = self._timeline
-        if timeline is not None and timeline.count and (
-            timeline.cur_pos < len(timeline.cur) or timeline.advance()
-        ):
-            d = timeline.cur[timeline.cur_pos]
-            while queue:
-                head = queue[0]
-                if head[_STATUS] == _PENDING:
-                    break
-                heappop(queue)
-                self._cancelled_in_heap -= 1
-            if not queue or d[_TIME] < queue[0][_TIME] or (
-                d[_TIME] == queue[0][_TIME] and d[_SEQ] < queue[0][_SEQ]
-            ):
-                fired = self._drain(_INF, 1)
-                timeline.count -= fired
-                self._live -= fired
-                self._events_processed += fired
-                return fired > 0
-        while queue:
-            entry = heappop(queue)
-            if entry[_STATUS] != _PENDING:
-                self._cancelled_in_heap -= 1
-                continue
-            self.now = entry[_TIME]
-            self._live -= 1
-            entry[_STATUS] = _FIRED
-            self._events_processed += 1
-            args = entry[_ARGS]
-            if args:
-                entry[_CALLBACK](*args)
-            else:
-                entry[_CALLBACK]()
-            return True
-        return False
-
     def run(self, *, until: float = math.inf, max_events: int = None) -> None:
-        """Run events until the queue drains, ``until`` passes, or
-        ``max_events`` have *fired*.
+        """Run events until both containers drain, ``until`` passes, or
+        ``max_events`` have fired.
 
-        ``max_events`` counts events whose callback actually ran —
-        cancelled timers skipped by lazy deletion do not count towards
-        the budget.  When stopping at ``until``, the clock is advanced
-        exactly to ``until`` so that a subsequent ``run`` resumes
-        cleanly; an ``until`` already passed fires nothing and leaves
-        the clock where it is — it only ever advances.
+        When stopping at ``until``, the clock is advanced exactly to
+        ``until`` so that a subsequent ``run`` resumes cleanly; an
+        ``until`` already passed fires nothing and leaves the clock
+        where it is — it only ever advances.
 
-        The fired/live counters are accumulated in locals and written
-        back when the loop exits (including on an exception): callbacks
-        observing ``pending_events`` / ``events_processed`` *mid-run*
-        see values as of the run's start, plus anything they scheduled
-        or cancelled themselves.
+        The fired counter is accumulated in a local and written back
+        when the loop exits (including on an exception), and the
+        calendar's length is settled when its drain returns: callbacks
+        observing ``events_processed`` / ``pending_events`` *mid-run*
+        see values as of the last hand-over between the containers,
+        plus anything they scheduled themselves.
 
         With a calendar attached the loop merges it with the heap by
         ``(time, seq)``: runs of calendar entries due before the next
-        live heap event are handed to the drain in one call, so the
+        heap event are handed to the drain in one call, so the
         per-event engine overhead is paid per *batch* of entries and
         per heap event, never per delivered message or deferred call.
 
         Automatic cyclic garbage collection is held off while events
         fire and the caller's setting is restored on every way out (a
-        nested ``run`` finds it off and leaves it off; :meth:`step`
-        does not touch it).  Nothing an event allocates is cyclic, so a
-        collection in here walks a heap that grows with the run and
-        frees nothing; a finished deployment, which is cyclic, is
-        collected where the next is built (``SimCluster.__init__``).
+        nested ``run`` finds it off and leaves it off).  Nothing an
+        event allocates is cyclic, so a collection in here walks a heap
+        that grows with the run and frees nothing; a finished
+        deployment, which is cyclic, is collected where the next is
+        built (``SimCluster.__init__``).
+
+        A nested ``run`` is supported from a heap callback only (whose
+        entry is popped before it fires).  From a calendar entry — a
+        delivery handler or a ``call_later`` callback — the drain's
+        cursor and count are mid-update and a nested ``run`` is
+        unsupported.
         """
         collecting = gc.isenabled()
         gc.disable()
-        fired = 0
-        try:
-            if self._timeline is not None:
-                self._run_two_tier(until=until, max_events=max_events)
-                return
-            queue = self._queue
-            unbounded = max_events is None
-            pop = heappop  # localised: one global load per event adds up
-            while queue:
-                entry = queue[0]
-                if entry[_STATUS] != _PENDING:
-                    # Decrement immediately (not batched like the fired
-                    # counters): a callback-triggered _compact() resets
-                    # _cancelled_in_heap absolutely, and a deferred
-                    # subtraction would double-count entries popped
-                    # before the compaction.
-                    pop(queue)
-                    self._cancelled_in_heap -= 1
-                    continue
-                time = entry[_TIME]
-                if time > until:
-                    break
-                if not unbounded and fired >= max_events:
-                    return
-                pop(queue)
-                self.now = time
-                entry[_STATUS] = _FIRED
-                fired += 1
-                args = entry[_ARGS]
-                if args:
-                    entry[_CALLBACK](*args)
-                else:
-                    entry[_CALLBACK]()
-            if until != _INF and until > self.now:
-                self.now = until
-        finally:
-            self._events_processed += fired
-            self._live -= fired
-            if collecting:
-                gc.enable()
-
-    def _run_two_tier(self, *, until: float, max_events: Optional[int]) -> None:
-        """The run loop with the calendar queue attached.
-
-        Same contract as :meth:`run`.  Heap events fire here; calendar
-        entries (deliveries and deferred calls, one event each) fire
-        inside the attached drain, which yields back whenever a live
-        heap event is due first.
-        """
         queue = self._queue
         timeline = self._timeline
         drain = self._drain
         fired = 0
         unbounded = max_events is None
-        pop = heappop
+        pop = heappop  # localised: one global load per event adds up
         try:
             while True:
-                head = None
-                while queue:
-                    entry = queue[0]
-                    if entry[_STATUS] == _PENDING:
-                        head = entry
-                        break
-                    pop(queue)
-                    self._cancelled_in_heap -= 1
-                if timeline.count and (
+                head = queue[0] if queue else None
+                if timeline is not None and timeline.count and (
                     timeline.cur_pos < len(timeline.cur) or timeline.advance()
                 ):
                     d = timeline.cur[timeline.cur_pos]
@@ -651,7 +454,6 @@ class Simulator:
                     return
                 pop(queue)
                 self.now = time
-                head[_STATUS] = _FIRED
                 fired += 1
                 args = head[_ARGS]
                 if args:
@@ -662,12 +464,14 @@ class Simulator:
                 self.now = until
         finally:
             self._events_processed += fired
-            self._live -= fired
+            if collecting:
+                gc.enable()
 
     @property
     def pending_events(self) -> int:
-        """Number of non-cancelled events still queued (O(1))."""
-        return self._live
+        """Number of events still queued, heap and calendar together."""
+        timeline = self._timeline
+        return len(self._queue) + (timeline.count if timeline is not None else 0)
 
     @property
     def events_processed(self) -> int:
@@ -676,18 +480,9 @@ class Simulator:
 
     @property
     def heap_size(self) -> int:
-        """Physical heap length, including lazily-deleted entries.
-
-        Exposed so tests (and the performance docs) can observe heap
-        compaction; ``heap_size - pending_events`` is the number of
-        cancelled entries still awaiting deletion.
-        """
+        """Entries on the heap tier alone (period ticks, ``schedule``
+        calls, past-horizon outliers; everything without a calendar)."""
         return len(self._queue)
-
-    @property
-    def cancel_generation(self) -> int:
-        """Total cancellations ever issued (monotone generation counter)."""
-        return self._cancel_generation
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.3f}, pending={self.pending_events})"
@@ -696,7 +491,7 @@ class Simulator:
 class PeriodicTimer:
     """Repeatedly fires a callback; created via :meth:`Simulator.call_every`.
 
-    Reschedules through the engine's handle-free fast path, so a
+    Each tick files the next with :meth:`Simulator.schedule`, so a
     periodic timer costs one heap entry per tick and nothing else.
     """
 
@@ -722,8 +517,6 @@ class PeriodicTimer:
         self._entry = sim.schedule(start, self._tick)
 
     def _tick(self) -> None:
-        if self.stopped:
-            return
         self.fire_count += 1
         self._callback()
         if self.stopped:  # callback may stop the timer
@@ -735,7 +528,8 @@ class PeriodicTimer:
         self._entry = sim.schedule(sim.now + delay, self._tick)
 
     def stop(self) -> None:
-        """Stop firing; pending tick is cancelled."""
+        """Stop firing; the pending tick leaves the heap now.  From
+        inside the timer's own callback that tick is already popped and
+        there is nothing to take back."""
         self.stopped = True
-        if self._entry is not None:
-            self._sim._cancel(self._entry)
+        self._sim.unschedule(self._entry)

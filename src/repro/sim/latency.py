@@ -87,72 +87,3 @@ class UniformLatency(LatencyModel):
 
     def delivery_window(self) -> tuple:
         return (self.low, self.high - self.low)
-
-
-class LogNormalLatency(LatencyModel):
-    """Heavy-tailed latency, the common fit for wide-area RTT samples.
-
-    ``median`` is the median one-way delay and ``sigma`` the log-space
-    dispersion; samples are optionally capped at ``cap`` to avoid
-    unbounded tail events destabilising small experiments.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        median: float = 0.05,
-        sigma: float = 0.5,
-        cap: float = 2.0,
-    ) -> None:
-        self._rng = rng
-        self.median = require_non_negative(median, "median")
-        self.sigma = require_non_negative(sigma, "sigma")
-        self.cap = require_non_negative(cap, "cap")
-        self._block: list = []
-        self._next = 0
-
-    def sample(self, src: NodeId, dst: NodeId) -> float:
-        i = self._next
-        block = self._block
-        if i >= len(block):
-            raw = self._rng.lognormal(
-                mean=np.log(self.median), sigma=self.sigma, size=SAMPLE_BLOCK
-            )
-            block = self._block = np.minimum(raw, self.cap).tolist()
-            i = 0
-        self._next = i + 1
-        return block[i]
-
-    def delivery_window(self) -> tuple:
-        # A lognormal's infimum is 0, and the median (not the cap)
-        # sizes the buckets — the tail is rare by design.
-        return (0.0, self.median)
-
-
-class PerNodeLatency(LatencyModel):
-    """Adds per-node access delays on top of a base model.
-
-    Models PlanetLab's slow hosts: a message's delay is
-    ``base.sample() + access[src] + access[dst]``.  Nodes without an
-    entry have zero access delay.
-    """
-
-    def __init__(self, base: LatencyModel, access_delay: dict = None) -> None:
-        self.base = base
-        self.access_delay = dict(access_delay or {})
-
-    def set_access_delay(self, node: NodeId, delay: float) -> None:
-        """Set the access-link delay for ``node``."""
-        self.access_delay[node] = require_non_negative(delay, "delay")
-
-    def sample(self, src: NodeId, dst: NodeId) -> float:
-        return (
-            self.base.sample(src, dst)
-            + self.access_delay.get(src, 0.0)
-            + self.access_delay.get(dst, 0.0)
-        )
-
-    def delivery_window(self) -> tuple:
-        # Access delays only add: the base minimum stays a lower bound.
-        base_min, base_span = self.base.delivery_window()
-        return (base_min, base_span)

@@ -22,12 +22,10 @@ from typing import Callable, Dict, Optional, Protocol
 
 _INF = math.inf
 
-from bisect import insort
-from heapq import heappop, heappush
+from heapq import heapify, heappush
 
 from repro.sim.bandwidth import UploadLink
 from repro.sim.engine import DEFERRED, DeliveryTimeline, Simulator
-from repro.sim.engine import _PENDING  # heap-entry status word (see below)
 from repro.sim.latency import SAMPLE_BLOCK, ConstantLatency, LatencyModel, UniformLatency
 from repro.sim.loss import LossModel, NoLoss, PerNodeLoss
 from repro.sim.trace import MessageTrace
@@ -107,7 +105,7 @@ class Network:
         Schedule deliveries on a calendar-queue
         :class:`~repro.sim.engine.DeliveryTimeline` attached to the
         engine (O(1) amortized per message) instead of the binary heap.
-        ``Simulator.defer`` calls ride the same calendar, and this
+        ``Simulator.call_later`` calls ride the same calendar, and this
         network's drain fires them.  ``False`` is the engine-level
         reference scheduler: everything on the heap, identical firing
         order, which is what ``tests/sim/test_timeline.py`` compares the
@@ -234,11 +232,6 @@ class Network:
             receivers[-1] = source_entry
         receivers[node_id] = (endpoint, getattr(endpoint, "dispatch_table", None))
 
-    def set_upload_rate(self, node: NodeId, rate_bytes_per_s: float) -> None:
-        """Replace the upload capacity of ``node``."""
-        require(node in self._links, "unknown node %s", node)
-        self._links[node] = UploadLink(rate_bytes_per_s)
-
     def link(self, node: NodeId) -> UploadLink:
         """The upload link of ``node``."""
         return self._links[node]
@@ -307,14 +300,20 @@ class Network:
                     bucket[:] = kept
                     dropped += removed
             tl.count -= dropped
-            self.sim._live -= dropped
+        # The heap tier (past-horizon outliers; everything without a
+        # calendar).  In place: a run in progress and the drain alias
+        # the list.
+        queue = self.sim._queue
         deliver = self._deliver_cb
-        for entry in self.sim._queue:
-            # [time, seq, callback, args, status]; 0 == pending.
-            if entry[4] == 0 and entry[2] is deliver and entry[3][1] == node:
-                lost[entry[3][2].__class__] += 1
-                self.sim.cancel_entry(entry)
-                dropped += 1
+        kept = [e for e in queue if e[2] is not deliver or e[3][1] != node]
+        removed = len(queue) - len(kept)
+        if removed:
+            for e in queue:
+                if e[2] is deliver and e[3][1] == node:
+                    lost[e[3][2].__class__] += 1
+            queue[:] = kept
+            heapify(queue)
+            dropped += removed
         return dropped
 
     def attach_faults(self, plane) -> None:
@@ -329,11 +328,6 @@ class Network:
     def is_connected(self, node: NodeId) -> bool:
         """True if ``node`` is registered and not expelled."""
         return node in self._endpoints and node not in self._disconnected
-
-    @property
-    def node_ids(self):
-        """All registered node ids (including disconnected ones)."""
-        return list(self._endpoints.keys())
 
     # ------------------------------------------------------------------
     # sending
@@ -545,14 +539,10 @@ class Network:
                     slot.append([arrival, sim._sequence, src, dst, message])
                     tl_added += 1
                 elif not tl.add([arrival, sim._sequence, src, dst, message], base_idx):
-                    heappush(
-                        queue,
-                        [arrival, sim._sequence, deliver, (src, dst, message), _PENDING],
-                    )
+                    heappush(queue, [arrival, sim._sequence, deliver, (src, dst, message)])
             else:
-                heappush(queue, [arrival, sim._sequence, deliver, (src, dst, message), _PENDING])
+                heappush(queue, [arrival, sim._sequence, deliver, (src, dst, message)])
             sim._sequence += 1
-            sim._live += 1
 
         if sent:
             entry = trace._sent[cls][src]
@@ -588,12 +578,12 @@ class Network:
         The engine's run loop calls this whenever the timeline head is
         due before the next live heap event; it returns the number of
         entries fired, yielding back when a heap event preempts (checked
-        against the *live* heap head per entry, so timers scheduled by
-        delivery handlers interleave exactly as they would under the
-        heap scheduler), an entry is due past ``until``, ``budget``
-        entries have fired, or the timeline is exhausted.
+        against the heap head per entry, so period ticks interleave
+        exactly as they would under the heap scheduler), an entry is due
+        past ``until``, ``budget`` entries have fired, or the timeline
+        is exhausted.
 
-        A ``DEFERRED`` entry (``Simulator.defer``) is a call, not a
+        A ``DEFERRED`` entry (``Simulator.call_later``) is a call, not a
         delivery: it fires in line as one event, bypassing the receiver
         lookup, the expulsion check and the delivery trace.  Every other
         entry is one delivery through the receiver's dispatch table,
@@ -624,17 +614,13 @@ class Network:
                 if t > until:
                     tl.cur_pos = i
                     return fired
-                # A live heap event due first preempts the drain.
-                preempt = False
-                while queue:
+                # A heap event due first preempts the drain.
+                if queue:
                     h = queue[0]
-                    if h[4] == 0:  # _PENDING
-                        if h[0] < t or (h[0] == t and h[1] < e[1]):
-                            preempt = True
-                        break
-                    heappop(queue)
-                    sim._cancelled_in_heap -= 1
-                if preempt or fired >= budget:
+                    if h[0] < t or (h[0] == t and h[1] < e[1]):
+                        tl.cur_pos = i
+                        return fired
+                if fired >= budget:
                     tl.cur_pos = i
                     return fired
                 dst = e[3]

@@ -23,7 +23,7 @@ is a net win of several dict operations per message.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 NodeId = int
 
@@ -47,16 +47,6 @@ ALL_CATEGORIES = (
     CATEGORY_REPUTATION,
     CATEGORY_CONTROL,
 )
-
-
-def message_kind(message: object) -> str:
-    """The trace key of a message: its class name."""
-    return type(message).__name__
-
-
-def message_category(message: object) -> str:
-    """The trace category of a message (class attribute ``CATEGORY``)."""
-    return getattr(message, "CATEGORY", CATEGORY_CONTROL)
 
 
 # class -> (kind, category); the name / CATEGORY attribute probes are
@@ -83,9 +73,9 @@ class MessageTrace:
     the original ``(kind | category, node)`` views.
 
     :class:`~repro.sim.network.Network` updates the underlying mappings
-    *inline* on its send/deliver path (the structures, not the
-    ``record_*`` methods, are the recording interface there); the
-    methods remain for non-hot-path recording and tests.
+    *inline* on its send/deliver path (the structures are the recording
+    interface there); :meth:`record_sent` is the same update as a call,
+    for building a trace by hand.
     """
 
     def __init__(self) -> None:
@@ -97,21 +87,13 @@ class MessageTrace:
         self._delivered: Dict[type, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
-    # recording (called by the network)
+    # recording
     # ------------------------------------------------------------------
     def record_sent(self, src: NodeId, message: object, size: int) -> None:
         """Account an outgoing message (before any loss decision)."""
         entry = self._sent[message.__class__][src]
         entry[0] += 1
         entry[1] += size
-
-    def record_lost(self, src: NodeId, dst: NodeId, message: object) -> None:
-        """Account a datagram dropped by the loss model."""
-        self._lost[message.__class__] += 1
-
-    def record_delivered(self, dst: NodeId, message: object) -> None:
-        """Account a delivered message."""
-        self._delivered[message.__class__] += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -157,36 +139,10 @@ class MessageTrace:
             for entry in per_src.values()
         )
 
-    def node_category_bytes(self, node: NodeId, category: str) -> int:
-        """Bytes ``node`` sent in ``category``."""
-        total = 0
-        for cls, per_src in self._sent.items():
-            if _class_meta(cls)[1] == category:
-                entry = per_src.get(node)
-                if entry is not None:
-                    total += entry[1]
-        return total
-
-    def node_sent_count(self, node: NodeId, kind: str) -> int:
-        """Messages of ``kind`` sent by ``node``."""
-        total = 0
-        for cls, per_src in self._sent.items():
-            if cls.__name__ == kind:
-                entry = per_src.get(node)
-                if entry is not None:
-                    total += entry[0]
-        return total
-
-    def kinds(self) -> Iterable[str]:
-        """All message kinds observed so far."""
-        return sorted({cls.__name__ for cls in self._sent})
-
     def sent_counts_by_kind(self) -> Dict[str, int]:
-        """``kind -> messages sent`` in one pass over the counters.
-
-        Equivalent to ``{k: sent_count(k) for k in kinds()}`` without
-        the per-kind rescan (the metrics layer reads all kinds at once).
-        """
+        """``kind -> messages sent`` for every kind observed, in one
+        pass over the counters (the metrics layer reads all kinds at
+        once)."""
         totals: Dict[str, int] = {}
         for cls, per_src in self._sent.items():
             kind = cls.__name__
@@ -204,30 +160,3 @@ class MessageTrace:
                 entry[1] for entry in per_src.values()
             )
         return totals
-
-    def overhead_ratio(
-        self,
-        overhead_categories: Iterable[str] = (CATEGORY_VERIFICATION, CATEGORY_REPUTATION),
-        data_category: str = CATEGORY_DATA,
-    ) -> float:
-        """Verification bytes divided by data bytes (Table 5's metric).
-
-        Returns 0.0 when no data bytes were sent (e.g. before the stream
-        starts) rather than dividing by zero.
-        """
-        data = self.category_bytes(data_category)
-        if data == 0:
-            return 0.0
-        overhead = sum(self.category_bytes(c) for c in overhead_categories)
-        return overhead / data
-
-    def loss_rate(self, kind: Optional[str] = None) -> float:
-        """Observed datagram loss rate (lost / sent)."""
-        sent = self.sent_count(kind)
-        if sent == 0:
-            return 0.0
-        return self.lost_count(kind) / sent
-
-    def reset(self) -> None:
-        """Drop all counters (e.g. to exclude a warm-up phase)."""
-        self.__init__()

@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG plumbing, statistics, multisets.
+"""Shared utilities: deterministic RNG plumbing, statistics, validation.
 
 These helpers are deliberately dependency-light; every other subpackage
 builds on them.  All randomness in the repository flows through
@@ -6,23 +6,14 @@ builds on them.  All randomness in the repository flows through
 integer seed.
 """
 
-from repro.util.multiset import Multiset
 from repro.util.rng import SeedSequenceFactory, derive_seed, make_generator
-from repro.util.stats import (
-    EmpiricalDistribution,
-    RunningStats,
-    empirical_cdf,
-    histogram_density,
-)
+from repro.util.stats import EmpiricalDistribution, histogram_density
 from repro.util.validation import require
 
 __all__ = [
     "EmpiricalDistribution",
-    "Multiset",
-    "RunningStats",
     "SeedSequenceFactory",
     "derive_seed",
-    "empirical_cdf",
     "histogram_density",
     "make_generator",
     "require",

@@ -2,8 +2,7 @@
 
 Every stochastic component in the repository (simulator, protocol nodes,
 Monte-Carlo engine, workload generators) receives its randomness from a
-:class:`numpy.random.Generator` or :class:`random.Random` created here.
-Child streams are derived with :func:`derive_seed`, which hashes a parent
+:class:`numpy.random.Generator` created here.  Child streams are derived with :func:`derive_seed`, which hashes a parent
 seed together with a string label; this gives independent, reproducible
 streams per component without manual seed bookkeeping, and adding a new
 component never perturbs the streams of existing ones.
@@ -12,8 +11,6 @@ component never perturbs the streams of existing ones.
 from __future__ import annotations
 
 import hashlib
-import random
-from typing import Iterator
 
 import numpy as np
 
@@ -41,11 +38,6 @@ def make_generator(seed: int, label: str = "") -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, label) if label else seed)
 
 
-def make_random(seed: int, label: str = "") -> random.Random:
-    """Create a stdlib :class:`random.Random` for ``(seed, label)``."""
-    return random.Random(derive_seed(seed, label) if label else seed)
-
-
 class SeedSequenceFactory:
     """Hands out labelled, reproducible child seeds and generators.
 
@@ -71,21 +63,6 @@ class SeedSequenceFactory:
     def generator(self, label: str, *indices: int) -> np.random.Generator:
         """Return a numpy generator for ``label`` (plus optional indices)."""
         return np.random.default_rng(self.seed(label, *indices))
-
-    def random(self, label: str, *indices: int) -> random.Random:
-        """Return a stdlib ``random.Random`` for ``label``."""
-        return random.Random(self.seed(label, *indices))
-
-    def spawn(self, label: str) -> "SeedSequenceFactory":
-        """Return a sub-factory rooted at the child seed for ``label``."""
-        return SeedSequenceFactory(self.seed(label))
-
-    def stream(self, label: str) -> Iterator[int]:
-        """Yield an endless, reproducible sequence of child seeds."""
-        index = 0
-        while True:
-            yield self.seed(label, index)
-            index += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeedSequenceFactory(root_seed={self.root_seed})"

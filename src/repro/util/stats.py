@@ -2,100 +2,19 @@
 
 The experiments report score distributions (Figures 10, 11, 14), entropy
 distributions (Figure 13) and detection rates (Figure 12).  This module
-provides the common statistical plumbing: numerically stable running
-moments (Welford), empirical CDFs, and normalised histograms matching the
-"fraction of nodes" y-axes used throughout the paper.
+provides the common statistical plumbing: the CDF evaluated at a
+threshold, and normalised histograms matching the "fraction of nodes"
+y-axes used throughout the paper.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.util.validation import require
-
-
-class RunningStats:
-    """Numerically stable running mean/variance (Welford's algorithm).
-
-    >>> s = RunningStats()
-    >>> for x in [1.0, 2.0, 3.0]:
-    ...     s.add(x)
-    >>> s.mean, round(s.variance, 6)
-    (2.0, 1.0)
-    """
-
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold ``value`` into the running moments."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def add_many(self, values: Iterable[float]) -> None:
-        """Fold every element of ``values`` into the running moments."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (``n - 1`` denominator); 0 for < 2 samples."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Return a new ``RunningStats`` equal to the union of samples."""
-        merged = RunningStats()
-        total = self.count + other.count
-        if total == 0:
-            return merged
-        delta = other.mean - self.mean
-        merged.count = total
-        merged.mean = self.mean + delta * other.count / total
-        merged._m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / total
-        merged.min = min(self.min, other.min)
-        merged.max = max(self.max, other.max)
-        return merged
-
-    def __repr__(self) -> str:
-        return (
-            f"RunningStats(count={self.count}, mean={self.mean:.4g}, "
-            f"stddev={self.stddev:.4g})"
-        )
-
-
-def empirical_cdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(xs, fractions)`` of the empirical CDF of ``samples``.
-
-    ``fractions[i]`` is the fraction of samples ``<= xs[i]``; this matches
-    the "fraction of nodes" CDF plots of Figures 11b and 14.
-    """
-    require(len(samples) > 0, "empirical_cdf needs at least one sample")
-    xs = np.sort(np.asarray(samples, dtype=float))
-    fractions = np.arange(1, len(xs) + 1, dtype=float) / len(xs)
-    return xs, fractions
 
 
 def cdf_at(samples: Sequence[float], threshold: float) -> float:
@@ -130,9 +49,8 @@ def histogram_density(
 class EmpiricalDistribution:
     """A bag of scalar samples with the summaries the paper reports.
 
-    Collects values (scores, entropies, lags) and exposes mean/stddev,
-    CDF evaluation and histogram export.  Used by the metrics layer to
-    build every figure's series.
+    Collects values (scores) and exposes their mean and the CDF at a
+    threshold — what a detection report needs.
     """
 
     samples: List[float] = field(default_factory=list)
@@ -140,10 +58,6 @@ class EmpiricalDistribution:
     def add(self, value: float) -> None:
         """Record one sample."""
         self.samples.append(float(value))
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Record many samples."""
-        self.samples.extend(float(v) for v in values)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -153,36 +67,6 @@ class EmpiricalDistribution:
         """Sample mean (0.0 when empty)."""
         return float(np.mean(self.samples)) if self.samples else 0.0
 
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation (0.0 for < 2 samples)."""
-        return float(np.std(self.samples, ddof=1)) if len(self.samples) > 1 else 0.0
-
-    @property
-    def min(self) -> float:
-        """Smallest sample."""
-        require(bool(self.samples), "empty distribution has no min")
-        return float(np.min(self.samples))
-
-    @property
-    def max(self) -> float:
-        """Largest sample."""
-        require(bool(self.samples), "empty distribution has no max")
-        return float(np.max(self.samples))
-
     def fraction_below(self, threshold: float) -> float:
         """Fraction of samples ``<= threshold``."""
         return cdf_at(self.samples, threshold)
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile of the samples."""
-        require(bool(self.samples), "empty distribution has no quantiles")
-        return float(np.quantile(self.samples, q))
-
-    def cdf(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Empirical CDF as ``(xs, fractions)``."""
-        return empirical_cdf(self.samples)
-
-    def pdf(self, bins: int = 50, value_range: Tuple[float, float] = None):
-        """Histogram density as ``(bin_centers, fractions)``."""
-        return histogram_density(self.samples, bins=bins, value_range=value_range)

@@ -386,8 +386,3 @@ def peek_src(data: bytes):
     if len(data) < _HEADER_LEN or data[0] not in _DECODERS:
         return None
     return _INT.unpack_from(data, 1)[0]
-
-
-def supported_classes() -> Tuple[type, ...]:
-    """The classes this codec can carry (the frozen wire tuple)."""
-    return WIRE_MESSAGE_CLASSES

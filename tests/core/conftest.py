@@ -30,10 +30,7 @@ class FakeHost:
         return self.sim.now
 
     def call_later(self, delay, callback, *args):
-        return self.sim.call_later(delay, callback, *args)
-
-    def defer(self, delay, callback, *args):
-        self.sim.defer(delay, callback, *args)
+        self.sim.call_later(delay, callback, *args)
 
     def random(self):
         if self.forced_random is not None:

@@ -101,7 +101,7 @@ class TestChurn:
 
 class TestCli:
     def test_analyze_command(self, capsys):
-        assert cli_main(["analyze", "--fanout", "12", "--loss", "0.07"]) == 0
+        assert cli_main(["run", "analyze", "--fanout", "12", "--loss", "0.07"]) == 0
         out = capsys.readouterr().out
         assert "72.9" in out  # Eq. 5
         assert "Eq.7" in out
@@ -109,8 +109,8 @@ class TestCli:
     def test_detect_command_small(self, capsys):
         code = cli_main(
             [
-                "detect",
-                "--nodes", "40",
+                "run", "detect",
+                "--n", "40",
                 "--duration", "8",
                 "--seed", "3",
                 "--freeriders", "0.2",

@@ -1,6 +1,6 @@
 """Parallel fan-out must reproduce the serial experiments bit for bit.
 
-Every ``run_*`` experiment accepts ``jobs=``; these tests pin the
+Every multi-deployment scenario accepts ``jobs=``; these tests pin the
 determinism contract of :mod:`repro.runtime.parallel`: the job list —
 and with it every seed and RNG stream — is fixed before fan-out, so
 ``jobs=2`` produces results identical to ``jobs=1``.
@@ -18,20 +18,21 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import run_scenario
 from repro.experiments.calibration import CalibrationResult, calibrate
-from repro.experiments.fig1 import run_fig1
-from repro.experiments.fig11 import run_fig11
-from repro.experiments.fig12 import run_fig12
-from repro.experiments.fig14 import run_fig14
-from repro.experiments.table3 import run_table3
-from repro.experiments.table5 import run_table5
+from repro.scenarios import get
+
+
+def run(name, **params):
+    """The scenario's artifact (its ``Fig*Result`` / ``Table*Result``)."""
+    return run_scenario(name, **params).artifact
 
 
 class TestFig1Equivalence:
     @pytest.fixture(scope="class")
     def results(self):
         kwargs = dict(n=24, duration=4.0, seed=7, lags=[0.0, 2.0, 4.0])
-        return run_fig1(jobs=1, **kwargs), run_fig1(jobs=2, **kwargs)
+        return run("fig1", jobs=1, **kwargs), run("fig1", jobs=2, **kwargs)
 
     def test_parallel_bit_identical_to_serial(self, results, assert_results_identical):
         serial, fanned = results
@@ -53,7 +54,7 @@ class TestTable5Equivalence:
             rates_kbps=(674.0, 1082.0),
             p_dcc_values=(0.0, 1.0),
         )
-        return run_table5(jobs=1, **kwargs), run_table5(jobs=2, **kwargs)
+        return run("table5", jobs=1, **kwargs), run("table5", jobs=2, **kwargs)
 
     def test_parallel_byte_identical_to_serial(self, results, assert_results_identical):
         serial, fanned = results
@@ -77,29 +78,29 @@ class TestTable5Equivalence:
 class TestMonteCarloEquivalence:
     def test_fig11_parallel_bit_identical(self, assert_results_identical):
         kwargs = dict(n=800, freeriders=80, rounds=10, seed=13, shards=4)
-        serial = run_fig11(jobs=1, **kwargs)
-        fanned = run_fig11(jobs=2, **kwargs)
+        serial = run("fig11", jobs=1, **kwargs)
+        fanned = run("fig11", jobs=2, **kwargs)
         assert_results_identical(serial, fanned)
 
     def test_fig11_shard_count_changes_streams_but_not_jobs(self):
         # The RNG layout depends on the (fixed) shard count only.
-        base = run_fig11(n=800, freeriders=80, rounds=10, seed=13, shards=4)
-        other = run_fig11(n=800, freeriders=80, rounds=10, seed=13, shards=2)
+        base = run("fig11", n=800, freeriders=80, rounds=10, seed=13, shards=4)
+        other = run("fig11", n=800, freeriders=80, rounds=10, seed=13, shards=2)
         assert base.sample.honest.shape == other.sample.honest.shape
         assert not np.array_equal(base.sample.honest, other.sample.honest)
 
     def test_fig12_parallel_bit_identical(self, assert_results_identical):
         kwargs = dict(deltas=[0.0, 0.05, 0.1], rounds=10, samples_per_point=400, seed=17)
-        serial = run_fig12(jobs=1, **kwargs)
-        fanned = run_fig12(jobs=3, **kwargs)
+        serial = run("fig12", jobs=1, **kwargs)
+        fanned = run("fig12", jobs=3, **kwargs)
         assert_results_identical(serial, fanned)
 
 
 class TestClusterExperimentEquivalence:
     def test_table3_parallel_bit_identical(self, assert_results_identical):
         kwargs = dict(n=24, duration=2.0, seed=29, fanout_sweep=(4, 5))
-        serial = run_table3(jobs=1, **kwargs)
-        fanned = run_table3(jobs=2, **kwargs)
+        serial = run("table3", jobs=1, **kwargs)
+        fanned = run("table3", jobs=2, **kwargs)
         assert_results_identical(serial, fanned)
 
     def test_fig14_parallel_byte_identical(self, assert_results_identical):
@@ -110,8 +111,15 @@ class TestClusterExperimentEquivalence:
             p_dcc_values=(1.0, 0.5),
             calibration_duration=3.0,
         )
-        serial = run_fig14(jobs=1, **kwargs)
-        fanned = run_fig14(jobs=2, **kwargs)
+        serial = run("fig14", jobs=1, **kwargs)
+        fanned = run("fig14", jobs=2, **kwargs)
+        assert_results_identical(serial, fanned)
+
+    def test_churn_all_cores_bit_identical(self, assert_results_identical):
+        # ``jobs=0`` = all cores, on every sweep (docs/SCENARIOS.md).
+        kwargs = dict(get("churn").smoke, rates=(0.0, 0.3))
+        serial = run("churn", jobs=1, **kwargs)
+        fanned = run("churn", jobs=0, **kwargs)
         assert_results_identical(serial, fanned)
 
 
@@ -127,22 +135,23 @@ class TestResultPickling:
         assert isinstance(clone, CalibrationResult)
 
     def test_fig11_result_round_trip(self, assert_results_identical):
-        result = run_fig11(n=200, freeriders=20, rounds=5, seed=13, shards=2)
+        result = run("fig11", n=200, freeriders=20, rounds=5, seed=13, shards=2)
         clone = pickle.loads(pickle.dumps(result))
         assert_results_identical(result, clone)
 
     def test_fig12_result_round_trip(self, assert_results_identical):
-        result = run_fig12(deltas=[0.0, 0.1], rounds=5, samples_per_point=100, seed=17)
+        result = run("fig12", deltas=[0.0, 0.1], rounds=5, samples_per_point=100, seed=17)
         clone = pickle.loads(pickle.dumps(result))
         assert_results_identical(result, clone)
 
     def test_table3_result_round_trip(self, assert_results_identical):
-        result = run_table3(n=24, duration=2.0, seed=29, fanout_sweep=(4, 5))
+        result = run("table3", n=24, duration=2.0, seed=29, fanout_sweep=(4, 5))
         clone = pickle.loads(pickle.dumps(result))
         assert_results_identical(result, clone)
 
     def test_fig14_result_round_trip(self, assert_results_identical):
-        result = run_fig14(
+        result = run(
+            "fig14",
             n=24,
             seed=23,
             times=(3.0,),

@@ -1,8 +1,8 @@
 """Heap-vs-calendar scheduler equivalence and large-n determinism pins.
 
-Network deliveries and never-cancelled timers ride the calendar-queue
+Network deliveries and every relative-delay timer ride the calendar-queue
 :class:`~repro.sim.engine.DeliveryTimeline`; the binary heap keeps the
-cancellable timers and the rare past-horizon entry.  The contract is
+period ticks and the rare past-horizon entry.  The contract is
 *exact* equivalence with the heap-only reference scheduler
 (``Network(use_timeline=False)``): the same seed must produce the same
 event firing order — and therefore the same traces, scores and RNG
@@ -14,9 +14,14 @@ scheduler, so the A/B here swaps it in at the ``Network`` constructor;
 import hashlib
 from functools import partial
 
+import pytest
+
+from repro import adversary
 from repro.experiments import cluster as cluster_module
 from repro.experiments.cluster import SimCluster
 from repro.experiments.scaling import scaling_config
+from repro.membership.failure_detector import FailureDetectorParams
+from repro.runtime.faults import FaultSchedule
 from repro.sim.network import Network
 
 
@@ -40,11 +45,36 @@ def trace_fingerprint(cluster) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+#: Every caller whose timers left the heap for the calendar, armed at
+#: once: failure-detector probe timeouts, scripted crash / restart
+#: instants, audit deadlines, score reads and the expulsion path.
+EVERY_TIMER = dict(
+    freerider_fraction=0.25,
+    adversary=adversary.spec("freerider", degree=(0.25,) * 3),
+    loss_rate=0.03,
+    failure_detector=FailureDetectorParams(),
+    p_audit=0.2,
+    expulsion_enabled=True,
+)
+
+
 class TestClusterSchedulerEquivalence:
-    def test_timeline_matches_heap_bit_for_bit(self, small_cluster_factory, monkeypatch):
+    @pytest.mark.parametrize(
+        "overrides, churn",
+        [(dict(freerider_fraction=0.25, loss_rate=0.03), False), (EVERY_TIMER, True)],
+        ids=["freeriders", "every-timer-caller"],
+    )
+    def test_timeline_matches_heap_bit_for_bit(
+        self, small_cluster_factory, monkeypatch, overrides, churn
+    ):
         """Full deployment A/B: both schedulers, same seed, same world."""
         def build():
-            return small_cluster_factory(freerider_fraction=0.25, loss_rate=0.03)
+            cluster = small_cluster_factory(**overrides)
+            if churn:
+                honest = sorted(cluster.honest_ids)
+                victims = honest[: len(honest) // 3]
+                cluster.attach_faults(FaultSchedule.churn(victims, 8.0, downtime=1.5))
+            return cluster
 
         clusters = {True: build()}
         monkeypatch.setattr(cluster_module, "Network", partial(Network, use_timeline=False))
@@ -87,14 +117,22 @@ class TestCluster1000Golden:
 
 
 class TestEventSpine:
-    def test_heap_holds_only_period_ticks_once_warm(self, small_cluster_factory):
-        """Machine-independent witness that the never-cancelled timers
-        (witness-answer delays, confirm and serve timeouts) ride the
-        calendar: in a warm all-honest deployment the heap is left with
-        one period tick per node plus the source's — O(n), however many
-        verification windows are open.  Before the spine the same run
-        peaked at 580 heap entries for n=24."""
-        cluster = small_cluster_factory(loss_rate=0.03)
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(), dict(failure_detector=FailureDetectorParams())],
+        ids=["plain", "failure-detector"],
+    )
+    def test_heap_holds_only_period_ticks_once_warm(self, small_cluster_factory, overrides):
+        """Machine-independent witness that relative-delay timers
+        (witness-answer delays, confirm and serve timeouts, the failure
+        detector's probe timeouts) ride the calendar: in a warm
+        all-honest deployment the heap is left with one period tick per
+        node plus the source's (n + 1 = 25 measured, both inputs) — O(n),
+        however many verification windows and probes are open.  Before
+        the spine the plain run peaked at 580 heap entries for n=24;
+        while probe timeouts were heap timers the failure-detector run
+        peaked at 40."""
+        cluster = small_cluster_factory(loss_rate=0.03, **overrides)
         sim = cluster.sim
         n = cluster.config.gossip.n
         cluster.run(until=3.0)

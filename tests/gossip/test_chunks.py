@@ -15,7 +15,7 @@ class TestChunkStore:
         store = ChunkStore()
         assert store.add(1, size=100, received_at=2.0)
         assert 1 in store
-        assert store.size_of(1) == 100
+        assert store.sizes[1] == 100
         assert store.received_at(1) == 2.0
 
     def test_duplicate_rejected(self):
@@ -29,7 +29,7 @@ class TestChunkStore:
         for i in range(5):
             store.add(i, 10, float(i))
         assert len(store) == 5
-        assert sorted(store.chunk_ids()) == list(range(5))
+        assert sorted(store.owned) == list(range(5))
 
     def test_chunk_validates_size(self):
         with pytest.raises(ValueError):
@@ -84,13 +84,6 @@ class TestStreamSource:
                 assert src == SOURCE_ID
                 assert msg.origin == SOURCE_ID
 
-    def test_created_at_lookup(self, rng):
-        sim, source, _sinks, params = self._build(rng)
-        source.start(first_at=0.0)
-        sim.run(until=1.0)
-        assert source.created_at(0) == pytest.approx(0.0)
-        assert source.created_at(1) == pytest.approx(params.chunk_interval)
-
     def test_stop_halts_emission(self, rng):
         sim, source, _sinks, _params = self._build(rng)
         source.start(first_at=0.0)
@@ -109,5 +102,4 @@ class TestStreamSource:
 
     def test_chunks_per_second_param(self):
         params = GossipParams(n=10, fanout=3, stream_rate_kbps=674.0, chunk_size=4096)
-        assert params.chunks_per_second == pytest.approx(674.0 * 125 / 4096)
         assert params.chunk_interval == pytest.approx(4096 / (674.0 * 125))

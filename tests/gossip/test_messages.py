@@ -10,8 +10,6 @@ from repro.sim.trace import (
     CATEGORY_DATA,
     CATEGORY_REPUTATION,
     CATEGORY_VERIFICATION,
-    message_category,
-    message_kind,
 )
 from repro.wire import (
     Ack,
@@ -49,7 +47,7 @@ class TestDataMessages:
 
     def test_data_category(self):
         for msg in (Propose(1, ()), Request(1, ()), Serve(1, 2, 10, 3)):
-            assert message_category(msg) == CATEGORY_DATA
+            assert msg.CATEGORY == CATEGORY_DATA
 
 
 class TestVerificationMessages:
@@ -74,7 +72,7 @@ class TestVerificationMessages:
             HistoryPollRequest(1, 2, ()),
             HistoryPollResponse(1, 2, True, ()),
         ):
-            assert message_category(msg) == CATEGORY_VERIFICATION
+            assert msg.CATEGORY == CATEGORY_VERIFICATION
 
 
 class TestReputationMessages:
@@ -85,7 +83,7 @@ class TestReputationMessages:
 
     def test_reputation_category(self):
         for msg in (Blame(1, 1.0), ScoreQuery(1), ScoreReply(1, 0.0, True), ExpelVote(1)):
-            assert message_category(msg) == CATEGORY_REPUTATION
+            assert msg.CATEGORY == CATEGORY_REPUTATION
 
 
 class TestAuditMessages:
@@ -107,9 +105,6 @@ class TestAuditMessages:
 
 
 class TestTraceHelpers:
-    def test_message_kind_is_class_name(self):
-        assert message_kind(Propose(1, ())) == "Propose"
-
     def test_messages_are_hashable_and_frozen(self):
         msg = Propose(1, (1, 2))
         assert hash(msg) == hash(Propose(1, (1, 2)))

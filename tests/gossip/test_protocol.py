@@ -71,12 +71,12 @@ class TestDissemination:
 
     def test_fanin_logged_per_period(self, running_cluster):
         node = next(iter(running_cluster.nodes.values()))
-        assert len(node.history.fanin_multiset()) > 0
+        assert any(record.fanin for record in node.history.records())
 
 
 class TestMessageFlow:
     def test_all_message_kinds_flow(self, running_cluster):
-        kinds = set(running_cluster.trace.kinds())
+        kinds = set(running_cluster.trace.sent_counts_by_kind())
         assert {"Propose", "Request", "Serve", "Ack", "Confirm", "ConfirmResponse"} <= kinds
 
     def test_invalid_request_ignored(self, small_cluster_factory):
@@ -116,7 +116,7 @@ class TestLiftingDisabled:
     def test_no_verification_traffic(self, small_cluster_factory):
         cluster = small_cluster_factory(lifting_enabled=False, loss_rate=0.0)
         cluster.run(until=4.0)
-        kinds = set(cluster.trace.kinds())
+        kinds = set(cluster.trace.sent_counts_by_kind())
         assert "Ack" not in kinds
         assert "Confirm" not in kinds
         assert "Blame" not in kinds

@@ -10,7 +10,6 @@ from repro.metrics.overhead import OverheadReport, bandwidth_overhead, message_c
 from repro.metrics.scores import (
     DetectionReport,
     detection_report,
-    gap_between_populations,
     score_distributions,
 )
 from repro.sim.trace import MessageTrace
@@ -115,12 +114,6 @@ class TestDetectionReport:
         report = detection_report({}, set(), -9.75)
         assert report.detection == 0.0
         assert report.false_positives == 0.0
-
-    def test_gap(self):
-        scores = {i: 0.0 for i in range(50)}
-        scores.update({100 + i: -30.0 for i in range(50)})
-        report = detection_report(scores, {100 + i for i in range(50)}, -9.75)
-        assert gap_between_populations(report) == pytest.approx(30.0)
 
     def test_summary_format(self):
         report = detection_report({0: 0.0, 1: -20.0}, {1}, -9.75)

@@ -319,6 +319,24 @@ class TestClusterWiring:
             assert not isinstance(cluster.nodes[nid].behavior,
                                   LaunderingColluderBehavior)
 
+    def test_adaptive_freeriders_walk_their_ladder_in_a_deployment(self):
+        # The one policy no scenario arms: create -> prepare -> build
+        # through the config, then the score-read feedback loop.
+        gossip, lifting = planetlab_params()
+        cluster = SimCluster(ClusterConfig(
+            gossip=replace(gossip, n=24, chunk_size=1400), lifting=lifting, seed=3,
+            loss_rate=0.02, freerider_fraction=0.2, expulsion_enabled=True,
+            adversary=adversary.spec("adaptive"),
+        ))
+        monitor = cluster.attach_invariants(interval=1.0)
+        cluster.run(until=8.0)
+        monitor.check()
+        assert monitor.summary()["violations"] == 0
+        policy = cluster.adversary_policy
+        behaviors = [cluster.nodes[nid].behavior for nid in cluster.freerider_ids]
+        assert behaviors and all(b.ladder is policy.ladder for b in behaviors)
+        assert any(b.rung != policy.start_rung for b in behaviors)
+
     def test_policy_describe_is_exposed(self):
         cluster = self.make_cluster(adversary=adversary.spec("equivocator"))
         assert cluster.adversary_policy.describe()["policy"] == "equivocator"

@@ -1,12 +1,11 @@
-"""The generic CLI: run/list/describe, derived flags, alias delegation."""
+"""The generic CLI: run/list/describe and the flags derived from ``Param``s."""
 
-import argparse
 import json
 
 import pytest
 
 from repro import cli
-from repro.scenarios import get, list_scenarios
+from repro.scenarios import ParamError, get, list_scenarios
 
 
 class TestList:
@@ -93,85 +92,20 @@ class TestRun:
         assert cli.main(["run", "analyze", "--profile", str(path)]) == 0
         assert path.exists() and path.stat().st_size > 0
 
-
-def _parser_flags(parser: argparse.ArgumentParser) -> set:
-    flags = set()
-    for action in parser._actions:  # noqa: SLF001 - introspection in tests
-        flags.update(action.option_strings)
-    return flags
-
-
-class TestAliasUniformity:
-    """The param-plumbing drift audit: every scenario-backed command's
-    flags are derived from the Param declarations, so a declared
-    ``seed``/``jobs`` parameter always has a flag, and ``--profile`` /
-    ``--json`` / ``--set`` exist everywhere."""
-
-    @pytest.fixture(scope="class")
-    def alias_parsers(self):
-        parser = cli._build_parser()
-        sub = next(
-            a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)
+    def test_profile_with_sweep_is_rejected(self, tmp_path, capsys):
+        # A sweep has no one run to profile: refused, not silently skipped.
+        path = tmp_path / "sweep.prof"
+        code = cli.main(
+            ["run", "analyze", "--sweep", "fanout=9,10", "--profile", str(path)]
         )
-        return {name: sub.choices[name] for name in cli.ALIASES}
+        assert code == 2 and not path.exists()
+        err = capsys.readouterr().err
+        assert "--profile" in err and "--sweep" in err
 
-    def test_run_options_everywhere(self, alias_parsers):
-        for command, alias_parser in alias_parsers.items():
-            flags = _parser_flags(alias_parser)
-            assert {"--profile", "--json", "--set"} <= flags, command
-
-    def test_declared_params_all_have_flags(self, alias_parsers):
-        for command, alias_parser in alias_parsers.items():
-            alias = cli.ALIASES[command]
-            spec = get(alias.scenario)
-            flags = _parser_flags(alias_parser)
-            for param in spec.params:
-                spelling = alias.renames.get(param.name, param.name)
-                expected = "--" + spelling.replace("_", "-")
-                assert expected in flags, f"{command}: {expected}"
-
-    def test_seed_flag_uniform(self, alias_parsers):
-        # Historically `analyze` and `live` lacked flags the others had;
-        # derivation makes that structurally impossible.
-        for command, alias_parser in alias_parsers.items():
-            assert "--seed" in _parser_flags(alias_parser), command
-
-    def test_legacy_spellings_preserved(self, alias_parsers):
-        flags = _parser_flags(alias_parsers["health"])
-        assert {"-n", "--nodes", "--freeriders", "-j", "--jobs"} <= flags
-        flags = _parser_flags(alias_parsers["analyze"])
-        assert {"-f", "--fanout", "-R", "--request-size"} <= flags
-        flags = _parser_flags(alias_parsers["overhead"])
-        assert {"--rates", "--p-dcc"} <= flags
-
-    def test_health_loss_flag_accepted_but_warns(self, alias_parsers, capsys):
-        # The pre-registry CLI accepted --loss on `health` and silently
-        # ignored it; it must keep parsing (scripts keep working) but
-        # now says so.
-        assert "--loss" in _parser_flags(alias_parsers["health"])
-        args = alias_parsers["health"].parse_args(["--loss", "0.05"])
-        assert args.loss == "0.05"
-        handler = args.handler
-        del handler  # parsing is the contract; execution covered elsewhere
-
-    def test_wrong_length_deltas_get_param_error(self):
-        from repro.scenarios import ParamError, get
-
+    def test_wrong_length_deltas_get_param_error(self, capsys):
         for name, param in (("fig1", "heavy_deltas"), ("fig14", "deltas"),
                             ("live", "deltas")):
             with pytest.raises(ParamError, match="exactly 3 values"):
                 get(name).resolve({param: (0.1, 0.2)})
-
-    def test_alias_executes_scenario(self, capsys):
-        assert cli.main(["analyze", "-f", "11"]) == 0
-        assert "f=11" in capsys.readouterr().out
-
-    def test_alias_default_override_applies(self, capsys):
-        # `repro health` keeps its historical n=100 default (the fig1
-        # scenario's own default is 150) — pin via the resolved params.
-        spec = get("fig1")
-        alias = cli.ALIASES["health"]
-        overrides = dict(alias.defaults)
-        assert spec.resolve(overrides)["n"] == 100
-        assert spec.resolve(overrides)["seed"] == 1
+        assert cli.main(["run", "fig14", "--set", "deltas=0.1,0.2"]) == 2
+        assert "exactly 3 values" in capsys.readouterr().err

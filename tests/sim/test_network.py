@@ -8,7 +8,7 @@ from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.loss import BernoulliLoss, NoLoss, PerNodeLoss
 from repro.sim.network import Network, Transport
-from repro.sim.trace import CATEGORY_DATA, CATEGORY_VERIFICATION, MessageTrace
+from repro.sim.trace import CATEGORY_DATA, CATEGORY_VERIFICATION
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class TestDelivery:
         source, late = Recorder(-1), Recorder(np.int64(7))
         network.register(source)
         network.register(late)
-        assert all(type(node_id) is int for node_id in network.node_ids)
+        assert all(type(node_id) is int for node_id in network._endpoints)
         network.send(-1, 7, DataMsg(1))
         network.send(7, -1, DataMsg(2))
         sim.run()
@@ -228,11 +228,6 @@ class TestBandwidthIntegration:
         sim.run()
         assert sim.now == pytest.approx(1.0)
 
-    def test_set_upload_rate(self, net):
-        _sim, network, _nodes = net
-        network.set_upload_rate(0, 500.0)
-        assert network.link(0).rate == 500.0
-
 
 class TestTrace:
     def test_bytes_by_category(self, net):
@@ -244,7 +239,6 @@ class TestTrace:
         trace = network.trace
         assert trace.category_bytes(CATEGORY_DATA) == 100
         assert trace.category_bytes(CATEGORY_VERIFICATION) == 20
-        assert trace.overhead_ratio() == pytest.approx(0.2)
 
     def test_counts_by_kind(self, net):
         sim, network, _nodes = net
@@ -254,14 +248,6 @@ class TestTrace:
         assert network.trace.sent_count("DataMsg") == 2
         assert network.trace.delivered_count("DataMsg") == 2
 
-    def test_node_category_bytes(self, net):
-        sim, network, _nodes = net
-        network.send(0, 1, DataMsg())
-        network.send(1, 2, VerifMsg())
-        sim.run()
-        assert network.trace.node_category_bytes(0, CATEGORY_DATA) == 100
-        assert network.trace.node_category_bytes(1, CATEGORY_VERIFICATION) == 10
-
     def test_loss_rate(self, rng):
         sim = Simulator()
         network = Network(sim, loss=BernoulliLoss(rng, 0.5))
@@ -270,7 +256,7 @@ class TestTrace:
         network.register(b)
         for _ in range(2000):
             network.send(0, 1, DataMsg())
-        assert network.trace.loss_rate("DataMsg") == pytest.approx(0.5, abs=0.05)
+        assert network.trace.lost_count("DataMsg") / 2000 == pytest.approx(0.5, abs=0.05)
 
     def test_default_wire_size_fallback(self, net):
         sim, network, _nodes = net
@@ -280,15 +266,6 @@ class TestTrace:
 
         network.send(0, 1, Bare())
         assert network.trace.sent_bytes("Bare") == 64
-
-    def test_reset(self, net):
-        sim, network, _nodes = net
-        network.send(0, 1, DataMsg())
-        network.trace.reset()
-        assert network.trace.sent_count() == 0
-
-    def test_overhead_ratio_zero_without_data(self):
-        assert MessageTrace().overhead_ratio() == 0.0
 
 
 class TestDisconnectedDestinationShortCircuit:
@@ -304,7 +281,7 @@ class TestDisconnectedDestinationShortCircuit:
         network.disconnect(1)
         assert network.send(0, 1, DataMsg()) is False
         assert network.link(0).bytes_sent == 0
-        assert network.link(0).queueing_delay(0.0) == 0.0
+        assert network.link(0).free_at == 0.0
         assert network.trace.sent_count() == 0
 
     def test_no_bandwidth_charged_for_unknown_destination(self):

@@ -6,7 +6,7 @@ have — ``(time, seq)`` ascending across both tiers — including under
 re-entrant scheduling from delivery handlers, zero-latency models (same
 bucket), sparse gaps (cursor rewind) and past-horizon outliers (heap
 fallback).  The calendar carries two kinds of entry — deliveries and
-``Simulator.defer`` calls — and the contract holds for both.
+``Simulator.call_later`` calls — and the contract holds for both.
 """
 
 import numpy as np
@@ -113,12 +113,13 @@ def _scripted_run(use_timeline, latency, loss_seed=None, n=6, deferred=False):
     """One deterministic scripted scenario; returns the firing logs.
 
     Exercises re-entrant sends (each delivery triggers a further
-    fan-out for a few hops), interleaved timers, TCP traffic and, with
-    ``loss_seed``, datagram loss — everything the cluster hot path does,
-    in miniature.  With ``deferred`` every delivery and every timer also
-    defers a call (which itself sends), the way the verification
-    timeouts ride along with real traffic; all callbacks append to one
-    log, so any reordering between the three kinds of event shows.
+    fan-out for a few hops), interleaved heap timers, TCP traffic and,
+    with ``loss_seed``, datagram loss — everything the cluster hot path
+    does, in miniature.  With ``deferred`` every delivery and every
+    timer also files a ``call_later`` (which itself sends), the way the
+    verification timeouts ride along with real traffic; all callbacks
+    append to one log, so any reordering between the three kinds of
+    event shows.
     """
     sim = Simulator()
     loss = NoLoss() if loss_seed is None else BernoulliLoss(np.random.default_rng(loss_seed), 0.1)
@@ -139,7 +140,7 @@ def _scripted_run(use_timeline, latency, loss_seed=None, n=6, deferred=False):
             log.append((sim.now, src, self.node_id, hops, payload))
             if deferred:
                 tag = len(log)
-                sim.defer(_DEFER_DELAYS[tag % 4], deferred_call, self.node_id, tag)
+                sim.call_later(_DEFER_DELAYS[tag % 4], deferred_call, self.node_id, tag)
             if hops > 0:
                 for k in range(2):
                     net.send(self.node_id, (self.node_id + k + 1) % n, (hops - 1, payload))
@@ -153,10 +154,10 @@ def _scripted_run(use_timeline, latency, loss_seed=None, n=6, deferred=False):
         timer_log.append((sim.now, i))
         log.append((sim.now, "timer", i))
         if deferred:
-            sim.defer(_DEFER_DELAYS[i % 4], deferred_call, i % n, 1000 + i)
+            sim.call_later(_DEFER_DELAYS[i % 4], deferred_call, i % n, 1000 + i)
 
     for i in range(20):
-        sim.call_later(0.013 * (i + 1), timer, i)
+        sim.schedule(0.013 * (i + 1), timer, i)
     for i in range(n):
         net.send(i, (i + 1) % n, (4, i))
         net.send(i, (i + 2) % n, (2, 100 + i), Transport.TCP)
@@ -221,11 +222,13 @@ class TestHeapCalendarEquivalence:
         net.register(N(0))
         net.register(N(1))
         net.send(0, 1, "a")
-        sim.call_later(0.02, lambda: order.append(("timer", "early")))
-        sim.call_later(0.09, lambda: order.append(("timer", "late")))
+        sim.schedule(0.02, lambda: order.append(("timer", "early")))
+        sim.schedule(0.09, lambda: order.append(("timer", "late")))
         net.send(1, 0, "b")
+        assert (sim.heap_size, len(sim.timeline)) == (2, 2)
         steps = 0
-        while sim.step():
+        while sim.pending_events:
+            sim.run(max_events=1)
             steps += 1
         assert steps == 4
         assert order == [("timer", "early"), ("msg", "a"), ("msg", "b"), ("timer", "late")]
@@ -280,7 +283,7 @@ def _pair(log, latency=0.05, use_timeline=True, on_delivery=None):
 
 
 class TestDeferredCalls:
-    """``Simulator.defer`` entries on the calendar, branch by branch."""
+    """``Simulator.call_later`` entries on the calendar, branch by branch."""
 
     def note(self, log, tag):
         log.append(("deferred", tag))
@@ -288,7 +291,7 @@ class TestDeferredCalls:
     def test_rides_the_calendar_not_the_heap(self):
         log = []
         sim, _net = _pair(log)
-        assert sim.defer(0.1, self.note, log, "x") is None
+        assert sim.call_later(0.1, self.note, log, "x") is None
         assert sim.heap_size == 0 and len(sim.timeline) == 1
         assert sim.pending_events == 1
         sim.run()
@@ -302,11 +305,11 @@ class TestDeferredCalls:
         def on_delivery(message):
             if message == "a":  # t=0.05; the call is due inside the bucket being drained
                 buckets.append(sim.timeline.cur_idx)
-                sim.defer(0.01, self.note, log, "between")
+                sim.call_later(0.01, self.note, log, "between")
 
         sim, net = _pair(log, on_delivery=on_delivery)
         net.send(0, 1, "a")  # due 0.05
-        sim.call_at(0.02, net.send, 0, 1, "b")  # due 0.07: same 25 ms bucket as "a"
+        sim.schedule(0.02, net.send, 0, 1, "b")  # due 0.07: same 25 ms bucket as "a"
         sim.run()
         assert buckets == [int(0.06 * sim.timeline.inv_width)]
         assert log == [("msg", "a"), ("deferred", "between"), ("msg", "b")]
@@ -320,11 +323,11 @@ class TestDeferredCalls:
             # The cursor already sits on the bucket of "late" (0.55);
             # this call is due in a bucket it skipped over.
             cursor.append(sim.timeline.cur_idx)
-            sim.defer(0.005, self.note, log, "early")
+            sim.call_later(0.005, self.note, log, "early")
             cursor.append(sim.timeline.cur_idx)
 
-        sim.call_at(0.5, net.send, 0, 1, "late")
-        sim.call_at(0.52, in_the_gap)
+        sim.schedule(0.5, net.send, 0, 1, "late")
+        sim.schedule(0.52, in_the_gap)
         sim.run()
         late_idx = int(0.55 * sim.timeline.inv_width)
         assert cursor == [late_idx, int(0.525 * sim.timeline.inv_width) - 1]
@@ -333,12 +336,12 @@ class TestDeferredCalls:
     def test_past_horizon_falls_back_to_the_heap(self):
         log = []
         sim, net = _pair(log, latency=0.002)  # 1 ms buckets: the ring spans 0.511 s
-        sim.defer(0.5, self.note, log, "near")
+        sim.call_later(0.5, self.note, log, "near")
         assert (sim.heap_size, len(sim.timeline)) == (0, 1)
-        sim.defer(1.0, self.note, log, "far")
+        sim.call_later(1.0, self.note, log, "far")
         assert (sim.heap_size, len(sim.timeline)) == (1, 1)
         assert sim.pending_events == 2
-        sim.call_at(0.9985, net.send, 0, 1, "after")  # due 1.0005, sent before "far" fires
+        sim.schedule(0.9985, net.send, 0, 1, "after")  # due 1.0005, sent before "far" fires
         sim.run()
         assert log == [("deferred", "near"), ("deferred", "far"), ("msg", "after")]
 
@@ -346,7 +349,7 @@ class TestDeferredCalls:
         log = []
         sim, net = _pair(log)
         for i, delay in enumerate((0.01, 0.02, 0.03)):
-            sim.defer(delay, self.note, log, i)
+            sim.call_later(delay, self.note, log, i)
         net.send(0, 1, "m")  # due 0.05
         assert sim.pending_events == 4
         sim.run(until=0.015)
@@ -355,10 +358,12 @@ class TestDeferredCalls:
         sim.run(max_events=1)
         assert log[-1] == ("deferred", 1) and sim.now == 0.02
         assert (sim.events_processed, sim.pending_events) == (2, 2)
-        assert sim.step() and log[-1] == ("deferred", 2)
+        sim.run(max_events=1)
+        assert log[-1] == ("deferred", 2)
         assert (sim.events_processed, sim.pending_events) == (3, 1)
-        assert sim.step() and log[-1] == ("msg", "m")
-        assert not sim.step()
+        sim.run(max_events=1)
+        assert log[-1] == ("msg", "m")
+        sim.run(max_events=1)
         assert (sim.events_processed, sim.pending_events, len(sim.timeline)) == (4, 0, 0)
 
     def test_same_instant_run_fires_per_message_in_seq_order(self):
@@ -368,7 +373,7 @@ class TestDeferredCalls:
         # m1 m2 [call] m3 m4 — each entry is one event.
         net.send(0, 1, "m1")
         net.send(0, 1, "m2")
-        sim.defer(0.05, self.note, log, "timeout")
+        sim.call_later(0.05, self.note, log, "timeout")
         net.send(0, 1, "m3")
         net.send(0, 1, "m4")
         sim.run()
@@ -398,15 +403,15 @@ class TestDeferredCalls:
         log = []
         sim, net = _pair(log, use_timeline=use_timeline)
         net.send(0, 0, "other-node")  # due 0.05, nothing to do with the restarting node
-        sim.call_at(0.01, net.send, 0, 1, "x")  # due 0.06
-        sim.call_at(0.04, net.send, 0, 1, "y")  # due 0.09
-        sim.defer(0.045, net.disconnect, 1)
+        sim.schedule(0.01, net.send, 0, 1, "x")  # due 0.06
+        sim.schedule(0.04, net.send, 0, 1, "y")  # due 0.09
+        sim.call_later(0.045, net.disconnect, 1)
         # On the calendar this fires while the bucket [0.05, 0.075) is
         # being drained: "x" is purged from behind the cursor, "y" from
         # the ring, and the two calls filed beside them stay.
-        sim.defer(0.051, net.reconnect, 1)
-        sim.defer(0.061, self.note, log, "same-bucket")
-        sim.defer(0.1, self.note, log, "ring")
+        sim.call_later(0.051, net.reconnect, 1)
+        sim.call_later(0.061, self.note, log, "same-bucket")
+        sim.call_later(0.1, self.note, log, "ring")
         sim.run()
         assert log == [
             ("msg", "other-node"),
@@ -415,3 +420,56 @@ class TestDeferredCalls:
         ]
         assert sum(net.trace._lost.values()) == 2
         assert sim.pending_events == 0
+
+
+class _SetDelay(ConstantLatency):
+    """Latency the test sets per send; 1 ms buckets, so the ring spans
+    0.511 s and anything slower rides the heap tier."""
+
+    def sample(self, src, dst):
+        return self.delay
+
+    def delivery_window(self):
+        return (0.002, 0.0)
+
+
+class TestReconnectPurgeOnTheHeapTier:
+    """``_purge_in_flight``'s heap half filters and re-heapifies the
+    list a ``run`` in progress aliases."""
+
+    @pytest.mark.parametrize("use_timeline", [True, False])
+    def test_purge_from_a_handler_mid_run(self, use_timeline):
+        log = []
+        sim = Simulator()
+        latency = _SetDelay(0.02)
+        net = Network(sim, latency=latency, loss=NoLoss(), use_timeline=use_timeline)
+
+        def send(dst, payload, delay):
+            latency.delay = delay
+            net.send(0, dst, payload)
+
+        def restart(message):
+            if message == "restart":  # a delivery handler, inside run()
+                net.reconnect(1)
+                send(1, "fresh", 0.02)
+
+        net.register(_Recorder(0, log))
+        net.register(_Recorder(1, log))
+        net.register(_Recorder(2, log, restart))
+        # Every delay is past the ring horizon: heap entries either way.
+        delays = {k: 0.7 + ((k * 7) % 40) * 0.0125 for k in range(40)}
+        for k, delay in delays.items():
+            send(1 if k % 4 == 0 else 0, k, delay)
+        send(2, "restart", 0.6)
+        sim.call_later(0.8, log.append, ("deferred", "call"))
+        sim.schedule(0.9, log.append, ("tick", "entry"))
+        sim.schedule(0.1, net.disconnect, 1)
+        assert sim.heap_size == 44
+        sim.run()
+        survivors = sorted((delay, k) for k, delay in delays.items() if k % 4)
+        expected = [(0.6, ("msg", "restart")), (0.62, ("msg", "fresh"))]
+        expected += [(delay, ("msg", k)) for delay, k in survivors]
+        expected += [(0.8, ("deferred", "call")), (0.9, ("tick", "entry"))]
+        assert log == [event for _time, event in sorted(expected, key=lambda pair: pair[0])]
+        assert sum(net.trace._lost.values()) == 10  # each purged delivery, once
+        assert (sim.events_processed, sim.pending_events, sim.heap_size) == (35, 0, 0)

@@ -38,16 +38,6 @@ class TestGossipParams:
         with pytest.raises(ValueError):
             GossipParams(**kwargs)
 
-    def test_chunk_rate_identities(self):
-        params = GossipParams(stream_rate_kbps=674.0, chunk_size=4096)
-        assert params.chunks_per_second * params.chunk_interval == pytest.approx(1.0)
-        assert params.periods_per_second == pytest.approx(2.0)
-
-    def test_with_rate(self):
-        params = GossipParams().with_rate(2036.0)
-        assert params.stream_rate_kbps == 2036.0
-        assert params.n == 300  # everything else preserved
-
 
 class TestLiftingParams:
     def test_defaults_match_paper(self):

@@ -13,7 +13,6 @@ import repro.mc.entropy
 import repro.membership.full
 import repro.sim.bandwidth
 import repro.sim.engine
-import repro.util.multiset
 import repro.util.rng
 import repro.util.stats
 import repro.util.validation
@@ -28,7 +27,6 @@ MODULES = [
     repro.membership.full,
     repro.sim.bandwidth,
     repro.sim.engine,
-    repro.util.multiset,
     repro.util.rng,
     repro.util.stats,
     repro.util.validation,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.util.rng import SeedSequenceFactory, derive_seed, make_generator, make_random
+from repro.util.rng import SeedSequenceFactory, derive_seed, make_generator
 
 
 class TestDeriveSeed:
@@ -30,11 +30,6 @@ class TestGenerators:
         b = make_generator(5, "x").random(10)
         assert np.allclose(a, b)
 
-    def test_make_random_reproducible(self):
-        a = make_random(5, "x").random()
-        b = make_random(5, "x").random()
-        assert a == b
-
     def test_different_labels_give_different_streams(self):
         a = make_generator(5, "x").random(10)
         b = make_generator(5, "y").random(10)
@@ -53,19 +48,3 @@ class TestSeedSequenceFactory:
         a = factory.generator("node", 0).random(5)
         b = factory.generator("node", 1).random(5)
         assert not np.allclose(a, b)
-
-    def test_spawn_is_namespaced(self):
-        factory = SeedSequenceFactory(9)
-        child = factory.spawn("sub")
-        assert child.seed("x") != factory.seed("x")
-        assert child.seed("x") == SeedSequenceFactory(factory.seed("sub")).seed("x")
-
-    def test_stream_yields_distinct_seeds(self):
-        factory = SeedSequenceFactory(9)
-        stream = factory.stream("s")
-        values = [next(stream) for _ in range(100)]
-        assert len(set(values)) == 100
-
-    def test_random_returns_stdlib_random(self):
-        factory = SeedSequenceFactory(9)
-        assert factory.random("r").random() == factory.random("r").random()

@@ -1,92 +1,9 @@
-"""Tests for running statistics and empirical distributions."""
-
-import math
+"""Tests for the empirical-distribution helpers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.util.stats import (
-    EmpiricalDistribution,
-    RunningStats,
-    cdf_at,
-    empirical_cdf,
-    histogram_density,
-)
-
-finite_floats = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-
-
-class TestRunningStats:
-    def test_empty(self):
-        s = RunningStats()
-        assert s.count == 0
-        assert s.variance == 0.0
-
-    def test_single_value(self):
-        s = RunningStats()
-        s.add(3.5)
-        assert s.mean == 3.5
-        assert s.variance == 0.0
-        assert s.min == s.max == 3.5
-
-    def test_known_values(self):
-        s = RunningStats()
-        s.add_many([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert s.mean == pytest.approx(5.0)
-        assert s.stddev == pytest.approx(np.std([2, 4, 4, 4, 5, 5, 7, 9], ddof=1))
-
-    @given(st.lists(finite_floats, min_size=2, max_size=200))
-    def test_matches_numpy(self, values):
-        s = RunningStats()
-        s.add_many(values)
-        assert s.mean == pytest.approx(float(np.mean(values)), rel=1e-9, abs=1e-6)
-        assert s.variance == pytest.approx(
-            float(np.var(values, ddof=1)), rel=1e-6, abs=1e-6
-        )
-        assert s.min == min(values)
-        assert s.max == max(values)
-
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=50),
-        st.lists(finite_floats, min_size=1, max_size=50),
-    )
-    def test_merge_equals_union(self, a, b):
-        sa, sb, su = RunningStats(), RunningStats(), RunningStats()
-        sa.add_many(a)
-        sb.add_many(b)
-        su.add_many(a + b)
-        merged = sa.merge(sb)
-        assert merged.count == su.count
-        assert merged.mean == pytest.approx(su.mean, rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(su.variance, rel=1e-6, abs=1e-6)
-
-    def test_merge_with_empty(self):
-        sa = RunningStats()
-        sa.add_many([1.0, 2.0])
-        merged = sa.merge(RunningStats())
-        assert merged.count == 2
-        assert merged.mean == pytest.approx(1.5)
-
-
-class TestEmpiricalCdf:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
-    def test_simple(self):
-        xs, fr = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(xs) == [1.0, 2.0, 3.0]
-        assert list(fr) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    @given(st.lists(finite_floats, min_size=1, max_size=100))
-    def test_monotone_and_ends_at_one(self, values):
-        xs, fr = empirical_cdf(values)
-        assert np.all(np.diff(xs) >= 0)
-        assert np.all(np.diff(fr) > 0)
-        assert fr[-1] == pytest.approx(1.0)
+from repro.util.stats import EmpiricalDistribution, cdf_at, histogram_density
 
 
 class TestCdfAt:
@@ -116,29 +33,17 @@ class TestHistogramDensity:
 
 class TestEmpiricalDistribution:
     def test_basic_summaries(self):
-        d = EmpiricalDistribution()
-        d.extend([1.0, 2.0, 3.0, 4.0])
+        d = EmpiricalDistribution([1.0, 2.0, 3.0])
+        d.add(4)
         assert d.mean == pytest.approx(2.5)
-        assert d.min == 1.0
-        assert d.max == 4.0
-        assert len(d) == 4
+        assert d.samples[-1] == 4.0 and len(d) == 4
 
     def test_fraction_below(self):
         d = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
         assert d.fraction_below(2.5) == pytest.approx(0.5)
 
-    def test_quantile(self):
-        d = EmpiricalDistribution(list(np.arange(101.0)))
-        assert d.quantile(0.5) == pytest.approx(50.0)
-
     def test_empty_guards(self):
         d = EmpiricalDistribution()
         assert d.mean == 0.0
-        assert d.stddev == 0.0
         with pytest.raises(ValueError):
-            _ = d.min
-
-    def test_pdf_matches_histogram(self):
-        d = EmpiricalDistribution([0.0, 0.0, 1.0, 1.0])
-        _centers, fractions = d.pdf(bins=2)
-        assert list(fractions) == pytest.approx([0.5, 0.5])
+            d.fraction_below(0.0)
