@@ -15,14 +15,18 @@ test:
 loc:
 	@for d in src tests; do printf '%-5s %6d lines\n' $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; done
 
-## Who enters each definition under src/repro (docs/REACHABILITY.md):
-## every product entry point — each scenario at smoke size through
-## bench_scenarios.py and `repro run`, list / describe / audit-verify,
-## the examples, the ledger smoke, the live-smoke steps — then tier-1,
-## all under a call-event tracer; prints the per-module table of
-## definitions only tests enter and definitions nothing enters (-v lists
-## them).  ~10 min; `reach-product` skips tier-1 (~5 min, CI's form).
-## Reported like `loc`; the only gate is every entry point exiting 0.
+## Who enters each definition under src/repro, who runs each line and who
+## sets each option (docs/REACHABILITY.md): every product entry point —
+## each scenario at smoke size through bench_scenarios.py and `repro run`,
+## list / describe / audit-verify, the examples, the ledger smoke, the
+## live-smoke steps — then tier-1, all under one tracer.  `reach` prints
+## three tables: definitions only tests enter / nothing enters; lines
+## nothing runs inside functions the product enters; constructor options
+## only tests move / nothing moves (-v names them).  ~17 min on 2 cores
+## (product ~10 min and tier-1 ~7 min under line events).  `reach-product`
+## skips tier-1 and traces call events only: the definition table alone,
+## ~5 min, CI's form.  Reported like `loc`; the only gate is every entry
+## point exiting 0.
 reach:
 	python scripts/reach.py -v
 

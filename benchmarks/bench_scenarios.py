@@ -5,7 +5,9 @@ Runs **every registered scenario** (``repro.scenarios.list_scenarios``)
 at its declared smoke size, validates that the resulting
 ``RunResult`` envelope round-trips losslessly through its JSON schema
 (``to_json`` → ``from_json`` → identical envelope and identical
-serialisation) and renders it the way ``repro run`` would.  This is the
+serialisation) and renders it the way ``repro run`` would; a whole-
+registry sweep ends with one two-cell ``repro run analyze --sweep``, the
+product sweep's only entry point outside the tests.  This is the
 drift gate for the Unified Scenario API: a scenario whose parameters
 stop resolving, whose reducer breaks, whose renderer raises or whose
 metrics stop being JSON-safe fails here before it fails a user.
@@ -99,6 +101,19 @@ def main(argv=None) -> int:
         )
     if skipped:
         print(f"skipped (by tag): {', '.join(skipped)}")
+    if not args.only:
+        import contextlib
+        import io
+
+        from repro.cli import main as repro_cli
+
+        cells = io.StringIO()
+        with contextlib.redirect_stdout(cells):
+            code = repro_cli(["run", "analyze", "--sweep", "fanout=7,12"])
+        ok = code == 0 and cells.getvalue().count("=== analyze [fanout=") == 2
+        if not ok:
+            failures.append(f"analyze --sweep fanout=7,12: exit {code}, cells not rendered")
+        print(f"{'--sweep':12s} analyze fanout=7,12: 2 cells  {'ok' if ok else 'FAILED'}")
 
     if failures:
         print("\nSCENARIO REGISTRY FAILURES:", file=sys.stderr)

@@ -22,9 +22,6 @@ def main() -> None:
     config = RuntimeConfig(
         n=12,
         duration=6.0,
-        gossip_period=0.25,
-        fanout=4,
-        managers=5,
         loss_rate=0.03,
         freerider_fraction=0.25,
         adversary=adversary.spec("freerider", degree=(0.25, 0.3, 0.3)),

@@ -48,7 +48,6 @@ from repro.config import (
     LiftingParams,
     analysis_params,
     planetlab_params,
-    recommended_fanout,
 )
 from repro.core import (
     Auditor,
@@ -111,7 +110,6 @@ __all__ = [
     "list_scenarios",
     "max_bias_probability",
     "planetlab_params",
-    "recommended_fanout",
     "run_scenario",
     "scenario",
     "simulate_scores",

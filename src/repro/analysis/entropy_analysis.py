@@ -164,9 +164,7 @@ def required_history_for_bias(
     """
     require(0 < max_tolerated_bias < 1, "max_tolerated_bias must be in (0, 1)")
     for n_h in range(max(1, (m_colluders // f) + 1), 100_000):
-        history = n_h * f
-        if history <= m_colluders:
-            continue
+        history = n_h * f  # > m_colluders from the first n_h on
         gamma = gamma_for_window(history, headroom_bits)
         if max_bias_probability(gamma, m_colluders, history) <= max_tolerated_bias:
             return n_h

@@ -194,12 +194,9 @@ def _execute(
         # A parameter that is both swept and pinned is a ParamError from
         # run_sweep — surfaced like any other parameter mistake.
         return _execute_sweep(spec, axes, overrides, args)
-    if profile_path:
-        from repro.util.profiling import maybe_profile
+    from repro.util.profiling import maybe_profile
 
-        with maybe_profile(profile_path):
-            result = run_scenario(spec.name, **overrides)
-    else:
+    with maybe_profile(profile_path):  # a no-op without --profile
         result = run_scenario(spec.name, **overrides)
 
     json_path = getattr(args, "json_path", None)

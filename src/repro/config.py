@@ -19,11 +19,17 @@ configurations of the paper: the analysis setting (n=10,000, f=12,
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.util.validation import require, require_probability
+
+#: Seconds a witness waits before evaluating and answering a confirm
+#: request.  A confirm can overtake the propose it asks about (the
+#: verifier is only two short hops behind), so answering immediately
+#: would produce spurious contradictions; deferring the answer lets the
+#: propose arrive first.  ``LiftingParams.confirm_timeout`` must exceed it.
+WITNESS_ANSWER_DELAY = 0.2
 
 
 @dataclass(frozen=True)
@@ -104,14 +110,8 @@ class LiftingParams:
         Seconds a requester waits for requested chunks before running
         the direct verification (blame ``f/|R|`` per missing chunk).
     confirm_timeout:
-        Seconds a verifier waits for witness confirm responses.
-    witness_answer_delay:
-        Seconds a witness waits before evaluating and answering a
-        confirm request.  A confirm can overtake the propose it asks
-        about (the verifier is only two short hops behind), so answering
-        immediately would produce spurious contradictions; deferring the
-        answer lets the propose arrive first.  Must be comfortably below
-        ``confirm_timeout``.
+        Seconds a verifier waits for witness confirm responses; must
+        exceed :data:`WITNESS_ANSWER_DELAY`, which every answer waits.
     expel_quorum:
         Fraction of a node's managers that must independently observe
         ``score < η`` before the node is expelled.
@@ -129,7 +129,6 @@ class LiftingParams:
     ack_timeout: float = 1.25
     serve_timeout: float = 0.75
     confirm_timeout: float = 0.75
-    witness_answer_delay: float = 0.2
     expel_quorum: float = 0.5
     min_periods_before_expel: int = 20
 
@@ -140,10 +139,10 @@ class LiftingParams:
         require_probability(self.assumed_loss_rate, "assumed_loss_rate")
         require(self.ack_timeout > 0, "ack_timeout must be > 0")
         require(self.serve_timeout > 0, "serve_timeout must be > 0")
-        require(self.confirm_timeout > 0, "confirm_timeout must be > 0")
         require(
-            0 <= self.witness_answer_delay < self.confirm_timeout,
-            "witness_answer_delay must be in [0, confirm_timeout)",
+            self.confirm_timeout > WITNESS_ANSWER_DELAY,
+            "confirm_timeout must exceed the witness answer delay (%g s)",
+            WITNESS_ANSWER_DELAY,
         )
         require_probability(self.expel_quorum, "expel_quorum")
         require(self.min_periods_before_expel >= 0, "min_periods_before_expel must be >= 0")
@@ -239,12 +238,3 @@ def planetlab_params() -> Tuple[GossipParams, LiftingParams]:
     )
     return gossip, lifting
 
-
-def recommended_fanout(n: int) -> int:
-    """``f`` slightly above ``ln(n)`` for reliable dissemination [16].
-
-    >>> recommended_fanout(10_000)
-    12
-    """
-    require(n >= 2, "n must be >= 2, got %d", n)
-    return max(1, int(round(math.log(n))) + 3)

@@ -326,7 +326,6 @@ class AuditScheduler:
     def __init__(self, host, p_audit: float = 0.01) -> None:
         self.host = host
         self.p_audit = p_audit
-        self.audits_started = 0
 
     def on_period_tick(self) -> None:
         """Called by the host once per gossip period."""
@@ -339,5 +338,4 @@ class AuditScheduler:
             return
         candidates = self.host.sampler.sample(self.host.node_id, 1)
         if candidates:
-            if self.host.auditor.start(candidates[0]):
-                self.audits_started += 1
+            self.host.auditor.start(candidates[0])

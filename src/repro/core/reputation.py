@@ -41,6 +41,9 @@ from repro.util.validation import require
 
 NodeId = int
 
+#: seconds a :class:`ScoreReader` collects replies before it votes.
+SCORE_QUERY_TIMEOUT = 1.0
+
 
 class ManagerAssignment:
     """Deterministic node → managers map shared by the whole system.
@@ -87,7 +90,8 @@ class ManagerRecord:
     """One manager's copy of one node's reputation state.
 
     Records are durable: the paper's scores are absolute, so they
-    survive their target's crash / readmission untouched.
+    survive their target's crash / readmission untouched, and every
+    target's periods ``r`` count from the run's epoch.
 
     ``suspected`` flips while the failure detector suspects the target:
     incoming blames are then diverted into the quarantine buffer
@@ -98,7 +102,6 @@ class ManagerRecord:
     """
 
     target: NodeId
-    joined_at: float
     blame_total: float = 0.0
     blame_events: int = 0
     quarantined_total: float = 0.0
@@ -153,7 +156,6 @@ class ReputationManager:
         lifting: LiftingParams,
         now: Callable[[], float],
         compensation: Optional[float] = None,
-        start_time: float = 0.0,
     ) -> None:
         self.owner = owner
         self.assignment = assignment
@@ -166,8 +168,7 @@ class ReputationManager:
         #: target -> record, in ``assignment.managed_by`` order — the
         #: order the expulsion sweep votes in.
         self.records: Dict[NodeId, ManagerRecord] = {
-            target: ManagerRecord(target, start_time)
-            for target in assignment.managed_by(owner)
+            target: ManagerRecord(target) for target in assignment.managed_by(owner)
         }
         self._quorum_votes = max(
             1, math.ceil(lifting.expel_quorum * assignment.managers_per_node)
@@ -303,10 +304,9 @@ class ReputationManager:
             )
         return True
 
-    def periods_elapsed(self, record: ManagerRecord) -> float:
-        """``r`` — gossip periods the target has spent in the system."""
-        elapsed = (self.now() - record.joined_at) / self.gossip.gossip_period
-        return max(elapsed, 1e-9)
+    def periods_elapsed(self) -> float:
+        """``r`` — gossip periods since the run's epoch."""
+        return max(self.now() / self.gossip.gossip_period, 1e-9)
 
     def normalized_score(self, target: NodeId) -> Optional[float]:
         """Compensated, time-normalised score ``s = b̃ - B/r``.
@@ -316,8 +316,7 @@ class ReputationManager:
         record = self.records.get(target)
         if record is None:
             return None
-        r = self.periods_elapsed(record)
-        return self.compensation - record.blame_total / r
+        return self.compensation - record.blame_total / self.periods_elapsed()
 
     # ------------------------------------------------------------------
     # expulsion voting
@@ -332,17 +331,15 @@ class ReputationManager:
         """
         candidates: List[NodeId] = []
         now = self.now()
-        period = self.gossip.gossip_period
-        min_r = self.lifting.min_periods_before_expel
+        r = now / self.gossip.gossip_period
+        if r < 1e-9:
+            r = 1e-9
+        if r < self.lifting.min_periods_before_expel:
+            return candidates  # the grace period covers every record alike
         eta = self.lifting.eta
         compensation = self.compensation
         for target, record in self.records.items():
             if record.voted_expel or record.expelled or record.suspected:
-                continue
-            r = (now - record.joined_at) / period
-            if r < 1e-9:
-                r = 1e-9
-            if r < min_r:
                 continue
             score = compensation - record.blame_total / r
             if score < eta:
@@ -406,9 +403,8 @@ class ScoreReader:
     verification engine).
     """
 
-    def __init__(self, host, timeout: float = 1.0) -> None:
+    def __init__(self, host) -> None:
         self.host = host
-        self.timeout = timeout
         self._queries: Dict[int, dict] = {}
         self._counter = 0
 
@@ -427,7 +423,7 @@ class ScoreReader:
                     self._queries[query_id]["values"].append(value)
             else:
                 self.host.send(manager_id, ScoreQuery(target=target))
-        self.host.call_later(self.timeout, self._finish, query_id)
+        self.host.call_later(SCORE_QUERY_TIMEOUT, self._finish, query_id)
 
     def on_reply(self, src: NodeId, target: NodeId, score: float, known: bool) -> None:
         """Collect a manager's reply into every open query for ``target``."""
@@ -490,7 +486,7 @@ class ScoreBoard:
         """Flatten the (target, manager-record) pairs for ``targets``.
 
         Returns ``(kept_targets, records, managers, compensation,
-        joined_at, periods, starts)`` where ``starts`` are the segment
+        periods, starts)`` where ``starts`` are the segment
         offsets of each kept target's records in the flat arrays.
         Targets with no reachable manager record are dropped (mirroring
         the scalar path's "missing ones omitted").
@@ -518,14 +514,12 @@ class ScoreBoard:
                 kept.append(target)
                 starts.append(begin)
         compensation = np.array([m.compensation for m in managers], dtype=float)
-        joined_at = np.array([r.joined_at for r in records], dtype=float)
         periods = np.array([m.gossip.gossip_period for m in managers], dtype=float)
         layout = (
             tuple(kept),
             tuple(records),
             tuple(managers),
             compensation,
-            joined_at,
             periods,
             np.array(starts, dtype=np.intp),
         )
@@ -585,7 +579,7 @@ class ScoreBoard:
         self, targets: Iterable[NodeId], assignment: ManagerAssignment
     ) -> Dict[NodeId, float]:
         """Min-vote scores for many targets (missing ones omitted)."""
-        kept, records, managers, compensation, joined_at, periods, starts = self._layout(
+        kept, records, managers, compensation, periods, starts = self._layout(
             tuple(targets), assignment
         )
         if not kept:
@@ -599,7 +593,7 @@ class ScoreBoard:
             dtype=float,
             count=len(records),
         )
-        elapsed = np.maximum((now - joined_at) / periods, 1e-9)
+        elapsed = np.maximum(now / periods, 1e-9)
         values = compensation - blame / elapsed
         minima = np.minimum.reduceat(values, starts)
         return {target: float(value) for target, value in zip(kept, minima)}

@@ -288,6 +288,13 @@ class Deployment:
         threshold = self.lifting.eta if eta is None else eta
         return detection_report(self.scores(), self.freerider_ids, threshold)
 
+    def expulsions(self) -> Tuple[List[NodeId], List[NodeId]]:
+        """``(expelled, wrongful)``: the sorted ids of every node with an
+        expulsion verdict (enforced, or only recorded when the
+        controller observes) and those of them that were not freeriders."""
+        expelled = sorted(self.controller.expelled_nodes())
+        return expelled, [n for n in expelled if n not in self.freerider_ids]
+
     def churn_summary(self) -> Dict[str, object]:
         """Cluster-level churn/detector metrics (empty without a
         failure detector): the monitor's transition counters and

@@ -38,6 +38,9 @@ from repro.util.validation import require_probability
 
 NodeId = int
 
+#: one-way latency is drawn uniformly from this range (seconds).
+LATENCY_RANGE = (0.01, 0.08)
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -48,8 +51,6 @@ class ClusterConfig:
     seed: int = 0
     #: base i.i.d. datagram loss (4 % ≈ the PlanetLab average).
     loss_rate: float = 0.04
-    #: one-way latency drawn uniformly from this range (seconds).
-    latency_range: tuple = (0.01, 0.08)
     #: upload capacity in bytes/s for regular nodes (None = unlimited).
     upload_rate: Optional[float] = None
 
@@ -112,8 +113,7 @@ class SimCluster:
 
         self.sim = Simulator()
         self.loss = PerNodeLoss(seeds.generator("loss"), base=config.loss_rate)
-        low, high = config.latency_range
-        self.latency = UniformLatency(seeds.generator("latency"), low, high)
+        self.latency = UniformLatency(seeds.generator("latency"), *LATENCY_RANGE)
         self.network = Network(self.sim, latency=self.latency, loss=self.loss)
         self.trace = self.network.trace
 
@@ -144,6 +144,7 @@ class SimCluster:
         self.scoreboard = deployment.scoreboard
         self.scores = deployment.scores
         self.detection = deployment.detection
+        self.expulsions = deployment.expulsions
         self.churn_summary = deployment.churn_summary
 
         self.compensation = (
@@ -199,15 +200,11 @@ class SimCluster:
     # ------------------------------------------------------------------
     # measurements
     # ------------------------------------------------------------------
-    def health(
-        self, *, lags=None, coverage: float = 0.99, window=None, include=None
-    ) -> HealthReport:
-        """Figure 1's health curve over (a subset of) the nodes."""
-        if include is None:
-            nodes = list(self.nodes.values())
-        else:
-            nodes = [self.nodes[nid] for nid in include]
-        return health_curve(nodes, self.source, lags=lags, coverage=coverage, window=window)
+    def health(self, *, lags, coverage: float = 0.99, window=None) -> HealthReport:
+        """Figure 1's health curve over the nodes."""
+        return health_curve(
+            self.nodes.values(), self.source, lags=lags, coverage=coverage, window=window
+        )
 
     def overhead(self, duration: Optional[float] = None) -> OverheadReport:
         """Table 5's bandwidth-overhead report for the run so far."""
@@ -282,17 +279,11 @@ class SimCluster:
 
         plane = FaultPlane(schedule, rng=self.seeds.generator("faults"))
         if schedule.window_events():
-            self.network.attach_faults(plane)
+            self.network.fault_plane = plane
         for event in schedule.lifecycle_events():
+            apply = self._crash if event.kind == "crash" else self._restart
             for node_id in event.nodes:
-                if event.kind == "crash":
-                    self.sim.call_later(
-                        max(0.0, event.at - self.sim.now), self._crash, node_id, plane
-                    )
-                else:
-                    self.sim.call_later(
-                        max(0.0, event.at - self.sim.now), self._restart, node_id, plane
-                    )
+                self.sim.call_later(max(0.0, event.at - self.sim.now), apply, node_id, plane)
         return plane
 
     def _crash(self, node_id: NodeId, plane) -> None:

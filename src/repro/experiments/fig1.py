@@ -120,7 +120,7 @@ def _extract_health(cluster, *, lags, coverage, window) -> HealthReport:
 
 
 def _extract_expelled_count(cluster) -> int:
-    return len(cluster.controller.expelled_nodes())
+    return len(cluster.expulsions()[0])
 
 
 #: the paper's x-axis: stream lags 0..30 s in 1 s steps.

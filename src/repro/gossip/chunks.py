@@ -11,7 +11,7 @@ nodes recognise :data:`SOURCE_ID` and skip acks towards it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.config import GossipParams
 from repro.membership.base import PeerSampler
@@ -88,41 +88,23 @@ class StreamSource:
         network: Network,
         sampler: PeerSampler,
         params: GossipParams,
-        *,
-        stop_after: Optional[float] = None,
     ) -> None:
         self.node_id = SOURCE_ID
         self.sim = sim
         self.network = network
         self.sampler = sampler
         self.params = params
-        self.stop_after = stop_after
         self.chunks: List[Chunk] = []
-        #: chunk id -> creation time as a plain list (chunk ids are
-        #: dense): the source's own record.
-        self.created_times: List[float] = []
         self._next_id = 0
-        self._timer = None
 
     def start(self, first_at: float = 0.0) -> None:
         """Begin emitting chunks at ``first_at``."""
-        self._timer = self.sim.call_every(
-            self.params.chunk_interval, self._emit, first_at=first_at
-        )
-
-    def stop(self) -> None:
-        """Stop the stream."""
-        if self._timer is not None:
-            self._timer.stop()
+        self.sim.call_every(self.params.chunk_interval, self._emit, first_at=first_at)
 
     def _emit(self) -> None:
-        if self.stop_after is not None and self.sim.now >= self.stop_after:
-            self.stop()
-            return
         chunk = Chunk(self._next_id, created_at=self.sim.now, size=self.params.chunk_size)
         self._next_id += 1
         self.chunks.append(chunk)
-        self.created_times.append(chunk.created_at)
         targets = self.sampler.sample(self.node_id, self.params.source_fanout)
         serve = Serve(
             proposal_id=-1,

@@ -24,7 +24,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.config import GossipParams, LiftingParams
+from repro.config import WITNESS_ANSWER_DELAY, GossipParams, LiftingParams
 from repro.core.audit import Auditor, AuditResult
 from repro.core.reputation import (
     ManagerAssignment,
@@ -149,7 +149,6 @@ class GossipNode:
         lifting_enabled: bool = True,
         compensation: Optional[float] = None,
         on_expel_quorum: Optional[Callable[[NodeId, str], None]] = None,
-        start_time: float = 0.0,
         p_audit: float = 0.0,
         detector: Optional[FailureDetectorParams] = None,
         on_membership_event: Optional[Callable[[NodeId, NodeId, str, int], None]] = None,
@@ -229,7 +228,6 @@ class GossipNode:
                 lifting=lifting,
                 now=self.clock,
                 compensation=compensation,
-                start_time=start_time,
             )
         self.audit_scheduler = None
         if lifting_enabled and p_audit > 0.0:
@@ -265,8 +263,6 @@ class GossipNode:
             Request: self._on_request,
             Serve: self._on_serve,
             Confirm: self._on_confirm,
-            ExpelVote: self._on_expel_vote,
-            ScoreQuery: self._on_score_query,
             AuditRequest: self._on_audit_request,
             HistoryPollRequest: self._on_history_poll,
         }
@@ -278,6 +274,8 @@ class GossipNode:
             # most frequent reputation message and needs no node-level
             # bookkeeping.
             table[Blame] = self.manager.on_blame_message
+            table[ExpelVote] = self._on_expel_vote
+            table[ScoreQuery] = self._on_score_query
         if self.score_reader is not None:
             table[ScoreReply] = self._on_score_reply
         if self.auditor is not None:
@@ -612,11 +610,7 @@ class GossipNode:
         # (verifier is only an ack + confirm hop behind the proposer), so
         # the testimony is evaluated after a grace delay.  One Confirm
         # per served batch makes this the biggest timer source of a run.
-        delay = self.lifting.witness_answer_delay
-        if delay > 0:
-            self.call_later(delay, self._answer_confirm, src, message)
-        else:
-            self._answer_confirm(src, message)
+        self.call_later(WITNESS_ANSWER_DELAY, self._answer_confirm, src, message)
 
     def _answer_confirm(self, src: NodeId, message: Confirm) -> None:
         truthful = self.history.was_proposed_by(
@@ -627,14 +621,10 @@ class GossipNode:
         self._send_many(self.node_id, (src,), response, _UDP)
 
     def _on_expel_vote(self, src: NodeId, message: ExpelVote) -> None:
-        if self.manager is None:
-            return
         if self.manager.on_expel_vote(src, message.target):
             self._expel_quorum_reached(message.target)
 
     def _on_score_query(self, src: NodeId, message: ScoreQuery) -> None:
-        if self.manager is None:
-            return
         score = self.manager.normalized_score(message.target)
         reply = ScoreReply(
             target=message.target,

@@ -2,7 +2,7 @@
 
 The generator owns a pre-materialised :class:`ArrivalSchedule` and a
 catch-up send loop: each wakeup it transmits every frame whose scheduled
-time has passed (bounded by ``burst_cap`` per iteration so the event
+time has passed (bounded by ``BURST_CAP`` per iteration so the event
 loop — and the ingress pump — keep running during a backlog), then
 sleeps until the next scheduled arrival.  Falling behind never thins the
 schedule: late frames go out as a burst, and the probe's sojourn stage,
@@ -15,7 +15,7 @@ Measured frames are UDP ``Serve`` messages aimed at one target node:
   (always >= 0) can never collide with — the verification engine treats
   each as an unknown proposal and no-ops;
 * ``chunk_id`` cycles over a bounded working set at a high offset, so
-  the first ``working_set`` frames take the fresh-chunk path (store
+  the first ``WORKING_SET`` frames take the fresh-chunk path (store
   insert + next-period propose) and every later frame takes the
   duplicate path — protocol amplification stays bounded by the working
   set instead of growing with the offered load, and the loadgen id
@@ -49,6 +49,14 @@ LOADGEN_ID = -2
 #: schema tag of :meth:`LoadGenerator.report`.
 LOADGEN_REPORT_SCHEMA = "repro.loadgen_report/1"
 
+#: distinct chunk ids cycled through (bounds protocol amplification).
+WORKING_SET = 256
+#: base of the loadgen chunk-id namespace, far above any real stream
+#: chunk id a run of sane duration can reach.
+CHUNK_OFFSET = 1 << 20
+#: max frames sent per catch-up iteration before yielding the loop.
+BURST_CAP = 256
+
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -62,22 +70,12 @@ class LoadProfile:
     seed: int = 0
     #: interarrival process: "uniform" or "poisson".
     arrivals: str = "uniform"
-    #: distinct chunk ids cycled through (bounds protocol amplification).
-    working_set: int = 256
-    #: base of the loadgen chunk-id namespace, far above any real stream
-    #: chunk id a run of sane duration can reach.
-    chunk_offset: int = 1 << 20
-    payload_size: int = 1
     #: goodput/offered ratio below which a phase counts as saturated.
     knee_tolerance: float = 0.9
-    #: max frames sent per catch-up iteration before yielding the loop.
-    burst_cap: int = 256
     #: drain window after the last phase (in-flight frames finish).
     settle: float = 0.25
 
     def __post_init__(self) -> None:
-        require(self.working_set >= 1, "working_set must be >= 1")
-        require(self.burst_cap >= 1, "burst_cap must be >= 1")
         require(self.settle >= 0.0, "settle must be >= 0")
 
     def build_schedule(self) -> ArrivalSchedule:
@@ -107,14 +105,9 @@ class LoadGenerator:
         """Execute the schedule (call :meth:`start` first)."""
         transport = self.transport
         probe = self.probe
-        profile = self.profile
         times = self.schedule.times
         n = self.schedule.total_count
         target = self.target
-        working_set = profile.working_set
-        chunk_offset = profile.chunk_offset
-        payload_size = profile.payload_size
-        burst_cap = profile.burst_cap
 
         t0 = transport.clock()
         probe.begin(t0)
@@ -125,8 +118,8 @@ class LoadGenerator:
             while seq < n and times[seq] <= now:
                 message = Serve(
                     proposal_id=encode_seq(seq),
-                    chunk_id=chunk_offset + seq % working_set,
-                    payload_size=payload_size,
+                    chunk_id=CHUNK_OFFSET + seq % WORKING_SET,
+                    payload_size=1,
                     origin=SOURCE_ID,
                 )
                 t_sent = transport.clock()
@@ -134,17 +127,16 @@ class LoadGenerator:
                 probe.on_sent(seq, t_sent, accepted)
                 seq += 1
                 burst += 1
-                if burst >= burst_cap:
+                if burst >= BURST_CAP:
                     break
             if seq >= n:
                 break
-            if burst >= burst_cap:
+            if burst >= BURST_CAP:
                 await asyncio.sleep(0)  # backlog: yield, keep catching up
                 continue
             delay = times[seq] - (transport.clock() - t0)
             await asyncio.sleep(delay if delay > 0.0 else 0.0)
-        if profile.settle > 0.0:
-            await asyncio.sleep(profile.settle)
+        await asyncio.sleep(self.profile.settle)
 
     def detach(self) -> None:
         """Unhook the probe from the transport's hot paths."""

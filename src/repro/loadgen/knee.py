@@ -15,7 +15,7 @@ recorded sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.util.validation import require
@@ -41,10 +41,9 @@ class KneeReport:
     knee_phase: Optional[int] = None  # last tracking phase index
     first_saturated_phase: Optional[int] = None
     knee_rate: Optional[float] = None
-    extras: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "tolerance": self.tolerance,
             "offered": list(self.offered),
             "goodput": list(self.goodput),
@@ -54,8 +53,6 @@ class KneeReport:
             "first_saturated_phase": self.first_saturated_phase,
             "knee_rate": self.knee_rate,
         }
-        payload.update(self.extras)
-        return payload
 
 
 def detect_knee(

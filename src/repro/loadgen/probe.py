@@ -84,14 +84,7 @@ class StageProbe:
     storage — no dict churn on the transport's hot path.
     """
 
-    def __init__(
-        self,
-        schedule: ArrivalSchedule,
-        *,
-        hist_min: float = 1e-6,
-        hist_max: float = 60.0,
-        subbuckets: int = 32,
-    ) -> None:
+    def __init__(self, schedule: ArrivalSchedule) -> None:
         self.schedule = schedule
         n = schedule.total_count
         phases = len(schedule.phases)
@@ -106,13 +99,8 @@ class StageProbe:
         self.rejected: List[int] = [0] * phases
         self.evicted: List[int] = [0] * phases
         self.done: List[int] = [0] * phases
-        self._hist_config = (hist_min, hist_max, subbuckets)
         self.histograms: List[Dict[str, LatencyHistogram]] = [
-            {
-                stage: LatencyHistogram(hist_min, hist_max, subbuckets)
-                for stage in STAGES
-            }
-            for _ in range(phases)
+            {stage: LatencyHistogram() for stage in STAGES} for _ in range(phases)
         ]
 
     def begin(self, t0: float) -> None:

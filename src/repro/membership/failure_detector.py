@@ -58,6 +58,17 @@ RANK_SUSPECT = 1
 RANK_LEFT = 2
 RANK_DEAD = 3
 
+#: Direct-ack wait before falling back to proxies, and relayed-ack wait
+#: before raising suspicion, both in gossip periods: their sum stays
+#: below 1.0 so a probe resolves within its own period.
+PING_TIMEOUT = 0.35
+INDIRECT_TIMEOUT = 0.5
+#: How many carrier messages each update rides on before it is dropped
+#: from the piggyback outbox (SWIM's λ log n retransmit).
+RETRANSMIT = 10
+#: Update budget per carrier message.
+MAX_PIGGYBACK = 8
+
 STATUS_OF_RANK = {
     RANK_ALIVE: STATUS_ALIVE,
     RANK_SUSPECT: STATUS_SUSPECT,
@@ -72,37 +83,18 @@ class FailureDetectorParams:
     same parameters work on the simulator (T_g = 0.5 s) and the live
     loopback cluster (T_g = 0.25 s).
 
-    ping_timeout:
-        Direct-ack wait before falling back to proxies.
-    indirect_timeout:
-        Relayed-ack wait before raising suspicion.  ``ping_timeout +
-        indirect_timeout`` should stay below 1.0 so a probe resolves
-        within its own period.
     proxies:
         ``k`` ping-req relays per failed direct probe.
     suspicion_periods:
         Refutation window before a suspect is confirmed dead.
-    retransmit:
-        How many carrier messages each update rides on before it is
-        dropped from the piggyback outbox (SWIM's λ log n retransmit).
-    max_piggyback:
-        Update budget per carrier message.
     """
 
-    ping_timeout: float = 0.35
-    indirect_timeout: float = 0.5
     proxies: int = 3
     suspicion_periods: float = 8.0
-    retransmit: int = 10
-    max_piggyback: int = 8
 
     def __post_init__(self) -> None:
-        require(self.ping_timeout > 0.0, "ping_timeout must be > 0")
-        require(self.indirect_timeout > 0.0, "indirect_timeout must be > 0")
         require(self.proxies >= 0, "proxies must be >= 0")
         require(self.suspicion_periods > 0.0, "suspicion_periods must be > 0")
-        require(self.retransmit >= 1, "retransmit must be >= 1")
-        require(self.max_piggyback >= 1, "max_piggyback must be >= 1")
 
 
 class SwimFailureDetector:
@@ -119,8 +111,8 @@ class SwimFailureDetector:
         "params",
         "on_change",
         "incarnation",
-        "_ping_timeout",
-        "_indirect_timeout",
+        "_direct_wait",
+        "_relayed_wait",
         "_suspicion_window",
         "_known",
         "_pending",
@@ -146,8 +138,8 @@ class SwimFailureDetector:
         self.params = params
         self.on_change = on_change
         period = host.gossip.gossip_period
-        self._ping_timeout = params.ping_timeout * period
-        self._indirect_timeout = params.indirect_timeout * period
+        self._direct_wait = PING_TIMEOUT * period
+        self._relayed_wait = INDIRECT_TIMEOUT * period
         self._suspicion_window = params.suspicion_periods * period
         #: our own incarnation; bumped only by ourselves (refutation).
         self.incarnation = 0
@@ -209,10 +201,10 @@ class SwimFailureDetector:
     def _enqueue(self, rank: int, node: NodeId, incarnation: int) -> None:
         outbox = self._outbox
         outbox.pop(node, None)
-        outbox[node] = [self.params.retransmit, rank, incarnation]
+        outbox[node] = [RETRANSMIT, rank, incarnation]
 
     def drain_updates(self, first: Optional[NodeId] = None) -> Tuple[Tuple[int, NodeId, int], ...]:
-        """Up to ``max_piggyback`` updates for one carrier message,
+        """Up to ``MAX_PIGGYBACK`` updates for one carrier message,
         freshest first.  When ``first`` names a node we currently
         suspect, that suspicion is always included — it is the channel
         through which the suspect learns it must refute."""
@@ -223,9 +215,8 @@ class SwimFailureDetector:
                 out.append((RANK_SUSPECT, first, entry[0]))
         outbox = self._outbox
         if outbox:
-            budget = self.params.max_piggyback
             for node in list(reversed(outbox)):
-                if len(out) >= budget:
+                if len(out) >= MAX_PIGGYBACK:
                     break
                 if node == first and out and out[0][1] == first:
                     continue
@@ -302,7 +293,7 @@ class SwimFailureDetector:
             target,
             Ping(seq=seq, incarnation=self.incarnation, updates=self.drain_updates(first=target)),
         )
-        host.call_later(self._ping_timeout, self._on_ping_timeout, seq)
+        host.call_later(self._direct_wait, self._on_ping_timeout, seq)
 
     def _on_ping_timeout(self, seq: int) -> None:
         if self._stopped:
@@ -327,7 +318,7 @@ class SwimFailureDetector:
                     updates=self.drain_updates(),
                 ),
             )
-        host.call_later(self._indirect_timeout, self._on_probe_failed, seq)
+        host.call_later(self._relayed_wait, self._on_probe_failed, seq)
 
     def _on_probe_failed(self, seq: int) -> None:
         if self._stopped:

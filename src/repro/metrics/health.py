@@ -67,27 +67,16 @@ class HealthReport:
             return 0.0
         return float(np.mean(values <= lag))
 
-    @property
-    def median_lag(self) -> float:
-        """Median required lag across nodes (inf-aware)."""
-        values = sorted(self.required_lags.values())
-        return values[len(values) // 2] if values else math.inf
-
 
 def health_curve(
     nodes: Iterable,
     source: StreamSource,
     *,
-    lags: Sequence[float] = None,
+    lags: Sequence[float],
     coverage: float = 0.99,
     window: Tuple[float, float] = None,
 ) -> HealthReport:
-    """Figure 1's curve for a set of nodes.
-
-    ``lags`` defaults to 0..60 s in 1 s steps, the paper's x-axis.
-    """
-    if lags is None:
-        lags = np.arange(0.0, 61.0, 1.0)
+    """Figure 1's curve for a set of nodes, sampled at ``lags`` seconds."""
     lags = np.asarray(lags, dtype=float)
     required = {node.node_id: node_required_lag(node, source, coverage=coverage, window=window) for node in nodes}
     values = np.fromiter(required.values(), dtype=float) if required else np.empty(0)
@@ -99,17 +88,12 @@ def health_curve(
     return HealthReport(lags=lags, fractions=fractions, required_lags=required)
 
 
-def delivery_ratio(nodes: Iterable, source: StreamSource, window: Tuple[float, float] = None) -> float:
-    """Mean fraction of window chunks delivered, across nodes."""
-    chunk_ids = [
-        c.chunk_id
-        for c in source.chunks
-        if window is None or (window[0] <= c.created_at < window[1])
-    ]
-    if not chunk_ids:
+def delivery_ratio(nodes: Iterable, chunk_ids: Sequence[int]) -> float:
+    """Mean fraction of ``chunk_ids`` delivered, across ``nodes``."""
+    nodes = list(nodes)
+    if not chunk_ids or not nodes:
         return 0.0
-    ratios = []
-    for node in nodes:
-        owned = sum(1 for c in chunk_ids if c in node.store)
-        ratios.append(owned / len(chunk_ids))
-    return float(np.mean(ratios)) if ratios else 0.0
+    ratios = [
+        sum(1 for c in chunk_ids if c in node.store) / len(chunk_ids) for node in nodes
+    ]
+    return sum(ratios) / len(ratios)

@@ -7,8 +7,7 @@ the nodes, the crash/restart rules, the read-outs — is the same
 asyncio transport and in real time.  This module keeps what only a live
 run has: the sockets, the tamper-evident audit log, the real-time tasks
 (source, fault driver, breaker probe, invariant sweeps, load generator)
-and the :class:`RuntimeReport`.  Chunk creation times are kept in a
-shared in-process table so the health metric works identically.
+and the :class:`RuntimeReport`.
 
 Robustness features (all off by default, switched on per config):
 
@@ -45,9 +44,9 @@ from repro.gossip.chunks import SOURCE_ID
 from repro.gossip.protocol import GossipNode
 from repro.loadgen.driver import LoadGenerator, LoadProfile
 from repro.membership.failure_detector import FailureDetectorParams
+from repro.metrics.health import delivery_ratio
 from repro.metrics.scores import DetectionReport
 from repro.runtime.faults import FaultPlane, FaultSchedule
-from repro.runtime.resilience import ResilienceConfig
 from repro.runtime.transport import AsyncTransport, NodeRegistry
 from repro.util.rng import SeedSequenceFactory
 from repro.wire import AuditRequest, Serve
@@ -58,6 +57,14 @@ NodeId = int
 #: timeout, so an open circuit is re-probed promptly).
 _PROBE_INTERVAL = 0.12
 
+#: the live deployment's protocol constants: ``T_g`` in seconds, ``f``
+#: (also the source's fanout), ``M`` and the chunk payload in bytes; the
+#: three LiFTinG timeouts are multiples of ``T_g`` (see ``RuntimeCluster``).
+GOSSIP_PERIOD = 0.25
+FANOUT = 4
+MANAGERS = 5
+CHUNK_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -65,10 +72,6 @@ class RuntimeConfig:
 
     n: int = 12
     duration: float = 6.0
-    gossip_period: float = 0.25
-    fanout: int = 4
-    managers: int = 5
-    chunk_size: int = 1024
     chunk_interval: float = 0.05
     loss_rate: float = 0.03
     freerider_fraction: float = 0.0
@@ -80,8 +83,6 @@ class RuntimeConfig:
     p_audit: float = 0.0
     #: enforce expulsion quorums on the registry (and audit-log them).
     expulsion_enabled: bool = False
-    #: tuning of retry/breaker/ingress (None = defaults).
-    resilience: Optional[ResilienceConfig] = None
     #: scripted faults to run against the deployment (None = none).
     fault_schedule: Optional[FaultSchedule] = None
     #: JSONL mirror of the audit log (None = in-memory only).
@@ -143,21 +144,21 @@ class RuntimeCluster:
         self.config = config
         self.gossip = GossipParams(
             n=config.n,
-            fanout=min(config.fanout, config.n - 1),
-            gossip_period=config.gossip_period,
-            stream_rate_kbps=config.chunk_size * 8 / 1000 / config.chunk_interval,
-            chunk_size=config.chunk_size,
-            source_fanout=min(config.fanout, config.n - 1),
+            fanout=min(FANOUT, config.n - 1),
+            gossip_period=GOSSIP_PERIOD,
+            stream_rate_kbps=CHUNK_SIZE * 8 / 1000 / config.chunk_interval,
+            chunk_size=CHUNK_SIZE,
+            source_fanout=min(FANOUT, config.n - 1),
             request_size=4,
         )
         self.lifting = LiftingParams(
             p_dcc=1.0,
-            managers=min(config.managers, config.n - 1),
+            managers=min(MANAGERS, config.n - 1),
             history_periods=50,
             assumed_loss_rate=config.loss_rate,
-            ack_timeout=2.5 * config.gossip_period,
-            serve_timeout=1.5 * config.gossip_period,
-            confirm_timeout=1.5 * config.gossip_period,
+            ack_timeout=2.5 * GOSSIP_PERIOD,
+            serve_timeout=1.5 * GOSSIP_PERIOD,
+            confirm_timeout=1.5 * GOSSIP_PERIOD,
         )
         self.chunks_emitted = 0
         #: built by :meth:`run` (the transport needs the running loop).
@@ -186,7 +187,6 @@ class RuntimeCluster:
             registry,
             loss_rate=config.loss_rate,
             rng=seeds.generator("loss"),
-            resilience=config.resilience,
             # consulted per send: only a window fault gives it something to say
             fault_plane=plane if plane is not None and schedule.window_events() else None,
         )
@@ -266,7 +266,7 @@ class RuntimeCluster:
             self.loadgen.detach()
         for node in self.nodes.values():
             node.stop()
-        await asyncio.sleep(2 * config.gossip_period)  # drain in-flight timers
+        await asyncio.sleep(2 * GOSSIP_PERIOD)  # drain in-flight timers
         await transport.close()
 
         invariants.check()  # final-state sweep on the settled run
@@ -284,7 +284,7 @@ class RuntimeCluster:
             serve = Serve(
                 proposal_id=-1,
                 chunk_id=self.chunks_emitted,
-                payload_size=self.config.chunk_size,
+                payload_size=CHUNK_SIZE,
                 origin=SOURCE_ID,
             )
             for target in targets:
@@ -344,7 +344,7 @@ class RuntimeCluster:
 
     async def _invariant_sweeps(self, monitor) -> None:
         """Periodic safety sweeps, a couple per gossip period window."""
-        interval = 2 * self.config.gossip_period
+        interval = 2 * GOSSIP_PERIOD
         while True:
             await asyncio.sleep(interval)
             monitor.check()
@@ -355,16 +355,8 @@ class RuntimeCluster:
     def _report(self, transport, plane, log, invariants) -> RuntimeReport:
         deployment = self.deployment
         emitted = self.chunks_emitted
-        if emitted and self.nodes:
-            ratios = [
-                sum(1 for c in range(emitted) if c in node.store) / emitted
-                for node in self.nodes.values()
-            ]
-            delivery = sum(ratios) / len(ratios)
-        else:
-            delivery = 0.0
-        records = deployment.controller.records
-        expelled = [node for node, record in records.items() if record.enforced]
+        delivery = delivery_ratio(self.nodes.values(), range(emitted))
+        expelled, wrongful = deployment.expulsions()
         log.snapshot(
             {
                 "chunks_emitted": emitted,
@@ -391,7 +383,7 @@ class RuntimeCluster:
             resilience=resilience,
             faults=plane.counters() if plane is not None else {},
             expelled=expelled,
-            wrongful_expulsions=[n for n in expelled if n not in self.freerider_ids],
+            wrongful_expulsions=wrongful,
             audit_ok=chain.ok,
             audit_records=chain.length,
             membership=deployment.churn_summary(),

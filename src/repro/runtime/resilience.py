@@ -9,7 +9,7 @@ triad — retry, circuit breaking, queue-based load leveling):
   stream).  Delays are drawn from an injected RNG so tests are
   deterministic.
 * :class:`CircuitBreaker` — a per-peer closed/open/half-open gate.
-  ``failure_threshold`` consecutive failures open the circuit; while
+  ``FAILURE_THRESHOLD`` consecutive failures open the circuit; while
   open, attempts are suppressed instantly (no socket work, no backoff
   sleeps); after ``reset_timeout`` the next attempt is admitted as a
   *half-open probe* whose outcome either closes the circuit or re-opens
@@ -60,6 +60,9 @@ STATE_HALF_OPEN = "half-open"
 
 DROP_OLDEST = "drop-oldest"
 REJECT = "reject"
+
+#: consecutive failures that open a :class:`CircuitBreaker`.
+FAILURE_THRESHOLD = 2
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,10 @@ class CircuitBreaker:
         self,
         clock: Callable[[], float],
         *,
-        failure_threshold: int = 2,
         reset_timeout: float = 0.4,
     ) -> None:
-        require(failure_threshold >= 1, "failure_threshold must be >= 1")
         require(reset_timeout > 0.0, "reset_timeout must be > 0")
         self.clock = clock
-        self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
         self.state = STATE_CLOSED
         self.counters = BreakerCounters()
@@ -179,7 +179,7 @@ class CircuitBreaker:
         if self.state == STATE_HALF_OPEN:
             self._open()
         elif self.state == STATE_CLOSED and (
-            self._consecutive_failures >= self.failure_threshold
+            self._consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._open()
 
@@ -265,27 +265,16 @@ class ResilienceConfig:
     """Tuning knobs of the live plane's resilience layer."""
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_failure_threshold: int = 2
     breaker_reset_timeout: float = 0.4
     ingress_capacity: int = 4096
     ingress_policy: str = DROP_OLDEST
     #: max messages delivered per pump batch before yielding the loop.
     ingress_batch: int = 128
-    #: max frames queued per peer channel awaiting transmission.
-    egress_queue_limit: int = 512
-    #: max frames coalesced into one TCP write.
-    coalesce_frames: int = 64
 
     def __post_init__(self) -> None:
         # A batch of 0 is a silent hang, not an error anyone sees: the
         # socket stays readable and the pump drains nothing, for ever.
-        for name in (
-            "breaker_failure_threshold",
-            "ingress_capacity",
-            "ingress_batch",
-            "egress_queue_limit",
-            "coalesce_frames",
-        ):
+        for name in ("ingress_capacity", "ingress_batch"):
             require_int(getattr(self, name), name, minimum=1)
         require_positive(self.breaker_reset_timeout, "breaker_reset_timeout")
         require(

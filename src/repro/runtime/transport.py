@@ -82,6 +82,11 @@ Address = Tuple[str, int]
 
 _LENGTH = struct.Struct("!I")
 
+#: max frames queued per peer channel awaiting transmission, and max
+#: frames coalesced into one TCP write.
+EGRESS_QUEUE_LIMIT = 512
+COALESCE_FRAMES = 64
+
 #: read size per datagram.  No IPv4 UDP payload is larger (65 507
 #: bytes), so a read never truncates a frame into one that might decode.
 _MAX_DATAGRAM = wire_codec.MAX_FRAME_BYTES
@@ -145,14 +150,9 @@ class _PeerChannel:
     def __init__(self, transport: "AsyncTransport", dst: NodeId) -> None:
         self.transport = transport
         self.dst = dst
-        res = transport.resilience
         self.queue: Deque[bytes] = deque()
-        self.queue_limit = res.egress_queue_limit
-        self.coalesce = res.coalesce_frames
         self.breaker = CircuitBreaker(
-            transport.clock,
-            failure_threshold=res.breaker_failure_threshold,
-            reset_timeout=res.breaker_reset_timeout,
+            transport.clock, reset_timeout=transport.resilience.breaker_reset_timeout
         )
         self.event = asyncio.Event()
         self.writer: Optional[asyncio.StreamWriter] = None
@@ -162,7 +162,7 @@ class _PeerChannel:
         """Queue one length-prefixed frame; False when refused."""
         if not self.breaker.allow():
             return False
-        if len(self.queue) >= self.queue_limit:
+        if len(self.queue) >= EGRESS_QUEUE_LIMIT:
             return False
         self.queue.append(frame)
         self.event.set()
@@ -183,7 +183,7 @@ class _PeerChannel:
                 self.queue.clear()
                 continue
             chunks = []
-            while self.queue and len(chunks) < self.coalesce:
+            while self.queue and len(chunks) < COALESCE_FRAMES:
                 chunks.append(self.queue.popleft())
             try:
                 self.writer.write(b"".join(chunks))
@@ -251,7 +251,6 @@ class AsyncTransport:
         *,
         loss_rate: float = 0.0,
         rng: Optional[np.random.Generator] = None,
-        epoch: Optional[float] = None,
         resilience: Optional[ResilienceConfig] = None,
         fault_plane=None,
     ) -> None:
@@ -260,7 +259,7 @@ class AsyncTransport:
         self.registry = registry
         self.loss_rate = loss_rate
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.epoch = loop.time() if epoch is None else epoch
+        self.epoch = loop.time()
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.fault_plane = fault_plane
         self._endpoints: Dict[NodeId, socket.socket] = {}
@@ -369,7 +368,7 @@ class AsyncTransport:
             self._channels[dst] = channel
         frame = _LENGTH.pack(len(payload)) + payload
         if extra > 0.0:
-            self.loop.call_later(extra, channel.submit, frame)
+            self.loop.call_later(extra, self._submit_late, src, channel, frame)
             return True
         if not channel.submit(frame):
             self.sends_refused += 1
@@ -384,6 +383,16 @@ class AsyncTransport:
                 sock.sendto(payload, address)
             except OSError as exc:
                 self._on_datagram_error(exc)
+
+    def _submit_late(self, src: NodeId, channel: _PeerChannel, frame: bytes) -> None:
+        """Queue a fault-delayed reliable frame (unless the node crashed
+        or the transport is closing).  ``send`` reported it accepted
+        when the delay began, so a refusal now — the breaker opened or
+        the queue filled meanwhile — abandons a frame."""
+        if self._closing or src in self._crashed:
+            return
+        if not channel.submit(frame):
+            self.frames_abandoned += 1
 
     # ------------------------------------------------------------------
     # endpoint lifecycle
@@ -585,11 +594,9 @@ class AsyncTransport:
             if dst not in connected or dst in self._crashed:
                 i = j
                 continue
-            entry = self._receivers.get(dst)
-            if entry is None:
-                i = j
-                continue
-            receiver, table = entry
+            # Filed by open_endpoints before the node's sockets exist,
+            # and every queued entry came off one of those.
+            receiver, table = self._receivers[dst]
             t_drain = self.clock() if probe is not None else 0.0
             for k in range(i, j):
                 _t, _dst, src, message = batch[k]
@@ -614,7 +621,7 @@ class AsyncTransport:
         The frame header is unauthenticated, so attribution follows the
         *claimed* source id (like an IP source address): its counter
         rises and its egress breaker records a failure, which after
-        ``breaker_failure_threshold`` consecutive rejections opens the
+        ``FAILURE_THRESHOLD`` consecutive rejections opens the
         circuit — we stop spending sockets on a peer that talks garbage.
         Unreadable headers land in ``decode_errors_unattributed``, and so
         do claims of an id that never registered: the header's id is a

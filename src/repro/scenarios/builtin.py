@@ -19,6 +19,61 @@ from repro.scenarios.spec import Param, RunResult
 __all__ = ["DetectResult"]
 
 
+def _planetlab_config(params: dict, **config):
+    """The simulated deployments' shared ``ClusterConfig``: PlanetLab
+    parameters at ``params["n"]`` with 1400-byte chunks, ``params["loss"]``
+    both applied and assumed, plus ``config``."""
+    from dataclasses import replace
+
+    from repro.config import planetlab_params
+    from repro.experiments.cluster import ClusterConfig
+
+    gossip, lifting = planetlab_params()
+    return ClusterConfig(
+        gossip=replace(gossip, n=params["n"], chunk_size=1400),
+        lifting=replace(lifting, assumed_loss_rate=params["loss"]),
+        seed=params["seed"],
+        loss_rate=params["loss"],
+        **config,
+    )
+
+
+#: what every simulated robustness sweep (churn, coalition, sybil_blame)
+#: declares first, and last.
+_SWEEP_PARAMS = (
+    Param("n", int, 60, "system size", validate=lambda v: v >= 12,
+          constraint=">= 12"),
+    Param("seed", int, 3, "experiment seed"),
+    Param("duration", float, 30.0, "simulated seconds",
+          validate=lambda v: v > 0, constraint="> 0"),
+    Param("loss", float, 0.04, "datagram loss rate",
+          validate=lambda v: 0.0 <= v < 1.0, constraint="in [0, 1)"),
+)
+_JOBS = Param("jobs", int, 1, "worker processes for the sweep (0 = all cores)")
+
+#: who freerides, and how, on the two live deployments (live, chaos).
+_LIVE_FREERIDERS = (
+    Param("freeriders", float, 0.2, "freerider fraction",
+          validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
+    Param("deltas", float, (0.25, 0.3, 0.3), sequence=True,
+          help="(δ1, δ2, δ3) of the freeriders",
+          validate=lambda v: len(v) == 3, constraint="exactly 3 values"),
+)
+
+
+def _sweep_tasks(fn, label: str, params, axis: str, cell: str):
+    """One task per value of the sequence parameter ``axis``; ``fn``
+    reads its value as ``params[cell]``."""
+    return [
+        Task(fn=fn, args=({**dict(params), cell: value},), key=f"{label}-{value:g}")
+        for value in params[axis]
+    ]
+
+
+def _sweep_reduce(results, params) -> Dict[str, object]:
+    return {"sweep": list(results)}
+
+
 # ----------------------------------------------------------------------
 # detect — the quickstart as a scenario
 # ----------------------------------------------------------------------
@@ -39,48 +94,37 @@ def _compute_detect(params: dict) -> DetectResult:
     """Calibrate, deploy with freeriders, run, report (staged task)."""
     from dataclasses import replace
 
-    from repro.config import planetlab_params
     from repro.experiments.calibration import calibrate
-    from repro.experiments.cluster import ClusterConfig, SimCluster
+    from repro.experiments.cluster import SimCluster
 
-    gossip, lifting = planetlab_params()
-    gossip = replace(gossip, n=params["n"], chunk_size=1400)
-    lifting = replace(
-        lifting, p_dcc=params["p_dcc"], assumed_loss_rate=params["loss"]
+    config = _planetlab_config(
+        params,
+        freerider_fraction=params["freeriders"],
+        adversary=adversary.spec(
+            "freerider",
+            degree=(params["delta1"], params["delta2"], params["delta3"]),
+        ),
+        expulsion_enabled=params["expel"],
     )
+    config = replace(config, lifting=replace(config.lifting, p_dcc=params["p_dcc"]))
     calibration = calibrate(
-        gossip,
-        lifting,
+        config.gossip,
+        config.lifting,
         seed=params["seed"] + 1,
         duration=10.0,
         loss_rate=params["loss"],
     )
     eta = calibration.eta_for_false_positives(0.01)
-    cluster = SimCluster(
-        ClusterConfig(
-            gossip=gossip,
-            lifting=lifting,
-            seed=params["seed"],
-            loss_rate=params["loss"],
-            freerider_fraction=params["freeriders"],
-            adversary=adversary.spec(
-                "freerider",
-                degree=(params["delta1"], params["delta2"], params["delta3"]),
-            ),
-            compensation=calibration.compensation,
-            expulsion_enabled=params["expel"],
-        )
-    )
+    cluster = SimCluster(replace(config, compensation=calibration.compensation))
     cluster.run(until=params["duration"])
-    expelled = sorted(cluster.controller.expelled_nodes())
-    wrongful = sorted(n for n in expelled if n not in cluster.freerider_ids)
+    expelled, wrongful = cluster.expulsions()
     return DetectResult(
         compensation=calibration.compensation,
         eta=eta,
         report=cluster.detection(eta=eta),
         overhead=cluster.overhead(),
-        expelled=list(expelled),
-        wrongful=list(wrongful),
+        expelled=expelled,
+        wrongful=wrongful,
     )
 
 
@@ -358,11 +402,7 @@ def _live_render(run: RunResult) -> str:
         Param("seed", int, 1, "deployment seed"),
         Param("duration", float, 5.0, "real (wall-clock) seconds",
               validate=lambda v: v > 0, constraint="> 0"),
-        Param("freeriders", float, 0.2, "freerider fraction",
-              validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
-        Param("deltas", float, (0.25, 0.3, 0.3), sequence=True,
-              help="(δ1, δ2, δ3) of the freeriders",
-              validate=lambda v: len(v) == 3, constraint="exactly 3 values"),
+        *_LIVE_FREERIDERS,
     ),
     summarize=_live_metrics,
     render=_live_render,
@@ -490,11 +530,7 @@ def _chaos_render(run: RunResult) -> str:
         Param("seed", int, 7, "deployment seed"),
         Param("duration", float, 6.0, "real (wall-clock) seconds",
               validate=lambda v: v > 0, constraint="> 0"),
-        Param("freeriders", float, 0.2, "freerider fraction",
-              validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
-        Param("deltas", float, (0.25, 0.3, 0.3), sequence=True,
-              help="(δ1, δ2, δ3) of the freeriders",
-              validate=lambda v: len(v) == 3, constraint="exactly 3 values"),
+        *_LIVE_FREERIDERS,
         Param("drop_rate", float, 0.3, "targeted drop probability",
               validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
         Param("audit_log", str, "", "JSONL path for the audit chain ('' = in-memory)"),
@@ -648,23 +684,14 @@ def _loadgen_scenario(params):
 def _compute_churn(params: dict) -> Dict[str, object]:
     """One simulated deployment at one churn rate (module-level so the
     sweep can fan out to a process pool)."""
-    from dataclasses import replace
-
-    from repro.config import planetlab_params
-    from repro.experiments.cluster import ClusterConfig, SimCluster
+    from repro.experiments.cluster import SimCluster
     from repro.membership.failure_detector import FailureDetectorParams
     from repro.runtime.faults import FaultSchedule
 
     rate = params["rate"]
-    gossip, lifting = planetlab_params()
-    gossip = replace(gossip, n=params["n"], chunk_size=1400)
-    lifting = replace(lifting, assumed_loss_rate=params["loss"])
     cluster = SimCluster(
-        ClusterConfig(
-            gossip=gossip,
-            lifting=lifting,
-            seed=params["seed"],
-            loss_rate=params["loss"],
+        _planetlab_config(
+            params,
             freerider_fraction=params["freeriders"],
             adversary=adversary.spec("freerider", degree=(params["delta"],) * 3),
             expulsion_enabled=True,
@@ -690,8 +717,7 @@ def _compute_churn(params: dict) -> Dict[str, object]:
     invariants = cluster.attach_invariants()
     cluster.run(until=params["duration"])
     invariants.check()  # final-state sweep
-    expelled = sorted(cluster.controller.expelled_nodes())
-    wrongful = sorted(n for n in expelled if n not in cluster.freerider_ids)
+    expelled, wrongful = cluster.expulsions()
     summary = cluster.churn_summary()
     summary.update(
         invariant_checks=invariants.summary()["checks"],
@@ -705,16 +731,10 @@ def _compute_churn(params: dict) -> Dict[str, object]:
         wrongful_expulsion_rate=(
             len(wrongful) / len(honest) if honest else 0.0
         ),
-        freeriders_expelled=sum(
-            1 for n in expelled if n in cluster.freerider_ids
-        ),
+        freeriders_expelled=len(expelled) - len(wrongful),
         freeriders=len(cluster.freerider_ids),
     )
     return summary
-
-
-def _churn_reduce(results, params) -> Dict[str, object]:
-    return {"sweep": list(results)}
 
 
 def _churn_metrics(artifact, params) -> dict:
@@ -770,13 +790,7 @@ def _churn_render(run: RunResult) -> str:
     "churn",
     "Sweep crash/restart churn rates: wrongful expulsions vs membership convergence",
     params=(
-        Param("n", int, 60, "system size", validate=lambda v: v >= 12,
-              constraint=">= 12"),
-        Param("seed", int, 3, "experiment seed"),
-        Param("duration", float, 30.0, "simulated seconds",
-              validate=lambda v: v > 0, constraint="> 0"),
-        Param("loss", float, 0.04, "datagram loss rate",
-              validate=lambda v: 0.0 <= v < 1.0, constraint="in [0, 1)"),
+        *_SWEEP_PARAMS,
         Param("freeriders", float, 0.15, "freerider fraction",
               validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
         Param("delta", float, 0.25, "uniform freeriding degree"),
@@ -790,9 +804,9 @@ def _churn_render(run: RunResult) -> str:
         Param("suspicion", float, 8.0,
               "suspicion window (gossip periods) before confirm-dead",
               validate=lambda v: v > 0, constraint="> 0"),
-        Param("jobs", int, 1, "worker processes for the sweep (0 = all cores)"),
+        _JOBS,
     ),
-    reduce=_churn_reduce,
+    reduce=_sweep_reduce,
     summarize=_churn_metrics,
     render=_churn_render,
     tags=("robustness", "membership"),
@@ -800,14 +814,7 @@ def _churn_render(run: RunResult) -> str:
     sim_time=lambda params: params["duration"] * len(params["rates"]),
 )
 def _churn_scenario(params):
-    return [
-        Task(
-            fn=_compute_churn,
-            args=({**dict(params), "rate": rate},),
-            key=f"churn-{rate:g}",
-        )
-        for rate in params["rates"]
-    ]
+    return _sweep_tasks(_compute_churn, "churn", params, "rates", "rate")
 
 
 # ----------------------------------------------------------------------
@@ -817,20 +824,11 @@ def _churn_scenario(params):
 def _adversary_cluster(params: dict, kind: str, **policy_params):
     """A SimCluster armed with a named adversary policy (shared by the
     coalition and sybil_blame sweeps; module-level for process pools)."""
-    from dataclasses import replace
+    from repro.experiments.cluster import SimCluster
 
-    from repro.config import planetlab_params
-    from repro.experiments.cluster import ClusterConfig, SimCluster
-
-    gossip, lifting = planetlab_params()
-    gossip = replace(gossip, n=params["n"], chunk_size=1400)
-    lifting = replace(lifting, assumed_loss_rate=params["loss"])
     return SimCluster(
-        ClusterConfig(
-            gossip=gossip,
-            lifting=lifting,
-            seed=params["seed"],
-            loss_rate=params["loss"],
+        _planetlab_config(
+            params,
             freerider_fraction=params["adversaries"] / params["n"],
             adversary=adversary.spec(kind, **policy_params),
             expulsion_enabled=True,
@@ -838,21 +836,21 @@ def _adversary_cluster(params: dict, kind: str, **policy_params):
     )
 
 
-def _adversary_outcome(cluster, invariants) -> Dict[str, object]:
-    """The shared outcome block: who was expelled, who escaped, and
-    whether any safety invariant broke along the way."""
+def _adversary_outcome(cluster, duration: float) -> Dict[str, object]:
+    """Run ``cluster`` for ``duration`` under the invariant sweeps; the
+    shared outcome block: who was expelled, who escaped, and whether
+    any safety invariant broke along the way."""
+    invariants = cluster.attach_invariants()
+    cluster.run(until=duration)
     invariants.check()  # final-state sweep
-    expelled = sorted(cluster.controller.expelled_nodes())
+    expelled, wrongful = cluster.expulsions()
     adversaries = sorted(cluster.freerider_ids)
-    wrongful = sorted(n for n in expelled if n not in cluster.freerider_ids)
-    caught = [n for n in expelled if n in cluster.freerider_ids]
+    caught = len(expelled) - len(wrongful)
     scores = cluster.scores()
     return {
         "adversaries": len(adversaries),
-        "adversaries_expelled": len(caught),
-        "escape_rate": (
-            1.0 - len(caught) / len(adversaries) if adversaries else 0.0
-        ),
+        "adversaries_expelled": caught,
+        "escape_rate": 1.0 - caught / len(adversaries) if adversaries else 0.0,
         "wrongful_expulsions": [int(n) for n in wrongful],
         "wrongful_expulsion_count": len(wrongful),
         "invariant_checks": invariants.summary()["checks"],
@@ -872,9 +870,7 @@ def _compute_coalition(params: dict) -> Dict[str, object]:
         bias=params["bias"],
         launder=params["launder"],
     )
-    invariants = cluster.attach_invariants()
-    cluster.run(until=params["duration"])
-    outcome = _adversary_outcome(cluster, invariants)
+    outcome = _adversary_outcome(cluster, params["duration"])
     outcome["size"] = size
     outcome["credits_laundered"] = round(
         sum(
@@ -884,10 +880,6 @@ def _compute_coalition(params: dict) -> Dict[str, object]:
         3,
     )
     return outcome
-
-
-def _coalition_reduce(results, params) -> Dict[str, object]:
-    return {"sweep": list(results)}
 
 
 def _adversary_sweep_metrics(artifact, key: str) -> dict:
@@ -926,13 +918,7 @@ def _coalition_render(run: RunResult) -> str:
     "coalition",
     "Sweep laundering-coalition sizes: freerider escape vs wrongful expulsion",
     params=(
-        Param("n", int, 60, "system size", validate=lambda v: v >= 12,
-              constraint=">= 12"),
-        Param("seed", int, 3, "experiment seed"),
-        Param("duration", float, 30.0, "simulated seconds",
-              validate=lambda v: v > 0, constraint="> 0"),
-        Param("loss", float, 0.04, "datagram loss rate",
-              validate=lambda v: 0.0 <= v < 1.0, constraint="in [0, 1)"),
+        *_SWEEP_PARAMS,
         Param("sizes", int, (3, 6, 9), sequence=True,
               help="coalition sizes to sweep"),
         Param("delta", float, 0.5, "uniform freeriding degree of members"),
@@ -941,9 +927,9 @@ def _coalition_render(run: RunResult) -> str:
         Param("launder", float, 2.0,
               "credit (negative blame) each member grants co-members per period",
               validate=lambda v: v >= 0.0, constraint=">= 0"),
-        Param("jobs", int, 1, "worker processes for the sweep (0 = all cores)"),
+        _JOBS,
     ),
-    reduce=_coalition_reduce,
+    reduce=_sweep_reduce,
     summarize=_coalition_metrics,
     render=_coalition_render,
     tags=("robustness", "adversary"),
@@ -951,14 +937,7 @@ def _coalition_render(run: RunResult) -> str:
     sim_time=lambda params: params["duration"] * len(params["sizes"]),
 )
 def _coalition_scenario(params):
-    return [
-        Task(
-            fn=_compute_coalition,
-            args=({**dict(params), "size": size},),
-            key=f"coalition-{size}",
-        )
-        for size in params["sizes"]
-    ]
+    return _sweep_tasks(_compute_coalition, "coalition", params, "sizes", "size")
 
 
 # ----------------------------------------------------------------------
@@ -976,9 +955,7 @@ def _compute_sybil(params: dict) -> Dict[str, object]:
         delta=params["delta"],
         start_period=params["start_period"],
     )
-    invariants = cluster.attach_invariants()
-    cluster.run(until=params["duration"])
-    outcome = _adversary_outcome(cluster, invariants)
+    outcome = _adversary_outcome(cluster, params["duration"])
     campaign = cluster.adversary_policy.campaign
     scores = cluster.scores()
     outcome["rate"] = rate
@@ -989,10 +966,6 @@ def _compute_sybil(params: dict) -> Dict[str, object]:
     )
     outcome["blames_stuffed"] = round(campaign.blames_stuffed, 3)
     return outcome
-
-
-def _sybil_reduce(results, params) -> Dict[str, object]:
-    return {"sweep": list(results)}
 
 
 def _sybil_metrics(artifact, params) -> dict:
@@ -1025,13 +998,7 @@ def _sybil_render(run: RunResult) -> str:
     "sybil_blame",
     "Sweep Sybil blame-stuffing rates against honest victims: defamation vs detection",
     params=(
-        Param("n", int, 60, "system size", validate=lambda v: v >= 12,
-              constraint=">= 12"),
-        Param("seed", int, 3, "experiment seed"),
-        Param("duration", float, 30.0, "simulated seconds",
-              validate=lambda v: v > 0, constraint="> 0"),
-        Param("loss", float, 0.04, "datagram loss rate",
-              validate=lambda v: 0.0 <= v < 1.0, constraint="in [0, 1)"),
+        *_SWEEP_PARAMS,
         Param("sybils", int, 4, "stuffing identities",
               validate=lambda v: v >= 1, constraint=">= 1"),
         Param("rates", float, (0.5, 1.0, 2.0), sequence=True,
@@ -1041,9 +1008,9 @@ def _sybil_render(run: RunResult) -> str:
         Param("delta", float, 0.5, "uniform freeriding degree of the stuffers"),
         Param("start_period", int, 10, "first period of the campaign",
               validate=lambda v: v >= 0, constraint=">= 0"),
-        Param("jobs", int, 1, "worker processes for the sweep (0 = all cores)"),
+        _JOBS,
     ),
-    reduce=_sybil_reduce,
+    reduce=_sweep_reduce,
     summarize=_sybil_metrics,
     render=_sybil_render,
     tags=("robustness", "adversary"),
@@ -1051,11 +1018,4 @@ def _sybil_render(run: RunResult) -> str:
     sim_time=lambda params: params["duration"] * len(params["rates"]),
 )
 def _sybil_scenario(params):
-    return [
-        Task(
-            fn=_compute_sybil,
-            args=({**dict(params), "rate": rate},),
-            key=f"sybil-{rate:g}",
-        )
-        for rate in params["rates"]
-    ]
+    return _sweep_tasks(_compute_sybil, "sybil", params, "rates", "rate")

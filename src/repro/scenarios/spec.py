@@ -78,9 +78,9 @@ class Param:
     ``type`` is one of ``int``/``float``/``str``/``bool``;
     ``sequence=True`` declares a homogeneous tuple of that scalar type
     (CLI: ``nargs='+'`` flags, or comma-separated ``--set`` values).
-    ``choices`` restricts the value set and ``validate`` is an optional
-    extra predicate (its docstring-less lambda is described by
-    ``constraint`` in error messages).
+    ``validate`` is an optional predicate on the coerced value (its
+    docstring-less lambda is described by ``constraint`` in error
+    messages).
     """
 
     name: str
@@ -88,7 +88,6 @@ class Param:
     default: Any = None
     help: str = ""
     sequence: bool = False
-    choices: Optional[Tuple[Any, ...]] = None
     validate: Optional[Callable[[Any], bool]] = None
     #: human description of ``validate`` for error messages/``describe``.
     constraint: str = ""
@@ -99,8 +98,6 @@ class Param:
                 f"parameter {self.name!r}: type must be int, float, str or "
                 f"bool, got {self.type!r}"
             )
-        if self.choices is not None:
-            object.__setattr__(self, "choices", tuple(self.choices))
         # Normalise the default through the same path as overrides so a
         # declaration with e.g. a list default still resolves to a tuple.
         if self.default is not None:
@@ -178,14 +175,6 @@ class Param:
                 raise self._type_error(value)
         else:
             out = self._coerce_scalar(value)
-        if self.choices is not None:
-            values = out if self.sequence else (out,)
-            for item in values:
-                if item not in self.choices:
-                    raise ParamError(
-                        f"parameter {self.name!r}: {item!r} is not one of "
-                        f"{list(self.choices)}"
-                    )
         if self.validate is not None and not self.validate(out):
             constraint = self.constraint or "failed its validation predicate"
             raise ParamError(f"parameter {self.name!r} = {out!r}: {constraint}")
@@ -232,8 +221,6 @@ def _canonical(value: Any, *, where: str) -> Any:
         return int(value)
     if isinstance(value, float):
         return float(value)
-    if hasattr(value, "item"):  # numpy scalar
-        return _canonical(value.item(), where=where)
     raise TypeError(
         f"{where}: {value!r} ({type(value).__name__}) is not JSON-safe; "
         f"summarize() must project results onto str/int/float/bool/None, "
@@ -257,7 +244,6 @@ class RunResult:
     seed: Optional[int] = None
     sim_seconds: Optional[float] = None
     wall_seconds: float = 0.0
-    schema: str = RUN_RESULT_SCHEMA
     #: who/where/what produced this result (git revision, host
     #: fingerprint — see :mod:`repro.util.provenance`); empty for
     #: envelopes predating the field.
@@ -281,7 +267,7 @@ class RunResult:
     def to_json(self, *, indent: Optional[int] = None) -> str:
         """Serialise the envelope (without ``artifact``) to JSON."""
         payload = {
-            "schema": self.schema,
+            "schema": RUN_RESULT_SCHEMA,
             "scenario": self.scenario,
             "params": self.params,
             "seed": self.seed,
@@ -311,7 +297,6 @@ class RunResult:
             seed=payload.get("seed"),
             sim_seconds=payload.get("sim_seconds"),
             wall_seconds=payload.get("wall_seconds", 0.0),
-            schema=schema,
             # Envelopes written before the field existed stay loadable.
             provenance=payload.get("provenance", {}),
         )
@@ -339,10 +324,6 @@ class RunResult:
         if not isinstance(other, RunResult):
             return NotImplemented
         return self.to_json() == other.to_json()
-
-    def __ne__(self, other: Any) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     __hash__ = None  # mutable-mapping fields; not hashable
 

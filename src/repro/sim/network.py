@@ -5,9 +5,8 @@ lossy); local-history audits run over TCP (reliable, §5.3).  The network
 object models both on top of the same latency models:
 
 * ``Transport.UDP`` — subject to the loss model; one latency sample.
-* ``Transport.TCP`` — never lost; pays an extra connection overhead the
-  first time and per-message latency inflated by ``tcp_latency_factor``
-  (acknowledgement round trips).
+* ``Transport.TCP`` — never lost; per-message latency inflated by
+  ``TCP_LATENCY_FACTOR`` (handshake + acknowledgement round trips).
 
 Every transmission is serialised through the sender's
 :class:`~repro.sim.bandwidth.UploadLink` and accounted in the
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Dict, Optional, Protocol
+from typing import Dict, Optional, Protocol
 
 _INF = math.inf
 
@@ -47,6 +46,11 @@ class Transport(enum.Enum):
 _UDP = Transport.UDP
 _TCP = Transport.TCP
 
+#: Multiplier on the latency sample for TCP messages (handshake +
+#: acknowledgement round trips).  The paper's audits tolerate this
+#: because they are sporadic.
+TCP_LATENCY_FACTOR = 2.0
+
 
 class Endpoint(Protocol):
     """Anything that can receive messages from the network."""
@@ -57,16 +61,9 @@ class Endpoint(Protocol):
         """Handle a delivered message."""
 
 
-def default_wire_size(message: object) -> int:
-    """Wire size of a message: its ``wire_size()`` if defined, else 64 B."""
-    sizer = getattr(message, "wire_size", None)
-    if sizer is None:
-        return 64
-    return int(sizer())
-
-
 def _size_strategy(cls: type, message: object):
-    """Per-class sizing strategy for the default wire-size function.
+    """Per-class sizing strategy: a message's wire size is its
+    ``wire_size()`` if it defines one, else 64 B.
 
     Returns an ``int`` for classes whose size is payload-independent
     (they declare ``WIRE_SIZE_FIXED = True``) and for classes without a
@@ -95,12 +92,6 @@ class Network:
         One-way delay model (defaults to a 50 ms constant).
     loss:
         Datagram loss model (defaults to no loss).
-    trace:
-        Byte/message accounting sink (a fresh one is created if omitted).
-    tcp_latency_factor:
-        Multiplier on the latency sample for TCP messages (handshake +
-        acknowledgement round trips).  The paper's audits tolerate this
-        because they are sporadic.
     use_timeline:
         Schedule deliveries on a calendar-queue
         :class:`~repro.sim.engine.DeliveryTimeline` attached to the
@@ -133,11 +124,9 @@ class Network:
         "latency",
         "loss",
         "trace",
-        "tcp_latency_factor",
         "_endpoints",
         "_links",
         "_disconnected",
-        "wire_size",
         "_size_cache",
         "_receivers",
         "_loss_inline",
@@ -152,15 +141,13 @@ class Network:
         sim: Simulator,
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
-        trace: Optional[MessageTrace] = None,
-        tcp_latency_factor: float = 2.0,
         use_timeline: bool = True,
     ) -> None:
         self.sim = sim
         self.latency = latency if latency is not None else ConstantLatency()
         self.loss = loss if loss is not None else NoLoss()
-        self.trace = trace if trace is not None else MessageTrace()
-        self.tcp_latency_factor = tcp_latency_factor
+        #: byte/message accounting of everything this network carries.
+        self.trace = MessageTrace()
         # ``send`` runs once per message; for the exact stock model
         # types (not subclasses, whose overrides must keep winning) the
         # per-message model calls are inlined into the send path.  The
@@ -176,9 +163,7 @@ class Network:
         self._endpoints: Dict[NodeId, Endpoint] = {}
         self._links: Dict[NodeId, UploadLink] = {}
         self._disconnected: set = set()
-        self.wire_size: Callable[[object], int] = default_wire_size
-        # type -> int (fixed size) | unbound sizer; only consulted while
-        # ``wire_size`` is the default (a custom sizer bypasses it).
+        # type -> int (fixed size) | unbound sizer, see _size_strategy.
         self._size_cache: Dict[type, object] = {}
         # Dense receiver table, index == node id: ``(endpoint, dispatch
         # table or None)`` per registered node, ``None`` otherwise.  The
@@ -193,8 +178,11 @@ class Network:
         # least half the minimum delay (so constant-latency models get
         # sensibly coarse buckets), floored at 1 ms.
         self._timeline: Optional[DeliveryTimeline] = None
-        #: optional scripted-fault hook (see ``attach_faults``); the send
-        #: loop pays one hoisted ``is not None`` check when absent.
+        #: optional :class:`~repro.runtime.faults.FaultPlane`
+        #: (``SimCluster.attach_faults`` installs it): every send then
+        #: consults ``on_send`` — injected drops are accounted as lost in
+        #: the trace, slow-link extra delay is added to the latency
+        #: sample; absent, the send loop pays one hoisted ``is not None``.
         self.fault_plane = None
         if use_timeline and sim._timeline is None and sim.now >= 0.0:
             window = getattr(self.latency, "delivery_window", None)
@@ -316,15 +304,6 @@ class Network:
             dropped += removed
         return dropped
 
-    def attach_faults(self, plane) -> None:
-        """Install a :class:`~repro.runtime.faults.FaultPlane`.
-
-        Every subsequent send consults ``plane.on_send`` — injected
-        drops are accounted as lost in the trace, slow-link extra delay
-        is added on top of the latency sample.  Pass ``None`` to detach.
-        """
-        self.fault_plane = plane
-
     def is_connected(self, node: NodeId) -> bool:
         """True if ``node`` is registered and not expelled."""
         return node in self._endpoints and node not in self._disconnected
@@ -387,15 +366,11 @@ class Network:
             require(False, "unknown sender %s", src)
 
         cls = message.__class__
-        ws = self.wire_size
-        if ws is default_wire_size:
-            try:
-                cached = self._size_cache[cls]
-            except KeyError:
-                cached = self._size_cache[cls] = _size_strategy(cls, message)
-            size = cached if type(cached) is int else int(cached(message))
-        else:
-            size = ws(message)
+        try:
+            cached = self._size_cache[cls]
+        except KeyError:
+            cached = self._size_cache[cls] = _size_strategy(cls, message)
+        size = cached if type(cached) is int else int(cached(message))
 
         sim = self.sim
         now = sim.now  # constant for the whole fan-out: no event fires here
@@ -406,7 +381,6 @@ class Network:
         latency = self.latency
         latency_inline = self._latency_inline
         udp = transport is _UDP
-        tcp_factor = self.tcp_latency_factor
         queue = sim._queue
         deliver = self._deliver_cb
         trace = self.trace
@@ -513,7 +487,7 @@ class Network:
             else:
                 delay = latency.sample(src, dst)
             if not udp:
-                delay *= tcp_factor
+                delay *= TCP_LATENCY_FACTOR
             if fault is not None and fate > 0.0:
                 delay += fate
             arrival = (departure if departure > now else now) + delay

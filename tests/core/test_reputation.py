@@ -13,6 +13,7 @@ from repro.core.reputation import (
     ScoreBoard,
     compensation_per_period,
 )
+from repro.wire import Blame
 
 
 @pytest.fixture
@@ -135,7 +136,9 @@ class TestScoring:
         manager, assignment = make_manager(params, 0, clock)
         outsider = next(n for n in range(20) if not assignment.is_manager_of(0, n))
         manager.on_blame(outsider, 100.0)  # silently ignored
+        manager.on_blame_message(7, Blame(target=outsider, value=100.0))  # off the wire too
         assert manager.normalized_score(outsider) is None
+        assert outsider not in manager.records
 
 
 class TestExpulsionVoting:
@@ -238,7 +241,7 @@ class TestSweepContract:
                 target
                 for target, record in manager.records.items()
                 if not (record.voted_expel or record.expelled or record.suspected)
-                and manager.periods_elapsed(record) >= lifting.min_periods_before_expel
+                and manager.periods_elapsed() >= lifting.min_periods_before_expel
                 and manager.normalized_score(target) < lifting.eta
             ]
             assert manager.expulsion_candidates() == expected

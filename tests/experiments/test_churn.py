@@ -122,6 +122,21 @@ class TestLeaveRejoinEdgeCases:
         assert not cluster.leave(node)
         assert cluster.churn_monitor.leaves == 1
 
+    def test_leave_of_a_running_node_is_announced_once_and_raises_no_suspicion(self, cluster):
+        cluster.run(until=2.0)  # every detector is up and probing
+        node = sorted(cluster.honest_ids)[0]
+        farewells = cluster.trace.sent_count("MembershipUpdate")
+        assert cluster.leave(node)
+        # One RANK_LEFT update, fanned out to f peers...
+        farewells = cluster.trace.sent_count("MembershipUpdate") - farewells
+        assert farewells == cluster.config.gossip.fanout
+        # ...and the shared directory evicts the node at once: nobody
+        # probes it again, so the departure never reads as a failure.
+        cluster.run(until=6.0)
+        summary = cluster.churn_summary()
+        assert (summary["leaves"], summary["suspicions"]) == (1, 0)
+        assert cluster.membership.status_of(node) == STATUS_LEFT
+
     def test_leave_then_rejoin_bumps_incarnation(self, cluster):
         node = sorted(cluster.honest_ids)[0]
         cluster.leave(node)
@@ -158,6 +173,17 @@ class TestLeaveRejoinEdgeCases:
         assert cluster.churn_monitor.crashes == 0
         assert node in plane.crashed
         assert cluster.membership.status_of(node) == STATUS_LEFT
+
+    def test_scripted_restart_of_an_expelled_node_is_refused(self, cluster):
+        node = sorted(cluster.honest_ids)[0]
+        plane = cluster.attach_faults(FaultSchedule())
+        cluster._crash(node, plane)
+        cluster.controller.expel(node, "quorum reached while it was down")
+        cluster._restart(node, plane)
+        assert cluster.churn_monitor.rejoins_refused == 1
+        assert cluster.churn_monitor.restarts == 0
+        assert node in plane.crashed  # the plane keeps it flagged down
+        assert not cluster.network.is_connected(node)
 
     def test_restart_of_never_crashed_node_is_noop(self, cluster):
         node = sorted(cluster.honest_ids)[0]

@@ -377,7 +377,7 @@ class TestBoundedState:
     )
     def test_every_old_pending_mark_is_covered_by_an_open_window(self, steady_run):
         cluster, _census = steady_run
-        created_at = cluster.source.created_times
+        chunks = cluster.source.chunks
         now = cluster.sim.now
         orphans = []
         for node in cluster.nodes.values():
@@ -387,6 +387,6 @@ class TestBoundedState:
             orphans += [
                 (node.node_id, chunk_id)
                 for chunk_id in node._pending_chunks - watched
-                if now - created_at[chunk_id] > 2.0
+                if now - chunks[chunk_id].created_at > 2.0
             ]
         assert orphans == []

@@ -84,22 +84,6 @@ class TestStreamSource:
                 assert src == SOURCE_ID
                 assert msg.origin == SOURCE_ID
 
-    def test_stop_halts_emission(self, rng):
-        sim, source, _sinks, _params = self._build(rng)
-        source.start(first_at=0.0)
-        sim.run(until=1.0)
-        emitted = source.emitted
-        source.stop()
-        sim.run(until=5.0)
-        assert source.emitted == emitted
-
-    def test_stop_after(self, rng):
-        sim, source, _sinks, _params = self._build(rng)
-        source.stop_after = 1.0
-        source.start(first_at=0.0)
-        sim.run(until=5.0)
-        assert source.emitted <= 1.0 / source.params.chunk_interval + 1
-
     def test_chunks_per_second_param(self):
         params = GossipParams(n=10, fanout=3, stream_rate_kbps=674.0, chunk_size=4096)
         assert params.chunk_interval == pytest.approx(4096 / (674.0 * 125))

@@ -11,14 +11,18 @@ import pytest
 from repro.membership.base import (
     STATUS_ALIVE,
     STATUS_DEAD,
+    STATUS_LEFT,
     STATUS_SUSPECT,
 )
 from repro.membership.failure_detector import (
     ChurnMonitor,
     FailureDetectorParams,
+    MAX_PIGGYBACK,
     RANK_ALIVE,
     RANK_DEAD,
+    RANK_LEFT,
     RANK_SUSPECT,
+    RETRANSMIT,
     SwimFailureDetector,
     apply_membership_event,
 )
@@ -108,11 +112,11 @@ class TestProbeCycle:
     def test_timeout_falls_back_to_proxies_then_suspects(self, detector):
         host = detector.host
         detector.on_period_tick()
-        host.advance(0.4)  # past ping_timeout=0.35
+        host.advance(0.4)  # past PING_TIMEOUT=0.35
         reqs = host.sent_of(PingReq)
         assert [dst for dst, _ in reqs] == [2, 3]  # k=2 proxies, target excluded
         assert all(m.target == 1 for _, m in reqs)
-        host.advance(0.6)  # past indirect_timeout=0.5
+        host.advance(0.6)  # past INDIRECT_TIMEOUT=0.5
         assert detector.status_of(1) == STATUS_SUSPECT
         assert detector.suspicions_raised == 1
         assert (1, STATUS_SUSPECT, 0) in detector.host.events
@@ -192,7 +196,7 @@ class TestDissemination:
         for node in range(10, 30):
             detector._enqueue(RANK_ALIVE, node, 1)
         out = detector.drain_updates()
-        assert len(out) == detector.params.max_piggyback
+        assert len(out) == MAX_PIGGYBACK
         # Freshest (last enqueued) first.
         assert out[0][1] == 29
 
@@ -202,13 +206,13 @@ class TestDissemination:
         detector._apply_update(RANK_SUSPECT, 5, 0)
         out = detector.drain_updates(first=5)
         assert out[0] == (RANK_SUSPECT, 5, 0)
-        assert len(out) <= detector.params.max_piggyback + 1
+        assert len(out) <= MAX_PIGGYBACK + 1
         # No duplicate of the prepended entry.
         assert sum(1 for u in out if u[1] == 5) == 1
 
     def test_retransmit_budget_expires_updates(self, detector):
         detector._enqueue(RANK_DEAD, 7, 0)
-        for _ in range(detector.params.retransmit):
+        for _ in range(RETRANSMIT):
             assert (RANK_DEAD, 7, 0) in detector.drain_updates()
         assert (RANK_DEAD, 7, 0) not in detector.drain_updates()
 
@@ -230,6 +234,20 @@ class TestDissemination:
         assert len(forwarded) == 1
         assert forwarded[0][1].seq == 17  # origin's seq restored
         assert forwarded[0][1].target == 1
+
+    def test_graceful_leave_is_announced_and_evicts_without_suspicion(self, detector):
+        detector.announce_leave()
+        farewell = (RANK_LEFT, 0, detector.incarnation)
+        assert detector.host.sent_of(MembershipUpdate) == [
+            (peer, MembershipUpdate(updates=(farewell,))) for peer in (1, 2, 3)
+        ]
+        # ...and at a peer: word that node 3 left evicts it at once (no
+        # refutation will follow), and a later suspicion cannot undo it.
+        detector.on_membership_update(3, MembershipUpdate(updates=((RANK_LEFT, 3, 0),)))
+        detector.on_membership_update(2, MembershipUpdate(updates=((RANK_SUSPECT, 3, 0),)))
+        assert detector.host.events == [(3, STATUS_LEFT, 0)]
+        assert detector.status_of(3) == STATUS_LEFT
+        assert detector.suspicions_raised == 0
 
     def test_stopped_detector_ignores_everything(self, detector):
         detector.stop()
@@ -266,6 +284,13 @@ class TestApplyMembershipEvent:
         assert apply_membership_event(membership, monitor, 1, 3, STATUS_ALIVE, 1) == "readmit"
         assert membership.contains(3)
         assert monitor.confirmed_dead == 1 and monitor.readmissions == 1
+
+    def test_departure_is_counted_once_however_many_peers_report_it(self, cluster):
+        membership, monitor = cluster
+        assert apply_membership_event(membership, monitor, 1, 3, STATUS_LEFT, 0) == "leave"
+        assert apply_membership_event(membership, monitor, 2, 3, STATUS_LEFT, 0) is None
+        assert not membership.contains(3)
+        assert (monitor.leaves, monitor.suspicions) == (1, 0)
 
     def test_stale_verdict_cannot_rekill(self, cluster):
         membership, monitor = cluster

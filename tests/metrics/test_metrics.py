@@ -84,21 +84,14 @@ class TestHealthCurve:
         report = health_curve(nodes, source, lags=[0.0, 0.5, 1.5], coverage=1.0)
         assert list(report.fractions) == sorted(report.fractions)
         assert report.fraction_at(10.0) == 1.0
-
-    def test_median_lag(self):
-        source = FakeSource(10)
-        nodes = [
-            FakeNode(i, {c: c * 1.0 + lag for c in range(10)})
-            for i, lag in enumerate([0.1, 0.2, 0.3])
-        ]
-        report = health_curve(nodes, source, coverage=1.0)
-        assert report.median_lag == pytest.approx(0.2)
+        nobody = health_curve([], source, lags=[0.0, 0.5], coverage=1.0)
+        assert list(nobody.fractions) == [0.0, 0.0] and nobody.fraction_at(10.0) == 0.0
 
     def test_delivery_ratio(self):
-        source = FakeSource(10)
         full = FakeNode(0, {c: 1.0 for c in range(10)})
         half = FakeNode(1, {c: 1.0 for c in range(5)})
-        assert delivery_ratio([full, half], source) == pytest.approx(0.75)
+        assert delivery_ratio([full, half], range(10)) == pytest.approx(0.75)
+        assert delivery_ratio([], range(10)) == delivery_ratio([full], range(0)) == 0.0
 
 
 class TestDetectionReport:

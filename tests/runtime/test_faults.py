@@ -200,6 +200,66 @@ class TestSimClusterFaults:
         )
         assert cluster.network.fault_plane is plane
 
+    def test_slow_window_adds_extra_delay_to_each_delivery(self, small_cluster_factory):
+        """On an idle cluster's own network: a hand-sent message inside
+        the window arrives ``extra_delay`` later than the latency model
+        alone would deliver it, one outside the window does not."""
+
+        class Probe:
+            node_id = 24  # the first id the deployment does not use
+
+            def __init__(self):
+                self.arrivals = []
+
+            def on_message(self, src, message):
+                self.arrivals.append(cluster.sim.now)
+
+        cluster = small_cluster_factory(loss_rate=0.0)  # never started: no traffic
+        probe = Probe()
+        cluster.network.register(probe)
+        plane = cluster.attach_faults(
+            FaultSchedule.from_dicts(
+                [{"kind": "slow", "at": 1.0, "until": 2.0, "extra_delay": 0.5}]
+            )
+        )
+        low, high = cluster.latency.low, cluster.latency.high
+        for sent_at, extra in ((0.0, 0.0), (1.0, 0.5), (2.0, 0.0)):
+            cluster.sim.run(until=sent_at)
+            cluster.network.send(0, probe.node_id, Serve())
+            cluster.sim.run(until=sent_at + 0.9)
+            assert sent_at + extra + low <= probe.arrivals[-1] <= sent_at + extra + high
+        assert len(probe.arrivals) == 3
+        assert plane.counters()["slowed_messages"] == 1
+
+    def test_delivery_slowed_past_an_outage_is_purged_at_the_restart(
+        self, small_cluster_factory
+    ):
+        """What is in flight to a node when it crashes was addressed to
+        the process that died.  A slow link can hold it past the whole
+        outage; ``Network.reconnect`` drops it (counted as lost — with
+        no loss model and no drop window nothing else is) instead of
+        handing it to the restarted process."""
+        cluster = small_cluster_factory(loss_rate=0.0)
+        plane = cluster.attach_faults(
+            FaultSchedule.from_dicts(
+                [
+                    {"kind": "slow", "at": 0.0, "until": 3.0, "dst_nodes": [23],
+                     "extra_delay": 1.5},
+                    {"kind": "crash", "at": 0.8, "nodes": [23]},
+                    {"kind": "restart", "at": 1.6, "nodes": [23]},
+                ]
+            )
+        )
+        cluster.run(until=1.55)
+        assert plane.counters()["slowed_messages"] > 0
+        assert cluster.trace.lost_count() == 0
+        cluster.run(until=1.65)
+        purged = cluster.trace.lost_count()
+        assert purged > 0
+        cluster.run(until=3.0)
+        assert cluster.trace.lost_count() == purged  # one purge, no other loss
+        assert cluster.membership.contains(23)
+
     def test_faulted_run_is_deterministic(self, small_cluster_factory):
         def run_once():
             cluster = small_cluster_factory()

@@ -23,7 +23,6 @@ from repro.wire import Ping
 def fast_resilience():
     return ResilienceConfig(
         retry=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
-        breaker_failure_threshold=2,
         breaker_reset_timeout=0.1,
     )
 

@@ -12,8 +12,8 @@ import asyncio
 import json
 import math
 
-from repro.loadgen import LoadProfile
-from repro.loadgen.driver import LOADGEN_REPORT_SCHEMA
+from repro.loadgen import LoadGenerator, LoadProfile
+from repro.loadgen.driver import BURST_CAP, CHUNK_OFFSET, LOADGEN_REPORT_SCHEMA, WORKING_SET
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
 
 
@@ -93,3 +93,50 @@ class TestLiveLoadgen:
         config = RuntimeConfig(n=6, duration=1.0, seed=3, loss_rate=0.0)
         report = asyncio.run(RuntimeCluster(config).run())
         assert report.load == {}
+
+
+class StalledHost:
+    """A transport whose clock reads 0 once, then ten seconds later: the
+    host stalled right after the generator took its epoch, so the whole
+    schedule is overdue at the first wake-up."""
+
+    probe = None
+
+    def __init__(self):
+        self.reads = 0
+        self.sent = []
+
+    def clock(self):
+        self.reads += 1
+        return 0.0 if self.reads == 1 else 10.0
+
+    def send(self, src, dst, message, reliable):
+        self.sent.append(message)
+        return True
+
+
+class TestCatchUp:
+    def test_a_backlog_goes_out_in_capped_bursts_with_the_loop_in_between(self):
+        profile = LoadProfile(start_rate=1000.0, steps=1, step_duration=1.0, settle=0.0)
+        host = StalledHost()
+        seen = []
+
+        async def scenario():
+            async def other_work():
+                while True:
+                    seen.append(len(host.sent))
+                    await asyncio.sleep(0)
+
+            bystander = asyncio.ensure_future(other_work())
+            await LoadGenerator(host, profile, target=0).run()
+            bystander.cancel()
+
+        asyncio.run(scenario())
+        assert len(host.sent) == 1000  # late, never thinned
+        # The loop ran between bursts of BURST_CAP frames, not after all of them.
+        assert {BURST_CAP, 2 * BURST_CAP, 3 * BURST_CAP} <= set(seen)
+        # A bounded working set in the generator's own id space, 1-byte payloads.
+        assert {m.chunk_id for m in host.sent} == set(
+            range(CHUNK_OFFSET, CHUNK_OFFSET + WORKING_SET)
+        )
+        assert {m.payload_size for m in host.sent} == {1}

@@ -56,13 +56,9 @@ class FakeClock:
 
 
 class TestCircuitBreaker:
-    def make(self, **kwargs):
+    def make(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(
-            clock, failure_threshold=kwargs.pop("failure_threshold", 2),
-            reset_timeout=kwargs.pop("reset_timeout", 1.0),
-        )
-        return clock, breaker
+        return clock, CircuitBreaker(clock, reset_timeout=1.0)
 
     def test_opens_after_consecutive_failures(self):
         _clock, breaker = self.make()
@@ -185,19 +181,15 @@ class TestResilienceConfig:
     def test_defaults_are_sane(self):
         config = ResilienceConfig()
         assert config.retry.max_attempts >= 1
-        assert config.breaker_failure_threshold >= 1
         assert config.ingress_capacity >= 1
         assert config.ingress_policy == DROP_OLDEST
-        assert len(fields(ResilienceConfig)) == 8  # validation added no knob
+        assert len(fields(ResilienceConfig)) == 5  # validation added no knob
 
     @pytest.mark.parametrize(
         "bad",
         [
             {"ingress_batch": 0},  # the live plane spins: nothing read, nothing pumped
             {"ingress_capacity": 0},
-            {"egress_queue_limit": 0},
-            {"coalesce_frames": 0},
-            {"breaker_failure_threshold": 0},
             {"breaker_reset_timeout": 0.0},
             {"breaker_reset_timeout": -1.0},
             {"ingress_policy": "newest-wins"},

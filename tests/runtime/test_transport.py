@@ -7,11 +7,20 @@ import cProfile
 import pstats
 import socket
 
+import numpy as np
 import pytest
 
 from repro import wire_codec
-from repro.runtime.resilience import ResilienceConfig, RetryPolicy, STATE_OPEN
-from repro.runtime.transport import AsyncTransport, NodeRegistry
+from repro.runtime.faults import FaultPlane, FaultSchedule
+from repro.runtime.resilience import (
+    FAILURE_THRESHOLD,
+    ResilienceConfig,
+    RetryPolicy,
+    STATE_CLOSED,
+    STATE_HALF_OPEN,
+    STATE_OPEN,
+)
+from repro.runtime.transport import EGRESS_QUEUE_LIMIT, AsyncTransport, NodeRegistry
 from repro.wire import Ping as WirePing, Serve
 
 
@@ -64,7 +73,6 @@ def fast_resilience():
     """Aggressive timeouts so breaker transitions happen within a test."""
     return ResilienceConfig(
         retry=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
-        breaker_failure_threshold=2,
         breaker_reset_timeout=0.1,
     )
 
@@ -202,6 +210,39 @@ class TestSendContract:
         assert ok is False
         assert refused == 1
 
+    def test_a_registered_node_this_transport_never_bound_is_refused(self):
+        async def scenario():
+            transport, _received = await make_pair()
+            transport.registry.register(7, ("127.0.0.1", 9), ("127.0.0.1", 9))
+            ok = transport.send(7, 2, Ping(1), reliable=False)  # no socket to send from
+            refused = transport.sends_refused
+            await transport.close()
+            return ok, refused
+
+        assert asyncio.run(scenario()) == (False, 1)
+
+    def test_a_full_egress_queue_refuses_and_a_late_expulsion_abandons_it(self):
+        async def scenario():
+            transport, received = await make_pair()
+            # No await in between: the writer task has not run, so every
+            # frame is still queued when the next one is submitted.
+            results = [
+                transport.send(1, 2, Ping(seq), reliable=True)
+                for seq in range(EGRESS_QUEUE_LIMIT + 1)
+            ]
+            refused = transport.sends_refused
+            transport.registry.expel(2)  # before the writer ever connects
+            abandoned = await settle(lambda: transport.frames_abandoned == EGRESS_QUEUE_LIMIT)
+            failures = transport._channels[2].breaker.counters.failures
+            inbox = list(received[2])
+            await transport.close()
+            return results, refused, abandoned, failures, inbox
+
+        results, refused, abandoned, failures, inbox = asyncio.run(scenario())
+        assert results == [True] * EGRESS_QUEUE_LIMIT + [False] and refused == 1
+        assert abandoned and failures == 1
+        assert inbox == []
+
     @pytest.mark.parametrize("exc, expected", [
         (OSError(111, "Connection refused"), {"errors": 2, "dropped": 0}),
         (BlockingIOError(11, "Resource temporarily unavailable"), {"errors": 0, "dropped": 2}),
@@ -244,17 +285,22 @@ class TestDeliveryPaths:
     def test_reliable_path_is_persistent_and_framed(self):
         async def scenario():
             transport, received = await make_pair()
+            transport.probe = probe = RecordingProbe()
             for i in range(10):
                 assert transport.send(1, 2, Ping(i), reliable=True)
             ok = await settle(lambda: len(received[2]) == 10)
             channels = len(transport._channels)
             counters = transport._channels[2].breaker.counters
             await transport.close()
-            return ok, received[2], channels, counters
+            return ok, received[2], channels, counters, probe.ingested
 
-        ok, inbox, channels, counters = asyncio.run(scenario())
+        ok, inbox, channels, counters, ingested = asyncio.run(scenario())
         assert ok
         assert [m.seq for _src, m in inbox] == list(range(10))
+        # the stage probe sees the stream's frames like any datagram
+        assert [(src, seq, accepted) for _t, src, seq, accepted in ingested] == [
+            (1, seq, True) for seq in range(10)
+        ]
         assert channels == 1  # one persistent channel, not one socket per send
         assert counters.successes >= 1
         assert counters.failures == 0
@@ -449,7 +495,211 @@ class TestRunPerReadinessEvent:
         assert asyncio.run(scenario()) == (True, (1, 0))
 
 
+class TestPeriodicTimer:
+    def test_a_callback_that_stops_its_own_timer_ends_it(self):
+        async def scenario():
+            transport, _received = await make_pair()
+            ticks = []
+
+            def tick():
+                ticks.append(transport.clock())
+                handle.stop()  # what a node's own period does when it leaves
+
+            handle = transport.call_every(0.01, tick, first_delay=0.0)
+            await asyncio.sleep(0.06)
+            handle._tick()  # a firing that slipped past the cancel does nothing
+            await transport.close()
+            return len(ticks)
+
+        assert asyncio.run(scenario()) == 1
+
+
+class FailingWriter:
+    """Stands in for a peer channel's stream: the peer closed mid-stream,
+    so the next write raises."""
+
+    def __init__(self):
+        self.closed = False
+
+    def is_closing(self):
+        return False
+
+    def write(self, _data):
+        raise ConnectionResetError(104, "Connection reset by peer")
+
+    def close(self):
+        self.closed = True
+
+
+class TestReliableEgressFailures:
+    """The connect-retry / backoff and write-failure arms of the peer
+    channel, against a peer that is registered, not crashed, and gone."""
+
+    def test_refused_connects_retry_back_off_and_open_the_breaker(self):
+        retry = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.5)
+
+        async def scenario():
+            transport, received = await make_pair(
+                resilience=ResilienceConfig(retry=retry, breaker_reset_timeout=0.1),
+                rng=np.random.default_rng(5),
+            )
+            twin = np.random.default_rng(5)
+            # The server goes away behind the transport's back: node 2 is
+            # not in ``_crashed``, so nothing fast-fails the connects.
+            server = transport._servers[2]
+            server.close()
+            await server.wait_closed()
+
+            started = transport.loop.time()
+            for seq in range(3):
+                assert transport.send(1, 2, Ping(seq), reliable=True) is True
+            assert await settle(lambda: transport.frames_abandoned == 3)
+            backoff = sum(retry.delay(attempt, twin) for attempt in range(2))
+            breaker = transport._channels[2].breaker
+            first = (
+                transport.connect_failures,
+                breaker.counters.failures,
+                breaker.state,
+                transport.loop.time() - started >= backoff,
+                # the injected stream paid for exactly the two sleeps
+                transport.rng.random() == twin.random(),
+            )
+
+            for cycle in range(1, FAILURE_THRESHOLD):
+                assert transport.send(1, 2, Ping(9), reliable=True) is True
+                assert await settle(lambda: transport.frames_abandoned == 3 + cycle)
+            opened = (transport.connect_failures, breaker.counters.failures, breaker.state)
+            refused = transport.send(1, 2, Ping(10), reliable=True)
+
+            await asyncio.sleep(0.12)  # past the reset timeout
+            probe = transport.send(1, 2, Ping(11), reliable=True)
+            half_open = (probe, breaker.state, breaker.counters.half_open_probes)
+            inbox = list(received[2])
+            refusals = transport.sends_refused
+            await transport.close()
+            return first, opened, refused, half_open, inbox, refusals
+
+        first, opened, refused, half_open, inbox, refusals = asyncio.run(scenario())
+        assert first == (3, 1, STATE_CLOSED, True, True)
+        assert opened == (3 * FAILURE_THRESHOLD, FAILURE_THRESHOLD, STATE_OPEN)
+        assert refused is False and refusals == 1
+        assert half_open == (True, STATE_HALF_OPEN, 1)
+        assert inbox == []
+
+    def test_a_peer_closing_mid_stream_costs_the_batch_and_the_next_send_reconnects(self):
+        async def scenario():
+            transport, received = await make_pair()
+            assert transport.send(1, 2, Ping(1), reliable=True)
+            assert await settle(lambda: len(received[2]) == 1)
+            channel = transport._channels[2]
+            real, broken = channel.writer, FailingWriter()
+            channel.writer = broken
+            try:
+                assert transport.send(1, 2, Ping(2), reliable=True) is True
+                assert await settle(lambda: transport.frames_abandoned == 1)
+            finally:
+                real.close()
+            failed = (channel.breaker.counters.failures, broken.closed, channel.writer)
+            assert transport.send(1, 2, Ping(3), reliable=True) is True
+            delivered = await settle(lambda: len(received[2]) == 2)
+            seqs = [message.seq for _src, message in received[2]]
+            state = channel.breaker.state
+            await transport.close()
+            return failed, delivered, seqs, state
+
+        failed, delivered, seqs, state = asyncio.run(scenario())
+        assert failed == (1, True, None)  # one failure, stream dropped
+        assert delivered and seqs == [1, 3]  # frame 2 was the abandoned batch
+        assert state == STATE_CLOSED
+
+
+def slow_links(extra_delay):
+    """A fault plane holding every send back by ``extra_delay`` seconds."""
+    return FaultPlane(
+        FaultSchedule.from_dicts([{"kind": "slow", "at": 0.0, "extra_delay": extra_delay}])
+    )
+
+
+class TestSlowLinks:
+    def test_a_slow_window_delays_both_paths_by_extra_delay(self):
+        async def scenario():
+            plane = slow_links(0.15)
+            transport, received = await make_pair(fault_plane=plane)
+            started = transport.loop.time()
+            assert transport.send(1, 2, Ping(1), reliable=False) is True
+            assert transport.send(1, 2, Ping(2), reliable=True) is True
+            await asyncio.sleep(0.05)
+            held_back = received[2] == []
+            delivered = await settle(lambda: len(received[2]) == 2)
+            elapsed = transport.loop.time() - started
+            counts = (
+                plane.counters()["slowed_messages"],
+                transport.sends_refused,
+                transport.frames_abandoned,
+            )
+            await transport.close()
+            return held_back, delivered, elapsed, counts
+
+        held_back, delivered, elapsed, counts = asyncio.run(scenario())
+        assert held_back and delivered
+        assert elapsed >= 0.15
+        assert counts == (2, 0, 0)  # every delayed frame counted, none lost
+
+    def test_a_late_submit_the_breaker_refuses_is_an_abandoned_frame(self):
+        # ``send`` said "accepted" when the delay began; the circuit
+        # opened meanwhile.  The frame must be counted somewhere.
+        async def scenario():
+            transport, received = await make_pair(
+                resilience=ResilienceConfig(breaker_reset_timeout=30.0),
+                fault_plane=slow_links(0.05),
+            )
+            accepted = transport.send(1, 2, Ping(1), reliable=True)
+            breaker = transport._channels[2].breaker
+            for _ in range(FAILURE_THRESHOLD):
+                breaker.record_failure()
+            await asyncio.sleep(0.12)
+            counts = (transport.frames_abandoned, transport.sends_refused)
+            inbox = list(received[2])
+            await transport.close()
+            return accepted, breaker.state, counts, inbox
+
+        accepted, state, counts, inbox = asyncio.run(scenario())
+        assert accepted is True and state == STATE_OPEN
+        assert counts == (1, 0)
+        assert inbox == []
+
+    def test_a_late_submit_does_nothing_for_a_crashed_source_or_a_closing_transport(self):
+        async def scenario():
+            transport, received = await make_pair((1, 2, 3), fault_plane=slow_links(0.05))
+            assert transport.send(1, 2, Ping(1), reliable=True) is True
+            transport.crash_node(1)
+            await asyncio.sleep(0.12)
+            after_crash = (list(received[2]), len(transport._channels[2].queue))
+            assert transport.send(3, 2, Ping(2), reliable=True) is True
+            await transport.close()
+            await asyncio.sleep(0.12)
+            after_close = (list(received[2]), len(transport._channels[2].queue))
+            return after_crash, after_close, transport.frames_abandoned
+
+        assert asyncio.run(scenario()) == (([], 0), ([], 0), 0)
+
+
 class TestCrashRecovery:
+    def test_a_frame_queued_for_a_node_that_crashes_before_the_drain_is_dropped(self):
+        async def scenario():
+            transport, received = await make_pair()
+            transport._ingest(2, 1, Ping(1))  # queued; the pump has not run yet
+            transport._ingest(1, 2, Ping(2))
+            transport.crash_node(2)
+            delivered = await settle(lambda: len(received[1]) == 1)
+            inboxes = (list(received[1]), list(received[2]))
+            await transport.close()
+            return delivered, inboxes
+
+        delivered, inboxes = asyncio.run(scenario())
+        assert delivered
+        assert inboxes == ([(2, Ping(2))], [])
+
     def test_breaker_opens_on_crash_and_recovers_on_restart(self):
         async def scenario():
             transport, received = await make_pair()

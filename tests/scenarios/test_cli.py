@@ -72,6 +72,8 @@ class TestRun:
     def test_unknown_param_exit_2(self, capsys):
         assert cli.main(["run", "fig11", "--set", "bogus=1"]) == 2
         assert "no parameter" in capsys.readouterr().err
+        assert cli.main(["run", "fig11", "--set", "n"]) == 2
+        assert "--set expects PARAM=VALUE, got 'n'" in capsys.readouterr().err
 
     def test_json_stdout_is_a_valid_envelope(self, capsys):
         assert cli.main(["run", "analyze", "--json", "-"]) == 0

@@ -1,5 +1,6 @@
 """The scenario registry: registration, lookup, parameter resolution."""
 
+import numpy as np
 import pytest
 
 from repro.runtime.parallel import Job, Task
@@ -101,6 +102,45 @@ class TestParamCoercion:
         assert spec.resolve({"expel": "0"})["expel"] is False
         with pytest.raises(ParamError, match="'expel' expects bool"):
             spec.resolve({"expel": "maybe"})
+
+    #: (declared type, "+" = a sequence of it; outside value; what comes back)
+    COERCIONS = [
+        ("bool", 1, True),
+        ("bool", 0, False),
+        ("bool", 2, ParamError),
+        ("bool", "maybe", ParamError),
+        ("int", 3.0, 3),
+        ("int", np.int64(5), 5),
+        ("int", "x", ParamError),
+        ("int", True, ParamError),
+        ("int", [3], ParamError),
+        ("float", np.float32(0.5), 0.5),
+        ("float", "x", ParamError),
+        ("float", True, ParamError),
+        ("float", [0.5], ParamError),
+        ("str", "five", "five"),
+        ("str", 5, ParamError),
+        ("int+", np.arange(3), (0, 1, 2)),
+        ("int+", 5, ParamError),
+        ("dict", {}, ParamError),  # the declaration itself is refused
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, value, expected", COERCIONS, ids=[f"{k}:{v!r}" for k, v, _ in COERCIONS]
+    )
+    def test_coercion_table(self, kind, value, expected):
+        declared = dict(
+            type={"bool": bool, "int": int, "float": float, "str": str, "dict": dict}[
+                kind.rstrip("+")
+            ],
+            sequence=kind.endswith("+"),
+        )
+        if expected is ParamError:
+            with pytest.raises(ParamError, match="parameter 'p'"):
+                Param("p", **declared).coerce(value)
+        else:
+            coerced = Param("p", **declared).coerce(value)
+            assert coerced == expected and type(coerced) is type(expected)
 
     def test_validator_constraint_in_message(self):
         spec = get("fig1")

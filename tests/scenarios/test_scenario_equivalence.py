@@ -56,6 +56,42 @@ def test_renderer_returns_text(smoke_results, name):
     assert isinstance(text, str) and text.strip()
 
 
+def test_renderer_lines_no_smoke_run_reaches(smoke_results):
+    """``detect --expel``'s verdict line and ``loadgen`` past its knee:
+    the outcome is set by hand, the renderer is the registered one."""
+    from dataclasses import replace
+    from types import SimpleNamespace
+
+    from repro.loadgen.knee import detect_knee
+
+    run = smoke_results("detect")
+    expelling = RunResult(
+        scenario="detect",
+        params={**run.params, "expel": True},
+        metrics=run.metrics,
+        artifact=replace(run.artifact, expelled=[3, 5, 8], wrongful=[5]),
+    )
+    assert get("detect").render(expelling).splitlines()[-1] == "expelled: 3 (1 honest)"
+
+    def lines_under_the_table(goodput, sojourn):
+        load = {
+            "knee": detect_knee([300.0, 600.0], goodput, 0.9).to_dict(),
+            "overall": {"stages": {"sojourn": sojourn}},
+        }
+        artifact = SimpleNamespace(load=load, invariants={})
+        swept = RunResult(scenario="loadgen", params={}, metrics={}, artifact=artifact)
+        return get("loadgen").render(swept).splitlines()[1:3]
+
+    assert lines_under_the_table([300.0, 400.0], {"p50": 4e-4, "p99": 1.5}) == [
+        "knee: 300 frames/s (first saturated phase 1, tolerance 90%)",
+        "overall sojourn p50 400µs, p99 1.50s; ingress high-water None, dropped None",
+    ]
+    assert lines_under_the_table([100.0, 100.0], {}) == [
+        "knee: below the first rung (300.0 frames/s)",
+        "overall sojourn p50 n/a, p99 n/a; ingress high-water None, dropped None",
+    ]
+
+
 @pytest.mark.parametrize("name", ["calibration"])
 def test_registry_byte_identical_to_legacy_runner(smoke_results, name, assert_results_identical):
     """Acceptance: fixed-seed output of the registry path is

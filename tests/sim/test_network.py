@@ -365,13 +365,6 @@ class TestWireSizeTypeCache:
         assert len(calls) == 2
         assert network.trace.sent_bytes("VariableMsg") == 23
 
-    def test_custom_wire_size_bypasses_cache(self, net):
-        sim, network, _nodes = net
-        network.wire_size = lambda message: 7
-        network.send(0, 1, DataMsg())  # DataMsg.wire_size() says 100
-        network.send(0, 1, DataMsg())
-        assert network.trace.sent_bytes("DataMsg") == 14
-
     def test_real_message_sizes_accounted(self, net):
         from repro.wire import Blame, Propose
 

@@ -7,6 +7,7 @@ what its freeriders run, what a crash and a restart do — is checked
 here without a simulator or a socket.  Nodes are built, never started.
 """
 
+import asyncio
 from dataclasses import fields, replace
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro import adversary
 from repro.adversary import BehaviorPolicy
 from repro.config import FreeriderDegree, planetlab_params
+from repro.core.auditlog import AuditLog
 from repro.deployment import Deployment, assign_roles
 from repro.experiments.cluster import ClusterConfig
 from repro.gossip.protocol import _SentProposal
@@ -21,7 +23,8 @@ from repro.membership.base import STATUS_ALIVE, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.freerider import FreeriderBehavior
-from repro.runtime import RuntimeConfig
+from repro.runtime import RuntimeCluster, RuntimeConfig
+from repro.runtime.faults import FaultPlane, FaultSchedule
 from repro.util.rng import SeedSequenceFactory
 from repro.wire import Propose, Request, Serve
 
@@ -300,6 +303,45 @@ class TestVerdictRules:
             ("expulsion", {"target": 3, "reason": "score", "enforced": enabled})
         ]
 
+    def test_blames_past_eta_write_the_votes_the_quorums_and_one_expulsion(self):
+        """The manager-vote records of the tamper-evident log, end to end:
+        every manager that sees the score below η logs its vote, every
+        manager that counts a quorum logs it, the chain verifies, and
+        the verdict is enforced once."""
+
+        class Loopback(FakeHost):
+            """A send *is* the destination's handler call."""
+
+            def send(self, src, dst, message, reliable):
+                deployment.nodes[dst].on_message(src, message)
+                return True
+
+        host = Loopback()
+        log = AuditLog(key_seed="verdicts", clock=host.clock)
+        deployment = make_deployment(host, expulsion_enabled=True, audit_log=log)
+        target = 3
+        managers = deployment.assignment.managers_of(target)
+        quorum = 2  # ceil(expel_quorum 0.5 x 3 managers)
+        for manager in managers:
+            deployment.managers[manager].on_blame(target, 1e6)
+        host.now = 0.5 * (deployment.lifting.min_periods_before_expel + 1)
+        for manager in managers:
+            deployment.nodes[manager]._run_manager_duties()
+
+        kinds = [record.kind for record in log.records]
+        votes = [r.data for r in log.records if r.kind == "expel_vote"]
+        quorums = [r.data for r in log.records if r.kind == "expel_quorum"]
+        # The first ``quorum`` managers vote; the last one already holds
+        # a quorum of its peers' votes when its own sweep runs.
+        assert [v["voter"] for v in votes] == list(managers[:quorum])
+        assert all(v["target"] == target and v["score"] < deployment.lifting.eta for v in votes)
+        assert sorted(q["manager"] for q in quorums) == sorted(managers)
+        assert all(q["votes"] == sorted(managers[:quorum]) for q in quorums)
+        assert kinds.count("expulsion") == 1
+        assert kinds.index("expel_quorum") < kinds.index("expulsion")
+        assert log.verify_all().ok
+        assert host.expelled == [target] and deployment.controller.is_expelled(target)
+
     def test_connected_reporters_event_is_applied(self, deployment):
         deployment.on_membership_event(1, 4, STATUS_SUSPECT, 0)
         assert deployment.membership.status_of(4) == STATUS_SUSPECT
@@ -333,6 +375,26 @@ class TestSilentFailureLifecycle:
         deployment.controller.expel(2, "score")
         assert not deployment.may_restart(2)
         assert deployment.churn_monitor.rejoins_refused == 1
+
+    def test_live_fault_driver_logs_the_restart_it_refuses(self, deployment):
+        # The live plane's scripted restart of a node the quorum expelled
+        # while it was down: the host is never asked to rebind it.
+        # (node 99 is not in the deployment: the driver skips it.)
+        schedule = FaultSchedule.from_dicts([{"kind": "restart", "at": 1.0, "nodes": [99, 2]}])
+        cluster = RuntimeCluster(RuntimeConfig(n=N, fault_schedule=schedule))
+        cluster.deployment, cluster.nodes = deployment, deployment.nodes
+        host, plane = deployment.host, FaultPlane(schedule)
+        log = AuditLog(clock=host.clock)
+        deployment.crash(2)
+        plane.mark_crashed(2)
+        deployment.controller.expel(2, "score")
+        host.now = 1.5  # past the instant: the driver does not sleep
+        asyncio.run(cluster._fault_driver(host, plane, log))
+        assert [(r.kind, r.data) for r in log.records] == [
+            ("fault", {"event": "restart_refused", "node": 2})
+        ]
+        assert deployment.churn_monitor.rejoins_refused == 1
+        assert plane.counters()["crashed_now"] == 1 and 2 in host.down
 
     def test_may_restart_refuses_a_node_that_never_went_down(self, deployment):
         assert not deployment.may_restart(2)

@@ -51,7 +51,6 @@ class TestQuickstart:
     def test_paper_constants_reachable_from_top_level(self):
         assert repro.expected_blame_honest(12, 4, 0.93) == pytest.approx(72.95, abs=0.01)
         assert repro.max_bias_probability(8.95, 25, 600) == pytest.approx(0.21, abs=0.01)
-        assert repro.recommended_fanout(10_000) == 12
 
     def test_params_factories(self):
         gossip, lifting = repro.analysis_params()
