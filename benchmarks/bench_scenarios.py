@@ -26,8 +26,8 @@ other registration; CI runs them in a dedicated timeout-bounded job
 simulator benchmarks, which skip them via ``--skip-tag live``.
 
 ``--smoke`` is accepted for CI-invocation symmetry with the other bench
-scripts; smoke sizing is the default (and only) mode — full-scale runs
-belong to the per-figure benchmark harness.
+scripts; smoke sizing is the default (and only) mode — the paper's
+claims are checked at their own sizes by ``benchmarks/scorecard.py``.
 """
 
 from __future__ import annotations

@@ -1,14 +1,11 @@
-"""Benchmark-harness plumbing.
+"""Plumbing of the pytest-benchmark files (``bench_substrate_performance.py``,
+``bench_parallel_experiments.py``).
 
-Every bench regenerates one of the paper's tables or figures, records a
-human-readable report, and times a representative kernel with
-pytest-benchmark.  Reports are collected here and printed in the
-terminal summary (so they survive pytest's output capturing and land in
-``bench_output.txt``); they are also written to ``benchmarks/results/``.
-
-Scaling: the benches run scaled-down deployments by default so the full
-harness finishes in minutes; set ``REPRO_BENCH_FULL=1`` to run the
-paper-scale configurations (n=300, 60 s, n=10,000 Monte-Carlo...).
+A bench records a human-readable report next to its timings; reports are
+collected here and printed in the terminal summary (so they survive
+pytest's output capturing) and written to ``benchmarks/results/``.
+``REPRO_BENCH_FULL=1`` selects their larger configurations.  The paper's
+claims are not checked here: ``benchmarks/scorecard.py`` does that.
 """
 
 from __future__ import annotations
@@ -17,14 +14,12 @@ import os
 import pathlib
 from typing import List
 
-import pytest
-
 _REPORTS: List[str] = []
 _RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def full_scale() -> bool:
-    """Whether to run paper-scale configurations."""
+    """Whether to run the larger configurations."""
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
 
 
@@ -36,15 +31,9 @@ def record_report(name: str, text: str) -> None:
     (_RESULTS_DIR / f"{name}.txt").write_text(block)
 
 
-@pytest.fixture
-def report():
-    """The report-recording callable, as a fixture."""
-    return record_report
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _REPORTS:
         return
-    terminalreporter.write_sep("=", "paper reproduction reports")
+    terminalreporter.write_sep("=", "benchmark reports")
     for block in _REPORTS:
         terminalreporter.write(block)

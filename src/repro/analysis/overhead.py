@@ -2,8 +2,8 @@
 
 The paper bounds the per-period message overhead of each verification
 role; this module turns those bounds into explicit expected counts so
-the simulator's measured traffic can be checked against them
-(``benchmarks/bench_table3_message_overhead.py``).
+the simulator's measured traffic can be checked against them (the
+``table3`` rows of ``benchmarks/scorecard.py``).
 
 Per gossip period and node (steady state, every node serves and is
 served by ``f`` peers on average):
@@ -84,7 +84,7 @@ def expected_message_counts(
 def scaling_exponent(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x).
 
-    Used by the Table 3 benchmark to verify that measured verification
+    Used by the ``table3`` scenario to verify that measured verification
     traffic scales as ``O(f²)`` in the fanout: feeding measured counts
     for several fanouts should give a slope close to 2.
     """

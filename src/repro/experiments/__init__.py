@@ -6,8 +6,8 @@ expulsion controller) from a :class:`ClusterConfig`; the per-figure
 modules register a scenario that configures and runs it (or the
 Monte-Carlo engine) and reduces to the series the paper plots.  Run one
 with ``repro.run_scenario(name, ...)``: its ``artifact`` is the result
-class exported here.  The benchmark harness under ``benchmarks/`` prints
-those series next to the paper's reference values.
+class exported here.  ``benchmarks/scorecard.py`` checks the paper's
+values against the ``metrics`` of these runs (docs/SCORECARD.md).
 """
 
 from repro.experiments.calibration import CalibrationResult, calibrate

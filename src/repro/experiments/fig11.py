@@ -10,7 +10,7 @@ two disjoint modes separated by a gap, and uses the threshold
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -45,17 +45,6 @@ class Fig11Result:
         return float(
             np.quantile(self.sample.honest, 0.01)
             - np.quantile(self.sample.freeriders, 0.99)
-        )
-
-    def cdf_series(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(honest_x, honest_frac, freerider_x, freerider_frac)."""
-        hx = np.sort(self.sample.honest)
-        fx = np.sort(self.sample.freeriders)
-        return (
-            hx,
-            np.arange(1, hx.size + 1) / hx.size,
-            fx,
-            np.arange(1, fx.size + 1) / fx.size,
         )
 
 

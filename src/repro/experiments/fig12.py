@@ -14,7 +14,7 @@ time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,21 +34,6 @@ class Fig12Result:
     false_positives: np.ndarray
     gain: np.ndarray
     eta: float
-
-    def detection_at(self, delta: float) -> float:
-        """Interpolated detection probability at ``delta``."""
-        return float(np.interp(delta, self.deltas, self.detection))
-
-    def delta_for_gain(self, gain: float) -> float:
-        """The δ achieving a given bandwidth gain."""
-        return float(np.interp(gain, self.gain, self.deltas))
-
-    def rows(self) -> Sequence[Tuple[float, float, float]]:
-        """(δ, α, gain) rows for printing."""
-        return [
-            (float(d), float(a), float(g))
-            for d, a, g in zip(self.deltas, self.detection, self.gain)
-        ]
 
 
 def _fig12_point(

@@ -82,6 +82,7 @@ def _fig13_metrics(result: Fig13Result, params) -> dict:
         "fanin_range": (fanin_lo, fanin_hi),
         "fanout_false_expulsions": result.fanout_false_expulsions,
         "fanin_false_expulsions": result.fanin_false_expulsions,
+        "fanin_size_mean": float(result.fanin_sizes.mean()),
     }
 
 

@@ -26,6 +26,7 @@ from repro.experiments.cluster import ClusterConfig
 from repro.metrics.scores import DetectionReport, detection_report
 from repro.runtime.parallel import Job, Task, run_jobs
 from repro.scenarios import Param, RunResult, scenario
+from repro.util.stats import EmpiricalDistribution
 
 #: the paper's freerider configuration (§7.1).
 PLANETLAB_DEGREE = FreeriderDegree(delta1=1.0 / 7.0, delta2=0.1, delta3=0.1)
@@ -44,30 +45,6 @@ class Fig14Result:
     compensation: float
     freerider_ids: frozenset
     degraded_ids: frozenset
-
-    def report(self, p_dcc: float, time: float) -> DetectionReport:
-        """The detection report of one snapshot (at the paper's η)."""
-        return self.reports[(p_dcc, time)]
-
-    def report_at(self, p_dcc: float, time: float, eta: float) -> DetectionReport:
-        """Detection report of one snapshot at an arbitrary threshold."""
-        return detection_report(
-            self.snapshots[(p_dcc, time)], set(self.freerider_ids), eta
-        )
-
-    def degraded_false_positive_share(self, p_dcc: float, time: float) -> float:
-        """Among honest nodes below η, the fraction that are degraded —
-        the paper attributes most false positives to poor connections."""
-        scores = self.snapshots[(p_dcc, time)]
-        below = [
-            nid
-            for nid, score in scores.items()
-            if nid not in self.freerider_ids and score <= self.eta
-        ]
-        if not below:
-            return 0.0
-        degraded = sum(1 for nid in below if nid in self.degraded_ids)
-        return degraded / len(below)
 
 
 def _extract_scores(cluster) -> Dict[int, float]:
@@ -241,11 +218,30 @@ def _fig14_task(params: dict) -> Fig14Result:
 
 
 def _fig14_metrics(result: Fig14Result, params) -> dict:
+    freeriders, degraded = result.freerider_ids, result.degraded_ids
+    eta = result.eta_calibrated
     snapshots = {}
     for (p_dcc, time), report in sorted(result.reports.items()):
+        scores = result.snapshots[(p_dcc, time)]
+        calibrated = detection_report(scores, freeriders, eta)
+        flagged = [n for n, s in scores.items() if n not in freeriders and s <= eta]
+        well_connected = [
+            s for n, s in scores.items() if n not in freeriders and n not in degraded
+        ]
         snapshots[f"p_dcc={p_dcc:g}@{time:g}s"] = {
             "detection": report.detection,
             "false_positives": report.false_positives,
+            "detection_calibrated": calibrated.detection,
+            "false_positives_calibrated": calibrated.false_positives,
+            # The paper attributes its false positives to poor connections:
+            # the degraded share of the honest nodes at or below eta_calibrated
+            # (None when there are none).
+            "degraded_false_positive_share": (
+                sum(n in degraded for n in flagged) / len(flagged) if flagged else None
+            ),
+            # Well-connected honest mean minus freerider mean (§7.3: it widens).
+            "mean_gap": EmpiricalDistribution(well_connected).mean
+            - calibrated.freeriders.mean,
         }
     return {
         "eta": result.eta,

@@ -31,10 +31,6 @@ class Table3Result:
     fanout_sweep: List[Tuple[int, float]]
     confirm_scaling_slope: float
 
-    def row(self, kind: str) -> float:
-        """Measured count for a message kind (0 when absent)."""
-        return self.measured.get(kind, 0.0)
-
 
 def _extract_message_counts(cluster, *, duration: float) -> Dict[str, float]:
     gossip = cluster.config.gossip
@@ -84,9 +80,11 @@ def _table3_metrics(result: Table3Result, params) -> dict:
     return {
         "measured_per_node_period": dict(result.measured),
         "model": {
+            "serves": result.model.serves,
             "acks": result.model.acks,
             "confirms": result.model.confirms_sent,
             "responses": result.model.confirm_responses_sent,
+            "max_blame_messages": result.model.max_blame_messages,
         },
         "fanout_sweep_confirms": [
             {"fanout": fanout, "confirms": confirms}

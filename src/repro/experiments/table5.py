@@ -45,10 +45,6 @@ class Table5Result:
 
     cells: Dict[Tuple[float, float], OverheadReport]
 
-    def percent(self, rate_kbps: float, p_dcc: float) -> float:
-        """Measured overhead percentage of one cell."""
-        return self.cells[(rate_kbps, p_dcc)].overhead_percent
-
     def rows(self) -> Sequence[Tuple[float, float, float, float]]:
         """(rate, p_dcc, measured %, paper %) rows."""
         out = []

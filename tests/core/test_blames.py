@@ -15,6 +15,7 @@ class TestFanoutDecrease:
     def test_paper_example(self):
         # f = 7, f̂ = 6 (the PlanetLab freeriders): blame 1 per verifier.
         assert fanout_decrease_blame(7, 6) == 1.0
+        assert fanout_decrease_blame(7, 4) == 3.0
 
     def test_zero_when_compliant(self):
         assert fanout_decrease_blame(7, 7) == 0.0
@@ -45,6 +46,7 @@ class TestPartialServe:
     def test_table1_formula(self):
         # f·(|R|-|S|)/|R|
         assert partial_serve_blame(7, 4, 1) == pytest.approx(7 * 3 / 4)
+        assert partial_serve_blame(7, 4, 3) == pytest.approx(1.75)
 
     def test_full_drop_equals_f(self):
         # "If the node did not serve any of the requested chunks, it is

@@ -206,6 +206,58 @@ class TestAudits:
         assert results[0].unacknowledged > 0.3 * results[0].polled_entries
 
 
+class TestAttackDetection:
+    """Table 2: each attack, alone in a deployment, is caught by the
+    verification the paper names for it (biased partner selection is
+    ``TestAudits::test_audit_detects_biased_colluders``)."""
+
+    @pytest.mark.parametrize(
+        "degree, period_stride, reasons",
+        [
+            # direct cross-check: f - f̂ from each verifier
+            ((0.5, 0, 0), 1, (blames.REASON_FANOUT_DECREASE,)),
+            # direct cross-check: missing acks and invalid proposals
+            ((0, 0.5, 0), 1, (blames.REASON_NO_ACK, blames.REASON_INVALID_PROPOSAL)),
+            # direct verification
+            ((0, 0, 0.5), 1, (blames.REASON_PARTIAL_SERVE,)),
+            # local audit: too few propose periods in the history
+            ((0, 0, 0), 3, ()),
+        ],
+        ids=["fanout-decrease", "partial-propose", "partial-serve", "decreased-gossip-period"],
+    )
+    def test_attack_caught_by_its_mechanism(
+        self, small_cluster_factory, degree, period_stride, reasons
+    ):
+        cluster = small_cluster_factory(
+            n=40, history_periods=12, gamma=4.8, seed=77, loss_rate=0.0,
+            compensation=0.0, freerider_fraction=0.25,
+            adversary=freerider_policy(degree, period_stride=period_stride),
+        )
+        cluster.run(until=10.0)
+        if reasons:
+            emitted = sum(
+                node.engine.blames_by_reason.get(reason, 0.0)
+                for node in cluster.nodes.values()
+                for reason in reasons
+            )
+            recorded = [
+                (target, max(record.blame_total, 0.0))
+                for node in cluster.nodes.values()
+                for target, record in node.manager.records.items()
+            ]
+            on_freeriders = sum(v for t, v in recorded if t in cluster.freerider_ids)
+            assert emitted > 0
+            assert on_freeriders > 0.8 * sum(v for _t, v in recorded)
+        else:
+            auditor = next(n for n in cluster.node_ids if n not in cluster.freerider_ids)
+            results = []
+            cluster.nodes[auditor].auditor.start(
+                next(iter(cluster.freerider_ids)), on_complete=results.append
+            )
+            cluster.sim.run(until=cluster.sim.now + 15.0)
+            assert results and not results[0].passed_period_count
+
+
 class TestColluderCoverUps:
     def test_cover_up_reduces_coalition_blames(self, small_cluster_factory):
         degree = (0.2, 0.4, 0.4)

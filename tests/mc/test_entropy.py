@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.entropy_analysis import collusion_entropy
+from repro.analysis.entropy_analysis import achievable_max_bias, collusion_entropy
 from repro.core.audit import shannon_entropy
 from repro.mc.entropy import (
     biased_fanout_entropies,
@@ -17,6 +17,7 @@ from repro.mc.entropy import (
     sampler_history_entropies,
 )
 from repro.membership.full import FullMembership
+from repro.membership.rps import GossipPeerSampling
 
 
 class TestRowEntropies:
@@ -120,9 +121,43 @@ class TestBiasedSampling:
         above = biased_fanout_entropies(rng, 10_000, 600, 500, 25, bias=0.30)
         assert float(np.mean(above < 8.95)) > 0.9
 
+    def test_audit_separates_around_the_achievable_ceiling(self, rng):
+        # Eq. 7's integer-feasible ceiling at the paper's audit (γ = 8.95,
+        # m' = 25, 600 picks), against the smartest coalition: a bias just
+        # below it is almost never caught, one just above almost always.
+        ceiling = achievable_max_bias(8.95, 25, 600)
+        below = biased_fanout_entropies(
+            rng, 10_000, 600, 200, 25, bias=ceiling - 0.04, planned=True
+        )
+        above = biased_fanout_entropies(
+            rng, 10_000, 600, 200, 25, bias=ceiling + 0.08, planned=True
+        )
+        assert float(np.mean(below < 8.95)) < 0.05
+        assert float(np.mean(above < 8.95)) > 0.95
+
 
 class TestSamplerDriven:
     def test_full_membership_histories_near_uniform(self, rng):
         sampler = FullMembership(rng, range(500))
         entropies = sampler_history_entropies(sampler, range(60), periods=25, fanout=6)
         assert entropies.min() > 0.9 * math.log2(25 * 6)
+
+    def test_rps_histories_random_but_less_uniform(self, rng):
+        # A gossip peer-sampling service in place of full membership keeps
+        # histories random enough to audit but less uniform: the headroom
+        # the audit threshold γ must leave for the sampler's bias (§5.3).
+        n, periods, fanout, audited = 600, 40, 6, range(80)
+        full = sampler_history_entropies(
+            FullMembership(rng, range(n)), audited, periods, fanout
+        )
+        rps = GossipPeerSampling(rng, range(n), view_size=18)
+        rps.step(rounds=20)
+        histories = {node: [] for node in audited}
+        for _period in range(periods):
+            rps.step()  # the views shuffle between periods, as when deployed
+            for node in audited:
+                histories[node].extend(rps.sample(node, fanout))
+        width = min(len(h) for h in histories.values())
+        entropies = row_entropies(np.array([h[:width] for h in histories.values()]))
+        assert entropies.min() > 0.8 * math.log2(periods * fanout)
+        assert entropies.mean() <= full.mean()
