@@ -2,8 +2,8 @@
 """Load-generator baseline: where is this machine's knee?
 
 Runs the ``loadgen`` scenario (open-loop stepped-rate sweep against a
-live loopback deployment, see ``docs/LOADGEN.md``) and prints the
-per-phase latency table.  Two extra modes:
+live loopback deployment, see ``docs/LOADGEN.md``) and prints its
+metrics the way ``repro run loadgen`` does.  Two extra modes:
 
 * ``--smoke`` — a tiny timeout-friendly sweep for CI: asserts that the
   report parses (schema tag, knee payload, per-stage percentiles all
@@ -20,7 +20,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_loadgen.py --smoke   # CI gate
     PYTHONPATH=src python benchmarks/bench_loadgen.py --record  # refresh baseline
 
-Every run also writes the rendered table to
+Every run also writes the rendered metrics to
 ``benchmarks/results/loadgen_report.txt`` for CI artifact upload.
 """
 
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=None, help="override ladder length")
     args = parser.parse_args(argv)
 
-    from repro.scenarios import get, run_scenario
+    from repro.scenarios import run_scenario
 
     overrides = dict(SMOKE if args.smoke else RECORD)
     if args.n is not None:
@@ -94,9 +94,8 @@ def main(argv=None) -> int:
     if args.steps is not None:
         overrides["steps"] = args.steps
 
-    spec = get("loadgen")
     result = run_scenario("loadgen", **overrides)
-    rendered = spec.render(result)
+    rendered = result.render()
     print(rendered)
     RESULTS_FILE.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_FILE.write_text(rendered + "\n", encoding="utf-8")

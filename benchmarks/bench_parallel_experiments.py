@@ -5,7 +5,7 @@ Not a paper artefact — this guards the process-pool fan-out layer
 its ``jobs=`` parameter.  Two properties are measured:
 
 * **Equivalence** — fanning a job list out must reproduce the serial
-  results byte for byte (the determinism contract; also pinned by
+  metrics byte for byte (the determinism contract; also pinned by
   ``tests/experiments/test_parallel_equivalence.py``).
 * **Scaling** — on a multi-core machine, Table 5's six-cell grid with
   ``jobs=4`` must beat ``jobs=1`` by ≥ 2.5x (the ISSUE 2 acceptance
@@ -17,9 +17,9 @@ on ≥ 4-core machines, the speedup) against the baselines recorded in
 ``benchmarks/BENCH_substrate.json``.
 """
 
+import json
 import os
 import pathlib
-import pickle
 import time
 
 import pytest
@@ -65,14 +65,14 @@ def _grid_kwargs():
 def parallel_measurements():
     kwargs = _grid_kwargs()
     start = time.perf_counter()
-    serial = run_scenario("table5", jobs=1, **kwargs).artifact
+    serial = run_scenario("table5", jobs=1, **kwargs).metrics
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    fanned = run_scenario("table5", jobs=SPEEDUP_JOBS, **kwargs).artifact
+    fanned = run_scenario("table5", jobs=SPEEDUP_JOBS, **kwargs).metrics
     parallel_s = time.perf_counter() - start
 
-    identical = pickle.dumps(serial) == pickle.dumps(fanned)
+    identical = json.dumps(serial) == json.dumps(fanned)
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     cores = os.cpu_count() or 1
     lines = [
@@ -98,7 +98,7 @@ def parallel_measurements():
 
 
 def test_parallel_grid_byte_identical(parallel_measurements, benchmark):
-    benchmark(lambda: pickle.dumps(parallel_measurements["serial"]))
+    benchmark(lambda: json.dumps(parallel_measurements["serial"]))
     assert parallel_measurements["identical"]
 
 

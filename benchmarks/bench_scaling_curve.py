@@ -49,14 +49,14 @@ SMOKE_SIZES = (40, 200, 2000)
 FULL_SIZES = (100, 300, 1000)
 
 
-def render_table(result) -> str:
+def render_table(points) -> str:
     lines = ["     n  s/sim-s   events/s  peak MiB  KiB/node"]
-    for point in result.points:
+    for point in points:
         lines.append(
-            f"{point.n:6d}  {point.s_per_sim_second:7.3f}"
-            f"  {point.events_per_wall_second:9,.0f}"
-            f"  {point.peak_mem_mib:8.1f}"
-            f"  {point.peak_mem_kib_per_node:8.1f}"
+            f"{point['n']:6d}  {point['s_per_sim_second']:7.3f}"
+            f"  {point['events_per_wall_second']:9,.0f}"
+            f"  {point['peak_mem_mib']:8.1f}"
+            f"  {point['peak_mem_kib_per_node']:8.1f}"
         )
     return "\n".join(lines)
 
@@ -93,35 +93,35 @@ def main(argv=None) -> int:
     if (args.include_10000 or os.environ.get("REPRO_BENCH_FULL") == "1") and 10000 not in sizes:
         sizes.append(10000)
 
-    result = run_scenario(
+    points = run_scenario(
         "scaling", sizes=sizes, duration=duration, warmup=warmup, seed=args.seed, jobs=args.jobs
-    ).artifact
-    table = render_table(result)
+    ).metrics["points"]
+    table = render_table(points)
     print(table)
     RESULTS_FILE.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_FILE.write_text(table + "\n")
 
-    for point in result.points:
-        sps = point.s_per_sim_second
+    for point in points:
+        sps = point["s_per_sim_second"]
         if not (math.isfinite(sps) and sps > 0):
-            print(f"FAIL: nonsense timing for n={point.n}: {sps}", file=sys.stderr)
+            print(f"FAIL: nonsense timing for n={point['n']}: {sps}", file=sys.stderr)
             return 1
-        if point.events <= 0:
-            print(f"FAIL: no events fired for n={point.n}", file=sys.stderr)
+        if point["events"] <= 0:
+            print(f"FAIL: no events fired for n={point['n']}", file=sys.stderr)
             return 1
     # Per-node state is bounded by design (one timeout's worth of
     # verification state plus the h-period history), so the per-node
     # peak footprint must not grow with n (jobs>1 workers inherit
     # tracing in some pools and report 0.0 — only enforce on traced
     # points).
-    traced = [p for p in result.points if p.peak_mem_mib > 0.0]
+    traced = [p for p in points if p["peak_mem_mib"] > 0.0]
     if len(traced) >= 2:
         first, last = traced[0], traced[-1]
-        if last.n > first.n and last.peak_mem_kib_per_node > first.peak_mem_kib_per_node:
+        if last["n"] > first["n"] and last["peak_mem_kib_per_node"] > first["peak_mem_kib_per_node"]:
             print(
                 f"FAIL: peak memory per node grew with n "
-                f"({first.n}: {first.peak_mem_kib_per_node:.1f} KiB/node -> "
-                f"{last.n}: {last.peak_mem_kib_per_node:.1f} KiB/node)",
+                f"({first['n']}: {first['peak_mem_kib_per_node']:.1f} KiB/node -> "
+                f"{last['n']}: {last['peak_mem_kib_per_node']:.1f} KiB/node)",
                 file=sys.stderr,
             )
             return 1
@@ -143,7 +143,11 @@ def main(argv=None) -> int:
                 "state is bounded; fixed overheads amortise); refresh "
                 "together with the 'current' kernels."
             ),
-            **result.as_dict(),
+            "warmup_sim_s": warmup,
+            "duration_sim_s": duration,
+            "seed": args.seed,
+            "s_per_sim_second": {str(p["n"]): round(p["s_per_sim_second"], 4) for p in points},
+            "peak_mem_mib": {str(p["n"]): round(p["peak_mem_mib"], 2) for p in points},
         }
         envelope.with_metrics(data).dump(BENCH_FILE)
         print(f"recorded scaling curve in {BENCH_FILE}")

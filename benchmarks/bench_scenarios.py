@@ -5,12 +5,13 @@ Runs **every registered scenario** (``repro.scenarios.list_scenarios``)
 at its declared smoke size, validates that the resulting
 ``RunResult`` envelope round-trips losslessly through its JSON schema
 (``to_json`` → ``from_json`` → identical envelope and identical
-serialisation) and renders it the way ``repro run`` would; a whole-
+serialisation) and renders it the way ``repro run`` does
+(``RunResult.render``); a whole-
 registry sweep ends with one two-cell ``repro run analyze --sweep``, the
 product sweep's only entry point outside the tests.  This is the
 drift gate for the Unified Scenario API: a scenario whose parameters
-stop resolving, whose reducer breaks, whose renderer raises or whose
-metrics stop being JSON-safe fails here before it fails a user.
+stop resolving, whose reducer breaks or whose metrics stop being
+JSON-safe (or render to nothing) fails here before it fails a user.
 
 Usage::
 
@@ -82,8 +83,8 @@ def main(argv=None) -> int:
             continue
         try:
             result = run_scenario(spec.name, **spec.smoke)
-            if spec.render is not None and not spec.render(result).strip():
-                failures.append(f"{spec.name}: renderer returned no text")
+            if not result.render().strip():
+                failures.append(f"{spec.name}: rendered no text")
         except Exception as exc:  # noqa: BLE001 - report, keep sweeping
             failures.append(f"{spec.name}: run failed: {exc!r}")
             print(f"{spec.name:12s} {'-':>7s}  {'-':>7s}  RUN FAILED")

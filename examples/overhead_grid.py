@@ -6,7 +6,7 @@ percentage of the data traffic for every combination of stream rate
 {674, 1082, 2036} kbps and cross-checking probability p_dcc ∈
 {0, 0.5, 1}.  Each grid cell is an *independent* deployment, so the
 ``table5`` scenario fans the nine clusters out over a process pool and
-this example shows that the parallel run reproduces the serial result
+this example shows that the parallel run reproduces the serial metrics
 bit for bit.
 
 Run with::
@@ -18,7 +18,7 @@ Run with::
 """
 
 import argparse
-import pickle
+import json
 
 from repro import run_scenario
 
@@ -43,8 +43,9 @@ def main() -> None:
     )
 
     print("\nrate(kbps)  p_dcc  measured   paper")
-    for rate, p_dcc, measured, paper in result.artifact.rows():
-        print(f"{rate:9.0f}   {p_dcc:4.1f}   {measured:6.2f}%   {paper:5.2f}%")
+    for cell in result.metrics["cells"]:
+        print(f"{cell['rate_kbps']:9.0f}   {cell['p_dcc']:4.1f}   "
+              f"{cell['overhead_percent']:6.2f}%   {cell['paper_percent']:5.2f}%")
     print(f"\nwall clock: {result.wall_seconds:.1f}s")
 
     if args.check:
@@ -52,7 +53,7 @@ def main() -> None:
         serial = run_scenario(
             "table5", n=args.nodes, duration=args.duration, jobs=1
         )
-        identical = pickle.dumps(serial.artifact) == pickle.dumps(result.artifact)
+        identical = json.dumps(serial.metrics) == json.dumps(result.metrics)
         print(f"serial wall clock: {serial.wall_seconds:.1f}s "
               f"(speedup {serial.wall_seconds / result.wall_seconds:.2f}x); "
               f"byte-identical: {identical}")

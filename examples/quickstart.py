@@ -5,7 +5,7 @@ One call — the ``detect`` scenario calibrates the wrongful-blame
 compensation on an honest deployment (the designer step of §6.2),
 deploys 100 nodes with 10 % freeriders that skimp on every phase
 (§7.1's configuration), runs 30 simulated seconds, and reports the
-score separation, the detection report and the bandwidth overhead.
+detection at the calibrated threshold and the bandwidth overhead.
 
 Run with::
 
@@ -24,22 +24,17 @@ def main() -> None:
     print("running the 'detect' scenario (calibration + deployment)...")
     result = run_scenario("detect", n=100, seed=1, duration=30.0)
 
-    # The rich in-memory artifact: calibration, detection report,
-    # overhead report, expulsion lists.
-    detect = result.artifact
-    print(f"\n  compensation b~ = {detect.compensation:.2f} blame/period")
-    print(f"  threshold eta (false positives <= 1%) = {detect.eta:.2f}")
-    print(f"  honest:    mean score {detect.report.honest.mean:+6.2f}")
-    print(f"  freerider: mean score {detect.report.freeriders.mean:+6.2f}")
-    print(f"\n{detect.report.summary()}")
-    print(f"\nbandwidth overhead: {detect.overhead}")
+    # The run's metrics: a JSON-safe mapping (what `repro run detect
+    # --json -` serialises, and what benchmark baselines are stored as).
+    metrics = result.metrics
+    print(f"\n  compensation b~ = {metrics['compensation']:.2f} blame/period")
+    print(f"  threshold eta (false positives <= 1%) = {metrics['eta']:.2f}")
+    print(f"  detection {metrics['detection']:.0%}, "
+          f"false positives {metrics['false_positives']:.0%}")
+    print(f"  bandwidth overhead {metrics['overhead_percent']:.2f}%")
 
-    # The same numbers as the uniform, serialisable envelope (what
-    # `repro run detect --json -` prints, and what benchmark baselines
-    # are stored as).
-    print("\nstructured metrics payload:")
-    for key, value in result.metrics.items():
-        print(f"  {key}: {value}")
+    # The same payload the way `repro run detect` prints it.
+    print(f"\n{result.render()}")
 
 
 if __name__ == "__main__":

@@ -34,25 +34,28 @@ def main() -> None:
     args = parser.parse_args()
 
     print("running three deployments (this takes a minute or two)...")
-    result = run_scenario("fig1", n=100, duration=25.0, seed=7, jobs=args.jobs).artifact
+    metrics = run_scenario("fig1", n=100, duration=25.0, seed=7, jobs=args.jobs).metrics
+    rows = list(zip(
+        metrics["lags_s"],
+        metrics["baseline"],
+        metrics["freeriders_no_lifting"],
+        metrics["freeriders_with_lifting"],
+    ))
 
     print("\nfraction of nodes viewing a clear stream, by stream lag:")
     print("  lag(s)   baseline   freeriders   freeriders+LiFTinG")
-    for lag, base, collapsed, protected in result.rows():
+    for lag, base, collapsed, protected in rows:
         if lag <= 12 or lag % 5 == 0:
             bar = "*" * int(20 * protected)
             print(f"  {lag:5.0f}    {base:7.2f}    {collapsed:9.2f}    {protected:10.2f}  {bar}")
 
-    lag = 5.0
+    lag, base, collapsed, protected = next(row for row in rows if row[0] == 5.0)
     print(
-        f"\nat a {lag:.0f} s playout delay: baseline "
-        f"{result.baseline.fraction_at(lag):.0%} of nodes are clear, "
-        f"freeriders alone drop that to "
-        f"{result.freeriders_no_lifting.fraction_at(lag):.0%}, "
-        f"and LiFTinG restores it to "
-        f"{result.freeriders_with_lifting.fraction_at(lag):.0%}."
+        f"\nat a {lag:.0f} s playout delay: baseline {base:.0%} of nodes are clear, "
+        f"freeriders alone drop that to {collapsed:.0%}, "
+        f"and LiFTinG restores it to {protected:.0%}."
     )
-    print(f"nodes expelled by LiFTinG during the run: {result.expelled_with_lifting}")
+    print(f"nodes expelled by LiFTinG during the run: {metrics['expelled_with_lifting']}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ Two entry sets run under a tracer and three tables come out:
 * **definitions** — every ``def`` in ``src/repro`` is *product* (entered
   by entry set (i), what the system is *for*: every registered scenario
   at smoke size through ``benchmarks/bench_scenarios.py`` and through
-  ``repro run``, so renderers and the CLI count, ``repro list`` /
+  ``repro run``, so the renderer and the CLI count, ``repro list`` /
   ``describe`` / ``audit-verify`` on a clean chain then a tampered one
   with ``--recover``, the examples, the ledger smoke, every ``make
   live-smoke`` step), *tests only* (entered by entry set (ii), tier-1,

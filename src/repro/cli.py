@@ -10,7 +10,8 @@ Run as ``python -m repro.cli``, or as the ``repro`` console script
   scenario.  **Flags are derived from the scenario's ``Param``
   declarations**, so every scenario accepts exactly the parameters it
   declares (``--seed``, ``--jobs``, ... — nothing is hand-wired and
-  nothing can silently go missing).
+  nothing can silently go missing).  It prints the run's metrics
+  (:meth:`~repro.scenarios.RunResult.render`).
 
 ``repro run`` also accepts ``--json PATH`` (write the
 structured :class:`~repro.scenarios.RunResult` envelope; ``-`` =
@@ -129,13 +130,14 @@ def _collect_overrides(
     return overrides
 
 
-def _collect_sweep_axes(args: argparse.Namespace) -> Dict[str, List[str]]:
+def _collect_sweep_axes(spec: ScenarioSpec, args: argparse.Namespace) -> Dict[str, List[str]]:
     """Parse repeated ``--sweep param=a,b,c`` flags into an axes mapping.
 
     Values stay strings (each cell goes through the scenario's own
     coercion); for sequence-typed parameters a cell's inner values are
     separated by ``:`` (e.g. ``--sweep deltas=0.1:0.1:0.1,0.3:0.3:0.3``)
-    and rewritten to the comma form the coercer expects.
+    and rewritten to the comma form the coercer expects.  A scalar
+    ``str`` cell keeps its ``:`` (``--sweep audit_log=runs/a:b.jsonl``).
     """
     axes: Dict[str, List[str]] = {}
     for pair in getattr(args, "sweep_pairs", []):
@@ -143,8 +145,9 @@ def _collect_sweep_axes(args: argparse.Namespace) -> Dict[str, List[str]]:
             raise ParamError(f"--sweep expects PARAM=A,B,C, got {pair!r}")
         key, _, values = pair.partition("=")
         key = key.strip().replace("-", "_")
+        sequence = spec.param(key).sequence
         cells = [
-            cell.strip().replace(":", ",")
+            cell.strip().replace(":", ",") if sequence else cell.strip()
             for cell in values.split(",")
             if cell.strip() != ""
         ]
@@ -175,7 +178,7 @@ def _execute_sweep(
     for result in results:
         cell = ", ".join(f"{key}={result.params[key]!r}" for key in axes)
         print(f"=== {spec.name} [{cell}] ===")
-        print(spec.render(result) if spec.render is not None else result.to_json(indent=2))
+        print(result.render())
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
@@ -186,7 +189,7 @@ def _execute_sweep(
 def _execute(
     spec: ScenarioSpec, overrides: Mapping[str, Any], args: argparse.Namespace
 ) -> int:
-    axes = _collect_sweep_axes(args)
+    axes = _collect_sweep_axes(spec, args)
     profile_path = getattr(args, "profile", None)
     if axes:
         if profile_path:
@@ -203,10 +206,7 @@ def _execute(
     if json_path == "-":
         print(result.to_json(indent=2))
         return 0
-    if spec.render is not None:
-        print(spec.render(result))
-    else:
-        print(result.to_json(indent=2))
+    print(result.render())
     if json_path:
         result.dump(json_path)
         print(f"wrote {json_path}", file=sys.stderr)

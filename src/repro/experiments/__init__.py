@@ -2,38 +2,33 @@
 
 :class:`~repro.experiments.cluster.SimCluster` builds a full simulated
 deployment (network, membership, source, nodes with roles, managers,
-expulsion controller) from a :class:`ClusterConfig`; the per-figure
-modules register a scenario that configures and runs it (or the
-Monte-Carlo engine) and reduces to the series the paper plots.  Run one
-with ``repro.run_scenario(name, ...)``: its ``artifact`` is the result
-class exported here.  ``benchmarks/scorecard.py`` checks the paper's
-values against the ``metrics`` of these runs (docs/SCORECARD.md).
+expulsion controller) from a :class:`ClusterConfig`; each per-figure
+module registers a scenario whose builder configures and runs it (or
+the Monte-Carlo engine) and whose reducer returns the metrics the paper
+plots.  Run one with ``repro.run_scenario(name, ...)`` and read its
+``metrics``; ``benchmarks/scorecard.py`` checks the paper's values
+against them (docs/SCORECARD.md).
 """
 
 from repro.experiments.calibration import CalibrationResult, calibrate
 from repro.experiments.cluster import ClusterConfig, SimCluster
-from repro.experiments.fig1 import Fig1Result
-from repro.experiments.fig10 import Fig10Result
-from repro.experiments.fig11 import Fig11Result
-from repro.experiments.fig12 import Fig12Result
-from repro.experiments.fig13 import Fig13Result
-from repro.experiments.fig14 import Fig14Result
-from repro.experiments.scaling import ScalingResult
-from repro.experiments.table3 import Table3Result
-from repro.experiments.table5 import Table5Result
+
+# The figure/table modules register their scenarios on import.
+from repro.experiments import (  # noqa: F401
+    fig1,
+    fig10,
+    fig11,
+    fig12,
+    fig13,
+    fig14,
+    scaling,
+    table3,
+    table5,
+)
 
 __all__ = [
     "CalibrationResult",
     "ClusterConfig",
-    "Fig1Result",
-    "Fig10Result",
-    "Fig11Result",
-    "Fig12Result",
-    "Fig13Result",
-    "Fig14Result",
-    "ScalingResult",
     "SimCluster",
-    "Table3Result",
-    "Table5Result",
     "calibrate",
 ]

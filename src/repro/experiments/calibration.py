@@ -30,7 +30,7 @@ import numpy as np
 from repro.config import GossipParams, LiftingParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.runtime.parallel import Job, run_jobs
-from repro.scenarios import Param, RunResult, scenario
+from repro.scenarios import Param, scenario
 from repro.util.validation import require
 
 
@@ -60,6 +60,16 @@ class CalibrationResult:
 
         quantile = float(norm.ppf(target_beta))
         return quantile * self.score_stddev
+
+    def metrics(self) -> dict:
+        """The ``calibration`` scenario's metrics payload."""
+        return {
+            "compensation": self.compensation,
+            "score_stddev": self.score_stddev,
+            "periods": self.periods,
+            "n": self.n,
+            "eta_false_positives_1pct": self.eta_for_false_positives(0.01),
+        }
 
 
 def _extract_calibration(cluster, *, duration: float) -> CalibrationResult:
@@ -141,33 +151,12 @@ _CALIBRATION_PARAMS = (
     Param("degraded_loss", float, 0.12, "extra endpoint loss of degraded nodes"),
     Param("degraded_upload", float, 0.0,
           "upload cap of degraded nodes in bytes/s (0 = uncapped)"),
-    Param("jobs", int, 1, "worker processes (a single job; kept for uniformity)"),
 )
 
 
-def _calibration_reduce(results, params) -> CalibrationResult:
+def _calibration_reduce(results, params) -> dict:
     [result] = results
-    return result.get("calibration")
-
-
-def _calibration_metrics(result: CalibrationResult, params) -> dict:
-    return {
-        "compensation": result.compensation,
-        "score_stddev": result.score_stddev,
-        "periods": result.periods,
-        "n": result.n,
-        "eta_false_positives_1pct": result.eta_for_false_positives(0.01),
-    }
-
-
-def _calibration_render(run: RunResult) -> str:
-    result: CalibrationResult = run.artifact
-    return (
-        f"compensation b~ = {result.compensation:.2f} blame/period over "
-        f"{result.periods:.0f} periods (n={result.n})\n"
-        f"score stddev = {result.score_stddev:.2f}; eta for beta<=1% = "
-        f"{result.eta_for_false_positives(0.01):.2f}"
-    )
+    return result.get("calibration").metrics()
 
 
 @scenario(
@@ -175,8 +164,6 @@ def _calibration_render(run: RunResult) -> str:
     "Empirical compensation/threshold calibration on an honest deployment",
     params=_CALIBRATION_PARAMS,
     reduce=_calibration_reduce,
-    summarize=_calibration_metrics,
-    render=_calibration_render,
     tags=("calibration", "deployment"),
     smoke={"n": 24, "duration": 4.0},
 )

@@ -18,18 +18,17 @@ stream lag (see :mod:`repro.metrics.health`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro import adversary
-from repro.config import FreeriderDegree, GossipParams, LiftingParams, planetlab_params
+from repro.config import FreeriderDegree, GossipParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.health import HealthReport
 from repro.runtime.parallel import Job
-from repro.scenarios import Param, RunResult, scenario
+from repro.scenarios import Param, scenario
 
 #: what "as much as possible" means when nothing watches: serve/propose
 #: barely anything while still requesting everything.
@@ -41,30 +40,6 @@ WISE_FREERIDING = FreeriderDegree.uniform(0.035)
 #: withheld freerider bandwidth actually hurts — without a cap the
 #: honest nodes would invisibly absorb all the extra load.
 UPLOAD_HEADROOM = 2.0
-
-
-@dataclass
-class Fig1Result:
-    """The three health curves of Figure 1."""
-
-    lags: np.ndarray
-    baseline: HealthReport
-    freeriders_no_lifting: HealthReport
-    freeriders_with_lifting: HealthReport
-    expelled_with_lifting: int
-    duration: float
-
-    def rows(self) -> Sequence[tuple]:
-        """(lag, baseline, no-lifting, with-lifting) rows for printing."""
-        return [
-            (
-                float(lag),
-                float(self.baseline.fractions[i]),
-                float(self.freeriders_no_lifting.fractions[i]),
-                float(self.freeriders_with_lifting.fractions[i]),
-            )
-            for i, lag in enumerate(self.lags)
-        ]
 
 
 def fig1_configs(
@@ -147,34 +122,15 @@ _FIG1_PARAMS = (
 )
 
 
-def _fig1_reduce(results, params) -> Fig1Result:
+def _fig1_reduce(results, params) -> dict:
     by_name = {result.key: result for result in results}
-    return Fig1Result(
-        lags=np.asarray(params["lags"], dtype=float),
-        baseline=by_name["baseline"].get("health"),
-        freeriders_no_lifting=by_name["freeriders_no_lifting"].get("health"),
-        freeriders_with_lifting=by_name["freeriders_with_lifting"].get("health"),
-        expelled_with_lifting=by_name["freeriders_with_lifting"].get("expelled"),
-        duration=params["duration"],
-    )
-
-
-def _fig1_metrics(result: Fig1Result, params) -> dict:
     return {
-        "lags_s": result.lags,
-        "baseline": result.baseline.fractions,
-        "freeriders_no_lifting": result.freeriders_no_lifting.fractions,
-        "freeriders_with_lifting": result.freeriders_with_lifting.fractions,
-        "expelled_with_lifting": result.expelled_with_lifting,
+        "lags_s": params["lags"],
+        "baseline": by_name["baseline"].get("health").fractions,
+        "freeriders_no_lifting": by_name["freeriders_no_lifting"].get("health").fractions,
+        "freeriders_with_lifting": by_name["freeriders_with_lifting"].get("health").fractions,
+        "expelled_with_lifting": by_name["freeriders_with_lifting"].get("expelled"),
     }
-
-
-def _fig1_render(run: RunResult) -> str:
-    lines = ["lag(s)  baseline  freeriders  freeriders+LiFTinG"]
-    for lag, base, collapsed, protected in run.artifact.rows():
-        lines.append(f"{lag:5.0f}   {base:7.2f}   {collapsed:9.2f}   {protected:12.2f}")
-    lines.append(f"expelled under LiFTinG: {run.artifact.expelled_with_lifting}")
-    return "\n".join(lines)
 
 
 @scenario(
@@ -182,8 +138,6 @@ def _fig1_render(run: RunResult) -> str:
     "Figure 1 — system health: baseline vs freeriders vs freeriders under LiFTinG",
     params=_FIG1_PARAMS,
     reduce=_fig1_reduce,
-    summarize=_fig1_metrics,
-    render=_fig1_render,
     tags=("figure", "deployment"),
     smoke={"n": 24, "duration": 4.0, "lags": (0.0, 2.0, 4.0)},
 )

@@ -9,9 +9,6 @@ a mean within 0.01 of zero and an experimental standard deviation of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from repro.config import analysis_params
@@ -22,22 +19,9 @@ from repro.util.rng import make_generator
 from repro.util.stats import histogram_density
 
 
-@dataclass
-class Fig10Result:
-    """Compensated honest scores after one period."""
-
-    scores: np.ndarray
-    compensation: float
-    mean: float
-    stddev: float
-
-    def pdf(self, bins: int = 60) -> Tuple[np.ndarray, np.ndarray]:
-        """The histogram the paper plots (fraction of nodes per bin)."""
-        return histogram_density(self.scores, bins=bins, value_range=(-250.0, 50.0))
-
-
-def _compute_fig10(n: int, seed: int) -> Fig10Result:
-    """Sample the one-period compensated score distribution (worker body)."""
+def _compute_fig10(n: int, seed: int) -> dict:
+    """Sample the one-period compensated score distribution (worker body)
+    and reduce it to its moments and the histogram the paper plots."""
     gossip, lifting = analysis_params()
     model = BlameModel(
         fanout=gossip.fanout,
@@ -48,21 +32,12 @@ def _compute_fig10(n: int, seed: int) -> Fig10Result:
     rng = make_generator(seed, "fig10")
     sample = simulate_scores(model, rng, n_honest=n, rounds=1)
     scores = sample.honest
-    return Fig10Result(
-        scores=scores,
-        compensation=sample.compensation,
-        mean=float(np.mean(scores)),
-        stddev=float(np.std(scores, ddof=1)),
-    )
-
-
-def _fig10_metrics(result: Fig10Result, params) -> dict:
-    centers, fractions = result.pdf()
+    centers, fractions = histogram_density(scores, bins=60, value_range=(-250.0, 50.0))
     return {
-        "compensation": result.compensation,
-        "mean": result.mean,
-        "stddev": result.stddev,
-        "samples": int(result.scores.size),
+        "compensation": sample.compensation,
+        "mean": float(np.mean(scores)),
+        "stddev": float(np.std(scores, ddof=1)),
+        "samples": int(scores.size),
         "pdf": {"centers": centers, "fractions": fractions},
     }
 
@@ -75,7 +50,6 @@ def _fig10_metrics(result: Fig10Result, params) -> dict:
               validate=lambda v: v >= 2, constraint=">= 2"),
         Param("seed", int, 11, "Monte-Carlo seed"),
     ),
-    summarize=_fig10_metrics,
     tags=("figure", "monte-carlo"),
     smoke={"n": 2_000},
 )

@@ -9,7 +9,7 @@ two disjoint modes separated by a gap, and uses the threshold
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import List
 
 import numpy as np
@@ -19,33 +19,6 @@ from repro.mc.blame_model import BlameModel, ScoreSample, simulate_scores
 from repro.runtime.parallel import Task
 from repro.scenarios import Param, scenario
 from repro.util.rng import make_generator
-
-
-@dataclass
-class Fig11Result:
-    """Normalised score distributions of the two populations."""
-
-    sample: ScoreSample
-    eta: float
-
-    @property
-    def detection(self) -> float:
-        """α at the paper's threshold."""
-        return self.sample.detection_fraction(self.eta)
-
-    @property
-    def false_positives(self) -> float:
-        """β at the paper's threshold."""
-        return self.sample.false_positive_fraction(self.eta)
-
-    @property
-    def gap(self) -> float:
-        """Distance between the honest low tail (1st percentile) and the
-        freerider high tail (99th percentile); positive = disjoint modes."""
-        return float(
-            np.quantile(self.sample.honest, 0.01)
-            - np.quantile(self.sample.freeriders, 0.99)
-        )
 
 
 def _split_evenly(total: int, parts: int) -> List[int]:
@@ -91,31 +64,25 @@ _FIG11_PARAMS = (
 )
 
 
-def _fig11_reduce(samples, params) -> Fig11Result:
-    gossip, lifting = analysis_params()
-    model = BlameModel(
-        fanout=gossip.fanout,
-        request_size=gossip.request_size,
-        p_reception=lifting.p_reception,
-        p_dcc=lifting.p_dcc,
-    )
-    sample = ScoreSample(
+def _fig11_reduce(samples, params) -> dict:
+    """α and β at the paper's threshold η, and the gap between the honest
+    low tail (1st percentile) and the freerider high tail (99th
+    percentile): positive = disjoint modes."""
+    _gossip, lifting = analysis_params()
+    sample = replace(
+        samples[0],
         honest=np.concatenate([s.honest for s in samples]),
         freeriders=np.concatenate([s.freeriders for s in samples]),
-        rounds=params["rounds"],
-        compensation=model.compensation,
     )
-    return Fig11Result(sample=sample, eta=lifting.eta)
-
-
-def _fig11_metrics(result: Fig11Result, params) -> dict:
     return {
-        "eta": result.eta,
-        "detection": result.detection,
-        "false_positives": result.false_positives,
-        "gap": result.gap,
-        "honest_samples": int(result.sample.honest.size),
-        "freerider_samples": int(result.sample.freeriders.size),
+        "eta": lifting.eta,
+        "detection": sample.detection_fraction(lifting.eta),
+        "false_positives": sample.false_positive_fraction(lifting.eta),
+        "gap": float(
+            np.quantile(sample.honest, 0.01) - np.quantile(sample.freeriders, 0.99)
+        ),
+        "honest_samples": int(sample.honest.size),
+        "freerider_samples": int(sample.freeriders.size),
     }
 
 
@@ -124,7 +91,6 @@ def _fig11_metrics(result: Fig11Result, params) -> dict:
     "Figure 11 — honest vs freerider score distributions after r periods",
     params=_FIG11_PARAMS,
     reduce=_fig11_reduce,
-    summarize=_fig11_metrics,
     tags=("figure", "monte-carlo"),
     smoke={"n": 800, "freeriders": 80, "rounds": 10},
 )

@@ -13,7 +13,6 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -23,17 +22,6 @@ from repro.mc.blame_model import BlameModel, simulate_scores
 from repro.runtime.parallel import Task
 from repro.scenarios import Param, scenario
 from repro.util.rng import make_generator
-
-
-@dataclass
-class Fig12Result:
-    """The sweep series."""
-
-    deltas: np.ndarray
-    detection: np.ndarray
-    false_positives: np.ndarray
-    gain: np.ndarray
-    eta: float
 
 
 def _fig12_point(
@@ -83,28 +71,14 @@ _FIG12_PARAMS = (
 )
 
 
-def _fig12_reduce(points, params) -> Fig12Result:
+def _fig12_reduce(points, params) -> dict:
     _gossip, lifting = analysis_params()
-    if points:
-        alphas, betas, gains = (np.asarray(series) for series in zip(*points))
-    else:
-        alphas = betas = gains = np.empty(0)
-    return Fig12Result(
-        deltas=np.asarray(params["deltas"], dtype=float),
-        detection=alphas,
-        false_positives=betas,
-        gain=gains,
-        eta=lifting.eta,
-    )
-
-
-def _fig12_metrics(result: Fig12Result, params) -> dict:
     return {
-        "eta": result.eta,
-        "deltas": result.deltas,
-        "detection": result.detection,
-        "false_positives": result.false_positives,
-        "gain": result.gain,
+        "eta": lifting.eta,
+        "deltas": params["deltas"],
+        "detection": [alpha for alpha, _beta, _gain in points],
+        "false_positives": [beta for _alpha, beta, _gain in points],
+        "gain": [gain for _alpha, _beta, gain in points],
     }
 
 
@@ -113,7 +87,6 @@ def _fig12_metrics(result: Fig12Result, params) -> dict:
     "Figure 12 — detection probability and bandwidth gain vs the degree δ",
     params=_FIG12_PARAMS,
     reduce=_fig12_reduce,
-    summarize=_fig12_metrics,
     tags=("figure", "monte-carlo", "sweep"),
     smoke={"deltas": (0.0, 0.05, 0.1), "rounds": 10, "samples_per_point": 500},
 )

@@ -12,9 +12,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from repro.analysis.entropy_analysis import max_fanout_entropy
@@ -25,64 +22,22 @@ from repro.scenarios import Param, scenario
 from repro.util.rng import make_generator
 
 
-@dataclass
-class Fig13Result:
-    """Entropy samples for both history directions."""
-
-    fanout_entropies: np.ndarray
-    fanin_entropies: np.ndarray
-    fanin_sizes: np.ndarray
-    gamma: float
-    max_entropy: float
-
-    @property
-    def fanout_range(self) -> Tuple[float, float]:
-        """Observed (min, max) fanout entropy."""
-        return float(self.fanout_entropies.min()), float(self.fanout_entropies.max())
-
-    @property
-    def fanin_range(self) -> Tuple[float, float]:
-        """Observed (min, max) fanin entropy."""
-        return float(self.fanin_entropies.min()), float(self.fanin_entropies.max())
-
-    @property
-    def fanout_false_expulsions(self) -> float:
-        """Fraction of honest fanout histories below γ."""
-        return float(np.mean(self.fanout_entropies < self.gamma))
-
-    @property
-    def fanin_false_expulsions(self) -> float:
-        """Fraction of honest fanin histories below γ."""
-        return float(np.mean(self.fanin_entropies < self.gamma))
-
-
-def _compute_fig13(n: int, seed: int) -> Fig13Result:
-    """Sample both entropy distributions (worker body)."""
+def _compute_fig13(n: int, seed: int) -> dict:
+    """Sample both entropy distributions (worker body): their observed
+    (min, max) and the fraction of honest histories below γ."""
     gossip, lifting = analysis_params()
     history_picks = lifting.history_periods * gossip.fanout
     rng = make_generator(seed, "fig13")
     fanout = sample_fanout_entropies(rng, n, history_picks)
     fanin, sizes = sample_fanin_entropies(rng, n, history_picks)
-    return Fig13Result(
-        fanout_entropies=fanout,
-        fanin_entropies=fanin,
-        fanin_sizes=sizes,
-        gamma=lifting.gamma,
-        max_entropy=max_fanout_entropy(lifting.history_periods, gossip.fanout),
-    )
-
-
-def _fig13_metrics(result: Fig13Result, params) -> dict:
-    fanout_lo, fanout_hi = result.fanout_range
-    fanin_lo, fanin_hi = result.fanin_range
     return {
-        "gamma": result.gamma,
-        "max_entropy": result.max_entropy,
-        "fanout_range": (fanout_lo, fanout_hi),
-        "fanin_range": (fanin_lo, fanin_hi),
-        "fanout_false_expulsions": result.fanout_false_expulsions,
-        "fanin_false_expulsions": result.fanin_false_expulsions,
-        "fanin_size_mean": float(result.fanin_sizes.mean()),
+        "gamma": lifting.gamma,
+        "max_entropy": max_fanout_entropy(lifting.history_periods, gossip.fanout),
+        "fanout_range": (float(fanout.min()), float(fanout.max())),
+        "fanin_range": (float(fanin.min()), float(fanin.max())),
+        "fanout_false_expulsions": float(np.mean(fanout < lifting.gamma)),
+        "fanin_false_expulsions": float(np.mean(fanin < lifting.gamma)),
+        "fanin_size_mean": float(sizes.mean()),
     }
 
 
@@ -94,7 +49,6 @@ def _fig13_metrics(result: Fig13Result, params) -> dict:
               validate=lambda v: v >= 2, constraint=">= 2"),
         Param("seed", int, 19, "Monte-Carlo seed"),
     ),
-    summarize=_fig13_metrics,
     tags=("figure", "monte-carlo"),
     smoke={"n": 1_500},
 )

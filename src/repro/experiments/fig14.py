@@ -17,34 +17,19 @@ nodes below it; ``p_dcc = 0.5`` is slower but not twice as slow
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Sequence, Tuple
+from dataclasses import replace
+from typing import Collection, Dict, Mapping, Sequence, Tuple
 
 from repro import adversary
-from repro.config import FreeriderDegree, GossipParams, LiftingParams, planetlab_params
+from repro.config import FreeriderDegree, planetlab_params
 from repro.experiments.cluster import ClusterConfig
-from repro.metrics.scores import DetectionReport, detection_report
+from repro.metrics.scores import detection_report
 from repro.runtime.parallel import Job, Task, run_jobs
-from repro.scenarios import Param, RunResult, scenario
+from repro.scenarios import Param, scenario
 from repro.util.stats import EmpiricalDistribution
 
 #: the paper's freerider configuration (§7.1).
 PLANETLAB_DEGREE = FreeriderDegree(delta1=1.0 / 7.0, delta2=0.1, delta3=0.1)
-
-
-@dataclass
-class Fig14Result:
-    """Score snapshots indexed by (p_dcc, time)."""
-
-    snapshots: Dict[Tuple[float, float], Dict[int, float]]
-    reports: Dict[Tuple[float, float], DetectionReport]
-    eta: float
-    #: threshold derived from the calibration run with the paper's
-    #: "false positives below 1 %" rule (§6.3.1).
-    eta_calibrated: float
-    compensation: float
-    freerider_ids: frozenset
-    degraded_ids: frozenset
 
 
 def _extract_scores(cluster) -> Dict[int, float]:
@@ -78,8 +63,9 @@ def _compute_fig14(
     calibration_duration: float = 20.0,
     false_positive_target: float = 0.01,
     jobs: int = 1,
-) -> Fig14Result:
-    """Run the deployment for each ``p_dcc`` and snapshot scores.
+) -> dict:
+    """Run the deployment for each ``p_dcc``, snapshot scores and reduce
+    them to :func:`fig14_metrics`.
 
     Expulsion runs in observation mode so the full CDFs (including
     freeriders far below the threshold) are visible, exactly like the
@@ -161,29 +147,67 @@ def _compute_fig14(
         )
     by_p_dcc = {result.key: result for result in run_jobs(job_list, jobs=jobs)}
 
-    snapshots: Dict[Tuple[float, float], Dict[int, float]] = {}
-    reports: Dict[Tuple[float, float], DetectionReport] = {}
-    freerider_ids: frozenset = frozenset()
-    degraded_ids: frozenset = frozenset()
-    for p_dcc in p_dcc_values:
-        result = by_p_dcc[p_dcc]
-        freerider_ids, degraded_ids = result.get("roles")
-        for time in sorted(times):
-            scores = result.at("scores", float(time))
-            snapshots[(p_dcc, time)] = scores
-            reports[(p_dcc, time)] = detection_report(
-                scores, set(freerider_ids), lifting_base.eta
-            )
-
-    return Fig14Result(
-        snapshots=snapshots,
-        reports=reports,
+    snapshots = {
+        (p_dcc, time): by_p_dcc[p_dcc].at("scores", float(time))
+        for p_dcc in p_dcc_values
+        for time in sorted(times)
+    }
+    return fig14_metrics(
+        snapshots,
+        *by_p_dcc[p_dcc_values[-1]].get("roles"),
         eta=lifting_base.eta,
         eta_calibrated=calibration.eta_for_false_positives(false_positive_target),
         compensation=calibration.compensation,
-        freerider_ids=freerider_ids,
-        degraded_ids=degraded_ids,
     )
+
+
+def fig14_metrics(
+    snapshots: Mapping[Tuple[float, float], Mapping[int, float]],
+    freerider_ids: Collection[int],
+    degraded_ids: Collection[int],
+    *,
+    eta: float,
+    eta_calibrated: float,
+    compensation: float,
+) -> dict:
+    """Figure 14's metrics from raw score snapshots keyed ``(p_dcc, time)``.
+
+    ``eta_calibrated`` is the threshold derived from the calibration run
+    with the paper's "false positives below 1 %" rule (§6.3.1).
+    """
+    per_snapshot = {}
+    for (p_dcc, time), scores in sorted(snapshots.items()):
+        report = detection_report(scores, freerider_ids, eta)
+        calibrated = detection_report(scores, freerider_ids, eta_calibrated)
+        flagged = [
+            n for n, s in scores.items() if n not in freerider_ids and s <= eta_calibrated
+        ]
+        well_connected = [
+            s for n, s in scores.items() if n not in freerider_ids and n not in degraded_ids
+        ]
+        per_snapshot[f"p_dcc={p_dcc:g}@{time:g}s"] = {
+            "detection": report.detection,
+            "false_positives": report.false_positives,
+            "detection_calibrated": calibrated.detection,
+            "false_positives_calibrated": calibrated.false_positives,
+            # The paper attributes its false positives to poor connections:
+            # the degraded share of the honest nodes at or below eta_calibrated
+            # (None when there are none).
+            "degraded_false_positive_share": (
+                sum(n in degraded_ids for n in flagged) / len(flagged) if flagged else None
+            ),
+            # Well-connected honest mean minus freerider mean (§7.3: it widens).
+            "mean_gap": EmpiricalDistribution(well_connected).mean
+            - calibrated.freeriders.mean,
+        }
+    return {
+        "eta": eta,
+        "eta_calibrated": eta_calibrated,
+        "compensation": compensation,
+        "freeriders": len(freerider_ids),
+        "degraded": len(degraded_ids),
+        "snapshots": per_snapshot,
+    }
 
 
 _FIG14_PARAMS = (
@@ -210,74 +234,19 @@ _FIG14_PARAMS = (
 )
 
 
-def _fig14_task(params: dict) -> Fig14Result:
+def _fig14_task(params: dict) -> dict:
     """Worker/driver body: the staged calibration → deployments run."""
     kwargs = dict(params)
     kwargs["degree"] = FreeriderDegree(*kwargs.pop("deltas"))
     return _compute_fig14(**kwargs)
 
 
-def _fig14_metrics(result: Fig14Result, params) -> dict:
-    freeriders, degraded = result.freerider_ids, result.degraded_ids
-    eta = result.eta_calibrated
-    snapshots = {}
-    for (p_dcc, time), report in sorted(result.reports.items()):
-        scores = result.snapshots[(p_dcc, time)]
-        calibrated = detection_report(scores, freeriders, eta)
-        flagged = [n for n, s in scores.items() if n not in freeriders and s <= eta]
-        well_connected = [
-            s for n, s in scores.items() if n not in freeriders and n not in degraded
-        ]
-        snapshots[f"p_dcc={p_dcc:g}@{time:g}s"] = {
-            "detection": report.detection,
-            "false_positives": report.false_positives,
-            "detection_calibrated": calibrated.detection,
-            "false_positives_calibrated": calibrated.false_positives,
-            # The paper attributes its false positives to poor connections:
-            # the degraded share of the honest nodes at or below eta_calibrated
-            # (None when there are none).
-            "degraded_false_positive_share": (
-                sum(n in degraded for n in flagged) / len(flagged) if flagged else None
-            ),
-            # Well-connected honest mean minus freerider mean (§7.3: it widens).
-            "mean_gap": EmpiricalDistribution(well_connected).mean
-            - calibrated.freeriders.mean,
-        }
-    return {
-        "eta": result.eta,
-        "eta_calibrated": result.eta_calibrated,
-        "compensation": result.compensation,
-        "freeriders": len(result.freerider_ids),
-        "degraded": len(result.degraded_ids),
-        "snapshots": snapshots,
-    }
-
-
-def _fig14_render(run: RunResult) -> str:
-    result: Fig14Result = run.artifact
-    lines = [
-        f"compensation b~ = {result.compensation:.2f}; "
-        f"eta = {result.eta:.2f} (calibrated {result.eta_calibrated:.2f})",
-        "p_dcc  time(s)  detection  false positives",
-    ]
-    for (p_dcc, time), report in sorted(result.reports.items()):
-        lines.append(
-            f"{p_dcc:5.1f}  {time:7.0f}  {report.detection:9.0%}  "
-            f"{report.false_positives:15.0%}"
-        )
-    return "\n".join(lines)
-
-
 @scenario(
     "fig14",
     "Figure 14 — PlanetLab-style score CDF snapshots per p_dcc",
     params=_FIG14_PARAMS,
-    reduce=None,  # single staged task; its result is the artifact
-    summarize=_fig14_metrics,
-    render=_fig14_render,
     tags=("figure", "deployment", "staged"),
     smoke={"n": 40, "times": (6.0, 8.0), "calibration_duration": 4.0},
-    sim_time=lambda params: max(params["times"]),
 )
 def _fig14_scenario(params):
     """A single staged task: the calibration job feeds the per-``p_dcc``

@@ -20,69 +20,12 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import dataclass, replace
-from typing import Tuple
+from dataclasses import replace
 
 from repro.config import planetlab_params
 from repro.experiments.cluster import ClusterConfig, SimCluster
 from repro.runtime.parallel import Task
-from repro.scenarios import Param, RunResult, scenario
-
-
-@dataclass(frozen=True)
-class ScalingPoint:
-    """Measured cost of one deployment size."""
-
-    n: int
-    wall_seconds: float
-    sim_seconds: float
-    #: engine events fired during the timed window.
-    events: int
-    #: tracemalloc peak over construction + warm-up (MiB).  Dominated by
-    #: the standing per-node state (history rings, chunk store, open
-    #: windows); 0.0 when the worker could not trace (nested tracing).
-    peak_mem_mib: float = 0.0
-
-    @property
-    def s_per_sim_second(self) -> float:
-        """Wall-clock seconds spent per simulated second."""
-        return self.wall_seconds / self.sim_seconds
-
-    @property
-    def events_per_wall_second(self) -> float:
-        """Engine throughput during the timed window."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events / self.wall_seconds
-
-    @property
-    def peak_mem_kib_per_node(self) -> float:
-        """Peak traced memory per deployment node (KiB) — the curve that
-        must bend *down* as n grows: per-node state is bounded, and the
-        fixed overheads amortise."""
-        if self.n <= 0:
-            return 0.0
-        return self.peak_mem_mib * 1024.0 / self.n
-
-
-@dataclass(frozen=True)
-class ScalingResult:
-    """The measured curve of a size sweep."""
-
-    points: Tuple[ScalingPoint, ...]
-    warmup: float
-    duration: float
-    seed: int
-
-    def as_dict(self) -> dict:
-        """JSON-friendly form (used by the benchmark recorder)."""
-        return {
-            "warmup_sim_s": self.warmup,
-            "duration_sim_s": self.duration,
-            "seed": self.seed,
-            "s_per_sim_second": {str(p.n): round(p.s_per_sim_second, 4) for p in self.points},
-            "peak_mem_mib": {str(p.n): round(p.peak_mem_mib, 2) for p in self.points},
-        }
+from repro.scenarios import Param, scenario
 
 
 def scaling_config(n: int, seed: int = 1) -> ClusterConfig:
@@ -97,7 +40,7 @@ def scaling_config(n: int, seed: int = 1) -> ClusterConfig:
     return ClusterConfig(gossip=gossip, lifting=lifting, seed=seed)
 
 
-def _measure_point(n: int, seed: int, warmup: float, duration: float) -> ScalingPoint:
+def _measure_point(n: int, seed: int, warmup: float, duration: float) -> dict:
     """Worker body: build, warm up, time ``duration`` simulated seconds.
 
     Memory is traced over construction + warm-up only: tracemalloc slows
@@ -105,7 +48,9 @@ def _measure_point(n: int, seed: int, warmup: float, duration: float) -> Scaling
     the wall-clock numbers are never taken under instrumentation.  The
     peak is dominated by the standing cluster state (the transient churn
     on top is bounded by warm-up traffic), which is the quantity the
-    MiB/node curve tracks.
+    KiB/node curve tracks: it must bend *down* as n grows (per-node state
+    is bounded, fixed overheads amortise).  The peak reads 0.0 when the
+    worker could not trace (nested tracing).
     """
     traced = not tracemalloc.is_tracing()
     if traced:
@@ -121,13 +66,15 @@ def _measure_point(n: int, seed: int, warmup: float, duration: float) -> Scaling
     start = time.perf_counter()
     cluster.run(until=warmup + duration)
     wall = time.perf_counter() - start
-    return ScalingPoint(
-        n=n,
-        wall_seconds=wall,
-        sim_seconds=duration,
-        events=cluster.sim.events_processed - events_before,
-        peak_mem_mib=peak_mib,
-    )
+    events = cluster.sim.events_processed - events_before
+    return {
+        "n": n,
+        "s_per_sim_second": wall / duration,
+        "events_per_wall_second": events / wall,
+        "events": events,
+        "peak_mem_mib": peak_mib,
+        "peak_mem_kib_per_node": peak_mib * 1024.0 / n,
+    }
 
 
 _SCALING_PARAMS = (
@@ -143,43 +90,12 @@ _SCALING_PARAMS = (
 )
 
 
-def _scaling_reduce(points, params) -> ScalingResult:
-    return ScalingResult(
-        points=tuple(points),
-        warmup=params["warmup"],
-        duration=params["duration"],
-        seed=params["seed"],
-    )
-
-
-def _scaling_metrics(result: ScalingResult, params) -> dict:
+def _scaling_reduce(points, params) -> dict:
     return {
-        "warmup_sim_s": result.warmup,
-        "duration_sim_s": result.duration,
-        "points": [
-            {
-                "n": point.n,
-                "s_per_sim_second": point.s_per_sim_second,
-                "events_per_wall_second": point.events_per_wall_second,
-                "events": point.events,
-                "peak_mem_mib": point.peak_mem_mib,
-                "peak_mem_kib_per_node": point.peak_mem_kib_per_node,
-            }
-            for point in result.points
-        ],
+        "warmup_sim_s": params["warmup"],
+        "duration_sim_s": params["duration"],
+        "points": list(points),
     }
-
-
-def _scaling_render(run: RunResult) -> str:
-    lines = ["     n  s/sim-s   events/s  peak MiB  KiB/node"]
-    for point in run.artifact.points:
-        lines.append(
-            f"{point.n:6d}  {point.s_per_sim_second:7.3f}"
-            f"  {point.events_per_wall_second:9,.0f}"
-            f"  {point.peak_mem_mib:8.1f}"
-            f"  {point.peak_mem_kib_per_node:8.1f}"
-        )
-    return "\n".join(lines)
 
 
 @scenario(
@@ -187,8 +103,6 @@ def _scaling_render(run: RunResult) -> str:
     "Large-n scalability sweep — wall-clock seconds per simulated second vs n",
     params=_SCALING_PARAMS,
     reduce=_scaling_reduce,
-    summarize=_scaling_metrics,
-    render=_scaling_render,
     tags=("sweep", "performance", "deployment"),
     smoke={"sizes": (30,), "duration": 0.4, "warmup": 0.2},
 )

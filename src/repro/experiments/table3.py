@@ -10,26 +10,16 @@ slope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.analysis.overhead import MessageCountModel, expected_message_counts, scaling_exponent
-from repro.config import GossipParams, planetlab_params
+from repro.analysis.overhead import expected_message_counts, scaling_exponent
+from repro.config import planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.overhead import message_counts_per_node_period
 from repro.runtime.parallel import Job
-from repro.scenarios import Param, RunResult, scenario
-
-
-@dataclass
-class Table3Result:
-    """Measured vs modelled per-node per-period message counts."""
-
-    measured: Dict[str, float]
-    model: MessageCountModel
-    fanout_sweep: List[Tuple[int, float]]
-    confirm_scaling_slope: float
+from repro.scenarios import Param, scenario
 
 
 def _extract_message_counts(cluster, *, duration: float) -> Dict[str, float]:
@@ -52,60 +42,34 @@ _TABLE3_PARAMS = (
 )
 
 
-def _table3_reduce(results, params) -> Table3Result:
-    gossip_base, lifting_base = planetlab_params()
-    gossip = replace(gossip_base, n=params["n"])
+def _table3_reduce(results, params) -> dict:
+    gossip, lifting = planetlab_params()
     by_key = {result.key: result for result in results}
-
-    measured = by_key["main"].get("counts")
     model = expected_message_counts(
-        gossip.fanout, gossip.request_size, params["p_dcc"], lifting_base.managers
+        gossip.fanout, gossip.request_size, params["p_dcc"], lifting.managers
     )
-    sweep: List[Tuple[int, float]] = [
+    sweep = [
         (fanout, by_key[("fanout", fanout)].get("counts").get("Confirm", 0.0))
         for fanout in params["fanout_sweep"]
     ]
-    xs = [f for f, _c in sweep if _c > 0]
+    xs = [f for f, c in sweep if c > 0]
     ys = [c for _f, c in sweep if c > 0]
-    slope = scaling_exponent(xs, ys) if len(xs) >= 2 else float("nan")
-    return Table3Result(
-        measured=measured,
-        model=model,
-        fanout_sweep=sweep,
-        confirm_scaling_slope=slope,
-    )
-
-
-def _table3_metrics(result: Table3Result, params) -> dict:
     return {
-        "measured_per_node_period": dict(result.measured),
+        "measured_per_node_period": dict(by_key["main"].get("counts")),
         "model": {
-            "serves": result.model.serves,
-            "acks": result.model.acks,
-            "confirms": result.model.confirms_sent,
-            "responses": result.model.confirm_responses_sent,
-            "max_blame_messages": result.model.max_blame_messages,
+            "serves": model.serves,
+            "acks": model.acks,
+            "confirms": model.confirms_sent,
+            "responses": model.confirm_responses_sent,
+            "max_blame_messages": model.max_blame_messages,
         },
         "fanout_sweep_confirms": [
-            {"fanout": fanout, "confirms": confirms}
-            for fanout, confirms in result.fanout_sweep
+            {"fanout": fanout, "confirms": confirms} for fanout, confirms in sweep
         ],
-        "confirm_scaling_slope": result.confirm_scaling_slope,
+        "confirm_scaling_slope": (
+            scaling_exponent(xs, ys) if len(xs) >= 2 else float("nan")
+        ),
     }
-
-
-def _table3_render(run: RunResult) -> str:
-    result: Table3Result = run.artifact
-    lines = ["kind          measured/node/period"]
-    for kind, count in sorted(result.measured.items()):
-        lines.append(f"{kind:12s}  {count:8.2f}")
-    lines.append(
-        f"model: acks {result.model.acks:.2f}, confirms "
-        f"{result.model.confirms_sent:.2f}, responses "
-        f"{result.model.confirm_responses_sent:.2f}"
-    )
-    lines.append(f"confirm ~ f^{result.confirm_scaling_slope:.2f}")
-    return "\n".join(lines)
 
 
 @scenario(
@@ -113,8 +77,6 @@ def _table3_render(run: RunResult) -> str:
     "Table 3 — verification message counts vs the expected-count model",
     params=_TABLE3_PARAMS,
     reduce=_table3_reduce,
-    summarize=_table3_metrics,
-    render=_table3_render,
     tags=("table", "deployment"),
     smoke={"n": 30, "duration": 4.0, "fanout_sweep": (4, 6)},
 )

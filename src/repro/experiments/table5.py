@@ -17,14 +17,13 @@ gossip rate, not the payload volume).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import replace
 
 from repro.config import planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.overhead import OverheadReport
 from repro.runtime.parallel import Job
-from repro.scenarios import Param, RunResult, scenario
+from repro.scenarios import Param, scenario
 
 PAPER_OVERHEAD_PERCENT = {
     (674.0, 0.0): 1.07,
@@ -39,55 +38,8 @@ PAPER_OVERHEAD_PERCENT = {
 }
 
 
-@dataclass
-class Table5Result:
-    """Overhead percentage per (stream rate, p_dcc) cell."""
-
-    cells: Dict[Tuple[float, float], OverheadReport]
-
-    def rows(self) -> Sequence[Tuple[float, float, float, float]]:
-        """(rate, p_dcc, measured %, paper %) rows."""
-        out = []
-        for (rate, p_dcc), report in sorted(self.cells.items()):
-            out.append(
-                (
-                    rate,
-                    p_dcc,
-                    report.overhead_percent,
-                    PAPER_OVERHEAD_PERCENT.get((rate, p_dcc), float("nan")),
-                )
-            )
-        return out
-
-
 def _extract_overhead(cluster) -> OverheadReport:
     return cluster.overhead()
-
-
-def table5_jobs(
-    *,
-    n: int = 100,
-    duration: float = 10.0,
-    seed: int = 31,
-    rates_kbps: Sequence[float] = (674.0, 1082.0, 2036.0),
-    p_dcc_values: Sequence[float] = (0.0, 0.5, 1.0),
-) -> List[Job]:
-    """One independent deployment job per ``(rate, p_dcc)`` grid cell."""
-    gossip_base, lifting_base = planetlab_params()
-    job_list: List[Job] = []
-    for rate in rates_kbps:
-        for p_dcc in p_dcc_values:
-            gossip = replace(gossip_base, n=n, stream_rate_kbps=rate)
-            lifting = replace(lifting_base, p_dcc=p_dcc)
-            job_list.append(
-                Job(
-                    config=ClusterConfig(gossip=gossip, lifting=lifting, seed=seed),
-                    until=duration,
-                    extractors=(("overhead", _extract_overhead),),
-                    key=(rate, p_dcc),
-                )
-            )
-    return job_list
 
 
 _TABLE5_PARAMS = (
@@ -103,27 +55,16 @@ _TABLE5_PARAMS = (
 )
 
 
-def _table5_reduce(results, params) -> Table5Result:
-    return Table5Result(
-        cells={result.key: result.get("overhead") for result in results}
-    )
-
-
-def _table5_metrics(result: Table5Result, params) -> dict:
+def _table5_reduce(results, params) -> dict:
+    cells = {result.key: result.get("overhead") for result in results}
     return {
         "cells": [
-            {"rate_kbps": rate, "p_dcc": p_dcc, "overhead_percent": measured,
-             "paper_percent": paper}
-            for rate, p_dcc, measured, paper in result.rows()
+            {"rate_kbps": rate, "p_dcc": p_dcc,
+             "overhead_percent": report.overhead_percent,
+             "paper_percent": PAPER_OVERHEAD_PERCENT.get((rate, p_dcc), float("nan"))}
+            for (rate, p_dcc), report in sorted(cells.items())
         ]
     }
-
-
-def _table5_render(run: RunResult) -> str:
-    lines = ["rate(kbps)  p_dcc  measured   paper"]
-    for rate, p_dcc, measured, paper in run.artifact.rows():
-        lines.append(f"{rate:9.0f}   {p_dcc:4.1f}   {measured:6.2f}%   {paper:5.2f}%")
-    return "\n".join(lines)
 
 
 @scenario(
@@ -131,19 +72,24 @@ def _table5_render(run: RunResult) -> str:
     "Table 5 — bandwidth overhead over the stream-rate × p_dcc grid",
     params=_TABLE5_PARAMS,
     reduce=_table5_reduce,
-    summarize=_table5_metrics,
-    render=_table5_render,
     tags=("table", "sweep", "deployment"),
     smoke={"n": 30, "duration": 3.0, "rates_kbps": (674.0,),
            "p_dcc_values": (0.0, 1.0)},
 )
 def _table5_scenario(params):
     """One independent deployment job per ``(rate, p_dcc)`` grid cell."""
-    return table5_jobs(
-        n=params["n"],
-        duration=params["duration"],
-        seed=params["seed"],
-        rates_kbps=params["rates_kbps"],
-        p_dcc_values=params["p_dcc_values"],
-    )
-
+    gossip_base, lifting_base = planetlab_params()
+    return [
+        Job(
+            config=ClusterConfig(
+                gossip=replace(gossip_base, n=params["n"], stream_rate_kbps=rate),
+                lifting=replace(lifting_base, p_dcc=p_dcc),
+                seed=params["seed"],
+            ),
+            until=params["duration"],
+            extractors=(("overhead", _extract_overhead),),
+            key=(rate, p_dcc),
+        )
+        for rate in params["rates_kbps"]
+        for p_dcc in params["p_dcc_values"]
+    ]

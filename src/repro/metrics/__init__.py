@@ -7,12 +7,12 @@
 * :mod:`repro.metrics.overhead` — bandwidth overhead of the
   verifications relative to the stream (Table 5), and message-count
   summaries (Table 3).
-* :mod:`repro.metrics.latency` — percentile oracle and human-readable
-  rendering for the load generator's latency reports.
+* :mod:`repro.metrics.latency` — the exact percentile the load
+  generator's latency histogram is checked against.
 """
 
 from repro.metrics.health import HealthReport, health_curve, node_required_lag
-from repro.metrics.latency import exact_percentile, format_seconds, stage_rows
+from repro.metrics.latency import exact_percentile
 from repro.metrics.overhead import OverheadReport, bandwidth_overhead
 from repro.metrics.scores import DetectionReport, detection_report, score_distributions
 
@@ -23,9 +23,7 @@ __all__ = [
     "bandwidth_overhead",
     "detection_report",
     "exact_percentile",
-    "format_seconds",
     "health_curve",
     "node_required_lag",
     "score_distributions",
-    "stage_rows",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,14 +58,6 @@ class HealthReport:
 
     lags: np.ndarray
     fractions: np.ndarray
-    required_lags: Dict[int, float]
-
-    def fraction_at(self, lag: float) -> float:
-        """Fraction of nodes viewing a clear stream at ``lag`` seconds."""
-        values = np.fromiter(self.required_lags.values(), dtype=float)
-        if values.size == 0:
-            return 0.0
-        return float(np.mean(values <= lag))
 
 
 def health_curve(
@@ -78,14 +70,16 @@ def health_curve(
 ) -> HealthReport:
     """Figure 1's curve for a set of nodes, sampled at ``lags`` seconds."""
     lags = np.asarray(lags, dtype=float)
-    required = {node.node_id: node_required_lag(node, source, coverage=coverage, window=window) for node in nodes}
-    values = np.fromiter(required.values(), dtype=float) if required else np.empty(0)
+    values = np.array(
+        [node_required_lag(node, source, coverage=coverage, window=window) for node in nodes],
+        dtype=float,
+    )
     fractions = (
         np.array([float(np.mean(values <= lag)) for lag in lags])
         if values.size
         else np.zeros_like(lags)
     )
-    return HealthReport(lags=lags, fractions=fractions, required_lags=required)
+    return HealthReport(lags=lags, fractions=fractions)
 
 
 def delivery_ratio(nodes: Iterable, chunk_ids: Sequence[int]) -> float:

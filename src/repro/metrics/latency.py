@@ -1,20 +1,17 @@
-"""Latency summarisation helpers for the load-generator reports.
+"""The exact percentile the load generator's latency histogram approximates.
 
-Two consumers share this module: the ``loadgen`` scenario's renderer
-(turning a sweep report into the per-phase table humans read) and the
-test suite (which uses :func:`exact_percentile` as the sorted-array
-oracle that the log-linear histogram must match to within one bucket
-width).
+The test suite uses :func:`exact_percentile` as the sorted-array oracle
+that the log-linear histogram must match to within one bucket width.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Sequence
+from typing import Sequence
 
 from repro.util.validation import require
 
-__all__ = ["exact_percentile", "format_seconds", "stage_rows"]
+__all__ = ["exact_percentile"]
 
 
 def exact_percentile(values: Sequence[float], q: float) -> float:
@@ -29,40 +26,3 @@ def exact_percentile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
-
-
-def format_seconds(value: float) -> str:
-    """Human scale for a latency: µs / ms / s with 3 significant digits."""
-    if value != value:  # NaN: an empty histogram
-        return "n/a"
-    if value < 1e-3:
-        return f"{value * 1e6:.0f}µs"
-    if value < 1.0:
-        return f"{value * 1e3:.2f}ms"
-    return f"{value:.2f}s"
-
-
-def stage_rows(phases: Sequence[Mapping[str, object]]) -> List[str]:
-    """Fixed-width table lines for a loadgen report's ``phases`` block.
-
-    One row per phase: offered vs goodput rate, drop evidence, and the
-    p50/p99 of the queue and sojourn stages (the two that move first
-    when the knee is crossed).
-    """
-    rows = [
-        "phase   rate    done/offered   drops   queue p50/p99      sojourn p50/p99"
-    ]
-    for entry in phases:
-        stages: Dict[str, Dict[str, float]] = entry["stages"]  # type: ignore[assignment]
-        queue = stages["queue"]
-        sojourn = stages["sojourn"]
-        drops = (
-            int(entry["refused"]) + int(entry["rejected"]) + int(entry["evicted"])
-        )
-        rows.append(
-            f"{entry['phase']:>5} {entry['offered_rate']:>6.0f} "
-            f"{entry['done']:>7}/{entry['offered']:<7} {drops:>5}   "
-            f"{format_seconds(queue['p50']):>7}/{format_seconds(queue['p99']):<9} "
-            f"{format_seconds(sojourn['p50']):>7}/{format_seconds(sojourn['p99'])}"
-        )
-    return rows

@@ -1,10 +1,10 @@
 """Unified Scenario API: declarative experiments, one engine, one schema.
 
 Every paper figure, table, sweep and live workload is registered as a
-:class:`ScenarioSpec` against one process-global registry; the engine
-runs any of them through the :mod:`repro.runtime.parallel` Job/Task
-machinery and returns a uniform, JSON-serialisable :class:`RunResult`
-envelope::
+:class:`ScenarioSpec` — a ``build_jobs`` builder and a ``reduce`` to
+metrics — against one process-global registry; the engine runs any of
+them through the :mod:`repro.runtime.parallel` Job/Task machinery and
+returns a uniform, JSON-serialisable :class:`RunResult` envelope::
 
     from repro.scenarios import list_scenarios, run_scenario
 
@@ -12,8 +12,8 @@ envelope::
         print(spec.name, spec.description)
 
     result = run_scenario("fig1", n=100, duration=25.0, jobs=3)
-    result.artifact          # the rich Fig1Result object
     result.metrics           # JSON-safe payload
+    print(result.render())   # what `repro run fig1` prints
     print(result.to_json(indent=2))
 
 The CLI (``repro run/list/describe``) is a thin veneer over exactly

@@ -8,15 +8,12 @@ same :class:`~repro.scenarios.spec.Param` declarations as every figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro import adversary
 from repro.runtime.parallel import Task
 from repro.scenarios.registry import scenario
-from repro.scenarios.spec import Param, RunResult
-
-__all__ = ["DetectResult"]
+from repro.scenarios.spec import Param
 
 
 def _planetlab_config(params: dict, **config):
@@ -70,27 +67,11 @@ def _sweep_tasks(fn, label: str, params, axis: str, cell: str):
     ]
 
 
-def _sweep_reduce(results, params) -> Dict[str, object]:
-    return {"sweep": list(results)}
-
-
 # ----------------------------------------------------------------------
 # detect — the quickstart as a scenario
 # ----------------------------------------------------------------------
 
-@dataclass
-class DetectResult:
-    """Artifact of one calibrated detection run."""
-
-    compensation: float
-    eta: float
-    report: object  # DetectionReport
-    overhead: object  # OverheadReport
-    expelled: List[int]
-    wrongful: List[int]
-
-
-def _compute_detect(params: dict) -> DetectResult:
+def _compute_detect(params: dict) -> Dict[str, object]:
     """Calibrate, deploy with freeriders, run, report (staged task)."""
     from dataclasses import replace
 
@@ -118,40 +99,16 @@ def _compute_detect(params: dict) -> DetectResult:
     cluster = SimCluster(replace(config, compensation=calibration.compensation))
     cluster.run(until=params["duration"])
     expelled, wrongful = cluster.expulsions()
-    return DetectResult(
-        compensation=calibration.compensation,
-        eta=eta,
-        report=cluster.detection(eta=eta),
-        overhead=cluster.overhead(),
-        expelled=expelled,
-        wrongful=wrongful,
-    )
-
-
-def _detect_metrics(result: DetectResult, params) -> dict:
+    report = cluster.detection(eta=eta)
     return {
-        "compensation": result.compensation,
-        "eta": result.eta,
-        "detection": result.report.detection,
-        "false_positives": result.report.false_positives,
-        "overhead_percent": result.overhead.overhead_percent,
-        "expelled": result.expelled,
-        "wrongful_expulsions": result.wrongful,
+        "compensation": calibration.compensation,
+        "eta": eta,
+        "detection": report.detection,
+        "false_positives": report.false_positives,
+        "overhead_percent": cluster.overhead().overhead_percent,
+        "expelled": expelled,
+        "wrongful_expulsions": wrongful,
     }
-
-
-def _detect_render(run: RunResult) -> str:
-    result: DetectResult = run.artifact
-    lines = [
-        f"compensation b~ = {result.compensation:.2f}, eta = {result.eta:.2f}",
-        result.report.summary(),
-        str(result.overhead),
-    ]
-    if run.params.get("expel"):
-        lines.append(
-            f"expelled: {len(result.expelled)} ({len(result.wrongful)} honest)"
-        )
-    return "\n".join(lines)
 
 
 @scenario(
@@ -174,8 +131,6 @@ def _detect_render(run: RunResult) -> str:
               validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
         Param("expel", bool, False, "enforce expulsion"),
     ),
-    summarize=_detect_metrics,
-    render=_detect_render,
     tags=("demo", "deployment", "staged"),
     smoke={"n": 40, "duration": 6.0},
 )
@@ -286,42 +241,6 @@ def _compute_analyze(params: dict) -> Dict[str, object]:
     return metrics
 
 
-def _analyze_render(run: RunResult) -> str:
-    m = run.metrics
-    lines = [
-        f"f={m['fanout']}, |R|={m['request_size']}, loss={m['loss']:.0%}",
-        f"compensation b~ (Eq. 5):       {m['compensation']:.2f}",
-    ]
-    for delta, entry in m["blame_excess_by_delta"].items():
-        lines.append(
-            f"blame excess at delta={float(delta):5.3f}: "
-            f"{entry['excess_per_period']:6.2f} "
-            f"(gain {entry['bandwidth_gain']:.0%})"
-        )
-    lines.append(
-        f"audit window {m['audit_window']} entries -> gamma = {m['gamma']:.2f}"
-    )
-    ceiling = m["collusion_ceiling"]
-    lines.append(
-        f"collusion ceiling: Eq.7 {ceiling['eq7']:.2f}, "
-        f"achievable {ceiling['achievable']:.2f}"
-    )
-    budget = m["message_budget"]
-    lines.append(
-        f"message budget/node/period: data {budget['data']:.0f}, "
-        f"verification {budget['verification']:.0f}"
-    )
-    mc = m.get("monte_carlo")
-    if mc:
-        lines.append(
-            f"MC (delta={mc['delta']:g}, r={mc['rounds']}): "
-            f"sigma={mc['sigma']:.2f}, alpha={mc['alpha']:.3f}, "
-            f"beta={mc['beta']:.4f} "
-            f"(bounds: alpha>={mc['alpha_bound']:.3f}, beta<={mc['beta_bound']:.4f})"
-        )
-    return "\n".join(lines)
-
-
 @scenario(
     "analyze",
     "Closed-form design constants (+ optional Monte-Carlo cross-validation)",
@@ -342,12 +261,10 @@ def _analyze_render(run: RunResult) -> str:
         Param("mc_samples", int, 0,
               "Monte-Carlo samples per population (0 = closed forms only)"),
     ),
-    render=_analyze_render,
     tags=("analysis",),
     smoke={"mc_samples": 2_000},
 )
 def _analyze_scenario(params):
-    # The artifact *is* the metrics mapping (no summarize needed).
     return [Task(fn=_compute_analyze, args=(dict(params),), key="analyze")]
 
 
@@ -355,7 +272,7 @@ def _analyze_scenario(params):
 # live — the asyncio loopback deployment as a scenario
 # ----------------------------------------------------------------------
 
-def _compute_live(params: dict):
+def _compute_live(params: dict) -> Dict[str, object]:
     """One real-time run over loopback sockets (asyncio)."""
     import asyncio
 
@@ -368,10 +285,7 @@ def _compute_live(params: dict):
         freerider_fraction=params["freeriders"],
         adversary=adversary.spec("freerider", degree=params["deltas"]),
     )
-    return asyncio.run(RuntimeCluster(config).run())
-
-
-def _live_metrics(report, params) -> dict:
+    report = asyncio.run(RuntimeCluster(config).run())
     return {
         "chunks_emitted": report.chunks_emitted,
         "delivery_ratio": report.delivery_ratio,
@@ -385,14 +299,6 @@ def _live_metrics(report, params) -> dict:
     }
 
 
-def _live_render(run: RunResult) -> str:
-    report = run.artifact
-    return (
-        f"chunks: {report.chunks_emitted}, delivery {report.delivery_ratio:.1%}\n"
-        f"{report.detection.summary()}"
-    )
-
-
 @scenario(
     "live",
     "Run the protocol over real loopback sockets (asyncio, real time)",
@@ -404,8 +310,6 @@ def _live_render(run: RunResult) -> str:
               validate=lambda v: v > 0, constraint="> 0"),
         *_LIVE_FREERIDERS,
     ),
-    summarize=_live_metrics,
-    render=_live_render,
     tags=("live",),
     smoke={"n": 8, "duration": 1.5},
 )
@@ -454,7 +358,7 @@ def default_fault_schedule(n: int, duration: float, drop_rate: float):
     )
 
 
-def _compute_chaos(params: dict):
+def _compute_chaos(params: dict) -> Dict[str, object]:
     """One live run driven through the scripted fault schedule."""
     import asyncio
 
@@ -473,10 +377,7 @@ def _compute_chaos(params: dict):
         ),
         audit_log_path=params["audit_log"] or None,
     )
-    return asyncio.run(RuntimeCluster(config).run())
-
-
-def _chaos_metrics(report, params) -> dict:
+    report = asyncio.run(RuntimeCluster(config).run())
     breaker = report.resilience.get("breaker", {})
     ingress = report.resilience.get("ingress", {})
     return {
@@ -501,26 +402,6 @@ def _chaos_metrics(report, params) -> dict:
     }
 
 
-def _chaos_render(run: RunResult) -> str:
-    report = run.artifact
-    breaker = report.resilience.get("breaker", {})
-    ingress = report.resilience.get("ingress", {})
-    return (
-        f"chunks: {report.chunks_emitted}, delivery {report.delivery_ratio:.1%} "
-        f"under faults {report.faults}\n"
-        f"breaker: opens {breaker.get('opens', 0)}, "
-        f"half-open probes {breaker.get('half_open_probes', 0)}, "
-        f"closes {breaker.get('closes', 0)}; "
-        f"ingress high-water {ingress.get('high_water', 0)}/{ingress.get('capacity', 0)}\n"
-        f"expelled {report.expelled} (wrongful {report.wrongful_expulsions}); "
-        f"audit chain {'ok' if report.audit_ok else 'TAMPERED'} "
-        f"({report.audit_records} records); "
-        f"invariants: {report.invariants.get('violations', 0)} violations "
-        f"in {report.invariants.get('checks', 0)} sweeps\n"
-        f"{report.detection.summary()}"
-    )
-
-
 @scenario(
     "chaos",
     "Drive the live deployment through scripted faults (crashes, drops, partition)",
@@ -535,8 +416,6 @@ def _chaos_render(run: RunResult) -> str:
               validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
         Param("audit_log", str, "", "JSONL path for the audit chain ('' = in-memory)"),
     ),
-    summarize=_chaos_metrics,
-    render=_chaos_render,
     tags=("live", "chaos"),
     smoke={"n": 8, "duration": 3.0},
 )
@@ -548,7 +427,7 @@ def _chaos_scenario(params):
 # loadgen — open-loop load sweep against a live node (find the knee)
 # ----------------------------------------------------------------------
 
-def _compute_loadgen(params: dict):
+def _compute_loadgen(params: dict) -> Dict[str, object]:
     """One stepped-rate open-loop sweep against a live deployment.
 
     The run duration is derived from the profile (schedule + settle +
@@ -580,10 +459,7 @@ def _compute_loadgen(params: dict):
         load_profile=profile,
         load_target=params["target"],
     )
-    return asyncio.run(RuntimeCluster(config).run())
-
-
-def _loadgen_metrics(report, params) -> dict:
+    report = asyncio.run(RuntimeCluster(config).run())
     load = report.load
     knee = load.get("knee", {})
     overall = load.get("overall", {})
@@ -605,41 +481,6 @@ def _loadgen_metrics(report, params) -> dict:
         "invariant_violations": report.invariants.get("violations", 0),
         "load": dict(load),
     }
-
-
-def _loadgen_render(run: RunResult) -> str:
-    from repro.metrics.latency import format_seconds, stage_rows
-
-    load = run.artifact.load
-    knee = load.get("knee", {})
-    overall = load.get("overall", {})
-    lines = stage_rows(load.get("phases", []))
-    if knee.get("saturated"):
-        rate = knee.get("knee_rate")
-        knee_line = (
-            f"knee: {rate:.0f} frames/s "
-            f"(first saturated phase {knee.get('first_saturated_phase')}, "
-            f"tolerance {knee.get('tolerance'):.0%})"
-            if rate is not None
-            else f"knee: below the first rung ({knee.get('offered', ['?'])[0]} frames/s)"
-        )
-    else:
-        knee_line = (
-            "knee: not reached inside the sweep "
-            f"(max offered {max(knee.get('offered', [0])):.0f} frames/s tracked)"
-        )
-    lines.append(knee_line)
-    stages = overall.get("stages", {})
-    sojourn = stages.get("sojourn", {})
-    lines.append(
-        f"overall sojourn p50 {format_seconds(sojourn.get('p50', float('nan')))}, "
-        f"p99 {format_seconds(sojourn.get('p99', float('nan')))}; "
-        f"ingress high-water {load.get('ingress_high_water')}, "
-        f"dropped {load.get('ingress_dropped')}"
-    )
-    violations = run.artifact.invariants.get("violations", 0)
-    lines.append(f"invariants: {violations} violations")
-    return "\n".join(lines)
 
 
 @scenario(
@@ -667,8 +508,6 @@ def _loadgen_render(run: RunResult) -> str:
               "goodput/offered ratio below which a phase is saturated",
               validate=lambda v: 0.0 < v <= 1.0, constraint="in (0, 1]"),
     ),
-    summarize=_loadgen_metrics,
-    render=_loadgen_render,
     tags=("live", "performance"),
     smoke={"n": 6, "rate": 300.0, "step": 300.0, "steps": 2,
            "step_duration": 0.5},
@@ -737,8 +576,7 @@ def _compute_churn(params: dict) -> Dict[str, object]:
     return summary
 
 
-def _churn_metrics(artifact, params) -> dict:
-    sweep = artifact["sweep"]
+def _churn_metrics(sweep, params) -> Dict[str, object]:
     detect = [e["mean_detection_delay"] for e in sweep
               if e.get("mean_detection_delay") is not None]
     recover = [e["mean_recovery_delay"] for e in sweep
@@ -763,29 +601,6 @@ def _churn_metrics(artifact, params) -> dict:
     }
 
 
-def _churn_render(run: RunResult) -> str:
-    lines = [
-        "rate   victims  susp  refut  dead  wrongful  fr-expelled"
-    ]
-    for e in run.artifact["sweep"]:
-        lines.append(
-            f"{e['rate']:4.2f} {e['victims']:8d} {e['suspicions']:5d} "
-            f"{e['refutations']:6d} {e['confirmed_dead']:5d} "
-            f"{e['wrongful_expulsion_rate']:9.1%} "
-            f"{e['freeriders_expelled']:6d}/{e['freeriders']}"
-        )
-    m = run.metrics
-    detect = m["mean_detection_delay"]
-    recover = m["mean_recovery_delay"]
-    lines.append(
-        "convergence: detection "
-        + (f"{detect:.2f}s" if detect is not None else "n/a")
-        + ", recovery "
-        + (f"{recover:.2f}s" if recover is not None else "n/a")
-    )
-    return "\n".join(lines)
-
-
 @scenario(
     "churn",
     "Sweep crash/restart churn rates: wrongful expulsions vs membership convergence",
@@ -806,12 +621,9 @@ def _churn_render(run: RunResult) -> str:
               validate=lambda v: v > 0, constraint="> 0"),
         _JOBS,
     ),
-    reduce=_sweep_reduce,
-    summarize=_churn_metrics,
-    render=_churn_render,
+    reduce=_churn_metrics,
     tags=("robustness", "membership"),
     smoke={"n": 24, "duration": 8.0, "rates": (0.3,)},
-    sim_time=lambda params: params["duration"] * len(params["rates"]),
 )
 def _churn_scenario(params):
     return _sweep_tasks(_compute_churn, "churn", params, "rates", "rate")
@@ -882,8 +694,7 @@ def _compute_coalition(params: dict) -> Dict[str, object]:
     return outcome
 
 
-def _adversary_sweep_metrics(artifact, key: str) -> dict:
-    sweep = artifact["sweep"]
+def _adversary_sweep_metrics(sweep, key: str) -> Dict[str, object]:
     return {
         key: [e[key] for e in sweep],
         "escape_rate": {f"{e[key]:g}": e["escape_rate"] for e in sweep},
@@ -899,19 +710,8 @@ def _adversary_sweep_metrics(artifact, key: str) -> dict:
     }
 
 
-def _coalition_metrics(artifact, params) -> dict:
-    return _adversary_sweep_metrics(artifact, "size")
-
-
-def _coalition_render(run: RunResult) -> str:
-    lines = ["size  expelled  escape  wrongful  laundered  violations"]
-    for e in run.artifact["sweep"]:
-        lines.append(
-            f"{e['size']:4d} {e['adversaries_expelled']:5d}/{e['adversaries']}"
-            f" {e['escape_rate']:8.1%} {e['wrongful_expulsion_count']:9d} "
-            f"{e['credits_laundered']:10.1f} {e['invariant_violations']:10d}"
-        )
-    return "\n".join(lines)
+def _coalition_metrics(sweep, params) -> Dict[str, object]:
+    return _adversary_sweep_metrics(sweep, "size")
 
 
 @scenario(
@@ -929,12 +729,9 @@ def _coalition_render(run: RunResult) -> str:
               validate=lambda v: v >= 0.0, constraint=">= 0"),
         _JOBS,
     ),
-    reduce=_sweep_reduce,
-    summarize=_coalition_metrics,
-    render=_coalition_render,
+    reduce=_coalition_metrics,
     tags=("robustness", "adversary"),
     smoke={"n": 24, "duration": 12.0, "sizes": (3,)},
-    sim_time=lambda params: params["duration"] * len(params["sizes"]),
 )
 def _coalition_scenario(params):
     return _sweep_tasks(_compute_coalition, "coalition", params, "sizes", "size")
@@ -968,30 +765,14 @@ def _compute_sybil(params: dict) -> Dict[str, object]:
     return outcome
 
 
-def _sybil_metrics(artifact, params) -> dict:
-    metrics = _adversary_sweep_metrics(artifact, "rate")
-    metrics["victims_expelled"] = sum(
-        e["victims_expelled"] for e in artifact["sweep"]
-    )
+def _sybil_metrics(sweep, params) -> Dict[str, object]:
+    metrics = _adversary_sweep_metrics(sweep, "rate")
+    metrics["victims_expelled"] = sum(e["victims_expelled"] for e in sweep)
     metrics["min_victim_score"] = min(
-        (s for e in artifact["sweep"] for s in e["victim_scores"]),
+        (s for e in sweep for s in e["victim_scores"]),
         default=None,
     )
     return metrics
-
-
-def _sybil_render(run: RunResult) -> str:
-    lines = ["rate  stuffers-expelled  escape  victims-expelled  min-victim-score"]
-    for e in run.artifact["sweep"]:
-        lines.append(
-            f"{e['rate']:4.1f} {e['adversaries_expelled']:10d}/{e['adversaries']}"
-            f" {e['escape_rate']:10.1%} {e['victims_expelled']:12d} "
-            f"{min(e['victim_scores']):14.2f}"
-        )
-    lines.append(
-        f"invariant violations: {run.metrics['invariant_violations']}"
-    )
-    return "\n".join(lines)
 
 
 @scenario(
@@ -1010,12 +791,9 @@ def _sybil_render(run: RunResult) -> str:
               validate=lambda v: v >= 0, constraint=">= 0"),
         _JOBS,
     ),
-    reduce=_sweep_reduce,
-    summarize=_sybil_metrics,
-    render=_sybil_render,
+    reduce=_sybil_metrics,
     tags=("robustness", "adversary"),
     smoke={"n": 24, "duration": 12.0, "rates": (1.0,)},
-    sim_time=lambda params: params["duration"] * len(params["rates"]),
 )
 def _sybil_scenario(params):
     return _sweep_tasks(_compute_sybil, "sybil", params, "rates", "rate")

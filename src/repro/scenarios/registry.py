@@ -11,12 +11,12 @@ into a :class:`~repro.scenarios.spec.RunResult`:
    ``Task`` (generic picklable callables) items,
 3. the work runs through :func:`repro.runtime.parallel.run_tasks` with
    the ``jobs`` parameter's worker fan-out (bit-identical to serial),
-4. ``spec.reduce(results, params)`` assembles the rich result object,
-5. ``spec.summarize(artifact, params)`` projects it onto the JSON-safe
-   metrics payload of the envelope.
+4. ``spec.reduce(results, params)`` returns the JSON-safe metrics
+   payload of the envelope (without a reducer the single work item
+   returns it itself).
 
-Adding a scenario is therefore ~30 declarative lines next to the
-experiment code — no CLI surgery, no bespoke result schema (see
+Adding a scenario is therefore a builder plus a reducer next to the
+experiment code — no CLI surgery, no result type, no renderer (see
 ``docs/SCENARIOS.md``).
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.runtime.parallel import Job, Task, run_tasks
 from repro.runtime.parallel import _execute_job  # the worker-side Job body
@@ -92,11 +92,8 @@ def scenario(
     *,
     params: Sequence[Param] = (),
     reduce: Optional[Callable] = None,
-    summarize: Optional[Callable] = None,
     tags: Sequence[str] = (),
     smoke: Optional[Mapping[str, Any]] = None,
-    render: Optional[Callable[[RunResult], str]] = None,
-    sim_time: Optional[Callable[[Mapping[str, Any]], Optional[float]]] = None,
 ) -> Callable[[Callable], ScenarioSpec]:
     """Decorator form of :func:`register`.
 
@@ -106,7 +103,7 @@ def scenario(
         @scenario(
             "fig1", "Figure 1 — ...",
             params=[Param("n", int, 150, "system size"), ...],
-            reduce=_reduce, summarize=_metrics, tags=("figure",),
+            reduce=_reduce, tags=("figure",),
             smoke={"n": 24, "duration": 4.0},
         )
         def _fig1_scenario(params):
@@ -121,11 +118,8 @@ def scenario(
                 params=tuple(params),
                 build_jobs=build_jobs,
                 reduce=reduce,
-                summarize=summarize,
                 tags=tuple(tags),
                 smoke=dict(smoke or {}),
-                render=render,
-                sim_time=sim_time,
             )
         )
 
@@ -183,8 +177,7 @@ def run_scenario(name: str, **overrides: Any) -> RunResult:
     Any declared parameter can be overridden by keyword; the ``jobs``
     parameter (when declared) fans independent work items out to a
     process pool with bit-identical results.  Returns the
-    :class:`RunResult` envelope; the rich in-memory result object is on
-    its ``artifact`` attribute.
+    :class:`RunResult` envelope of the run's metrics.
     """
     spec = get(name)
     params = spec.resolve(overrides)
@@ -194,25 +187,15 @@ def run_scenario(name: str, **overrides: Any) -> RunResult:
     jobs = int(jobs) if isinstance(jobs, int) and not isinstance(jobs, bool) else 1
     results = run_tasks(_as_tasks(work, params, name), jobs=jobs)
     if spec.reduce is not None:
-        artifact = spec.reduce(results, params)
-    else:
-        if len(results) != 1:
-            raise TypeError(
-                f"scenario {name!r} produced {len(results)} results but "
-                f"declares no reduce(); a reducer is required for "
-                f"multi-item scenarios"
-            )
-        artifact = results[0]
-    wall = time.perf_counter() - start
-    if spec.summarize is not None:
-        metrics = spec.summarize(artifact, params)
-    elif isinstance(artifact, Mapping):
-        metrics = artifact
+        metrics = spec.reduce(results, params)
+    elif len(results) == 1 and isinstance(results[0], Mapping):
+        metrics = results[0]
     else:
         raise TypeError(
-            f"scenario {name!r}: artifact of type {type(artifact).__name__} "
-            f"needs a summarize() to produce the metrics payload"
+            f"scenario {name!r} produced {len(results)} result(s) that are "
+            f"not one metrics mapping; it needs a reduce()"
         )
+    wall = time.perf_counter() - start
     seed = params.get("seed")
     from repro.util.provenance import collect_provenance
 
@@ -221,10 +204,8 @@ def run_scenario(name: str, **overrides: Any) -> RunResult:
         params=params,
         metrics=metrics,
         seed=seed if isinstance(seed, int) and not isinstance(seed, bool) else None,
-        sim_seconds=spec.resolved_sim_seconds(params),
         wall_seconds=wall,
         provenance=collect_provenance(),
-        artifact=artifact,
     )
 
 

@@ -9,15 +9,15 @@ CLI subcommand pair:
   scenario can never "silently lack" a flag its parameters support.
 * :class:`ScenarioSpec` — the frozen description: name, description,
   parameter declarations, a ``build_jobs(params)`` builder producing
-  :class:`~repro.runtime.parallel.Job`/``Task`` work items, a
-  ``reduce(results, params)`` reducer assembling the rich result
-  object, and a ``summarize(artifact, params)`` projection onto a
-  JSON-safe metrics payload.
+  :class:`~repro.runtime.parallel.Job`/``Task`` work items, and a
+  ``reduce(results, params)`` reducer returning the JSON-safe metrics
+  payload (without one, the single work item returns it itself).
 * :class:`RunResult` — the uniform envelope every scenario run returns:
-  scenario name, resolved parameters, seed, wall/sim time and the
-  metrics payload, serialisable to/from JSON (:meth:`RunResult.to_json`
-  / :meth:`RunResult.from_json`) so that experiment outputs and
-  benchmark baselines share one schema.
+  scenario name, resolved parameters, seed, wall time and the metrics
+  payload, serialisable to/from JSON (:meth:`RunResult.to_json` /
+  :meth:`RunResult.from_json`) so that experiment outputs and
+  benchmark baselines share one schema; :meth:`RunResult.render` is
+  the text ``repro run`` prints.
 
 The process-global registry and the engine that executes specs live in
 :mod:`repro.scenarios.registry`.
@@ -26,12 +26,12 @@ The process-global registry and the engine that executes specs live in
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -223,32 +223,62 @@ def _canonical(value: Any, *, where: str) -> Any:
         return float(value)
     raise TypeError(
         f"{where}: {value!r} ({type(value).__name__}) is not JSON-safe; "
-        f"summarize() must project results onto str/int/float/bool/None, "
-        f"sequences and string-keyed mappings"
+        f"a scenario's metrics must be str/int/float/bool/None, sequences "
+        f"and string-keyed mappings"
     )
+
+
+def _cell(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, tuple):
+        return "[" + ", ".join(_cell(item) for item in value) + "]"
+    return str(value)
+
+
+def _is_table(value: Any) -> bool:
+    """A non-empty sequence of flat mappings sharing one key set."""
+    return (
+        isinstance(value, tuple)
+        and len(value) > 0
+        and all(isinstance(row, Mapping) for row in value)
+        and all(row.keys() == value[0].keys() for row in value)
+        and not any(isinstance(cell, Mapping) for row in value for cell in row.values())
+    )
+
+
+def _render(mapping: Mapping[str, Any], indent: str) -> Iterator[str]:
+    for key, value in mapping.items():
+        if isinstance(value, Mapping):
+            yield f"{indent}{key}:"
+            yield from _render(value, indent + "  ")
+        elif _is_table(value):
+            rows = [list(value[0])] + [[_cell(row[k]) for k in value[0]] for row in value]
+            widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+            yield f"{indent}{key}:"
+            for row in rows:
+                yield indent + "  " + "  ".join(c.rjust(w) for c, w in zip(row, widths))
+        else:
+            yield f"{indent}{key}: {_cell(value)}"
 
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """The uniform, serialisable envelope of one scenario run.
 
-    ``metrics`` is the JSON-safe payload produced by the scenario's
-    ``summarize``; ``artifact`` is the rich in-memory result object
-    (``Fig1Result`` etc.) kept for programmatic use — it is **not**
-    serialised and does not participate in equality.
+    ``metrics`` is the JSON-safe payload the scenario's ``reduce`` (or
+    its single work item) returned, canonicalised at construction.
     """
 
     scenario: str
     params: Mapping[str, Any]
     metrics: Mapping[str, Any]
     seed: Optional[int] = None
-    sim_seconds: Optional[float] = None
     wall_seconds: float = 0.0
     #: who/where/what produced this result (git revision, host
     #: fingerprint — see :mod:`repro.util.provenance`); empty for
     #: envelopes predating the field.
     provenance: Mapping[str, Any] = field(default_factory=dict)
-    artifact: Any = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -263,15 +293,21 @@ class RunResult:
             _canonical(self.provenance, where=f"{self.scenario} provenance"),
         )
 
+    def render(self) -> str:
+        """The metrics as text (what ``repro run`` prints): ``key: value``
+        lines, nested mappings indented, floats to 4 significant digits,
+        a sequence of flat mappings sharing one key set as an aligned
+        table, any other sequence inline."""
+        return "\n".join(_render(self.metrics, ""))
+
     # -- serialisation -------------------------------------------------
     def to_json(self, *, indent: Optional[int] = None) -> str:
-        """Serialise the envelope (without ``artifact``) to JSON."""
+        """Serialise the envelope to JSON."""
         payload = {
             "schema": RUN_RESULT_SCHEMA,
             "scenario": self.scenario,
             "params": self.params,
             "seed": self.seed,
-            "sim_seconds": self.sim_seconds,
             "wall_seconds": self.wall_seconds,
             "provenance": self.provenance,
             "metrics": self.metrics,
@@ -295,9 +331,9 @@ class RunResult:
             params=payload.get("params", {}),
             metrics=payload.get("metrics", {}),
             seed=payload.get("seed"),
-            sim_seconds=payload.get("sim_seconds"),
             wall_seconds=payload.get("wall_seconds", 0.0),
-            # Envelopes written before the field existed stay loadable.
+            # Envelopes written before the field existed stay loadable
+            # (and older ones carrying "sim_seconds" load without it).
             provenance=payload.get("provenance", {}),
         )
 
@@ -319,8 +355,7 @@ class RunResult:
     # -- equality ------------------------------------------------------
     def __eq__(self, other: Any) -> bool:
         # Serialised form is the identity: NaN-tolerant (json spells
-        # every float, including NaN/inf, the same way on both sides)
-        # and deliberately blind to the non-serialised artifact.
+        # every float, including NaN/inf, the same way on both sides).
         if not isinstance(other, RunResult):
             return NotImplemented
         return self.to_json() == other.to_json()
@@ -330,12 +365,8 @@ class RunResult:
 
 #: builder: resolved params -> work items (Job or Task instances).
 Builder = Callable[[Mapping[str, Any]], Sequence[Any]]
-#: reducer: (work-item results in submission order, params) -> artifact.
-Reducer = Callable[[Sequence[Any], Mapping[str, Any]], Any]
-#: summariser: (artifact, params) -> JSON-safe metrics mapping.
-Summarizer = Callable[[Any, Mapping[str, Any]], Mapping[str, Any]]
-#: renderer: RunResult -> human-readable text for the CLI.
-Renderer = Callable[[RunResult], str]
+#: reducer: (work-item results in submission order, params) -> metrics.
+Reducer = Callable[[Sequence[Any], Mapping[str, Any]], Mapping[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -346,21 +377,13 @@ class ScenarioSpec:
     description: str
     params: Tuple[Param, ...]
     build_jobs: Builder
-    #: assembles the rich result from the work-item results; ``None``
-    #: means "single work item, its result is the artifact".
+    #: reduces the work-item results to the JSON-safe metrics payload;
+    #: ``None`` means "single work item, its result is the metrics".
     reduce: Optional[Reducer] = None
-    #: projects the artifact onto the JSON-safe metrics payload;
-    #: ``None`` requires the artifact itself to be such a mapping.
-    summarize: Optional[Summarizer] = None
     tags: Tuple[str, ...] = ()
     #: parameter overrides for a seconds-scale smoke run (benchmarks,
     #: round-trip tests); empty = the defaults are already smoke-sized.
     smoke: Mapping[str, Any] = field(default_factory=dict)
-    #: optional human rendering for the CLI (default: metrics JSON).
-    render: Optional[Renderer] = None
-    #: optional simulated-seconds accessor for the envelope; the default
-    #: uses the ``duration`` parameter when one is declared.
-    sim_time: Optional[Callable[[Mapping[str, Any]], Optional[float]]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(self.params))
@@ -417,17 +440,6 @@ class ScenarioSpec:
             else:
                 resolved[p.name] = p.default
         return resolved
-
-    def resolved_sim_seconds(self, params: Mapping[str, Any]) -> Optional[float]:
-        """Simulated seconds covered by a run with ``params`` (or None)."""
-        if self.sim_time is not None:
-            value = self.sim_time(params)
-        else:
-            value = params.get("duration")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        value = float(value)
-        return value if math.isfinite(value) else None
 
     def smoke_params(self) -> Dict[str, Any]:
         """The resolved parameter set of a smoke-sized run."""

@@ -15,21 +15,19 @@ from repro import run_scenario
 from repro.config import FreeriderDegree, planetlab_params
 from repro.experiments.calibration import calibrate
 from repro.experiments.cluster import ClusterConfig, SimCluster
-from repro.experiments.fig14 import Fig14Result, _fig14_metrics
-from repro.metrics.scores import detection_report
+from repro.experiments.fig14 import fig14_metrics
 
 
 class TestFig10:
     def test_mean_centered_and_sigma(self):
-        result = run_scenario("fig10", n=20_000, seed=5).artifact
-        assert result.compensation == pytest.approx(72.95, abs=0.01)
-        assert abs(result.mean) < 0.5
-        assert 15.0 < result.stddev < 28.0
+        metrics = run_scenario("fig10", n=20_000, seed=5).metrics
+        assert metrics["compensation"] == pytest.approx(72.95, abs=0.01)
+        assert abs(metrics["mean"]) < 0.5
+        assert 15.0 < metrics["stddev"] < 28.0
 
     def test_pdf_sums_to_one(self):
-        result = run_scenario("fig10", n=5_000, seed=5).artifact
-        _centers, fractions = result.pdf()
-        assert fractions.sum() == pytest.approx(1.0, abs=0.02)
+        metrics = run_scenario("fig10", n=5_000, seed=5).metrics
+        assert sum(metrics["pdf"]["fractions"]) == pytest.approx(1.0, abs=0.02)
 
 
 class TestFig11:
@@ -93,32 +91,32 @@ class TestFig13:
         # γ = 8.95 is calibrated for the paper's n = 10,000 (smaller
         # systems force more duplicates into a 600-pick history and sit
         # lower), so this test runs at full scale.
-        return run_scenario("fig13", n=10_000, seed=5).artifact
+        return run_scenario("fig13", n=10_000, seed=5).metrics
 
     def test_fanout_below_max(self, result):
-        lo, hi = result.fanout_range
-        assert hi <= result.max_entropy + 1e-9
-        assert lo > result.max_entropy - 0.3
+        lo, hi = result["fanout_range"]
+        assert hi <= result["max_entropy"] + 1e-9
+        assert lo > result["max_entropy"] - 0.3
 
     def test_fanin_wider_than_fanout(self, result):
-        fo_lo, fo_hi = result.fanout_range
-        fi_lo, fi_hi = result.fanin_range
+        _fo_lo, fo_hi = result["fanout_range"]
+        _fi_lo, fi_hi = result["fanin_range"]
         assert fi_hi > fo_hi  # fanin can exceed log2(n_h f)
 
     def test_false_expulsions_negligible_at_gamma(self, result):
         # "the probability of wrongfully expelling the inspected node
         # during local auditing is negligible when γ is set to 8.95".
-        assert result.fanout_false_expulsions == 0.0
-        assert result.fanin_false_expulsions <= 0.002
+        assert result["fanout_false_expulsions"] == 0.0
+        assert result["fanin_false_expulsions"] <= 0.002
 
     def test_fanout_range_matches_paper(self, result):
         # Paper: observed fanout entropy in [9.11, 9.21].
-        lo, hi = result.fanout_range
+        lo, hi = result["fanout_range"]
         assert lo == pytest.approx(9.11, abs=0.03)
         assert hi == pytest.approx(9.21, abs=0.03)
 
     def test_max_entropy_is_papers_9_23(self, result):
-        assert result.max_entropy == pytest.approx(9.23, abs=0.005)
+        assert result["max_entropy"] == pytest.approx(9.23, abs=0.005)
 
 
 class TestFig14Metrics:
@@ -127,14 +125,10 @@ class TestFig14Metrics:
         # honest node is flagged, at η_cal = -3.65 nodes 1 and 2 are.
         flagged = {0: -20.0, 1: -5.0, 2: -5.0, 3: 1.0}
         clean = {0: -20.0, 1: 0.0, 2: 1.0, 3: 1.0}
-        snapshots = {(1.0, 30.0): flagged, (1.0, 35.0): clean}
-        result = Fig14Result(
-            snapshots=snapshots,
-            reports={k: detection_report(s, {0}, -9.75) for k, s in snapshots.items()},
+        metrics = fig14_metrics(
+            {(1.0, 30.0): flagged, (1.0, 35.0): clean}, {0}, {1},
             eta=-9.75, eta_calibrated=-3.65, compensation=0.0,
-            freerider_ids=frozenset({0}), degraded_ids=frozenset({1}),
-        )
-        metrics = _fig14_metrics(result, {})["snapshots"]
+        )["snapshots"]
         assert metrics["p_dcc=1@30s"] == {
             "detection": 1.0,
             "false_positives": 0.0,

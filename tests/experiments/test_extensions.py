@@ -103,8 +103,8 @@ class TestCli:
     def test_analyze_command(self, capsys):
         assert cli_main(["run", "analyze", "--fanout", "12", "--loss", "0.07"]) == 0
         out = capsys.readouterr().out
-        assert "72.9" in out  # Eq. 5
-        assert "Eq.7" in out
+        assert "compensation: 72.9" in out  # Eq. 5
+        assert "collusion_ceiling:\n  eq7: " in out
 
     def test_detect_command_small(self, capsys):
         code = cli_main(

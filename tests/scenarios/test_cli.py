@@ -50,11 +50,12 @@ class TestRun:
     def test_derived_flags_and_render(self, capsys):
         assert cli.main(["run", "analyze", "--fanout", "10"]) == 0
         out = capsys.readouterr().out
-        assert "f=10" in out
+        assert out.startswith("fanout: 10\n")
+        assert "collusion_ceiling:\n  eq7: " in out
 
     def test_set_overrides(self, capsys):
         assert cli.main(["run", "analyze", "--set", "fanout=9"]) == 0
-        assert "f=9" in capsys.readouterr().out
+        assert "fanout: 9\n" in capsys.readouterr().out
 
     def test_set_with_dashes_and_sequences(self, capsys):
         code = cli.main(

@@ -186,17 +186,16 @@ class TestWorkNormalisation:
 
 
 class TestEngine:
-    def test_single_result_without_reduce_is_artifact(self):
+    def test_reduce_returns_the_metrics(self):
         register(
             _dummy_spec(
                 name="dummy-single",
-                summarize=lambda artifact, params: {"value": artifact},
+                reduce=lambda results, params: {"value": results[0], "n": params["n"]},
             )
         )
         try:
             result = registry_module.run_scenario("dummy-single")
-            assert result.artifact == 7
-            assert result.metrics == {"value": 7}
+            assert result.metrics == {"value": 7, "n": 4}
         finally:
             unregister("dummy-single")
 
@@ -213,7 +212,7 @@ class TestEngine:
         finally:
             unregister("dummy-multi")
 
-    def test_non_mapping_artifact_without_summarize_raises(self):
+    def test_non_mapping_result_without_reduce_raises(self):
         register(
             _dummy_spec(
                 name="dummy-nosumm",
@@ -221,7 +220,7 @@ class TestEngine:
             )
         )
         try:
-            with pytest.raises(TypeError, match="summarize"):
+            with pytest.raises(TypeError, match="reduce"):
                 registry_module.run_scenario("dummy-nosumm")
         finally:
             unregister("dummy-nosumm")

@@ -15,7 +15,6 @@ def _envelope(**overrides) -> RunResult:
         params={"n": 4, "duration": 2.5, "rates": (1.0, 2.0)},
         metrics={"value": 1.25, "series": (0.1, 0.2)},
         seed=4,
-        sim_seconds=2.5,
         wall_seconds=0.125,
     )
     kwargs.update(overrides)
@@ -108,6 +107,11 @@ class TestProvenance:
         loaded = RunResult.from_json(json.dumps(payload))
         assert loaded.provenance == {}
 
+    def test_old_envelopes_with_sim_seconds_load(self):
+        payload = json.loads(_envelope().to_json())
+        payload["sim_seconds"] = 2.5  # a field older envelopes still carry
+        assert RunResult.from_json(json.dumps(payload)) == _envelope()
+
     def test_collect_provenance_shape(self):
         from repro.util.provenance import collect_provenance
 
@@ -130,9 +134,6 @@ class TestProvenance:
 
 
 class TestEquality:
-    def test_artifact_excluded(self):
-        assert _envelope(artifact=object()) == _envelope(artifact=None)
-
     def test_metrics_differences_detected(self):
         assert _envelope() != _envelope(metrics={"value": 2.0})
 
@@ -146,3 +147,38 @@ class TestEquality:
         replaced = _envelope().with_metrics({"other": 1})
         assert replaced.metrics == {"other": 1}
         assert replaced.scenario == "test"
+
+
+class TestRender:
+    def test_golden(self):
+        metrics = {
+            "eta": -9.75,
+            "ratio": 2 / 3,
+            "missing": None,
+            "undefined": float("nan"),
+            "series": [0.5, 1, "x"],
+            "empty": [],
+            "nested": {"depth": 1, "inner": {"flag": True}},
+            "cells": [
+                {"rate": 674.0, "p_dcc": 0.5, "percent": 4.5312},
+                {"rate": 1082.0, "p_dcc": 1.0, "percent": 5.04},
+            ],
+            "ragged": [{"a": 1}, {"b": 2}],
+        }
+        assert _envelope(metrics=metrics).render() == "\n".join([
+            "eta: -9.75",
+            "ratio: 0.6667",
+            "missing: None",
+            "undefined: nan",
+            "series: [0.5, 1, x]",
+            "empty: []",
+            "nested:",
+            "  depth: 1",
+            "  inner:",
+            "    flag: True",
+            "cells:",
+            "  rate  p_dcc  percent",
+            "   674    0.5    4.531",
+            "  1082      1     5.04",
+            "ragged: [{'a': 1}, {'b': 2}]",
+        ])

@@ -1,12 +1,13 @@
 """Parameter sweeps: ``run_sweep`` product semantics and the ``--sweep`` flag."""
 
+import argparse
 import json
 
 import pytest
 
 from repro import cli
 from repro.runtime.parallel import Task
-from repro.scenarios import Param, ParamError, ScenarioSpec, run_sweep
+from repro.scenarios import Param, ParamError, ScenarioSpec, get, run_sweep
 from repro.scenarios.registry import register, unregister
 
 
@@ -121,3 +122,14 @@ class TestCliSweep:
 
     def test_unknown_sweep_param_exit_2(self, capsys):
         assert cli.main(["run", "analyze", "--sweep", "bogus=1,2"]) == 2
+
+    def test_colon_separates_inner_values_of_sequence_params_only(self):
+        # A scalar str cell keeps its ':'; a sequence cell's ':' is the
+        # comma the coercer splits on.  Parsed only, nothing runs.
+        args = argparse.Namespace(
+            sweep_pairs=["audit_log=runs/a:b.jsonl,c.jsonl", "deltas=0.1:0.2:0.3,0.4:0.4:0.4"]
+        )
+        assert cli._collect_sweep_axes(get("chaos"), args) == {
+            "audit_log": ["runs/a:b.jsonl", "c.jsonl"],
+            "deltas": ["0.1,0.2,0.3", "0.4,0.4,0.4"],
+        }
