@@ -42,14 +42,16 @@ reach-product:
 collector-cost:
 	python scripts/collector_cost.py
 
-## The wire codec, the ingress fuzzers and the transport's own tests with
-## leaks as failures: the transport owns raw file descriptors, and only a
-## ResourceWarning (or an exception swallowed in a finaliser / callback)
-## would show a forgotten remove_reader / close.  CI's "Wire codec +
-## ingress fuzz smoke" step.
+## The wire contract — both byte counts of every kind: the codec's frames
+## and the model sizes the simulator accounts — then the ingress fuzzers
+## and the transport's own tests with leaks as failures: the transport
+## owns raw file descriptors, and only a ResourceWarning (or an exception
+## swallowed in a finaliser / callback) would show a forgotten
+## remove_reader / close.  CI's "Wire codec + ingress fuzz smoke" step.
 transport-strict:
 	python -m pytest -q -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning \
-		tests/test_wire_codec.py tests/runtime/test_ingress_fuzz.py tests/runtime/test_transport.py
+		tests/test_wire_codec.py tests/gossip/test_messages.py \
+		tests/runtime/test_ingress_fuzz.py tests/runtime/test_transport.py
 
 ## The live-plane acceptance, each step under a hard 120 s cap so a hung
 ## event loop fails fast: chaos over loopback (real sockets, scripted

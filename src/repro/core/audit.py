@@ -138,9 +138,6 @@ class Auditor:
 
     def __init__(self, host) -> None:
         self.host = host
-        # Fan-out batching entry point when the host offers one (the
-        # simulator-backed GossipNode does; test stubs may not).
-        self._host_send_many = getattr(host, "send_many", None)
         self._active: Dict[NodeId, _AuditState] = {}
         self.results: List[AuditResult] = []
 
@@ -162,7 +159,7 @@ class Auditor:
             on_complete=on_complete,
             requested_periods=periods,
         )
-        self.host.send(target, AuditRequest(periods=periods), reliable=True)
+        self.host.send(target, AuditRequest(periods=periods))
         self.host.call_later(self.RESPONSE_TIMEOUT, self._response_deadline, target)
         return True
 
@@ -180,17 +177,12 @@ class Auditor:
         state.response_seen = True
         state.proposals = response.proposals
         polls = 0
-        send_many = self._host_send_many
         for period, partners, chunk_ids in response.proposals:
             # One poll message per history entry, fanned to all alleged
             # partners in one batched send (the per-destination draw
             # order and accounting match a per-partner send loop).
             poll = HistoryPollRequest(target=src, period=period, chunk_ids=chunk_ids)
-            if send_many is not None:
-                send_many(partners, poll, reliable=True)
-            else:
-                for partner in partners:
-                    self.host.send(partner, poll, reliable=True)
+            self.host.send_many(partners, poll)
             polls += len(partners)
         state.expected_polls = polls
         if polls == 0:

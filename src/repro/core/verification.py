@@ -20,8 +20,9 @@ The host interface the engine needs (satisfied by
 :class:`repro.gossip.protocol.GossipNode` on both planes): ``node_id``,
 ``clock()``, ``call_later(delay, fn, *args)`` (fire-and-forget: every
 timeout here inspects state when it fires), ``random()`` (a uniform
-[0,1) draw), ``send(dst, message, reliable=False)``, optionally
-``send_many(dsts, message)``, ``send_blame(target, value, reason)``,
+[0,1) draw), ``send(dst, message)`` and ``send_many(dsts, message)``
+(each kind on its declared channel, :data:`repro.wire.TCP_KINDS`),
+``send_blame(target, value, reason)``,
 ``on_request_expired(proposer, chunk_ids)`` and the ``gossip``/
 ``lifting`` parameter sets.
 """
@@ -77,17 +78,16 @@ class VerificationEngine:
 
     def __init__(self, host) -> None:
         self.host = host
-        # Fan-out batching entry point when the host offers one (the
-        # simulator-backed GossipNode does; test stubs may not).
-        self._host_send_many = getattr(host, "send_many", None)
         # Hot-path shortcuts mirroring the host's own: read the sim
         # clock attribute directly instead of going through the host
         # facade (one frame per serve/ack/round), falling back to
         # ``host.clock()`` for live transports / test stubs; the host's
         # ``call_later`` is bound once (on a GossipNode it already *is*
-        # the simulator's or the live transport's own method).
+        # the simulator's or the live transport's own method), and so
+        # is its ``send_many``.
         self._sim = getattr(host, "_sim", None)
         self._call_later = host.call_later
+        self._host_send_many = host.send_many
         # requester -> {chunk_id: served_at}.  A requester is a key iff
         # it has an outstanding serve, so the dict's order is first-serve
         # order with a drained requester re-entering at the end — the
@@ -160,14 +160,8 @@ class VerificationEngine:
         self._confirm_rounds[round_id] = _ConfirmRound(proposer=proposer, witnesses=witnesses)
         self.confirm_rounds_started += 1
         confirm = Confirm(proposer=proposer, chunk_ids=ack.chunk_ids)
-        host = self.host
-        send_many = self._host_send_many
-        if send_many is not None:
-            send_many(witnesses, confirm)
-        else:
-            for witness in witnesses:
-                host.send(witness, confirm)
-        self._call_later(host.lifting.confirm_timeout, self._finish_confirm_round, round_id)
+        self._host_send_many(witnesses, confirm)
+        self._call_later(self.host.lifting.confirm_timeout, self._finish_confirm_round, round_id)
 
     def on_confirm_response(self, src: NodeId, response: ConfirmResponse) -> None:
         """A witness answered one of our confirm requests.

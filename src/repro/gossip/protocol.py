@@ -60,6 +60,7 @@ from repro.wire import (
     ScoreQuery,
     ScoreReply,
     Serve,
+    TCP_KINDS,
     WIRE_MESSAGE_CLASSES,
 )
 
@@ -306,19 +307,22 @@ class GossipNode:
         """One uniform [0, 1) draw from the node's stream."""
         return float(self.rng.random())
 
-    def send(self, dst: NodeId, message: object, reliable: bool = False) -> bool:
-        """Send ``message`` to ``dst`` (TCP when ``reliable``)."""
+    def send(self, dst: NodeId, message: object) -> bool:
+        """Send ``message`` to ``dst`` on its kind's channel: TCP for the
+        :data:`~repro.wire.TCP_KINDS`, UDP otherwise."""
         # A unicast is a one-destination fan-out.
-        return self._send_many(self.node_id, (dst,), message, _TCP if reliable else _UDP) > 0
+        kind = _TCP if message.__class__ in TCP_KINDS else _UDP
+        return self._send_many(self.node_id, (dst,), message, kind) > 0
 
-    def send_many(self, dsts, message: object, reliable: bool = False) -> int:
+    def send_many(self, dsts, message: object) -> int:
         """Send ``message`` to every node in ``dsts`` (fan-out batch).
 
         Equivalent to ``send`` per destination in order; under the
         simulator the per-message fixed costs are paid once per batch
         (see :meth:`Network.send_many`).  Returns how many were sent.
         """
-        return self._send_many(self.node_id, dsts, message, _TCP if reliable else _UDP)
+        kind = _TCP if message.__class__ in TCP_KINDS else _UDP
+        return self._send_many(self.node_id, dsts, message, kind)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -636,7 +640,7 @@ class GossipNode:
     def _on_audit_request(self, src: NodeId, message: AuditRequest) -> None:
         snapshot = self.history.proposals_snapshot(last=message.periods)
         snapshot = self.behavior.history_snapshot(snapshot)
-        self.send(src, AuditResponse(proposals=snapshot), reliable=True)
+        self.send(src, AuditResponse(proposals=snapshot))
 
     def _on_history_poll(self, src: NodeId, message: HistoryPollRequest) -> None:
         truthful_ack = self.history.was_proposed_by(message.target, message.chunk_ids)
@@ -650,7 +654,7 @@ class GossipNode:
             acknowledged=acknowledged,
             confirm_senders=tuple(senders),
         )
-        self.send(src, response, reliable=True)
+        self.send(src, response)
 
     # ------------------------------------------------------------------
     # callbacks used by the engine / auditor

@@ -48,19 +48,6 @@ class OverheadReport:
         """Same, in percent."""
         return 100.0 * self.overhead_ratio
 
-    def per_node_kbps(self, byte_count: int) -> float:
-        """Convert a byte total into per-node kbit/s over the run."""
-        if self.duration <= 0 or self.n_nodes <= 0:
-            return 0.0
-        return byte_count * 8.0 / 1000.0 / self.duration / self.n_nodes
-
-    def __str__(self) -> str:
-        return (
-            f"overhead {self.overhead_percent:.2f}% "
-            f"(data {self.per_node_kbps(self.data_bytes):.0f} kbps/node, "
-            f"verification {self.per_node_kbps(self.overhead_bytes):.2f} kbps/node)"
-        )
-
 
 def bandwidth_overhead(trace: MessageTrace, duration: float, n_nodes: int) -> OverheadReport:
     """Build an :class:`OverheadReport` from a message trace."""

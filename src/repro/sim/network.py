@@ -8,9 +8,14 @@ object models both on top of the same latency models:
 * ``Transport.TCP`` — never lost; per-message latency inflated by
   ``TCP_LATENCY_FACTOR`` (handshake + acknowledgement round trips).
 
+The caller names the channel; a protocol node sends each wire kind on
+the one its declaration names (:data:`repro.wire.TCP_KINDS`).
+
 Every transmission is serialised through the sender's
 :class:`~repro.sim.bandwidth.UploadLink` and accounted in the
-:class:`~repro.sim.trace.MessageTrace`.
+:class:`~repro.sim.trace.MessageTrace`, at its size in the paper's byte
+model: :data:`repro.wire.MODEL_SIZES`, derived from the kinds'
+declarations, and 64 bytes for any class outside the wire.
 """
 
 from __future__ import annotations
@@ -59,26 +64,6 @@ class Endpoint(Protocol):
 
     def on_message(self, src: NodeId, message: object) -> None:
         """Handle a delivered message."""
-
-
-def _size_strategy(cls: type, message: object):
-    """Per-class sizing strategy: a message's wire size is its
-    ``wire_size()`` if it defines one, else 64 B.
-
-    Returns an ``int`` for classes whose size is payload-independent
-    (they declare ``WIRE_SIZE_FIXED = True``) and for classes without a
-    sizer (64-byte default); variable-size classes map to their unbound
-    ``wire_size`` function.  Caching this per message *type* turns the
-    per-send cost into one dict lookup for the common fixed-size
-    verification/reputation messages, and saves the per-instance
-    attribute probe for the rest.
-    """
-    sizer = getattr(cls, "wire_size", None)
-    if sizer is None:
-        return 64
-    if getattr(cls, "WIRE_SIZE_FIXED", False):
-        return int(message.wire_size())
-    return sizer
 
 
 class Network:
@@ -163,8 +148,12 @@ class Network:
         self._endpoints: Dict[NodeId, Endpoint] = {}
         self._links: Dict[NodeId, UploadLink] = {}
         self._disconnected: set = set()
-        # type -> int (fixed size) | unbound sizer, see _size_strategy.
-        self._size_cache: Dict[type, object] = {}
+        # Imported here, not at the top: repro.wire imports this module.
+        from repro.wire import MODEL_SIZES
+
+        # type -> model bytes (an int) or the sizer of one message: the
+        # wire's kinds from the start, any other class 64 B on first send.
+        self._size_cache: Dict[type, object] = dict(MODEL_SIZES)
         # Dense receiver table, index == node id: ``(endpoint, dispatch
         # table or None)`` per registered node, ``None`` otherwise.  The
         # stream source (id -1) occupies the last slot via Python's
@@ -369,7 +358,7 @@ class Network:
         try:
             cached = self._size_cache[cls]
         except KeyError:
-            cached = self._size_cache[cls] = _size_strategy(cls, message)
+            cached = self._size_cache[cls] = 64
         size = cached if type(cached) is int else int(cached(message))
 
         sim = self.sim

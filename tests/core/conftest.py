@@ -18,7 +18,7 @@ class FakeHost:
         self.sim = Simulator()
         self.gossip = gossip
         self.lifting = lifting
-        self.sent = []  # (dst, message, reliable)
+        self.sent = []  # (dst, message)
         self.blames = []  # (target, value, reason)
         self.expired = []  # (proposer, chunk_ids)
         self.verdicts = []  # (target, result)
@@ -37,9 +37,14 @@ class FakeHost:
             return self.forced_random
         return float(self._rng.random())
 
-    def send(self, dst, message, reliable=False):
-        self.sent.append((dst, message, reliable))
+    def send(self, dst, message):
+        self.sent.append((dst, message))
         return True
+
+    def send_many(self, dsts, message):
+        for dst in dsts:
+            self.send(dst, message)
+        return len(dsts)
 
     def send_blame(self, target, value, reason):
         self.blames.append((target, value, reason))
@@ -57,7 +62,7 @@ class FakeHost:
     def sent_to(self, dst, kind=None):
         return [
             m
-            for d, m, _r in self.sent
+            for d, m in self.sent
             if d == dst and (kind is None or type(m).__name__ == kind)
         ]
 

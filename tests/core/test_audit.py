@@ -6,7 +6,13 @@ import pytest
 
 from repro.core.audit import Auditor
 from repro.core.blames import REASON_AUDIT_COMPENSATION, REASON_UNACKNOWLEDGED_HISTORY
-from repro.wire import AuditRequest, AuditResponse, HistoryPollRequest, HistoryPollResponse
+from repro.wire import (
+    AuditRequest,
+    AuditResponse,
+    HistoryPollRequest,
+    HistoryPollResponse,
+    TCP_KINDS,
+)
 
 
 def uniform_history(periods, fanout, n_nodes, start_node=100):
@@ -39,11 +45,8 @@ def drive_audit(auditor, fake_host, proposals, *, acknowledged=True, senders=Non
     target = 9
     assert auditor.start(target)
     auditor.on_audit_response(target, AuditResponse(proposals=proposals))
-    polls = [m for _d, m, _r in fake_host.sent if isinstance(m, HistoryPollRequest)]
-    for i, ((dst, poll, _r), _msg) in enumerate(
-        [(entry, entry[1]) for entry in fake_host.sent if isinstance(entry[1], HistoryPollRequest)]
-    ):
-        witness = dst
+    polls = [(d, m) for d, m in fake_host.sent if isinstance(m, HistoryPollRequest)]
+    for witness, poll in polls:
         reply_senders = senders(witness) if senders is not None else tuple(
             100 + (witness * 7 + j) % 50 for j in range(6)
         )
@@ -62,12 +65,11 @@ def drive_audit(auditor, fake_host, proposals, *, acknowledged=True, senders=Non
 class TestAuditFlow:
     def test_sends_audit_request_over_tcp(self, auditor, fake_host):
         auditor.start(9)
-        requests = [
-            (d, m, r) for d, m, r in fake_host.sent if isinstance(m, AuditRequest)
-        ]
+        requests = [(d, m) for d, m in fake_host.sent if isinstance(m, AuditRequest)]
         assert len(requests) == 1
-        dst, msg, reliable = requests[0]
-        assert dst == 9 and reliable is True
+        dst, msg = requests[0]
+        # The kind names its channel: the host sends it on TCP.
+        assert dst == 9 and AuditRequest in TCP_KINDS
         assert msg.periods == fake_host.lifting.history_periods
 
     def test_duplicate_audit_refused(self, auditor):
@@ -78,7 +80,7 @@ class TestAuditFlow:
         proposals = uniform_history(4, 3, 1000)
         auditor.start(9)
         auditor.on_audit_response(9, AuditResponse(proposals=proposals))
-        polls = [m for _d, m, _r in fake_host.sent if isinstance(m, HistoryPollRequest)]
+        polls = [m for _d, m in fake_host.sent if isinstance(m, HistoryPollRequest)]
         assert len(polls) == 4 * 3
         assert all(p.target == 9 for p in polls)
 
@@ -182,7 +184,7 @@ class TestAposterioriCrossCheck:
         auditor.on_audit_response(9, AuditResponse(proposals=proposals))
         # Only one witness answers; the deadline must still close the audit.
         polls = [
-            (d, m) for d, m, _r in fake_host.sent if isinstance(m, HistoryPollRequest)
+            (d, m) for d, m in fake_host.sent if isinstance(m, HistoryPollRequest)
         ]
         witness, poll = polls[0]
         auditor.on_poll_response(

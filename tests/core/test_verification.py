@@ -39,7 +39,7 @@ class TestAckHappyPath:
     def test_cross_check_sends_confirms_to_all_witnesses(self, engine, fake_host):
         engine.on_serve_sent(5, 1)
         engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
-        confirms = [m for _d, m, _r in fake_host.sent if isinstance(m, Confirm)]
+        confirms = [m for _d, m in fake_host.sent if isinstance(m, Confirm)]
         assert len(confirms) == FANOUT
         assert all(c.proposer == 5 for c in confirms)
 
@@ -111,7 +111,7 @@ class TestAckViolations:
         engine = VerificationEngine(fake_host)
         engine.on_serve_sent(5, 1)
         engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
-        assert not any(isinstance(m, Confirm) for _d, m, _r in fake_host.sent)
+        assert not any(isinstance(m, Confirm) for _d, m in fake_host.sent)
 
     def test_fanout_check_still_runs_without_cross_check(self, fake_host):
         from dataclasses import replace

@@ -13,7 +13,17 @@ from repro.gossip.chunks import SOURCE_ID
 from repro.gossip.protocol import MAX_OFFERS_PER_CHUNK, GossipNode, _SentProposal
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.colluder import Coalition, ColludingBehavior
-from repro.wire import Ack, Blame, Confirm, Propose, Request, Serve
+from repro.wire import (
+    Ack,
+    AuditRequest,
+    Blame,
+    Confirm,
+    HistoryPollRequest,
+    Propose,
+    Request,
+    ScoreQuery,
+    Serve,
+)
 
 
 @pytest.fixture
@@ -479,3 +489,26 @@ class TestServeOncePerRequest:
             twin.random()  # serve_filter: one draw per valid chunk
         twin.integers(0, 2)  # serve_origin: one co-colluder pick
         assert node.rng.random() == twin.random()
+
+
+class TestChannel:
+    def test_each_kind_travels_on_the_channel_it_declares(self):
+        """The audit exchange goes over TCP and the rest as datagrams:
+        the message kind decides, not the caller."""
+        host = HandClockHost()
+        channels = []
+        host.send = lambda src, dst, message, reliable: channels.append(
+            (dst, type(message), reliable)
+        ) or True
+        node = node_on(host)
+        node.send(4, AuditRequest(periods=5))
+        node.send(4, ScoreQuery(target=3))
+        node.send_many((4, 5), HistoryPollRequest(target=3, period=1, chunk_ids=()))
+        node.send_many((6,), Confirm(proposer=3, chunk_ids=()))
+        assert channels == [
+            (4, AuditRequest, True),
+            (4, ScoreQuery, False),
+            (4, HistoryPollRequest, True),
+            (5, HistoryPollRequest, True),
+            (6, Confirm, False),
+        ]

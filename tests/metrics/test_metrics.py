@@ -122,20 +122,11 @@ class TestOverheadReport:
         class Data:
             CATEGORY = "data"
 
-            def wire_size(self):
-                return 1000
-
         class Verif:
             CATEGORY = "verification"
 
-            def wire_size(self):
-                return 50
-
         class Rep:
             CATEGORY = "reputation"
-
-            def wire_size(self):
-                return 30
 
         for _ in range(10):
             trace.record_sent(0, Data(), 1000)
@@ -150,10 +141,6 @@ class TestOverheadReport:
         assert report.data_bytes == 10_000
         assert report.overhead_bytes == 260
         assert report.overhead_percent == pytest.approx(2.6)
-
-    def test_per_node_kbps(self):
-        report = bandwidth_overhead(self._trace(), duration=10.0, n_nodes=2)
-        assert report.per_node_kbps(10_000) == pytest.approx(10_000 * 8 / 1000 / 10 / 2)
 
     def test_zero_data_guard(self):
         report = OverheadReport(0, 10, 10, 1.0, 1)

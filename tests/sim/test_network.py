@@ -11,21 +11,19 @@ from repro.sim.network import Network, Transport
 from repro.sim.trace import CATEGORY_DATA, CATEGORY_VERIFICATION
 
 
+#: What the network charges for a class outside the wire.
+DEFAULT_SIZE = 64
+
+
 @dataclass(frozen=True)
 class DataMsg:
     CATEGORY = CATEGORY_DATA
     payload: int = 0
 
-    def wire_size(self) -> int:
-        return 100
-
 
 @dataclass(frozen=True)
 class VerifMsg:
     CATEGORY = CATEGORY_VERIFICATION
-
-    def wire_size(self) -> int:
-        return 10
 
 
 #: Destinations a Byzantine sender may name (e.g. in ``Ack.partners``):
@@ -222,9 +220,9 @@ class TestBandwidthIntegration:
         sim = Simulator()
         network = Network(sim, latency=ConstantLatency(0.0))
         a, b = Recorder(0), Recorder(1)
-        network.register(a, upload_rate=100.0)  # 100 B/s
+        network.register(a, upload_rate=float(DEFAULT_SIZE))  # 64 B/s
         network.register(b)
-        network.send(0, 1, DataMsg())  # 100 bytes -> 1 s serialisation
+        network.send(0, 1, DataMsg())  # 64 bytes -> 1 s serialisation
         sim.run()
         assert sim.now == pytest.approx(1.0)
 
@@ -237,8 +235,8 @@ class TestTrace:
         network.send(0, 2, VerifMsg())
         sim.run()
         trace = network.trace
-        assert trace.category_bytes(CATEGORY_DATA) == 100
-        assert trace.category_bytes(CATEGORY_VERIFICATION) == 20
+        assert trace.category_bytes(CATEGORY_DATA) == DEFAULT_SIZE
+        assert trace.category_bytes(CATEGORY_VERIFICATION) == 2 * DEFAULT_SIZE
 
     def test_counts_by_kind(self, net):
         sim, network, _nodes = net
@@ -264,8 +262,14 @@ class TestTrace:
         class Bare:
             pass
 
+        class SelfSized:
+            def wire_size(self) -> int:  # not a wire kind: never asked
+                return 11
+
         network.send(0, 1, Bare())
-        assert network.trace.sent_bytes("Bare") == 64
+        network.send(0, 1, SelfSized())
+        assert network.trace.sent_bytes("Bare") == DEFAULT_SIZE
+        assert network.trace.sent_bytes("SelfSized") == DEFAULT_SIZE
 
 
 class TestDisconnectedDestinationShortCircuit:
@@ -329,53 +333,26 @@ class TestDisconnectedDestinationShortCircuit:
 
 
 class TestWireSizeTypeCache:
-    def test_fixed_size_message_sized_once_per_type(self, net):
-        sim, network, _nodes = net
-        calls = []
+    def test_payload_independent_kinds_are_cached_as_ints(self, net):
+        from repro.wire import MODEL_SIZES, WIRE_MESSAGE_CLASSES, Blame, Propose, Serve
 
-        @dataclass(frozen=True)
-        class FixedMsg:
-            CATEGORY = CATEGORY_VERIFICATION
-            WIRE_SIZE_FIXED = True
-
-            def wire_size(self) -> int:
-                calls.append(1)
-                return 11
-
-        for _ in range(5):
-            network.send(0, 1, FixedMsg())
-        assert len(calls) == 1
-        assert network.trace.sent_bytes("FixedMsg") == 5 * 11
-
-    def test_variable_size_message_sized_per_send(self, net):
-        sim, network, _nodes = net
-        calls = []
-
-        @dataclass(frozen=True)
-        class VariableMsg:
-            CATEGORY = CATEGORY_DATA
-            payload: int = 0
-
-            def wire_size(self) -> int:
-                calls.append(1)
-                return 10 + self.payload
-
-        network.send(0, 1, VariableMsg(1))
-        network.send(0, 1, VariableMsg(2))
-        assert len(calls) == 2
-        assert network.trace.sent_bytes("VariableMsg") == 23
+        _sim, network, _nodes = net
+        assert network._size_cache == MODEL_SIZES
+        assert set(MODEL_SIZES) == set(WIRE_MESSAGE_CLASSES)
+        assert type(MODEL_SIZES[Blame]) is int
+        assert type(MODEL_SIZES[Propose]) is not int and type(MODEL_SIZES[Serve]) is not int
 
     def test_real_message_sizes_accounted(self, net):
         from repro.wire import Blame, Propose
 
         sim, network, _nodes = net
         blame = Blame(target=3, value=1.0)
-        propose = Propose(proposal_id=1, chunk_ids=(1, 2))
         network.send(0, 1, blame)
         network.send(0, 1, blame)
-        network.send(0, 1, propose)
-        assert network.trace.sent_bytes("Blame") == 2 * blame.wire_size()
-        assert network.trace.sent_bytes("Propose") == propose.wire_size()
+        network.send(0, 1, Propose(proposal_id=1, chunk_ids=(1, 2)))
+        network.send_many(0, (1, 2), Propose(proposal_id=2, chunk_ids=()))
+        assert network.trace.sent_bytes("Blame") == 2 * (28 + 1 + 6 + 4)
+        assert network.trace.sent_bytes("Propose") == (28 + 1 + 4 + 2 * 4) + 2 * (28 + 1 + 4)
 
 
 class TestInlineModelFastPaths:

@@ -279,6 +279,13 @@ class TestEncodeSideChecks:
         with pytest.raises(wire_codec.OversizedFrameError):
             wire_codec.encode_frame(1, Propose(proposal_id=1, chunk_ids=too_many))
 
+    def test_oversized_sequence_of_records_refused_at_encode(self):
+        # A sequence of composite items (the audit history) is capped by
+        # its own check, before any item is encoded.
+        too_many = ((0, (), ()),) * (wire_codec.MAX_SEQ_ITEMS + 1)
+        with pytest.raises(wire_codec.OversizedFrameError, match="exceeds cap"):
+            wire_codec.encode_frame(1, AuditResponse(proposals=too_many))
+
 
 def _codec_calls(message) -> int:
     """Calls (Python functions and C built-ins alike) cProfile sees in one
