@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test loc reach reach-product collector-cost transport-strict live-smoke examples-smoke bench-smoke bench-parallel bench-scenarios bench-scaling bench-scaling-smoke bench-check bench-check-fast bench-baseline bench-loadgen bench-loadgen-smoke bench-ledger bench-ledger-smoke bench-ledger-live scorecard bench-full
+.PHONY: test loc reach reach-product collector-cost transport-strict live-smoke examples-smoke bench-scenarios bench-ledger bench-ledger-smoke bench-ledger-live scorecard
 
 ## Tier-1 test suite (must stay green).
 test:
@@ -57,14 +57,14 @@ transport-strict:
 ## event loop fails fast: chaos over loopback (real sockets, scripted
 ## faults, expulsion + audit chain armed), the simulated churn and
 ## coalition sweeps that share its detector / fault path, the live +
-## chaos registry smokes, and the open-loop loadgen smoke.  This is what
-## the CI `live-smoke` job runs.
+## chaos registry smokes, and the open-loop loadgen registry smoke.  This
+## is what the CI `live-smoke` job runs.
 live-smoke:
 	timeout 120 python -m repro.cli run chaos --set n=12 --set duration=6.0
 	timeout 120 python -m repro.cli run churn --set n=24 --set duration=14.0 --set rates=0.3
 	timeout 120 python -m repro.cli run coalition --set n=24 --set duration=12.0 --set sizes=3
-	timeout 120 python benchmarks/bench_scenarios.py --smoke --only live --only chaos
-	timeout 120 python benchmarks/bench_loadgen.py --smoke
+	timeout 120 python benchmarks/bench_scenarios.py --only live --only chaos
+	timeout 120 python benchmarks/bench_scenarios.py --only loadgen
 
 ## Every runnable demo under examples/, each under a hard 120 s cap
 ## (~75 s in all): the only thing that executes them.  This is what the
@@ -75,46 +75,9 @@ examples-smoke:
 		timeout 120 python $$example > /dev/null || exit 1; \
 	done
 
-## Quick substrate benchmark run (pytest-benchmark timings + reports).
-bench-smoke:
-	python -m pytest benchmarks/bench_substrate_performance.py -q
-
-## Parallel orchestration scaling + equivalence (speedup asserted on >=4 cores).
-bench-parallel:
-	python -m pytest benchmarks/bench_parallel_experiments.py -q
-
 ## Registry sweep: every scenario at smoke size + RunResult round-trip.
 bench-scenarios:
-	python benchmarks/bench_scenarios.py --smoke
-
-## Large-n scalability curve (s per sim-second vs n); --record to persist.
-bench-scaling:
-	python benchmarks/bench_scaling_curve.py
-
-bench-scaling-smoke:
-	python benchmarks/bench_scaling_curve.py --smoke
-
-## Compare substrate kernels against benchmarks/BENCH_substrate.json;
-## fails on a >30% regression. Use bench-check-fast to skip the
-## 300-node cluster kernel.
-bench-check:
-	python scripts/check_bench_regression.py
-
-bench-check-fast:
-	python scripts/check_bench_regression.py --skip-cluster
-
-## Refresh the 'current' baselines after an intentional perf change.
-bench-baseline:
-	python scripts/check_bench_regression.py --update
-
-## Open-loop load sweep against a live node; records the knee baseline
-## into benchmarks/BENCH_loadgen.json (idle machine only).
-bench-loadgen:
-	python benchmarks/bench_loadgen.py --record
-
-## CI-sized loadgen smoke: report parses, zero invariant violations.
-bench-loadgen-smoke:
-	python benchmarks/bench_loadgen.py --smoke
+	python benchmarks/bench_scenarios.py
 
 ## The perf ledger (BENCHMARK.json; benchmarks/ledger/README.md): every
 ## workload untraced then traced, one run record under
@@ -138,8 +101,3 @@ bench-ledger-live:
 ## claim fails.  The paper's checks that are no scenario run are tier-1.
 scorecard:
 	@python benchmarks/scorecard.py
-
-## The pytest-benchmark files (benchmarks/bench_*.py) at their full sizes
-## (slow).
-bench-full:
-	REPRO_BENCH_FULL=1 python -m pytest benchmarks/bench_*.py -q

@@ -15,10 +15,10 @@ JSON-safe (or render to nothing) fails here before it fails a user.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke     # CI
+    PYTHONPATH=src python benchmarks/bench_scenarios.py
     PYTHONPATH=src python benchmarks/bench_scenarios.py --only fig1
     PYTHONPATH=src python benchmarks/bench_scenarios.py --skip-tag live
-    PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke --json-dir out/
+    PYTHONPATH=src python benchmarks/bench_scenarios.py --json-dir out/
 
 The socket-backed scenarios (tag ``live``: the plain ``live`` deployment
 and the fault-injecting ``chaos`` run) are part of the sweep like any
@@ -26,9 +26,8 @@ other registration; CI runs them in a dedicated timeout-bounded job
 (``--only live --only chaos``) so a hung event loop cannot stall the
 simulator benchmarks, which skip them via ``--skip-tag live``.
 
-``--smoke`` is accepted for CI-invocation symmetry with the other bench
-scripts; smoke sizing is the default (and only) mode — the paper's
-claims are checked at their own sizes by ``benchmarks/scorecard.py``.
+Smoke sizing is the only mode: the paper's claims are checked at their
+own sizes by ``benchmarks/scorecard.py``.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ import sys
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="smoke sizing (the default; kept for CI symmetry)",
-    )
     parser.add_argument(
         "--only", action="append", default=None, metavar="NAME",
         help="run only these scenarios (repeatable)",

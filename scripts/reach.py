@@ -227,7 +227,7 @@ def entry_points(scratch: pathlib.Path) -> list:
 
     cli = ["-m", "repro.cli"]
     log = scratch / "audit.jsonl"
-    runs = [["benchmarks/bench_scenarios.py", "--smoke"]]
+    runs = [["benchmarks/bench_scenarios.py"]]
     for spec in list_scenarios():
         sets = [f"--set={key}={flag(value)}" for key, value in spec.smoke.items()]
         runs.append(cli + ["run", spec.name] + sets)
@@ -242,7 +242,6 @@ def entry_points(scratch: pathlib.Path) -> list:
         cli + ["audit-verify", str(log), "--recover"],
         cli + ["run", "churn", "--set=n=24", "--set=duration=14.0", "--set=rates=0.3"],
         cli + ["run", "coalition", "--set=n=24", "--set=duration=12.0", "--set=sizes=3"],
-        ["benchmarks/bench_loadgen.py", "--smoke"],
         ["-m", "benchmarks.ledger", "--smoke"],
     ]
     runs += [[str(path.relative_to(ROOT))] for path in sorted((ROOT / "examples").glob("*.py"))]

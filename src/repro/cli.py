@@ -354,11 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "run":
         return _cmd_run(argv[1:])
     args = _build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except ParamError as exc:
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
-        return 2
+    return args.handler(args)
 
 
 if __name__ == "__main__":

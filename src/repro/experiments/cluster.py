@@ -184,18 +184,10 @@ class SimCluster:
         for node in self.nodes.values():
             node.start()
 
-    def run(self, until: float, profile_to: Optional[str] = None) -> None:
-        """Advance simulated time to ``until`` (starting if needed).
-
-        ``profile_to`` dumps sorted ``cProfile`` stats of the advance to
-        that path — the evidence-gathering hook behind the CLI's
-        ``--profile`` flag (see docs/PERFORMANCE.md).
-        """
+    def run(self, until: float) -> None:
+        """Advance simulated time to ``until`` (starting if needed)."""
         self.start()
-        from repro.util.profiling import maybe_profile
-
-        with maybe_profile(profile_to):
-            self.sim.run(until=until)
+        self.sim.run(until=until)
 
     # ------------------------------------------------------------------
     # measurements

@@ -3,17 +3,15 @@
 Not a paper artefact — LiFTinG was validated on ~300 PlanetLab nodes,
 and the ROADMAP's north star needs single deployments far beyond that.
 This experiment measures how expensive one simulated second of a
-PlanetLab-style deployment is as the system size grows, producing the
-scaling curve recorded in ``benchmarks/BENCH_substrate.json`` (see
-``benchmarks/bench_scaling_curve.py`` and the "Scaling with n" section
-of ``docs/PERFORMANCE.md``).
+PlanetLab-style deployment is as the system size grows, and how much
+memory each node's state takes (see the "Scaling with n" section of
+``docs/PERFORMANCE.md``; a tier-1 test sweeps it to n = 2000).
 
 Timing runs *inside* the worker around a warmed-up cluster, so a
 multi-process sweep (``jobs > 1``) still times each deployment
 correctly — but concurrent workers contend for cores, so curves meant
-as performance baselines should be recorded with ``jobs=1``; ``jobs``
-exists for functional smoke sweeps (CI) where wall accuracy is
-secondary.
+as performance readings should be taken with ``jobs=1``; ``jobs``
+exists for functional sweeps where wall accuracy is secondary.
 """
 
 from __future__ import annotations
@@ -29,11 +27,8 @@ from repro.scenarios import Param, scenario
 
 
 def scaling_config(n: int, seed: int = 1) -> ClusterConfig:
-    """The deployment the sweep times: PlanetLab parameters at size ``n``.
-
-    Mirrors the ``cluster300`` regression kernel (fanout 5, 10 managers)
-    so curve points are comparable with the recorded baselines.
-    """
+    """The deployment the sweep times: PlanetLab parameters at size ``n``
+    with fanout 5 and 10 managers."""
     gossip, lifting = planetlab_params()
     gossip = replace(gossip, n=n, fanout=5, source_fanout=5)
     lifting = replace(lifting, managers=10)

@@ -530,6 +530,10 @@ class PeriodicTimer:
     def stop(self) -> None:
         """Stop firing; the pending tick leaves the heap now.  From
         inside the timer's own callback that tick is already popped and
-        there is nothing to take back."""
+        there is nothing to take back.  The entry holds the bound
+        ``_tick``; letting go of it keeps a stopped timer out of a
+        reference cycle, so a crashed node's old timer dies by refcount
+        while ``Simulator.run`` holds the collector off."""
         self.stopped = True
         self._sim.unschedule(self._entry)
+        self._entry = None

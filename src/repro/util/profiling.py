@@ -1,10 +1,9 @@
-"""Profiling hooks for the CLI runners and cluster drivers.
+"""The profiling hook behind ``repro run --profile PATH``.
 
-Every perf-focused change to this repo starts from evidence; the
-``--profile`` flag on the CLI runners (and ``SimCluster.run``'s
-``profile_to``) funnels that evidence into a file so the next
-optimisation PR does not have to rediscover the hot paths.  See the
-"Profiling recipe" section of ``docs/PERFORMANCE.md``.
+Every perf-focused change to this repo starts from evidence; the flag
+funnels that evidence into a file so the next optimisation does not
+have to rediscover the hot paths.  See the "Profiling recipe" section
+of ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations

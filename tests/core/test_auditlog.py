@@ -157,6 +157,16 @@ class TestPersistence:
         assert loaded.records == log.records
         assert loaded.verify_all().ok
 
+    def test_blank_line_between_records_is_skipped(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        log = build_log(path=str(path))
+        log.close()
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + ["", "   "] + lines[2:]) + "\n")
+        loaded = AuditLog.load(str(path), key_seed="test-seed")
+        assert loaded.records == log.records
+        assert loaded.verify_all().ok
+
     def test_wrong_key_fails_verification(self, tmp_path):
         path = tmp_path / "audit.jsonl"
         build_log(path=str(path)).close()

@@ -10,6 +10,7 @@ from repro import adversary
 from repro.config import planetlab_params
 from repro.core import blames
 from repro.experiments.cluster import ClusterConfig, SimCluster
+from repro.scenarios import run_scenario
 
 
 def freerider_policy(degree, **params):
@@ -420,6 +421,17 @@ class TestBoundedState:
                 "blames_by_reason",  # a diagnostic, bounded by its keys
             }
             assert set(node.engine.blames_by_reason) <= reasons
+
+    def test_state_per_node_does_not_rise_with_n(self):
+        """Per-node state is bounded, so the tracemalloc peak over
+        construction + warm-up, per node, falls as fixed costs amortise
+        (about 14.5 / 11.2 / 10.9 KiB at seed 1)."""
+        points = run_scenario(
+            "scaling", sizes=(40, 200, 2000), duration=0.5, warmup=0.25
+        ).metrics["points"]
+        first, last = points[0], points[-1]
+        assert (first["n"], last["n"]) == (40, 2000)
+        assert 0.0 < last["peak_mem_kib_per_node"] <= first["peak_mem_kib_per_node"], points
 
     @pytest.mark.xfail(
         strict=True,

@@ -52,6 +52,7 @@ class TestLiveLoadgen:
             p50 = overall["stages"][stage]["p50"]
             assert not math.isnan(p50)
             assert 0.0 <= p50 < 1.0
+            assert not math.isnan(overall["stages"][stage]["p99"])
         # Stage decomposition orders: sojourn dominates each component.
         assert overall["stages"]["sojourn"]["p99"] >= overall["stages"]["queue"]["p50"]
 
@@ -62,6 +63,7 @@ class TestLiveLoadgen:
 
         # Unsaturated sweep: goodput tracks offered, no knee claimed.
         knee = load["knee"]
+        assert len(knee["offered"]) == len(knee["goodput"]) == len(knee["ratios"])
         assert knee["saturated"] is False
         assert knee["knee_rate"] is None
         assert all(r > 0.9 for r in knee["ratios"])
