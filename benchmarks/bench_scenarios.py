@@ -8,7 +8,9 @@ at its declared smoke size, validates that the resulting
 serialisation) and renders it the way ``repro run`` does
 (``RunResult.render``); a whole-
 registry sweep ends with one two-cell ``repro run analyze --sweep``, the
-product sweep's only entry point outside the tests.  This is the
+product sweep's only entry point outside the tests, and fails unless
+every registered adversary policy armed a node in some scenario it ran
+(an attack no run arms is dead code).  This is the
 drift gate for the Unified Scenario API: a scenario whose parameters
 stop resolving, whose reducer breaks or whose metrics stop being
 JSON-safe (or render to nothing) fails here before it fails a user.
@@ -37,6 +39,21 @@ import pathlib
 import sys
 
 
+def _record_armed_policies(armed: set) -> None:
+    """Add to ``armed`` the name of every adversary policy a deployment
+    built for at least one node, on either plane."""
+    from repro.deployment import Deployment
+
+    init = Deployment.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.adversary_policy is not None and self.freerider_ids:
+            armed.add(self.adversary_policy.name)
+
+    Deployment.__init__ = recording_init
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -54,8 +71,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    from repro.adversary import available
     from repro.scenarios import RunResult, list_scenarios, run_scenario
 
+    armed: set = set()
+    _record_armed_policies(armed)
     specs = list_scenarios()
     if args.only:
         wanted = set(args.only)
@@ -110,6 +130,10 @@ def main(argv=None) -> int:
         if not ok:
             failures.append(f"analyze --sweep fanout=7,12: exit {code}, cells not rendered")
         print(f"{'--sweep':12s} analyze fanout=7,12: 2 cells  {'ok' if ok else 'FAILED'}")
+        unarmed = sorted(set(available()) - armed)
+        if unarmed:
+            failures.append(f"adversary policies no scenario armed: {unarmed}")
+        print(f"{'adversaries':12s} armed: {', '.join(sorted(armed))}")
 
     if failures:
         print("\nSCENARIO REGISTRY FAILURES:", file=sys.stderr)

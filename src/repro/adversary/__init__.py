@@ -18,13 +18,7 @@ from repro.adversary.policy import (
     register,
     spec,
 )
-from repro.adversary.adaptive import (
-    AdaptiveFreeriderBehavior,
-    AdaptiveFreeriderPolicy,
-    degree_ladder,
-)
-from repro.adversary.coalition import LaunderingColluderBehavior, LaunderingCoalitionPolicy
-from repro.adversary.equivocator import EquivocatorBehavior, EquivocatorPolicy
+from repro.adversary.coalition import LaunderingCoalitionPolicy
 from repro.adversary.sybil import StuffingCampaign, SybilBlamePolicy, SybilStufferBehavior
 
 __all__ = [
@@ -35,13 +29,7 @@ __all__ = [
     "register",
     "spec",
     "FreeriderPolicy",
-    "AdaptiveFreeriderBehavior",
-    "AdaptiveFreeriderPolicy",
-    "degree_ladder",
-    "LaunderingColluderBehavior",
     "LaunderingCoalitionPolicy",
-    "EquivocatorBehavior",
-    "EquivocatorPolicy",
     "StuffingCampaign",
     "SybilBlamePolicy",
     "SybilStufferBehavior",

@@ -3,14 +3,11 @@
 At ``launder=0`` this *is* the paper's coalition (§4.1(iii): mutual
 confirms, never blame each other, biased partner selection, optionally
 the man-in-the-middle attack and forged audit histories).  A positive
-budget adds an attack the paper does not model: *blame laundering*.
-Credits — negative blames — are legitimate protocol traffic
-(compensation for the chunks a partner did serve), so each coalition
-member spends a per-period credit budget on its co-members, draining
-their accumulated blame at the managers.  The coalition thereby converts
-the one resource the detector cannot audit (the right to praise) into
-score, and the sweep in the ``coalition`` scenario measures how much
-laundering η absorbs before freeriders escape.
+budget adds an attack the paper does not model: *blame laundering*
+(see :class:`~repro.nodes.colluder.ColludingBehavior`).  The coalition
+thereby converts the one resource the detector cannot audit (the right
+to praise) into score, and the sweep in the ``coalition`` scenario
+measures how much laundering η absorbs before freeriders escape.
 """
 
 from __future__ import annotations
@@ -22,39 +19,6 @@ from repro.util.validation import require, require_int, require_non_negative, re
 from repro.adversary.policy import AdversaryContext, BehaviorPolicy, Degree, register
 
 NodeId = int
-
-
-class LaunderingColluderBehavior(ColludingBehavior):
-    """A coalition member that also launders blame budget."""
-
-    name = "laundering_colluder"
-
-    def __init__(
-        self, degree: FreeriderDegree, coalition: Coalition, *, launder: float = 0.0, **colluder
-    ) -> None:
-        super().__init__(degree, coalition, **colluder)
-        #: total credit (negative blame) granted to co-members per period.
-        self.launder = launder
-        self.credits_sent = 0.0
-
-    def on_period_start(self, period: int) -> None:
-        if self.launder <= 0.0:
-            return
-        friends = self.coalition.others(self.node.node_id)
-        if not friends:
-            return
-        credit = self.launder / len(friends)
-        for friend in friends:
-            # Negative value: rides send_blame's credit path (the
-            # should_blame cover-up gate only vets positive blames).
-            self.node.send_blame(friend, -credit, "laundered-credit")
-            self.credits_sent += credit
-
-    def __repr__(self) -> str:
-        return (
-            f"LaunderingColluderBehavior({self.degree}, bias={self.bias}, "
-            f"launder={self.launder})"
-        )
 
 
 @register
@@ -75,23 +39,20 @@ class LaunderingCoalitionPolicy(BehaviorPolicy):
         for flag in (man_in_the_middle, forge_history):
             require(isinstance(flag, bool), "the attack switches take a bool, got %r", flag)
         self.degree = FreeriderDegree(*degree)
-        self.launder = require_non_negative(launder, "launder")
         #: what every member's :class:`ColludingBehavior` is built with.
         self.member_kwargs = dict(
             bias=require_probability(bias, "bias"),
             man_in_the_middle=man_in_the_middle,
             forge_history=forge_history,
             period_stride=require_int(period_stride, "period_stride", minimum=1),
+            launder=require_non_negative(launder, "launder"),
         )
 
     def prepare(self, ctx: AdversaryContext) -> None:
-        super().prepare(ctx)
         self.coalition = Coalition(ctx.freerider_ids)
 
-    def build(self, node_id: NodeId) -> LaunderingColluderBehavior:
-        return LaunderingColluderBehavior(
-            self.degree, self.coalition, launder=self.launder, **self.member_kwargs
-        )
+    def build(self, node_id: NodeId) -> ColludingBehavior:
+        return ColludingBehavior(self.degree, self.coalition, **self.member_kwargs)
 
     def describe(self):
         return {
@@ -99,5 +60,5 @@ class LaunderingCoalitionPolicy(BehaviorPolicy):
             "size": len(self.coalition),
             "delta": self.degree.delta1,
             "bias": self.member_kwargs["bias"],
-            "launder": self.launder,
+            "launder": self.member_kwargs["launder"],
         }

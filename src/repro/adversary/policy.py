@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, Mapping, Tuple, Type
 
 import numpy as np
 
-from repro.config import FreeriderDegree, GossipParams, LiftingParams
+from repro.config import FreeriderDegree
 from repro.nodes.behavior import Behavior
 from repro.nodes.freerider import FreeriderBehavior
 from repro.util.validation import require_int
@@ -37,14 +37,12 @@ class AdversaryContext:
     """What a policy may know about the deployment it attacks.
 
     Deliberately *less* than the cluster knows: the adversary sees the
-    public parameters and the two role sets, not node internals.  The
-    ``rng`` is drawn from the cluster's seed tree (stream
-    ``"adversary"``), so adversarial randomness never perturbs the
-    honest streams — un-attacked runs stay byte-identical.
+    two role sets, not node internals.  The ``rng`` is drawn from the
+    cluster's seed tree (stream ``"adversary"``), so adversarial
+    randomness never perturbs the honest streams — un-attacked runs stay
+    byte-identical.
     """
 
-    gossip: GossipParams
-    lifting: LiftingParams
     freerider_ids: FrozenSet[NodeId]
     honest_ids: FrozenSet[NodeId]
     rng: np.random.Generator
@@ -60,8 +58,7 @@ class BehaviorPolicy:
     name = "?"
 
     def prepare(self, ctx: AdversaryContext) -> None:
-        """Bind the deployment context and derive shared attack state."""
-        self.ctx = ctx
+        """Derive shared attack state from the deployment context."""
 
     def build(self, node_id: NodeId) -> Behavior:
         """The behaviour instance for adversarial node ``node_id``."""

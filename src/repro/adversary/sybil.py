@@ -92,7 +92,6 @@ class SybilBlamePolicy(BehaviorPolicy):
         self.degree = FreeriderDegree.uniform(delta)
 
     def prepare(self, ctx: AdversaryContext) -> None:
-        super().prepare(ctx)
         honest = sorted(ctx.honest_ids)
         count = min(self.victim_count, len(honest))
         picked = ctx.rng.choice(len(honest), size=count, replace=False)

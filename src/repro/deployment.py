@@ -109,8 +109,6 @@ class Deployment:
         if self.adversary_policy is not None:
             self.adversary_policy.prepare(
                 AdversaryContext(
-                    gossip=gossip,
-                    lifting=lifting,
                     freerider_ids=frozenset(self.freerider_ids),
                     honest_ids=frozenset(self.honest_ids),
                     rng=seeds.generator("adversary"),

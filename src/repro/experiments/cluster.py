@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from repro.config import GossipParams, LiftingParams
@@ -89,10 +89,6 @@ class ClusterConfig:
         require_probability(self.degraded_fraction, "degraded_fraction")
         require_probability(self.loss_rate, "loss_rate")
         adversary_policy(self.adversary)  # unknown policy / bad parameter
-
-    def with_changes(self, **changes) -> "ClusterConfig":
-        """A modified copy (sweeps use this)."""
-        return replace(self, **changes)
 
 
 class SimCluster:

@@ -18,6 +18,7 @@ stream lag (see :mod:`repro.metrics.health`).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import Dict
 
@@ -77,11 +78,13 @@ def fig1_configs(
     )
     return {
         "baseline": base,
-        "freeriders_no_lifting": base.with_changes(
+        "freeriders_no_lifting": replace(
+            base,
             freerider_fraction=freerider_fraction,
             adversary=adversary.spec("freerider", degree=heavy_degree.as_tuple()),
         ),
-        "freeriders_with_lifting": base.with_changes(
+        "freeriders_with_lifting": replace(
+            base,
             lifting_enabled=True,
             expulsion_enabled=True,
             freerider_fraction=freerider_fraction,

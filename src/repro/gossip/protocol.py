@@ -620,7 +620,7 @@ class GossipNode:
         truthful = self.history.was_proposed_by(
             message.proposer, message.chunk_ids, last=3
         )
-        valid = self.behavior.confirm_answer(src, message.proposer, truthful)
+        valid = self.behavior.confirm_answer(message.proposer, truthful)
         response = ConfirmResponse(proposer=message.proposer, valid=valid)
         self._send_many(self.node_id, (src,), response, _UDP)
 
@@ -643,13 +643,15 @@ class GossipNode:
         self.send(src, AuditResponse(proposals=snapshot))
 
     def _on_history_poll(self, src: NodeId, message: HistoryPollRequest) -> None:
-        truthful_ack = self.history.was_proposed_by(message.target, message.chunk_ids)
-        senders = self.history.confirm_senders_about(message.target)
-        acknowledged, senders = self.behavior.poll_answer(
-            src, message.target, truthful_ack, senders
+        target = message.target
+        acknowledged = self.behavior.poll_acknowledge(
+            target, self.history.was_proposed_by(target, message.chunk_ids)
+        )
+        senders = self.behavior.poll_confirm_senders(
+            target, self.history.confirm_senders_about(target)
         )
         response = HistoryPollResponse(
-            target=message.target,
+            target=target,
             period=message.period,
             acknowledged=acknowledged,
             confirm_senders=tuple(senders),

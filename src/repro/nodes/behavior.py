@@ -8,7 +8,7 @@ one-to-one onto hook overrides.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 NodeId = int
 ChunkId = int
@@ -25,8 +25,6 @@ class Behavior:
     """
 
     name = "honest"
-    #: honest nodes perform verifications; a behaviour may opt out.
-    verifies = True
 
     def __init__(self) -> None:
         self.node = None
@@ -41,9 +39,8 @@ class Behavior:
     def on_period_start(self, period: int) -> None:
         """Called once per local gossip period, before blames flush.
 
-        The honest default does nothing; adaptive adversaries use it to
-        re-tune their deviation or inject reputation traffic (see
-        :mod:`repro.adversary`).  Hooks here may call
+        The honest default does nothing; adversaries use it to inject
+        reputation traffic (see :mod:`repro.adversary`).  Hooks here may call
         ``self.node.send_blame`` — emissions land in the same period's
         flush.
         """
@@ -84,9 +81,8 @@ class Behavior:
         """The partner list reported in acks (forged by colluders)."""
         return partners
 
-    def confirm_answer(self, requester: NodeId, proposer: NodeId, truthful: bool) -> bool:
-        """Answer to ``requester``'s confirm request about ``proposer``
-        (equivocators differentiate by who asks)."""
+    def confirm_answer(self, proposer: NodeId, truthful: bool) -> bool:
+        """Answer to a confirm request about ``proposer``."""
         return truthful
 
     def should_blame(self, target: NodeId) -> bool:
@@ -106,20 +102,6 @@ class Behavior:
     ) -> List[NodeId]:
         """The confirm-sender log reported about ``target``."""
         return truthful
-
-    def poll_answer(
-        self,
-        requester: NodeId,
-        target: NodeId,
-        truthful_ack: bool,
-        truthful_senders: List[NodeId],
-    ) -> Tuple[bool, List[NodeId]]:
-        """Requester-aware history-poll answer ``(acknowledged,
-        confirm_senders)``; defaults to the requester-blind hooks."""
-        return (
-            self.poll_acknowledge(target, truthful_ack),
-            self.poll_confirm_senders(target, truthful_senders),
-        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -16,7 +16,11 @@ A coalition shares a member set; each member
 * optionally **forges audit histories**, replacing the coalition-heavy
   partner list with uniformly sampled honest nodes to pass the entropy
   check — which the a-posteriori cross-check punishes because the
-  honest nodes deny the proposals.
+  honest nodes deny the proposals;
+* optionally **launders blame**, an attack the paper does not model:
+  each period it grants its co-members a ``launder`` budget of credits
+  (negative blames, legitimate compensation traffic), draining their
+  accumulated blame at the managers.
 """
 
 from __future__ import annotations
@@ -59,12 +63,32 @@ class ColludingBehavior(FreeriderBehavior):
         man_in_the_middle: bool = False,
         forge_history: bool = False,
         period_stride: int = 1,
+        launder: float = 0.0,
     ) -> None:
         super().__init__(degree, period_stride=period_stride)
         self.coalition = coalition
         self.bias = bias
         self.man_in_the_middle = man_in_the_middle
         self.forge_history = forge_history
+        #: total credit (negative blame) granted to co-members per period.
+        self.launder = launder
+        self.credits_sent = 0.0
+
+    # ------------------------------------------------------------------
+    # blame laundering
+    # ------------------------------------------------------------------
+    def on_period_start(self, period: int) -> None:
+        if self.launder <= 0.0:
+            return
+        friends = self.coalition.others(self.node.node_id)
+        if not friends:
+            return
+        credit = self.launder / len(friends)
+        for friend in friends:
+            # Negative value: rides send_blame's credit path (the
+            # should_blame cover-up gate only vets positive blames).
+            self.node.send_blame(friend, -credit, "laundered-credit")
+            self.credits_sent += credit
 
     # ------------------------------------------------------------------
     # biased partner selection (§6.3.2's p_m model)
@@ -97,7 +121,7 @@ class ColludingBehavior(FreeriderBehavior):
     # ------------------------------------------------------------------
     # cover-ups
     # ------------------------------------------------------------------
-    def confirm_answer(self, requester: NodeId, proposer: NodeId, truthful: bool) -> bool:
+    def confirm_answer(self, proposer: NodeId, truthful: bool) -> bool:
         if proposer in self.coalition:
             return True
         return truthful
@@ -157,5 +181,6 @@ class ColludingBehavior(FreeriderBehavior):
     def __repr__(self) -> str:
         return (
             f"ColludingBehavior({self.degree}, bias={self.bias}, "
-            f"mitm={self.man_in_the_middle}, forge={self.forge_history})"
+            f"mitm={self.man_in_the_middle}, forge={self.forge_history}, "
+            f"launder={self.launder})"
         )

@@ -26,7 +26,7 @@ The process-global registry and the engine that executes specs live in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -347,10 +347,6 @@ class RunResult:
         """Write the envelope to a JSON file (pretty-printed)."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json(indent=indent) + "\n")
-
-    def with_metrics(self, metrics: Mapping[str, Any]) -> "RunResult":
-        """Copy with a replaced metrics payload (baseline recorders)."""
-        return replace(self, metrics=metrics)
 
     # -- equality ------------------------------------------------------
     def __eq__(self, other: Any) -> bool:

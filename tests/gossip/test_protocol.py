@@ -18,7 +18,9 @@ from repro.wire import (
     AuditRequest,
     Blame,
     Confirm,
+    ConfirmResponse,
     HistoryPollRequest,
+    HistoryPollResponse,
     Propose,
     Request,
     ScoreQuery,
@@ -489,6 +491,64 @@ class TestServeOncePerRequest:
             twin.random()  # serve_filter: one draw per valid chunk
         twin.integers(0, 2)  # serve_origin: one co-colluder pick
         assert node.rng.random() == twin.random()
+
+
+class TestWitnessAnswers:
+    """A witness answers a confirm or a history poll from its own log,
+    passed through the behaviour's requester-blind hooks."""
+
+    def _witness(self, behavior=None):
+        host = HandClockHost()
+        node = node_on(host, behavior)
+        node.history.begin_period(1)
+        node.history.record_received_proposal(3, (1, 2))
+        node.history.record_confirm_sender(3, 8)
+        return node, host
+
+    def _colluder(self):
+        return ColludingBehavior(FreeriderDegree(), Coalition({0, 5, 6, 9}))
+
+    def test_honest_poll_answer_is_the_log(self):
+        node, host = self._witness()
+        node.on_message(4, HistoryPollRequest(target=3, period=1, chunk_ids=(1, 2)))
+        node.on_message(4, HistoryPollRequest(target=9, period=1, chunk_ids=(1,)))
+        assert host.sent == [
+            (4, HistoryPollResponse(target=3, period=1, acknowledged=True,
+                                    confirm_senders=(8,))),
+            (4, HistoryPollResponse(target=9, period=1, acknowledged=False,
+                                    confirm_senders=())),
+        ]
+
+    def test_colluder_poll_answer_covers_co_members_only(self):
+        node, host = self._witness(self._colluder())
+        node.on_message(4, HistoryPollRequest(target=9, period=1, chunk_ids=(1,)))
+        node.on_message(4, HistoryPollRequest(target=7, period=1, chunk_ids=(1,)))
+        (_, covered), (_, denied) = host.sent
+        # The empty sender log about a co-member is fabricated from the
+        # coalition roster; about anyone else the log is told as it is.
+        assert (covered.target, covered.acknowledged) == (9, True)
+        assert sorted(covered.confirm_senders) == [5, 6, 9]
+        assert denied == HistoryPollResponse(
+            target=7, period=1, acknowledged=False, confirm_senders=()
+        )
+
+    def test_honest_confirm_answer_is_the_log(self):
+        node, host = self._witness()
+        node._answer_confirm(8, Confirm(proposer=3, chunk_ids=(1, 2)))
+        node._answer_confirm(8, Confirm(proposer=9, chunk_ids=(1,)))
+        assert host.sent == [
+            (8, ConfirmResponse(proposer=3, valid=True)),
+            (8, ConfirmResponse(proposer=9, valid=False)),
+        ]
+
+    def test_colluder_confirms_co_members_only(self):
+        node, host = self._witness(self._colluder())
+        node._answer_confirm(8, Confirm(proposer=9, chunk_ids=(1,)))
+        node._answer_confirm(8, Confirm(proposer=7, chunk_ids=(1,)))
+        assert host.sent == [
+            (8, ConfirmResponse(proposer=9, valid=True)),
+            (8, ConfirmResponse(proposer=7, valid=False)),
+        ]
 
 
 class TestChannel:

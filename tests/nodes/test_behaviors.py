@@ -42,8 +42,8 @@ class TestHonest:
         assert behavior.propose_filter(by_server) == by_server
         assert behavior.serve_filter([1, 2, 3]) == [1, 2, 3]
         assert behavior.ack_partners((4, 5)) == (4, 5)
-        assert behavior.confirm_answer(4, 9, True) is True
-        assert behavior.confirm_answer(4, 9, False) is False
+        assert behavior.confirm_answer(9, True) is True
+        assert behavior.confirm_answer(9, False) is False
         assert behavior.should_blame(9) is True
         assert behavior.serve_origin() == 0
         assert behavior.period_stride() == 1
@@ -91,10 +91,6 @@ class TestFreerider:
         behavior.bind(stub)
         assert behavior.period_stride() == 3
 
-    def test_still_verifies(self, stub):
-        behavior = FreeriderBehavior(FreeriderDegree(0.1, 0.1, 0.1))
-        assert behavior.verifies
-
 
 class TestCoalition:
     def test_membership(self):
@@ -137,8 +133,8 @@ class TestColluder:
 
     def test_covers_up_witnesses(self, stub):
         behavior, _ = self._behavior(stub)
-        assert behavior.confirm_answer(9, 3, truthful=False) is True  # colluder
-        assert behavior.confirm_answer(9, 50, truthful=False) is False  # honest
+        assert behavior.confirm_answer(3, truthful=False) is True  # colluder
+        assert behavior.confirm_answer(50, truthful=False) is False  # honest
 
     def test_never_blames_coalition(self, stub):
         behavior, _ = self._behavior(stub)

@@ -143,11 +143,6 @@ class TestEquality:
     def test_not_equal_to_other_types(self):
         assert _envelope() != {"scenario": "test"}
 
-    def test_with_metrics_replaces_payload(self):
-        replaced = _envelope().with_metrics({"other": 1})
-        assert replaced.metrics == {"other": 1}
-        assert replaced.scenario == "test"
-
 
 class TestRender:
     def test_golden(self):

@@ -143,7 +143,6 @@ class TestAdversaryArming:
         (ctx,) = policy.contexts
         assert ctx.freerider_ids == deployment.freerider_ids
         assert ctx.honest_ids == deployment.honest_ids
-        assert (ctx.gossip, ctx.lifting) == (deployment.gossip, deployment.lifting)
         expected = SeedSequenceFactory(SEED).generator("adversary")
         assert list(ctx.rng.random(4)) == list(expected.random(4))
 
