@@ -140,29 +140,35 @@ def install(out_dir: str, lines: bool) -> None:
         constructors[code] = found or None
         return constructors[code]
 
-    def watch(changed: list, inner):
+    class Watch:
         """Local trace function of one constructor call: ``inner``'s
         line accounting, plus the verdict on ``changed`` at the exit —
-        a frame left by an exception reports it as its last event."""
-        raised = False
+        a frame left by an exception reports it as its last event.  An
+        object that returns itself, not a closure that does: such a
+        closure is a reference cycle per constructor call, and that
+        garbage fails the tests asserting a run leaves none behind."""
 
-        def tracer(frame, event, arg):
-            nonlocal raised
+        __slots__ = ("changed", "inner", "raised")
+
+        def __init__(self, changed: list, inner) -> None:
+            self.changed = changed
+            self.inner = inner
+            self.raised = False
+
+        def __call__(self, frame, event, arg):
             if event == "exception":
-                raised = True
+                self.raised = True
             elif event == "return":
-                which = "invalid" if raised else "valid"
-                for key, text in changed:
+                which = "invalid" if self.raised else "valid"
+                for key, text in self.changed:
                     seen = moved.setdefault(key, {"valid": [], "invalid": []})[which]
                     if text not in seen and len(seen) < VALUES_KEPT:
                         seen.append(text)
             else:
-                raised = False
-                if inner is not None:
-                    inner(frame, event, arg)
-            return tracer
-
-        return tracer
+                self.raised = False
+                if self.inner is not None:
+                    self.inner(frame, event, arg)
+            return self
 
     def on_call(frame, _event, _arg):
         code = frame.f_code
@@ -186,7 +192,7 @@ def install(out_dir: str, lines: bool) -> None:
                 same = False
             if not same:
                 changed.append((key, repr(value)[:60]))
-        return watch(changed, tracer) if changed else tracer
+        return Watch(changed, tracer) if changed else tracer
 
     def dump() -> None:
         sys.settrace(None)  # what follows would otherwise add to the sets it walks
@@ -295,11 +301,14 @@ def run_traced(runs: list, scratch: pathlib.Path, name: str, lines: bool) -> Tup
             continue
         started = time.perf_counter()
         done = subprocess.run(
-            [sys.executable] + args, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, timeout=3600
+            [sys.executable] + args, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
+            timeout=3600,
         )
         print(f"  [{done.returncode}] {time.perf_counter() - started:6.1f}s  {' '.join(args)}",
               file=sys.stderr)
         if done.returncode != 0:
+            # the tail names what failed (pytest's short summary, say)
+            print("\n".join(done.stdout.splitlines()[-15:]), file=sys.stderr)
             failed.append(" ".join(args))
     seen = Seen()
     for path in out_dir.iterdir():

@@ -1,5 +1,6 @@
 """The public API surface advertised in the README must exist and work."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +58,36 @@ class TestQuickstart:
         assert gossip.n == 10_000 and gossip.fanout == 12
         gossip, lifting = repro.planetlab_params()
         assert gossip.n == 300 and gossip.fanout == 7 and lifting.managers == 25
+
+
+class TestImportCost:
+    """What a process pays before its first event (docs/PERFORMANCE.md)."""
+
+    def test_product_surfaces_load_no_scipy(self):
+        # scipy is imported only inside the two Eq. 7 root finders and
+        # calibration's normal quantile; a module-level import would add
+        # ~44 MiB and ~0.7 s to every process, the live plane's included.
+        src = Path(repro.__file__).resolve().parent.parent
+        code = (
+            "import sys\n"
+            "import repro, repro.sim, repro.runtime, repro.loadgen\n"
+            "import repro.wire, repro.wire_codec, repro.scenarios\n"
+            "repro.scenarios.load_builtins()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_deferred_brentq_gives_the_same_roots(self):
+        from repro.analysis.entropy_analysis import achievable_max_bias
+
+        assert repr(repro.max_bias_probability(8.95, 25, 600)) == "0.2134082047896237"
+        assert repr(achievable_max_bias(8.95, 25, 600)) == "0.15049168782803246"
