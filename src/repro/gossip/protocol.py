@@ -384,6 +384,7 @@ class GossipNode:
         self.behavior.on_period_start(self.period)
         self._flush_blames()
         self._prune_offers()
+        self._expire_old_proposals()
         self._run_manager_duties()
         if self.audit_scheduler is not None:
             self.audit_scheduler.on_period_tick()
@@ -436,7 +437,6 @@ class GossipNode:
         self._sent_proposals[proposal_id] = _SentProposal(
             partners=set(partners), chunk_ids=set(chunk_ids), at=self.clock()
         )
-        self._expire_old_proposals()
 
         if self.lifting_enabled:
             reported = self.behavior.ack_partners(tuple(partners))
