@@ -1,6 +1,6 @@
 """Direct verification and direct cross-checking (§5.2).
 
-The engine is hosted by a protocol node and tracks three kinds of
+The engine is hosted by a protocol node and tracks two kinds of
 pending state:
 
 * **pending acks** (we served chunks, we expect an ``ack`` naming the
@@ -12,9 +12,12 @@ pending state:
   where every contradictory or missing testimony draws blame 1.
 * **pending confirm rounds** (verifier side) — tallied at
   ``confirm_timeout``.
-* **pending requests** (we requested chunks, direct verification) — at
-  ``serve_timeout`` every missing chunk draws ``f/|R|``, a fully
-  ignored request draws ``f``.
+
+Direct verification keeps no state here: the host's request windows are
+its own (one per request, which a retry needs as much as a blame).  The
+engine only blames, when a window closes at ``serve_timeout`` with
+chunks missing: every missing chunk draws ``f/|R|``, a fully ignored
+request draws ``f``.
 
 The host interface the engine needs (satisfied by
 :class:`repro.gossip.protocol.GossipNode` on both planes): ``node_id``,
@@ -22,16 +25,15 @@ The host interface the engine needs (satisfied by
 timeout here inspects state when it fires), ``random()`` (a uniform
 [0,1) draw), ``send(dst, message)`` and ``send_many(dsts, message)``
 (each kind on its declared channel, :data:`repro.wire.TCP_KINDS`),
-``send_blame(target, value, reason)``,
-``on_request_expired(proposer, chunk_ids)`` and the ``gossip``/
-``lifting`` parameter sets.
+``send_blame(target, value, reason)`` and the ``gossip``/``lifting``
+parameter sets.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, Set
 
 from repro.core.blames import (
     REASON_FANOUT_DECREASE,
@@ -60,19 +62,6 @@ class _ConfirmRound:
     answered: Set[NodeId] = field(default_factory=set)
 
 
-@dataclass(slots=True)
-class _PendingRequest:
-    """One direct-verification window for a request we sent."""
-
-    proposer: NodeId
-    expected: Set[ChunkId]
-    received: Set[ChunkId] = field(default_factory=set)
-
-    @property
-    def request_size(self) -> int:
-        return len(self.expected)
-
-
 class VerificationEngine:
     """Per-node state machine for §5.2's verifications."""
 
@@ -96,7 +85,6 @@ class VerificationEngine:
         # round id -> open round, in start order; each is popped by its
         # own confirm timeout.
         self._confirm_rounds: Dict[int, _ConfirmRound] = {}
-        self._pending_requests: Dict[int, _PendingRequest] = {}
         self._round_counter = 0
         # Diagnostics.
         self.blames_by_reason: Dict[str, float] = defaultdict(float)
@@ -195,37 +183,11 @@ class VerificationEngine:
     # ------------------------------------------------------------------
     # requesting side: direct verification
     # ------------------------------------------------------------------
-    def on_request_sent(
-        self, proposer: NodeId, proposal_id: int, chunk_ids: Tuple[ChunkId, ...]
-    ) -> None:
-        """We requested ``chunk_ids``; start the serve-timeout window."""
-        if not chunk_ids:
-            return
-        self._pending_requests[proposal_id] = _PendingRequest(
-            proposer=proposer, expected=set(chunk_ids)
-        )
-        self._call_later(self.host.lifting.serve_timeout, self._finish_request, proposal_id)
-
-    def on_serve_received(self, proposal_id: int, chunk_id: ChunkId) -> None:
-        """A serve matching one of our requests arrived."""
-        try:
-            pending = self._pending_requests[proposal_id]
-        except KeyError:
-            return  # the window closed, or the serve answers no request of ours
-        pending.received.add(chunk_id)
-
-    def _finish_request(self, proposal_id: int) -> None:
-        pending = self._pending_requests.pop(proposal_id, None)
-        if pending is None:
-            return
-        missing = pending.expected - pending.received
-        if missing:
-            served = pending.request_size - len(missing)
-            value = partial_serve_blame(
-                self.host.gossip.fanout, pending.request_size, served
-            )
-            self._blame(pending.proposer, value, REASON_PARTIAL_SERVE)
-            self.host.on_request_expired(pending.proposer, missing)
+    def on_window_closed(self, proposer: NodeId, requested: int, missing: int) -> None:
+        """A request of ``requested`` chunks to ``proposer`` reached its
+        ``serve_timeout`` with ``missing`` of them unserved (at least one)."""
+        value = partial_serve_blame(self.host.gossip.fanout, requested, requested - missing)
+        self._blame(proposer, value, REASON_PARTIAL_SERVE)
 
     # ------------------------------------------------------------------
     # periodic sweep: missing acks
@@ -270,7 +232,6 @@ class VerificationEngine:
         """Clear all pending verification state (new incarnation)."""
         self._pending_acks.clear()
         self._confirm_rounds.clear()
-        self._pending_requests.clear()
 
     @property
     def pending_ack_count(self) -> int:
@@ -281,8 +242,3 @@ class VerificationEngine:
     def open_confirm_rounds(self) -> int:
         """Cross-check rounds whose timeout has not yet fired."""
         return len(self._confirm_rounds)
-
-    @property
-    def open_request_windows(self) -> int:
-        """Direct-verification windows still open."""
-        return len(self._pending_requests)

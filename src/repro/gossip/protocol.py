@@ -17,10 +17,10 @@ and ``send_many`` at construction, with no facade frame in between.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -108,6 +108,15 @@ class SimTransport:
         return self.sim.call_every(
             interval, callback, first_at=self.sim.now + first_delay, jitter=jitter
         )
+
+
+@dataclass(slots=True, eq=False)
+class _Window:
+    """One request we sent, open until its ``serve_timeout`` (§5.2)."""
+
+    proposer: NodeId
+    proposal_id: int
+    chunk_ids: Tuple[ChunkId, ...]
 
 
 @dataclass(slots=True)
@@ -200,8 +209,10 @@ class GossipNode:
         # chunk -> who served it, since the last propose phase (the
         # phase walks it in insertion order: RNG draws depend on it).
         self._fresh: Dict[ChunkId, NodeId] = {}
-        # chunks requested and neither served nor given up on.
-        self._pending_chunks: Set[ChunkId] = set()
+        # chunk -> the open request window that asked for it: a chunk
+        # is pending exactly while it is a key.  Its serve under that
+        # window's proposal id deletes it, or the window's timer does.
+        self._awaited: Dict[ChunkId, _Window] = {}
         # target -> blame summed since the last flush (first-blame order).
         self._blame_outbox: Dict[NodeId, float] = {}
         self._sent_proposals: Dict[int, _SentProposal] = {}
@@ -211,9 +222,6 @@ class GossipNode:
         # proposal naming a chunk we lacked, oldest first: where a lost
         # serve is re-requested.  The retry is rare, so it scans.
         self._offers: Deque[Tuple[float, NodeId, int, Tuple[ChunkId, ...]]] = deque()
-        # pending requests tracked by the node itself when no verification
-        # engine runs (the baseline protocol also retries lost serves).
-        self._naked_requests: Dict[int, Tuple[NodeId, Set[ChunkId]]] = {}
 
         self.engine = VerificationEngine(self) if lifting_enabled else None
         self.auditor = Auditor(self) if lifting_enabled else None
@@ -362,14 +370,15 @@ class GossipNode:
         self.history = LocalHistory(max_periods=self.lifting.history_periods + 2)
         self._history_open = False
         self._fresh.clear()
-        self._pending_chunks.clear()
+        # The old incarnation's windows still close on their timers, but
+        # await nothing: they draw no blame and retry nothing.
+        self._awaited.clear()
         self._blame_outbox.clear()
         self._sent_proposals.clear()
         self._offers.clear()
-        self._naked_requests.clear()
         if self.engine is not None:
-            # The old incarnation's ack expectations and open windows
-            # must not draw blames against the new one (or its peers).
+            # Nor may its ack expectations and cross-checks draw blames
+            # against the new incarnation (or its peers).
             self.engine.reset_transient()
 
     # ------------------------------------------------------------------
@@ -523,8 +532,8 @@ class GossipNode:
         sim = self._sim
         now = sim.now if sim is not None else self.clock()
         self._offers.append((now, src, message.proposal_id, chunk_ids))
-        pending = self._pending_chunks
-        needed = tuple([c for c in missing if c not in pending])
+        awaited = self._awaited
+        needed = tuple([c for c in missing if c not in awaited])
         if needed:
             self._send_request(src, message.proposal_id, needed)
 
@@ -533,25 +542,29 @@ class GossipNode:
     ) -> None:
         request = Request(proposal_id=proposal_id, chunk_ids=chunk_ids)
         self._send_many(self.node_id, (proposer,), request, _UDP)
-        self._pending_chunks.update(chunk_ids)
-        if self.engine is not None:
-            self.engine.on_request_sent(proposer, proposal_id, chunk_ids)
-        else:
-            # Baseline protocol (LiFTinG off): still watch the request so
-            # lost serves get retried from an alternative proposer.
-            self._naked_requests[proposal_id] = (proposer, set(chunk_ids))
-            self.call_later(
-                self.lifting.serve_timeout, self._check_naked_request, proposal_id
-            )
+        window = _Window(proposer, proposal_id, chunk_ids)
+        awaited = self._awaited
+        for chunk_id in chunk_ids:
+            awaited[chunk_id] = window
+        self.call_later(self.lifting.serve_timeout, self._close_window, window)
 
-    def _check_naked_request(self, proposal_id: int) -> None:
-        entry = self._naked_requests.pop(proposal_id, None)
-        if entry is None:
+    def _close_window(self, window: _Window) -> None:
+        """``serve_timeout`` after a request: release what it still
+        awaits, blame the proposer for it (LiFTinG on only), and retry
+        it elsewhere."""
+        awaited = self._awaited
+        missing = []
+        for chunk_id in window.chunk_ids:
+            if awaited.get(chunk_id) is window:
+                del awaited[chunk_id]
+                missing.append(chunk_id)
+        if not missing:
             return
-        proposer, chunk_ids = entry
-        missing = {c for c in chunk_ids if c not in self.store}
-        if missing:
-            self.on_request_expired(proposer, missing)
+        if self.engine is not None:
+            # A hostile proposal may repeat an id: each chunk is owed once.
+            requested = len(set(window.chunk_ids))
+            self.engine.on_window_closed(window.proposer, requested, len(missing))
+        self.on_request_expired(window.proposer, missing)
 
     def _on_request(self, src: NodeId, message: Request) -> None:
         record = self._sent_proposals.get(message.proposal_id)
@@ -589,18 +602,21 @@ class GossipNode:
             self.engine.on_serve_sent(src, *to_serve)
 
     def _on_serve(self, src: NodeId, message: Serve) -> None:
-        if self.engine is not None:
-            self.engine.on_serve_received(message.proposal_id, message.chunk_id)
+        chunk_id = message.chunk_id
+        # Only the window that asked for the chunk counts it served: a
+        # serve answering another request leaves that window short.
+        window = self._awaited.get(chunk_id)
+        if window is not None and window.proposal_id == message.proposal_id:
+            del self._awaited[chunk_id]
         sim = self._sim
         now = sim.now if sim is not None else self.clock()
-        fresh = self.store.add(message.chunk_id, message.payload_size, received_at=now)
-        self._pending_chunks.discard(message.chunk_id)
+        fresh = self.store.add(chunk_id, message.payload_size, received_at=now)
         if not fresh:
             self.stats.duplicate_serves += 1
             return
         self.stats.chunks_received += 1
         origin = message.origin
-        self._fresh[message.chunk_id] = origin
+        self._fresh[chunk_id] = origin
         if self._history_open and origin != SOURCE_ID:
             self.history.record_fanin(origin)
 
@@ -702,13 +718,13 @@ class GossipNode:
             # whole period's worth in one batch.
             self.manager.on_blame_batch(local_targets, local_values)
 
-    def on_request_expired(self, proposer: NodeId, chunk_ids: Set[ChunkId]) -> None:
-        """A request (partially) timed out: retry elsewhere or release.
+    def on_request_expired(self, proposer: NodeId, chunk_ids: Iterable[ChunkId]) -> None:
+        """A request window closed with ``chunk_ids`` unserved: retry.
 
         The serve or the request itself may have been lost; the node
         re-requests each missing chunk from an alternative proposer that
-        recently advertised it, falling back to releasing the pending
-        mark so future proposals can pick it up.
+        recently advertised it, in a window of its own.  A chunk with no
+        alternative stays released, for a later proposal to offer.
         """
         retry: Dict[Tuple[NodeId, int], List[ChunkId]] = defaultdict(list)
         is_connected = self.transport.is_connected
@@ -728,8 +744,6 @@ class GossipNode:
                     break
             if alternative is not None:
                 retry[alternative].append(chunk_id)
-            else:
-                self._pending_chunks.discard(chunk_id)
         for (src, pid), ids in retry.items():
             self._send_request(src, pid, tuple(ids))
 

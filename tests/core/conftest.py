@@ -20,7 +20,6 @@ class FakeHost:
         self.lifting = lifting
         self.sent = []  # (dst, message)
         self.blames = []  # (target, value, reason)
-        self.expired = []  # (proposer, chunk_ids)
         self.verdicts = []  # (target, result)
         self.forced_random = None
         self._rng = np.random.default_rng(0)
@@ -48,9 +47,6 @@ class FakeHost:
 
     def send_blame(self, target, value, reason):
         self.blames.append((target, value, reason))
-
-    def on_request_expired(self, proposer, chunk_ids):
-        self.expired.append((proposer, set(chunk_ids)))
 
     def on_audit_verdict(self, target, result):
         self.verdicts.append((target, result))

@@ -124,42 +124,6 @@ class TestAckViolations:
         assert (5, 3.0, REASON_FANOUT_DECREASE) in fake_host.blames
 
 
-class TestDirectVerification:
-    def test_all_chunks_served_no_blame(self, engine, fake_host):
-        engine.on_request_sent(proposer=7, proposal_id=42, chunk_ids=(1, 2, 3))
-        for c in (1, 2, 3):
-            engine.on_serve_received(42, c)
-        fake_host.sim.run()
-        assert fake_host.blames == []
-
-    def test_partial_serve_blame_value(self, engine, fake_host):
-        engine.on_request_sent(7, 42, (1, 2, 3, 4))
-        engine.on_serve_received(42, 1)
-        fake_host.sim.run()
-        assert (7, pytest.approx(FANOUT * 3 / 4), REASON_PARTIAL_SERVE) in [
-            (t, v, r) for t, v, r in fake_host.blames
-        ]
-
-    def test_fully_ignored_request_blamed_f(self, engine, fake_host):
-        engine.on_request_sent(7, 42, (1, 2))
-        fake_host.sim.run()
-        assert (7, float(FANOUT), REASON_PARTIAL_SERVE) in fake_host.blames
-
-    def test_missing_chunks_reported_for_retry(self, engine, fake_host):
-        engine.on_request_sent(7, 42, (1, 2, 3))
-        engine.on_serve_received(42, 2)
-        fake_host.sim.run()
-        assert fake_host.expired == [(7, {1, 3})]
-
-    def test_empty_request_ignored(self, engine, fake_host):
-        engine.on_request_sent(7, 42, ())
-        fake_host.sim.run()
-        assert fake_host.blames == []
-
-    def test_serve_for_unknown_proposal_ignored(self, engine):
-        engine.on_serve_received(999, 1)  # must not raise
-
-
 class TestBookkeeping:
     def test_counters(self, engine, fake_host):
         engine.on_serve_sent(5, 1)
@@ -171,9 +135,13 @@ class TestBookkeeping:
         assert engine.open_confirm_rounds == 0
 
     def test_blames_by_reason_accumulates(self, engine, fake_host):
-        engine.on_request_sent(7, 42, (1,))
-        fake_host.sim.run()
-        assert engine.blames_by_reason[REASON_PARTIAL_SERVE] == float(FANOUT)
+        engine.on_window_closed(7, requested=4, missing=1)
+        engine.on_window_closed(7, requested=1, missing=1)
+        assert engine.blames_by_reason[REASON_PARTIAL_SERVE] == FANOUT / 4 + FANOUT
+        assert fake_host.blames == [
+            (7, FANOUT / 4, REASON_PARTIAL_SERVE),
+            (7, float(FANOUT), REASON_PARTIAL_SERVE),
+        ]
 
     def test_partial_ack_keeps_exact_count(self, engine, fake_host):
         """Regression: a partial ack must not leave an empty per-requester

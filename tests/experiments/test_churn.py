@@ -14,6 +14,7 @@ import pytest
 from repro import adversary
 from repro.config import FreeriderDegree, planetlab_params
 from repro.experiments.cluster import ClusterConfig, SimCluster
+from repro.gossip.protocol import _Window
 from repro.membership.base import STATUS_EXPELLED, STATUS_LEFT
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.runtime.faults import FaultSchedule
@@ -207,7 +208,7 @@ class TestReadmissionRemap:
         node = cluster.nodes[node_id]
         # Dirty the first incarnation's transient containers.
         node._fresh[7] = 3
-        node._pending_chunks.add(9)
+        node._awaited[9] = _Window(proposer=3, proposal_id=1, chunk_ids=(9,))
         node._blame_outbox[4] = 2.0
 
         cluster.leave(node_id)
@@ -215,7 +216,7 @@ class TestReadmissionRemap:
 
         assert cluster.membership.incarnation_of(node_id) >= 1
         assert node._fresh == {}
-        assert node._pending_chunks == set()
+        assert node._awaited == {}
         assert node._blame_outbox == {}
 
     def test_rejoin_without_detector_keeps_transient_state(self):
@@ -223,11 +224,11 @@ class TestReadmissionRemap:
         # same node coming back, in-flight state and all.
         cluster = make_cluster(n=12, freerider_fraction=0.0, failure_detector=None)
         node = cluster.nodes[0]
-        node._pending_chunks.add(9)
+        window = node._awaited[9] = _Window(proposer=3, proposal_id=1, chunk_ids=(9,))
         node._blame_outbox[4] = 2.0
         cluster.leave(0)
         assert cluster.rejoin(0)
-        assert node._pending_chunks == {9}
+        assert node._awaited == {9: window}
         assert node._blame_outbox == {4: 2.0}
 
     def test_readmit_purges_peers_stale_ack_rows(self, cluster):

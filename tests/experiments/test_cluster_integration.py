@@ -10,7 +10,9 @@ from repro import adversary
 from repro.config import planetlab_params
 from repro.core import blames
 from repro.experiments.cluster import ClusterConfig, SimCluster
+from repro.gossip.chunks import SOURCE_ID
 from repro.scenarios import run_scenario
+from repro.wire import WIRE_MESSAGE_CLASSES
 
 
 def freerider_policy(degree, **params):
@@ -321,19 +323,19 @@ class TestSeededDeterminismGolden:
         cluster = small_cluster_factory()  # seed=42, loss_rate=0.03
         cluster.run(until=5.0)
         trace = cluster.trace
-        assert cluster.sim.events_processed == 19339
-        assert trace.sent_count() == 15151
-        assert trace.delivered_count() == 14504
-        assert trace.lost_count() == 470
-        assert trace.category_bytes("data") == 9515255
-        assert trace.category_bytes("verification") == 331606
-        assert trace.category_bytes("reputation") == 65676
-        assert trace.sent_count("Serve") == 4482
-        assert trace.sent_count("Confirm") == 3308
+        assert cluster.sim.events_processed == 19617
+        assert trace.sent_count() == 15332
+        assert trace.delivered_count() == 14681
+        assert trace.lost_count() == 477
+        assert trace.category_bytes("data") == 9523924
+        assert trace.category_bytes("verification") == 336344
+        assert trace.category_bytes("reputation") == 66300
+        assert trace.sent_count("Serve") == 4486
+        assert trace.sent_count("Confirm") == 3356
 
     # The two adversarial traces: behaviours draw from their node's
     # stream and policies from "adversary", so how the config *selects*
-    # an attack must never move these (pinned at the PR 15 commit).
+    # an attack must never move these.
     def test_fixed_seed_freerider_trace(self, small_cluster_factory):
         cluster = small_cluster_factory(
             freerider_fraction=0.25,
@@ -341,12 +343,12 @@ class TestSeededDeterminismGolden:
         )
         cluster.run(until=5.0)
         trace = cluster.trace
-        assert cluster.sim.events_processed == 16789
-        assert trace.sent_count() == 13590
-        assert trace.delivered_count() == 12960
-        assert trace.lost_count() == 428
-        assert trace.sent_count("Serve") == 4358
-        assert trace.sent_count("Confirm") == 2447
+        assert cluster.sim.events_processed == 16710
+        assert trace.sent_count() == 13521
+        assert trace.delivered_count() == 12903
+        assert trace.lost_count() == 427
+        assert trace.sent_count("Serve") == 4320
+        assert trace.sent_count("Confirm") == 2395
 
     def test_fixed_seed_colluder_trace(self, small_cluster_factory):
         cluster = small_cluster_factory(
@@ -361,17 +363,12 @@ class TestSeededDeterminismGolden:
         )
         cluster.run(until=5.0)
         trace = cluster.trace
-        assert cluster.sim.events_processed == 16905
-        assert trace.sent_count() == 13439
-        assert trace.delivered_count() == 12917
-        assert trace.lost_count() == 425
-        assert trace.sent_count("Serve") == 4275
-        assert trace.sent_count("Confirm") == 2470
-
-
-#: what a node keeps between events, bar the h-period history, the chunk
-#: store and ``_pending_chunks`` (see the strict xfail below).
-NODE_STATE = ("_fresh", "_blame_outbox", "_sent_proposals", "_offers", "_naked_requests")
+        assert cluster.sim.events_processed == 17138
+        assert trace.sent_count() == 13657
+        assert trace.delivered_count() == 13116
+        assert trace.lost_count() == 432
+        assert trace.sent_count("Serve") == 4322
+        assert trace.sent_count("Confirm") == 2501
 
 
 def engine_state(engine):
@@ -381,6 +378,63 @@ def engine_state(engine):
         for name, value in vars(engine).items()
         if isinstance(value, (dict, set, list, deque))
     }
+
+
+BLAME_REASONS = {v for k, v in vars(blames).items() if k.startswith("REASON_")}
+
+
+def long_lived(node, cluster):
+    """What a node keeps for good, by ``Owner.attribute``: (size, bound).
+
+    Everything else a node or a LiFTinG part it hosts holds is transient
+    (§5.2: a verification lives for one timeout).  The counters in
+    ``node.stats`` are fields, not containers.
+    """
+    sizes = {
+        # the stream itself: one entry per chunk emitted
+        "GossipNode.store": (len(node.store), cluster.source.emitted),
+        # §5.3: a ring of the n_h periods an audit reads, plus two
+        "GossipNode.history": (len(node.history.records()), node.lifting.history_periods + 2),
+        # one handler per wire kind
+        "GossipNode._dispatch": (len(node._dispatch), len(WIRE_MESSAGE_CLASSES)),
+        "GossipNode.dispatch_table": (len(node.dispatch_table), len(WIRE_MESSAGE_CLASSES)),
+        # the shared membership view: one entry per node
+        "GossipNode.sampler": (len(node.sampler), cluster.config.gossip.n),
+    }
+    if node.engine is not None:
+        # a diagnostic: one total per blame reason
+        sizes["VerificationEngine.blames_by_reason"] = (
+            len(node.engine.blames_by_reason),
+            len(BLAME_REASONS),
+        )
+    if node.manager is not None:
+        # §5.1: one score record per node this one manages
+        sizes["ReputationManager.records"] = (
+            len(node.manager.records),
+            len(node.assignment.managed_by(node.node_id)),
+        )
+    return sizes
+
+
+def census(cluster):
+    """The summed size of every other container of every node, and of
+    the engine, auditor, score reader and manager it hosts, found by
+    ``vars()``: the transient state a run holds at this instant."""
+    sizes = {}
+    for node in cluster.nodes.values():
+        kept = long_lived(node, cluster)
+        for name, (size, bound) in kept.items():
+            assert size <= bound, (node.node_id, name, size, bound)
+        parts = (node, node.engine, node.auditor, node.score_reader, node.manager)
+        for owner in parts:
+            if owner is None:
+                continue
+            for attribute, value in vars(owner).items():
+                name = f"{type(owner).__name__}.{attribute}"
+                if name in kept or not hasattr(type(value), "__len__"):
+                    continue
+                sizes[name] = sizes.get(name, 0) + len(value)
+    return sizes
 
 
 class TestBoundedState:
@@ -393,34 +447,28 @@ class TestBoundedState:
         gossip, lifting = planetlab_params()
         gossip = replace(gossip, n=40, chunk_size=1400)
         cluster = SimCluster(ClusterConfig(gossip=gossip, lifting=lifting, seed=3))
-        census = {}
+        sizes = {}
         for until in (6.0, 12.0, 18.0):
             cluster.run(until=until)
-            sizes = census[until] = dict.fromkeys(NODE_STATE, 0)
-            for node in cluster.nodes.values():
-                for name in NODE_STATE:
-                    sizes[name] += len(getattr(node, name))
-                for name, value in engine_state(node.engine).items():
-                    sizes[name] = sizes.get(name, 0) + len(value)
-        return cluster, census
+            sizes[until] = census(cluster)
+        return cluster, sizes
 
     def test_transient_state_does_not_grow_with_run_length(self, steady_run):
-        _cluster, census = steady_run
-        for name, early in census[6.0].items():
-            assert census[18.0][name] <= 1.5 * early, (name, census)
+        _cluster, sizes = steady_run
+        assert "GossipNode._awaited" in sizes[6.0]
+        for name, early in sizes[6.0].items():
+            assert sizes[18.0][name] <= 1.5 * early, (name, sizes)
 
     def test_engine_keeps_no_other_container(self, steady_run):
-        cluster, _census = steady_run
-        reasons = {v for k, v in vars(blames).items() if k.startswith("REASON_")}
-        assert len(reasons) == 7
+        cluster, _sizes = steady_run
+        assert len(BLAME_REASONS) == 7
         for node in cluster.nodes.values():
             assert set(engine_state(node.engine)) == {
                 "_pending_acks",
                 "_confirm_rounds",
-                "_pending_requests",
                 "blames_by_reason",  # a diagnostic, bounded by its keys
             }
-            assert set(node.engine.blames_by_reason) <= reasons
+            assert set(node.engine.blames_by_reason) <= BLAME_REASONS
 
     def test_state_per_node_does_not_rise_with_n(self):
         """Per-node state is bounded, so the tracemalloc peak over
@@ -433,24 +481,27 @@ class TestBoundedState:
         assert (first["n"], last["n"]) == (40, 2000)
         assert 0.0 < last["peak_mem_kib_per_node"] <= first["peak_mem_kib_per_node"], points
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="request windows are keyed by proposal_id and a retry reuses the "
-        "alternative proposer's id: the overwritten window's chunks stay marked "
-        "pending for ever (ROADMAP item 8)",
-    )
-    def test_every_old_pending_mark_is_covered_by_an_open_window(self, steady_run):
-        cluster, _census = steady_run
-        chunks = cluster.source.chunks
-        now = cluster.sim.now
-        orphans = []
-        for node in cluster.nodes.values():
-            watched = set()
-            for window in node.engine._pending_requests.values():
-                watched |= window.expected
-            orphans += [
-                (node.node_id, chunk_id)
-                for chunk_id in node._pending_chunks - watched
-                if now - chunks[chunk_id].created_at > 2.0
-            ]
-        assert orphans == []
+
+class TestQuiesce:
+    """Stop the stream and every transient container drains: each entry
+    is deleted by the event that ends what it waits for, so no fault
+    (a lost serve, a retry, a silent proposer) leaves state behind that
+    no rule cleans.  The source is muted at 12 s and the run taken to
+    72 s, far past twice the longest timeout plus two periods."""
+
+    @pytest.fixture(scope="class", params=[True, False], ids=["lifting", "no-lifting"])
+    def quiesced(self, request):
+        gossip, lifting = planetlab_params()
+        gossip = replace(gossip, n=40, chunk_size=1400)
+        cluster = SimCluster(
+            ClusterConfig(gossip=gossip, lifting=lifting, seed=3, lifting_enabled=request.param)
+        )
+        cluster.run(until=12.0)
+        cluster.network.disconnect(SOURCE_ID)
+        cluster.run(until=72.0)
+        return cluster
+
+    def test_every_transient_container_drains(self, quiesced):
+        sizes = census(quiesced)
+        assert {name: size for name, size in sizes.items() if size} == {}
+        assert {"GossipNode._awaited", "GossipNode._sent_proposals"} <= set(sizes)

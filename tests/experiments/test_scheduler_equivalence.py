@@ -106,8 +106,8 @@ class TestCluster1000Golden:
     silently perturbed event ordering or RNG streams at large n.
     """
 
-    GOLDEN_SHA256 = "e221731370e3457cc6fe4a8ca3ebb70ef9543ddc68567bcdb40f8e0c2a3c9265"
-    GOLDEN_EVENTS = 176062
+    GOLDEN_SHA256 = "5a14f72e8812ac1d4f18afc28dac1d21936f4eef4f3f4ccb1ac3997c85315cc8"
+    GOLDEN_EVENTS = 175290
 
     def test_cluster1000_fixed_seed_trace_hash(self):
         cluster = SimCluster(scaling_config(1000, seed=1))
@@ -144,7 +144,7 @@ class TestEventSpine:
             open_windows = max(
                 open_windows,
                 sum(
-                    node.engine.open_confirm_rounds + node.engine.open_request_windows
+                    node.engine.open_confirm_rounds + len(node._awaited)
                     for node in cluster.nodes.values()
                 ),
             )

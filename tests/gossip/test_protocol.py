@@ -4,15 +4,19 @@ These drive real :class:`GossipNode` objects through the simulator and
 assert three-phase dissemination semantics (§3) and the LiFTinG hooks.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import FreeriderDegree, planetlab_params
+from repro.core.blames import REASON_PARTIAL_SERVE
 from repro.gossip.chunks import SOURCE_ID
 from repro.gossip.protocol import MAX_OFFERS_PER_CHUNK, GossipNode, _SentProposal
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.colluder import Coalition, ColludingBehavior
+from repro.sim.engine import Simulator
 from repro.wire import (
     Ack,
     AuditRequest,
@@ -252,12 +256,13 @@ class TestOfferPruning:
             for pid in range(2, 2 + repeats):
                 node.on_message(2, Propose(proposal_id=pid, chunk_ids=(chunk_id,)))
             assert len(node._offers) == 1 + repeats
+            first = node._awaited[chunk_id]  # the request node 1 was sent
             node.on_request_expired(2, {chunk_id})
-            return chunk_id in node._pending_chunks
+            return node._awaited[chunk_id] is not first  # a new window asks
 
         # The retry looks at the newest MAX_OFFERS_PER_CHUNK offers of a
-        # chunk and no further: the 17th-newest is ignored, the pending
-        # mark released.
+        # chunk and no further: the 17th-newest is ignored, no request
+        # sent.
         assert retried_after(MAX_OFFERS_PER_CHUNK - 1)
         assert not retried_after(MAX_OFFERS_PER_CHUNK)
 
@@ -419,22 +424,22 @@ class TestAlternativeSourceLog:
     @staticmethod
     def _expire_and_compare(node, host, model, proposer):
         expected_retry = {}
-        pending = set(node._pending_chunks)
+        # chunk -> (proposer, proposal id) of the window awaiting it: a
+        # retried chunk is awaited by its retry, any other stays put.
+        awaited = {c: (w.proposer, w.proposal_id) for c, w in node._awaited.items()}
         for chunk_id in ALL_CHUNKS:
             if chunk_id in node.store:
                 continue
             target = model.alternative(proposer, chunk_id, host.is_connected)
-            if target is None:
-                pending.discard(chunk_id)
-            else:
+            if target is not None:
                 expected_retry.setdefault(target, []).append(chunk_id)
-                pending.add(chunk_id)
+                awaited[chunk_id] = target
         del host.sent[:]
         node.on_request_expired(proposer, ALL_CHUNKS)
         assert host.sent == [
             (src, Request(pid, tuple(ids))) for (src, pid), ids in expected_retry.items()
         ]
-        assert node._pending_chunks == pending
+        assert {c: (w.proposer, w.proposal_id) for c, w in node._awaited.items()} == awaited
 
 
 class TestServeOncePerRequest:
@@ -491,6 +496,123 @@ class TestServeOncePerRequest:
             twin.random()  # serve_filter: one draw per valid chunk
         twin.integers(0, 2)  # serve_origin: one co-colluder pick
         assert node.rng.random() == twin.random()
+
+
+class TimerHost(HandClockHost):
+    """A ``HandClockHost`` whose timers fire: the node reads a
+    simulator's clock and files its timeouts on its calendar."""
+
+    def __init__(self):
+        super().__init__()
+        self.sim = Simulator()
+
+    def run(self, until):
+        del self.sent[:]
+        self.sim.run(until=until)
+
+
+FANOUT = 4
+
+
+def requester(lifting_enabled=True):
+    """A node that requests what it is proposed, and the blames it emits."""
+    host = TimerHost()
+    gossip, lifting = planetlab_params()
+    node = GossipNode(
+        0, host, None, replace(gossip, fanout=FANOUT), lifting, HonestBehavior(),
+        rng=np.random.default_rng(0), lifting_enabled=lifting_enabled,
+    )
+    blames = []
+    node.send_blame = lambda target, value, reason: blames.append((target, value, reason))
+    return host, node, blames
+
+
+def serve(node, src, proposal_id, chunk_id):
+    node.on_message(src, Serve(proposal_id, chunk_id, payload_size=1, origin=src))
+
+
+class TestDirectVerification:
+    """§5.2 at the node that owns the request windows: ``serve_timeout``
+    after a request, each chunk its proposer has not served draws
+    ``f/|R|``; a fully ignored request draws ``f``."""
+
+    def test_all_chunks_served_no_blame(self):
+        host, node, blames = requester()
+        node.on_message(7, Propose(42, (1, 2, 3)))
+        for chunk_id in (1, 2, 3):
+            serve(node, 7, 42, chunk_id)
+        assert node._awaited == {}
+        host.run(until=10.0)
+        assert blames == []
+
+    def test_partial_serve_blame_value(self):
+        host, node, blames = requester()
+        node.on_message(7, Propose(42, (1, 2, 3, 4)))
+        serve(node, 7, 42, 1)
+        host.run(until=10.0)
+        assert blames == [(7, pytest.approx(FANOUT * 3 / 4), REASON_PARTIAL_SERVE)]
+        assert node.engine.blames_by_reason[REASON_PARTIAL_SERVE] == FANOUT * 3 / 4
+
+    def test_fully_ignored_request_blamed_f(self):
+        host, node, blames = requester()
+        node.on_message(7, Propose(42, (1, 2)))
+        host.run(until=10.0)
+        assert blames == [(7, float(FANOUT), REASON_PARTIAL_SERVE)]
+
+    def test_repeated_id_counts_once(self):
+        host, node, blames = requester()
+        node.on_message(7, Propose(42, (1,) * 4))
+        host.run(until=10.0)
+        assert blames == [(7, float(FANOUT), REASON_PARTIAL_SERVE)]
+
+    def test_missing_chunks_retried_elsewhere(self):
+        host, node, _blames = requester()
+        node.on_message(7, Propose(42, (1, 2, 3)))
+        node.on_message(8, Propose(43, (1, 2, 3)))  # the alternative
+        serve(node, 7, 42, 2)
+        host.run(until=node.lifting.serve_timeout + 0.01)
+        assert host.sent == [(8, Request(43, (1, 3)))]
+        assert {c: w.proposer for c, w in node._awaited.items()} == {1: 8, 3: 8}
+
+    def test_serve_for_unknown_proposal_ignored(self):
+        host, node, blames = requester()
+        serve(node, 9, 999, 5)  # answers no request: must not raise
+        node.on_message(7, Propose(42, (1,)))
+        serve(node, 9, 999, 1)  # the chunk, but not the window's serve
+        assert 1 in node.store and 1 in node._awaited
+        host.run(until=10.0)
+        assert blames == [(7, float(FANOUT), REASON_PARTIAL_SERVE)]
+        assert node._awaited == {}
+
+
+class TestRequestWindows:
+    """One window per request, whatever its proposal id: a retry reuses
+    the alternative proposer's id, which may already have a window open."""
+
+    @pytest.mark.parametrize("lifting_enabled", [True, False], ids=["lifting", "no-lifting"])
+    def test_two_windows_under_one_proposal_id_close_on_their_own_timers(
+        self, lifting_enabled
+    ):
+        host, node, blames = requester(lifting_enabled)
+        timeout = node.lifting.serve_timeout
+        node.on_message(2, Propose(7, (5,)))  # window 1: chunk 5 from 2
+        host.run(until=timeout / 2)
+        node.on_message(3, Propose(8, (5, 6)))  # window 2: chunk 6 from 3, id 8
+        node.on_message(4, Propose(9, (6,)))  # an offer of 6 only
+        # Window 1 closes: chunk 5 is retried at 3, under id 8 again.
+        host.run(until=timeout + 0.01)
+        assert host.sent == [(3, Request(8, (5,)))]
+        # Window 2 closes on its own timer, and its chunk is retried ...
+        host.run(until=1.5 * timeout + 0.01)
+        assert host.sent == [(4, Request(9, (6,)))]
+        # ... while the retry of 5 stays open for its full timeout.
+        assert {c: (w.proposer, w.proposal_id) for c, w in node._awaited.items()} == {
+            5: (3, 8),
+            6: (4, 9),
+        }
+        host.run(until=2 * timeout + 0.01)
+        assert host.sent == [(2, Request(7, (5,)))]
+        assert [target for target, _v, _r in blames] == ([2, 3, 3] if lifting_enabled else [])
 
 
 class TestWitnessAnswers:

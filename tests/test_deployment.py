@@ -18,7 +18,7 @@ from repro.config import FreeriderDegree, planetlab_params
 from repro.core.auditlog import AuditLog
 from repro.deployment import Deployment, assign_roles
 from repro.experiments.cluster import ClusterConfig
-from repro.gossip.protocol import _SentProposal
+from repro.gossip.protocol import _SentProposal, _Window
 from repro.membership.base import STATUS_ALIVE, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.nodes.behavior import HonestBehavior
@@ -230,23 +230,25 @@ class TestRetryAsksTheHost:
     @pytest.mark.parametrize("alternative_down", [True, False])
     def test_retry_skips_a_proposer_the_host_reports_down(self, alternative_down):
         host = FakeHost()
-        sent = []
+        sent, timers = [], []
         host.send = lambda src, dst, message, reliable: sent.append((dst, message)) or True
+        host.call_later = lambda delay, fn, *args: timers.append((fn, args))
         node = make_deployment(host).nodes[0]
         node.on_message(2, Propose(proposal_id=7, chunk_ids=(5,)))  # requested from 2
         node.on_message(3, Propose(proposal_id=8, chunk_ids=(5,)))  # remembered offer
         assert sent == [(2, Request(proposal_id=7, chunk_ids=(5,)))]
-        assert 5 in node._pending_chunks
+        assert node._awaited[5].proposer == 2
         del sent[:]
         if alternative_down:
             host.down.add(3)
-        node.on_request_expired(2, {5})
+        (close, args), = timers  # the request's serve timeout
+        close(*args)
         if alternative_down:
             assert sent == []
-            assert 5 not in node._pending_chunks  # released for a later proposal
+            assert 5 not in node._awaited  # released for a later proposal
         else:
             assert sent == [(3, Request(proposal_id=8, chunk_ids=(5,)))]
-            assert 5 in node._pending_chunks
+            assert node._awaited[5].proposer == 3
 
 
 class TestRequestAmplification:
@@ -412,7 +414,7 @@ class TestSilentFailureLifecycle:
         victim.engine.on_serve_sent(3, 57)
         victim._sent_proposals[9] = object()
         victim._fresh[7] = 3
-        victim._pending_chunks.add(9)
+        victim._awaited[9] = _Window(proposer=3, proposal_id=1, chunk_ids=(9,))
         victim._blame_outbox[4] = 2.0
 
         deployment.host.down.discard(2)  # the host's own step
@@ -423,11 +425,7 @@ class TestSilentFailureLifecycle:
         assert peer.engine.pending_ack_count == 1  # only node 3's row left
         assert victim.engine.pending_ack_count == 0
         assert victim._sent_proposals == {}
-        assert (victim._fresh, victim._pending_chunks, victim._blame_outbox) == (
-            {},
-            set(),
-            {},
-        )
+        assert (victim._fresh, victim._awaited, victim._blame_outbox) == ({}, {}, {})
         assert starts == [1]
         assert deployment.churn_monitor.restarts == 1
 
