@@ -507,6 +507,7 @@ class TimerHost(HandClockHost):
         self.sim = Simulator()
 
     def run(self, until):
+        """Fire the timers up to ``until``: ``sent`` then holds what they sent."""
         del self.sent[:]
         self.sim.run(until=until)
 
