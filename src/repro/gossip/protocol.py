@@ -20,7 +20,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -564,7 +564,7 @@ class GossipNode:
             # A hostile proposal may repeat an id: each chunk is owed once.
             requested = len(set(window.chunk_ids))
             self.engine.on_window_closed(window.proposer, requested, len(missing))
-        self.on_request_expired(window.proposer, missing)
+        self._retry_elsewhere(window.proposer, missing)
 
     def _on_request(self, src: NodeId, message: Request) -> None:
         record = self._sent_proposals.get(message.proposal_id)
@@ -718,7 +718,7 @@ class GossipNode:
             # whole period's worth in one batch.
             self.manager.on_blame_batch(local_targets, local_values)
 
-    def on_request_expired(self, proposer: NodeId, chunk_ids: Iterable[ChunkId]) -> None:
+    def _retry_elsewhere(self, proposer: NodeId, chunk_ids: List[ChunkId]) -> None:
         """A request window closed with ``chunk_ids`` unserved: retry.
 
         The serve or the request itself may have been lost; the node

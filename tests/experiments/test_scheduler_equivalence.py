@@ -131,7 +131,10 @@ class TestEventSpine:
         however many verification windows and probes are open.  Before
         the spine the plain run peaked at 580 heap entries for n=24;
         while probe timeouts were heap timers the failure-detector run
-        peaked at 40."""
+        peaked at 40.  Open timers are counted as confirm rounds plus
+        distinct request windows (a window asking for k chunks holds
+        one timer): the peak reads 221 plain, 226 with the detector
+        (65 / 66 of them request windows), against 4n = 96."""
         cluster = small_cluster_factory(loss_rate=0.03, **overrides)
         sim = cluster.sim
         n = cluster.config.gossip.n
@@ -144,7 +147,8 @@ class TestEventSpine:
             open_windows = max(
                 open_windows,
                 sum(
-                    node.engine.open_confirm_rounds + len(node._awaited)
+                    node.engine.open_confirm_rounds
+                    + len({id(window) for window in node._awaited.values()})
                     for node in cluster.nodes.values()
                 ),
             )

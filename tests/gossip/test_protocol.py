@@ -257,7 +257,7 @@ class TestOfferPruning:
                 node.on_message(2, Propose(proposal_id=pid, chunk_ids=(chunk_id,)))
             assert len(node._offers) == 1 + repeats
             first = node._awaited[chunk_id]  # the request node 1 was sent
-            node.on_request_expired(2, {chunk_id})
+            node._retry_elsewhere(2, [chunk_id])
             return node._awaited[chunk_id] is not first  # a new window asks
 
         # The retry looks at the newest MAX_OFFERS_PER_CHUNK offers of a
@@ -435,7 +435,7 @@ class TestAlternativeSourceLog:
                 expected_retry.setdefault(target, []).append(chunk_id)
                 awaited[chunk_id] = target
         del host.sent[:]
-        node.on_request_expired(proposer, ALL_CHUNKS)
+        node._retry_elsewhere(proposer, list(ALL_CHUNKS))
         assert host.sent == [
             (src, Request(pid, tuple(ids))) for (src, pid), ids in expected_retry.items()
         ]
