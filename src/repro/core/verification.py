@@ -10,8 +10,8 @@ pending state:
   partners draws ``f - f̂`` (fanout decrease); a received ack triggers,
   with probability ``p_dcc``, a confirm round with the listed witnesses
   where every contradictory or missing testimony draws blame 1.
-* **pending confirm rounds** (verifier side) — tallied at
-  ``confirm_timeout``.
+* **pending confirm rounds** (verifier side) — filed per proposer and
+  tallied at ``confirm_timeout``, which all share: they close in start order.
 
 Direct verification keeps no state here: the host's request windows are
 its own (one per request, which a retry needs as much as a blame).  The
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from repro.core.blames import (
     REASON_FANOUT_DECREASE,
@@ -82,13 +82,11 @@ class VerificationEngine:
         # order with a drained requester re-entering at the end — the
         # order the period sweep blames in.
         self._pending_acks: Dict[NodeId, Dict[ChunkId, float]] = {}
-        # round id -> open round, in start order; each is popped by its
-        # own confirm timeout.
-        self._confirm_rounds: Dict[int, _ConfirmRound] = {}
-        self._round_counter = 0
+        # proposer -> its open rounds, in start order (so in closing
+        # order); a proposer is a key iff it has an open round.
+        self._confirm_rounds: Dict[NodeId, List[_ConfirmRound]] = {}
         # Diagnostics.
         self.blames_by_reason: Dict[str, float] = defaultdict(float)
-        self.confirm_rounds_started = 0
 
     # ------------------------------------------------------------------
     # serving side: expect acks, run cross-checks
@@ -142,14 +140,15 @@ class VerificationEngine:
             self._start_confirm_round(src, ack)
 
     def _start_confirm_round(self, proposer: NodeId, ack: Ack) -> None:
-        self._round_counter += 1
-        round_id = self._round_counter
-        witnesses = set(ack.partners)
-        self._confirm_rounds[round_id] = _ConfirmRound(proposer=proposer, witnesses=witnesses)
-        self.confirm_rounds_started += 1
+        round_state = _ConfirmRound(proposer=proposer, witnesses=set(ack.partners))
+        rounds = self._confirm_rounds
+        if proposer in rounds:
+            rounds[proposer].append(round_state)
+        else:
+            rounds[proposer] = [round_state]
         confirm = Confirm(proposer=proposer, chunk_ids=ack.chunk_ids)
-        self._host_send_many(witnesses, confirm)
-        self._call_later(self.host.lifting.confirm_timeout, self._finish_confirm_round, round_id)
+        self._host_send_many(round_state.witnesses, confirm)
+        self._call_later(self.host.lifting.confirm_timeout, self._finish_confirm_round, round_state)
 
     def on_confirm_response(self, src: NodeId, response: ConfirmResponse) -> None:
         """A witness answered one of our confirm requests.
@@ -159,26 +158,31 @@ class VerificationEngine:
         has not heard from it yet; a late, duplicate or unsolicited
         response finds no such round and is ignored.
         """
-        proposer = response.proposer
-        for round_state in self._confirm_rounds.values():
-            if (
-                round_state.proposer == proposer
-                and src in round_state.witnesses
-                and src not in round_state.answered
-            ):
+        try:
+            rounds = self._confirm_rounds[response.proposer]
+        except KeyError:
+            return
+        for round_state in rounds:
+            if src in round_state.witnesses and src not in round_state.answered:
                 round_state.answered.add(src)
                 if response.valid:
                     round_state.valid += 1
                 return
 
-    def _finish_confirm_round(self, round_id: int) -> None:
-        round_state = self._confirm_rounds.pop(round_id, None)
-        if round_state is None:
+    def _finish_confirm_round(self, round_state: _ConfirmRound) -> None:
+        # Rounds close in start order, so this is its proposer's oldest,
+        # unless ``reset_transient`` dropped it: then the timer does nothing.
+        proposer = round_state.proposer
+        rounds = self._confirm_rounds
+        if proposer not in rounds or rounds[proposer][0] is not round_state:
             return
+        del rounds[proposer][0]
+        if not rounds[proposer]:
+            del rounds[proposer]
         contradictions = len(round_state.witnesses) - round_state.valid
         if contradictions > 0:
             value = contradictions * witness_contradiction_blame()
-            self._blame(round_state.proposer, value, REASON_WITNESS_CONTRADICTION)
+            self._blame(proposer, value, REASON_WITNESS_CONTRADICTION)
 
     # ------------------------------------------------------------------
     # requesting side: direct verification
@@ -241,4 +245,4 @@ class VerificationEngine:
     @property
     def open_confirm_rounds(self) -> int:
         """Cross-check rounds whose timeout has not yet fired."""
-        return len(self._confirm_rounds)
+        return sum(map(len, self._confirm_rounds.values()))

@@ -23,11 +23,12 @@ allocates no per-period record objects.  Alongside the raw ring the
 history maintains one per-proposer index, over received proposals, so
 the witness query that runs per Confirm (:meth:`was_proposed_by`)
 touches only the queried proposer's entries instead of every record in
-the window.  Nothing else is kept incrementally: a Confirm's sender is
-one append to its period's log, and what is read per audit rather than
-per message (:meth:`confirm_senders_about` per HistoryPoll,
-:meth:`proposals_snapshot` from which the auditor computes ``F_h``)
-scans the window.
+the window.  Nothing else is kept incrementally: :meth:`begin_period`
+exposes the open record's ``fanin`` and ``confirm_senders`` lists, so a
+Serve's origin or a Confirm's sender is one append by the node, with no
+history frame; what is read per audit rather than per message
+(:meth:`confirm_senders_about` per HistoryPoll, :meth:`proposals_snapshot`
+from which the auditor computes ``F_h``) scans the window.
 
 Records returned by :meth:`records` are the live ring slots: they are
 valid until the ring wraps past them, at which point they are recycled.
@@ -73,6 +74,9 @@ class LocalHistory:
         self.max_periods = max_periods
         self._slots: List[Optional[PeriodRecord]] = [None] * max_periods
         self._current: Optional[PeriodRecord] = None
+        #: the open record's two logs (None before the first period).
+        self.fanin: Optional[List[NodeId]] = None
+        self.confirm_senders: Optional[List[Tuple[NodeId, NodeId]]] = None
         #: number of begin_period calls so far (== seq of the open record).
         self._seq = 0
         # proposer -> {seq -> chunk-id set} (the sets are shared with the
@@ -100,6 +104,8 @@ class LocalHistory:
             record.received_proposals.clear()
             record.confirm_senders.clear()
         self._current = record
+        self.fanin = record.fanin
+        self.confirm_senders = record.confirm_senders
 
     def _evict(self, record: PeriodRecord) -> None:
         """Unwind an overwritten record from the per-proposer index."""
@@ -124,13 +130,6 @@ class LocalHistory:
         record = self._ensure_open()
         record.proposal = (tuple(partners), tuple(chunk_ids))
 
-    def record_fanin(self, server: NodeId) -> None:
-        """Log that ``server`` served us a chunk this period."""
-        record = self._current
-        if record is None:
-            self._ensure_open()
-        record.fanin.append(server)
-
     def record_received_proposal(self, proposer: NodeId, chunk_ids: Tuple[ChunkId, ...]) -> None:
         """Log a proposal received from ``proposer``."""
         record = self._current
@@ -144,13 +143,6 @@ class LocalHistory:
                 per_seq = self._received_idx[proposer] = {}
             per_seq[record.seq] = seen
         seen.update(chunk_ids)
-
-    def record_confirm_sender(self, proposer: NodeId, verifier: NodeId) -> None:
-        """Log that ``verifier`` asked us to confirm a proposal of ``proposer``."""
-        record = self._current
-        if record is None:
-            self._ensure_open()
-        record.confirm_senders.append((proposer, verifier))
 
     # ------------------------------------------------------------------
     # reading

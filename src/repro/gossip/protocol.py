@@ -36,7 +36,7 @@ from repro.gossip.chunks import SOURCE_ID, ChunkStore
 from repro.gossip.history import LocalHistory
 from repro.membership.base import STATUS_ALIVE, STATUS_DEAD, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams, SwimFailureDetector
-from repro.nodes.behavior import Behavior
+from repro.nodes.behavior import Behavior, own_hook
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, Transport
 from repro.sim.network import _TCP, _UDP
@@ -192,6 +192,12 @@ class GossipNode:
         self.gossip = gossip
         self.lifting = lifting
         self.behavior = behavior
+        # The per-message hooks, bound once: None where the behaviour
+        # inherits Behavior's, and the call site uses the honest value.
+        self._serve_filter, self._serve_origin, self._confirm_answer, self._should_blame = [
+            own_hook(behavior, name)
+            for name in ("serve_filter", "serve_origin", "confirm_answer", "should_blame")
+        ]
         self.assignment = assignment
         self.rng = rng if rng is not None else np.random.default_rng(node_id)
         self.lifting_enabled = lifting_enabled
@@ -578,13 +584,13 @@ class GossipNode:
         valid = [
             c for c in dict.fromkeys(message.chunk_ids) if c in proposed and c in owned
         ]
-        to_serve = self.behavior.serve_filter(valid)
+        to_serve = valid if self._serve_filter is None else self._serve_filter(valid)
         # Drawn once per valid request even when nothing is served: a
         # MITM colluder's origin comes off the node's RNG stream.
-        origin = self.behavior.serve_origin()
+        node_id = self.node_id
+        origin = node_id if self._serve_origin is None else self._serve_origin()
         if not to_serve:
             return
-        node_id = self.node_id
         sizes = self.store.sizes
         send_many = self._send_many
         for chunk_id in to_serve:
@@ -618,14 +624,14 @@ class GossipNode:
         origin = message.origin
         self._fresh[chunk_id] = origin
         if self._history_open and origin != SOURCE_ID:
-            self.history.record_fanin(origin)
+            self.history.fanin.append(origin)
 
     # ------------------------------------------------------------------
     # LiFTinG message handlers
     # ------------------------------------------------------------------
     def _on_confirm(self, src: NodeId, message: Confirm) -> None:
         if self._history_open:
-            self.history.record_confirm_sender(message.proposer, src)
+            self.history.confirm_senders.append((message.proposer, src))
         # Defer the answer: the confirm races the propose it asks about
         # (verifier is only an ack + confirm hop behind the proposer), so
         # the testimony is evaluated after a grace delay.  One Confirm
@@ -633,10 +639,9 @@ class GossipNode:
         self.call_later(WITNESS_ANSWER_DELAY, self._answer_confirm, src, message)
 
     def _answer_confirm(self, src: NodeId, message: Confirm) -> None:
-        truthful = self.history.was_proposed_by(
-            message.proposer, message.chunk_ids, last=3
-        )
-        valid = self.behavior.confirm_answer(message.proposer, truthful)
+        valid = self.history.was_proposed_by(message.proposer, message.chunk_ids, last=3)
+        if self._confirm_answer is not None:
+            valid = self._confirm_answer(message.proposer, valid)
         response = ConfirmResponse(proposer=message.proposer, valid=valid)
         self._send_many(self.node_id, (src,), response, _UDP)
 
@@ -686,7 +691,7 @@ class GossipNode:
         """
         if target in (self.node_id, SOURCE_ID) or self.assignment is None:
             return
-        if value > 0 and not self.behavior.should_blame(target):
+        if value > 0 and self._should_blame is not None and not self._should_blame(target):
             return
         self.stats.blames_emitted += max(value, 0.0)
         outbox = self._blame_outbox

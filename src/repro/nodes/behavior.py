@@ -4,6 +4,9 @@ Every hook receives the *protocol-correct* value and may return a
 deviation; the honest behaviour returns it unchanged.  This makes the
 protocol node itself attack-agnostic: §4's exhaustive attack list maps
 one-to-one onto hook overrides.
+
+A per-message hook the behaviour does not override is never called:
+the node binds each through :func:`own_hook`, once, to None.
 """
 
 from __future__ import annotations
@@ -105,6 +108,13 @@ class Behavior:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+def own_hook(behavior: Behavior, name: str):
+    """``behavior``'s own hook ``name``, or None where its class keeps ``Behavior``'s."""
+    if getattr(type(behavior), name) is Behavior.__dict__[name]:
+        return None
+    return getattr(behavior, name)
 
 
 class HonestBehavior(Behavior):

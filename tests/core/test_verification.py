@@ -233,7 +233,7 @@ class TestBookkeeping:
         engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
         engine.on_confirm_response(10, ConfirmResponse(5, True))
         engine.on_confirm_response(10, ConfirmResponse(5, True))
-        (round_state,) = engine._confirm_rounds.values()
+        (round_state,) = engine._confirm_rounds[5]
         assert round_state.valid == 1 and round_state.answered == {10}
         fake_host.sim.run()
         assert fake_host.blames == [(5, 3.0, REASON_WITNESS_CONTRADICTION)]
@@ -242,10 +242,55 @@ class TestBookkeeping:
         engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
         engine.on_confirm_response(99, ConfirmResponse(5, True))  # not a witness
         engine.on_confirm_response(10, ConfirmResponse(6, True))  # no round about 6
-        (round_state,) = engine._confirm_rounds.values()
+        (round_state,) = engine._confirm_rounds[5]
         assert round_state.valid == 0 and round_state.answered == set()
         fake_host.sim.run()
         assert fake_host.blames == [(5, 4.0, REASON_WITNESS_CONTRADICTION)]
+
+    def test_a_witness_of_two_rounds_credits_the_older_first(self, engine, fake_host):
+        timeout = fake_host.lifting.confirm_timeout
+        engine.on_ack(5, Ack(chunk_ids=(1,), partners=(10, 11, 12, 13)))
+        fake_host.sim.run(until=timeout / 2)
+        engine.on_ack(5, Ack(chunk_ids=(2,), partners=(10, 14, 15, 16)))
+        older, newer = engine._confirm_rounds[5]
+        engine.on_confirm_response(10, ConfirmResponse(5, True))
+        assert (older.answered, newer.answered) == ({10}, set())
+        engine.on_confirm_response(10, ConfirmResponse(5, True))
+        assert (older.answered, newer.answered) == ({10}, {10})
+        engine.on_confirm_response(11, ConfirmResponse(5, True))
+        # Each round is tallied at its own timeout, the older first.
+        fake_host.sim.run(until=timeout + 0.01)
+        assert fake_host.blames == [(5, 2.0, REASON_WITNESS_CONTRADICTION)]
+        (still_open,) = engine._confirm_rounds[5]
+        assert still_open is newer
+        fake_host.sim.run()
+        assert fake_host.blames == [
+            (5, 2.0, REASON_WITNESS_CONTRADICTION),
+            (5, 3.0, REASON_WITNESS_CONTRADICTION),
+        ]
+        assert engine._confirm_rounds == {}
+
+    def test_a_timer_from_before_a_reset_leaves_the_new_round_open(self, engine, fake_host):
+        timeout = fake_host.lifting.confirm_timeout
+        engine.on_ack(5, Ack(chunk_ids=(1,), partners=full_partners()))
+        engine.on_ack(6, Ack(chunk_ids=(1,), partners=full_partners()))
+        engine.reset_transient()
+        fake_host.sim.run(until=timeout / 2)
+        engine.on_ack(5, Ack(chunk_ids=(2,), partners=full_partners()))
+        (fresh,) = engine._confirm_rounds[5]
+        # The dropped rounds' timers fire first: the one about 5 finds
+        # the fresh round at the head of its proposer's list and must not
+        # close it; the one about 6 finds no list at all.
+        fake_host.sim.run(until=timeout + 0.01)
+        assert list(engine._confirm_rounds) == [5]
+        (head,) = engine._confirm_rounds[5]
+        assert head is fresh
+        assert fake_host.blames == []
+        engine.on_confirm_response(10, ConfirmResponse(5, True))
+        assert fresh.valid == 1
+        fake_host.sim.run()
+        assert fake_host.blames == [(5, 3.0, REASON_WITNESS_CONTRADICTION)]
+        assert engine._confirm_rounds == {}
 
     def test_no_confirm_matching_state_outlives_its_rounds(self, engine, fake_host):
         # Witness 13 never answers, 12 answers only once: nothing may stay

@@ -16,8 +16,9 @@ def history():
 class TestRecording:
     def test_requires_open_period(self):
         h = LocalHistory(5)
+        assert h.fanin is None and h.confirm_senders is None
         with pytest.raises(ValueError):
-            h.record_fanin(3)
+            h.record_proposal((1,), (3,))
 
     def test_proposal(self, history):
         history.record_proposal((1, 2, 3), (10, 11))
@@ -25,8 +26,8 @@ class TestRecording:
         assert records[-1].proposal == ((1, 2, 3), (10, 11))
 
     def test_fanin(self, history):
-        history.record_fanin(7)
-        history.record_fanin(7)
+        history.fanin.append(7)
+        history.fanin.append(7)
         assert history.records()[-1].fanin == [7, 7]
 
     def test_received_proposals_accumulate(self, history):
@@ -35,8 +36,8 @@ class TestRecording:
         assert history.was_proposed_by(4, (1, 2, 3))
 
     def test_confirm_senders(self, history):
-        history.record_confirm_sender(proposer=9, verifier=2)
-        history.record_confirm_sender(proposer=9, verifier=3)
+        history.confirm_senders.append((9, 2))
+        history.confirm_senders.append((9, 3))
         assert history.confirm_senders_about(9) == [2, 3]
         assert history.confirm_senders_about(8) == []
 
@@ -101,7 +102,7 @@ class TestRingWraparound:
         h = LocalHistory(max_periods=3)
         h.begin_period(1)
         h.record_received_proposal(42, (1, 2))
-        h.record_confirm_sender(proposer=42, verifier=7)
+        h.confirm_senders.append((42, 7))
         assert h.was_proposed_by(42, (1,))
         assert h.confirm_senders_about(42) == [7]
         for period in range(2, 6):  # wraps past period 1
@@ -139,7 +140,7 @@ class TestRingWraparound:
         h = LocalHistory(max_periods=3)
         for period in range(1, 6):
             h.begin_period(period)
-            h.record_fanin(period)
+            h.fanin.append(period)
         assert [s for r in h.records() for s in r.fanin] == [3, 4, 5]
         assert [s for r in h.records(last=1) for s in r.fanin] == [5]
 
@@ -147,7 +148,7 @@ class TestRingWraparound:
         h = LocalHistory(max_periods=4)
         for period in range(1, 9):
             h.begin_period(period)
-            h.record_confirm_sender(proposer=2, verifier=period)
+            h.confirm_senders.append((2, period))
         assert h.confirm_senders_about(2) == [5, 6, 7, 8]
         assert h.confirm_senders_about(2, last=2) == [7, 8]
 
@@ -260,7 +261,7 @@ class TestConfirmSendersLog:
                 reference.begin_period(period)
             else:
                 _kind, proposer, verifier = step
-                log.record_confirm_sender(proposer, verifier)
+                log.confirm_senders.append((proposer, verifier))
                 reference.record_confirm_sender(proposer, verifier)
             for proposer in CONFIRM_PROPOSERS:
                 for last in CONFIRM_WINDOWS:

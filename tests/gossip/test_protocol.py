@@ -498,6 +498,80 @@ class TestServeOncePerRequest:
         assert node.rng.random() == twin.random()
 
 
+class TestPerMessageHooks:
+    """A per-message hook is bound once: to None where the behaviour
+    keeps ``Behavior``'s own, so the node uses the protocol-correct
+    value, and to the override otherwise, called where that value was
+    with the same arguments."""
+
+    PROPOSAL_ID = 77
+
+    def test_an_honest_node_binds_none(self):
+        node = node_on(HandClockHost())
+        hooks = (node._serve_filter, node._serve_origin, node._confirm_answer, node._should_blame)
+        assert hooks == (None, None, None, None)
+
+    def test_an_overridden_confirm_answer_is_called_once_per_answer(self):
+        calls = []
+
+        class Contrarian(HonestBehavior):
+            def confirm_answer(self, proposer, truthful):
+                calls.append((proposer, truthful))
+                return not truthful
+
+        host = HandClockHost()
+        node = node_on(host, Contrarian())
+        node.history.begin_period(1)
+        node.history.record_received_proposal(3, (1, 2))
+        node._answer_confirm(8, Confirm(proposer=3, chunk_ids=(1, 2)))
+        node._answer_confirm(8, Confirm(proposer=9, chunk_ids=(1,)))
+        assert calls == [(3, True), (9, False)]
+        assert host.sent == [
+            (8, ConfirmResponse(proposer=3, valid=False)),
+            (8, ConfirmResponse(proposer=9, valid=True)),
+        ]
+
+    def test_a_lone_serve_filter_override_binds_only_it(self):
+        calls = []
+
+        class FirstOnly(HonestBehavior):
+            def serve_filter(self, requested):
+                calls.append(list(requested))
+                return requested[:1]
+
+        host = HandClockHost()
+        node = node_on(host, FirstOnly())
+        assert node._serve_filter is not None
+        assert (node._serve_origin, node._confirm_answer, node._should_blame) == (None,) * 3
+        TestServeOncePerRequest()._proposed(node, partner=4, chunk_ids=(1, 2, 3))
+        node.on_message(4, Request(self.PROPOSAL_ID, (1, 2, 3)))
+        node.on_message(4, Request(self.PROPOSAL_ID, (9,)))  # names nothing proposed
+        node.on_message(5, Request(self.PROPOSAL_ID, (1,)))  # not a partner: ignored
+        assert calls == [[1, 2, 3], []]
+        assert [(dst, m.chunk_id, m.origin) for dst, m in host.sent] == [(4, 1, 0)]
+
+    def test_a_mitm_origin_is_drawn_once_per_valid_request(self):
+        draws = []
+
+        class CountingColluder(ColludingBehavior):
+            def serve_origin(self):
+                origin = super().serve_origin()
+                draws.append(origin)
+                return origin
+
+        host = HandClockHost()
+        behavior = CountingColluder(
+            FreeriderDegree(delta3=1.0), Coalition({0, 5, 6}), man_in_the_middle=True
+        )
+        node = node_on(host, behavior, seed=11)
+        TestServeOncePerRequest()._proposed(node, partner=4, chunk_ids=(1, 2, 3))
+        node.on_message(4, Request(self.PROPOSAL_ID, (1, 2, 3)))
+        node.on_message(4, Request(self.PROPOSAL_ID, (2,)))
+        node.on_message(5, Request(self.PROPOSAL_ID, (1,)))  # not a partner: ignored
+        assert host.sent == []
+        assert len(draws) == 2 and set(draws) <= {5, 6}
+
+
 class TimerHost(HandClockHost):
     """A ``HandClockHost`` whose timers fire: the node reads a
     simulator's clock and files its timeouts on its calendar."""
@@ -625,7 +699,7 @@ class TestWitnessAnswers:
         node = node_on(host, behavior)
         node.history.begin_period(1)
         node.history.record_received_proposal(3, (1, 2))
-        node.history.record_confirm_sender(3, 8)
+        node.history.confirm_senders.append((3, 8))
         return node, host
 
     def _colluder(self):
