@@ -18,17 +18,16 @@ memory bound is ``n_h`` records regardless of run length.
 Flattened layout
 ----------------
 The ring preallocates its :class:`PeriodRecord` slots and *reuses* them
-on wraparound (containers are cleared in place), so a steady-state node
-allocates no per-period record objects.  Alongside the raw ring the
-history maintains one per-proposer index, over received proposals, so
-the witness query that runs per Confirm (:meth:`was_proposed_by`)
-touches only the queried proposer's entries instead of every record in
-the window.  Nothing else is kept incrementally: :meth:`begin_period`
-exposes the open record's ``fanin`` and ``confirm_senders`` lists, so a
-Serve's origin or a Confirm's sender is one append by the node, with no
-history frame; what is read per audit rather than per message
-(:meth:`confirm_senders_about` per HistoryPoll, :meth:`proposals_snapshot`
-from which the auditor computes ``F_h``) scans the window.
+on wraparound, so a steady-state node allocates no record objects.  A
+record keeps what arrived, not copies: a received proposal is the
+Propose's own ``chunk_ids`` tuple (a set on a repeat inside the period
+or past :data:`SHORT_IDS` ids), and the Confirm log is flat, two ints
+per Confirm.  No index is kept beside the ring: :meth:`was_proposed_by`
+(per Confirm) looks the proposer up in the window's records.  The node
+writes a Serve or a Confirm with one call to the open record's
+``fanin`` / ``confirm_senders`` (exposed by :meth:`begin_period`);
+per-audit readers (:meth:`confirm_senders_about`,
+:meth:`proposals_snapshot`) scan the window.
 
 Records returned by :meth:`records` are the live ring slots: they are
 valid until the ring wraps past them, at which point they are recycled.
@@ -38,12 +37,17 @@ Take snapshots (:meth:`proposals_snapshot`) to retain data beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.util.validation import require
 
 NodeId = int
 ChunkId = int
+
+#: Ids kept or queried as a tuple are searched one by one, so a tuple
+#: longer than this (honest proposals carry ~9, a hostile one up to 4096)
+#: is made a set first; the test is a slice, ``ids[SHORT_IDS:]``: no call.
+SHORT_IDS = 64
 
 
 @dataclass
@@ -57,13 +61,12 @@ class PeriodRecord:
     #: nodes that served us a chunk during this period (their claimed
     #: origin, which a man-in-the-middle colluder spoofs).
     fanin: List[NodeId] = field(default_factory=list)
-    #: proposer -> chunk ids of proposals received during this period.
-    received_proposals: Dict[NodeId, Set[ChunkId]] = field(default_factory=dict)
-    #: (proposer, verifier) of each Confirm received, in arrival order.
-    confirm_senders: List[Tuple[NodeId, NodeId]] = field(default_factory=list)
-    #: monotone position of this record in the ring (internal: the
-    #: per-proposer index and window queries key on it).
-    seq: int = 0
+    #: proposer -> chunk ids proposed to us during this period: the
+    #: Propose's own tuple, or a set on a repeat or past ``SHORT_IDS`` ids.
+    received_proposals: Dict[NodeId, Collection[ChunkId]] = field(default_factory=dict)
+    #: proposer, verifier, proposer, verifier, ... of each Confirm
+    #: received, in arrival order.
+    confirm_senders: List[NodeId] = field(default_factory=list)
 
 
 class LocalHistory:
@@ -76,12 +79,9 @@ class LocalHistory:
         self._current: Optional[PeriodRecord] = None
         #: the open record's two logs (None before the first period).
         self.fanin: Optional[List[NodeId]] = None
-        self.confirm_senders: Optional[List[Tuple[NodeId, NodeId]]] = None
-        #: number of begin_period calls so far (== seq of the open record).
+        self.confirm_senders: Optional[List[NodeId]] = None
+        #: number of begin_period calls so far.
         self._seq = 0
-        # proposer -> {seq -> chunk-id set} (the sets are shared with the
-        # owning record's ``received_proposals``).
-        self._received_idx: Dict[NodeId, Dict[int, Set[ChunkId]]] = {}
 
     # ------------------------------------------------------------------
     # writing
@@ -93,12 +93,10 @@ class LocalHistory:
         slot = (seq - 1) % self.max_periods
         record = self._slots[slot]
         if record is None:
-            record = PeriodRecord(period=period, seq=seq)
+            record = PeriodRecord(period=period)
             self._slots[slot] = record
         else:
-            self._evict(record)
             record.period = period
-            record.seq = seq
             record.proposal = None
             record.fanin.clear()
             record.received_proposals.clear()
@@ -106,16 +104,6 @@ class LocalHistory:
         self._current = record
         self.fanin = record.fanin
         self.confirm_senders = record.confirm_senders
-
-    def _evict(self, record: PeriodRecord) -> None:
-        """Unwind an overwritten record from the per-proposer index."""
-        seq = record.seq
-        received_idx = self._received_idx
-        for proposer in record.received_proposals:
-            per_seq = received_idx[proposer]
-            del per_seq[seq]
-            if not per_seq:
-                del received_idx[proposer]
 
     def _ensure_open(self) -> PeriodRecord:
         record = self._current
@@ -128,21 +116,24 @@ class LocalHistory:
     ) -> None:
         """Log this period's propose event (one per period)."""
         record = self._ensure_open()
-        record.proposal = (tuple(partners), tuple(chunk_ids))
+        record.proposal = (partners, chunk_ids)
 
     def record_received_proposal(self, proposer: NodeId, chunk_ids: Tuple[ChunkId, ...]) -> None:
-        """Log a proposal received from ``proposer``."""
+        """Log a proposal received from ``proposer``: its own tuple, not a
+        copy.  A repeat inside the period merges into a set (never a
+        concatenation, which a flood of Proposes would make quadratic)."""
         record = self._current
         if record is None:
             self._ensure_open()
-        seen = record.received_proposals.get(proposer)
-        if seen is None:
-            seen = record.received_proposals[proposer] = set()
-            per_seq = self._received_idx.get(proposer)
-            if per_seq is None:
-                per_seq = self._received_idx[proposer] = {}
-            per_seq[record.seq] = seen
-        seen.update(chunk_ids)
+        received = record.received_proposals
+        if proposer not in received:
+            received[proposer] = set(chunk_ids) if chunk_ids[SHORT_IDS:] else chunk_ids
+            return
+        seen = received[proposer]
+        if seen.__class__ is set:
+            seen.update(chunk_ids)
+        else:
+            received[proposer] = {*seen, *chunk_ids}
 
     # ------------------------------------------------------------------
     # reading
@@ -176,30 +167,35 @@ class LocalHistory:
         self, proposer: NodeId, chunk_ids: Tuple[ChunkId, ...], *, last: Optional[int] = None
     ) -> bool:
         """Did we receive a proposal from ``proposer`` containing all of
-        ``chunk_ids`` within the window?  Witnesses use this to answer
-        confirm requests and a-posteriori polls."""
-        try:
-            per_seq = self._received_idx[proposer]
-        except KeyError:
-            return False
-        wanted = set(chunk_ids)
-        if last is None:
-            for seen in per_seq.values():
-                if wanted <= seen:
+        ``chunk_ids`` within one period of the window?  Witnesses use
+        this to answer confirm requests and a-posteriori polls."""
+        if chunk_ids[SHORT_IDS:]:
+            # hostile length: at most SHORT_IDS distinct ids pass a tuple
+            chunk_ids = set(chunk_ids)
+        seq = self._seq
+        cap = self.max_periods
+        count = seq if seq < cap else cap
+        if last is not None and last < count:
+            count = last
+        slots = self._slots
+        for s in range(seq - count, seq):
+            received = slots[s % cap].received_proposals
+            if proposer in received:
+                seen = received[proposer]
+                for chunk_id in chunk_ids:
+                    if chunk_id not in seen:
+                        break
+                else:
                     return True
-            return False
-        lo = self._seq - last + 1
-        for seq in per_seq:
-            if seq >= lo and wanted <= per_seq[seq]:
-                return True
         return False
 
     def confirm_senders_about(self, proposer: NodeId, last: Optional[int] = None) -> List[NodeId]:
         """All verifiers that asked us about ``proposer`` in the window
         (oldest period first, arrival order within a period)."""
-        return [
-            verifier
-            for record in self.records(last)
-            for about, verifier in record.confirm_senders
-            if about == proposer
-        ]
+        out = []
+        for record in self.records(last):
+            pairs = iter(record.confirm_senders)
+            for about, verifier in zip(pairs, pairs):
+                if about == proposer:
+                    out.append(verifier)
+        return out

@@ -20,7 +20,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Collection, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.core.reputation import (
 )
 from repro.core.verification import VerificationEngine
 from repro.gossip.chunks import SOURCE_ID, ChunkStore
-from repro.gossip.history import LocalHistory
+from repro.gossip.history import SHORT_IDS, LocalHistory
 from repro.membership.base import STATUS_ALIVE, STATUS_DEAD, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams, SwimFailureDetector
 from repro.nodes.behavior import Behavior, own_hook
@@ -121,10 +121,11 @@ class _Window:
 
 @dataclass(slots=True)
 class _SentProposal:
-    """Bookkeeping for a proposal we emitted (to validate requests)."""
+    """Bookkeeping for a proposal we emitted (to validate requests):
+    its own tuples, not copies (chunk ids past ``SHORT_IDS``: a set)."""
 
-    partners: Set[NodeId]
-    chunk_ids: Set[ChunkId]
+    partners: Tuple[NodeId, ...]
+    chunk_ids: Collection[ChunkId]
     at: float
 
 
@@ -439,7 +440,7 @@ class GossipNode:
         chunk_ids: Tuple[ChunkId, ...] = tuple(
             sorted(chain.from_iterable(filtered.values()))
         )
-        partners = self.behavior.select_partners(self.gossip.fanout)
+        partners = tuple(self.behavior.select_partners(self.gossip.fanout))
         if not partners or not chunk_ids:
             return
 
@@ -448,13 +449,13 @@ class GossipNode:
         propose = Propose(proposal_id=proposal_id, chunk_ids=chunk_ids)
         self._send_many(self.node_id, partners, propose, _UDP)
         self.stats.proposals_sent += 1
-        self.history.record_proposal(tuple(partners), chunk_ids)
+        self.history.record_proposal(partners, chunk_ids)
         self._sent_proposals[proposal_id] = _SentProposal(
-            partners=set(partners), chunk_ids=set(chunk_ids), at=self.clock()
+            partners, frozenset(chunk_ids) if chunk_ids[SHORT_IDS:] else chunk_ids, self.clock()
         )
 
         if self.lifting_enabled:
-            reported = self.behavior.ack_partners(tuple(partners))
+            reported = self.behavior.ack_partners(partners)
             for server, ids in filtered.items():
                 if server == SOURCE_ID or server == self.node_id:
                     continue
@@ -631,7 +632,7 @@ class GossipNode:
     # ------------------------------------------------------------------
     def _on_confirm(self, src: NodeId, message: Confirm) -> None:
         if self._history_open:
-            self.history.confirm_senders.append((message.proposer, src))
+            self.history.confirm_senders.extend((message.proposer, src))
         # Defer the answer: the confirm races the propose it asks about
         # (verifier is only an ack + confirm hop behind the proposer), so
         # the testimony is evaluated after a grace delay.  One Confirm

@@ -1,5 +1,7 @@
 """End-to-end integration: freeriders, colluders, audits, expulsion."""
 
+import gc
+import sys
 from collections import deque
 from dataclasses import replace
 
@@ -437,6 +439,22 @@ def census(cluster):
     return sizes
 
 
+def deep_size(roots):
+    """Bytes of everything reachable from ``roots``, each object once;
+    ints (node and chunk ids the run holds anyway) and types excluded."""
+    seen = set()
+    total = 0
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (int, type)):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
 class TestBoundedState:
     """LiFTinG is lightweight because a node's verification state lives
     for one timeout (§5.2): in steady state it must not grow with the
@@ -469,6 +487,35 @@ class TestBoundedState:
                 "blames_by_reason",  # a diagnostic, bounded by its keys
             }
             assert set(node.engine.blames_by_reason) <= BLAME_REASONS
+
+    def test_history_holds_proposals_by_reference(self):
+        """With the ring full (n_h + 2 = 52 periods of 0.5 s), a node's
+        local history keeps references to what it was sent, not copies:
+        ~107 KiB per node here (970 with a fresh set per received
+        proposal and a tuple per Confirm)."""
+        gossip, lifting = planetlab_params()
+        gossip = replace(gossip, n=40, chunk_size=1400)
+        cluster = SimCluster(ClusterConfig(gossip=gossip, lifting=lifting, seed=3))
+        cluster.run(until=30.0)
+        histories = [node.history for node in cluster.nodes.values()]
+        assert all(len(h.records()) == h.max_periods for h in histories)
+        assert deep_size(histories) / len(histories) <= 250 * 1024
+        # Each id names a tuple both sides still hold, so equal ids mean
+        # the same object: the receiver keeps the proposer's own tuple.
+        proposed = {
+            id(record.proposal[1])
+            for h in histories
+            for record in h.records()
+            if record.proposal is not None
+        }
+        received = [
+            chunk_ids
+            for h in histories
+            for record in h.records(last=10)
+            for chunk_ids in record.received_proposals.values()
+            if type(chunk_ids) is tuple
+        ]
+        assert received and all(id(chunk_ids) in proposed for chunk_ids in received)
 
     def test_state_per_node_does_not_rise_with_n(self):
         """Per-node state is bounded, so the tracemalloc peak over

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import FreeriderDegree, planetlab_params
 from repro.core.blames import REASON_PARTIAL_SERVE
 from repro.gossip.chunks import SOURCE_ID
+from repro.gossip.history import SHORT_IDS
 from repro.gossip.protocol import MAX_OFFERS_PER_CHUNK, GossipNode, _SentProposal
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.colluder import Coalition, ColludingBehavior
@@ -464,6 +465,32 @@ class TestServeOncePerRequest:
         assert node.stats.chunks_served == 1
         assert node.engine._pending_acks == {1: {5: 0.0}}
 
+    def test_a_request_is_checked_against_the_proposal_it_answers(
+        self, small_cluster_factory
+    ):
+        """A sent proposal keeps the Propose's own chunk-id tuple; one
+        longer than ``SHORT_IDS`` (inflated by unsolicited Serves) is
+        kept as a set, so checking a 4096-id Request costs one lookup
+        per id.  Either way every proposed chunk asked for is served."""
+        cluster = small_cluster_factory(loss_rate=0.0)
+        node = cluster.nodes[0]
+        node.history.begin_period(1)
+        for size, kept in ((3, tuple), (SHORT_IDS + 1, frozenset)):
+            for chunk_id in range(size):
+                node.store.add(chunk_id, 100, received_at=0.0)
+            node._fresh = {chunk_id: 5 for chunk_id in range(size)}
+            node._propose_phase()
+            proposal_id = max(node._sent_proposals)
+            sent = node._sent_proposals[proposal_id]
+            assert type(sent.chunk_ids) is kept
+            assert (sent.chunk_ids is node.history.records()[-1].proposal[1]) == (
+                kept is tuple
+            )
+            partner = next(iter(sent.partners))
+            served = cluster.trace.sent_count("Serve")
+            node.on_message(partner, Request(proposal_id, tuple(range(4096))))
+            assert cluster.trace.sent_count("Serve") - served == size
+
     def test_one_booking_in_chunk_order_with_one_timestamp(self):
         host = HandClockHost()
         node = node_on(host)
@@ -699,7 +726,7 @@ class TestWitnessAnswers:
         node = node_on(host, behavior)
         node.history.begin_period(1)
         node.history.record_received_proposal(3, (1, 2))
-        node.history.confirm_senders.append((3, 8))
+        node.history.confirm_senders.extend((3, 8))
         return node, host
 
     def _colluder(self):
