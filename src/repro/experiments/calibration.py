@@ -29,8 +29,8 @@ import numpy as np
 
 from repro.config import GossipParams, LiftingParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig
-from repro.runtime.parallel import Job, run_jobs
 from repro.scenarios import Param, scenario
+from repro.scenarios.parallel import Job, run_jobs
 from repro.util.validation import require
 
 

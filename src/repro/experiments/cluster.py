@@ -24,6 +24,7 @@ from typing import Dict, Optional, Set
 from repro.config import GossipParams, LiftingParams
 from repro.core.reputation import compensation_per_period
 from repro.deployment import Deployment, adversary_policy
+from repro.faults import FaultPlane
 from repro.gossip.chunks import StreamSource
 from repro.gossip.protocol import GossipNode, SimTransport
 from repro.membership.failure_detector import FailureDetectorParams
@@ -250,10 +251,10 @@ class SimCluster:
     # fault injection
     # ------------------------------------------------------------------
     def attach_faults(self, schedule) -> "object":
-        """Arm a :class:`~repro.runtime.faults.FaultSchedule`.
+        """Arm a :class:`~repro.faults.FaultSchedule`.
 
         Window faults (drops, partitions, slow links) are enforced by a
-        :class:`~repro.runtime.faults.FaultPlane` hooked into the
+        :class:`~repro.faults.FaultPlane` hooked into the
         network's send path (only if the schedule has one); crash/restart
         instants are scheduled as simulator timers mapped onto the
         deployment's silent-failure lifecycle — or, with no failure
@@ -263,8 +264,6 @@ class SimCluster:
         plane draws from its own seeded stream, so an un-faulted run's
         RNG sequences are untouched.
         """
-        from repro.runtime.faults import FaultPlane
-
         plane = FaultPlane(schedule, rng=self.seeds.generator("faults"))
         if schedule.window_events():
             self.network.fault_plane = plane

@@ -28,8 +28,8 @@ from repro import adversary
 from repro.config import FreeriderDegree, GossipParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.health import HealthReport
-from repro.runtime.parallel import Job
 from repro.scenarios import Param, scenario
+from repro.scenarios.parallel import Job
 
 #: what "as much as possible" means when nothing watches: serve/propose
 #: barely anything while still requesting everything.

@@ -13,8 +13,8 @@ import numpy as np
 
 from repro.config import analysis_params
 from repro.mc.blame_model import BlameModel, simulate_scores
-from repro.runtime.parallel import Task
 from repro.scenarios import Param, scenario
+from repro.scenarios.parallel import Task
 from repro.util.rng import make_generator
 from repro.util.stats import histogram_density
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.config import FreeriderDegree, analysis_params
 from repro.mc.blame_model import BlameModel, ScoreSample, simulate_scores
-from repro.runtime.parallel import Task
 from repro.scenarios import Param, scenario
+from repro.scenarios.parallel import Task
 from repro.util.rng import make_generator
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from repro.analysis.entropy_analysis import max_fanout_entropy
 from repro.config import analysis_params
 from repro.mc.entropy import sample_fanin_entropies, sample_fanout_entropies
-from repro.runtime.parallel import Task
 from repro.scenarios import Param, scenario
+from repro.scenarios.parallel import Task
 from repro.util.rng import make_generator
 
 

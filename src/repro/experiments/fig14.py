@@ -24,8 +24,8 @@ from repro import adversary
 from repro.config import FreeriderDegree, planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.scores import detection_report
-from repro.runtime.parallel import Job, Task, run_jobs
 from repro.scenarios import Param, scenario
+from repro.scenarios.parallel import Job, Task, run_jobs
 from repro.util.stats import EmpiricalDistribution
 
 #: the paper's freerider configuration (§7.1).

@@ -22,8 +22,8 @@ from dataclasses import replace
 
 from repro.config import planetlab_params
 from repro.experiments.cluster import ClusterConfig, SimCluster
-from repro.runtime.parallel import Task
 from repro.scenarios import Param, scenario
+from repro.scenarios.parallel import Task
 
 
 def scaling_config(n: int, seed: int = 1) -> ClusterConfig:

@@ -18,8 +18,8 @@ from repro.analysis.overhead import expected_message_counts, scaling_exponent
 from repro.config import planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.overhead import message_counts_per_node_period
-from repro.runtime.parallel import Job
 from repro.scenarios import Param, scenario
+from repro.scenarios.parallel import Job
 
 
 def _extract_message_counts(cluster, *, duration: float) -> Dict[str, float]:

@@ -22,8 +22,8 @@ from dataclasses import replace
 from repro.config import planetlab_params
 from repro.experiments.cluster import ClusterConfig
 from repro.metrics.overhead import OverheadReport
-from repro.runtime.parallel import Job
 from repro.scenarios import Param, scenario
+from repro.scenarios.parallel import Job
 
 PAPER_OVERHEAD_PERCENT = {
     (674.0, 0.0): 1.07,

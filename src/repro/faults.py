@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.util.validation import require
+from repro.wire import WIRE_MESSAGE_CLASSES
 
 NodeId = int
 
@@ -37,6 +38,9 @@ _INF = math.inf
 
 #: the event vocabulary; anything else is a schedule error.
 KINDS = ("crash", "restart", "drop", "partition", "slow")
+
+#: what ``classes`` may name: a drop matches ``type(message).__name__``.
+CLASS_NAMES = frozenset(cls.__name__ for cls in WIRE_MESSAGE_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,8 @@ class FaultEvent:
     ``drop``/``partition``/``slow`` are windows ``[at, until)``:
 
     * ``drop`` — discard matching messages with probability ``rate``;
-      ``classes`` restricts by wire-message class name (empty = all),
+      ``classes`` restricts by wire-message class name (empty = all; the
+      only kind that takes it, and every name must be a wire class),
       ``src_nodes``/``dst_nodes`` restrict the endpoints (empty = any).
     * ``partition`` — sever ``group_a`` → ``group_b`` traffic; with
       ``symmetric`` (default) the reverse direction is severed too,
@@ -75,6 +80,10 @@ class FaultEvent:
         require(self.until >= self.at, "fault window must not end before it starts")
         require(0.0 <= self.rate <= 1.0, "drop rate must be in [0, 1]")
         require(self.extra_delay >= 0.0, "extra_delay must be >= 0")
+        if self.classes:
+            require(self.kind == "drop", "only a drop takes classes, not a %s", self.kind)
+            unknown = sorted(set(self.classes) - CLASS_NAMES)
+            require(not unknown, "classes %s name no wire message class", unknown)
         if self.kind in ("crash", "restart"):
             require(len(self.nodes) > 0, "%s event needs nodes", self.kind)
         if self.kind == "partition":
@@ -94,8 +103,8 @@ class FaultSchedule:
     def from_dicts(cls, raw: Iterable[Mapping]) -> "FaultSchedule":
         """Build a schedule from declarative dicts (e.g. parsed JSON).
 
-        Sequence-valued fields accept any iterable; unknown keys are an
-        error (typos must not silently disarm a fault).
+        Sequence-valued fields accept any iterable but a string; unknown
+        keys are an error (typos must not silently disarm a fault).
         """
         events: List[FaultEvent] = []
         valid = {f for f in FaultEvent.__dataclass_fields__}
@@ -105,6 +114,7 @@ class FaultSchedule:
             kwargs = dict(entry)
             for key in ("nodes", "classes", "src_nodes", "dst_nodes", "group_a", "group_b"):
                 if key in kwargs:
+                    require(not isinstance(kwargs[key], str), "fault %d: %s is a string", i, key)
                     kwargs[key] = tuple(kwargs[key])
             events.append(FaultEvent(**kwargs))
         return cls(events=tuple(sorted(events, key=lambda e: e.at)))

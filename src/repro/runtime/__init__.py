@@ -17,16 +17,12 @@ Intended for functional deployments of tens of nodes in one process
 (see ``examples/live_cluster.py``); the discrete-event simulator remains
 the tool for measurements.
 
-The package also hosts the **parallel experiment orchestration** layer
-(:mod:`repro.runtime.parallel`): a declarative job API that fans
-independent simulated deployments out to a process pool with
-bit-identical results, used by every ``run_*`` experiment via its
-``jobs=`` parameter.
+Only the live plane lives here, and no simulator module imports this
+package: the job runner is :mod:`repro.scenarios.parallel` and the fault
+script both planes run is :mod:`repro.faults`.
 """
 
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
-from repro.runtime.faults import FaultEvent, FaultPlane, FaultSchedule
-from repro.runtime.parallel import Job, JobResult, Task, resolve_jobs, run_jobs, run_tasks
 from repro.runtime.resilience import (
     BoundedIngressQueue,
     CircuitBreaker,
@@ -39,18 +35,9 @@ __all__ = [
     "AsyncTransport",
     "BoundedIngressQueue",
     "CircuitBreaker",
-    "FaultEvent",
-    "FaultPlane",
-    "FaultSchedule",
-    "Job",
-    "JobResult",
     "NodeRegistry",
     "ResilienceConfig",
     "RetryPolicy",
     "RuntimeCluster",
     "RuntimeConfig",
-    "Task",
-    "resolve_jobs",
-    "run_jobs",
-    "run_tasks",
 ]

@@ -11,7 +11,7 @@ and the :class:`RuntimeReport`.
 
 Robustness features (all off by default, switched on per config):
 
-* a :class:`~repro.runtime.faults.FaultSchedule` is executed by a
+* a :class:`~repro.faults.FaultSchedule` is executed by a
   real-time driver task — crashes really close the node's sockets,
   restarts rebind them — while drops/partitions/slow links ride the
   transport's send hook;
@@ -40,13 +40,13 @@ from typing import Dict, List, Optional, Set
 from repro.config import GossipParams, LiftingParams
 from repro.core.auditlog import AuditLog
 from repro.deployment import Deployment, adversary_policy
+from repro.faults import FaultPlane, FaultSchedule
 from repro.gossip.chunks import SOURCE_ID
 from repro.gossip.protocol import GossipNode
 from repro.loadgen.driver import LoadGenerator, LoadProfile
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.metrics.health import delivery_ratio
 from repro.metrics.scores import DetectionReport
-from repro.runtime.faults import FaultPlane, FaultSchedule
 from repro.runtime.transport import AsyncTransport, NodeRegistry
 from repro.util.rng import SeedSequenceFactory
 from repro.wire import AuditRequest, Serve

@@ -44,7 +44,7 @@ same socket: a full send buffer drops the datagram (UDP is the lossy
 path; counted in ``datagrams_dropped``), any other ``OSError`` is a
 counted ``datagram_errors``, and nothing is buffered out of sight.
 
-Scripted faults (:class:`~repro.runtime.faults.FaultPlane`) hook the
+Scripted faults (:class:`~repro.faults.FaultPlane`) hook the
 send path — drops and slow links — while node crash/restart is a
 transport operation (:meth:`AsyncTransport.crash_node` really closes
 the sockets, so peers observe ECONNREFUSED/ICMP like they would in

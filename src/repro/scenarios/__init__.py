@@ -3,7 +3,7 @@
 Every paper figure, table, sweep and live workload is registered as a
 :class:`ScenarioSpec` — a ``build_jobs`` builder and a ``reduce`` to
 metrics — against one process-global registry; the engine runs any of
-them through the :mod:`repro.runtime.parallel` Job/Task machinery and
+them through the :mod:`repro.scenarios.parallel` Job/Task machinery and
 returns a uniform, JSON-serialisable :class:`RunResult` envelope::
 
     from repro.scenarios import list_scenarios, run_scenario

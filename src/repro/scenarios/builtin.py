@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro import adversary
-from repro.runtime.parallel import Task
+from repro.scenarios.parallel import Task
 from repro.scenarios.registry import scenario
 from repro.scenarios.spec import Param
 
@@ -330,7 +330,7 @@ def default_fault_schedule(n: int, duration: float, drop_rate: float):
     ICMP error counting and force the compensation machinery, while
     leaving the run time to recover.
     """
-    from repro.runtime.faults import FaultSchedule
+    from repro.faults import FaultSchedule
 
     half = n // 2
     victims = (n - 1, n - 2)
@@ -525,7 +525,7 @@ def _compute_churn(params: dict) -> Dict[str, object]:
     sweep can fan out to a process pool)."""
     from repro.experiments.cluster import SimCluster
     from repro.membership.failure_detector import FailureDetectorParams
-    from repro.runtime.faults import FaultSchedule
+    from repro.faults import FaultSchedule
 
     rate = params["rate"]
     cluster = SimCluster(

@@ -41,13 +41,9 @@ deployments cannot gain from oversubscription, only pay for it, so a
 
 from __future__ import annotations
 
-import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Job",
@@ -191,7 +187,9 @@ def run_tasks(tasks: Sequence[Task], *, jobs: int = 1) -> List[Any]:
     # determinism), so the cap is pure win.
     cores = os.cpu_count() or 1
     if jobs > cores:
-        logger.info(
+        import logging
+
+        logging.getLogger(__name__).info(
             "capping jobs=%d to %d (os.cpu_count()): more workers than "
             "cores oversubscribes CPU-bound deployments",
             jobs,
@@ -203,6 +201,8 @@ def run_tasks(tasks: Sequence[Task], *, jobs: int = 1) -> List[Any]:
     context = _fork_context()
     if context is None:  # pragma: no cover - platform-dependent
         return [_execute_task(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(jobs, len(tasks))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         futures = [pool.submit(_execute_task, task) for task in tasks]

@@ -7,9 +7,9 @@ into a :class:`~repro.scenarios.spec.RunResult`:
 
 1. ``spec.resolve(overrides)`` validates the parameters,
 2. ``spec.build_jobs(params)`` declares the work — a list of
-   :class:`~repro.runtime.parallel.Job` (simulated deployments) and/or
+   :class:`~repro.scenarios.parallel.Job` (simulated deployments) and/or
    ``Task`` (generic picklable callables) items,
-3. the work runs through :func:`repro.runtime.parallel.run_tasks` with
+3. the work runs through :func:`repro.scenarios.parallel.run_tasks` with
    the ``jobs`` parameter's worker fan-out (bit-identical to serial),
 4. ``spec.reduce(results, params)`` returns the JSON-safe metrics
    payload of the envelope (without a reducer the single work item
@@ -26,8 +26,8 @@ import time
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.runtime.parallel import Job, Task, run_tasks
-from repro.runtime.parallel import _execute_job  # the worker-side Job body
+from repro.scenarios.parallel import Job, Task, run_tasks
+from repro.scenarios.parallel import _execute_job  # the worker-side Job body
 from repro.scenarios.spec import (
     DuplicateScenarioError,
     Param,

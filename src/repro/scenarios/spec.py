@@ -9,7 +9,7 @@ CLI subcommand pair:
   scenario can never "silently lack" a flag its parameters support.
 * :class:`ScenarioSpec` — the frozen description: name, description,
   parameter declarations, a ``build_jobs(params)`` builder producing
-  :class:`~repro.runtime.parallel.Job`/``Task`` work items, and a
+  :class:`~repro.scenarios.parallel.Job`/``Task`` work items, and a
   ``reduce(results, params)`` reducer returning the JSON-safe metrics
   payload (without one, the single work item returns it itself).
 * :class:`RunResult` — the uniform envelope every scenario run returns:

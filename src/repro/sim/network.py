@@ -167,7 +167,7 @@ class Network:
         # least half the minimum delay (so constant-latency models get
         # sensibly coarse buckets), floored at 1 ms.
         self._timeline: Optional[DeliveryTimeline] = None
-        #: optional :class:`~repro.runtime.faults.FaultPlane`
+        #: optional :class:`~repro.faults.FaultPlane`
         #: (``SimCluster.attach_faults`` installs it): every send then
         #: consults ``on_send`` — injected drops are accounted as lost in
         #: the trace, slow-link extra delay is added to the latency

@@ -17,7 +17,7 @@ from repro.experiments.cluster import ClusterConfig, SimCluster
 from repro.gossip.protocol import _Window
 from repro.membership.base import STATUS_EXPELLED, STATUS_LEFT
 from repro.membership.failure_detector import FailureDetectorParams
-from repro.runtime.faults import FaultSchedule
+from repro.faults import FaultSchedule
 
 # Long enough for the *last* restarting victim to re-confirm the
 # expelled freeriders dead: readmission purges peers' stale ack

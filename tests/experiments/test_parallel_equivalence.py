@@ -1,7 +1,7 @@
 """Parallel fan-out must reproduce the serial experiments bit for bit.
 
 Every multi-deployment scenario accepts ``jobs=``; these tests pin the
-determinism contract of :mod:`repro.runtime.parallel`: the job list —
+determinism contract of :mod:`repro.scenarios.parallel`: the job list —
 and with it every seed and RNG stream — is fixed before fan-out, so
 ``jobs=2`` produces metrics identical to ``jobs=1``.
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro import adversary
 from repro.membership.failure_detector import FailureDetectorParams
-from repro.runtime.faults import FaultSchedule
+from repro.faults import FaultSchedule
 
 
 def all_honest(factory):

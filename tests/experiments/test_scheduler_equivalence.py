@@ -21,7 +21,7 @@ from repro.experiments import cluster as cluster_module
 from repro.experiments.cluster import SimCluster
 from repro.experiments.scaling import scaling_config
 from repro.membership.failure_detector import FailureDetectorParams
-from repro.runtime.faults import FaultSchedule
+from repro.faults import FaultSchedule
 from repro.sim.network import Network
 
 

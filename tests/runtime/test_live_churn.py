@@ -15,7 +15,7 @@ import pytest
 from repro.core.auditlog import AuditLog
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
-from repro.runtime.faults import FaultEvent, FaultSchedule
+from repro.faults import FaultEvent, FaultSchedule
 
 DURATION = 4.0
 KEY_SEED = "live-churn-test"

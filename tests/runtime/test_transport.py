@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import wire_codec
-from repro.runtime.faults import FaultPlane, FaultSchedule
+from repro.faults import FaultPlane, FaultSchedule
 from repro.runtime.resilience import (
     FAILURE_THRESHOLD,
     ResilienceConfig,

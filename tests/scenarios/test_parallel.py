@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.cluster import ClusterConfig
-from repro.runtime.parallel import (
+from repro.scenarios.parallel import (
     Job,
     JobResult,
     Task,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.parallel import Job, Task
+from repro.scenarios.parallel import Job, Task
 from repro.scenarios import (
     DuplicateScenarioError,
     Param,

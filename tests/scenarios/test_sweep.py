@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.runtime.parallel import Task
+from repro.scenarios.parallel import Task
 from repro.scenarios import Param, ParamError, ScenarioSpec, get, run_sweep
 from repro.scenarios.registry import register, unregister
 

@@ -24,7 +24,7 @@ from repro.membership.failure_detector import FailureDetectorParams
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.freerider import FreeriderBehavior
 from repro.runtime import RuntimeCluster, RuntimeConfig
-from repro.runtime.faults import FaultPlane, FaultSchedule
+from repro.faults import FaultPlane, FaultSchedule
 from repro.util.rng import SeedSequenceFactory
 from repro.wire import Propose, Request, Serve
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.faults import FaultEvent, FaultPlane, FaultSchedule
+from repro.faults import FaultEvent, FaultPlane, FaultSchedule
 
 
 class Serve:
@@ -40,6 +40,21 @@ class TestFaultEventValidation:
     def test_partition_needs_both_groups(self):
         with pytest.raises(ValueError):
             FaultEvent(kind="partition", at=0.0, group_a=(1,))
+
+    def test_classes_must_name_wire_classes(self):
+        # A typo would otherwise match nothing and inject no drop.
+        with pytest.raises(ValueError, match="Srve"):
+            FaultEvent(kind="drop", at=0.0, classes=("Srve",))
+
+    def test_only_a_drop_takes_classes(self):
+        # on_send does not read classes on a slow link; it would delay all.
+        with pytest.raises(ValueError, match="only a drop"):
+            FaultEvent(kind="slow", at=0.0, extra_delay=0.1, classes=("Serve",))
+
+    def test_from_dicts_rejects_a_string_for_a_list(self):
+        # "Serve" would otherwise become ('S', 'e', 'r', 'v', 'e').
+        with pytest.raises(ValueError, match="classes is a string"):
+            FaultSchedule.from_dicts([{"kind": "drop", "at": 0.0, "classes": "Serve"}])
 
 
 class TestFaultSchedule:

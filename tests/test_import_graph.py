@@ -1,0 +1,76 @@
+"""Which package may import which, read from the source with ``ast``.
+
+The simulator must not pay for the live plane: only ``runtime/``,
+``loadgen/`` and ``wire_codec.py`` import the event loop, sockets, the
+process pool or each other at module level.  Elsewhere such an import
+sits inside the function that needs it (the live scenarios in
+``scenarios/builtin.py``, the pool branch of ``scenarios/parallel.py``).
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+
+#: what a sim-plane process must never load at import time.
+LIVE_PLANE = (
+    "asyncio",
+    "selectors",
+    "socket",
+    "ssl",
+    "multiprocessing",
+    "concurrent",
+    "repro.runtime",
+    "repro.loadgen",
+    "repro.wire_codec",
+)
+
+
+def _is_live(module: str) -> bool:
+    return any(module == name or module.startswith(name + ".") for name in LIVE_PLANE)
+
+
+def _module_level_imports(tree: ast.AST):
+    """``(line, module)`` of every import that runs when the module is
+    imported: everything but what sits inside a function body."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                for alias in child.names:
+                    yield child.lineno, alias.name
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                yield child.lineno, child.module
+                for alias in child.names:
+                    yield child.lineno, f"{child.module}.{alias.name}"
+            stack.append(child)
+
+
+def _is_live_plane_file(path: Path) -> bool:
+    relative = path.relative_to(SRC).parts
+    return relative[0] in ("runtime", "loadgen") or relative == ("wire_codec.py",)
+
+
+class TestImportGraph:
+    def test_the_scan_sees_the_live_plane_import_itself(self):
+        # Guards the guard: the live plane's own modules are exempt, not invisible.
+        tree = ast.parse((SRC / "runtime" / "transport.py").read_text())
+        assert any(_is_live(module) for _line, module in _module_level_imports(tree))
+
+    def test_no_module_outside_the_live_plane_imports_it_at_module_level(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            if _is_live_plane_file(path):
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            offenders += [
+                f"{path.relative_to(SRC)}:{line} imports {module}"
+                for line, module in _module_level_imports(tree)
+                if _is_live(module)
+            ]
+        assert offenders == []

@@ -86,6 +86,33 @@ class TestImportCost:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_sim_plane_loads_no_live_plane(self):
+        # The job runner and the fault script live outside runtime/, so a
+        # simulated run loads no event loop, socket, process pool or codec
+        # (74 modules and ~5 MiB of every sim process).  After the run,
+        # ``selectors`` is there for subprocess: the provenance's git call.
+        src = Path(repro.__file__).resolve().parent.parent
+        code = (
+            "import sys\n"
+            "LIVE = ('asyncio', 'selectors', 'socket', 'ssl', 'multiprocessing',\n"
+            "        'concurrent', 'repro.runtime', 'repro.loadgen', 'repro.wire_codec')\n"
+            "import repro\n"
+            "from repro.scenarios import get, load_builtins, run_scenario\n"
+            "load_builtins()\n"
+            "print(sorted(m for m in LIVE if m in sys.modules))\n"
+            "run_scenario('churn', **get('churn').smoke)\n"
+            "print(sorted(m for m in LIVE if m in sys.modules and m != 'selectors'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
     def test_deferred_brentq_gives_the_same_roots(self):
         from repro.analysis.entropy_analysis import achievable_max_bias
 

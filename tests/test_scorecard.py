@@ -4,7 +4,7 @@ a verdict each, and exit status 1 unless every claim holds."""
 import pytest
 
 from benchmarks import scorecard
-from repro.runtime.parallel import Task
+from repro.scenarios.parallel import Task
 from repro.scenarios import Param, ScenarioSpec
 from repro.scenarios.registry import register, unregister
 
