@@ -243,11 +243,13 @@ class BoundedIngressQueue:
         return True
 
     def drain(self, max_items: int) -> List:
-        """Dequeue up to ``max_items`` entries in FIFO order."""
+        """Dequeue up to ``max_items`` entries in FIFO order (all at once when they fit)."""
         queue = self._queue
-        n = min(max_items, len(queue))
-        out = [queue.popleft() for _ in range(n)]
-        return out
+        if len(queue) <= max_items:
+            out = list(queue)
+            queue.clear()
+            return out
+        return [queue.popleft() for _ in range(max_items)]
 
     def as_dict(self) -> Dict[str, int]:
         return {

@@ -96,7 +96,9 @@ class NodeRegistry:
     """Directory of node addresses with expulsion support."""
 
     def __init__(self) -> None:
-        self._udp: Dict[NodeId, Address] = {}
+        #: every registered node's UDP endpoint, expelled ones included:
+        #: a per-frame path that has tested ``connected`` subscripts it.
+        self.udp: Dict[NodeId, Address] = {}
         self._tcp: Dict[NodeId, Address] = {}
         self._expelled: set = set()
         #: registered and not expelled — what :meth:`is_connected`
@@ -106,7 +108,7 @@ class NodeRegistry:
 
     def register(self, node_id: NodeId, udp: Address, tcp: Address) -> None:
         """Publish a node's endpoints."""
-        self._udp[node_id] = udp
+        self.udp[node_id] = udp
         self._tcp[node_id] = tcp
         if node_id not in self._expelled:
             self.connected.add(node_id)
@@ -122,13 +124,13 @@ class NodeRegistry:
 
     def is_known(self, node_id: NodeId) -> bool:
         """Whether a node ever registered (connected, expelled or down)."""
-        return node_id in self._udp
+        return node_id in self.udp
 
     def udp_address(self, node_id: NodeId) -> Optional[Address]:
         """UDP endpoint of ``node_id`` (None when unreachable)."""
         if node_id in self._expelled:
             return None
-        return self._udp.get(node_id)
+        return self.udp.get(node_id)
 
     def tcp_address(self, node_id: NodeId) -> Optional[Address]:
         """TCP endpoint of ``node_id`` (None when unreachable)."""
@@ -345,11 +347,12 @@ class AsyncTransport:
             extra = fate
         payload = wire_codec.encode_frame(src, message)
         if not reliable:
-            sock = self._endpoints.get(src)
-            address = self.registry.udp_address(dst)
-            if sock is None or address is None:
+            try:
+                sock = self._endpoints[src]
+            except KeyError:
                 self.sends_refused += 1
                 return False
+            address = self.registry.udp[dst]  # dst is connected, so registered
             self.datagrams_sent += 1
             if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
                 self.datagrams_dropped += 1
@@ -515,10 +518,11 @@ class AsyncTransport:
         sockets and the timers.  Every datagram gets the checks a lone
         one would — decode, error accounting, bounded ``push``, probe —
         and the run shares the receiver's liveness test, one arrival
-        stamp and one pump wake-up.  An expelled or down node's
-        datagrams are read and discarded undecoded.
+        stamp and one pump wake-up.  An expelled node's datagrams are
+        read and discarded undecoded; a crashed node has no reader here
+        (``crash_node`` removes it, and any callback it queued, at once).
         """
-        live = node_id in self.registry.connected and node_id not in self._crashed
+        live = node_id in self.registry.connected
         recv = sock.recv
         decode = wire_codec.decode_frame
         push = self._ingress.push
@@ -600,20 +604,18 @@ class AsyncTransport:
             t_drain = self.clock() if probe is not None else 0.0
             for k in range(i, j):
                 _t, _dst, src, message = batch[k]
-                self._deliver_local(receiver, table, src, message)
+                if table is None:
+                    receiver(src, message)
+                    continue
+                try:  # tables hold every wire class: only a foreign one raises
+                    handler = table[message.__class__]
+                except KeyError:
+                    continue
+                if handler is not None:
+                    handler(src, message)
             if probe is not None:
                 probe.on_dispatched(batch, i, j, t_drain, self.clock())
             i = j
-
-    @staticmethod
-    def _deliver_local(receiver, table, src: NodeId, message: object) -> None:
-        """Hand one message to its handler (or the bare receiver)."""
-        if table is not None:
-            handler = table.get(message.__class__)
-            if handler is not None:
-                handler(src, message)
-            return
-        receiver(src, message)
 
     def _on_decode_error(self, data: bytes) -> None:
         """Account one rejected frame and feed the claimed peer's breaker.

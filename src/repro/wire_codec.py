@@ -158,7 +158,8 @@ def _record_codec(hints):
     Each maximal run of fixed-width members is one ``Struct``; the
     members in between bring their own closures.  ``decode`` yields the
     values as a list; a record that is a single run without bools
-    encodes with the bare ``Struct.pack``.
+    encodes with the bare ``Struct.pack`` and also returns that run's
+    ``Struct`` (every other record: None).
     """
     codes = [_PRIM_CODES.get(hint) for hint in hints]
     enc_steps, dec_steps = [], []  # (enc, i, j, bools) / (dec, size, bools)
@@ -215,8 +216,8 @@ def _record_codec(hints):
         return values, offset
 
     if None not in codes and "?" not in codes:  # one run, nothing to check
-        encode = enc_steps[0][0]
-    return encode, decode
+        return enc_steps[0][0], decode, unpacker
+    return encode, decode, None
 
 
 def _seq_codec(elem):
@@ -280,7 +281,7 @@ def _value_codec(hint):
         raise TypeError(f"unsupported wire field type: {hint!r}")
     if len(args) == 2 and args[1] is Ellipsis:
         return _seq_codec(args[0])
-    encode_record, decode_record = _record_codec(args)
+    encode_record, decode_record, _run = _record_codec(args)
 
     def encode(value) -> bytes:
         if len(value) != len(args):
@@ -295,13 +296,19 @@ def _value_codec(hint):
 
 
 def _compile(cls, tag: int):
-    """``(tag, field getter, encode)`` and ``(cls, decode)`` of one class."""
+    """``(tag, field getter, encode, size)`` and ``(cls, decode, size)`` of one
+    class; ``size`` is the frame size of a one-run kind, capped here, else None."""
     hints = typing.get_type_hints(cls)
-    encode, decode = _record_codec(["tag", int, *(hints[name] for name in cls.__slots__)])
+    encode, decode, run = _record_codec(["tag", int, *(hints[name] for name in cls.__slots__)])
     getter = attrgetter(*cls.__slots__)
     if len(cls.__slots__) == 1:  # attrgetter of one name yields it bare
         getter = lambda message, field=getter: (field(message),)  # noqa: E731
-    return (tag, getter, encode), (cls, decode)
+    size = None
+    if run is not None:  # its frame is one bare unpack, of a size known now
+        if run.size > MAX_FRAME_BYTES:
+            raise TypeError(f"{cls.__name__} frames of {run.size} bytes exceed the cap")
+        size, decode = run.size, run.unpack_from
+    return (tag, getter, encode, size), (cls, decode, size)
 
 
 # Compiled at import: a field type added to wire.py without a codec
@@ -328,7 +335,7 @@ def encode_frame(src: int, message) -> bytes:
     counted.
     """
     try:
-        tag, getter, encode = _ENCODERS[message.__class__]
+        tag, getter, encode, fixed = _ENCODERS[message.__class__]
     except KeyError:
         raise UnknownTypeError(
             f"{message.__class__.__name__} is not a wire message class"
@@ -339,7 +346,7 @@ def encode_frame(src: int, message) -> bytes:
         raise
     except (TypeError, ValueError, OverflowError, struct.error) as exc:
         raise MalformedFrameError(f"unencodable field value: {exc}") from exc
-    if len(frame) > MAX_FRAME_BYTES:
+    if fixed is None and len(frame) > MAX_FRAME_BYTES:
         raise OversizedFrameError(
             f"frame of {len(frame)} bytes exceeds cap {MAX_FRAME_BYTES}"
         )
@@ -361,10 +368,15 @@ def decode_frame(data: bytes):
     if size < _HEADER_LEN:
         raise MalformedFrameError(f"frame of {size} bytes has no header")
     try:
-        cls, decode = _DECODERS[data[0]]
+        cls, decode, fixed = _DECODERS[data[0]]
     except KeyError:
         raise UnknownTypeError(f"unknown message tag {data[0]:#x}") from None
-    values, offset = decode(data, 0, size)
+    if fixed is None:
+        values, offset = decode(data, 0, size)
+    elif size < fixed:
+        raise MalformedFrameError("truncated fixed-width fields")
+    else:  # one unpack, and the kind's size is where the body ends
+        values, offset = decode(data), fixed
     if offset != size:
         raise MalformedFrameError(
             f"{size - offset} trailing bytes after {cls.__name__} body"

@@ -227,6 +227,54 @@ class TestStrictnessSweep:
             wire_codec.decode_frame(bytes(frame))
 
 
+_FIXED_SIZE = [
+    (src, message, frame_hex) for src, message, frame_hex in GOLDEN_FRAMES
+    if wire_codec._DECODERS[wire_codec.tag_of(type(message))][2] is not None
+]
+
+
+def _rejection(data):
+    """``(class, message)`` of the error ``decode_frame`` raises on ``data``."""
+    with pytest.raises(wire_codec.CodecError) as info:
+        wire_codec.decode_frame(data)
+    return type(info.value), str(info.value)
+
+
+class TestFixedSizeKinds:
+    """A kind that is one fixed-width run without bools decodes with one
+    bare ``unpack_from``; it must reject exactly what the general record
+    decoder rejects, with the same class and message."""
+
+    def test_the_fixed_size_kinds(self):
+        assert [type(m).__name__ for _src, m, _hex in _FIXED_SIZE] == [
+            "Serve", "ScoreQuery", "AuditRequest",
+        ]
+
+    @pytest.mark.parametrize(
+        "src, message, frame_hex", _FIXED_SIZE,
+        ids=[type(m).__name__ for _src, m, _hex in _FIXED_SIZE],
+    )
+    def test_prefixes_and_a_trailing_byte_fail_as_in_the_general_decoder(
+        self, src, message, frame_hex, monkeypatch
+    ):
+        frame = bytes.fromhex(frame_hex)
+        bad = [frame[:cut] for cut in range(len(frame))] + [frame + b"\x00"]
+        fast = [_rejection(data) for data in bad]
+        cls = type(message)
+        hints = typing.get_type_hints(cls)
+        _encode, general, _run = wire_codec._record_codec(
+            ["tag", int, *(hints[name] for name in cls.__slots__)]
+        )
+        monkeypatch.setitem(
+            wire_codec._DECODERS, wire_codec.tag_of(cls), (cls, general, None)
+        )
+        assert fast == [_rejection(data) for data in bad]
+        assert fast[-1] == (
+            wire_codec.MalformedFrameError, f"1 trailing bytes after {cls.__name__} body"
+        )
+        assert fast[-2] == (wire_codec.MalformedFrameError, "truncated fixed-width fields")
+
+
 class TestEncodeSideChecks:
     """The encoder never emits a frame its own decoder rejects, and never
     silently turns a field value into a different one."""
@@ -305,11 +353,13 @@ class TestCallBudget:
     not a tree walk per field (43 and 100 with the interpretive codec)."""
 
     def test_all_scalar_frame(self):
+        # encode_frame, pack; decode_frame, len, unpack_from, __init__ —
+        # no record-decoder closure and no len for the cap
         serve = Serve(proposal_id=1, chunk_id=2, payload_size=3, origin=4)
-        assert _codec_calls(serve) <= 14
+        assert _codec_calls(serve) <= 6
 
     def test_ten_chunk_propose(self):
-        assert _codec_calls(Propose(proposal_id=1, chunk_ids=tuple(range(10)))) <= 24
+        assert _codec_calls(Propose(proposal_id=1, chunk_ids=tuple(range(10)))) <= 17
 
 
 class TestTagStability:
