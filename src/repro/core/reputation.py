@@ -74,7 +74,7 @@ class ManagerAssignment:
 
     def managers_of(self, node: NodeId) -> Tuple[NodeId, ...]:
         """The managers holding ``node``'s score."""
-        return self._managers.get(node, ())
+        return self._managers[node] if node in self._managers else ()
 
     def managed_by(self, manager: NodeId) -> Tuple[NodeId, ...]:
         """The nodes whose score ``manager`` keeps."""
@@ -180,6 +180,8 @@ class ReputationManager:
         self.quarantines_started = 0
         self.quarantines_discarded = 0
         self.quarantines_released = 0
+        #: non-finite blames dropped (one NaN would make a record unexpellable).
+        self.rejected_blames = 0
 
     # ------------------------------------------------------------------
     # blame handling
@@ -190,6 +192,9 @@ class ReputationManager:
             record = self.records[target]
         except KeyError:
             return  # not a manager of this node; drop silently
+        if not -math.inf < value < math.inf:
+            self.rejected_blames += 1
+            return
         if record.suspected:
             record.quarantined_total += value
             record.quarantined_events += 1
@@ -208,6 +213,9 @@ class ReputationManager:
             record = self.records[message.target]
         except KeyError:
             return  # not a manager of this node; drop silently
+        if not -math.inf < message.value < math.inf:
+            self.rejected_blames += 1
+            return
         if record.suspected:
             record.quarantined_total += message.value
             record.quarantined_events += 1

@@ -32,7 +32,7 @@ parameter sets.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from repro.core.blames import (
@@ -54,12 +54,13 @@ ChunkId = int
 
 @dataclass(slots=True)
 class _ConfirmRound:
-    """One verifier-side cross-check: witnesses we are waiting on."""
+    """One verifier-side cross-check: the witnesses still owing an
+    answer, out of ``asked`` distinct ones, and the valid answers so far."""
 
     proposer: NodeId
-    witnesses: Set[NodeId]
+    waiting: Set[NodeId]
+    asked: int
     valid: int = 0
-    answered: Set[NodeId] = field(default_factory=set)
 
 
 class VerificationEngine:
@@ -100,9 +101,11 @@ class VerificationEngine:
         """
         sim = self._sim
         now = sim.now if sim is not None else self.host.clock()
-        pending = self._pending_acks.get(requester)
-        if pending is None:
-            pending = self._pending_acks[requester] = {}
+        pending_acks = self._pending_acks
+        if requester in pending_acks:
+            pending = pending_acks[requester]
+        else:
+            pending = pending_acks[requester] = {}
         for chunk_id in chunk_ids:
             pending[chunk_id] = now
 
@@ -110,8 +113,9 @@ class VerificationEngine:
         """Handle the ack of a node we served; §5.2's verifier role."""
         host = self.host
         fanout = host.gossip.fanout
-        pending = self._pending_acks.get(src)
-        if pending is not None:
+        pending_acks = self._pending_acks
+        if src in pending_acks:
+            pending = pending_acks[src]
             sim = self._sim
             now = sim.now if sim is not None else host.clock()
             acked = set(ack.chunk_ids)
@@ -129,7 +133,7 @@ class VerificationEngine:
             if overdue:
                 self._blame(src, no_ack_blame(fanout), REASON_INVALID_PROPOSAL)
             if not pending:
-                del self._pending_acks[src]
+                del pending_acks[src]
 
         if len(ack.partners) < fanout:
             value = fanout_decrease_blame(fanout, len(ack.partners))
@@ -140,14 +144,15 @@ class VerificationEngine:
             self._start_confirm_round(src, ack)
 
     def _start_confirm_round(self, proposer: NodeId, ack: Ack) -> None:
-        round_state = _ConfirmRound(proposer=proposer, witnesses=set(ack.partners))
+        waiting = set(ack.partners)
+        round_state = _ConfirmRound(proposer, waiting, len(waiting))
         rounds = self._confirm_rounds
         if proposer in rounds:
             rounds[proposer].append(round_state)
         else:
             rounds[proposer] = [round_state]
         confirm = Confirm(proposer=proposer, chunk_ids=ack.chunk_ids)
-        self._host_send_many(round_state.witnesses, confirm)
+        self._host_send_many(waiting, confirm)
         self._call_later(self.host.lifting.confirm_timeout, self._finish_confirm_round, round_state)
 
     def on_confirm_response(self, src: NodeId, response: ConfirmResponse) -> None:
@@ -163,8 +168,9 @@ class VerificationEngine:
         except KeyError:
             return
         for round_state in rounds:
-            if src in round_state.witnesses and src not in round_state.answered:
-                round_state.answered.add(src)
+            waiting = round_state.waiting
+            if src in waiting:
+                waiting -= {src}
                 if response.valid:
                     round_state.valid += 1
                 return
@@ -179,7 +185,7 @@ class VerificationEngine:
         del rounds[proposer][0]
         if not rounds[proposer]:
             del rounds[proposer]
-        contradictions = len(round_state.witnesses) - round_state.valid
+        contradictions = round_state.asked - round_state.valid
         if contradictions > 0:
             value = contradictions * witness_contradiction_blame()
             self._blame(proposer, value, REASON_WITNESS_CONTRADICTION)

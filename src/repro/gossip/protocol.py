@@ -420,7 +420,8 @@ class GossipNode:
 
     def _prune_offers(self) -> None:
         """Drop logged proposals older than two periods."""
-        horizon = self.clock() - 2 * self.gossip.gossip_period
+        now = self._sim.now if self._sim is not None else self.clock()
+        horizon = now - 2 * self.gossip.gossip_period
         offers = self._offers
         while offers and offers[0][0] < horizon:
             offers.popleft()
@@ -432,10 +433,10 @@ class GossipNode:
         self._fresh = {}
         by_server: Dict[NodeId, List[ChunkId]] = {}
         for chunk_id, server in fresh.items():
-            chunks = by_server.get(server)
-            if chunks is None:
-                chunks = by_server[server] = []
-            chunks.append(chunk_id)
+            if server in by_server:
+                by_server[server].append(chunk_id)
+            else:
+                by_server[server] = [chunk_id]
         filtered = self.behavior.propose_filter(by_server)
         chunk_ids: Tuple[ChunkId, ...] = tuple(
             sorted(chain.from_iterable(filtered.values()))
@@ -450,8 +451,9 @@ class GossipNode:
         self._send_many(self.node_id, partners, propose, _UDP)
         self.stats.proposals_sent += 1
         self.history.record_proposal(partners, chunk_ids)
+        now = self._sim.now if self._sim is not None else self.clock()
         self._sent_proposals[proposal_id] = _SentProposal(
-            partners, frozenset(chunk_ids) if chunk_ids[SHORT_IDS:] else chunk_ids, self.clock()
+            partners, frozenset(chunk_ids) if chunk_ids[SHORT_IDS:] else chunk_ids, now
         )
 
         if self.lifting_enabled:
@@ -464,7 +466,8 @@ class GossipNode:
 
     def _expire_old_proposals(self) -> None:
         """Drop proposal bookkeeping older than a few periods."""
-        horizon = self.clock() - 4 * self.gossip.gossip_period
+        now = self._sim.now if self._sim is not None else self.clock()
+        horizon = now - 4 * self.gossip.gossip_period
         stale = [pid for pid, rec in self._sent_proposals.items() if rec.at < horizon]
         for pid in stale:
             del self._sent_proposals[pid]
@@ -562,7 +565,7 @@ class GossipNode:
         awaited = self._awaited
         missing = []
         for chunk_id in window.chunk_ids:
-            if awaited.get(chunk_id) is window:
+            if chunk_id in awaited and awaited[chunk_id] is window:
                 del awaited[chunk_id]
                 missing.append(chunk_id)
         if not missing:
@@ -574,9 +577,11 @@ class GossipNode:
         self._retry_elsewhere(window.proposer, missing)
 
     def _on_request(self, src: NodeId, message: Request) -> None:
-        record = self._sent_proposals.get(message.proposal_id)
-        if record is None or src not in record.partners:
+        proposals = self._sent_proposals
+        proposal_id = message.proposal_id
+        if proposal_id not in proposals or src not in proposals[proposal_id].partners:
             return  # §4.2: requests not matching a proposal are ignored
+        record = proposals[proposal_id]
         self.stats.requests_received += 1
         owned = self.store.owned
         proposed = record.chunk_ids
@@ -596,7 +601,7 @@ class GossipNode:
         send_many = self._send_many
         for chunk_id in to_serve:
             serve = Serve(
-                proposal_id=message.proposal_id,
+                proposal_id=proposal_id,
                 chunk_id=chunk_id,
                 payload_size=sizes[chunk_id],
                 origin=origin,
@@ -612,9 +617,9 @@ class GossipNode:
         chunk_id = message.chunk_id
         # Only the window that asked for the chunk counts it served: a
         # serve answering another request leaves that window short.
-        window = self._awaited.get(chunk_id)
-        if window is not None and window.proposal_id == message.proposal_id:
-            del self._awaited[chunk_id]
+        awaited = self._awaited
+        if chunk_id in awaited and awaited[chunk_id].proposal_id == message.proposal_id:
+            del awaited[chunk_id]
         sim = self._sim
         now = sim.now if sim is not None else self.clock()
         fresh = self.store.add(chunk_id, message.payload_size, received_at=now)
@@ -694,9 +699,10 @@ class GossipNode:
             return
         if value > 0 and self._should_blame is not None and not self._should_blame(target):
             return
-        self.stats.blames_emitted += max(value, 0.0)
+        if value > 0.0:
+            self.stats.blames_emitted += value
         outbox = self._blame_outbox
-        outbox[target] = outbox.get(target, 0.0) + value
+        outbox[target] = (outbox[target] if target in outbox else 0.0) + value
 
     def _flush_blames(self) -> None:
         outbox = self._blame_outbox

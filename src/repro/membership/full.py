@@ -1,9 +1,11 @@
 """Full-membership directory with uniform sampling.
 
 Keeps the alive set as an array with O(1) swap-remove, and samples
-``count`` distinct partners by partial Fisher–Yates — O(count) per call
-regardless of system size, which matters when every node samples every
-500 ms.
+``count`` distinct partners by a *virtual* partial Fisher–Yates: the
+swaps land in a per-call position -> node map, never in the array, so
+the directory is shared by every node without copies and read-only
+while sampling — O(count) per call regardless of system size, which
+matters when every node samples every 500 ms.
 
 The reverse index (node -> position in the alive array) is a dense list
 indexed by node id (-1 == absent): membership probes on the sampling hot
@@ -83,31 +85,38 @@ class FullMembership(PeerSampler):
     def sample(self, caller: NodeId, count: int) -> List[NodeId]:
         """``count`` distinct uniform partners, excluding ``caller``.
 
-        Uses a partial Fisher–Yates over the alive array; the array is
-        restored afterwards so the directory stays shared between all
-        nodes without copies.
+        A partial Fisher–Yates over the alive array, done virtually:
+        ``moved`` holds what a swap would have written to a position, so
+        the draws (``rng.integers(0, limit)`` per step) and the picks are
+        those of swapping in place, and the shared array is only read.
+        A ``caller`` that is not a member (an id past the table, a
+        non-int) shrinks nothing.
         """
-        require(count >= 0, "count must be >= 0, got %d", count)
+        if count < 0:
+            require(False, "count must be >= 0, got %d", count)
         nodes = self._nodes
-        population = len(nodes) - (1 if self.contains(caller) else 0)
-        take = min(count, population)
+        limit = len(nodes)
+        try:  # ``limit`` less one if ``contains(caller)``, inlined
+            take = limit - 1 if caller >= 0 and self._pos[caller] >= 0 else limit
+        except (IndexError, TypeError):
+            take = limit
+        if count < take:
+            take = count
         if take <= 0:
             return []
 
-        picked: List[NodeId] = []
-        swapped: List[tuple] = []
-        limit = len(nodes)
+        picked: List[NodeId] = [None] * take
+        moved = {}
+        got = 0
         rng = self._rng
-        while len(picked) < take and limit > 0:
+        while got < take and limit > 0:
             j = int(rng.integers(0, limit))
-            candidate = nodes[j]
             limit -= 1
-            nodes[j], nodes[limit] = nodes[limit], nodes[j]
-            swapped.append((j, limit))
+            candidate = moved[j] if j in moved else nodes[j]
+            moved[j] = moved[limit] if limit in moved else nodes[limit]
             if candidate != caller:
-                picked.append(candidate)
-        # Undo the swaps so that the shared array ordering (and therefore
-        # other callers' sampling) is unaffected by this call.
-        for j, k in reversed(swapped):
-            nodes[j], nodes[k] = nodes[k], nodes[j]
+                picked[got] = candidate
+                got += 1
+        if got < take:
+            del picked[got:]
         return picked

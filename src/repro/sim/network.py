@@ -365,6 +365,8 @@ class Network:
         now = sim.now  # constant for the whole fan-out: no event fires here
         link = self._links[src]
         link_unbounded = link.rate == _INF
+        if not link_unbounded and not size >= 0:  # negated form also rejects NaN
+            require(False, "size_bytes must be >= 0, got %r", size)
         loss = self.loss
         loss_inline = self._loss_inline and transport is _UDP
         latency = self.latency
@@ -421,11 +423,15 @@ class Network:
                 continue
             if disconnected and dst in disconnected:
                 continue
+            link.bytes_sent += size
             if link_unbounded:
-                link.bytes_sent += size
                 departure = now
-            else:
-                departure = link.transmit(now, size)
+            else:  # UploadLink.transmit, verbatim
+                departure = link.free_at
+                if now > departure:
+                    departure = now
+                departure += size / link.rate
+                link.free_at = departure
             sent += 1
 
             if udp:

@@ -1,7 +1,9 @@
 """Tests for the manager-based reputation substrate (§5.1, §6.2)."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,10 @@ from repro.core.reputation import (
     ScoreBoard,
     compensation_per_period,
 )
+from repro.gossip.protocol import GossipNode
+from repro.nodes.behavior import HonestBehavior
 from repro.wire import Blame
+from repro.wire_codec import decode_frame, encode_frame
 
 
 @pytest.fixture
@@ -139,6 +144,96 @@ class TestScoring:
         manager.on_blame_message(7, Blame(target=outsider, value=100.0))  # off the wire too
         assert manager.normalized_score(outsider) is None
         assert outsider not in manager.records
+
+
+class _HandClock:
+    """The transport facade a live node needs to take a delivered message."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def clock(self):
+        return self.now
+
+    def call_later(self, delay, fn, *args):
+        return None
+
+    def send(self, src, dst, message, reliable):
+        return True
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteBlame:
+    """A NaN or infinite blame is dropped and counted, never summed: one
+    NaN in ``blame_total`` would keep its target's score off every
+    threshold comparison, so no later blame could get it voted out."""
+
+    def _setup(self, params):
+        clock = FakeClock()
+        manager, assignment = make_manager(params, 0, clock, compensation=0.0)
+        return clock, manager, assignment.managed_by(0)[0]
+
+    def test_control_a_finite_blame_gets_its_target_voted_out(self, params):
+        clock, manager, target = self._setup(params)
+        clock.now = 5.0
+        manager.on_blame_message(3, Blame(target=target, value=1e9))
+        assert manager.expulsion_candidates() == [target]
+        assert manager.rejected_blames == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_sim_handler_drops_and_counts_it(self, params, value):
+        clock, manager, target = self._setup(params)
+        clock.now = 5.0
+        manager.on_blame_message(3, Blame(target=target, value=value))
+        manager.on_blame(target, value)  # the node's own batch path
+        record = manager.records[target]
+        assert (record.blame_total, record.blame_events) == (0.0, 0)
+        assert manager.rejected_blames == 2
+        manager.on_blame_message(3, Blame(target=target, value=1e9))
+        assert manager.expulsion_candidates() == [target]
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_quarantine_drops_it_too(self, params, value):
+        _clock, manager, target = self._setup(params)
+        assert manager.quarantine_target(target)
+        manager.on_blame_message(3, Blame(target=target, value=value))
+        record = manager.records[target]
+        assert (record.quarantined_total, record.quarantined_events) == (0.0, 0)
+        assert manager.rejected_blames == 1
+
+    def test_a_blame_about_an_unmanaged_node_is_not_counted(self, params):
+        _clock, manager, _target = self._setup(params)
+        outsider = next(n for n in range(20) if n not in manager.records)
+        manager.on_blame_message(3, Blame(target=outsider, value=math.nan))
+        assert manager.rejected_blames == 0
+
+    def test_negative_blames_stay_legal(self, params):
+        _clock, manager, target = self._setup(params)
+        manager.on_blame_message(3, Blame(target=target, value=-4.5))
+        assert manager.records[target].blame_total == -4.5
+        assert manager.rejected_blames == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_live_path_frame_to_dispatch(self, params, value):
+        gossip, lifting = params
+        assignment = ManagerAssignment(range(20), lifting.managers, seed=3)
+        transport = _HandClock()
+        node = GossipNode(
+            0, transport, None, gossip, lifting, HonestBehavior(), assignment,
+            rng=np.random.default_rng(0),
+        )
+        target = assignment.managed_by(0)[0]
+        # The codec carries the value as-is (``!d`` admits NaN and ±inf).
+        src, message = decode_frame(encode_frame(3, Blame(target=target, value=value)))
+        assert (src, message.target) == (3, target)
+        node.dispatch_table[message.__class__](src, message)
+        assert node.manager.rejected_blames == 1
+        assert node.manager.records[target].blame_events == 0
+        transport.now = 5.0
+        node.dispatch_table[Blame](3, Blame(target=target, value=1e9))
+        assert node.manager.expulsion_candidates() == [target]
 
 
 class TestExpulsionVoting:

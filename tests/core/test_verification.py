@@ -234,7 +234,8 @@ class TestBookkeeping:
         engine.on_confirm_response(10, ConfirmResponse(5, True))
         engine.on_confirm_response(10, ConfirmResponse(5, True))
         (round_state,) = engine._confirm_rounds[5]
-        assert round_state.valid == 1 and round_state.answered == {10}
+        assert round_state.valid == 1 and round_state.waiting == {11, 12, 13}
+        assert round_state.asked == FANOUT
         fake_host.sim.run()
         assert fake_host.blames == [(5, 3.0, REASON_WITNESS_CONTRADICTION)]
 
@@ -243,7 +244,7 @@ class TestBookkeeping:
         engine.on_confirm_response(99, ConfirmResponse(5, True))  # not a witness
         engine.on_confirm_response(10, ConfirmResponse(6, True))  # no round about 6
         (round_state,) = engine._confirm_rounds[5]
-        assert round_state.valid == 0 and round_state.answered == set()
+        assert round_state.valid == 0 and round_state.waiting == set(full_partners())
         fake_host.sim.run()
         assert fake_host.blames == [(5, 4.0, REASON_WITNESS_CONTRADICTION)]
 
@@ -254,9 +255,9 @@ class TestBookkeeping:
         engine.on_ack(5, Ack(chunk_ids=(2,), partners=(10, 14, 15, 16)))
         older, newer = engine._confirm_rounds[5]
         engine.on_confirm_response(10, ConfirmResponse(5, True))
-        assert (older.answered, newer.answered) == ({10}, set())
+        assert (older.waiting, newer.waiting) == ({11, 12, 13}, {10, 14, 15, 16})
         engine.on_confirm_response(10, ConfirmResponse(5, True))
-        assert (older.answered, newer.answered) == ({10}, {10})
+        assert (older.waiting, newer.waiting) == ({11, 12, 13}, {14, 15, 16})
         engine.on_confirm_response(11, ConfirmResponse(5, True))
         # Each round is tallied at its own timeout, the older first.
         fake_host.sim.run(until=timeout + 0.01)

@@ -30,10 +30,11 @@ class TestSampling:
         fm = FullMembership(rng, range(5))
         assert fm.sample(caller=0, count=0) == []
 
-    def test_negative_count_rejected(self, rng):
-        fm = FullMembership(rng, range(5))
-        with pytest.raises(ValueError):
+    def test_negative_count_rejected(self):
+        fm = FullMembership(np.random.default_rng(4), range(5))
+        with pytest.raises(ValueError, match="count must be >= 0"):
             fm.sample(caller=0, count=-1)
+        assert fm._rng.random() == np.random.default_rng(4).random()
 
     def test_sampling_does_not_perturb_directory(self, rng):
         fm = FullMembership(rng, range(10))
@@ -124,3 +125,77 @@ class TestMembershipChanges:
                 alive.discard(node)
         assert set(fm.alive_nodes()) == alive
         assert len(fm) == len(alive)
+
+
+def swap_and_restore_sample(fm, rng, caller, count):
+    """The sampler the virtual Fisher–Yates replaced, verbatim but for
+    working on a copy of the array: swap in place, undo the swaps."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    nodes = list(fm._nodes)
+    population = len(nodes) - (1 if fm.contains(caller) else 0)
+    take = min(count, population)
+    if take <= 0:
+        return []
+    picked, swapped = [], []
+    limit = len(nodes)
+    while len(picked) < take and limit > 0:
+        j = int(rng.integers(0, limit))
+        candidate = nodes[j]
+        limit -= 1
+        nodes[j], nodes[limit] = nodes[limit], nodes[j]
+        swapped.append((j, limit))
+        if candidate != caller:
+            picked.append(candidate)
+    for j, k in reversed(swapped):
+        nodes[j], nodes[k] = nodes[k], nodes[j]
+    assert nodes == fm._nodes
+    return picked
+
+
+IDS = st.integers(0, 40)
+#: members and non-members alike: the source id, an id past the table.
+CALLERS = st.one_of(IDS, st.sampled_from([-1, 10**6]))
+SAMPLER_STEPS = st.one_of(
+    st.tuples(st.just("add"), IDS),
+    st.tuples(st.just("remove"), IDS),
+    st.tuples(st.just("sample"), CALLERS, st.integers(0, 8)),
+    # count at the population and past it
+    st.tuples(st.just("sample-all"), CALLERS, st.integers(0, 3)),
+)
+
+
+class TestVirtualFisherYates:
+    """The sampler keeps its swaps off the shared array, and picks what
+    swapping in place and restoring picked, draw for draw."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.sets(IDS, max_size=25),
+        st.integers(0, 2**32 - 1),
+        st.lists(SAMPLER_STEPS, min_size=1, max_size=40),
+    )
+    def test_picks_what_swap_and_restore_picked(self, ids, seed, steps):
+        fm = FullMembership(np.random.default_rng(seed), sorted(ids))
+        reference_rng = np.random.default_rng(seed)
+        for step in steps:
+            if step[0] == "add":
+                fm.add(step[1])
+            elif step[0] == "remove":
+                fm.remove(step[1])
+            else:
+                _kind, caller, count = step
+                if step[0] == "sample-all":
+                    count += len(fm)
+                before = list(fm._nodes)
+                expected = swap_and_restore_sample(fm, reference_rng, caller, count)
+                assert fm.sample(caller, count) == expected
+                assert fm._nodes == before
+        # Both generators drew the same stream, and no more.
+        assert fm._rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("caller", [10**6, 6, "x", None, 1.5])
+    def test_a_caller_past_the_table_or_not_an_int_is_absent(self, caller):
+        fm = FullMembership(np.random.default_rng(2), range(6))
+        assert sorted(fm.sample(caller, count=10)) == [0, 1, 2, 3, 4, 5]
+        assert len(fm.sample(caller, count=4)) == 4

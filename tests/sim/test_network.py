@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.sim.bandwidth import UploadLink
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.loss import BernoulliLoss, NoLoss, PerNodeLoss
@@ -225,6 +226,40 @@ class TestBandwidthIntegration:
         network.send(0, 1, DataMsg())  # 64 bytes -> 1 s serialisation
         sim.run()
         assert sim.now == pytest.approx(1.0)
+
+    def test_capped_fan_out_serialises_as_the_link_does(self):
+        sim = Simulator()
+        network = Network(sim, latency=ConstantLatency(0.25))
+        nodes = [Recorder(i) for i in range(4)]
+        network.register(nodes[0], upload_rate=48.0)
+        for node in nodes[1:]:
+            network.register(node)
+        sim.run(until=0.5)
+        reference = UploadLink(48.0)
+        reference.free_at = 0.75  # still busy when the fan-out starts
+        network.link(0).free_at = 0.75
+        assert network.send_many(0, (1, 2, 3), DataMsg()) == 3
+        departures = [reference.transmit(0.5, DEFAULT_SIZE) for _ in range(3)]
+        for delivered, departure in enumerate(departures):
+            sim.run(until=departure + 0.25 - 1e-9)
+            assert sum(len(node.received) for node in nodes) == delivered
+            sim.run(until=departure + 0.25)
+            assert nodes[1 + delivered].received == [(0, DataMsg())]
+        # Idle again: the next send starts now, not when the link freed.
+        network.send(0, 1, DataMsg())
+        reference.transmit(sim.now, DEFAULT_SIZE)
+        link = network.link(0)
+        assert (link.free_at, link.bytes_sent) == (reference.free_at, reference.bytes_sent)
+
+    def test_capped_link_rejects_a_negative_size_before_sending(self):
+        sim = Simulator()
+        network = Network(sim, latency=ConstantLatency(0.0))
+        network.register(Recorder(0), upload_rate=1000.0)
+        network.register(Recorder(1))
+        network._size_cache[DataMsg] = lambda message: -1  # a broken sizer
+        with pytest.raises(ValueError, match="size_bytes must be >= 0"):
+            network.send_many(0, (1,), DataMsg())
+        assert (network.link(0).bytes_sent, network.trace.sent_count()) == (0, 0)
 
 
 class TestTrace:
