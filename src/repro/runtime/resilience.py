@@ -16,11 +16,11 @@ triad — retry, circuit breaking, queue-based load leveling):
   it.  Every transition is counted, so a chaos run can assert "the
   breaker opened and recovered" from the counters alone.
 * :class:`BoundedIngressQueue` — the load-leveling buffer between the
-  sockets and the protocol nodes.  Decoded messages are queued and
-  drained in bounded batches by a pump task (throttling: the pump
-  yields to the event loop between batches); when the queue is full the
-  configured overflow policy either drops the oldest entry or rejects
-  the newcomer — both counted, never unbounded.
+  sockets and the protocol nodes.  Decoded messages are admitted a run
+  at a time and drained in bounded batches, one per event-loop turn
+  (throttling); when the queue is full the configured overflow policy
+  either drops the oldest entry or rejects the newcomer — both counted,
+  never unbounded.
 
 All state transitions take the current time as an argument (or a clock
 callable at construction) instead of reading a wall clock, which keeps
@@ -49,10 +49,10 @@ __all__ = [
 ]
 
 #: schema tag of :meth:`AsyncTransport.resilience_snapshot` payloads.
-#: Bump the suffix on any breaking change to the counter layout — the
+#: Bump the suffix on any key change in the counter layout — the
 #: snapshot is the measurement surface for the chaos scenarios *and*
 #: the load generator (see docs/RESILIENCE.md for the full schema).
-RESILIENCE_SNAPSHOT_SCHEMA = "repro.resilience_snapshot/1"
+RESILIENCE_SNAPSHOT_SCHEMA = "repro.resilience_snapshot/2"
 
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
@@ -242,6 +242,20 @@ class BoundedIngressQueue:
             self.high_water = depth
         return True
 
+    def push_run(self, items: List) -> int:
+        """Enqueue ``items`` as in-order ``push``es would (one ``extend`` if
+        they fit); return how many were admitted, always a prefix."""
+        queue = self._queue
+        count = len(items)
+        depth = len(queue) + count
+        if depth <= self.capacity:
+            queue.extend(items)
+            self.accepted += count
+            if depth > self.high_water:
+                self.high_water = depth
+            return count
+        return sum([self.push(item) for item in items])
+
     def drain(self, max_items: int) -> List:
         """Dequeue up to ``max_items`` entries in FIFO order (all at once when they fit)."""
         queue = self._queue
@@ -270,12 +284,12 @@ class ResilienceConfig:
     breaker_reset_timeout: float = 0.4
     ingress_capacity: int = 4096
     ingress_policy: str = DROP_OLDEST
-    #: max messages delivered per pump batch before yielding the loop.
+    #: max datagrams read per readiness event, and messages per drain batch.
     ingress_batch: int = 128
 
     def __post_init__(self) -> None:
         # A batch of 0 is a silent hang, not an error anyone sees: the
-        # socket stays readable and the pump drains nothing, for ever.
+        # socket stays readable and the drain delivers nothing, for ever.
         for name in ("ingress_capacity", "ingress_batch"):
             require_int(getattr(self, name), name, minimum=1)
         require_positive(self.breaker_reset_timeout, "breaker_reset_timeout")

@@ -24,19 +24,19 @@ Resilience layer (see :mod:`repro.runtime.resilience`):
   (closed/open/half-open) fast-fails sends to a dead peer instead of
   burning sockets and backoff sleeps on every attempt.
 * **Ingress** — decoded messages from both sockets land in one
-  :class:`~repro.runtime.resilience.BoundedIngressQueue`; a pump task
-  drains them in bounded batches, one message at a time through each
-  node's ``dispatch_table`` (the same per-message entry the simulated
-  network uses), yielding to the event loop between batches so a burst
-  cannot starve timers.
+  :class:`~repro.runtime.resilience.BoundedIngressQueue`, drained by a
+  ``loop.call_soon`` callback one batch per loop turn (so a burst cannot
+  starve timers), one message at a time through each node's
+  ``dispatch_table`` (the same per-message entry the simulated network
+  uses).  A raising handler costs only its own message.
 
 The UDP sockets are the transport's own: plain non-blocking
 ``socket.socket`` objects registered with ``loop.add_reader`` (which
 needs a selector event loop — asyncio's default on every platform CI
 runs; the Windows proactor loop has no ``add_reader``).  One readiness
 event reads a *run*: every datagram the kernel holds, up to
-``ingress_batch``, each liveness-checked, strictly decoded and pushed on
-its own, the run sharing one arrival stamp and one pump wake-up — an
+``ingress_batch``, each liveness-checked and strictly decoded on its
+own, the run sharing one arrival stamp and one ``push_run`` — an
 event-loop turn per run, not per frame.  Whatever the cap leaves behind
 the level-triggered selector reports again on the next turn, after the
 other sockets and the timers had theirs.  Egress is ``sendto`` on the
@@ -278,14 +278,14 @@ class AsyncTransport:
         #: is guarded by one ``is not None`` check, so the disabled cost
         #: is a single attribute load per ingest / per drained batch.
         self.probe = None
-        # ingress: one bounded queue feeding one pump task
+        # ingress: one bounded queue, drained by callbacks on the loop
         self._ingress = BoundedIngressQueue(
             capacity=self.resilience.ingress_capacity,
             policy=self.resilience.ingress_policy,
             on_evict=self._on_ingress_evict,
         )
-        self._ingress_event = asyncio.Event()
-        self._pump_task: Optional[asyncio.Task] = None
+        #: a ``_drain`` is on the loop's ready queue (always, while entries wait)
+        self._drain_filed = False
         # counters
         self.datagrams_sent = 0
         self.datagrams_dropped = 0
@@ -299,6 +299,8 @@ class AsyncTransport:
         self.decode_errors = 0
         self.decode_errors_unattributed = 0
         self.decode_errors_by_peer: Dict[NodeId, int] = {}
+        #: handler calls that raised (each contained to its message).
+        self.dispatch_errors = 0
 
     # ------------------------------------------------------------------
     # the facade used by GossipNode
@@ -413,8 +415,6 @@ class AsyncTransport:
         owner = getattr(receiver, "__self__", None)
         self._receivers[node_id] = (receiver, getattr(owner, "dispatch_table", None))
         await self._bind(node_id, ("127.0.0.1", 0), ("127.0.0.1", 0))
-        if self._pump_task is None:
-            self._pump_task = self.loop.create_task(self._pump())
 
     async def _bind(self, node_id: NodeId, udp_addr: Address, tcp_addr: Address) -> None:
         """Open both sockets (``port 0`` = ephemeral) and register them.
@@ -495,7 +495,7 @@ class AsyncTransport:
         self._crashed.discard(node_id)
 
     # ------------------------------------------------------------------
-    # ingress: sockets -> bounded queue -> pump -> nodes
+    # ingress: sockets -> bounded queue -> drain -> nodes
     # ------------------------------------------------------------------
     def _on_datagram_error(self, exc: OSError) -> None:
         """Account a failed call on a UDP socket (never raised to callers).
@@ -516,18 +516,18 @@ class AsyncTransport:
         Reads until the socket would block, at most ``ingress_batch``
         datagrams per event so a flooded socket cannot starve the other
         sockets and the timers.  Every datagram gets the checks a lone
-        one would — decode, error accounting, bounded ``push``, probe —
-        and the run shares the receiver's liveness test, one arrival
-        stamp and one pump wake-up.  An expelled node's datagrams are
-        read and discarded undecoded; a crashed node has no reader here
-        (``crash_node`` removes it, and any callback it queued, at once).
+        one would — liveness, decode, error accounting — and the run
+        shares one arrival stamp and one :meth:`_admit`.  An expelled
+        node's datagrams are read and discarded undecoded; a crashed node
+        has no reader here (``crash_node`` removes it, and any callback
+        it queued, at once).
         """
         live = node_id in self.registry.connected
         recv = sock.recv
         decode = wire_codec.decode_frame
-        push = self._ingress.push
-        probe = self.probe
         now = self.clock()
+        run = []
+        append = run.append
         try:
             for _ in range(self.resilience.ingress_batch):
                 data = recv(_MAX_DATAGRAM)
@@ -538,15 +538,13 @@ class AsyncTransport:
                 except wire_codec.CodecError:
                     self._on_decode_error(data)
                     continue  # malformed datagram: drop, count, never deliver
-                accepted = push((now, node_id, src, message))
-                if probe is not None:
-                    probe.on_ingest(src, message, now, accepted)
+                append((now, node_id, src, message))
         except BlockingIOError:
             pass  # drained
         except OSError as exc:
             self._on_datagram_error(exc)
-        if live:
-            self._ingress_event.set()
+        if run:
+            self._admit(run)
 
     def _on_ingress_evict(self, item) -> None:
         """Drop-oldest evicted ``item``; forward it to the probe."""
@@ -555,37 +553,39 @@ class AsyncTransport:
             probe.on_evicted(item)
 
     def _ingest(self, dst: NodeId, src: NodeId, message: object) -> None:
-        """Queue one decoded message for delivery by the pump."""
-        now = self.clock()
-        accepted = self._ingress.push((now, dst, src, message))
+        """Admit one decoded stream frame: a run of one."""
+        self._admit([(self.clock(), dst, src, message)])
+
+    def _admit(self, run) -> None:
+        """Queue a run of ``(t, dst, src, message)`` entries, tell the
+        probe each one's fate, and file a drain unless one is filed."""
+        admitted = self._ingress.push_run(run)
         probe = self.probe
         if probe is not None:
-            probe.on_ingest(src, message, now, accepted)
-        self._ingress_event.set()
+            for k, (now, _dst, src, message) in enumerate(run):
+                probe.on_ingest(src, message, now, k < admitted)
+        if not self._drain_filed:
+            self._drain_filed = True
+            self.loop.call_soon(self._drain)
 
-    async def _pump(self) -> None:
-        """Drain the ingress queue in bounded batches (load leveling).
-
-        Each iteration delivers at most ``ingress_batch`` messages and
-        then yields to the event loop, so a socket burst is levelled
-        instead of monopolising the loop; when the queue is empty the
-        pump parks on an event (no polling).
-        """
-        batch_size = self.resilience.ingress_batch
-        while not self._closing:
-            if len(self._ingress) == 0:
-                self._ingress_event.clear()
-                await self._ingress_event.wait()
-                continue
-            self._deliver_batch(self._ingress.drain(batch_size))
-            await asyncio.sleep(0)
+    def _drain(self) -> None:
+        """Deliver one batch, re-filed for the next loop turn while entries
+        remain (load leveling); once :meth:`close` began, deliver nothing."""
+        try:
+            if not self._closing:
+                self._deliver_batch(self._ingress.drain(self.resilience.ingress_batch))
+        finally:
+            self._drain_filed = len(self._ingress) > 0 and not self._closing
+            if self._drain_filed:
+                self.loop.call_soon(self._drain)
 
     def _deliver_batch(self, batch) -> None:
         """Deliver drained entries one by one.
 
         Same-destination runs share the liveness check, the receiver
         lookup and one probe span (``on_dispatched`` stamps the run's
-        drain and done times on each of its frames).
+        drain and done times on each of its frames).  A handler that
+        raises is counted and reported to the loop; the batch goes on.
         """
         i, n = 0, len(batch)
         connected = self.registry.connected
@@ -604,15 +604,17 @@ class AsyncTransport:
             t_drain = self.clock() if probe is not None else 0.0
             for k in range(i, j):
                 _t, _dst, src, message = batch[k]
-                if table is None:
-                    receiver(src, message)
-                    continue
-                try:  # tables hold every wire class: only a foreign one raises
-                    handler = table[message.__class__]
-                except KeyError:
-                    continue
-                if handler is not None:
-                    handler(src, message)
+                try:
+                    if table is None:
+                        receiver(src, message)
+                    else:  # tables hold every wire class
+                        handler = table[message.__class__]
+                        if handler is not None:
+                            handler(src, message)
+                except Exception as exc:
+                    self.dispatch_errors += 1
+                    what = f"{message.__class__.__name__} handler of node {dst} raised"
+                    self.loop.call_exception_handler({"message": what, "exception": exc})
             if probe is not None:
                 probe.on_dispatched(batch, i, j, t_drain, self.clock())
             i = j
@@ -698,6 +700,7 @@ class AsyncTransport:
             "ingress": self._ingress.as_dict(),
             "connect_failures": self.connect_failures,
             "frames_abandoned": self.frames_abandoned,
+            "dispatch_errors": self.dispatch_errors,
             "decode_errors": {
                 "total": self.decode_errors,
                 "unattributed": self.decode_errors_unattributed,
@@ -709,11 +712,8 @@ class AsyncTransport:
         }
 
     async def close(self) -> None:
-        """Tear down all endpoints, channels and the pump."""
+        """Tear down all endpoints and channels (a filed drain then delivers nothing)."""
         self._closing = True
-        self._ingress_event.set()
-        if self._pump_task is not None:
-            self._pump_task.cancel()
         for channel in self._channels.values():
             channel.close()
         for sock in self._endpoints.values():

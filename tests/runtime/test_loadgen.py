@@ -71,7 +71,7 @@ class TestLiveLoadgen:
         # Drop evidence rides along from the resilience snapshot.
         assert load["ingress_high_water"] >= 1
         assert load["ingress_dropped"] == 0
-        assert load["resilience"]["schema"] == "repro.resilience_snapshot/1"
+        assert load["resilience"]["schema"] == "repro.resilience_snapshot/2"
 
         # Zero invariant violations while under load.
         assert report.invariants["violations"] == 0

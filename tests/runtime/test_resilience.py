@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime.resilience import (
     BoundedIngressQueue,
@@ -175,6 +176,39 @@ class TestBoundedIngressQueue:
             BoundedIngressQueue(capacity=0)
         with pytest.raises(ValueError):
             BoundedIngressQueue(policy="newest-wins")
+
+
+class TestPushRun:
+    """``push_run`` is a ``push`` per item, in order, with the ``extend``
+    only a shortcut for a run that fits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        capacity=st.integers(1, 8),
+        policy=st.sampled_from([DROP_OLDEST, REJECT]),
+        prefill=st.integers(0, 12),
+        drained=st.integers(0, 8),
+        length=st.integers(0, 20),
+    )
+    def test_a_run_is_a_push_per_item(self, capacity, policy, prefill, drained, length):
+        def queue_with_history():
+            evicted = []
+            queue = BoundedIngressQueue(capacity, policy, on_evict=evicted.append)
+            for item in range(prefill):  # past capacity: counters already moved
+                queue.push(("old", item))
+            queue.drain(drained)  # a high water above the depth
+            return queue, evicted
+
+        run = [("new", item) for item in range(length)]
+        reference, reference_evicted = queue_with_history()
+        flags = [reference.push(item) for item in run]
+        queue, evicted = queue_with_history()
+        admitted = queue.push_run(run)
+
+        assert [k < admitted for k in range(length)] == flags  # what the probe is told
+        assert list(queue._queue) == list(reference._queue)
+        assert queue.as_dict() == reference.as_dict()  # accepted, dropped, rejected, high water
+        assert evicted == reference_evicted
 
 
 class TestResilienceConfig:

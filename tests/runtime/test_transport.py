@@ -370,9 +370,10 @@ class TestRunPerReadinessEvent:
 
     def test_closed_loop_call_budget(self):
         # Machine-independent cost witness, as TestCallBudget is for the
-        # codec: a frame round the 32-outstanding closed loop is ~15.5
+        # codec: a frame round the 32-outstanding closed loop is ~13.0
         # profiled calls (73 when every frame paid its own loop turn, 22.6
-        # with a lookup frame per send, decode, drain and dispatch).
+        # with a lookup frame per send, decode, drain and dispatch, 15.5
+        # with a push per frame and a pump task woken by an Event).
         frames, window = 2000, 32
 
         async def scenario():
@@ -381,7 +382,7 @@ class TestRunPerReadinessEvent:
                 pytest.skip("the budget prices the production loop, not asyncio's debug mode")
             transport = AsyncTransport(loop, NodeRegistry())
             message = Serve(proposal_id=1, chunk_id=2, payload_size=3, origin=1)
-            done = asyncio.Event()
+            done = loop.create_future()  # not an Event: the window must hold none
             received = 0
 
             def sink(_src, _message):
@@ -390,7 +391,7 @@ class TestRunPerReadinessEvent:
                 if received + window <= frames:
                     transport.send(1, 2, message, False)
                 elif received == frames:
-                    done.set()
+                    done.set_result(None)
 
             await transport.open_endpoints(1, lambda _src, _message: None)
             await transport.open_endpoints(2, sink)
@@ -399,7 +400,7 @@ class TestRunPerReadinessEvent:
             for _ in range(window):
                 transport.send(1, 2, message, False)
             try:
-                await asyncio.wait_for(done.wait(), timeout=20.0)
+                await asyncio.wait_for(done, timeout=20.0)
             finally:
                 profile.disable()
                 await transport.close()
@@ -407,7 +408,7 @@ class TestRunPerReadinessEvent:
 
         entries = asyncio.run(scenario()).getstats()
         calls = sum(entry.callcount for entry in entries)
-        assert calls / frames <= 16.3
+        assert calls / frames <= 13.6
 
         def name(entry):
             return getattr(entry.code, "co_qualname", entry.code)
@@ -424,6 +425,12 @@ class TestRunPerReadinessEvent:
         assert drains
         popleft = "<method 'popleft' of 'collections.deque' objects>"
         assert sum(count(popleft, drain.calls or ()) for drain in drains) <= 0.1 * frames
+        # a readable run is admitted in one push_run, and the drain is a
+        # callback on the loop's ready queue, not a task woken by an Event
+        assert count("BoundedIngressQueue.push") == 0
+        assert 0 < count("BoundedIngressQueue.push_run") <= count("AsyncTransport._on_readable")
+        for woken in ("Event.wait", "Event.set", "sleep", "__sleep0"):
+            assert count(woken) == 0, woken
 
     def test_a_flooded_socket_starves_neither_its_neighbour_nor_the_timers(self):
         batch = 8
@@ -525,6 +532,88 @@ class TestRunPerReadinessEvent:
             return ok, counts
 
         assert asyncio.run(scenario()) == (True, (1, 0))
+
+
+class TestDrain:
+    """The ingress queue is drained by a callback filed on the loop's
+    ready queue: a raising handler costs only its own message, and a
+    drain filed before ``close`` delivers nothing."""
+
+    def test_a_raising_handler_costs_only_its_own_message(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _loop, context: reported.append(context))
+            seen = []
+
+            def receiver(_src, message):
+                seen.append(message.seq)
+                if message.seq == 0:
+                    raise RuntimeError("handler bug")
+
+            transport, _received = await make_pair()
+            await transport.open_endpoints(3, receiver)
+            assert transport.send(1, 3, Ping(0), reliable=False)
+            await settle(lambda: seen == [0])
+            await asyncio.sleep(0.2)
+            assert transport.send(1, 3, Ping(1), reliable=False)
+            delivered = await settle(lambda: seen == [0, 1])
+            snapshot = transport.resilience_snapshot()
+            await transport.close()
+            return delivered, snapshot, reported
+
+        delivered, snapshot, reported = asyncio.run(scenario())
+        assert delivered
+        assert snapshot["dispatch_errors"] == 1
+        assert snapshot["ingress"]["depth"] == 0
+        [context] = reported
+        assert isinstance(context["exception"], RuntimeError)
+        assert context["message"] == "Ping handler of node 3 raised"
+
+    def test_raises_leave_the_rest_of_the_batch_delivered(self):
+        async def scenario():
+            transport, received = await make_pair()
+            transport.loop.set_exception_handler(lambda _loop, _context: None)
+
+            def explode(_src, _message):
+                raise RuntimeError("handler bug")
+
+            transport._receivers[1] = (explode, None)
+            for seq in range(3):  # one batch, interleaving the two nodes
+                transport._ingest(1, 2, Ping(seq))
+                transport._ingest(2, 1, Ping(seq))
+            delivered = await settle(lambda: len(received[2]) == 3)
+            errors = transport.dispatch_errors
+            await transport.close()
+            return delivered, errors, [message.seq for _src, message in received[2]]
+
+        assert asyncio.run(scenario()) == (True, 3, [0, 1, 2])
+
+    @pytest.mark.parametrize("path", ["udp", "tcp"])
+    def test_close_with_a_drain_filed_delivers_nothing(self, path):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _loop, context: reported.append(context))
+            transport, received = await make_pair()
+            if path == "udp":
+                spray(transport.registry.udp_address(2), frames_from(1, 4))
+                transport._on_readable(2, transport._endpoints[2])  # the run, read now
+            else:
+                for seq in range(4):
+                    transport._ingest(2, 1, Ping(seq))
+            filed = (transport._drain_filed, len(transport._ingress))
+            await transport.close()  # the filed drain runs inside close's awaits
+            await asyncio.sleep(0.05)
+            others = asyncio.all_tasks() - {asyncio.current_task()}
+            return filed, transport._drain_filed, received[2], others, reported
+
+        filed, still_filed, inbox, others, reported = asyncio.run(scenario())
+        assert filed == (True, 4)
+        assert not still_filed
+        assert inbox == []
+        assert others == set()  # no task left pending
+        assert reported == []
 
 
 class TestStreamToAGoneReceiver:
@@ -750,7 +839,7 @@ class TestCrashRecovery:
     def test_a_frame_queued_for_a_node_that_crashes_before_the_drain_is_dropped(self):
         async def scenario():
             transport, received = await make_pair()
-            transport._ingest(2, 1, Ping(1))  # queued; the pump has not run yet
+            transport._ingest(2, 1, Ping(1))  # queued; the drain has not run yet
             transport._ingest(1, 2, Ping(2))
             transport.crash_node(2)
             delivered = await settle(lambda: len(received[1]) == 1)
