@@ -7,9 +7,10 @@ pending state:
   ``f`` partners they were re-proposed to) — an ack that omits served
   chunks, or no ack at all within the timeout, is the *invalid
   proposal* case and draws blame ``f``; an ack listing fewer than ``f``
-  partners draws ``f - f̂`` (fanout decrease); a received ack triggers,
-  with probability ``p_dcc``, a confirm round with the listed witnesses
-  where every contradictory or missing testimony draws blame 1.
+  distinct partners other than its sender draws ``f - f̂`` (fanout
+  decrease); a received ack triggers, with probability ``p_dcc``, a
+  confirm round with those witnesses where every contradictory or
+  missing testimony draws blame 1.
 * **pending confirm rounds** (verifier side) — filed per proposer and
   tallied at ``confirm_timeout``, which all share: they close in start order.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.core.blames import (
     REASON_FANOUT_DECREASE,
@@ -74,10 +75,11 @@ class VerificationEngine:
         # ``host.clock()`` for live transports / test stubs; the host's
         # ``call_later`` is bound once (on a GossipNode it already *is*
         # the simulator's or the live transport's own method), and so
-        # is its ``send_many``.
+        # is its ``send_many`` and its ``random``.
         self._sim = getattr(host, "_sim", None)
         self._call_later = host.call_later
         self._host_send_many = host.send_many
+        self._random = host.random
         # requester -> {chunk_id: served_at}.  A requester is a key iff
         # it has an outstanding serve, so the dict's order is first-serve
         # order with a drained requester re-entering at the end — the
@@ -135,23 +137,29 @@ class VerificationEngine:
             if not pending:
                 del pending_acks[src]
 
-        if len(ack.partners) < fanout:
-            value = fanout_decrease_blame(fanout, len(ack.partners))
+        # The fan-out is the distinct partners other than the proposer:
+        # a repeated or self-listed partner is no proposal, nor a witness.
+        witnesses = set(ack.partners)
+        witnesses -= {src}
+        reached = len(witnesses)
+        if reached < fanout:
+            value = fanout_decrease_blame(fanout, reached)
             if value > 0:
                 self._blame(src, value, REASON_FANOUT_DECREASE)
 
-        if ack.partners and self.host.random() < self.host.lifting.p_dcc:
-            self._start_confirm_round(src, ack)
+        if witnesses and self._random() < host.lifting.p_dcc:
+            self._start_confirm_round(src, ack.chunk_ids, witnesses, reached)
 
-    def _start_confirm_round(self, proposer: NodeId, ack: Ack) -> None:
-        waiting = set(ack.partners)
-        round_state = _ConfirmRound(proposer, waiting, len(waiting))
+    def _start_confirm_round(
+        self, proposer: NodeId, chunk_ids: Tuple[ChunkId, ...], waiting: Set[NodeId], asked: int
+    ) -> None:
+        round_state = _ConfirmRound(proposer, waiting, asked)
         rounds = self._confirm_rounds
         if proposer in rounds:
             rounds[proposer].append(round_state)
         else:
             rounds[proposer] = [round_state]
-        confirm = Confirm(proposer=proposer, chunk_ids=ack.chunk_ids)
+        confirm = Confirm(proposer=proposer, chunk_ids=chunk_ids)
         self._host_send_many(waiting, confirm)
         self._call_later(self.host.lifting.confirm_timeout, self._finish_confirm_round, round_state)
 

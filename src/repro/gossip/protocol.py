@@ -71,6 +71,22 @@ ChunkId = int
 #: first, before it gives the chunk up.
 MAX_OFFERS_PER_CHUNK = 16
 
+#: ``(proposer, valid) -> ConfirmResponse``: a witness's answer is one of
+#: two frozen values per proposer, shared by every node and built both
+#: at once, the first time any node answers about that proposer.
+_CONFIRM_RESPONSES: Dict[Tuple[NodeId, bool], ConfirmResponse] = {}
+#: Proposer ids come off the wire: a flood of distinct ones empties the
+#: table at this size rather than growing it.
+MAX_INTERNED_RESPONSES = 1 << 16
+
+
+def _intern_answers(proposer: NodeId) -> None:
+    """File both answers about ``proposer`` in :data:`_CONFIRM_RESPONSES`."""
+    if len(_CONFIRM_RESPONSES) >= MAX_INTERNED_RESPONSES:
+        _CONFIRM_RESPONSES.clear()
+    for valid in (False, True):
+        _CONFIRM_RESPONSES[proposer, valid] = ConfirmResponse(proposer=proposer, valid=valid)
+
 
 def _send_each(send, src: NodeId, dsts, message: object, kind: Transport) -> int:
     """``Network.send_many`` over a host that only has a unicast ``send``."""
@@ -201,6 +217,9 @@ class GossipNode:
         ]
         self.assignment = assignment
         self.rng = rng if rng is not None else np.random.default_rng(node_id)
+        #: ``random()``: one uniform [0, 1) draw (a Python float) from
+        #: the node's stream, the generator's own method bound once.
+        self.random = self.rng.random
         self.lifting_enabled = lifting_enabled
         self.on_expel_quorum = on_expel_quorum
 
@@ -317,10 +336,6 @@ class GossipNode:
         """Current time."""
         sim = self._sim
         return sim.now if sim is not None else self.transport.clock()
-
-    def random(self) -> float:
-        """One uniform [0, 1) draw from the node's stream."""
-        return float(self.rng.random())
 
     def send(self, dst: NodeId, message: object) -> bool:
         """Send ``message`` to ``dst`` on its kind's channel: TCP for the
@@ -637,7 +652,7 @@ class GossipNode:
     # ------------------------------------------------------------------
     def _on_confirm(self, src: NodeId, message: Confirm) -> None:
         if self._history_open:
-            self.history.confirm_senders.extend((message.proposer, src))
+            self.history.confirm_senders += (message.proposer, src)
         # Defer the answer: the confirm races the propose it asks about
         # (verifier is only an ack + confirm hop behind the proposer), so
         # the testimony is evaluated after a grace delay.  One Confirm
@@ -645,11 +660,14 @@ class GossipNode:
         self.call_later(WITNESS_ANSWER_DELAY, self._answer_confirm, src, message)
 
     def _answer_confirm(self, src: NodeId, message: Confirm) -> None:
-        valid = self.history.was_proposed_by(message.proposer, message.chunk_ids, last=3)
+        proposer = message.proposer
+        valid = self.history.was_proposed_by(proposer, message.chunk_ids, last=3)
         if self._confirm_answer is not None:
-            valid = self._confirm_answer(message.proposer, valid)
-        response = ConfirmResponse(proposer=message.proposer, valid=valid)
-        self._send_many(self.node_id, (src,), response, _UDP)
+            valid = self._confirm_answer(proposer, valid)
+        key = (proposer, valid)
+        if key not in _CONFIRM_RESPONSES:
+            _intern_answers(proposer)
+        self._send_many(self.node_id, (src,), _CONFIRM_RESPONSES[key], _UDP)
 
     def _on_expel_vote(self, src: NodeId, message: ExpelVote) -> None:
         if self.manager.on_expel_vote(src, message.target):

@@ -124,6 +124,39 @@ class TestAckViolations:
         assert (5, 3.0, REASON_FANOUT_DECREASE) in fake_host.blames
 
 
+class TestAckFanoutIsDistinctPartners:
+    """An ack's fan-out is the set of partners it names, less its sender:
+    repeating a partner or listing itself buys a proposer nothing."""
+
+    def _witnesses_asked(self, fake_host):
+        return sorted(d for d, m in fake_host.sent if isinstance(m, Confirm))
+
+    def test_a_repeated_partner_counts_once(self, engine, fake_host):
+        engine.on_serve_sent(5, 1)
+        engine.on_ack(5, Ack(chunk_ids=(1,), partners=(10, 10, 10, 10)))
+        assert fake_host.blames == [(5, 3.0, REASON_FANOUT_DECREASE)]
+        assert self._witnesses_asked(fake_host) == [10]
+        engine.on_confirm_response(10, ConfirmResponse(5, True))
+        fake_host.sim.run()  # one witness asked, one valid answer
+        assert fake_host.blames == [(5, 3.0, REASON_FANOUT_DECREASE)]
+
+    def test_the_proposer_is_no_partner_of_its_own(self, engine, fake_host):
+        engine.on_serve_sent(5, 1)
+        engine.on_ack(5, Ack(chunk_ids=(1,), partners=(5, 10, 11, 12)))
+        assert fake_host.blames == [(5, 1.0, REASON_FANOUT_DECREASE)]
+        assert self._witnesses_asked(fake_host) == [10, 11, 12]
+
+    def test_a_self_only_list_opens_no_round_and_draws_nothing(self, fake_host):
+        draws = []
+        fake_host.random = lambda: draws.append(None) or 0.0
+        engine = VerificationEngine(fake_host)
+        engine.on_serve_sent(5, 1)
+        engine.on_ack(5, Ack(chunk_ids=(1,), partners=(5, 5)))
+        assert fake_host.blames == [(5, float(FANOUT), REASON_FANOUT_DECREASE)]
+        assert draws == [] and engine.open_confirm_rounds == 0
+        assert fake_host.sent == []
+
+
 class TestBookkeeping:
     def test_counters(self, engine, fake_host):
         engine.on_serve_sent(5, 1)

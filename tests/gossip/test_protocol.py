@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import FreeriderDegree, planetlab_params
 from repro.core.blames import REASON_PARTIAL_SERVE
+from repro.core.reputation import ManagerAssignment
+from repro.gossip import protocol
 from repro.gossip.chunks import SOURCE_ID
 from repro.gossip.history import SHORT_IDS
 from repro.gossip.protocol import MAX_OFFERS_PER_CHUNK, GossipNode, _SentProposal
@@ -31,6 +33,7 @@ from repro.wire import (
     ScoreQuery,
     Serve,
 )
+from repro.wire_codec import encode_frame
 
 
 @pytest.fixture
@@ -293,6 +296,50 @@ class TestBlameOutbox:
         assert len(sent) == 2
 
 
+class TestBlameGuards:
+    """The two guards between a blame and the managers: a behaviour may
+    withhold a blame, and a target whose period nets to zero is not sent."""
+
+    def _node(self, behavior=None):
+        host = HandClockHost()
+        assignment = ManagerAssignment(range(12), managers=3, seed=5)
+        node = node_on(host, behavior, assignment=assignment)
+        applied = []
+        node.manager.on_blame_batch = lambda targets, values: applied.append((targets, values))
+        return node, host, applied
+
+    def _flushed(self, node, host, applied):
+        """``{target: value}`` as the flush delivered it, remote or local."""
+        node._flush_blames()
+        out = {}
+        for dst, m in host.sent:
+            assert isinstance(m, Blame) and dst != node.node_id
+            assert out.setdefault(m.target, m.value) == m.value
+        for targets, values in applied:
+            out.update(zip(targets, values))
+        return out
+
+    def test_a_withheld_blame_is_neither_counted_nor_sent(self):
+        coalition = ColludingBehavior(FreeriderDegree(), Coalition({0, 7}))
+        node, host, applied = self._node(coalition)
+        node.send_blame(7, 2.0, "test")  # a co-member: withheld
+        node.send_blame(3, 1.0, "test")
+        node.send_blame(7, -0.5, "test")  # a credit is not a blame
+        assert node._blame_outbox == {3: 1.0, 7: -0.5}
+        assert node.stats.blames_emitted == 1.0
+        assert self._flushed(node, host, applied) == {3: 1.0, 7: -0.5}
+
+    def test_a_target_netting_zero_is_skipped(self):
+        node, host, applied = self._node()
+        node.send_blame(7, 1.0, "test")
+        node.send_blame(3, 2.0, "test")
+        node.send_blame(7, -1.0, "test")
+        assert node._blame_outbox == {7: 0.0, 3: 2.0}
+        assert self._flushed(node, host, applied) == {3: 2.0}
+        remote = [m for m in node.assignment.managers_of(3) if m != node.node_id]
+        assert node.stats.blame_messages == len(remote)
+
+
 class HandClockHost:
     """A transport facade on a hand-set clock that records every send."""
 
@@ -315,10 +362,10 @@ class HandClockHost:
         return node_id not in self.down
 
 
-def node_on(host, behavior=None, seed=0):
+def node_on(host, behavior=None, seed=0, assignment=None):
     gossip, lifting = planetlab_params()
     return GossipNode(
-        0, host, None, gossip, lifting, behavior or HonestBehavior(),
+        0, host, None, gossip, lifting, behavior or HonestBehavior(), assignment,
         rng=np.random.default_rng(seed),
     )
 
@@ -767,12 +814,50 @@ class TestWitnessAnswers:
 
     def test_colluder_confirms_co_members_only(self):
         node, host = self._witness(self._colluder())
+        assert not node.history.was_proposed_by(9, (1,), last=3)
         node._answer_confirm(8, Confirm(proposer=9, chunk_ids=(1,)))
         node._answer_confirm(8, Confirm(proposer=7, chunk_ids=(1,)))
         assert host.sent == [
             (8, ConfirmResponse(proposer=9, valid=True)),
             (8, ConfirmResponse(proposer=7, valid=False)),
         ]
+        # The lie is the interned truthful-looking answer, not a forgery.
+        assert host.sent[0][1] is protocol._CONFIRM_RESPONSES[9, True]
+
+    # A witness's answer is one of two shared frozen values per proposer.
+    def test_at_most_two_responses_per_proposer(self):
+        node, host = self._witness()
+        for proposer in (3, 9, 3, 9, 3, 41):
+            for chunk_ids in ((1, 2), (7,)):
+                node._answer_confirm(8, Confirm(proposer=proposer, chunk_ids=chunk_ids))
+        per_proposer = {}
+        for (proposer, valid), response in protocol._CONFIRM_RESPONSES.items():
+            assert response == ConfirmResponse(proposer=proposer, valid=valid)
+            per_proposer[proposer] = per_proposer.get(proposer, 0) + 1
+        assert max(per_proposer.values()) <= 2
+        # Twelve answers, four values: (3, True), (3, False), (9, False),
+        # (41, False) — each sent as one object.
+        sent = [m for _dst, m in host.sent]
+        assert len({id(m) for m in sent}) == len(set(sent)) == 4
+
+    @pytest.mark.parametrize("valid", [False, True])
+    def test_an_interned_response_encodes_like_a_fresh_one(self, valid):
+        node, host = self._witness()
+        node._answer_confirm(8, Confirm(proposer=3, chunk_ids=(1, 2) if valid else (5,)))
+        ((_dst, interned),) = host.sent
+        assert interned is protocol._CONFIRM_RESPONSES[3, valid]
+        fresh = ConfirmResponse(proposer=3, valid=valid)
+        assert fresh is not interned
+        assert encode_frame(0, interned) == encode_frame(0, fresh)
+
+    def test_a_flood_of_proposer_ids_empties_the_table(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_CONFIRM_RESPONSES", {})
+        monkeypatch.setattr(protocol, "MAX_INTERNED_RESPONSES", 6)
+        node, host = self._witness()
+        for proposer in range(100, 120):
+            node._answer_confirm(8, Confirm(proposer=proposer, chunk_ids=(1,)))
+            assert len(protocol._CONFIRM_RESPONSES) <= 6
+        assert [m.proposer for _dst, m in host.sent] == list(range(100, 120))
 
 
 class TestChannel:
