@@ -32,7 +32,7 @@ from repro.core.reputation import (
     ScoreReader,
 )
 from repro.core.verification import VerificationEngine
-from repro.gossip.chunks import SOURCE_ID, ChunkStore
+from repro.gossip.chunks import NOT_OWNED, PAGE_BITS, PAGE_MASK, SOURCE_ID, ChunkStore
 from repro.gossip.history import SHORT_IDS, LocalHistory
 from repro.membership.base import STATUS_ALIVE, STATUS_DEAD, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams, SwimFailureDetector
@@ -548,8 +548,15 @@ class GossipNode:
         chunk_ids = message.chunk_ids
         if self._history_open:
             self.history.record_received_proposal(src, chunk_ids)
-        owned = self.store.owned
-        missing = [c for c in chunk_ids if c not in owned]
+        store = self.store
+        pages = store.pages
+        times = store.times
+        missing = [
+            c
+            for c in chunk_ids
+            if c >> PAGE_BITS not in pages
+            or times[pages[c >> PAGE_BITS] + (c & PAGE_MASK)] == NOT_OWNED
+        ]
         if not missing:
             return
         # One entry per message, holding the message's own tuple: also
@@ -598,12 +605,18 @@ class GossipNode:
             return  # §4.2: requests not matching a proposal are ignored
         record = proposals[proposal_id]
         self.stats.requests_received += 1
-        owned = self.store.owned
+        store = self.store
+        pages = store.pages
+        times = store.times
         proposed = record.chunk_ids
         # Each named chunk is served at most once per request: repeating
         # an id must not buy its payload again.
         valid = [
-            c for c in dict.fromkeys(message.chunk_ids) if c in proposed and c in owned
+            c
+            for c in dict.fromkeys(message.chunk_ids)
+            if c in proposed
+            and c >> PAGE_BITS in pages
+            and times[pages[c >> PAGE_BITS] + (c & PAGE_MASK)] != NOT_OWNED
         ]
         to_serve = valid if self._serve_filter is None else self._serve_filter(valid)
         # Drawn once per valid request even when nothing is served: a
@@ -612,13 +625,13 @@ class GossipNode:
         origin = node_id if self._serve_origin is None else self._serve_origin()
         if not to_serve:
             return
-        sizes = self.store.sizes
+        sizes = store.payload_sizes
         send_many = self._send_many
         for chunk_id in to_serve:
             serve = Serve(
                 proposal_id=proposal_id,
                 chunk_id=chunk_id,
-                payload_size=sizes[chunk_id],
+                payload_size=sizes[pages[chunk_id >> PAGE_BITS] + (chunk_id & PAGE_MASK)],
                 origin=origin,
             )
             send_many(node_id, (src,), serve, _UDP)

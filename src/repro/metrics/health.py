@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from repro.gossip.chunks import StreamSource
+from repro.gossip.chunks import NOT_OWNED, StreamSource
 from repro.util.validation import require
 
 
@@ -37,16 +37,16 @@ def node_required_lag(
     ``1 - coverage`` of the chunks outright.
     """
     require(0.0 < coverage <= 1.0, "coverage must be in (0, 1]")
-    delays: List[float] = []
-    for chunk in source.chunks:
-        if window is not None and not (window[0] <= chunk.created_at < window[1]):
-            continue
-        if chunk.chunk_id in node.store:
-            delays.append(node.store.received_at(chunk.chunk_id) - chunk.created_at)
-        else:
-            delays.append(math.inf)
-    if not delays:
+    chunks = source.chunks
+    if window is not None:
+        chunks = [chunk for chunk in chunks if window[0] <= chunk.created_at < window[1]]
+    if not chunks:
         return math.inf
+    arrivals = node.store.arrivals([chunk.chunk_id for chunk in chunks])
+    delays = [
+        math.inf if at == NOT_OWNED else at - chunk.created_at
+        for at, chunk in zip(arrivals, chunks)
+    ]
     delays.sort()
     index = min(len(delays) - 1, max(0, math.ceil(coverage * len(delays)) - 1))
     return delays[index]
@@ -88,6 +88,7 @@ def delivery_ratio(nodes: Iterable, chunk_ids: Sequence[int]) -> float:
     if not chunk_ids or not nodes:
         return 0.0
     ratios = [
-        sum(1 for c in chunk_ids if c in node.store) / len(chunk_ids) for node in nodes
+        (len(chunk_ids) - node.store.arrivals(chunk_ids).count(NOT_OWNED)) / len(chunk_ids)
+        for node in nodes
     ]
     return sum(ratios) / len(ratios)

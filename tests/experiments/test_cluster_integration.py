@@ -488,16 +488,21 @@ class TestBoundedState:
             }
             assert set(node.engine.blames_by_reason) <= BLAME_REASONS
 
-    def test_history_holds_proposals_by_reference(self):
-        """With the ring full (n_h + 2 = 52 periods of 0.5 s), a node's
-        local history keeps references to what it was sent, not copies:
-        ~107 KiB per node here (970 with a fresh set per received
-        proposal and a tuple per Confirm)."""
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        """40 nodes run to 30 s: the history ring is full."""
         gossip, lifting = planetlab_params()
         gossip = replace(gossip, n=40, chunk_size=1400)
         cluster = SimCluster(ClusterConfig(gossip=gossip, lifting=lifting, seed=3))
         cluster.run(until=30.0)
-        histories = [node.history for node in cluster.nodes.values()]
+        return cluster
+
+    def test_history_holds_proposals_by_reference(self, long_run):
+        """With the ring full (n_h + 2 = 52 periods of 0.5 s), a node's
+        local history keeps references to what it was sent, not copies:
+        ~107 KiB per node here (970 with a fresh set per received
+        proposal and a tuple per Confirm)."""
+        histories = [node.history for node in long_run.nodes.values()]
         assert all(len(h.records()) == h.max_periods for h in histories)
         assert deep_size(histories) / len(histories) <= 250 * 1024
         # Each id names a tuple both sides still hold, so equal ids mean
@@ -516,6 +521,16 @@ class TestBoundedState:
             if type(chunk_ids) is tuple
         ]
         assert received and all(id(chunk_ids) in proposed for chunk_ids in received)
+
+    def test_chunk_store_costs_bytes_not_objects(self, long_run):
+        """The chunk store is the one per-node structure that grows with
+        the run, so it keeps a chunk in two unboxed columns, 16 bytes,
+        plus its share of a 64-slot page: ~18.4 bytes per owned chunk
+        here (~107 with two dict entries and a boxed float per chunk)."""
+        stores = [node.store for node in long_run.nodes.values()]
+        owned = sum(len(store) for store in stores)
+        assert owned >= 0.95 * len(stores) * long_run.source.emitted
+        assert deep_size(stores) / owned <= 20
 
     def test_state_per_node_does_not_rise_with_n(self):
         """Per-node state is bounded, so the tracemalloc peak over

@@ -20,6 +20,13 @@ class TestRecording:
         with pytest.raises(ValueError):
             h.record_proposal((1,), (3,))
 
+    def test_received_proposal_requires_open_period(self):
+        h = LocalHistory(5)
+        with pytest.raises(ValueError, match="no open period"):
+            h.record_received_proposal(4, (1, 2))
+        h.begin_period(1)
+        assert h.records()[-1].received_proposals == {}
+
     def test_proposal(self, history):
         history.record_proposal((1, 2, 3), (10, 11))
         records = history.records()

@@ -449,7 +449,7 @@ class TestAlternativeSourceLog:
                 chunk_ids = tuple(sorted(chunk_set))
                 for _repeat in range(repeats):
                     proposal_id += 1
-                    model.on_propose(src, proposal_id, chunk_ids, node.store.owned, host.now)
+                    model.on_propose(src, proposal_id, chunk_ids, node.store, host.now)
                     node.on_message(src, Propose(proposal_id, chunk_ids))
             elif kind == "advance":
                 host.now += step[1] * 0.25

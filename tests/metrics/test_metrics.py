@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.gossip.chunks import ChunkStore
 from repro.metrics.health import HealthReport, delivery_ratio, health_curve, node_required_lag
 from repro.metrics.overhead import OverheadReport, bandwidth_overhead, message_counts_per_node_period
 from repro.metrics.scores import (
@@ -15,21 +16,12 @@ from repro.metrics.scores import (
 from repro.sim.trace import MessageTrace
 
 
-class FakeStore:
-    def __init__(self, received):
-        self._received = received
-
-    def __contains__(self, chunk_id):
-        return chunk_id in self._received
-
-    def received_at(self, chunk_id):
-        return self._received[chunk_id]
-
-
 class FakeNode:
     def __init__(self, node_id, received):
         self.node_id = node_id
-        self.store = FakeStore(received)
+        self.store = ChunkStore()
+        for chunk_id, at in received.items():
+            self.store.add(chunk_id, 1, received_at=at)
 
 
 class FakeChunk:
