@@ -21,11 +21,11 @@ chunks missing: every missing chunk draws ``f/|R|``, a fully ignored
 request draws ``f``.
 
 The host interface the engine needs (satisfied by
-:class:`repro.gossip.protocol.GossipNode` on both planes): ``node_id``,
-``clock()``, ``call_later(delay, fn, *args)`` (fire-and-forget: every
-timeout here inspects state when it fires), ``random()`` (a uniform
-[0,1) draw), ``send(dst, message)`` and ``send_many(dsts, message)``
-(each kind on its declared channel, :data:`repro.wire.TCP_KINDS`),
+:class:`repro.gossip.protocol.GossipNode` on both planes): ``timeline``
+(its ``now`` is the current time), ``call_later(delay, fn, *args)``
+(fire-and-forget: every timeout here inspects state when it fires),
+``random()`` (a uniform [0,1) draw), ``send_many(dsts, message)`` (each
+kind on its declared channel, :data:`repro.wire.TCP_KINDS`),
 ``send_blame(target, value, reason)`` and the ``gossip``/``lifting``
 parameter sets.
 """
@@ -69,14 +69,11 @@ class VerificationEngine:
 
     def __init__(self, host) -> None:
         self.host = host
-        # Hot-path shortcuts mirroring the host's own: read the sim
-        # clock attribute directly instead of going through the host
-        # facade (one frame per serve/ack/round), falling back to
-        # ``host.clock()`` for live transports / test stubs; the host's
-        # ``call_later`` is bound once (on a GossipNode it already *is*
-        # the simulator's or the live transport's own method), and so
-        # is its ``send_many`` and its ``random``.
-        self._sim = getattr(host, "_sim", None)
+        # Hot-path shortcuts mirroring the host's own: its ``timeline``
+        # (read ``now`` off it, no clock frame per serve/ack/round), its
+        # ``call_later`` (on a GossipNode already the plane's own
+        # method), its ``send_many`` and its ``random``, bound once.
+        self._timeline = host.timeline
         self._call_later = host.call_later
         self._host_send_many = host.send_many
         self._random = host.random
@@ -101,8 +98,7 @@ class VerificationEngine:
         A duplicate serve of the same chunk — a retry chain looping back
         to us — just refreshes its clock.
         """
-        sim = self._sim
-        now = sim.now if sim is not None else self.host.clock()
+        now = self._timeline.now
         pending_acks = self._pending_acks
         if requester in pending_acks:
             pending = pending_acks[requester]
@@ -118,8 +114,7 @@ class VerificationEngine:
         pending_acks = self._pending_acks
         if src in pending_acks:
             pending = pending_acks[src]
-            sim = self._sim
-            now = sim.now if sim is not None else host.clock()
+            now = self._timeline.now
             acked = set(ack.chunk_ids)
             period = host.gossip.gossip_period
             overdue = False
@@ -216,8 +211,7 @@ class VerificationEngine:
         if not pending_acks:
             return
         host = self.host
-        sim = self._sim
-        now = sim.now if sim is not None else host.clock()
+        now = self._timeline.now
         timeout = host.lifting.ack_timeout
         fanout = host.gossip.fanout
         drained = []

@@ -11,10 +11,12 @@ in-process verdict rules, the silent-failure lifecycle and the
 read-outs.  :class:`~repro.experiments.cluster.SimCluster` and
 :class:`~repro.runtime.cluster.RuntimeCluster` keep only their plane.
 
-The *host* is the transport facade the nodes already run on (``clock``,
-``call_later``, ``call_every``, ``send``) plus three fabric names:
-``is_connected(id)``, ``disconnect(id)`` (reversible: a crash) and
-``expel(id)`` (permanent).  Putting a node back on the fabric stays the
+The *host* is the one contract the nodes already run on, satisfied by
+:class:`~repro.sim.network.SimTransport` and
+:class:`~repro.runtime.transport.AsyncTransport` under the same names
+(``timeline``, ``call_later``, ``call_every``, ``send_many``), plus
+``clock()`` and three fabric names: ``is_connected(id)``,
+``disconnect(id)`` (reversible: a crash) and ``expel(id)`` (permanent).  Putting a node back on the fabric stays the
 host's own step — it is a coroutine on the live plane — followed by
 :meth:`Deployment.restarted`.  docs/RESILIENCE.md tabulates what each
 plane binds.

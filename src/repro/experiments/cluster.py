@@ -26,14 +26,14 @@ from repro.core.reputation import compensation_per_period
 from repro.deployment import Deployment, adversary_policy
 from repro.faults import FaultPlane
 from repro.gossip.chunks import StreamSource
-from repro.gossip.protocol import GossipNode, SimTransport
+from repro.gossip.protocol import GossipNode
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.metrics.health import HealthReport, health_curve
 from repro.metrics.overhead import OverheadReport, bandwidth_overhead
 from repro.sim.engine import Simulator
 from repro.sim.latency import UniformLatency
 from repro.sim.loss import PerNodeLoss
-from repro.sim.network import Network
+from repro.sim.network import Network, SimTransport
 from repro.util.rng import SeedSequenceFactory
 from repro.util.validation import require_probability
 
@@ -115,8 +115,9 @@ class SimCluster:
         self.trace = self.network.trace
 
         # --- the protocol wiring (shared with the live plane) -----------
+        host = SimTransport(self.sim, self.network)
         deployment = Deployment(
-            SimTransport(self.sim, self.network),
+            host,
             seeds,
             gossip,
             lifting,
@@ -151,7 +152,7 @@ class SimCluster:
         )
 
         # --- source -----------------------------------------------------
-        self.source = StreamSource(self.sim, self.network, self.membership, gossip)
+        self.source = StreamSource(host, self.membership, gossip)
         self.network.register(self.source)
 
         # --- nodes -------------------------------------------------------
@@ -177,7 +178,7 @@ class SimCluster:
         if self._started:
             return
         self._started = True
-        self.source.start(first_at=0.05)
+        self.source.start(first_delay=0.05)
         for node in self.nodes.values():
             node.start()
 

@@ -17,10 +17,8 @@ from typing import Dict, Iterable, Iterator, List
 
 from repro.config import GossipParams
 from repro.membership.base import PeerSampler
-from repro.sim.engine import Simulator
-from repro.sim.network import Network, Transport
 from repro.util.validation import require
-from repro.wire import Serve
+from repro.wire import UDP, Serve
 
 NodeId = int
 ChunkId = int
@@ -157,41 +155,42 @@ class ChunkStore:
 class StreamSource:
     """The broadcast source: emits chunks at the configured bitrate.
 
-    Registered on the network like a node (``node_id == SOURCE_ID``) but
+    Registered on the fabric like a node (``node_id == SOURCE_ID``) but
     follows a pure push schedule instead of the three-phase protocol.
+    ``host`` is the plane's side of the host contract
+    (:mod:`repro.gossip.protocol`): the source reads its ``timeline``
+    and uses its ``call_every`` and ``send_many``, so one class serves
+    the simulator and the live runtime.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        sampler: PeerSampler,
-        params: GossipParams,
-    ) -> None:
+    def __init__(self, host, sampler: PeerSampler, params: GossipParams) -> None:
         self.node_id = SOURCE_ID
-        self.sim = sim
-        self.network = network
+        self.host = host
         self.sampler = sampler
         self.params = params
         self.chunks: List[Chunk] = []
         self._next_id = 0
 
-    def start(self, first_at: float = 0.0) -> None:
-        """Begin emitting chunks at ``first_at``."""
-        self.sim.call_every(self.params.chunk_interval, self._emit, first_at=first_at)
+    def start(self, first_delay: float = 0.0):
+        """Begin emitting chunks ``first_delay`` seconds from now; returns
+        the host's periodic handle (``stop()`` ends the stream)."""
+        return self.host.call_every(
+            self.params.chunk_interval, self._emit, first_delay=first_delay
+        )
 
     def _emit(self) -> None:
-        chunk = Chunk(self._next_id, created_at=self.sim.now, size=self.params.chunk_size)
+        params = self.params
+        chunk = Chunk(self._next_id, created_at=self.host.timeline.now, size=params.chunk_size)
         self._next_id += 1
         self.chunks.append(chunk)
-        targets = self.sampler.sample(self.node_id, self.params.source_fanout)
+        targets = self.sampler.sample(self.node_id, params.source_fanout)
         serve = Serve(
             proposal_id=-1,
             chunk_id=chunk.chunk_id,
             payload_size=chunk.size,
             origin=SOURCE_ID,
         )
-        self.network.send_many(self.node_id, targets, serve, Transport.UDP)
+        self.host.send_many(self.node_id, targets, serve, UDP)
 
     def on_message(self, src: NodeId, message: object) -> None:
         """The source ignores inbound protocol traffic (acks etc.)."""

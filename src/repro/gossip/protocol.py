@@ -6,19 +6,20 @@ reputation manager for the nodes it manages (§5.1), and an auditor
 (§5.3).  Every decision an attacker could subvert is delegated to the
 node's :class:`~repro.nodes.behavior.Behavior`.
 
-The node is transport-agnostic: it talks to the world through a small
-``transport`` facade (``send``, ``call_later``, ``call_every``,
-``clock``), which the asyncio runtime's ``AsyncTransport`` provides.
-Under the simulator the transport is :class:`SimTransport` below, which
-names the engine and the network: the node binds *their* ``call_later``
-and ``send_many`` at construction, with no facade frame in between.
+The node runs on either plane through one host contract, and imports
+neither: ``timeline`` (its ``now`` is the current time),
+``call_later``, ``call_every`` and ``send_many(src, dsts, message,
+kind)``, plus the fabric's ``is_connected``.  The simulator's
+:class:`~repro.sim.network.SimTransport` and the asyncio runtime's
+:class:`~repro.runtime.transport.AsyncTransport` both satisfy it; the
+node binds the host's ``timeline``, ``call_later`` and ``send_many``
+once, at construction, and calls them with no facade frame between.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import Callable, Collection, Deque, Dict, List, Optional, Tuple
 
@@ -37,9 +38,6 @@ from repro.gossip.history import SHORT_IDS, LocalHistory
 from repro.membership.base import STATUS_ALIVE, STATUS_DEAD, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams, SwimFailureDetector
 from repro.nodes.behavior import Behavior, own_hook
-from repro.sim.engine import Simulator
-from repro.sim.network import Network, Transport
-from repro.sim.network import _TCP, _UDP
 from repro.util.validation import require
 from repro.wire import (
     Ack,
@@ -60,7 +58,9 @@ from repro.wire import (
     ScoreQuery,
     ScoreReply,
     Serve,
+    TCP,
     TCP_KINDS,
+    UDP,
     WIRE_MESSAGE_CLASSES,
 )
 
@@ -86,44 +86,6 @@ def _intern_answers(proposer: NodeId) -> None:
         _CONFIRM_RESPONSES.clear()
     for valid in (False, True):
         _CONFIRM_RESPONSES[proposer, valid] = ConfirmResponse(proposer=proposer, valid=valid)
-
-
-def _send_each(send, src: NodeId, dsts, message: object, kind: Transport) -> int:
-    """``Network.send_many`` over a host that only has a unicast ``send``."""
-    sent = 0
-    for dst in dsts:
-        if send(src, dst, message, kind is _TCP):
-            sent += 1
-    return sent
-
-
-class SimTransport:
-    """Binds a node to the discrete-event simulator and network.
-
-    ``clock`` / ``call_every`` are the facade a protocol node shares
-    with :class:`repro.runtime.transport.AsyncTransport`; for the two
-    per-message names a :class:`GossipNode` reads ``sim`` and
-    ``network`` here and binds ``Simulator.call_later`` and
-    ``Network.send_many`` themselves.  The fabric names a
-    :class:`~repro.deployment.Deployment` adds (``is_connected`` /
-    ``disconnect`` / ``expel``) are the network's own methods: the
-    simulated fabric has one way to drop a node, and permanence is the
-    membership ledger's job.
-    """
-
-    def __init__(self, sim: Simulator, network: Network) -> None:
-        self.sim = sim
-        self.network = network
-        self.is_connected = network.is_connected
-        self.disconnect = self.expel = network.disconnect
-
-    def clock(self) -> float:
-        return self.sim.now
-
-    def call_every(self, interval: float, callback, *, first_delay: float, jitter=None):
-        return self.sim.call_every(
-            interval, callback, first_at=self.sim.now + first_delay, jitter=jitter
-        )
 
 
 @dataclass(slots=True, eq=False)
@@ -183,28 +145,18 @@ class GossipNode:
         require(node_id >= 0, "node ids must be non-negative (SOURCE_ID=-1 is reserved)")
         self.node_id = node_id
         self.transport = transport
-        # Hot-path shortcuts: a send runs per protocol message, and
-        # ``call_later`` / ``clock`` per verification window, so the
-        # host's methods are bound once instead of re-resolved per call.
-        # Under the simulator the facade is bypassed entirely: the
-        # network/engine methods are bound directly, skipping one
-        # wrapper frame per call.
-        sim = getattr(transport, "sim", None)
-        network = getattr(transport, "network", None)
+        # The host's per-message names, bound once (see the module
+        # docstring): no lookup through the facade per call.
+        #: ``timeline.now`` is the current time: under the simulator
+        #: the engine itself, so a read is a slot read.
+        self.timeline = transport.timeline
         #: ``_send_many(src, dsts, message, kind) -> sent``: the one
-        #: send primitive.  The simulated network's own fan-out entry
-        #: point, or a loop over a live transport's unicast ``send``.
-        self._send_many = (
-            network.send_many if network is not None else partial(_send_each, transport.send)
-        )
+        #: send primitive, the host's own fan-out.
+        self._send_many = transport.send_many
         #: ``call_later(delay, callback, *args)``: run ``callback(*args)``
-        #: after ``delay`` seconds.  The host's own method, bound once —
-        #: under the simulator ``Simulator.call_later``, which files the
-        #: call on the calendar; nobody keeps a handle (a live
-        #: transport's is simply dropped): a deadline inspects state
-        #: when it fires.
-        self.call_later = sim.call_later if sim is not None else transport.call_later
-        self._sim = sim
+        #: after ``delay`` seconds.  Nobody keeps the handle: a deadline
+        #: inspects state when it fires.
+        self.call_later = transport.call_later
         self.sampler = sampler
         self.gossip = gossip
         self.lifting = lifting
@@ -334,14 +286,13 @@ class GossipNode:
     # ------------------------------------------------------------------
     def clock(self) -> float:
         """Current time."""
-        sim = self._sim
-        return sim.now if sim is not None else self.transport.clock()
+        return self.timeline.now
 
     def send(self, dst: NodeId, message: object) -> bool:
         """Send ``message`` to ``dst`` on its kind's channel: TCP for the
         :data:`~repro.wire.TCP_KINDS`, UDP otherwise."""
         # A unicast is a one-destination fan-out.
-        kind = _TCP if message.__class__ in TCP_KINDS else _UDP
+        kind = TCP if message.__class__ in TCP_KINDS else UDP
         return self._send_many(self.node_id, (dst,), message, kind) > 0
 
     def send_many(self, dsts, message: object) -> int:
@@ -349,9 +300,10 @@ class GossipNode:
 
         Equivalent to ``send`` per destination in order; under the
         simulator the per-message fixed costs are paid once per batch
-        (see :meth:`Network.send_many`).  Returns how many were sent.
+        (see :meth:`repro.sim.network.Network.send_many`).  Returns how
+        many were sent.
         """
-        kind = _TCP if message.__class__ in TCP_KINDS else _UDP
+        kind = TCP if message.__class__ in TCP_KINDS else UDP
         return self._send_many(self.node_id, dsts, message, kind)
 
     # ------------------------------------------------------------------
@@ -435,8 +387,7 @@ class GossipNode:
 
     def _prune_offers(self) -> None:
         """Drop logged proposals older than two periods."""
-        now = self._sim.now if self._sim is not None else self.clock()
-        horizon = now - 2 * self.gossip.gossip_period
+        horizon = self.timeline.now - 2 * self.gossip.gossip_period
         offers = self._offers
         while offers and offers[0][0] < horizon:
             offers.popleft()
@@ -463,12 +414,13 @@ class GossipNode:
         self._proposal_counter += 1
         proposal_id = (self.node_id << 20) | (self._proposal_counter & 0xFFFFF)
         propose = Propose(proposal_id=proposal_id, chunk_ids=chunk_ids)
-        self._send_many(self.node_id, partners, propose, _UDP)
+        self._send_many(self.node_id, partners, propose, UDP)
         self.stats.proposals_sent += 1
         self.history.record_proposal(partners, chunk_ids)
-        now = self._sim.now if self._sim is not None else self.clock()
         self._sent_proposals[proposal_id] = _SentProposal(
-            partners, frozenset(chunk_ids) if chunk_ids[SHORT_IDS:] else chunk_ids, now
+            partners,
+            frozenset(chunk_ids) if chunk_ids[SHORT_IDS:] else chunk_ids,
+            self.timeline.now,
         )
 
         if self.lifting_enabled:
@@ -477,12 +429,11 @@ class GossipNode:
                 if server == SOURCE_ID or server == self.node_id:
                     continue
                 ack = Ack(chunk_ids=tuple(sorted(ids)), partners=reported)
-                self._send_many(self.node_id, (server,), ack, _UDP)
+                self._send_many(self.node_id, (server,), ack, UDP)
 
     def _expire_old_proposals(self) -> None:
         """Drop proposal bookkeeping older than a few periods."""
-        now = self._sim.now if self._sim is not None else self.clock()
-        horizon = now - 4 * self.gossip.gossip_period
+        horizon = self.timeline.now - 4 * self.gossip.gossip_period
         stale = [pid for pid, rec in self._sent_proposals.items() if rec.at < horizon]
         for pid in stale:
             del self._sent_proposals[pid]
@@ -561,9 +512,7 @@ class GossipNode:
             return
         # One entry per message, holding the message's own tuple: also
         # the alternative source for the chunks we do not request now.
-        sim = self._sim
-        now = sim.now if sim is not None else self.clock()
-        self._offers.append((now, src, message.proposal_id, chunk_ids))
+        self._offers.append((self.timeline.now, src, message.proposal_id, chunk_ids))
         awaited = self._awaited
         needed = tuple([c for c in missing if c not in awaited])
         if needed:
@@ -573,7 +522,7 @@ class GossipNode:
         self, proposer: NodeId, proposal_id: int, chunk_ids: Tuple[ChunkId, ...]
     ) -> None:
         request = Request(proposal_id=proposal_id, chunk_ids=chunk_ids)
-        self._send_many(self.node_id, (proposer,), request, _UDP)
+        self._send_many(self.node_id, (proposer,), request, UDP)
         window = _Window(proposer, proposal_id, chunk_ids)
         awaited = self._awaited
         for chunk_id in chunk_ids:
@@ -634,7 +583,7 @@ class GossipNode:
                 payload_size=sizes[pages[chunk_id >> PAGE_BITS] + (chunk_id & PAGE_MASK)],
                 origin=origin,
             )
-            send_many(node_id, (src,), serve, _UDP)
+            send_many(node_id, (src,), serve, UDP)
         self.stats.chunks_served += len(to_serve)
         if self.engine is not None and origin == node_id:
             # A MITM colluder points the ack at the spoofed origin,
@@ -648,9 +597,7 @@ class GossipNode:
         awaited = self._awaited
         if chunk_id in awaited and awaited[chunk_id].proposal_id == message.proposal_id:
             del awaited[chunk_id]
-        sim = self._sim
-        now = sim.now if sim is not None else self.clock()
-        fresh = self.store.add(chunk_id, message.payload_size, received_at=now)
+        fresh = self.store.add(chunk_id, message.payload_size, received_at=self.timeline.now)
         if not fresh:
             self.stats.duplicate_serves += 1
             return
@@ -680,7 +627,7 @@ class GossipNode:
         key = (proposer, valid)
         if key not in _CONFIRM_RESPONSES:
             _intern_answers(proposer)
-        self._send_many(self.node_id, (src,), _CONFIRM_RESPONSES[key], _UDP)
+        self._send_many(self.node_id, (src,), _CONFIRM_RESPONSES[key], UDP)
 
     def _on_expel_vote(self, src: NodeId, message: ExpelVote) -> None:
         if self.manager.on_expel_vote(src, message.target):
@@ -754,7 +701,7 @@ class GossipNode:
                 remote = [m for m in managers if m != node_id]
             else:
                 remote = managers
-            self._send_many(node_id, remote, blame, _UDP)
+            self._send_many(node_id, remote, blame, UDP)
             self.stats.blame_messages += len(remote)
         if local_targets and self.manager is not None:
             # This node manages some of its blame targets: apply the

@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.sim.trace import (
-    CATEGORY_DATA,
-    CATEGORY_REPUTATION,
-    CATEGORY_VERIFICATION,
-    MessageTrace,
-)
+from repro.sim.trace import MessageTrace
 from repro.util.validation import require
+from repro.wire import CATEGORY_DATA, CATEGORY_REPUTATION, CATEGORY_VERIFICATION
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from repro.config import GossipParams, LiftingParams
 from repro.core.auditlog import AuditLog
 from repro.deployment import Deployment, adversary_policy
 from repro.faults import FaultPlane, FaultSchedule
-from repro.gossip.chunks import SOURCE_ID
+from repro.gossip.chunks import StreamSource
 from repro.gossip.protocol import GossipNode
 from repro.loadgen.driver import LoadGenerator, LoadProfile
 from repro.membership.failure_detector import FailureDetectorParams
@@ -49,7 +49,7 @@ from repro.metrics.health import delivery_ratio
 from repro.metrics.scores import DetectionReport
 from repro.runtime.transport import AsyncTransport, NodeRegistry
 from repro.util.rng import SeedSequenceFactory
-from repro.wire import AuditRequest, Serve
+from repro.wire import AuditRequest
 
 NodeId = int
 
@@ -156,13 +156,13 @@ class RuntimeCluster:
             managers=min(MANAGERS, config.n - 1),
             history_periods=50,
             assumed_loss_rate=config.loss_rate,
-            ack_timeout=2.5 * GOSSIP_PERIOD,
-            serve_timeout=1.5 * GOSSIP_PERIOD,
-            confirm_timeout=1.5 * GOSSIP_PERIOD,
+            ack_timeout=2.5 * self.gossip.gossip_period,
+            serve_timeout=1.5 * self.gossip.gossip_period,
+            confirm_timeout=1.5 * self.gossip.gossip_period,
         )
-        self.chunks_emitted = 0
         #: built by :meth:`run` (the transport needs the running loop).
         self.deployment: Optional[Deployment] = None
+        self.source: Optional[StreamSource] = None
         self.nodes: Dict[NodeId, GossipNode] = {}
         self.freerider_ids: Set[NodeId] = set()
         self.audit_log: Optional[AuditLog] = None
@@ -224,8 +224,12 @@ class RuntimeCluster:
         self.invariants = invariants
         invariant_task = loop.create_task(self._invariant_sweeps(invariants))
 
-        # The source: a plain coroutine pushing fresh chunks over UDP.
-        source_task = loop.create_task(self._source(transport, deployment.membership))
+        # The source owns a real endpoint like any node; it just follows
+        # a push schedule instead of the three-phase protocol.
+        source = StreamSource(transport, deployment.membership, self.gossip)
+        self.source = source
+        await transport.open_endpoints(source.node_id, source.on_message)
+        source_timer = source.start()
 
         fault_task = probe_task = None
         if plane is not None:
@@ -258,7 +262,7 @@ class RuntimeCluster:
 
         await asyncio.sleep(config.duration)
 
-        source_task.cancel()
+        source_timer.stop()
         for task in (fault_task, probe_task, invariant_task, load_task):
             if task is not None:
                 task.cancel()
@@ -266,7 +270,7 @@ class RuntimeCluster:
             self.loadgen.detach()
         for node in self.nodes.values():
             node.stop()
-        await asyncio.sleep(2 * GOSSIP_PERIOD)  # drain in-flight timers
+        await asyncio.sleep(2 * self.gossip.gossip_period)  # drain in-flight timers
         await transport.close()
 
         invariants.check()  # final-state sweep on the settled run
@@ -275,23 +279,6 @@ class RuntimeCluster:
     # ------------------------------------------------------------------
     # background tasks
     # ------------------------------------------------------------------
-    async def _source(self, transport: AsyncTransport, membership) -> None:
-        # The source owns a real endpoint like any node; it just follows a
-        # push schedule instead of the three-phase protocol.
-        await transport.open_endpoints(SOURCE_ID, lambda _src, _msg: None)
-        while True:
-            targets = membership.sample(SOURCE_ID, self.gossip.source_fanout)
-            serve = Serve(
-                proposal_id=-1,
-                chunk_id=self.chunks_emitted,
-                payload_size=CHUNK_SIZE,
-                origin=SOURCE_ID,
-            )
-            for target in targets:
-                transport.send(SOURCE_ID, target, serve, reliable=False)
-            self.chunks_emitted += 1
-            await asyncio.sleep(self.config.chunk_interval)
-
     async def _fault_driver(
         self, transport: AsyncTransport, plane: FaultPlane, log: AuditLog
     ) -> None:
@@ -344,7 +331,7 @@ class RuntimeCluster:
 
     async def _invariant_sweeps(self, monitor) -> None:
         """Periodic safety sweeps, a couple per gossip period window."""
-        interval = 2 * GOSSIP_PERIOD
+        interval = 2 * self.gossip.gossip_period
         while True:
             await asyncio.sleep(interval)
             monitor.check()
@@ -354,7 +341,7 @@ class RuntimeCluster:
     # ------------------------------------------------------------------
     def _report(self, transport, plane, log, invariants) -> RuntimeReport:
         deployment = self.deployment
-        emitted = self.chunks_emitted
+        emitted = self.source.emitted
         delivery = delivery_ratio(self.nodes.values(), range(emitted))
         expelled, wrongful = deployment.expulsions()
         log.snapshot(

@@ -76,6 +76,7 @@ from repro.runtime.resilience import (
     ResilienceConfig,
 )
 from repro.util.validation import require
+from repro.wire import TCP, Transport
 
 NodeId = int
 Address = Tuple[str, int]
@@ -236,14 +237,16 @@ class _PeerChannel:
 
 
 class AsyncTransport:
-    """The transport facade over asyncio sockets.
+    """The asyncio plane's side of the host contract.
 
-    ``clock``, ``call_later``, ``call_every``, ``send`` — what a
-    :class:`~repro.gossip.protocol.GossipNode` needs of its host, the
-    simulator's :class:`~repro.gossip.protocol.SimTransport` being the
-    other one —
-    plus ``is_connected`` / ``disconnect`` / ``expel``, so a
-    :class:`~repro.deployment.Deployment` does too.
+    A :class:`~repro.gossip.protocol.GossipNode` needs of its host, under
+    the same names the simulator's
+    :class:`~repro.sim.network.SimTransport` gives it: ``timeline``
+    (this transport: :attr:`now` is seconds since the cluster epoch),
+    ``call_later`` (the event loop's own), ``call_every`` and
+    :meth:`send_many`, one :meth:`send` per destination.  A
+    :class:`~repro.deployment.Deployment` adds ``clock`` /
+    ``is_connected`` / ``disconnect`` / ``expel``.
     """
 
     def __init__(
@@ -262,6 +265,11 @@ class AsyncTransport:
         self.loss_rate = loss_rate
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.epoch = loop.time()
+        #: the host contract's clock: ``now`` reads the loop's time.
+        self.timeline = self
+        #: ``call_later(delay, callback, *args)``: the event loop's own,
+        #: returning its handle.
+        self.call_later = loop.call_later
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.fault_plane = fault_plane
         self._endpoints: Dict[NodeId, socket.socket] = {}
@@ -303,19 +311,30 @@ class AsyncTransport:
         self.dispatch_errors = 0
 
     # ------------------------------------------------------------------
-    # the facade used by GossipNode
+    # the host contract (see GossipNode)
     # ------------------------------------------------------------------
     def clock(self) -> float:
         """Seconds since the cluster epoch."""
         return self.loop.time() - self.epoch
 
-    def call_later(self, delay: float, callback: Callable[..., None], *args):
-        """Schedule on the event loop; returns the asyncio handle."""
-        return self.loop.call_later(delay, callback, *args)
+    #: ``timeline.now``: the clock as an attribute read.
+    now = property(clock)
 
     def call_every(self, interval: float, callback, *, first_delay: float, jitter=None):
         """Periodic scheduling with the same semantics as the simulator."""
         return _PeriodicHandle(self.loop, interval, callback, first_delay, jitter)
+
+    def send_many(self, src: NodeId, dsts, message: object, kind: Transport) -> int:
+        """One :meth:`send` per destination, in order, on ``kind``'s
+        channel; returns how many were accepted.  A refused destination
+        is skipped (and counted in ``sends_refused`` by ``send``)."""
+        send = self.send
+        reliable = kind is TCP
+        sent = 0
+        for dst in dsts:
+            if send(src, dst, message, reliable):
+                sent += 1
+        return sent
 
     def send(self, src: NodeId, dst: NodeId, message: object, reliable: bool) -> bool:
         """Ship one message.

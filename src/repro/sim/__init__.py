@@ -12,15 +12,18 @@ testbed substitute: a deterministic discrete-event simulator with
 * byte-level message accounting for the overhead measurements of
   Table 5 (:mod:`repro.sim.trace`).
 
-Protocol code is transport-agnostic: the same node objects also run on
-the asyncio runtime in :mod:`repro.runtime`.
+A protocol node is hosted by :class:`~repro.sim.network.SimTransport`,
+which satisfies the same host contract (``timeline`` / ``call_later`` /
+``call_every`` / ``send_many`` and the fabric names) as the asyncio
+runtime's transport in :mod:`repro.runtime`: the protocol core imports
+neither plane.
 """
 
 from repro.sim.bandwidth import UploadLink
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.sim.loss import BernoulliLoss, LossModel, NoLoss, PerNodeLoss
-from repro.sim.network import Endpoint, Network, Transport
+from repro.sim.network import Endpoint, Network, SimTransport, Transport
 from repro.sim.trace import MessageTrace
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "Network",
     "NoLoss",
     "PerNodeLoss",
+    "SimTransport",
     "Simulator",
     "Transport",
     "UniformLatency",

@@ -2,10 +2,11 @@
 
 The dissemination and direct-verification path runs over UDP (cheap,
 lossy); local-history audits run over TCP (reliable, §5.3).  The network
-object models both on top of the same latency models:
+object models both channels of :class:`repro.wire.Transport` on top of
+the same latency models:
 
-* ``Transport.UDP`` — subject to the loss model; one latency sample.
-* ``Transport.TCP`` — never lost; per-message latency inflated by
+* ``UDP`` — subject to the loss model; one latency sample.
+* ``TCP`` — never lost; per-message latency inflated by
   ``TCP_LATENCY_FACTOR`` (handshake + acknowledgement round trips).
 
 The caller names the channel; a protocol node sends each wire kind on
@@ -16,11 +17,13 @@ Every transmission is serialised through the sender's
 :class:`~repro.sim.trace.MessageTrace`, at its size in the paper's byte
 model: :data:`repro.wire.MODEL_SIZES`, derived from the kinds'
 declarations, and 64 bytes for any class outside the wire.
+
+A protocol node runs here through :class:`SimTransport`, the host
+contract the asyncio runtime's transport also satisfies.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Dict, Optional, Protocol
 
@@ -34,22 +37,9 @@ from repro.sim.latency import SAMPLE_BLOCK, ConstantLatency, LatencyModel, Unifo
 from repro.sim.loss import LossModel, NoLoss, PerNodeLoss
 from repro.sim.trace import MessageTrace
 from repro.util.validation import require, require_node_id
+from repro.wire import MODEL_SIZES, UDP, Transport
 
 NodeId = int
-
-
-class Transport(enum.Enum):
-    """Which channel a message travels on."""
-
-    UDP = "udp"
-    TCP = "tcp"
-
-
-# Module-level aliases: enum member access (`Transport.UDP`) is an
-# attribute lookup per use, and `send` runs a hundred thousand times per
-# simulated second.
-_UDP = Transport.UDP
-_TCP = Transport.TCP
 
 #: Multiplier on the latency sample for TCP messages (handshake +
 #: acknowledgement round trips).  The paper's audits tolerate this
@@ -148,9 +138,6 @@ class Network:
         self._endpoints: Dict[NodeId, Endpoint] = {}
         self._links: Dict[NodeId, UploadLink] = {}
         self._disconnected: set = set()
-        # Imported here, not at the top: repro.wire imports this module.
-        from repro.wire import MODEL_SIZES
-
         # type -> model bytes (an int) or the sizer of one message: the
         # wire's kinds from the start, any other class 64 B on first send.
         self._size_cache: Dict[type, object] = dict(MODEL_SIZES)
@@ -305,7 +292,7 @@ class Network:
         src: NodeId,
         dst: NodeId,
         message: object,
-        transport: Transport = Transport.UDP,
+        transport: Transport = UDP,
     ) -> bool:
         """Send ``message`` from ``src`` to ``dst``.
 
@@ -325,7 +312,7 @@ class Network:
         """
         return self.send_many(src, (dst,), message, transport) > 0
 
-    def send_many(self, src: NodeId, dsts, message: object, transport: Transport = Transport.UDP) -> int:
+    def send_many(self, src: NodeId, dsts, message: object, transport: Transport = UDP) -> int:
         """Send one ``message`` to several destinations.
 
         The per-destination loss/latency draw sequence and all
@@ -368,10 +355,10 @@ class Network:
         if not link_unbounded and not size >= 0:  # negated form also rejects NaN
             require(False, "size_bytes must be >= 0, got %r", size)
         loss = self.loss
-        loss_inline = self._loss_inline and transport is _UDP
+        loss_inline = self._loss_inline and transport is UDP
         latency = self.latency
         latency_inline = self._latency_inline
-        udp = transport is _UDP
+        udp = transport is UDP
         queue = sim._queue
         deliver = self._deliver_cb
         trace = self.trace
@@ -627,3 +614,36 @@ class Network:
                 # at or after it), so the next index is simply i + 1.
                 i += 1
         return fired
+
+
+class SimTransport:
+    """The simulator as a protocol node's host.
+
+    The host contract both planes satisfy under the same names
+    (:class:`repro.runtime.transport.AsyncTransport` is the other):
+    ``timeline``, whose ``now`` is the current time — here the
+    :class:`~repro.sim.engine.Simulator` itself, so a read is a slot
+    read; ``call_later`` and ``send_many(src, dsts, message, kind)``,
+    bound here to the engine's and the network's own methods, so a node
+    that binds them in turn calls them with no facade frame between;
+    ``call_every``; and the fabric names a
+    :class:`~repro.deployment.Deployment` adds (``clock`` /
+    ``is_connected`` / ``disconnect`` / ``expel``).  ``disconnect`` and
+    ``expel`` are both the network's ``disconnect``: the simulated
+    fabric has one way to drop a node, and permanence is the membership
+    ledger's job.
+    """
+
+    def __init__(self, sim: Simulator, network: Network) -> None:
+        self.timeline = sim
+        self.call_later = sim.call_later
+        self.send_many = network.send_many
+        self.is_connected = network.is_connected
+        self.disconnect = self.expel = network.disconnect
+
+    def clock(self) -> float:
+        return self.timeline.now
+
+    def call_every(self, interval: float, callback, *, first_delay: float, jitter=None):
+        sim = self.timeline
+        return sim.call_every(interval, callback, first_at=sim.now + first_delay, jitter=jitter)

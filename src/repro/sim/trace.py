@@ -25,6 +25,13 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional
 
+from repro.wire import (
+    CATEGORY_CONTROL,
+    CATEGORY_DATA,
+    CATEGORY_REPUTATION,
+    CATEGORY_VERIFICATION,
+)
+
 NodeId = int
 
 
@@ -35,11 +42,6 @@ def _new_sent_entry() -> list:
 
 def _new_per_src() -> "defaultdict":
     return defaultdict(_new_sent_entry)
-
-CATEGORY_DATA = "data"
-CATEGORY_VERIFICATION = "verification"
-CATEGORY_REPUTATION = "reputation"
-CATEGORY_CONTROL = "control"
 
 ALL_CATEGORIES = (
     CATEGORY_DATA,

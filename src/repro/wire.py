@@ -22,30 +22,42 @@ into its entry in :data:`MODEL_SIZES`: an ``int`` for a
 payload-independent kind, otherwise a sizer of one message.  A field
 without a width fails that step, so no kind can under-count.
 
-Categories (``data`` / ``verification`` / ``reputation`` / ``control``)
-feed the :class:`~repro.sim.trace.MessageTrace` accounting: Table 5's
-"cross-checking and blaming overhead" is the verification+reputation
-bytes divided by the data bytes.
+The wire facts both planes read live here too: the two channels
+(:class:`Transport`, aliased :data:`UDP` / :data:`TCP`) and the four
+categories (``data`` / ``verification`` / ``reputation`` / ``control``)
+that feed the simulator's byte accounting: Table 5's "cross-checking and
+blaming overhead" is the verification+reputation bytes divided by the
+data bytes.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, fields
 from typing import Annotated, Tuple, get_args, get_origin, get_type_hints
 
-from repro.sim.network import Transport
-from repro.sim.trace import (
-    CATEGORY_CONTROL,
-    CATEGORY_DATA,
-    CATEGORY_REPUTATION,
-    CATEGORY_VERIFICATION,
-)
+
+class Transport(enum.Enum):
+    """Which channel a message travels on: lossy datagrams, or the
+    reliable stream the audit exchange uses (§5.3)."""
+
+    UDP = "udp"
+    TCP = "tcp"
+
+
+# Module-level aliases: a global read, not an enum attribute lookup, on
+# the send paths that run per message.
+UDP = Transport.UDP
+TCP = Transport.TCP
+
+CATEGORY_DATA = "data"
+CATEGORY_VERIFICATION = "verification"
+CATEGORY_REPUTATION = "reputation"
+CATEGORY_CONTROL = "control"
 
 UDP_HEADER = 28
 TCP_HEADER = 40
 TYPE_TAG = 1
-UDP = Transport.UDP
-TCP = Transport.TCP
 
 #: The width of a field that counts its own value (``Serve.payload_size``).
 PAYLOAD = "payload"

@@ -16,6 +16,7 @@ class FakeHost:
     def __init__(self, gossip, lifting, node_id=0):
         self.node_id = node_id
         self.sim = Simulator()
+        self.timeline = self.sim
         self.gossip = gossip
         self.lifting = lifting
         self.sent = []  # (dst, message)

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core.detector import ExpulsionController, ExpulsionRecord
-from repro.gossip.protocol import SimTransport
 from repro.membership.full import FullMembership
 from repro.sim.engine import Simulator
-from repro.sim.network import Network
+from repro.sim.network import Network, SimTransport
 
 
 class Stub:

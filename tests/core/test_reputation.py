@@ -151,15 +151,13 @@ class _HandClock:
 
     def __init__(self):
         self.now = 0.0
-
-    def clock(self):
-        return self.now
+        self.timeline = self
 
     def call_later(self, delay, fn, *args):
         return None
 
-    def send(self, src, dst, message, reliable):
-        return True
+    def send_many(self, src, dsts, message, kind):
+        return len(dsts)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

@@ -153,6 +153,7 @@ class TestProtocolCallBudget:
             "GossipNode.send",
             "LocalHistory.record_confirm_sender",
             "LocalHistory.record_fanin",
+            "SimTransport.clock",
         ],
     )
     def test_no_per_hop_wrapper_frames(self, window, frame):

@@ -15,7 +15,7 @@ from repro.gossip.chunks import (
 )
 from repro.membership.full import FullMembership
 from repro.sim.engine import Simulator
-from repro.sim.network import Network
+from repro.sim.network import Network, SimTransport
 from repro.wire import Serve
 
 
@@ -150,27 +150,27 @@ class TestStreamSource:
         sinks = {i: Sink(i) for i in range(n)}
         for sink in sinks.values():
             network.register(sink)
-        source = StreamSource(sim, network, membership, params)
+        source = StreamSource(SimTransport(sim, network), membership, params)
         network.register(source)
         return sim, source, sinks, params
 
     def test_emission_rate(self, rng):
         sim, source, _sinks, params = self._build(rng)
-        source.start(first_at=0.0)
+        source.start(first_delay=0.0)
         sim.run(until=10.0)
         expected = 10.0 / params.chunk_interval
         assert source.emitted == pytest.approx(expected, abs=2)
 
     def test_pushes_to_fanout_targets(self, rng):
         sim, source, sinks, _params = self._build(rng)
-        source.start(first_at=0.0)
+        source.start(first_delay=0.0)
         sim.run(until=0.3)
         total = sum(len(s.serves) for s in sinks.values())
         assert total == source.emitted * 3 or total >= (source.emitted - 1) * 3
 
     def test_serves_carry_source_origin(self, rng):
         sim, source, sinks, _params = self._build(rng)
-        source.start(first_at=0.0)
+        source.start(first_delay=0.0)
         sim.run(until=0.5)
         for sink in sinks.values():
             for src, msg in sink.serves:

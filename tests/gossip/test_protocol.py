@@ -32,6 +32,7 @@ from repro.wire import (
     Request,
     ScoreQuery,
     Serve,
+    TCP,
 )
 from repro.wire_codec import encode_frame
 
@@ -345,18 +346,16 @@ class HandClockHost:
 
     def __init__(self):
         self.now = 0.0
+        self.timeline = self
         self.down = set()
         self.sent = []
-
-    def clock(self):
-        return self.now
 
     def call_later(self, delay, fn, *args):
         return None
 
-    def send(self, src, dst, message, reliable):
-        self.sent.append((dst, message))
-        return True
+    def send_many(self, src, dsts, message, kind):
+        self.sent.extend((dst, message) for dst in dsts)
+        return len(dsts)
 
     def is_connected(self, node_id):
         return node_id not in self.down
@@ -652,7 +651,8 @@ class TimerHost(HandClockHost):
 
     def __init__(self):
         super().__init__()
-        self.sim = Simulator()
+        self.sim = self.timeline = Simulator()
+        self.call_later = self.sim.call_later
 
     def run(self, until):
         """Fire the timers up to ``until``: ``sent`` then holds what they sent."""
@@ -866,9 +866,9 @@ class TestChannel:
         the message kind decides, not the caller."""
         host = HandClockHost()
         channels = []
-        host.send = lambda src, dst, message, reliable: channels.append(
-            (dst, type(message), reliable)
-        ) or True
+        host.send_many = lambda src, dsts, message, kind: channels.extend(
+            (dst, type(message), kind is TCP) for dst in dsts
+        ) or len(dsts)
         node = node_on(host)
         node.send(4, AuditRequest(periods=5))
         node.send(4, ScoreQuery(target=3))

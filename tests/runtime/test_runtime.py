@@ -6,10 +6,11 @@ import pytest
 
 from repro import adversary
 from repro.config import FreeriderDegree
+from repro.gossip.chunks import SOURCE_ID, StreamSource
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.colluder import ColludingBehavior
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
-from repro.runtime.transport import NodeRegistry
+from repro.runtime.transport import AsyncTransport, NodeRegistry
 
 
 class TestNodeRegistry:
@@ -41,6 +42,29 @@ class TestLiveCluster:
         assert report.delivery_ratio > 0.85
         assert report.datagrams_sent > 0
         assert report.datagrams_dropped == 0
+
+    def test_the_live_source_is_the_stream_source(self, monkeypatch):
+        # The one StreamSource both planes run: every chunk it reports
+        # went to at most source_fanout distinct nodes, at chunk_size bytes.
+        pushes = {}
+        send = AsyncTransport.send
+
+        def recording(self, src, dst, message, reliable):
+            if src == SOURCE_ID:
+                pushes.setdefault(message.chunk_id, []).append((dst, message.payload_size))
+            return send(self, src, dst, message, reliable)
+
+        monkeypatch.setattr(AsyncTransport, "send", recording)
+        cluster = RuntimeCluster(RuntimeConfig(n=6, duration=1.0, loss_rate=0.0, seed=6))
+        report = asyncio.run(cluster.run())
+        gossip = cluster.gossip
+        assert isinstance(cluster.source, StreamSource)
+        assert report.chunks_emitted == cluster.source.emitted > 0
+        assert sorted(pushes) == list(range(report.chunks_emitted))
+        for targets in pushes.values():
+            dsts = [dst for dst, _size in targets]
+            assert len(dsts) == len(set(dsts)) <= gossip.source_fanout
+            assert {size for _dst, size in targets} == {gossip.chunk_size}
 
     def test_synthetic_loss_applied(self):
         config = RuntimeConfig(n=8, duration=2.0, loss_rate=0.1, seed=2)

@@ -20,8 +20,11 @@ from repro.runtime.resilience import (
     STATE_HALF_OPEN,
     STATE_OPEN,
 )
+from repro.config import planetlab_params
+from repro.gossip.protocol import GossipNode
+from repro.nodes.behavior import HonestBehavior
 from repro.runtime.transport import EGRESS_QUEUE_LIMIT, AsyncTransport, NodeRegistry
-from repro.wire import Ping as WirePing, Serve
+from repro.wire import UDP, TCP_KINDS, AuditRequest, Ping as WirePing, Serve
 
 
 def Ping(value: int) -> WirePing:
@@ -285,6 +288,61 @@ class TestSendContract:
             return ok, counts, refused
 
         assert asyncio.run(scenario()) == (True, expected, 0)
+
+
+class TestSendMany:
+    """The live fan-out: one ``send`` per destination, in order, each on
+    the channel the kind names."""
+
+    @staticmethod
+    def spy(transport):
+        """Record each ``send`` the fan-out makes as ``(dst, reliable)``."""
+        calls = []
+        send = transport.send
+
+        def recording(src, dst, message, reliable):
+            calls.append((dst, reliable))
+            return send(src, dst, message, reliable)
+
+        transport.send = recording
+        return calls
+
+    def test_destinations_in_order_refusals_skipped_and_counted_once(self):
+        async def scenario():
+            transport, received = await make_pair(node_ids=(1, 2, 3, 4, 5))
+            transport.registry.expel(3)
+            calls = self.spy(transport)
+            sent = transport.send_many(1, (4, 3, 99, 2, 5), Ping(1), UDP)
+            refused = transport.sends_refused
+            delivered = await settle(lambda: all(received[n] for n in (2, 4, 5)))
+            inbox = {n: list(received[n]) for n in received}
+            await transport.close()
+            return calls, sent, refused, delivered, inbox
+
+        calls, sent, refused, delivered, inbox = asyncio.run(scenario())
+        assert calls == [(4, False), (3, False), (99, False), (2, False), (5, False)]
+        assert sent == 3  # the accepted count
+        assert refused == 2  # the expelled 3 and the unknown 99, once each
+        assert delivered
+        assert inbox[3] == [] and inbox[1] == []
+        assert all(inbox[n] == [(1, Ping(1))] for n in (2, 4, 5))
+
+    def test_a_tcp_kind_takes_the_reliable_path(self):
+        async def scenario():
+            transport, received = await make_pair()
+            gossip, lifting = planetlab_params()
+            node = GossipNode(1, transport, None, gossip, lifting, HonestBehavior())
+            calls = self.spy(transport)
+            sent = node.send_many((2,), AuditRequest(periods=3))
+            delivered = await settle(lambda: received[2])
+            channel = 2 in transport._channels
+            await transport.close()
+            return calls, sent, delivered, channel
+
+        calls, sent, delivered, channel = asyncio.run(scenario())
+        assert AuditRequest in TCP_KINDS
+        assert calls == [(2, True)] and sent == 1
+        assert delivered and channel  # over the peer's persistent stream
 
 
 class TestDeliveryPaths:

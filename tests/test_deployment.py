@@ -37,6 +37,7 @@ class FakeHost:
 
     def __init__(self):
         self.now = 0.0
+        self.timeline = self
         self.down = set()
         self.expelled = []
 
@@ -46,8 +47,8 @@ class FakeHost:
     def call_later(self, delay, fn, *args):
         return None
 
-    def send(self, src, dst, message, reliable):
-        return True
+    def send_many(self, src, dsts, message, kind):
+        return len(dsts)
 
     def is_connected(self, node_id):
         return node_id not in self.down and node_id not in self.expelled
@@ -231,7 +232,9 @@ class TestRetryAsksTheHost:
     def test_retry_skips_a_proposer_the_host_reports_down(self, alternative_down):
         host = FakeHost()
         sent, timers = [], []
-        host.send = lambda src, dst, message, reliable: sent.append((dst, message)) or True
+        host.send_many = lambda src, dsts, message, kind: sent.extend(
+            (dst, message) for dst in dsts
+        ) or len(dsts)
         host.call_later = lambda delay, fn, *args: timers.append((fn, args))
         node = make_deployment(host).nodes[0]
         node.on_message(2, Propose(proposal_id=7, chunk_ids=(5,)))  # requested from 2
@@ -258,7 +261,9 @@ class TestRequestAmplification:
     def test_repeated_chunk_id_draws_one_serve(self):
         host = FakeHost()
         sent = []
-        host.send = lambda src, dst, message, reliable: sent.append((dst, message)) or True
+        host.send_many = lambda src, dsts, message, kind: sent.extend(
+            (dst, message) for dst in dsts
+        ) or len(dsts)
         node = make_deployment(host).nodes[0]
         node.store.add(5, 1400, received_at=0.0)
         node._sent_proposals[7] = _SentProposal(partners={2}, chunk_ids={5}, at=0.0)
@@ -313,9 +318,10 @@ class TestVerdictRules:
         class Loopback(FakeHost):
             """A send *is* the destination's handler call."""
 
-            def send(self, src, dst, message, reliable):
-                deployment.nodes[dst].on_message(src, message)
-                return True
+            def send_many(self, src, dsts, message, kind):
+                for dst in dsts:
+                    deployment.nodes[dst].on_message(src, message)
+                return len(dsts)
 
         host = Loopback()
         log = AuditLog(key_seed="verdicts", clock=host.clock)
