@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from repro.util.validation import require
 
+# Each helper tests its arguments with a comparison and enters
+# ``require`` only to raise: the blame path calls them per message.
+
 REASON_FANOUT_DECREASE = "fanout-decrease"
 REASON_INVALID_PROPOSAL = "invalid-proposal"
 REASON_NO_ACK = "no-ack"
@@ -34,9 +37,11 @@ def fanout_decrease_blame(fanout: int, observed_fanout: int) -> float:
     >>> fanout_decrease_blame(7, 6)
     1.0
     """
-    require(fanout >= 1, "fanout must be >= 1, got %d", fanout)
-    require(observed_fanout >= 0, "observed fanout must be >= 0")
-    return float(max(0, fanout - observed_fanout))
+    if not (fanout >= 1 and observed_fanout >= 0):  # negated: NaN fails too
+        require(fanout >= 1, "fanout must be >= 1, got %d", fanout)
+        require(False, "observed fanout must be >= 0")
+    decrease = fanout - observed_fanout
+    return float(decrease) if decrease > 0 else 0.0
 
 
 def no_ack_blame(fanout: int) -> float:
@@ -45,7 +50,8 @@ def no_ack_blame(fanout: int) -> float:
     A missing acknowledgment is equivalent to "none of my chunks were
     proposed", the worst case, hence the full ``f``.
     """
-    require(fanout >= 1, "fanout must be >= 1, got %d", fanout)
+    if not fanout >= 1:
+        require(False, "fanout must be >= 1, got %d", fanout)
     return float(fanout)
 
 
@@ -60,9 +66,10 @@ def partial_serve_blame(fanout: int, requested: int, served: int) -> float:
     >>> partial_serve_blame(7, 4, 3)
     1.75
     """
-    require(fanout >= 1, "fanout must be >= 1, got %d", fanout)
-    require(requested >= 1, "requested must be >= 1, got %d", requested)
-    require(0 <= served <= requested, "served must be in [0, requested]")
+    if not (fanout >= 1 and requested >= 1 and 0 <= served <= requested):
+        require(fanout >= 1, "fanout must be >= 1, got %d", fanout)
+        require(requested >= 1, "requested must be >= 1, got %d", requested)
+        require(False, "served must be in [0, requested]")
     return fanout * (requested - served) / requested
 
 
@@ -73,5 +80,6 @@ def witness_contradiction_blame() -> float:
 
 def unacknowledged_history_blame(count: int) -> float:
     """1 per history proposal the alleged receiver does not acknowledge."""
-    require(count >= 0, "count must be >= 0, got %d", count)
+    if not count >= 0:
+        require(False, "count must be >= 0, got %d", count)
     return float(count)

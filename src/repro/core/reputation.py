@@ -61,20 +61,21 @@ class ManagerAssignment:
         require(count >= 1, "need at least 1 manager per node")
         self.managers_per_node = count
         rng = make_generator(seed, "manager-assignment")
-        self._managers: Dict[NodeId, Tuple[NodeId, ...]] = {}
+        #: node -> its managers; read directly by the node's blame flush.
+        self.managers: Dict[NodeId, Tuple[NodeId, ...]] = {}
         self._managed: Dict[NodeId, List[NodeId]] = {node: [] for node in population}
         arr = np.array(population)
         for node in population:
             others = arr[arr != node]
             picks = rng.choice(others, size=count, replace=False)
             managers_of_node = tuple(int(p) for p in picks)
-            self._managers[node] = managers_of_node
+            self.managers[node] = managers_of_node
             for manager in managers_of_node:
                 self._managed[manager].append(node)
 
     def managers_of(self, node: NodeId) -> Tuple[NodeId, ...]:
         """The managers holding ``node``'s score."""
-        return self._managers[node] if node in self._managers else ()
+        return self.managers[node] if node in self.managers else ()
 
     def managed_by(self, manager: NodeId) -> Tuple[NodeId, ...]:
         """The nodes whose score ``manager`` keeps."""
@@ -82,7 +83,7 @@ class ManagerAssignment:
 
     def is_manager_of(self, manager: NodeId, node: NodeId) -> bool:
         """Whether ``manager`` holds a copy of ``node``'s score."""
-        return manager in self._managers.get(node, ())
+        return manager in self.managers.get(node, ())
 
 
 @dataclass(slots=True)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.core.blames import (
     REASON_FANOUT_DECREASE,
@@ -77,6 +77,10 @@ class VerificationEngine:
         self._call_later = host.call_later
         self._host_send_many = host.send_many
         self._random = host.random
+        # Table 1's two constant blames, computed once: an invalid or
+        # missing ack draws ``f``, a contradicting witness 1.
+        self._no_ack_value = no_ack_blame(host.gossip.fanout)
+        self._contradiction_value = witness_contradiction_blame()
         # requester -> {chunk_id: served_at}.  A requester is a key iff
         # it has an outstanding serve, so the dict's order is first-serve
         # order with a drained requester re-entering at the end — the
@@ -85,7 +89,8 @@ class VerificationEngine:
         # proposer -> its open rounds, in start order (so in closing
         # order); a proposer is a key iff it has an open round.
         self._confirm_rounds: Dict[NodeId, List[_ConfirmRound]] = {}
-        # Diagnostics.
+        # Diagnostics: each blame the engine emits, tallied under its
+        # reason as it is handed to the host's ``send_blame``.
         self.blames_by_reason: Dict[str, float] = defaultdict(float)
 
     # ------------------------------------------------------------------
@@ -128,7 +133,9 @@ class VerificationEngine:
                     del pending[chunk_id]
                     overdue = True
             if overdue:
-                self._blame(src, no_ack_blame(fanout), REASON_INVALID_PROPOSAL)
+                value = self._no_ack_value
+                self.blames_by_reason[REASON_INVALID_PROPOSAL] += value
+                host.send_blame(src, value, REASON_INVALID_PROPOSAL)
             if not pending:
                 del pending_acks[src]
 
@@ -140,23 +147,19 @@ class VerificationEngine:
         if reached < fanout:
             value = fanout_decrease_blame(fanout, reached)
             if value > 0:
-                self._blame(src, value, REASON_FANOUT_DECREASE)
+                self.blames_by_reason[REASON_FANOUT_DECREASE] += value
+                host.send_blame(src, value, REASON_FANOUT_DECREASE)
 
         if witnesses and self._random() < host.lifting.p_dcc:
-            self._start_confirm_round(src, ack.chunk_ids, witnesses, reached)
-
-    def _start_confirm_round(
-        self, proposer: NodeId, chunk_ids: Tuple[ChunkId, ...], waiting: Set[NodeId], asked: int
-    ) -> None:
-        round_state = _ConfirmRound(proposer, waiting, asked)
-        rounds = self._confirm_rounds
-        if proposer in rounds:
-            rounds[proposer].append(round_state)
-        else:
-            rounds[proposer] = [round_state]
-        confirm = Confirm(proposer=proposer, chunk_ids=chunk_ids)
-        self._host_send_many(waiting, confirm)
-        self._call_later(self.host.lifting.confirm_timeout, self._finish_confirm_round, round_state)
+            # Start a cross-check round: the witnesses it waits on.
+            round_state = _ConfirmRound(src, witnesses, reached)
+            rounds = self._confirm_rounds
+            if src in rounds:
+                rounds[src].append(round_state)
+            else:
+                rounds[src] = [round_state]
+            self._host_send_many(witnesses, Confirm(proposer=src, chunk_ids=ack.chunk_ids))
+            self._call_later(host.lifting.confirm_timeout, self._finish_confirm_round, round_state)
 
     def on_confirm_response(self, src: NodeId, response: ConfirmResponse) -> None:
         """A witness answered one of our confirm requests.
@@ -190,8 +193,9 @@ class VerificationEngine:
             del rounds[proposer]
         contradictions = round_state.asked - round_state.valid
         if contradictions > 0:
-            value = contradictions * witness_contradiction_blame()
-            self._blame(proposer, value, REASON_WITNESS_CONTRADICTION)
+            value = contradictions * self._contradiction_value
+            self.blames_by_reason[REASON_WITNESS_CONTRADICTION] += value
+            self.host.send_blame(proposer, value, REASON_WITNESS_CONTRADICTION)
 
     # ------------------------------------------------------------------
     # requesting side: direct verification
@@ -200,7 +204,8 @@ class VerificationEngine:
         """A request of ``requested`` chunks to ``proposer`` reached its
         ``serve_timeout`` with ``missing`` of them unserved (at least one)."""
         value = partial_serve_blame(self.host.gossip.fanout, requested, requested - missing)
-        self._blame(proposer, value, REASON_PARTIAL_SERVE)
+        self.blames_by_reason[REASON_PARTIAL_SERVE] += value
+        self.host.send_blame(proposer, value, REASON_PARTIAL_SERVE)
 
     # ------------------------------------------------------------------
     # periodic sweep: missing acks
@@ -213,24 +218,22 @@ class VerificationEngine:
         host = self.host
         now = self._timeline.now
         timeout = host.lifting.ack_timeout
-        fanout = host.gossip.fanout
+        value = self._no_ack_value
+        by_reason = self.blames_by_reason
         drained = []
         for requester, pending in pending_acks.items():
             expired = [c for c, served_at in pending.items() if now - served_at >= timeout]
             if expired:
                 for chunk_id in expired:
                     del pending[chunk_id]
-                self._blame(requester, no_ack_blame(fanout), REASON_NO_ACK)
+                by_reason[REASON_NO_ACK] += value
+                host.send_blame(requester, value, REASON_NO_ACK)
                 if not pending:
                     drained.append(requester)
         for requester in drained:
             del pending_acks[requester]
 
     # ------------------------------------------------------------------
-    def _blame(self, target: NodeId, value: float, reason: str) -> None:
-        self.blames_by_reason[reason] += value
-        self.host.send_blame(target, value, reason)
-
     def purge_requester(self, node_id: NodeId) -> None:
         """Drop any pending acks naming ``node_id`` as requester.
 

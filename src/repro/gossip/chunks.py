@@ -67,7 +67,7 @@ class ChunkStore:
     of columns and a dict entry), and a stream's ids fill theirs.
     """
 
-    __slots__ = ("pages", "times", "payload_sizes", "_count", "_slots")
+    __slots__ = ("pages", "times", "payload_sizes", "count", "_slots")
 
     def __init__(self) -> None:
         #: page index -> its first slot in the columns; hot paths test
@@ -76,7 +76,10 @@ class ChunkStore:
         self.pages: Dict[int, int] = {}
         self.times = array("d")
         self.payload_sizes = array("q")
-        self._count = 0
+        #: owned chunks, ``len(store)``; a node's serve path fills a slot
+        #: of an open page itself and bumps this, and calls :meth:`add`
+        #: only to open a page.
+        self.count = 0
         #: ``len(times)``, kept so that opening a page makes no call.
         self._slots = 0
 
@@ -101,7 +104,7 @@ class ChunkStore:
         # The size first: one outside int64 raises before the slot is taken.
         self.payload_sizes[slot] = size
         times[slot] = received_at
-        self._count += 1
+        self.count += 1
         return True
 
     def __contains__(self, chunk_id: ChunkId) -> bool:
@@ -112,7 +115,7 @@ class ChunkStore:
         )
 
     def __len__(self) -> int:
-        return self._count
+        return self.count
 
     def __iter__(self) -> Iterator[ChunkId]:
         """The owned ids, page by page in the order pages were opened."""

@@ -22,11 +22,14 @@ on wraparound, so a steady-state node allocates no record objects.  A
 record keeps what arrived, not copies: a received proposal is the
 Propose's own ``chunk_ids`` tuple (a set on a repeat inside the period
 or past :data:`SHORT_IDS` ids), and the Confirm log is flat, two ints
-per Confirm.  No index is kept beside the ring: :meth:`was_proposed_by`
-(per Confirm) looks the proposer up in the window's records.  The node
-writes a Serve or a Confirm with one call to the open record's
-``fanin`` / ``confirm_senders`` (exposed by :meth:`begin_period`);
-per-audit readers (:meth:`confirm_senders_about`,
+per Confirm.  No index is kept beside the ring: a witness answering a
+Confirm looks the proposer up in :attr:`LocalHistory.witness_window`,
+the last :data:`WITNESS_PERIODS` records' received proposals, and a
+history poll in the window's records (:meth:`was_proposed_by`).  The
+node writes a Serve, a Confirm or a proposer's first Propose of the
+period with no call, into the open record's ``fanin`` /
+``confirm_senders`` / ``received_proposals`` (exposed by
+:meth:`begin_period`); per-audit readers (:meth:`confirm_senders_about`,
 :meth:`proposals_snapshot`) scan the window.
 
 Records returned by :meth:`records` are the live ring slots: they are
@@ -48,6 +51,10 @@ ChunkId = int
 #: longer than this (honest proposals carry ~9, a hostile one up to 4096)
 #: is made a set first; the test is a slice, ``ids[SHORT_IDS:]``: no call.
 SHORT_IDS = 64
+
+#: A witness answers a Confirm from the proposals it received in the
+#: last this many periods (the open one included).
+WITNESS_PERIODS = 3
 
 
 @dataclass
@@ -77,9 +84,13 @@ class LocalHistory:
         self.max_periods = max_periods
         self._slots: List[Optional[PeriodRecord]] = [None] * max_periods
         self._current: Optional[PeriodRecord] = None
-        #: the open record's two logs (None before the first period).
+        #: the open record's three logs (None before the first period).
         self.fanin: Optional[List[NodeId]] = None
         self.confirm_senders: Optional[List[NodeId]] = None
+        self.received_proposals: Optional[Dict[NodeId, Collection[ChunkId]]] = None
+        #: the ``received_proposals`` of the last :data:`WITNESS_PERIODS`
+        #: records, oldest first (fewer before that many periods opened).
+        self.witness_window: Tuple[Dict[NodeId, Collection[ChunkId]], ...] = ()
         #: number of begin_period calls so far.
         self._seq = 0
 
@@ -104,6 +115,8 @@ class LocalHistory:
         self._current = record
         self.fanin = record.fanin
         self.confirm_senders = record.confirm_senders
+        received = self.received_proposals = record.received_proposals
+        self.witness_window = (*self.witness_window[1 - WITNESS_PERIODS :], received)
 
     def _ensure_open(self) -> PeriodRecord:
         record = self._current

@@ -498,7 +498,12 @@ class GossipNode:
         self.stats.proposals_received += 1
         chunk_ids = message.chunk_ids
         if self._history_open:
-            self.history.record_received_proposal(src, chunk_ids)
+            received = self.history.received_proposals
+            if src in received:
+                # A repeat inside the period merges into a set (rare).
+                self.history.record_received_proposal(src, chunk_ids)
+            else:
+                received[src] = set(chunk_ids) if chunk_ids[SHORT_IDS:] else chunk_ids
         store = self.store
         pages = store.pages
         times = store.times
@@ -597,10 +602,23 @@ class GossipNode:
         awaited = self._awaited
         if chunk_id in awaited and awaited[chunk_id].proposal_id == message.proposal_id:
             del awaited[chunk_id]
-        fresh = self.store.add(chunk_id, message.payload_size, received_at=self.timeline.now)
-        if not fresh:
-            self.stats.duplicate_serves += 1
-            return
+        # ChunkStore.add with its common branch inline: a chunk of an
+        # open page fills its slot here; a new page, or a reception time
+        # add refuses, takes the method.
+        now = self.timeline.now
+        store = self.store
+        pages = store.pages
+        if chunk_id >> PAGE_BITS in pages and now != NOT_OWNED:
+            slot = pages[chunk_id >> PAGE_BITS] + (chunk_id & PAGE_MASK)
+            times = store.times
+            if times[slot] != NOT_OWNED:
+                self.stats.duplicate_serves += 1
+                return
+            store.payload_sizes[slot] = message.payload_size
+            times[slot] = now
+            store.count += 1
+        else:
+            store.add(chunk_id, message.payload_size, now)
         self.stats.chunks_received += 1
         origin = message.origin
         self._fresh[chunk_id] = origin
@@ -621,7 +639,22 @@ class GossipNode:
 
     def _answer_confirm(self, src: NodeId, message: Confirm) -> None:
         proposer = message.proposer
-        valid = self.history.was_proposed_by(proposer, message.chunk_ids, last=3)
+        # LocalHistory.was_proposed_by(proposer, ids, last=WITNESS_PERIODS)
+        # inline, over the window's records.
+        chunk_ids = message.chunk_ids
+        if chunk_ids[SHORT_IDS:]:
+            # hostile length: at most SHORT_IDS distinct ids pass a tuple
+            chunk_ids = set(chunk_ids)
+        valid = False
+        for received in self.history.witness_window:
+            if proposer in received:
+                seen = received[proposer]
+                for chunk_id in chunk_ids:
+                    if chunk_id not in seen:
+                        break
+                else:
+                    valid = True
+                    break
         if self._confirm_answer is not None:
             valid = self._confirm_answer(proposer, valid)
         key = (proposer, valid)
@@ -688,21 +721,23 @@ class GossipNode:
             return
         self._blame_outbox = {}
         node_id = self.node_id
+        table = self.assignment.managers
         local_targets: List[NodeId] = []
         local_values: List[float] = []
         for target, value in outbox.items():
             if value == 0.0:
                 continue
             blame = Blame(target=target, value=value, reason="period-batch")
-            managers = self.assignment.managers_of(target)
+            managers = table[target] if target in table else ()
             if node_id in managers:
                 local_targets.append(target)
                 local_values.append(value)
                 remote = [m for m in managers if m != node_id]
             else:
                 remote = managers
-            self._send_many(node_id, remote, blame, UDP)
-            self.stats.blame_messages += len(remote)
+            # What the host accepted: a refused (expelled, unregistered)
+            # manager is sent no blame message.
+            self.stats.blame_messages += self._send_many(node_id, remote, blame, UDP)
         if local_targets and self.manager is not None:
             # This node manages some of its blame targets: apply the
             # whole period's worth in one batch.

@@ -4,6 +4,7 @@ These drive real :class:`GossipNode` objects through the simulator and
 assert three-phase dissemination semantics (§3) and the LiFTinG hooks.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,8 @@ from repro.config import FreeriderDegree, planetlab_params
 from repro.core.blames import REASON_PARTIAL_SERVE
 from repro.core.reputation import ManagerAssignment
 from repro.gossip import protocol
-from repro.gossip.chunks import SOURCE_ID
-from repro.gossip.history import SHORT_IDS
+from repro.gossip.chunks import SOURCE_ID, ChunkStore
+from repro.gossip.history import SHORT_IDS, LocalHistory
 from repro.gossip.protocol import MAX_OFFERS_PER_CHUNK, GossipNode, _SentProposal
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.colluder import Coalition, ColludingBehavior
@@ -285,7 +286,8 @@ class TestBlameOutbox:
     ):
         node = small_cluster_factory(loss_rate=0.0).nodes[0]
         sent = []
-        node._send_many = lambda src, dsts, message, kind: sent.append(message)
+        # A host's send_many returns how many destinations it accepted.
+        node._send_many = lambda src, dsts, message, kind: sent.append(message) or len(dsts)
         for target, value in ((7, 0.1), (3, 1.0), (7, 0.2), (7, 0.3), (3, 2.0)):
             node.send_blame(target, value, "test")
         node._flush_blames()
@@ -295,6 +297,21 @@ class TestBlameOutbox:
         assert [(b.target, b.value) for b in sent] == [(7, (0.1 + 0.2) + 0.3), (3, 3.0)]
         node._flush_blames()  # nothing is sent twice
         assert len(sent) == 2
+
+
+    def test_a_refused_manager_is_no_blame_message(self, small_cluster_factory):
+        cluster = small_cluster_factory(loss_rate=0.0)
+        node = cluster.nodes[0]
+        target = next(
+            t for t in cluster.nodes if t != 0 and 0 not in node.assignment.managers_of(t)
+        )
+        managers = node.assignment.managers_of(target)
+        cluster.network.disconnect(managers[0])
+        counted, sent = node.stats.blame_messages, cluster.trace.sent_count("Blame")
+        node.send_blame(target, 1.0, "test")
+        node._flush_blames()
+        assert node.stats.blame_messages - counted == len(managers) - 1
+        assert cluster.trace.sent_count("Blame") - sent == len(managers) - 1
 
 
 class TestBlameGuards:
@@ -881,3 +898,96 @@ class TestChannel:
             (5, HistoryPollRequest, True),
             (6, Confirm, False),
         ]
+
+
+#: Chunk-id tuples a Propose or a Confirm may carry: short ones from a
+#: small pool (so proposals overlap and repeat), and hostile ones past
+#: ``SHORT_IDS`` ids, which the history keeps and a witness reads as sets.
+WITNESS_IDS = st.one_of(
+    st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple),
+    st.lists(st.integers(0, 5), min_size=SHORT_IDS + 1, max_size=SHORT_IDS + 4).map(tuple),
+)
+WITNESS_STEPS = st.one_of(
+    st.just(("period",)),
+    st.tuples(st.just("propose"), st.integers(1, 3), WITNESS_IDS),
+    st.tuples(st.just("confirm"), st.integers(1, 3), WITNESS_IDS),
+)
+#: Chunk ids a Serve may carry: around the first pages (new pages and
+#: duplicates), negative, and far beyond any stream.
+SERVE_IDS = st.one_of(
+    st.integers(-70, 140),
+    st.integers(2**62, 2**62 + 70),
+)
+
+
+class TestInlineCopies:
+    """The hot handlers run helpers' bodies inline (a witness's history
+    lookup, a first proposal's booking, ``ChunkStore.add``); through the
+    handlers, each copy must answer or leave what the helper does."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.lists(WITNESS_STEPS, max_size=30))
+    def test_a_confirm_answer_is_was_proposed_by(self, history_periods, steps):
+        # history_periods + 2 records in the ring: 3 to 5, so the ring
+        # wraps, and a window of three sees the whole ring or part of it.
+        # The model history is fed through its methods only.
+        host = TimerHost()
+        gossip, lifting = planetlab_params()
+        node = GossipNode(
+            0, host, None, gossip, replace(lifting, history_periods=history_periods),
+            HonestBehavior(), rng=np.random.default_rng(0),
+        )
+        model = LocalHistory(max_periods=history_periods + 2)
+        for step in steps:
+            if step[0] == "period":
+                node._on_period()
+                model.begin_period(node.period)
+            elif step[0] == "propose":
+                node.on_message(step[1], Propose(1, step[2]))
+                if model.received_proposals is not None:
+                    model.record_received_proposal(step[1], step[2])
+            else:
+                _kind, proposer, chunk_ids = step
+                node.on_message(8, Confirm(proposer=proposer, chunk_ids=chunk_ids))
+                host.run(until=host.sim.now + 1.0)  # past WITNESS_ANSWER_DELAY
+                (answer,) = [m for _dst, m in host.sent if m.__class__ is ConfirmResponse]
+                expected = model.was_proposed_by(proposer, chunk_ids, last=3)
+                assert node.history.was_proposed_by(proposer, chunk_ids, last=3) == expected
+                assert answer == ConfirmResponse(proposer=proposer, valid=expected)
+            assert node.history.received_proposals == model.received_proposals
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                SERVE_IDS,
+                st.integers(0, 2**63),  # 2**63 is past int64: the column refuses it
+                st.one_of(st.floats(0.0, 100.0), st.just(-math.inf)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_a_serve_fills_the_store_as_add_does(self, serves):
+        host = HandClockHost()
+        node = node_on(host)
+        model = ChunkStore()
+        for chunk_id, size, now in serves:
+            host.now = now
+            try:
+                expected = model.add(chunk_id, size, received_at=now)
+            except (ValueError, OverflowError) as error:
+                expected = type(error)
+            before = (node.stats.chunks_received, node.stats.duplicate_serves)
+            try:
+                node.on_message(5, Serve(1, chunk_id, payload_size=size, origin=5))
+            except (ValueError, OverflowError) as error:
+                got = type(error)
+            else:
+                got = node.stats.chunks_received > before[0]
+                assert node.stats.duplicate_serves - before[1] == (not got)
+            assert got == expected
+            store = node.store
+            assert store.pages == model.pages
+            assert store.times == model.times
+            assert store.payload_sizes == model.payload_sizes
+            assert len(store) == len(model)

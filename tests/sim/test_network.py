@@ -307,6 +307,19 @@ class TestTrace:
         assert network.trace.sent_bytes("SelfSized") == DEFAULT_SIZE
 
 
+class TestForeignClassOnANode:
+    """A protocol node's dispatch table holds every wire class: a class
+    outside the wire misses it, and the drain drops the message."""
+
+    def test_a_non_wire_message_is_delivered_and_dropped(self, small_cluster_factory):
+        cluster = small_cluster_factory(loss_rate=0.0)
+        cluster.run(until=1.0)
+        assert DataMsg not in cluster.nodes[1].dispatch_table
+        assert cluster.network.send(0, 1, DataMsg(7)) is True
+        cluster.run(until=2.0)  # raises if the drain does not drop it
+        assert cluster.trace.delivered_count("DataMsg") == 1
+
+
 class TestDisconnectedDestinationShortCircuit:
     """Sends to expelled/unknown destinations must not charge the
     sender's upload link or the byte trace (Table 5 accounting)."""
