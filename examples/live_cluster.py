@@ -15,20 +15,21 @@ Run with::
 import asyncio
 
 from repro import adversary
+from repro.deployment import loopback_config
 from repro.runtime import RuntimeCluster, RuntimeConfig
 
 
 def main() -> None:
-    config = RuntimeConfig(
-        n=12,
-        duration=6.0,
+    cluster = loopback_config(
+        12,
         loss_rate=0.03,
         freerider_fraction=0.25,
         adversary=adversary.spec("freerider", degree=(0.25, 0.3, 0.3)),
         seed=42,
     )
+    config = RuntimeConfig(cluster, duration=6.0)
     print(
-        f"starting {config.n} nodes on loopback sockets for "
+        f"starting {cluster.gossip.n} nodes on loopback sockets for "
         f"{config.duration:.0f} real seconds..."
     )
     report = asyncio.run(RuntimeCluster(config).run())

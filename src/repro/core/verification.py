@@ -24,10 +24,10 @@ The host interface the engine needs (satisfied by
 :class:`repro.gossip.protocol.GossipNode` on both planes): ``timeline``
 (its ``now`` is the current time), ``call_later(delay, fn, *args)``
 (fire-and-forget: every timeout here inspects state when it fires),
-``random()`` (a uniform [0,1) draw), ``send_many(dsts, message)`` (each
-kind on its declared channel, :data:`repro.wire.TCP_KINDS`),
-``send_blame(target, value, reason)`` and the ``gossip``/``lifting``
-parameter sets.
+``random()`` (a uniform [0,1) draw), ``node_id``, ``transport`` (the
+plane's host contract, whose ``send_many(src, dsts, message, kind)``
+carries the confirms, a UDP kind), ``send_blame(target, value, reason)``
+and the ``gossip``/``lifting`` parameter sets.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from repro.core.blames import (
     partial_serve_blame,
     witness_contradiction_blame,
 )
-from repro.wire import Ack, Confirm, ConfirmResponse
+from repro.wire import UDP, Ack, Confirm, ConfirmResponse
 
 NodeId = int
 ChunkId = int
@@ -72,10 +72,12 @@ class VerificationEngine:
         # Hot-path shortcuts mirroring the host's own: its ``timeline``
         # (read ``now`` off it, no clock frame per serve/ack/round), its
         # ``call_later`` (on a GossipNode already the plane's own
-        # method), its ``send_many`` and its ``random``, bound once.
+        # method), the plane's ``send_many`` (no frame picking the kind:
+        # a Confirm is UDP) and its ``random``, bound once.
         self._timeline = host.timeline
         self._call_later = host.call_later
-        self._host_send_many = host.send_many
+        self._node_id = host.node_id
+        self._send_many = host.transport.send_many
         self._random = host.random
         # Table 1's two constant blames, computed once: an invalid or
         # missing ack draws ``f``, a contradicting witness 1.
@@ -158,7 +160,9 @@ class VerificationEngine:
                 rounds[src].append(round_state)
             else:
                 rounds[src] = [round_state]
-            self._host_send_many(witnesses, Confirm(proposer=src, chunk_ids=ack.chunk_ids))
+            self._send_many(
+                self._node_id, witnesses, Confirm(proposer=src, chunk_ids=ack.chunk_ids), UDP
+            )
             self._call_later(host.lifting.confirm_timeout, self._finish_confirm_round, round_state)
 
     def on_confirm_response(self, src: NodeId, response: ConfirmResponse) -> None:

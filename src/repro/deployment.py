@@ -11,6 +11,12 @@ in-process verdict rules, the silent-failure lifecycle and the
 read-outs.  :class:`~repro.experiments.cluster.SimCluster` and
 :class:`~repro.runtime.cluster.RuntimeCluster` keep only their plane.
 
+Both build it from one :class:`ClusterConfig`: what the protocol does
+is declared once, and the plane that runs it is the caller's choice.
+:func:`loopback_config` gives the values the live plane runs on
+loopback; ``SimCluster(loopback_config(12))`` runs the same deployment
+simulated.
+
 The *host* is the one contract the nodes already run on, satisfied by
 :class:`~repro.sim.network.SimTransport` and
 :class:`~repro.runtime.transport.AsyncTransport` under the same names
@@ -24,13 +30,19 @@ plane binds.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.adversary import AdversaryContext, BehaviorPolicy, create
 from repro.config import GossipParams, LiftingParams
 from repro.core.detector import ExpulsionController, ExpulsionRecord
 from repro.core.invariants import InvariantMonitor
-from repro.core.reputation import ManagerAssignment, ReputationManager, ScoreBoard
+from repro.core.reputation import (
+    ManagerAssignment,
+    ReputationManager,
+    ScoreBoard,
+    compensation_per_period,
+)
 from repro.gossip.protocol import GossipNode
 from repro.membership.failure_detector import (
     ChurnMonitor,
@@ -41,6 +53,7 @@ from repro.membership.full import FullMembership
 from repro.metrics.scores import DetectionReport, detection_report
 from repro.nodes.behavior import HonestBehavior
 from repro.util.rng import SeedSequenceFactory
+from repro.util.validation import require_probability
 
 NodeId = int
 
@@ -69,44 +82,135 @@ def assign_roles(
 def adversary_policy(adversary: tuple) -> Optional[BehaviorPolicy]:
     """A fresh instance of the policy a config's ``adversary`` value
     (:func:`repro.adversary.spec`) selects, None for the empty one.
-    Both configs call it at construction, so an unknown policy or a
-    rejected parameter fails before anything is built or forked."""
+    :class:`ClusterConfig` calls it at construction, so an unknown policy
+    or a rejected parameter fails before anything is built or forked."""
     return create(*adversary) if adversary else None
 
 
+@dataclass(frozen=True)
+class ClusterConfig:
+    """Everything needed to reproduce a deployment run, on either plane.
+
+    ``upload_rate`` and the three ``degraded_*`` fields describe links
+    only the simulator models; the live plane refuses a value other
+    than their default.
+    """
+
+    gossip: GossipParams
+    lifting: LiftingParams
+    seed: int = 0
+    #: base i.i.d. datagram loss (4 % ≈ the PlanetLab average).
+    loss_rate: float = 0.04
+    #: upload capacity in bytes/s for regular nodes (None = unlimited).
+    upload_rate: Optional[float] = None
+
+    # --- adversary population ---------------------------------------
+    freerider_fraction: float = 0.0
+    #: what the freeriders run, built by :func:`repro.adversary.spec`:
+    #: ``spec("freerider", degree=(0.25, 0.3, 0.3))``; the paper's colluders
+    #: are ``spec("coalition", launder=0.0, ...)``.  Empty = all honest.
+    adversary: tuple = ()
+
+    # --- PlanetLab-style heterogeneity -------------------------------
+    #: fraction of *honest* nodes with a poor connection.
+    degraded_fraction: float = 0.0
+    #: extra endpoint loss applied to degraded nodes.
+    degraded_loss: float = 0.15
+    #: upload capacity of degraded nodes (bytes/s; None = same).
+    degraded_upload: Optional[float] = None
+
+    # --- LiFTinG switches --------------------------------------------
+    lifting_enabled: bool = True
+    expulsion_enabled: bool = False
+    #: per-period compensation b̃; None = closed form, 0.0 = ablated.
+    compensation: Optional[float] = None
+    #: probability that a node starts a sporadic local-history audit of
+    #: a random peer each gossip period (§5: "run sporadically").
+    p_audit: float = 0.0
+    #: SWIM-style failure detection (None = off, the legacy behaviour:
+    #: crashes are oracle-removed from membership).  When set, crashes
+    #: go *undetected* until peers suspect and confirm them, suspects'
+    #: blames are quarantined, and restarts rejoin with a bumped
+    #: incarnation — see membership/failure_detector.py.  Its timeouts
+    #: are in gossip-period units, so the same values serve both planes.
+    failure_detector: Optional[FailureDetectorParams] = None
+
+    def __post_init__(self) -> None:
+        require_probability(self.freerider_fraction, "freerider_fraction")
+        require_probability(self.degraded_fraction, "degraded_fraction")
+        require_probability(self.loss_rate, "loss_rate")
+        adversary_policy(self.adversary)  # unknown policy / bad parameter
+
+
+def loopback_config(
+    n: int, *, loss_rate: float = 0.03, chunk_interval: float = 0.05, **config
+) -> ClusterConfig:
+    """The deployment the live plane runs over loopback, ``n`` nodes.
+
+    A 0.25-s gossip period, f = min(4, n − 1) (the source's fanout too),
+    M = min(5, n − 1), 1 024-byte chunks every ``chunk_interval``
+    seconds, and LiFTinG's timeouts scaled to the period.  ``loss_rate``
+    is both the synthetic loss applied and the loss the blame
+    compensation assumes.  ``config`` sets any other
+    :class:`ClusterConfig` field.
+    """
+    gossip = GossipParams(
+        n=n,
+        fanout=min(4, n - 1),
+        gossip_period=0.25,
+        stream_rate_kbps=1024 * 8 / 1000 / chunk_interval,
+        chunk_size=1024,
+        source_fanout=min(4, n - 1),
+        request_size=4,
+    )
+    lifting = LiftingParams(
+        p_dcc=1.0,
+        managers=min(5, n - 1),
+        history_periods=50,
+        assumed_loss_rate=loss_rate,
+        ack_timeout=0.625,
+        serve_timeout=0.375,
+        confirm_timeout=0.375,
+    )
+    return ClusterConfig(gossip=gossip, lifting=lifting, loss_rate=loss_rate, **config)
+
+
 class Deployment:
-    """The protocol wiring of one cluster, on whichever host runs it."""
+    """The protocol wiring of one cluster, on whichever host runs it.
+
+    Everything it builds is read from ``config``; the host and the seed
+    streams are the plane's.
+    """
 
     def __init__(
         self,
         host,
         seeds: SeedSequenceFactory,
-        gossip: GossipParams,
-        lifting: LiftingParams,
+        config: ClusterConfig,
         *,
-        freerider_fraction: float = 0.0,
-        degraded_fraction: float = 0.0,
-        adversary: tuple = (),
-        expulsion_enabled: bool = False,
-        p_audit: float = 0.0,
-        failure_detector: Optional[FailureDetectorParams] = None,
         audit_log=None,
     ) -> None:
+        gossip, lifting = config.gossip, config.lifting
+        self.config = config
         #: what the freeriders run (None = every node is honest).
-        self.adversary_policy = adversary_policy(adversary)
+        self.adversary_policy = adversary_policy(config.adversary)
         self.host = host
         self.seeds = seeds
         self.gossip = gossip
         self.lifting = lifting
-        self.p_audit = p_audit
-        self.failure_detector = failure_detector
+        #: per-period compensation b̃ every manager applies.
+        self.compensation = (
+            compensation_per_period(gossip, lifting)
+            if config.compensation is None
+            else config.compensation
+        )
         #: tamper-evident log fed by the managers, the membership
         #: transitions and the expulsions (None = nothing is logged).
         self.audit_log = audit_log
 
         self.node_ids: List[NodeId] = list(range(gossip.n))
         self.freerider_ids, self.honest_ids, self.degraded_ids = assign_roles(
-            seeds, gossip.n, freerider_fraction, degraded_fraction
+            seeds, gossip.n, config.freerider_fraction, config.degraded_fraction
         )
         if self.adversary_policy is not None:
             self.adversary_policy.prepare(
@@ -125,25 +229,23 @@ class Deployment:
         self.controller = ExpulsionController(
             host,
             [self.membership],
-            enabled=expulsion_enabled,
+            enabled=config.expulsion_enabled,
             on_expel=self._log_expulsion if audit_log is not None else None,
         )
         self.churn_monitor: Optional[ChurnMonitor] = (
-            ChurnMonitor(clock=host.clock) if failure_detector is not None else None
+            ChurnMonitor(clock=host.clock) if config.failure_detector is not None else None
         )
         self.nodes: Dict[NodeId, GossipNode] = {}
         self.managers: Dict[NodeId, ReputationManager] = {}
         self.scoreboard = ScoreBoard(self.managers)
 
-    def add_node(self, node_id: NodeId, **plane_kwargs) -> GossipNode:
+    def add_node(self, node_id: NodeId) -> GossipNode:
         """Construct, wire and record one protocol node (not started).
 
         Freeriders run what the adversary policy builds, everyone else
-        (and everyone, without a policy) is honest.  ``plane_kwargs`` are
-        the :class:`GossipNode` arguments only a plane sets: the
-        simulator's two LiFTinG switches (``lifting_enabled``,
-        ``compensation``); the live plane passes none.
+        (and everyone, without a policy) is honest.
         """
+        config = self.config
         if self.adversary_policy is not None and node_id in self.freerider_ids:
             behavior = self.adversary_policy.build(node_id)
         else:
@@ -157,11 +259,12 @@ class Deployment:
             behavior=behavior,
             assignment=self.assignment,
             rng=self.seeds.generator("node", node_id),
+            lifting_enabled=config.lifting_enabled,
+            compensation=self.compensation,
             on_expel_quorum=self.on_expel_quorum,
-            p_audit=self.p_audit,
-            detector=self.failure_detector,
+            p_audit=config.p_audit,
+            detector=config.failure_detector,
             on_membership_event=self.on_membership_event,
-            **plane_kwargs,
         )
         self.nodes[node_id] = node
         if node.manager is not None:

@@ -18,16 +18,12 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.config import GossipParams, LiftingParams
-from repro.core.reputation import compensation_per_period
-from repro.deployment import Deployment, adversary_policy
+from repro.deployment import ClusterConfig, Deployment
 from repro.faults import FaultPlane
 from repro.gossip.chunks import StreamSource
 from repro.gossip.protocol import GossipNode
-from repro.membership.failure_detector import FailureDetectorParams
 from repro.metrics.health import HealthReport, health_curve
 from repro.metrics.overhead import OverheadReport, bandwidth_overhead
 from repro.sim.engine import Simulator
@@ -35,61 +31,11 @@ from repro.sim.latency import UniformLatency
 from repro.sim.loss import PerNodeLoss
 from repro.sim.network import Network, SimTransport
 from repro.util.rng import SeedSequenceFactory
-from repro.util.validation import require_probability
 
 NodeId = int
 
 #: one-way latency is drawn uniformly from this range (seconds).
 LATENCY_RANGE = (0.01, 0.08)
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Everything needed to reproduce a deployment run."""
-
-    gossip: GossipParams
-    lifting: LiftingParams
-    seed: int = 0
-    #: base i.i.d. datagram loss (4 % ≈ the PlanetLab average).
-    loss_rate: float = 0.04
-    #: upload capacity in bytes/s for regular nodes (None = unlimited).
-    upload_rate: Optional[float] = None
-
-    # --- adversary population ---------------------------------------
-    freerider_fraction: float = 0.0
-    #: what the freeriders run, built by :func:`repro.adversary.spec`:
-    #: ``spec("freerider", degree=(0.25, 0.3, 0.3))``; the paper's colluders
-    #: are ``spec("coalition", launder=0.0, ...)``.  Empty = all honest.
-    adversary: tuple = ()
-
-    # --- PlanetLab-style heterogeneity -------------------------------
-    #: fraction of *honest* nodes with a poor connection.
-    degraded_fraction: float = 0.0
-    #: extra endpoint loss applied to degraded nodes.
-    degraded_loss: float = 0.15
-    #: upload capacity of degraded nodes (bytes/s; None = same).
-    degraded_upload: Optional[float] = None
-
-    # --- LiFTinG switches --------------------------------------------
-    lifting_enabled: bool = True
-    expulsion_enabled: bool = False
-    #: per-period compensation b̃; None = closed form, 0.0 = ablated.
-    compensation: Optional[float] = None
-    #: probability that a node starts a sporadic local-history audit of
-    #: a random peer each gossip period (§5: "run sporadically").
-    p_audit: float = 0.0
-    #: SWIM-style failure detection (None = off, the legacy behaviour:
-    #: crashes are oracle-removed from membership).  When set, crashes
-    #: go *undetected* until peers suspect and confirm them, suspects'
-    #: blames are quarantined, and restarts rejoin with a bumped
-    #: incarnation — see membership/failure_detector.py.
-    failure_detector: Optional[FailureDetectorParams] = None
-
-    def __post_init__(self) -> None:
-        require_probability(self.freerider_fraction, "freerider_fraction")
-        require_probability(self.degraded_fraction, "degraded_fraction")
-        require_probability(self.loss_rate, "loss_rate")
-        adversary_policy(self.adversary)  # unknown policy / bad parameter
 
 
 class SimCluster:
@@ -104,7 +50,6 @@ class SimCluster:
     def __init__(self, config: ClusterConfig) -> None:
         gc.collect()
         self.config = config
-        gossip, lifting = config.gossip, config.lifting
         seeds = SeedSequenceFactory(config.seed)
         self.seeds = seeds
 
@@ -116,18 +61,7 @@ class SimCluster:
 
         # --- the protocol wiring (shared with the live plane) -----------
         host = SimTransport(self.sim, self.network)
-        deployment = Deployment(
-            host,
-            seeds,
-            gossip,
-            lifting,
-            freerider_fraction=config.freerider_fraction,
-            degraded_fraction=config.degraded_fraction,
-            adversary=config.adversary,
-            expulsion_enabled=config.expulsion_enabled,
-            p_audit=config.p_audit,
-            failure_detector=config.failure_detector,
-        )
+        deployment = Deployment(host, seeds, config)
         self.deployment = deployment
         self.node_ids = deployment.node_ids
         self.freerider_ids: Set[NodeId] = deployment.freerider_ids
@@ -145,23 +79,13 @@ class SimCluster:
         self.expulsions = deployment.expulsions
         self.churn_summary = deployment.churn_summary
 
-        self.compensation = (
-            compensation_per_period(gossip, lifting)
-            if config.compensation is None
-            else config.compensation
-        )
-
         # --- source -----------------------------------------------------
-        self.source = StreamSource(host, self.membership, gossip)
+        self.source = StreamSource(host, self.membership, config.gossip)
         self.network.register(self.source)
 
         # --- nodes -------------------------------------------------------
         for node_id in self.node_ids:
-            node = deployment.add_node(
-                node_id,
-                lifting_enabled=config.lifting_enabled,
-                compensation=self.compensation,
-            )
+            node = deployment.add_node(node_id)
             upload = config.upload_rate if config.upload_rate is not None else math.inf
             if node_id in self.degraded_ids:
                 self.loss.set_node_loss(node_id, config.degraded_loss)

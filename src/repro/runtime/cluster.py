@@ -24,27 +24,27 @@ Robustness features (all off by default, switched on per config):
   record per target) and, with ``expulsion_enabled``, enforced on the
   :class:`~repro.runtime.transport.NodeRegistry`.
 
-Usage (see ``examples/live_cluster.py``)::
+The deployment is the same :class:`~repro.deployment.ClusterConfig` a
+simulation takes; :func:`~repro.deployment.loopback_config` gives the
+values this plane runs on loopback.  Usage (see
+``examples/live_cluster.py``)::
 
-    config = RuntimeConfig(n=12, duration=6.0, freerider_fraction=0.25)
-    report = asyncio.run(RuntimeCluster(config).run())
+    cluster = loopback_config(12, freerider_fraction=0.25)
+    report = asyncio.run(RuntimeCluster(RuntimeConfig(cluster, duration=6.0)).run())
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.config import GossipParams, LiftingParams
 from repro.core.auditlog import AuditLog
-from repro.deployment import Deployment, adversary_policy
+from repro.deployment import ClusterConfig, Deployment
 from repro.faults import FaultPlane, FaultSchedule
 from repro.gossip.chunks import StreamSource
 from repro.gossip.protocol import GossipNode
 from repro.loadgen.driver import LoadGenerator, LoadProfile
-from repro.membership.failure_detector import FailureDetectorParams
 from repro.metrics.health import delivery_ratio
 from repro.metrics.scores import DetectionReport
 from repro.runtime.transport import AsyncTransport, NodeRegistry
@@ -57,49 +57,31 @@ NodeId = int
 #: timeout, so an open circuit is re-probed promptly).
 _PROBE_INTERVAL = 0.12
 
-#: the live deployment's protocol constants: ``T_g`` in seconds, ``f``
-#: (also the source's fanout), ``M`` and the chunk payload in bytes; the
-#: three LiFTinG timeouts are multiples of ``T_g`` (see ``RuntimeCluster``).
-GOSSIP_PERIOD = 0.25
-FANOUT = 4
-MANAGERS = 5
-CHUNK_SIZE = 1024
+#: the :class:`ClusterConfig` fields only the simulator's links model.
+_SIM_ONLY_FIELDS = ("upload_rate", "degraded_fraction", "degraded_loss", "degraded_upload")
 
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Parameters of a live local deployment."""
+    """A live local deployment: the protocol's config, and what only a
+    real-time run has."""
 
-    n: int = 12
+    #: the deployment (:func:`~repro.deployment.loopback_config`); its
+    #: ``loss_rate`` is the transport's synthetic loss.
+    cluster: ClusterConfig
+    #: wall-clock seconds the nodes run.
     duration: float = 6.0
-    chunk_interval: float = 0.05
-    loss_rate: float = 0.03
-    freerider_fraction: float = 0.0
-    #: what the freeriders run: any registered policy, as on
-    #: ``ClusterConfig`` (:func:`repro.adversary.spec`); empty = all honest.
-    adversary: tuple = ()
-    seed: int = 0
-    #: per-period probability of a sporadic entropy audit (0 = never).
-    p_audit: float = 0.0
-    #: enforce expulsion quorums on the registry (and audit-log them).
-    expulsion_enabled: bool = False
     #: scripted faults to run against the deployment (None = none).
     fault_schedule: Optional[FaultSchedule] = None
     #: JSONL mirror of the audit log (None = in-memory only).
     audit_log_path: Optional[str] = None
     #: seed of the audit log's HMAC key.
     audit_key_seed: str = "lifting-audit"
-    #: SWIM-style failure detection (None = off).  Timeouts are in
-    #: gossip-period units, so the sim-calibrated defaults transfer.
-    failure_detector: Optional[FailureDetectorParams] = None
     #: open-loop load sweep driven at ``load_target`` during the run
     #: (None = no load generator).  ``duration`` must cover the
     #: profile's schedule for the sweep to complete.
     load_profile: Optional[LoadProfile] = None
     load_target: int = 0
-
-    def __post_init__(self) -> None:
-        adversary_policy(self.adversary)  # unknown policy / bad parameter
 
 
 @dataclass
@@ -141,25 +123,14 @@ class RuntimeCluster:
     """Drives a full live run and reports the outcome."""
 
     def __init__(self, config: RuntimeConfig) -> None:
+        cluster = config.cluster
+        for name in _SIM_ONLY_FIELDS:
+            # A dataclass keeps each field's default as a class attribute.
+            if getattr(cluster, name) != getattr(ClusterConfig, name):
+                raise ValueError(f"{name} is simulator-only: the live plane models no link")
         self.config = config
-        self.gossip = GossipParams(
-            n=config.n,
-            fanout=min(FANOUT, config.n - 1),
-            gossip_period=GOSSIP_PERIOD,
-            stream_rate_kbps=CHUNK_SIZE * 8 / 1000 / config.chunk_interval,
-            chunk_size=CHUNK_SIZE,
-            source_fanout=min(FANOUT, config.n - 1),
-            request_size=4,
-        )
-        self.lifting = LiftingParams(
-            p_dcc=1.0,
-            managers=min(MANAGERS, config.n - 1),
-            history_periods=50,
-            assumed_loss_rate=config.loss_rate,
-            ack_timeout=2.5 * self.gossip.gossip_period,
-            serve_timeout=1.5 * self.gossip.gossip_period,
-            confirm_timeout=1.5 * self.gossip.gossip_period,
-        )
+        self.gossip = cluster.gossip
+        self.lifting = cluster.lifting
         #: built by :meth:`run` (the transport needs the running loop).
         self.deployment: Optional[Deployment] = None
         self.source: Optional[StreamSource] = None
@@ -173,9 +144,9 @@ class RuntimeCluster:
 
     async def run(self) -> RuntimeReport:
         """Execute the deployment for ``config.duration`` real seconds."""
-        config = self.config
+        config, cluster = self.config, self.config.cluster
         loop = asyncio.get_running_loop()
-        seeds = SeedSequenceFactory(config.seed)
+        seeds = SeedSequenceFactory(cluster.seed)
         registry = NodeRegistry()
 
         schedule = config.fault_schedule
@@ -185,7 +156,7 @@ class RuntimeCluster:
         transport = AsyncTransport(
             loop,
             registry,
-            loss_rate=config.loss_rate,
+            loss_rate=cluster.loss_rate,
             rng=seeds.generator("loss"),
             # consulted per send: only a window fault gives it something to say
             fault_plane=plane if plane is not None and schedule.window_events() else None,
@@ -196,20 +167,9 @@ class RuntimeCluster:
             clock=transport.clock,
         )
         self.audit_log = log
-        log.append("run_start", n=config.n, seed=config.seed)
+        log.append("run_start", n=self.gossip.n, seed=cluster.seed)
 
-        deployment = Deployment(
-            transport,
-            seeds,
-            self.gossip,
-            self.lifting,
-            freerider_fraction=config.freerider_fraction,
-            adversary=config.adversary,
-            expulsion_enabled=config.expulsion_enabled,
-            p_audit=config.p_audit,
-            failure_detector=config.failure_detector,
-            audit_log=log,
-        )
+        deployment = Deployment(transport, seeds, cluster, audit_log=log)
         self.deployment = deployment
         self.nodes = deployment.nodes
         self.freerider_ids = deployment.freerider_ids

@@ -276,15 +276,16 @@ def _compute_live(params: dict) -> Dict[str, object]:
     """One real-time run over loopback sockets (asyncio)."""
     import asyncio
 
+    from repro.deployment import loopback_config
     from repro.runtime import RuntimeCluster, RuntimeConfig
 
-    config = RuntimeConfig(
-        n=params["n"],
-        duration=params["duration"],
+    cluster = loopback_config(
+        params["n"],
         seed=params["seed"],
         freerider_fraction=params["freeriders"],
         adversary=adversary.spec("freerider", degree=params["deltas"]),
     )
+    config = RuntimeConfig(cluster, duration=params["duration"])
     report = asyncio.run(RuntimeCluster(config).run())
     return {
         "chunks_emitted": report.chunks_emitted,
@@ -362,16 +363,20 @@ def _compute_chaos(params: dict) -> Dict[str, object]:
     """One live run driven through the scripted fault schedule."""
     import asyncio
 
+    from repro.deployment import loopback_config
     from repro.runtime import RuntimeCluster, RuntimeConfig
 
-    config = RuntimeConfig(
-        n=params["n"],
-        duration=params["duration"],
+    cluster = loopback_config(
+        params["n"],
         seed=params["seed"],
         freerider_fraction=params["freeriders"],
         adversary=adversary.spec("freerider", degree=params["deltas"]),
         p_audit=0.1,
         expulsion_enabled=True,
+    )
+    config = RuntimeConfig(
+        cluster,
+        duration=params["duration"],
         fault_schedule=default_fault_schedule(
             params["n"], params["duration"], params["drop_rate"]
         ),
@@ -435,6 +440,7 @@ def _compute_loadgen(params: dict) -> Dict[str, object]:
     """
     import asyncio
 
+    from repro.deployment import loopback_config
     from repro.loadgen import LoadProfile
     from repro.runtime import RuntimeCluster, RuntimeConfig
 
@@ -449,13 +455,10 @@ def _compute_loadgen(params: dict) -> Dict[str, object]:
     )
     schedule_span = profile.steps * profile.step_duration + profile.settle
     config = RuntimeConfig(
-        n=params["n"],
-        duration=schedule_span + 0.5,
-        seed=params["seed"],
         # Keep the background stream sparse: the measured traffic should
         # dominate, the protocol machinery still runs for real.
-        chunk_interval=0.25,
-        loss_rate=0.0,
+        loopback_config(params["n"], loss_rate=0.0, chunk_interval=0.25, seed=params["seed"]),
+        duration=schedule_span + 0.5,
         load_profile=profile,
         load_target=params["target"],
     )

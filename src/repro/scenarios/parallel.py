@@ -5,7 +5,7 @@ Every paper experiment drives one or more *independent* deployments:
 Figure 1 runs three clusters, Table 5 sweeps a ``stream_rate × p_dcc``
 grid, Figure 14 runs one cluster per ``p_dcc``, the Monte-Carlo figures
 sweep degrees.  Each deployment is fully reproducible from its
-:class:`~repro.experiments.cluster.ClusterConfig` (seeded RNG trees, no
+:class:`~repro.deployment.ClusterConfig` (seeded RNG trees, no
 shared state), so the runs are embarrassingly parallel.  This module is
 the deployment-policy layer that exploits that — the protocol and
 experiment code stay policy-free and merely declare *what* to run:

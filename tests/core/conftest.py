@@ -1,6 +1,7 @@
 """A controllable fake host for unit-testing the LiFTinG components."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ class FakeHost:
         self.timeline = self.sim
         self.gossip = gossip
         self.lifting = lifting
+        #: the plane under the node: the engine sends confirms through it.
+        self.transport = SimpleNamespace(
+            send_many=lambda _src, dsts, message, _kind: self.send_many(dsts, message)
+        )
         self.sent = []  # (dst, message)
         self.blames = []  # (target, value, reason)
         self.verdicts = []  # (target, result)

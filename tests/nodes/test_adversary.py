@@ -112,14 +112,10 @@ class TestRegistry:
             create(kind, params)
 
     def test_a_bad_adversary_fails_at_config_construction(self, hard_timeout):
-        from repro.runtime import RuntimeConfig
-
         gossip, lifting = planetlab_params()
         bad = adversary.spec("coalition", bias=7)
         with pytest.raises(ValueError, match="bias must be a probability"):
             ClusterConfig(gossip=gossip, lifting=lifting, adversary=bad)
-        with pytest.raises(ValueError, match="bias must be a probability"):
-            RuntimeConfig(adversary=bad)
 
     def test_context_carries_only_the_role_sets_and_rng(self):
         fields = [f.name for f in dataclasses.fields(AdversaryContext)]

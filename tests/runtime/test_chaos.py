@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.core.auditlog import AuditLog
+from repro.deployment import loopback_config
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
 from repro.scenarios.builtin import default_fault_schedule
 
@@ -26,12 +27,10 @@ def chaos_run(tmp_path_factory):
     """One chaos deployment shared by every assertion below."""
     log_path = tmp_path_factory.mktemp("chaos") / "audit.jsonl"
     config = RuntimeConfig(
-        n=12,
+        loopback_config(
+            12, seed=7, freerider_fraction=0.2, p_audit=0.1, expulsion_enabled=True
+        ),
         duration=DURATION,
-        seed=7,
-        freerider_fraction=0.2,
-        p_audit=0.1,
-        expulsion_enabled=True,
         fault_schedule=default_fault_schedule(12, DURATION, 0.3),
         audit_log_path=str(log_path),
         audit_key_seed=KEY_SEED,

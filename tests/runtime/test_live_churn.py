@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.auditlog import AuditLog
 from repro.membership.failure_detector import FailureDetectorParams
+from repro.deployment import loopback_config
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
 from repro.faults import FaultEvent, FaultSchedule
 
@@ -26,11 +27,10 @@ def churn_run(tmp_path_factory):
     """One live churn deployment shared by every assertion below."""
     log_path = tmp_path_factory.mktemp("live-churn") / "audit.jsonl"
     config = RuntimeConfig(
-        n=10,
+        loopback_config(
+            10, seed=11, expulsion_enabled=True, failure_detector=FailureDetectorParams()
+        ),
         duration=DURATION,
-        seed=11,
-        expulsion_enabled=True,
-        failure_detector=FailureDetectorParams(),
         fault_schedule=FaultSchedule.churn([1, 2], DURATION, downtime=1.0),
         audit_log_path=str(log_path),
         audit_key_seed=KEY_SEED,
@@ -100,10 +100,8 @@ class TestScriptedRestartWithoutCrash:
 
     def test_node_is_not_started_twice(self):
         config = RuntimeConfig(
-            n=8,
+            loopback_config(8, seed=3, failure_detector=FailureDetectorParams()),
             duration=3.0,
-            seed=3,
-            failure_detector=FailureDetectorParams(),
             fault_schedule=FaultSchedule(
                 events=(FaultEvent(kind="restart", at=0.5, nodes=(1,)),)
             ),

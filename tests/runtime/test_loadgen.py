@@ -14,16 +14,15 @@ import math
 
 from repro.loadgen import LoadGenerator, LoadProfile
 from repro.loadgen.driver import BURST_CAP, CHUNK_OFFSET, LOADGEN_REPORT_SCHEMA, WORKING_SET
+from repro.deployment import loopback_config
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
 
 
 def run_cluster(profile, n=6, seed=1):
     span = profile.steps * profile.step_duration + profile.settle
     config = RuntimeConfig(
-        n=n,
+        loopback_config(n, loss_rate=0.0, seed=seed),
         duration=span + 0.5,
-        seed=seed,
-        loss_rate=0.0,
         load_profile=profile,
         load_target=0,
     )
@@ -92,7 +91,7 @@ class TestLiveLoadgen:
         assert len(report.scores) == 8
 
     def test_no_profile_no_load_report(self):
-        config = RuntimeConfig(n=6, duration=1.0, seed=3, loss_rate=0.0)
+        config = RuntimeConfig(loopback_config(6, loss_rate=0.0, seed=3), duration=1.0)
         report = asyncio.run(RuntimeCluster(config).run())
         assert report.load == {}
 

@@ -235,5 +235,5 @@ class TestResilienceConfig:
             ResilienceConfig(**bad)
 
     def test_hashable_for_frozen_configs(self):
-        # RuntimeConfig is frozen; its resilience field must hash.
+        # Frozen, so it hashes: a frozen config may hold one as a field.
         hash(ResilienceConfig())

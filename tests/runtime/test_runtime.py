@@ -1,12 +1,16 @@
 """Integration tests for the asyncio runtime (real sockets)."""
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
 from repro import adversary
-from repro.config import FreeriderDegree
+from repro.config import FreeriderDegree, planetlab_params
+from repro.deployment import ClusterConfig, loopback_config
+from repro.experiments.cluster import SimCluster
 from repro.gossip.chunks import SOURCE_ID, StreamSource
+from repro.metrics.health import delivery_ratio
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.colluder import ColludingBehavior
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
@@ -36,7 +40,7 @@ class TestNodeRegistry:
 
 class TestLiveCluster:
     def test_honest_cluster_disseminates(self):
-        config = RuntimeConfig(n=8, duration=3.0, loss_rate=0.0, seed=1)
+        config = RuntimeConfig(loopback_config(8, loss_rate=0.0, seed=1), duration=3.0)
         report = asyncio.run(RuntimeCluster(config).run())
         assert report.chunks_emitted > 20
         assert report.delivery_ratio > 0.85
@@ -55,7 +59,9 @@ class TestLiveCluster:
             return send(self, src, dst, message, reliable)
 
         monkeypatch.setattr(AsyncTransport, "send", recording)
-        cluster = RuntimeCluster(RuntimeConfig(n=6, duration=1.0, loss_rate=0.0, seed=6))
+        cluster = RuntimeCluster(
+            RuntimeConfig(loopback_config(6, loss_rate=0.0, seed=6), duration=1.0)
+        )
         report = asyncio.run(cluster.run())
         gossip = cluster.gossip
         assert isinstance(cluster.source, StreamSource)
@@ -67,21 +73,21 @@ class TestLiveCluster:
             assert {size for _dst, size in targets} == {gossip.chunk_size}
 
     def test_synthetic_loss_applied(self):
-        config = RuntimeConfig(n=8, duration=2.0, loss_rate=0.1, seed=2)
+        config = RuntimeConfig(loopback_config(8, loss_rate=0.1, seed=2), duration=2.0)
         report = asyncio.run(RuntimeCluster(config).run())
         assert report.datagrams_dropped > 0
         drop_rate = report.datagrams_dropped / report.datagrams_sent
         assert drop_rate == pytest.approx(0.1, abs=0.05)
 
     def test_freeriders_scored_below_honest(self):
-        config = RuntimeConfig(
-            n=10,
-            duration=4.0,
+        cluster = loopback_config(
+            10,
             loss_rate=0.0,
             seed=3,
             freerider_fraction=0.2,
             adversary=adversary.spec("freerider", degree=(0.25, 0.4, 0.4)),
         )
+        config = RuntimeConfig(cluster, duration=4.0)
         report = asyncio.run(RuntimeCluster(config).run())
         honest = [s for n, s in report.scores.items() if n not in report.freerider_ids]
         freeriders = [s for n, s in report.scores.items() if n in report.freerider_ids]
@@ -89,16 +95,15 @@ class TestLiveCluster:
         assert sum(freeriders) / len(freeriders) < sum(honest) / len(honest)
 
     def test_scores_present_for_all_nodes(self):
-        config = RuntimeConfig(n=8, duration=2.0, loss_rate=0.0, seed=4)
+        config = RuntimeConfig(loopback_config(8, loss_rate=0.0, seed=4), duration=2.0)
         report = asyncio.run(RuntimeCluster(config).run())
         assert len(report.scores) == 8
 
     def test_coalition_policy_runs_over_sockets(self):
         # Any registered policy arms the live plane through Deployment:
         # here the paper's colluders, with laundering and the MITM attack.
-        config = RuntimeConfig(
-            n=10,
-            duration=2.0,
+        deployment = loopback_config(
+            10,
             loss_rate=0.0,
             seed=5,
             freerider_fraction=0.3,
@@ -110,7 +115,7 @@ class TestLiveCluster:
                 man_in_the_middle=True,
             ),
         )
-        cluster = RuntimeCluster(config)
+        cluster = RuntimeCluster(RuntimeConfig(deployment, duration=2.0))
         report = asyncio.run(cluster.run())
         assert len(report.freerider_ids) == 3
         members = [cluster.nodes[n].behavior for n in report.freerider_ids]
@@ -123,3 +128,46 @@ class TestLiveCluster:
         assert report.invariants["checks"] >= 2
         assert report.invariants["violations"] == 0
         assert report.audit_ok is True
+
+
+class TestOneConfigBothPlanes:
+    def test_a_sim_config_runs_on_sockets(self):
+        gossip, lifting = planetlab_params()
+        config = ClusterConfig(
+            gossip=replace(gossip, n=12),
+            lifting=replace(lifting, managers=5),
+            seed=2,
+            lifting_enabled=False,
+        )
+        cluster = RuntimeCluster(RuntimeConfig(config, duration=1.5))
+        report = asyncio.run(cluster.run())
+        assert report.chunks_emitted > 0
+        assert len(cluster.nodes) == 12
+        for node in cluster.nodes.values():
+            assert (node.gossip, node.lifting) == (config.gossip, config.lifting)
+            assert node.engine is None and node.manager is None
+
+    def test_the_live_config_runs_simulated(self):
+        cluster = SimCluster(loopback_config(12, seed=1))
+        cluster.run(until=2.0)
+        emitted = cluster.source.emitted
+        cluster.run(until=3.0)
+        assert emitted > 30
+        assert delivery_ratio(cluster.nodes.values(), range(emitted)) > 0.95
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("upload_rate", 1e6),
+            ("degraded_fraction", 0.1),
+            ("degraded_loss", 0.3),
+            ("degraded_upload", 1e5),
+        ],
+    )
+    def test_a_sim_only_field_is_refused_before_any_socket(self, monkeypatch, field, value):
+        opened = []
+        monkeypatch.setattr(AsyncTransport, "open_endpoints", lambda *args: opened.append(args))
+        config = RuntimeConfig(loopback_config(6, **{field: value}), duration=0.5)
+        with pytest.raises(ValueError, match=field):
+            asyncio.run(RuntimeCluster(config).run())
+        assert opened == []

@@ -14,9 +14,9 @@ import pytest
 
 from repro import adversary
 from repro.adversary import BehaviorPolicy
-from repro.config import FreeriderDegree, planetlab_params
+from repro.config import FreeriderDegree, GossipParams, LiftingParams, planetlab_params
 from repro.core.auditlog import AuditLog
-from repro.deployment import Deployment, assign_roles
+from repro.deployment import Deployment, assign_roles, loopback_config
 from repro.experiments.cluster import ClusterConfig
 from repro.gossip.protocol import _SentProposal, _Window
 from repro.membership.base import STATUS_ALIVE, STATUS_SUSPECT
@@ -60,14 +60,15 @@ class FakeHost:
         self.expelled.append(node_id)
 
 
-def make_deployment(host=None, **kwargs):
+def make_deployment(host=None, audit_log=None, **config):
     gossip, lifting = planetlab_params()
+    config = ClusterConfig(
+        gossip=replace(gossip, n=N, fanout=3, source_fanout=3),
+        lifting=replace(lifting, managers=3),
+        **config,
+    )
     deployment = Deployment(
-        host or FakeHost(),
-        SeedSequenceFactory(SEED),
-        replace(gossip, n=N, fanout=3, source_fanout=3),
-        replace(lifting, managers=3),
-        **kwargs,
+        host or FakeHost(), SeedSequenceFactory(SEED), config, audit_log=audit_log
     )
     for node_id in deployment.node_ids:
         deployment.add_node(node_id)
@@ -98,6 +99,35 @@ def test_assign_roles_draws_the_pinned_sets(args, freeriders, honest, degraded):
         SeedSequenceFactory(seed), n, freerider_fraction, degraded_fraction
     )
     assert roles == (freeriders, honest, degraded)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 24])
+@pytest.mark.parametrize("loss", [0.0, 0.03, 0.1])
+@pytest.mark.parametrize("interval", [0.05, 0.25])
+def test_loopback_config_pins_the_live_values(n, loss, interval):
+    # What the live plane ran before its values moved here, and what
+    # the applied and the assumed loss share.
+    config = loopback_config(n, loss_rate=loss, chunk_interval=interval)
+    fanout = min(4, n - 1)
+    assert config.gossip == GossipParams(
+        n=n,
+        fanout=fanout,
+        gossip_period=0.25,
+        stream_rate_kbps=8.192 / interval,
+        chunk_size=1024,
+        source_fanout=fanout,
+        request_size=4,
+    )
+    assert config.lifting == LiftingParams(
+        p_dcc=1.0,
+        managers=min(5, n - 1),
+        history_periods=50,
+        assumed_loss_rate=loss,
+        ack_timeout=0.625,
+        serve_timeout=0.375,
+        confirm_timeout=0.375,
+    )
+    assert config == ClusterConfig(config.gossip, config.lifting, loss_rate=loss)
 
 
 class RecordingPolicy(BehaviorPolicy):
@@ -176,13 +206,16 @@ class TestAdversaryArming:
             for node in deployment.nodes.values()
         )
 
-    def test_both_configs_carry_the_adversary_as_one_field(self):
+    def test_only_the_cluster_config_carries_the_adversary(self):
         # A new switch on either config has to argue for itself here.
-        assert len(fields(ClusterConfig)) <= 16
-        assert len(fields(RuntimeConfig)) <= 20
-        for config in (ClusterConfig, RuntimeConfig):
-            names = [f.name for f in fields(config)]
-            assert [n for n in names if "adversar" in n] == ["adversary"]
+        # The live config holds a ClusterConfig and what is live-only.
+        cluster = [f.name for f in fields(ClusterConfig)]
+        live = [f.name for f in fields(RuntimeConfig)]
+        assert len(cluster) <= 16
+        assert len(live) <= 7
+        assert not set(cluster) & set(live)
+        assert [n for n in cluster if "adversar" in n] == ["adversary"]
+        assert not [n for n in live if "adversar" in n]
 
     def test_node_state_is_not_pooled_from_outside(self):
         # Transient node state is plain containers the node owns: no
@@ -388,7 +421,7 @@ class TestSilentFailureLifecycle:
         # while it was down: the host is never asked to rebind it.
         # (node 99 is not in the deployment: the driver skips it.)
         schedule = FaultSchedule.from_dicts([{"kind": "restart", "at": 1.0, "nodes": [99, 2]}])
-        cluster = RuntimeCluster(RuntimeConfig(n=N, fault_schedule=schedule))
+        cluster = RuntimeCluster(RuntimeConfig(loopback_config(N), fault_schedule=schedule))
         cluster.deployment, cluster.nodes = deployment, deployment.nodes
         host, plane = deployment.host, FaultPlane(schedule)
         log = AuditLog(clock=host.clock)

@@ -8,7 +8,9 @@ sits inside the function that needs it (the live scenarios in
 
 The protocol core imports neither plane, at any level: it reaches its
 host through one contract that both planes satisfy.  And the live plane
-imports no simulator module.
+imports no simulator module: neither ``repro.sim`` nor
+``repro.experiments``, where ``SimCluster`` lives (the config both
+planes take is in ``deployment.py``).
 """
 
 import ast
@@ -43,7 +45,7 @@ CORE = (
     "nodes",
     "adversary",
 )
-SIM_PLANE = ("repro.sim",)
+SIM_PLANE = ("repro.sim", "repro.experiments")
 BOTH_PLANES = ("repro.sim", "repro.runtime")
 
 
