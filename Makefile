@@ -54,16 +54,15 @@ transport-strict:
 		tests/runtime/test_ingress_fuzz.py tests/runtime/test_transport.py
 
 ## The live-plane acceptance, each step under a hard 120 s cap so a hung
-## event loop fails fast: chaos over loopback (real sockets, scripted
-## faults, expulsion + audit chain armed), the simulated churn and
-## coalition sweeps that share its detector / fault path, the live +
-## chaos registry smokes, and the open-loop loadgen registry smoke.  This
-## is what the CI `live-smoke` job runs.
+## event loop fails fast: `detect` on loopback sockets under the fault
+## script (expulsion, sporadic audits and the audit chain armed), the
+## simulated churn and coalition sweeps that share its detector / fault
+## path, and the open-loop loadgen registry smoke.  This is what the CI
+## `live-smoke` job runs.
 live-smoke:
-	timeout 120 python -m repro.cli run chaos --set n=12 --set duration=6.0
+	timeout 120 python -m repro.cli run detect --set plane=live --set chaos=true --set expel=true --set p_audit=0.1 --set n=12 --set duration=6.0
 	timeout 120 python -m repro.cli run churn --set n=24 --set duration=14.0 --set rates=0.3
 	timeout 120 python -m repro.cli run coalition --set n=24 --set duration=12.0 --set sizes=3
-	timeout 120 python benchmarks/bench_scenarios.py --only live --only chaos
 	timeout 120 python benchmarks/bench_scenarios.py --only loadgen
 
 ## Every runnable demo under examples/, each under a hard 120 s cap

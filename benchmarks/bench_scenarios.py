@@ -22,11 +22,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scenarios.py --skip-tag live
     PYTHONPATH=src python benchmarks/bench_scenarios.py --json-dir out/
 
-The socket-backed scenarios (tag ``live``: the plain ``live`` deployment
-and the fault-injecting ``chaos`` run) are part of the sweep like any
-other registration; CI runs them in a dedicated timeout-bounded job
-(``--only live --only chaos``) so a hung event loop cannot stall the
-simulator benchmarks, which skip them via ``--skip-tag live``.
+The socket-backed scenario (tag ``live``: ``loadgen``) is part of the
+sweep like any other registration; CI runs it in a dedicated
+timeout-bounded job (``--only loadgen``) so a hung event loop cannot
+stall the simulator benchmarks, which skip it via ``--skip-tag live``.
+``detect`` runs here on its default plane, the simulator; its socket
+arm (``plane=live``) is a step of ``make live-smoke`` and a tier-1
+round-trip test.
 
 Smoke sizing is the only mode: the paper's claims are checked at their
 own sizes by ``benchmarks/scorecard.py``.

@@ -240,9 +240,10 @@ def entry_points(scratch: pathlib.Path) -> list:
     runs += [
         cli + ["list"],
         cli + ["describe", "fig1"],
-        # live-smoke's chaos step, its audit chain kept: verified clean,
+        # live-smoke's detect step, its audit chain kept: verified clean,
         # then broken so that --recover has something to roll back.
-        cli + ["run", "chaos", "--set=n=12", "--set=duration=6.0", f"--set=audit_log={log}"],
+        cli + ["run", "detect", "--set=plane=live", "--set=chaos=true", "--set=expel=true",
+               "--set=p_audit=0.1", "--set=n=12", "--set=duration=6.0", f"--set=audit_log={log}"],
         cli + ["audit-verify", str(log)],
         lambda: tamper(log),
         cli + ["audit-verify", str(log), "--recover"],

@@ -19,7 +19,8 @@ stdout) and ``--profile PATH`` (dump sorted cProfile stats of the run —
 the starting point of every performance PR, see docs/PERFORMANCE.md).
 
 ``repro audit-verify PATH`` checks (and with ``--recover`` rolls back)
-the HMAC-chained audit log a ``chaos`` run writes.
+the HMAC-chained audit log a ``detect`` run on ``plane=live`` writes
+(``--set audit_log=PATH``).
 
 Experiments that drive several independent deployments accept
 ``--jobs N`` to fan them out over N worker processes (``--jobs 0`` =
@@ -331,7 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "audit-verify",
         help="verify a tamper-evident audit log (exit 1 when the chain is broken)",
     )
-    audit.add_argument("path", help="JSONL audit-log file (see the chaos scenario)")
+    audit.add_argument(
+        "path", help="JSONL audit-log file (detect --set plane=live --set audit_log=PATH)"
+    )
     audit.add_argument(
         "--key-seed",
         default="lifting-audit",

@@ -16,9 +16,10 @@ against a clock:
   simulator timers (leave/rejoin), ``RuntimeCluster`` runs a real-time
   driver task that tears endpoints down and rebinds them.
 
-Both planes therefore run the *same* fault script, which is what makes
-the ``chaos`` scenario's graceful-degradation claims transferable
-between simulated and live runs.
+Both planes therefore run the *same* fault script (``detect`` with
+``chaos=true`` on either plane), which is what makes its
+graceful-degradation claims transferable between simulated and live
+runs.
 """
 
 from __future__ import annotations

@@ -169,72 +169,81 @@ class RuntimeCluster:
         self.audit_log = log
         log.append("run_start", n=self.gossip.n, seed=cluster.seed)
 
-        deployment = Deployment(transport, seeds, cluster, audit_log=log)
-        self.deployment = deployment
-        self.nodes = deployment.nodes
-        self.freerider_ids = deployment.freerider_ids
-        for node_id in deployment.node_ids:
-            node = deployment.add_node(node_id)
-            await transport.open_endpoints(node_id, node.on_message)
+        source_timer = None
+        tasks: List[asyncio.Task] = []
+        try:
+            deployment = Deployment(transport, seeds, cluster, audit_log=log)
+            self.deployment = deployment
+            self.nodes = deployment.nodes
+            self.freerider_ids = deployment.freerider_ids
+            for node_id in deployment.node_ids:
+                node = deployment.add_node(node_id)
+                await transport.open_endpoints(node_id, node.on_message)
 
-        # Safety-invariant sweeps ride their own task: read-only over
-        # the managers/registry, so they observe the run without
-        # perturbing it.
-        invariants = deployment.invariant_monitor()
-        self.invariants = invariants
-        invariant_task = loop.create_task(self._invariant_sweeps(invariants))
+            # Safety-invariant sweeps ride their own task: read-only over
+            # the managers/registry, so they observe the run without
+            # perturbing it.
+            invariants = deployment.invariant_monitor()
+            self.invariants = invariants
+            tasks.append(loop.create_task(self._invariant_sweeps(invariants)))
 
-        # The source owns a real endpoint like any node; it just follows
-        # a push schedule instead of the three-phase protocol.
-        source = StreamSource(transport, deployment.membership, self.gossip)
-        self.source = source
-        await transport.open_endpoints(source.node_id, source.on_message)
-        source_timer = source.start()
+            # The source owns a real endpoint like any node; it just follows
+            # a push schedule instead of the three-phase protocol.
+            source = StreamSource(transport, deployment.membership, self.gossip)
+            self.source = source
+            await transport.open_endpoints(source.node_id, source.on_message)
+            source_timer = source.start()
 
-        fault_task = probe_task = None
-        if plane is not None:
-            fault_task = loop.create_task(
-                self._fault_driver(transport, plane, log)
-            )
-            crash_targets = sorted(
-                {
-                    nid
-                    for ev in config.fault_schedule.lifecycle_events()
-                    if ev.kind == "crash"
-                    for nid in ev.nodes
-                }
-            )
-            if crash_targets:
-                probe_task = loop.create_task(
-                    self._probe_crashed(transport, crash_targets)
+            if plane is not None:
+                tasks.append(loop.create_task(self._fault_driver(transport, plane, log)))
+                crash_targets = sorted(
+                    {
+                        nid
+                        for ev in schedule.lifecycle_events()
+                        if ev.kind == "crash"
+                        for nid in ev.nodes
+                    }
                 )
+                if crash_targets:
+                    tasks.append(
+                        loop.create_task(self._probe_crashed(transport, crash_targets))
+                    )
 
-        load_task = None
-        if config.load_profile is not None:
-            self.loadgen = LoadGenerator(
-                transport, config.load_profile, config.load_target
-            )
-            await self.loadgen.start()
-            load_task = loop.create_task(self.loadgen.run())
+            if config.load_profile is not None:
+                self.loadgen = LoadGenerator(
+                    transport, config.load_profile, config.load_target
+                )
+                await self.loadgen.start()
+                tasks.append(loop.create_task(self.loadgen.run()))
 
-        for node in self.nodes.values():
-            node.start()
+            for node in self.nodes.values():
+                node.start()
 
-        await asyncio.sleep(config.duration)
+            await asyncio.sleep(config.duration)
+            self._stop(source_timer, tasks)
+            await asyncio.sleep(2 * self.gossip.gossip_period)  # drain in-flight timers
+        except BaseException:
+            log.close()  # a completed run closes it after the snapshot
+            raise
+        finally:
+            # Also when cancelled (a timeout, Ctrl-C) or failed mid-setup:
+            # no socket outlives the run.
+            self._stop(source_timer, tasks)
+            await transport.close()
 
-        source_timer.stop()
-        for task in (fault_task, probe_task, invariant_task, load_task):
-            if task is not None:
-                task.cancel()
+        invariants.check()  # final-state sweep on the settled run
+        return self._report(transport, plane, log, invariants)
+
+    def _stop(self, source_timer, tasks: List[asyncio.Task]) -> None:
+        """Stop the stream, the background tasks and every node (idempotent)."""
+        if source_timer is not None:
+            source_timer.stop()
+        for task in tasks:
+            task.cancel()
         if self.loadgen is not None:
             self.loadgen.detach()
         for node in self.nodes.values():
             node.stop()
-        await asyncio.sleep(2 * self.gossip.gossip_period)  # drain in-flight timers
-        await transport.close()
-
-        invariants.check()  # final-state sweep on the settled run
-        return self._report(transport, plane, log, invariants)
 
     # ------------------------------------------------------------------
     # background tasks

@@ -50,7 +50,7 @@ __all__ = [
 
 #: schema tag of :meth:`AsyncTransport.resilience_snapshot` payloads.
 #: Bump the suffix on any key change in the counter layout — the
-#: snapshot is the measurement surface for the chaos scenarios *and*
+#: snapshot is the measurement surface for ``detect`` on sockets *and*
 #: the load generator (see docs/RESILIENCE.md for the full schema).
 RESILIENCE_SNAPSHOT_SCHEMA = "repro.resilience_snapshot/2"
 

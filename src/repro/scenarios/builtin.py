@@ -1,6 +1,6 @@
 """Built-in scenarios without an ``experiments/`` module of their own.
 
-Registering them (``detect``, ``analyze``, ``live``, ...) makes every
+Registering them (``detect``, ``analyze``, ``loadgen``, ...) makes every
 workload reachable through the same ``run_scenario`` engine, gives them
 the uniform ``RunResult`` envelope, and derives their CLI flags from the
 same :class:`~repro.scenarios.spec.Param` declarations as every figure.
@@ -13,11 +13,11 @@ from typing import Dict
 from repro import adversary
 from repro.scenarios.parallel import Task
 from repro.scenarios.registry import scenario
-from repro.scenarios.spec import Param
+from repro.scenarios.spec import Param, ParamError
 
 
 def _planetlab_config(params: dict, **config):
-    """The simulated deployments' shared ``ClusterConfig``: PlanetLab
+    """The deployment scenarios' shared ``ClusterConfig``: PlanetLab
     parameters at ``params["n"]`` with 1400-byte chunks, ``params["loss"]``
     both applied and assumed, plus ``config``."""
     from dataclasses import replace
@@ -48,15 +48,6 @@ _SWEEP_PARAMS = (
 )
 _JOBS = Param("jobs", int, 1, "worker processes for the sweep (0 = all cores)")
 
-#: who freerides, and how, on the two live deployments (live, chaos).
-_LIVE_FREERIDERS = (
-    Param("freeriders", float, 0.2, "freerider fraction",
-          validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
-    Param("deltas", float, (0.25, 0.3, 0.3), sequence=True,
-          help="(δ1, δ2, δ3) of the freeriders",
-          validate=lambda v: len(v) == 3, constraint="exactly 3 values"),
-)
-
 
 def _sweep_tasks(fn, label: str, params, axis: str, cell: str):
     """One task per value of the sequence parameter ``axis``; ``fn``
@@ -68,15 +59,73 @@ def _sweep_tasks(fn, label: str, params, axis: str, cell: str):
 
 
 # ----------------------------------------------------------------------
-# detect — the quickstart as a scenario
+# detect — the quickstart as a scenario, on either plane
 # ----------------------------------------------------------------------
 
+def default_fault_schedule(n: int, duration: float):
+    """The acceptance-criteria fault script, scaled to ``duration``.
+
+    A 30 % targeted drop window on the dissemination plane
+    (Serve/Propose), one symmetric half/half partition, and two node
+    crashes that both restart before the end — enough to open circuit
+    breakers, exercise ICMP error counting and force the compensation
+    machinery, while leaving the run time to recover.
+    """
+    from repro.faults import FaultSchedule
+
+    half = n // 2
+    victims = (n - 1, n - 2)
+    return FaultSchedule.from_dicts(
+        [
+            {
+                "kind": "drop",
+                "at": 0.15 * duration,
+                "until": 0.85 * duration,
+                "classes": ["Serve", "Propose"],
+                "rate": 0.3,
+            },
+            {
+                "kind": "partition",
+                "at": 0.30 * duration,
+                "until": 0.55 * duration,
+                "group_a": list(range(half)),
+                "group_b": list(range(half, n)),
+            },
+            {"kind": "crash", "at": 0.25 * duration, "nodes": [victims[0]]},
+            {"kind": "crash", "at": 0.35 * duration, "nodes": [victims[1]]},
+            {"kind": "restart", "at": 0.60 * duration, "nodes": [victims[0]]},
+            {"kind": "restart", "at": 0.70 * duration, "nodes": [victims[1]]},
+        ]
+    )
+
+
+def _live_metrics(report) -> Dict[str, object]:
+    """What only a socket run counts: the transport, its breakers and
+    ingress queue, the fault plane and the audit chain."""
+    breaker = report.resilience["breaker"]
+    ingress = report.resilience["ingress"]
+    return {
+        "chunks_emitted": report.chunks_emitted,
+        "delivery_ratio": report.delivery_ratio,
+        "datagram_errors": report.datagram_errors,
+        "sends_refused": report.sends_refused,
+        "breaker_opens": breaker["opens"],
+        "breaker_closes": breaker["closes"],
+        "breaker_half_open_probes": breaker["half_open_probes"],
+        "ingress_high_water": ingress["high_water"],
+        "ingress_dropped": ingress["dropped_oldest"] + ingress["rejected"],
+        "faults": dict(report.faults),
+        "audit_ok": bool(report.audit_ok),
+        "audit_records": report.audit_records,
+    }
+
+
 def _compute_detect(params: dict) -> Dict[str, object]:
-    """Calibrate, deploy with freeriders, run, report (staged task)."""
+    """Calibrate on the simulator, deploy with freeriders on the chosen
+    plane, run, report (staged task)."""
     from dataclasses import replace
 
     from repro.experiments.calibration import calibrate
-    from repro.experiments.cluster import SimCluster
 
     config = _planetlab_config(
         params,
@@ -86,6 +135,7 @@ def _compute_detect(params: dict) -> Dict[str, object]:
             degree=(params["delta1"], params["delta2"], params["delta3"]),
         ),
         expulsion_enabled=params["expel"],
+        p_audit=params["p_audit"],
     )
     config = replace(config, lifting=replace(config.lifting, p_dcc=params["p_dcc"]))
     calibration = calibrate(
@@ -96,29 +146,61 @@ def _compute_detect(params: dict) -> Dict[str, object]:
         loss_rate=params["loss"],
     )
     eta = calibration.eta_for_false_positives(0.01)
-    cluster = SimCluster(replace(config, compensation=calibration.compensation))
-    cluster.run(until=params["duration"])
-    expelled, wrongful = cluster.expulsions()
-    report = cluster.detection(eta=eta)
+    config = replace(config, compensation=calibration.compensation)
+    schedule = (
+        default_fault_schedule(params["n"], params["duration"]) if params["chaos"] else None
+    )
+    if params["plane"] == "sim":
+        from repro.experiments.cluster import SimCluster
+
+        cluster = SimCluster(config)
+        if schedule is not None:
+            cluster.attach_faults(schedule)
+        invariants = cluster.attach_invariants()
+        cluster.run(until=params["duration"])
+        invariants.check()  # final-state sweep on the settled run
+        plane_metrics = {"overhead_percent": cluster.overhead().overhead_percent}
+    else:
+        import asyncio
+
+        from repro.runtime import RuntimeCluster, RuntimeConfig
+
+        cluster = RuntimeCluster(
+            RuntimeConfig(
+                config,
+                duration=params["duration"],
+                fault_schedule=schedule,
+                audit_log_path=params["audit_log"] or None,
+            )
+        )
+        plane_metrics = _live_metrics(asyncio.run(cluster.run()))
+        invariants = cluster.invariants
+    deployment = cluster.deployment
+    report = deployment.detection(eta=eta)
+    expelled, wrongful = deployment.expulsions()
+    swept = invariants.summary()
     return {
         "compensation": calibration.compensation,
         "eta": eta,
         "detection": report.detection,
         "false_positives": report.false_positives,
-        "overhead_percent": cluster.overhead().overhead_percent,
+        **plane_metrics,
         "expelled": expelled,
         "wrongful_expulsions": wrongful,
+        "invariant_checks": swept["checks"],
+        "invariant_violations": swept["violations"],
     }
 
 
 @scenario(
     "detect",
-    "Calibrate, deploy with freeriders, and report detection (the quickstart)",
+    "Calibrate, deploy with freeriders on the simulator or on sockets, "
+    "and report detection (the quickstart)",
     params=(
         Param("n", int, 100, "system size",
               validate=lambda v: v >= 8, constraint=">= 8"),
         Param("seed", int, 1, "experiment seed"),
-        Param("duration", float, 30.0, "simulated seconds",
+        Param("duration", float, 30.0, "seconds: simulated, or wall-clock on plane=live",
               validate=lambda v: v > 0, constraint="> 0"),
         Param("loss", float, 0.04, "datagram loss rate",
               validate=lambda v: 0.0 <= v < 1.0, constraint="in [0, 1)"),
@@ -130,11 +212,22 @@ def _compute_detect(params: dict) -> Dict[str, object]:
         Param("p_dcc", float, 1.0, "cross-check probability",
               validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
         Param("expel", bool, False, "enforce expulsion"),
+        Param("plane", str, "sim", "where the deployment runs: the simulator, "
+              "or real loopback sockets in real time",
+              validate=lambda v: v in ("sim", "live"), constraint="sim or live"),
+        Param("chaos", bool, False, "run the scripted fault schedule (drops, "
+              "a partition, two crash/restart cycles)"),
+        Param("p_audit", float, 0.0, "per-period sporadic-audit probability",
+              validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
+        Param("audit_log", str, "",
+              "JSONL path for the audit chain ('' = in-memory; plane=live only)"),
     ),
     tags=("demo", "deployment", "staged"),
     smoke={"n": 40, "duration": 6.0},
 )
 def _detect_scenario(params):
+    if params["audit_log"] and params["plane"] == "sim":
+        raise ParamError("audit_log is live-only: the simulator keeps no audit log")
     return [Task(fn=_compute_detect, args=(dict(params),), key="detect")]
 
 
@@ -266,166 +359,6 @@ def _compute_analyze(params: dict) -> Dict[str, object]:
 )
 def _analyze_scenario(params):
     return [Task(fn=_compute_analyze, args=(dict(params),), key="analyze")]
-
-
-# ----------------------------------------------------------------------
-# live — the asyncio loopback deployment as a scenario
-# ----------------------------------------------------------------------
-
-def _compute_live(params: dict) -> Dict[str, object]:
-    """One real-time run over loopback sockets (asyncio)."""
-    import asyncio
-
-    from repro.deployment import loopback_config
-    from repro.runtime import RuntimeCluster, RuntimeConfig
-
-    cluster = loopback_config(
-        params["n"],
-        seed=params["seed"],
-        freerider_fraction=params["freeriders"],
-        adversary=adversary.spec("freerider", degree=params["deltas"]),
-    )
-    config = RuntimeConfig(cluster, duration=params["duration"])
-    report = asyncio.run(RuntimeCluster(config).run())
-    return {
-        "chunks_emitted": report.chunks_emitted,
-        "delivery_ratio": report.delivery_ratio,
-        "detection": report.detection.detection,
-        "false_positives": report.detection.false_positives,
-        "datagrams_sent": report.datagrams_sent,
-        "datagrams_dropped": report.datagrams_dropped,
-        "datagram_errors": report.datagram_errors,
-        "sends_refused": report.sends_refused,
-        "freeriders": len(report.freerider_ids),
-    }
-
-
-@scenario(
-    "live",
-    "Run the protocol over real loopback sockets (asyncio, real time)",
-    params=(
-        Param("n", int, 12, "live nodes", validate=lambda v: v >= 4,
-              constraint=">= 4"),
-        Param("seed", int, 1, "deployment seed"),
-        Param("duration", float, 5.0, "real (wall-clock) seconds",
-              validate=lambda v: v > 0, constraint="> 0"),
-        *_LIVE_FREERIDERS,
-    ),
-    tags=("live",),
-    smoke={"n": 8, "duration": 1.5},
-)
-def _live_scenario(params):
-    return [Task(fn=_compute_live, args=(dict(params),), key="live")]
-
-
-# ----------------------------------------------------------------------
-# chaos — the live deployment under a scripted fault schedule
-# ----------------------------------------------------------------------
-
-def default_fault_schedule(n: int, duration: float, drop_rate: float):
-    """The acceptance-criteria fault script, scaled to ``duration``.
-
-    A targeted drop window on the dissemination plane (Serve/Propose),
-    one symmetric half/half partition, and two node crashes that both
-    restart before the end — enough to open circuit breakers, exercise
-    ICMP error counting and force the compensation machinery, while
-    leaving the run time to recover.
-    """
-    from repro.faults import FaultSchedule
-
-    half = n // 2
-    victims = (n - 1, n - 2)
-    return FaultSchedule.from_dicts(
-        [
-            {
-                "kind": "drop",
-                "at": 0.15 * duration,
-                "until": 0.85 * duration,
-                "classes": ["Serve", "Propose"],
-                "rate": drop_rate,
-            },
-            {
-                "kind": "partition",
-                "at": 0.30 * duration,
-                "until": 0.55 * duration,
-                "group_a": list(range(half)),
-                "group_b": list(range(half, n)),
-            },
-            {"kind": "crash", "at": 0.25 * duration, "nodes": [victims[0]]},
-            {"kind": "crash", "at": 0.35 * duration, "nodes": [victims[1]]},
-            {"kind": "restart", "at": 0.60 * duration, "nodes": [victims[0]]},
-            {"kind": "restart", "at": 0.70 * duration, "nodes": [victims[1]]},
-        ]
-    )
-
-
-def _compute_chaos(params: dict) -> Dict[str, object]:
-    """One live run driven through the scripted fault schedule."""
-    import asyncio
-
-    from repro.deployment import loopback_config
-    from repro.runtime import RuntimeCluster, RuntimeConfig
-
-    cluster = loopback_config(
-        params["n"],
-        seed=params["seed"],
-        freerider_fraction=params["freeriders"],
-        adversary=adversary.spec("freerider", degree=params["deltas"]),
-        p_audit=0.1,
-        expulsion_enabled=True,
-    )
-    config = RuntimeConfig(
-        cluster,
-        duration=params["duration"],
-        fault_schedule=default_fault_schedule(
-            params["n"], params["duration"], params["drop_rate"]
-        ),
-        audit_log_path=params["audit_log"] or None,
-    )
-    report = asyncio.run(RuntimeCluster(config).run())
-    breaker = report.resilience.get("breaker", {})
-    ingress = report.resilience.get("ingress", {})
-    return {
-        "chunks_emitted": report.chunks_emitted,
-        "delivery_ratio": report.delivery_ratio,
-        "detection": report.detection.detection,
-        "false_positives": report.detection.false_positives,
-        "expelled": [int(n) for n in report.expelled],
-        "wrongful_expulsions": [int(n) for n in report.wrongful_expulsions],
-        "datagram_errors": report.datagram_errors,
-        "sends_refused": report.sends_refused,
-        "breaker_opens": breaker.get("opens", 0),
-        "breaker_closes": breaker.get("closes", 0),
-        "breaker_half_open_probes": breaker.get("half_open_probes", 0),
-        "ingress_high_water": ingress.get("high_water", 0),
-        "ingress_dropped": ingress.get("dropped_oldest", 0) + ingress.get("rejected", 0),
-        "faults": dict(report.faults),
-        "audit_ok": bool(report.audit_ok),
-        "audit_records": report.audit_records,
-        "invariant_checks": report.invariants.get("checks", 0),
-        "invariant_violations": report.invariants.get("violations", 0),
-    }
-
-
-@scenario(
-    "chaos",
-    "Drive the live deployment through scripted faults (crashes, drops, partition)",
-    params=(
-        Param("n", int, 12, "live nodes", validate=lambda v: v >= 6,
-              constraint=">= 6"),
-        Param("seed", int, 7, "deployment seed"),
-        Param("duration", float, 6.0, "real (wall-clock) seconds",
-              validate=lambda v: v > 0, constraint="> 0"),
-        *_LIVE_FREERIDERS,
-        Param("drop_rate", float, 0.3, "targeted drop probability",
-              validate=lambda v: 0.0 <= v <= 1.0, constraint="in [0, 1]"),
-        Param("audit_log", str, "", "JSONL path for the audit chain ('' = in-memory)"),
-    ),
-    tags=("live", "chaos"),
-    smoke={"n": 8, "duration": 3.0},
-)
-def _chaos_scenario(params):
-    return [Task(fn=_compute_chaos, args=(dict(params),), key="chaos")]
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ deployments cannot gain from oversubscription, only pay for it, so a
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -62,15 +62,14 @@ Extractor = Callable[[Any], Any]
 
 @dataclass(frozen=True)
 class Task:
-    """A generic picklable work item: ``fn(*args, **kwargs)``.
+    """A generic picklable work item: ``fn(*args)``.
 
     ``fn`` must be importable from the worker (a module-level function
-    or a ``functools.partial`` of one).
+    or a ``functools.partial`` of one, which also binds keywords).
     """
 
     fn: Callable[..., Any]
     args: Tuple[Any, ...] = ()
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
     #: opaque label echoed into logs/results assembly by the caller.
     key: Hashable = None
 
@@ -150,7 +149,7 @@ def _execute_job(job: Job) -> JobResult:
 
 
 def _execute_task(task: Task) -> Any:
-    return task.fn(*task.args, **dict(task.kwargs))
+    return task.fn(*task.args)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:

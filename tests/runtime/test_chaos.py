@@ -31,7 +31,7 @@ def chaos_run(tmp_path_factory):
             12, seed=7, freerider_fraction=0.2, p_audit=0.1, expulsion_enabled=True
         ),
         duration=DURATION,
-        fault_schedule=default_fault_schedule(12, DURATION, 0.3),
+        fault_schedule=default_fault_schedule(12, DURATION),
         audit_log_path=str(log_path),
         audit_key_seed=KEY_SEED,
     )

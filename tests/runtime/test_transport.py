@@ -4,8 +4,10 @@ ingress, and the persistent reliable path."""
 
 import asyncio
 import cProfile
+import gc
 import pstats
 import socket
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from repro.runtime.resilience import (
     STATE_OPEN,
 )
 from repro.config import planetlab_params
+from repro.deployment import loopback_config
 from repro.gossip.protocol import GossipNode
 from repro.nodes.behavior import HonestBehavior
+from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
 from repro.runtime.transport import EGRESS_QUEUE_LIMIT, AsyncTransport, NodeRegistry
 from repro.wire import UDP, TCP_KINDS, AuditRequest, Ping as WirePing, Serve
 
@@ -1024,3 +1028,30 @@ class TestCrashRecovery:
             return moved, released, delivered
 
         assert asyncio.run(scenario()) == (True, True, True)
+
+
+class TestCancelledRun:
+    def test_a_cancelled_run_releases_every_socket(self):
+        # A timeout (here wait_for's) or Ctrl-C cancels run() inside its
+        # sleep: the teardown must still close everything the run opened.
+        cluster = RuntimeCluster(RuntimeConfig(loopback_config(6), duration=30.0))
+
+        async def cancelled():
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(cluster.run(), timeout=1.0)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            asyncio.run(cancelled())
+            registry = cluster.deployment.host.registry
+            del cluster
+            gc.collect()  # a socket nobody closed warns as it is collected
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert len(registry.udp) == 7  # six nodes and the source
+        for node_id, udp in registry.udp.items():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+                probe.bind(udp)
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+                # past TIME_WAIT; only a listener still open refuses it
+                probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                probe.bind(registry.tcp_address(node_id))

@@ -107,7 +107,7 @@ class TestRun:
 
     def test_wrong_length_deltas_get_param_error(self, capsys):
         for name, param in (("fig1", "heavy_deltas"), ("fig14", "deltas"),
-                            ("live", "deltas")):
+                            ("fig1", "wise_deltas")):
             with pytest.raises(ParamError, match="exactly 3 values"):
                 get(name).resolve({param: (0.1, 0.2)})
         assert cli.main(["run", "fig14", "--set", "deltas=0.1,0.2"]) == 2

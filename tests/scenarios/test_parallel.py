@@ -68,9 +68,9 @@ class TestRunTasks:
         assert run_tasks(tasks, jobs=1) == [i * i for i in range(10)]
         assert run_tasks(tasks, jobs=4) == [i * i for i in range(10)]
 
-    def test_kwargs_and_partial(self):
+    def test_partial_binds_keywords(self):
         tasks = [
-            Task(fn=_affine, args=(3,), kwargs={"scale": 2, "offset": 1}),
+            Task(fn=partial(_affine, scale=2, offset=1), args=(3,)),
             Task(fn=partial(_affine, scale=10), args=(4,)),
         ]
         assert run_tasks(tasks, jobs=2) == [7, 40]

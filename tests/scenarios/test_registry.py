@@ -1,5 +1,7 @@
 """The scenario registry: registration, lookup, parameter resolution."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,9 @@ class TestRegistration:
         assert {
             "fig1", "fig10", "fig11", "fig12", "fig13", "fig14",
             "table3", "table5", "scaling", "calibration",
-            "detect", "analyze", "live",
+            "detect", "analyze", "loadgen",
         } <= names
+        assert not {"live", "chaos"} & names
 
     def test_unknown_scenario_raises_with_suggestion(self):
         with pytest.raises(UnknownScenarioError, match="did you mean 'fig1'"):
@@ -229,7 +232,7 @@ class TestEngine:
         register(
             _dummy_spec(
                 name="dummy-map",
-                build_jobs=lambda params: [Task(fn=dict, kwargs={"x": 1})],
+                build_jobs=lambda params: [Task(fn=partial(dict, x=1))],
             )
         )
         try:

@@ -126,10 +126,11 @@ class TestCliSweep:
     def test_colon_separates_inner_values_of_sequence_params_only(self):
         # A scalar str cell keeps its ':'; a sequence cell's ':' is the
         # comma the coercer splits on.  Parsed only, nothing runs.
-        args = argparse.Namespace(
-            sweep_pairs=["audit_log=runs/a:b.jsonl,c.jsonl", "deltas=0.1:0.2:0.3,0.4:0.4:0.4"]
-        )
-        assert cli._collect_sweep_axes(get("chaos"), args) == {
+        scalar = argparse.Namespace(sweep_pairs=["audit_log=runs/a:b.jsonl,c.jsonl"])
+        assert cli._collect_sweep_axes(get("detect"), scalar) == {
             "audit_log": ["runs/a:b.jsonl", "c.jsonl"],
+        }
+        sequence = argparse.Namespace(sweep_pairs=["deltas=0.1:0.2:0.3,0.4:0.4:0.4"])
+        assert cli._collect_sweep_axes(get("fig14"), sequence) == {
             "deltas": ["0.1,0.2,0.3", "0.4,0.4,0.4"],
         }
