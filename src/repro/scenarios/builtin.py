@@ -23,7 +23,7 @@ def _planetlab_config(params: dict, **config):
     from dataclasses import replace
 
     from repro.config import planetlab_params
-    from repro.experiments.cluster import ClusterConfig
+    from repro.deployment import ClusterConfig
 
     gossip, lifting = planetlab_params()
     return ClusterConfig(
@@ -51,11 +51,64 @@ _JOBS = Param("jobs", int, 1, "worker processes for the sweep (0 = all cores)")
 
 def _sweep_tasks(fn, label: str, params, axis: str, cell: str):
     """One task per value of the sequence parameter ``axis``; ``fn``
-    reads its value as ``params[cell]``."""
+    reads its value as ``params[cell]`` (module-level: a task may run in
+    a worker process)."""
     return [
         Task(fn=fn, args=({**dict(params), cell: value},), key=f"{label}-{value:g}")
         for value in params[axis]
     ]
+
+
+def _sweep_cluster(params: dict, fraction: float, policy, **config):
+    """One sweep cell's deployment: ``fraction`` of its nodes run the
+    adversary ``policy``, and expulsion is enforced."""
+    from repro.experiments.cluster import SimCluster
+
+    return SimCluster(_planetlab_config(
+        params, freerider_fraction=fraction, adversary=policy,
+        expulsion_enabled=True, **config,
+    ))
+
+
+def _sweep_outcome(cluster, duration: float, **cell) -> Dict[str, object]:
+    """Run ``cluster`` to ``duration`` under the invariant sweeps; the
+    outcome every robustness sweep reports: membership counters (none
+    without a failure detector), invariants, ``cell`` and expulsions."""
+    invariants = cluster.attach_invariants()
+    cluster.run(until=duration)
+    invariants.check()  # final-state sweep
+    expelled, wrongful = cluster.expulsions()
+    honest = len(cluster.honest_ids)
+    return {
+        **cluster.churn_summary(),
+        "invariant_checks": invariants.summary()["checks"],
+        "invariant_violations": invariants.summary()["violations"],
+        **cell,
+        "expelled": [int(n) for n in expelled],
+        "wrongful_expulsions": [int(n) for n in wrongful],
+        "wrongful_expulsion_rate": len(wrongful) / honest if honest else 0.0,
+        "freeriders_expelled": len(expelled) - len(wrongful),
+        "freeriders": len(cluster.freerider_ids),
+    }
+
+
+def _sweep_metrics(sweep, axis: str, cell: str, *per_cell: str, **reduced):
+    """``axis`` lists the cells' ``cell`` values; the expulsion figures and
+    each ``per_cell`` key map from them; then the worst wrongful-expulsion
+    rate, the sweep's own ``reduced`` figures, violations and cells."""
+    return {
+        axis: [e[cell] for e in sweep],
+        **{
+            key: {f"{e[cell]:g}": e[key] for e in sweep}
+            for key in ("wrongful_expulsion_rate", "freeriders_expelled", *per_cell)
+        },
+        "max_wrongful_expulsion_rate": max(
+            (e["wrongful_expulsion_rate"] for e in sweep), default=0.0
+        ),
+        **reduced,
+        "invariant_violations": sum(e["invariant_violations"] for e in sweep),
+        "sweep": [dict(e) for e in sweep],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -457,84 +510,42 @@ def _loadgen_scenario(params):
 # ----------------------------------------------------------------------
 
 def _compute_churn(params: dict) -> Dict[str, object]:
-    """One simulated deployment at one churn rate (module-level so the
-    sweep can fan out to a process pool)."""
-    from repro.experiments.cluster import SimCluster
+    """One simulated deployment at one churn rate."""
     from repro.membership.failure_detector import FailureDetectorParams
     from repro.faults import FaultSchedule
 
-    rate = params["rate"]
-    cluster = SimCluster(
-        _planetlab_config(
-            params,
-            freerider_fraction=params["freeriders"],
-            adversary=adversary.spec("freerider", degree=(params["delta"],) * 3),
-            expulsion_enabled=True,
-            failure_detector=FailureDetectorParams(
-                suspicion_periods=params["suspicion"]
-            ),
-        )
+    cluster = _sweep_cluster(
+        params, params["freeriders"],
+        adversary.spec("freerider", degree=(params["delta"],) * 3),
+        failure_detector=FailureDetectorParams(suspicion_periods=params["suspicion"]),
     )
     # Churn hits honest nodes only: freeriders keep answering pings (the
     # cheapest traffic there is), so the detector must never shield them
     # while protecting crash-restarting contributors.
     honest = sorted(cluster.honest_ids)
-    victims = honest[: int(round(rate * len(honest)))]
+    victims = honest[: int(round(params["rate"] * len(honest)))]
     if victims:
-        cluster.attach_faults(
-            FaultSchedule.churn(
-                victims,
-                params["duration"],
-                params["downtime"],
-                permanent_frac=params["permanent"],
-            )
-        )
-    invariants = cluster.attach_invariants()
-    cluster.run(until=params["duration"])
-    invariants.check()  # final-state sweep
-    expelled, wrongful = cluster.expulsions()
-    summary = cluster.churn_summary()
-    summary.update(
-        invariant_checks=invariants.summary()["checks"],
-        invariant_violations=invariants.summary()["violations"],
+        cluster.attach_faults(FaultSchedule.churn(
+            victims, params["duration"], params["downtime"],
+            permanent_frac=params["permanent"],
+        ))
+    return _sweep_outcome(
+        cluster, params["duration"], rate=params["rate"], victims=len(victims)
     )
-    summary.update(
-        rate=rate,
-        victims=len(victims),
-        expelled=[int(n) for n in expelled],
-        wrongful_expulsions=[int(n) for n in wrongful],
-        wrongful_expulsion_rate=(
-            len(wrongful) / len(honest) if honest else 0.0
-        ),
-        freeriders_expelled=len(expelled) - len(wrongful),
-        freeriders=len(cluster.freerider_ids),
-    )
-    return summary
 
 
 def _churn_metrics(sweep, params) -> Dict[str, object]:
-    detect = [e["mean_detection_delay"] for e in sweep
-              if e.get("mean_detection_delay") is not None]
-    recover = [e["mean_recovery_delay"] for e in sweep
-               if e.get("mean_recovery_delay") is not None]
-    return {
-        "rates": [e["rate"] for e in sweep],
-        "wrongful_expulsion_rate": {
-            f"{e['rate']:g}": e["wrongful_expulsion_rate"] for e in sweep
-        },
-        "freeriders_expelled": {
-            f"{e['rate']:g}": e["freeriders_expelled"] for e in sweep
-        },
-        "max_wrongful_expulsion_rate": max(
-            (e["wrongful_expulsion_rate"] for e in sweep), default=0.0
-        ),
-        #: membership convergence: crash -> confirmed-dead and
-        #: restart -> readmission, averaged over the whole sweep.
-        "mean_detection_delay": sum(detect) / len(detect) if detect else None,
-        "mean_recovery_delay": sum(recover) / len(recover) if recover else None,
-        "invariant_violations": sum(e.get("invariant_violations", 0) for e in sweep),
-        "sweep": [dict(e) for e in sweep],
-    }
+    def mean(key):
+        values = [e[key] for e in sweep if e.get(key) is not None]
+        return sum(values) / len(values) if values else None
+
+    # Membership convergence: crash -> confirmed-dead and restart ->
+    # readmission, averaged over the whole sweep.
+    return _sweep_metrics(
+        sweep, "rates", "rate",
+        mean_detection_delay=mean("mean_detection_delay"),
+        mean_recovery_delay=mean("mean_recovery_delay"),
+    )
 
 
 @scenario(
@@ -569,41 +580,14 @@ def _churn_scenario(params):
 # coalition — laundering colluders vs. detection (simulator sweep)
 # ----------------------------------------------------------------------
 
-def _adversary_cluster(params: dict, kind: str, **policy_params):
-    """A SimCluster armed with a named adversary policy (shared by the
-    coalition and sybil_blame sweeps; module-level for process pools)."""
-    from repro.experiments.cluster import SimCluster
-
-    return SimCluster(
-        _planetlab_config(
-            params,
-            freerider_fraction=params["adversaries"] / params["n"],
-            adversary=adversary.spec(kind, **policy_params),
-            expulsion_enabled=True,
-        )
-    )
-
-
-def _adversary_outcome(cluster, duration: float) -> Dict[str, object]:
-    """Run ``cluster`` for ``duration`` under the invariant sweeps; the
-    shared outcome block: who was expelled, who escaped, and whether
-    any safety invariant broke along the way."""
-    invariants = cluster.attach_invariants()
-    cluster.run(until=duration)
-    invariants.check()  # final-state sweep
-    expelled, wrongful = cluster.expulsions()
-    adversaries = sorted(cluster.freerider_ids)
-    caught = len(expelled) - len(wrongful)
+def _escape(cluster, outcome) -> Dict[str, object]:
+    """What an adversary sweep adds per cell: the share of adversaries
+    never expelled, their scores and the armed policy."""
     scores = cluster.scores()
+    caught, armed = outcome["freeriders_expelled"], outcome["freeriders"]
     return {
-        "adversaries": len(adversaries),
-        "adversaries_expelled": caught,
-        "escape_rate": 1.0 - caught / len(adversaries) if adversaries else 0.0,
-        "wrongful_expulsions": [int(n) for n in wrongful],
-        "wrongful_expulsion_count": len(wrongful),
-        "invariant_checks": invariants.summary()["checks"],
-        "invariant_violations": invariants.summary()["violations"],
-        "adversary_scores": [round(scores[n], 3) for n in adversaries],
+        "escape_rate": 1.0 - caught / armed if armed else 0.0,
+        "freerider_scores": [round(scores[n], 3) for n in sorted(cluster.freerider_ids)],
         "policy": dict(cluster.adversary_policy.describe()),
     }
 
@@ -611,43 +595,23 @@ def _adversary_outcome(cluster, duration: float) -> Dict[str, object]:
 def _compute_coalition(params: dict) -> Dict[str, object]:
     """One deployment against one coalition size."""
     size = params["size"]
-    cluster = _adversary_cluster(
-        {**params, "adversaries": size},
-        "coalition",
-        degree=(params["delta"],) * 3,
-        bias=params["bias"],
+    cluster = _sweep_cluster(params, size / params["n"], adversary.spec(
+        "coalition", degree=(params["delta"],) * 3, bias=params["bias"],
         launder=params["launder"],
-    )
-    outcome = _adversary_outcome(cluster, params["duration"])
-    outcome["size"] = size
+    ))
+    outcome = _sweep_outcome(cluster, params["duration"], size=size)
+    outcome.update(_escape(cluster, outcome))
     outcome["credits_laundered"] = round(
-        sum(
-            cluster.nodes[nid].behavior.credits_sent
-            for nid in cluster.freerider_ids
-        ),
-        3,
+        sum(cluster.nodes[n].behavior.credits_sent for n in cluster.freerider_ids), 3
     )
     return outcome
 
 
-def _adversary_sweep_metrics(sweep, key: str) -> Dict[str, object]:
-    return {
-        key: [e[key] for e in sweep],
-        "escape_rate": {f"{e[key]:g}": e["escape_rate"] for e in sweep},
-        "adversaries_expelled": {
-            f"{e[key]:g}": e["adversaries_expelled"] for e in sweep
-        },
-        "max_escape_rate": max((e["escape_rate"] for e in sweep), default=0.0),
-        "wrongful_expulsion_count": sum(
-            e["wrongful_expulsion_count"] for e in sweep
-        ),
-        "invariant_violations": sum(e["invariant_violations"] for e in sweep),
-        "sweep": [dict(e) for e in sweep],
-    }
-
-
 def _coalition_metrics(sweep, params) -> Dict[str, object]:
-    return _adversary_sweep_metrics(sweep, "size")
+    return _sweep_metrics(
+        sweep, "sizes", "size", "escape_rate",
+        max_escape_rate=max((e["escape_rate"] for e in sweep), default=0.0),
+    )
 
 
 @scenario(
@@ -680,35 +644,30 @@ def _coalition_scenario(params):
 def _compute_sybil(params: dict) -> Dict[str, object]:
     """One deployment against one stuffing rate."""
     rate = params["rate"]
-    cluster = _adversary_cluster(
-        {**params, "adversaries": params["sybils"]},
-        "sybil_blame",
-        rate=rate,
-        victims=params["victims"],
-        delta=params["delta"],
+    cluster = _sweep_cluster(params, params["sybils"] / params["n"], adversary.spec(
+        "sybil_blame", rate=rate, victims=params["victims"], delta=params["delta"],
         start_period=params["start_period"],
-    )
-    outcome = _adversary_outcome(cluster, params["duration"])
+    ))
+    outcome = _sweep_outcome(cluster, params["duration"], rate=rate)
+    outcome.update(_escape(cluster, outcome))
     campaign = cluster.adversary_policy.campaign
     scores = cluster.scores()
-    outcome["rate"] = rate
-    outcome["victims"] = [int(v) for v in campaign.victims]
-    outcome["victim_scores"] = [round(scores[v], 3) for v in campaign.victims]
-    outcome["victims_expelled"] = sum(
-        1 for v in campaign.victims if cluster.controller.is_expelled(v)
+    outcome.update(
+        victims=[int(v) for v in campaign.victims],
+        victim_scores=[round(scores[v], 3) for v in campaign.victims],
+        victims_expelled=sum(map(cluster.controller.is_expelled, campaign.victims)),
+        blames_stuffed=round(campaign.blames_stuffed, 3),
     )
-    outcome["blames_stuffed"] = round(campaign.blames_stuffed, 3)
     return outcome
 
 
 def _sybil_metrics(sweep, params) -> Dict[str, object]:
-    metrics = _adversary_sweep_metrics(sweep, "rate")
-    metrics["victims_expelled"] = sum(e["victims_expelled"] for e in sweep)
-    metrics["min_victim_score"] = min(
-        (s for e in sweep for s in e["victim_scores"]),
-        default=None,
+    return _sweep_metrics(
+        sweep, "rates", "rate", "escape_rate",
+        max_escape_rate=max((e["escape_rate"] for e in sweep), default=0.0),
+        victims_expelled=sum(e["victims_expelled"] for e in sweep),
+        min_victim_score=min((s for e in sweep for s in e["victim_scores"]), default=None),
     )
-    return metrics
 
 
 @scenario(

@@ -64,7 +64,7 @@ def load_builtins() -> None:
     _BUILTINS_LOADED = True
     # The experiments package imports every fig/table/scaling module;
     # builtin.py holds the scenarios without a module of their own
-    # (detect, analyze, live, ...).
+    # (detect, analyze, loadgen and the robustness sweeps).
     import repro.experiments  # noqa: F401
     import repro.scenarios.builtin  # noqa: F401
 

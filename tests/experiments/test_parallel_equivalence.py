@@ -115,11 +115,16 @@ class TestClusterExperimentEquivalence:
         fanned = run("fig14", jobs=2, **kwargs)
         assert_results_identical(serial, fanned)
 
-    def test_churn_all_cores_bit_identical(self, assert_results_identical):
+    @pytest.mark.parametrize("name, axis", [
+        ("churn", {"rates": (0.0, 0.3)}),
+        ("coalition", {"sizes": (2, 3)}),
+        ("sybil_blame", {"rates": (0.5, 1.0)}),
+    ])
+    def test_sweep_all_cores_bit_identical(self, name, axis, assert_results_identical):
         # ``jobs=0`` = all cores, on every sweep (docs/SCENARIOS.md).
-        kwargs = dict(get("churn").smoke, rates=(0.0, 0.3))
-        serial = run("churn", jobs=1, **kwargs)
-        fanned = run("churn", jobs=0, **kwargs)
+        kwargs = dict(get(name).smoke, **axis)
+        serial = run(name, jobs=1, **kwargs)
+        fanned = run(name, jobs=0, **kwargs)
         assert_results_identical(serial, fanned)
 
 
