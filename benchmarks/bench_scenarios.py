@@ -6,7 +6,9 @@ at its declared smoke size, validates that the resulting
 ``RunResult`` envelope round-trips losslessly through its JSON schema
 (``to_json`` → ``from_json`` → identical envelope and identical
 serialisation) and renders it the way ``repro run`` does
-(``RunResult.render``); a whole-
+(``RunResult.render``), failing on a metric that is a sequence of
+mappings but would not print as a table (a row holds a mapping, or the
+rows' keys differ); a whole-
 registry sweep ends with one two-cell ``repro run analyze --sweep``, the
 product sweep's only entry point outside the tests, and fails unless
 every registered adversary policy armed a node in some scenario it ran
@@ -39,6 +41,23 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+from collections.abc import Mapping
+
+
+def _untabled(metrics: Mapping):
+    """The metrics that are sequences of mappings ``RunResult.render``
+    would not print as a table.  Only a scenario's own metrics are
+    checked: a report it carries whole (``loadgen``'s ``load``) keeps the
+    schema of its producer."""
+    from repro.scenarios.spec import _is_table
+
+    for key, value in metrics.items():
+        if (
+            isinstance(value, tuple) and value
+            and all(isinstance(row, Mapping) for row in value)
+            and not _is_table(value)
+        ):
+            yield key
 
 
 def _record_armed_policies(armed: set) -> None:
@@ -102,6 +121,8 @@ def main(argv=None) -> int:
             result = run_scenario(spec.name, **spec.smoke)
             if not result.render().strip():
                 failures.append(f"{spec.name}: rendered no text")
+            for key in _untabled(result.metrics):
+                failures.append(f"{spec.name}: {key} does not render as a table")
         except Exception as exc:  # noqa: BLE001 - report, keep sweeping
             failures.append(f"{spec.name}: run failed: {exc!r}")
             print(f"{spec.name:12s} {'-':>7s}  {'-':>7s}  RUN FAILED")

@@ -32,7 +32,9 @@ def main() -> None:
         f"starting {cluster.gossip.n} nodes on loopback sockets for "
         f"{config.duration:.0f} real seconds..."
     )
-    report = asyncio.run(RuntimeCluster(config).run())
+    live = RuntimeCluster(config)
+    report = asyncio.run(live.run())
+    scores, freerider_ids = live.deployment.scores(), live.deployment.freerider_ids
 
     print(f"\nchunks emitted by the source: {report.chunks_emitted}")
     print(f"mean delivery ratio:          {report.delivery_ratio:.1%}")
@@ -43,12 +45,12 @@ def main() -> None:
     )
 
     print("\nscores (min-vote over managers):")
-    for node_id in sorted(report.scores):
-        role = "freerider" if node_id in report.freerider_ids else "honest   "
-        print(f"  node {node_id:2d} [{role}]  {report.scores[node_id]:+8.2f}")
+    for node_id in sorted(scores):
+        role = "freerider" if node_id in freerider_ids else "honest   "
+        print(f"  node {node_id:2d} [{role}]  {scores[node_id]:+8.2f}")
 
-    honest = [s for n, s in report.scores.items() if n not in report.freerider_ids]
-    freeriders = [s for n, s in report.scores.items() if n in report.freerider_ids]
+    honest = [s for n, s in scores.items() if n not in freerider_ids]
+    freeriders = [s for n, s in scores.items() if n in freerider_ids]
     gap = sum(honest) / len(honest) - sum(freeriders) / len(freeriders)
     print(f"\nhonest-vs-freerider score gap after {config.duration:.0f}s: {gap:+.2f}")
 

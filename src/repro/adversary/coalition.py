@@ -53,12 +53,3 @@ class LaunderingCoalitionPolicy(BehaviorPolicy):
 
     def build(self, node_id: NodeId) -> ColludingBehavior:
         return ColludingBehavior(self.degree, self.coalition, **self.member_kwargs)
-
-    def describe(self):
-        return {
-            "policy": self.name,
-            "size": len(self.coalition),
-            "delta": self.degree.delta1,
-            "bias": self.member_kwargs["bias"],
-            "launder": self.member_kwargs["launder"],
-        }

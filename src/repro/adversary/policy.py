@@ -64,10 +64,6 @@ class BehaviorPolicy:
         """The behaviour instance for adversarial node ``node_id``."""
         raise NotImplementedError
 
-    def describe(self) -> Dict[str, object]:
-        """Summary for reports/metrics (policy name + tuned state)."""
-        return {"policy": self.name}
-
 
 _REGISTRY: Dict[str, Type[BehaviorPolicy]] = {}
 

@@ -104,12 +104,3 @@ class SybilBlamePolicy(BehaviorPolicy):
 
     def build(self, node_id: NodeId) -> SybilStufferBehavior:
         return SybilStufferBehavior(self.degree, self.campaign, self._members)
-
-    def describe(self):
-        return {
-            "policy": self.name,
-            "victims": self.campaign.victims,
-            "rate": self.rate,
-            "start_period": self.start_period,
-            "delta": self.degree.delta1,
-        }

@@ -221,19 +221,15 @@ class SimCluster:
     def attach_invariants(self, interval: float = 1.0):
         """Arm an :class:`~repro.core.invariants.InvariantMonitor`.
 
-        Sweeps every ``interval`` simulated seconds on a timer chain.
-        The monitor is read-only and draws no RNG, so arming it cannot
+        Sweeps every ``interval`` simulated seconds on the simulator's
+        ``call_every``, as the live plane does on its loop's.  The
+        monitor is read-only and draws no RNG, so arming it cannot
         change a run's outcome — only observe it.  Returns the monitor;
         call its :meth:`~repro.core.invariants.InvariantMonitor.check`
         once more after the run for the final-state sweep.
         """
         monitor = self.deployment.invariant_monitor()
-
-        def sweep() -> None:
-            monitor.check()
-            self.sim.call_later(interval, sweep)
-
-        self.sim.call_later(interval, sweep)
+        self.sim.call_every(interval, monitor.check)
         return monitor
 
     def audit_results(self):

@@ -4,10 +4,12 @@ The protocol wiring — roles, membership, manager assignment, expulsion,
 the nodes, the crash/restart rules, the read-outs — is the same
 :class:`~repro.deployment.Deployment` the simulated
 :class:`~repro.experiments.cluster.SimCluster` runs, hosted here on the
-asyncio transport and in real time.  This module keeps what only a live
-run has: the sockets, the tamper-evident audit log, the real-time tasks
-(source, fault driver, breaker probe, invariant sweeps, load generator)
-and the :class:`RuntimeReport`.
+asyncio transport and in real time, and read off it the same way
+(``cluster.deployment``, ``cluster.invariants``).  This module keeps what
+only a live run has: the sockets, the tamper-evident audit log, the
+real-time tasks (fault driver, breaker probe, load generator) and the
+:class:`RuntimeReport` of what the sockets counted.  The source and the
+invariant sweeps ride the host's ``call_every``, as on the simulator.
 
 Robustness features (all off by default, switched on per config):
 
@@ -29,15 +31,16 @@ simulation takes; :func:`~repro.deployment.loopback_config` gives the
 values this plane runs on loopback.  Usage (see
 ``examples/live_cluster.py``)::
 
-    cluster = loopback_config(12, freerider_fraction=0.25)
-    report = asyncio.run(RuntimeCluster(RuntimeConfig(cluster, duration=6.0)).run())
+    cluster = RuntimeCluster(RuntimeConfig(loopback_config(12), duration=6.0))
+    report = asyncio.run(cluster.run())
+    scores = cluster.deployment.scores()
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.core.auditlog import AuditLog
 from repro.deployment import ClusterConfig, Deployment
@@ -46,7 +49,6 @@ from repro.gossip.chunks import StreamSource
 from repro.gossip.protocol import GossipNode
 from repro.loadgen.driver import LoadGenerator, LoadProfile
 from repro.metrics.health import delivery_ratio
-from repro.metrics.scores import DetectionReport
 from repro.runtime.transport import AsyncTransport, NodeRegistry
 from repro.util.rng import SeedSequenceFactory
 from repro.wire import AuditRequest
@@ -86,15 +88,14 @@ class RuntimeConfig:
 
 @dataclass
 class RuntimeReport:
-    """What a live run produced."""
+    """What only a socket run counts; the protocol's read-outs are the
+    deployment's (``cluster.deployment``) and the invariant sweeps'
+    (``cluster.invariants``), as on the simulator."""
 
     chunks_emitted: int
     delivery_ratio: float
-    scores: Dict[NodeId, float]
-    detection: DetectionReport
     datagrams_sent: int
     datagrams_dropped: int
-    freerider_ids: Set[NodeId] = field(default_factory=set)
     datagram_errors: int = 0
     sends_refused: int = 0
     #: breaker / ingress-queue / connection counters (see
@@ -102,18 +103,9 @@ class RuntimeReport:
     resilience: Dict[str, object] = field(default_factory=dict)
     #: fault-plane injection counters (empty without a schedule).
     faults: Dict[str, int] = field(default_factory=dict)
-    expelled: List[NodeId] = field(default_factory=list)
-    #: expelled nodes that were not freeriders (wrongful blame).
-    wrongful_expulsions: List[NodeId] = field(default_factory=list)
     #: outcome of verifying the audit chain after the run.
     audit_ok: Optional[bool] = None
     audit_records: int = 0
-    #: churn/detector transition counters and convergence delays
-    #: (empty without a failure detector).
-    membership: Dict[str, object] = field(default_factory=dict)
-    #: safety-invariant sweep outcome (see
-    #: :class:`repro.core.invariants.InvariantMonitor.summary`).
-    invariants: Dict[str, object] = field(default_factory=dict)
     #: load-generator sweep report (empty without a ``load_profile``);
     #: see :meth:`repro.loadgen.driver.LoadGenerator.report`.
     load: Dict[str, object] = field(default_factory=dict)
@@ -129,15 +121,12 @@ class RuntimeCluster:
             if getattr(cluster, name) != getattr(ClusterConfig, name):
                 raise ValueError(f"{name} is simulator-only: the live plane models no link")
         self.config = config
-        self.gossip = cluster.gossip
-        self.lifting = cluster.lifting
         #: built by :meth:`run` (the transport needs the running loop).
         self.deployment: Optional[Deployment] = None
         self.source: Optional[StreamSource] = None
         self.nodes: Dict[NodeId, GossipNode] = {}
-        self.freerider_ids: Set[NodeId] = set()
         self.audit_log: Optional[AuditLog] = None
-        #: armed by :meth:`run`; exposes live invariant state to tests.
+        #: the invariant monitor :meth:`run` sweeps (``summary()`` after it).
         self.invariants = None
         #: armed by :meth:`run` when a load profile is configured.
         self.loadgen: Optional[LoadGenerator] = None
@@ -145,6 +134,7 @@ class RuntimeCluster:
     async def run(self) -> RuntimeReport:
         """Execute the deployment for ``config.duration`` real seconds."""
         config, cluster = self.config, self.config.cluster
+        period = cluster.gossip.gossip_period
         loop = asyncio.get_running_loop()
         seeds = SeedSequenceFactory(cluster.seed)
         registry = NodeRegistry()
@@ -167,32 +157,32 @@ class RuntimeCluster:
             clock=transport.clock,
         )
         self.audit_log = log
-        log.append("run_start", n=self.gossip.n, seed=cluster.seed)
+        log.append("run_start", n=cluster.gossip.n, seed=cluster.seed)
 
-        source_timer = None
+        timers = []  # the host's periodic handles: invariant sweeps, source
         tasks: List[asyncio.Task] = []
         try:
             deployment = Deployment(transport, seeds, cluster, audit_log=log)
             self.deployment = deployment
             self.nodes = deployment.nodes
-            self.freerider_ids = deployment.freerider_ids
             for node_id in deployment.node_ids:
                 node = deployment.add_node(node_id)
                 await transport.open_endpoints(node_id, node.on_message)
 
-            # Safety-invariant sweeps ride their own task: read-only over
-            # the managers/registry, so they observe the run without
+            # Safety-invariant sweeps, two gossip periods apart: read-only
+            # over the managers/registry, so they observe the run without
             # perturbing it.
-            invariants = deployment.invariant_monitor()
-            self.invariants = invariants
-            tasks.append(loop.create_task(self._invariant_sweeps(invariants)))
+            invariants = self.invariants = deployment.invariant_monitor()
+            timers.append(
+                transport.call_every(2 * period, invariants.check, first_delay=2 * period)
+            )
 
             # The source owns a real endpoint like any node; it just follows
             # a push schedule instead of the three-phase protocol.
-            source = StreamSource(transport, deployment.membership, self.gossip)
+            source = StreamSource(transport, deployment.membership, cluster.gossip)
             self.source = source
             await transport.open_endpoints(source.node_id, source.on_message)
-            source_timer = source.start()
+            timers.append(source.start())
 
             if plane is not None:
                 tasks.append(loop.create_task(self._fault_driver(transport, plane, log)))
@@ -220,24 +210,25 @@ class RuntimeCluster:
                 node.start()
 
             await asyncio.sleep(config.duration)
-            self._stop(source_timer, tasks)
-            await asyncio.sleep(2 * self.gossip.gossip_period)  # drain in-flight timers
+            self._stop(timers, tasks)
+            await asyncio.sleep(2 * period)  # drain in-flight timers
         except BaseException:
             log.close()  # a completed run closes it after the snapshot
             raise
         finally:
             # Also when cancelled (a timeout, Ctrl-C) or failed mid-setup:
             # no socket outlives the run.
-            self._stop(source_timer, tasks)
+            self._stop(timers, tasks)
             await transport.close()
 
         invariants.check()  # final-state sweep on the settled run
-        return self._report(transport, plane, log, invariants)
+        return self._report(transport, plane, log)
 
-    def _stop(self, source_timer, tasks: List[asyncio.Task]) -> None:
-        """Stop the stream, the background tasks and every node (idempotent)."""
-        if source_timer is not None:
-            source_timer.stop()
+    def _stop(self, timers, tasks: List[asyncio.Task]) -> None:
+        """Stop the stream, the invariant sweeps, the background tasks and
+        every node (idempotent)."""
+        for timer in timers:
+            timer.stop()
         for task in tasks:
             task.cancel()
         if self.loadgen is not None:
@@ -298,21 +289,13 @@ class RuntimeCluster:
                 transport.send(prober, target, probe, reliable=True)
             await asyncio.sleep(_PROBE_INTERVAL)
 
-    async def _invariant_sweeps(self, monitor) -> None:
-        """Periodic safety sweeps, a couple per gossip period window."""
-        interval = 2 * self.gossip.gossip_period
-        while True:
-            await asyncio.sleep(interval)
-            monitor.check()
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def _report(self, transport, plane, log, invariants) -> RuntimeReport:
-        deployment = self.deployment
+    def _report(self, transport, plane, log) -> RuntimeReport:
         emitted = self.source.emitted
         delivery = delivery_ratio(self.nodes.values(), range(emitted))
-        expelled, wrongful = deployment.expulsions()
+        expelled, _wrongful = self.deployment.expulsions()
         log.snapshot(
             {
                 "chunks_emitted": emitted,
@@ -329,20 +312,13 @@ class RuntimeCluster:
         return RuntimeReport(
             chunks_emitted=emitted,
             delivery_ratio=delivery,
-            scores=deployment.scores(),
-            detection=deployment.detection(),
             datagrams_sent=transport.datagrams_sent,
             datagrams_dropped=transport.datagrams_dropped,
-            freerider_ids=set(self.freerider_ids),
             datagram_errors=transport.datagram_errors,
             sends_refused=transport.sends_refused,
             resilience=resilience,
             faults=plane.counters() if plane is not None else {},
-            expelled=expelled,
-            wrongful_expulsions=wrongful,
             audit_ok=chain.ok,
             audit_records=chain.length,
-            membership=deployment.churn_summary(),
-            invariants=invariants.summary(),
             load=load_report,
         )

@@ -448,8 +448,8 @@ def _compute_loadgen(params: dict) -> Dict[str, object]:
         load_profile=profile,
         load_target=params["target"],
     )
-    report = asyncio.run(RuntimeCluster(config).run())
-    load = report.load
+    cluster = RuntimeCluster(config)
+    load = asyncio.run(cluster.run()).load
     knee = load.get("knee", {})
     overall = load.get("overall", {})
     stages = overall.get("stages", {})
@@ -467,7 +467,7 @@ def _compute_loadgen(params: dict) -> Dict[str, object]:
         "ingress_dropped": load.get("ingress_dropped"),
         "stage_p50": {s: v.get("p50") for s, v in stages.items()},
         "stage_p99": {s: v.get("p99") for s, v in stages.items()},
-        "invariant_violations": report.invariants.get("violations", 0),
+        "invariant_violations": cluster.invariants.summary()["violations"],
         "load": dict(load),
     }
 
@@ -582,13 +582,12 @@ def _churn_scenario(params):
 
 def _escape(cluster, outcome) -> Dict[str, object]:
     """What an adversary sweep adds per cell: the share of adversaries
-    never expelled, their scores and the armed policy."""
+    never expelled and their scores."""
     scores = cluster.scores()
     caught, armed = outcome["freeriders_expelled"], outcome["freeriders"]
     return {
         "escape_rate": 1.0 - caught / armed if armed else 0.0,
         "freerider_scores": [round(scores[n], 3) for n in sorted(cluster.freerider_ids)],
-        "policy": dict(cluster.adversary_policy.describe()),
     }
 
 
@@ -653,7 +652,7 @@ def _compute_sybil(params: dict) -> Dict[str, object]:
     campaign = cluster.adversary_policy.campaign
     scores = cluster.scores()
     outcome.update(
-        victims=[int(v) for v in campaign.victims],
+        victim_ids=[int(v) for v in campaign.victims],
         victim_scores=[round(scores[v], 3) for v in campaign.victims],
         victims_expelled=sum(map(cluster.controller.is_expelled, campaign.victims)),
         blames_stuffed=round(campaign.blames_stuffed, 3),

@@ -90,12 +90,6 @@ class Job:
     extractors: Tuple[Tuple[str, Extractor], ...]
     checkpoints: Tuple[float, ...] = ()
     key: Hashable = None
-    #: provenance — the resolved scenario parameters this job was built
-    #: from, as ``(name, value)`` pairs (a mapping is accepted and
-    #: normalised).  Purely descriptive: execution ignores it, but a
-    #: result assembled from the job can report exactly which declared
-    #: parameters produced it (see :mod:`repro.scenarios`).
-    params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if isinstance(self.extractors, Mapping):
@@ -105,10 +99,6 @@ class Job:
         object.__setattr__(
             self, "checkpoints", tuple(float(t) for t in self.checkpoints)
         )
-        if isinstance(self.params, Mapping):
-            object.__setattr__(self, "params", tuple(self.params.items()))
-        else:
-            object.__setattr__(self, "params", tuple(self.params))
 
     @property
     def times(self) -> Tuple[float, ...]:

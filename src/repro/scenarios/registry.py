@@ -23,7 +23,6 @@ experiment code — no CLI surgery, no result type, no renderer (see
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.scenarios.parallel import Job, Task, run_tasks
@@ -151,15 +150,11 @@ def list_scenarios(tag: Optional[str] = None) -> List[ScenarioSpec]:
     return specs
 
 
-def _as_tasks(
-    work: Sequence[Any], params: Mapping[str, Any], name: str
-) -> List[Task]:
-    """Normalise a builder's work list to tasks, stamping provenance."""
+def _as_tasks(work: Sequence[Any], name: str) -> List[Task]:
+    """Normalise a builder's work list to tasks."""
     tasks: List[Task] = []
     for item in work:
         if isinstance(item, Job):
-            if not item.params:
-                item = replace(item, params=tuple(params.items()))
             tasks.append(Task(fn=_execute_job, args=(item,), key=item.key))
         elif isinstance(item, Task):
             tasks.append(item)
@@ -185,7 +180,7 @@ def run_scenario(name: str, **overrides: Any) -> RunResult:
     work = list(spec.build_jobs(params))
     jobs = params.get("jobs", 1)
     jobs = int(jobs) if isinstance(jobs, int) and not isinstance(jobs, bool) else 1
-    results = run_tasks(_as_tasks(work, params, name), jobs=jobs)
+    results = run_tasks(_as_tasks(work, name), jobs=jobs)
     if spec.reduce is not None:
         metrics = spec.reduce(results, params)
     elif len(results) == 1 and isinstance(results[0], Mapping):

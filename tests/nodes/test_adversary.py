@@ -220,7 +220,7 @@ class TestClusterWiring:
     @pytest.mark.parametrize("kind", SHIPPED)
     def test_every_policy_arms_exactly_the_adversaries(self, kind):
         cluster = self.make_cluster(adversary=adversary.spec(kind))
-        assert cluster.adversary_policy.describe()["policy"] == kind
+        assert cluster.adversary_policy.name == kind
         assert cluster.freerider_ids
         for nid in cluster.freerider_ids:
             assert isinstance(cluster.nodes[nid].behavior, FreeriderBehavior)
@@ -235,9 +235,9 @@ class TestClusterWiring:
         monitor.check()
         assert monitor.summary()["violations"] == 0
 
-    def test_policy_describe_is_exposed(self):
+    def test_policy_name_is_exposed(self):
         cluster = self.make_cluster(adversary=adversary.spec("sybil_blame"))
-        assert cluster.adversary_policy.describe()["policy"] == "sybil_blame"
+        assert cluster.adversary_policy.name == "sybil_blame"
 
     def test_unknown_adversary_fails_fast(self):
         with pytest.raises(ValueError, match="available"):

@@ -36,46 +36,48 @@ def churn_run(tmp_path_factory):
         audit_key_seed=KEY_SEED,
     )
 
+    cluster = RuntimeCluster(config)
+
     async def run():
         # The wait_for is the no-hang assertion: a stuck event loop
         # fails here instead of stalling the suite.
-        return await asyncio.wait_for(
-            RuntimeCluster(config).run(), timeout=10 * DURATION
-        )
+        return await asyncio.wait_for(cluster.run(), timeout=10 * DURATION)
 
-    return asyncio.run(run()), log_path
+    return cluster, asyncio.run(run()), log_path
 
 
 class TestLiveChurn:
     def test_run_completes_with_throughput(self, churn_run):
-        report, _path = churn_run
+        _cluster, report, _path = churn_run
         assert report.chunks_emitted > 0
         assert report.delivery_ratio > 0.3
 
     def test_membership_stats_populated(self, churn_run):
-        report, _path = churn_run
-        stats = report.membership
+        cluster, _report, _path = churn_run
+        stats = cluster.deployment.churn_summary()
         assert stats["crashes"] == 2
         assert stats["restarts"] == 2
         assert stats["probes_sent"] > 0
 
     def test_crashes_were_suspected_not_expelled(self, churn_run):
-        report, _path = churn_run
-        stats = report.membership
+        cluster, _report, _path = churn_run
+        stats = cluster.deployment.churn_summary()
+        expelled, wrongful = cluster.deployment.expulsions()
         # Loose bounds — real timers jitter — but the detector must have
         # noticed the outages and the restarts must have refuted them.
         assert stats["suspicions"] >= 1
         assert stats["refutations"] >= 1
-        assert report.wrongful_expulsions == []
-        assert report.expelled == []  # honest-only population
+        assert wrongful == []
+        assert expelled == []  # honest-only population
 
     def test_cluster_converged_after_restarts(self, churn_run):
-        report, _path = churn_run
-        assert report.membership["suspected_now"] == 0
-        assert report.membership["records_in_quarantine"] == 0
+        cluster, _report, _path = churn_run
+        stats = cluster.deployment.churn_summary()
+        assert stats["suspected_now"] == 0
+        assert stats["records_in_quarantine"] == 0
 
     def test_membership_transitions_in_audit_chain(self, churn_run):
-        report, path = churn_run
+        _cluster, report, path = churn_run
         assert report.audit_ok is True
         loaded = AuditLog.load(str(path), key_seed=KEY_SEED)
         assert loaded.verify_all().ok
@@ -111,6 +113,7 @@ class TestScriptedRestartWithoutCrash:
         periods = {nid: node.period for nid, node in cluster.nodes.items()}
         peers = [count for nid, count in periods.items() if nid != 1]
         assert min(peers) - 1 <= periods[1] <= max(peers) + 1
-        assert report.membership["restarts"] == 0
-        assert report.membership["crashes"] == 0
+        stats = cluster.deployment.churn_summary()
+        assert stats["restarts"] == 0
+        assert stats["crashes"] == 0
         assert report.faults["crashed_now"] == 0

@@ -26,7 +26,8 @@ def run_cluster(profile, n=6, seed=1):
         load_profile=profile,
         load_target=0,
     )
-    return asyncio.run(RuntimeCluster(config).run())
+    cluster = RuntimeCluster(config)
+    return cluster, asyncio.run(cluster.run())
 
 
 class TestLiveLoadgen:
@@ -35,7 +36,7 @@ class TestLiveLoadgen:
             start_rate=200.0, step_rate=200.0, steps=2,
             step_duration=0.5, settle=0.2, seed=0,
         )
-        report = run_cluster(profile)
+        cluster, report = run_cluster(profile)
         load = report.load
         assert load["schema"] == LOADGEN_REPORT_SCHEMA
 
@@ -73,7 +74,7 @@ class TestLiveLoadgen:
         assert load["resilience"]["schema"] == "repro.resilience_snapshot/2"
 
         # Zero invariant violations while under load.
-        assert report.invariants["violations"] == 0
+        assert cluster.invariants.summary()["violations"] == 0
 
         # The whole payload is JSON-safe (no numpy scalars, no sets).
         json.dumps(load)
@@ -85,10 +86,10 @@ class TestLiveLoadgen:
             start_rate=300.0, step_rate=0.0, steps=1,
             step_duration=1.0, settle=0.2,
         )
-        report = run_cluster(profile, n=8, seed=2)
+        cluster, report = run_cluster(profile, n=8, seed=2)
         assert report.chunks_emitted > 0
         assert report.delivery_ratio > 0.85
-        assert len(report.scores) == 8
+        assert len(cluster.deployment.scores()) == 8
 
     def test_no_profile_no_load_report(self):
         config = RuntimeConfig(loopback_config(6, loss_rate=0.0, seed=3), duration=1.0)

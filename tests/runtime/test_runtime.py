@@ -9,12 +9,14 @@ from repro import adversary
 from repro.config import FreeriderDegree, planetlab_params
 from repro.deployment import ClusterConfig, loopback_config
 from repro.experiments.cluster import SimCluster
+from repro.faults import FaultEvent, FaultSchedule
 from repro.gossip.chunks import SOURCE_ID, StreamSource
 from repro.metrics.health import delivery_ratio
 from repro.nodes.behavior import HonestBehavior
 from repro.nodes.colluder import ColludingBehavior
 from repro.runtime.cluster import RuntimeCluster, RuntimeConfig
 from repro.runtime.transport import AsyncTransport, NodeRegistry
+from repro.wire import AuditRequest
 
 
 class TestNodeRegistry:
@@ -63,7 +65,7 @@ class TestLiveCluster:
             RuntimeConfig(loopback_config(6, loss_rate=0.0, seed=6), duration=1.0)
         )
         report = asyncio.run(cluster.run())
-        gossip = cluster.gossip
+        gossip = cluster.config.cluster.gossip
         assert isinstance(cluster.source, StreamSource)
         assert report.chunks_emitted == cluster.source.emitted > 0
         assert sorted(pushes) == list(range(report.chunks_emitted))
@@ -87,17 +89,20 @@ class TestLiveCluster:
             freerider_fraction=0.2,
             adversary=adversary.spec("freerider", degree=(0.25, 0.4, 0.4)),
         )
-        config = RuntimeConfig(cluster, duration=4.0)
-        report = asyncio.run(RuntimeCluster(config).run())
-        honest = [s for n, s in report.scores.items() if n not in report.freerider_ids]
-        freeriders = [s for n, s in report.scores.items() if n in report.freerider_ids]
+        live = RuntimeCluster(RuntimeConfig(cluster, duration=4.0))
+        asyncio.run(live.run())
+        scores, freerider_ids = live.deployment.scores(), live.deployment.freerider_ids
+        honest = [s for n, s in scores.items() if n not in freerider_ids]
+        freeriders = [s for n, s in scores.items() if n in freerider_ids]
         assert freeriders and honest
         assert sum(freeriders) / len(freeriders) < sum(honest) / len(honest)
 
     def test_scores_present_for_all_nodes(self):
-        config = RuntimeConfig(loopback_config(8, loss_rate=0.0, seed=4), duration=2.0)
-        report = asyncio.run(RuntimeCluster(config).run())
-        assert len(report.scores) == 8
+        cluster = RuntimeCluster(
+            RuntimeConfig(loopback_config(8, loss_rate=0.0, seed=4), duration=2.0)
+        )
+        asyncio.run(cluster.run())
+        assert len(cluster.deployment.scores()) == 8
 
     def test_coalition_policy_runs_over_sockets(self):
         # Any registered policy arms the live plane through Deployment:
@@ -117,17 +122,56 @@ class TestLiveCluster:
         )
         cluster = RuntimeCluster(RuntimeConfig(deployment, duration=2.0))
         report = asyncio.run(cluster.run())
-        assert len(report.freerider_ids) == 3
-        members = [cluster.nodes[n].behavior for n in report.freerider_ids]
+        freerider_ids = cluster.deployment.freerider_ids
+        assert len(freerider_ids) == 3
+        members = [cluster.nodes[n].behavior for n in freerider_ids]
         assert all(isinstance(b, ColludingBehavior) for b in members)
         assert len({id(b.coalition) for b in members}) == 1
-        assert members[0].coalition.members == report.freerider_ids
+        assert members[0].coalition.members == freerider_ids
         assert sum(b.credits_sent for b in members) > 0
-        for node_id in set(cluster.nodes) - report.freerider_ids:
+        for node_id in set(cluster.nodes) - freerider_ids:
             assert type(cluster.nodes[node_id].behavior) is HonestBehavior
-        assert report.invariants["checks"] >= 2
-        assert report.invariants["violations"] == 0
+        swept = cluster.invariants.summary()
+        assert swept["checks"] >= 2
+        assert swept["violations"] == 0
         assert report.audit_ok is True
+
+
+class TestTeardown:
+    def test_no_invariant_sweep_outlives_the_run(self):
+        # The sweeps ride the loop's call_every: once run() returns, more
+        # loop time must not check again.
+        cluster = RuntimeCluster(
+            RuntimeConfig(loopback_config(4, loss_rate=0.0, seed=8), duration=1.0)
+        )
+
+        async def run_then_idle():
+            await cluster.run()
+            checks = cluster.invariants.summary()["checks"]
+            await asyncio.sleep(4 * cluster.config.cluster.gossip.gossip_period)
+            return checks
+
+        checks = asyncio.run(run_then_idle())
+        assert checks >= 2  # at least one periodic sweep and the final one
+        assert cluster.invariants.summary()["checks"] == checks
+
+    def test_a_script_that_crashes_every_node_sends_no_probe(self, monkeypatch):
+        # The breaker probe needs a prober that never crashes; with every
+        # node scripted to crash there is none, and the run still returns.
+        probes = []
+        send = AsyncTransport.send
+
+        def recording(self, src, dst, message, reliable):
+            if reliable and isinstance(message, AuditRequest):
+                probes.append((src, dst))
+            return send(self, src, dst, message, reliable)
+
+        monkeypatch.setattr(AsyncTransport, "send", recording)
+        schedule = FaultSchedule(events=(FaultEvent(kind="crash", at=0.3, nodes=(0, 1, 2, 3)),))
+        config = RuntimeConfig(loopback_config(4, seed=9), duration=1.0, fault_schedule=schedule)
+        report = asyncio.run(asyncio.wait_for(RuntimeCluster(config).run(), timeout=30.0))
+        assert report.faults["crashed_now"] == 4
+        assert probes == []
 
 
 class TestOneConfigBothPlanes:

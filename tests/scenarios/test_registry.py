@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.scenarios.parallel import Job, Task
+from repro.scenarios.parallel import Task
 from repro.scenarios import (
     DuplicateScenarioError,
     Param,
@@ -168,24 +168,13 @@ class TestParamCoercion:
 
 
 class TestWorkNormalisation:
-    def test_job_provenance_stamped(self):
-        job = Job(config=None, until=1.0, extractors=())
-        [task] = _as_tasks([job], {"n": 4, "rates": (1.0, 2.0)}, "dummy")
-        stamped = task.args[0]
-        assert stamped.params == (("n", 4), ("rates", (1.0, 2.0)))
-
-    def test_job_existing_provenance_kept(self):
-        job = Job(config=None, until=1.0, extractors=(), params={"mine": 1})
-        [task] = _as_tasks([job], {"n": 4}, "dummy")
-        assert task.args[0].params == (("mine", 1),)
-
     def test_tasks_pass_through(self):
         task = Task(fn=int, args=("3",), key="k")
-        assert _as_tasks([task], {}, "dummy") == [task]
+        assert _as_tasks([task], "dummy") == [task]
 
     def test_rejects_other_item_types(self):
         with pytest.raises(TypeError, match="Job or Task"):
-            _as_tasks([object()], {}, "dummy")
+            _as_tasks([object()], "dummy")
 
 
 class TestEngine:

@@ -47,3 +47,28 @@ def test_whole_sweep_fails_on_an_unarmed_policy(monkeypatch, capsys):
 
 def _run_toy(name, **params):
     return RunResult(scenario=name, params={}, metrics={"value": 1})
+
+
+def test_a_sequence_of_mappings_that_prints_as_no_table_fails(monkeypatch, capsys):
+    monkeypatch.setattr(Deployment, "__init__", Deployment.__init__)
+    toy = ScenarioSpec(
+        name="bench-test-rows",
+        description="test-only scenario with three sequences of mappings",
+        params=(),
+        build_jobs=lambda params: [],
+    )
+    metrics = {
+        "nested": ({"cell": 1, "policy": {"name": "x"}}, {"cell": 2, "policy": {"name": "x"}}),
+        "ragged": ({"cell": 1}, {"cell": 2, "victims": 3}),
+        "table": ({"cell": 1, "ids": [4, 5]}, {"cell": 2, "ids": []}),
+    }
+    monkeypatch.setattr(repro.scenarios, "list_scenarios", lambda: [toy])
+    monkeypatch.setattr(
+        repro.scenarios, "run_scenario",
+        lambda name, **params: RunResult(scenario=name, params={}, metrics=metrics),
+    )
+    assert bench_scenarios.main(["--only", "bench-test-rows"]) == 1
+    err = capsys.readouterr().err
+    assert "bench-test-rows: nested does not render as a table" in err
+    assert "bench-test-rows: ragged does not render as a table" in err
+    assert "table does not" not in err

@@ -474,7 +474,7 @@ class TestReadOuts:
         assert make_deployment().churn_summary() == {}
 
     def test_churn_summary_keys(self, deployment):
-        # The keys RuntimeReport.membership and the churn scenario expose.
+        # The keys the churn scenario reports, read the same on both planes.
         assert list(deployment.churn_summary()) == [
             "crashes",
             "restarts",
