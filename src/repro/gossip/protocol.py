@@ -18,10 +18,10 @@ once, at construction, and calls them with no facade frame between.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Collection, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -199,7 +199,10 @@ class GossipNode:
         # (at, proposer, proposal_id, chunk_ids) of each received
         # proposal naming a chunk we lacked, oldest first: where a lost
         # serve is re-requested.  The retry is rare, so it scans.
-        self._offers: Deque[Tuple[float, NodeId, int, Tuple[ChunkId, ...]]] = deque()
+        self._offers: List[Tuple[float, NodeId, int, Tuple[ChunkId, ...]]] = []
+        # The per-message timer callbacks, bound once for every pending timer.
+        self._close_window_cb = self._close_window
+        self._answer_confirm_cb = self._answer_confirm
 
         self.engine = VerificationEngine(self) if lifting_enabled else None
         self.auditor = Auditor(self) if lifting_enabled else None
@@ -389,8 +392,12 @@ class GossipNode:
         """Drop logged proposals older than two periods."""
         horizon = self.timeline.now - 2 * self.gossip.gossip_period
         offers = self._offers
-        while offers and offers[0][0] < horizon:
-            offers.popleft()
+        stale = 0
+        for entry in offers:
+            if entry[0] >= horizon:
+                break
+            stale += 1
+        del offers[:stale]
 
     def _propose_phase(self) -> None:
         fresh = self._fresh
@@ -532,7 +539,7 @@ class GossipNode:
         awaited = self._awaited
         for chunk_id in chunk_ids:
             awaited[chunk_id] = window
-        self.call_later(self.lifting.serve_timeout, self._close_window, window)
+        self.call_later(self.lifting.serve_timeout, self._close_window_cb, window)
 
     def _close_window(self, window: _Window) -> None:
         """``serve_timeout`` after a request: release what it still
@@ -635,7 +642,7 @@ class GossipNode:
         # (verifier is only an ack + confirm hop behind the proposer), so
         # the testimony is evaluated after a grace delay.  One Confirm
         # per served batch makes this the biggest timer source of a run.
-        self.call_later(WITNESS_ANSWER_DELAY, self._answer_confirm, src, message)
+        self.call_later(WITNESS_ANSWER_DELAY, self._answer_confirm_cb, src, message)
 
     def _answer_confirm(self, src: NodeId, message: Confirm) -> None:
         proposer = message.proposer

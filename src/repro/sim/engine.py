@@ -78,8 +78,8 @@ class _Deferred:
 
 
 #: Occupies the ``dst`` slot of a calendar entry filed by
-#: :meth:`Simulator.call_later` — ``[time, seq, callback, DEFERRED, args]``
-#: beside a delivery's ``[time, seq, src, dst, message]``.  The drain
+#: :meth:`Simulator.call_later` — ``(time, seq, callback, DEFERRED, args)``
+#: beside a delivery's ``(time, seq, src, dst, message)``.  The drain
 #: tells the two apart by identity on that slot, so no message payload
 #: (``None``, an ``int``, a tuple) can be mistaken for a call; and with
 #: the default identity ``__eq__`` it equals no node id, so code that
@@ -90,13 +90,15 @@ DEFERRED = _Deferred()
 class DeliveryTimeline:
     """The calendar queue: deliveries and deferred calls, never taken back.
 
-    A ring of ``ring_size`` fixed-width time buckets; entries are plain
-    five-slot lists — ``[time, seq, src, dst, message]`` for a network
-    delivery, ``[time, seq, callback, DEFERRED, args]`` for a
+    A ring of ``ring_size`` fixed-width time buckets; entries are
+    five-slot tuples — ``(time, seq, src, dst, message)`` for a network
+    delivery, ``(time, seq, callback, DEFERRED, args)`` for a
     :meth:`Simulator.call_later` call — appended unsorted and sorted once
-    when their bucket becomes *current* (the list-vs-list comparison
-    stops at the unique ``seq``, so ties are broken exactly like heap
-    entries and the later slots are never compared).  A small heap of
+    when their bucket becomes *current* (the tuple comparison stops at
+    the unique ``seq``, so ties are broken exactly like heap entries and
+    the later slots are never compared; a bucket mixing lists and tuples
+    would raise ``TypeError``).  Nothing takes an entry back, so a tuple
+    (one allocation, where a list is two) suffices.  A small heap of
     occupied bucket indices makes cursor advancement O(1) amortized
     regardless of how sparse the timeline is — no empty-bucket scans.
     An entry someone may take back belongs on the engine's heap
@@ -153,7 +155,7 @@ class DeliveryTimeline:
         self.cur_idx = -1  # bucket index of ``cur``
         self.count = 0  # pending entries across ring + cur
 
-    def add(self, entry: list, base_idx: int) -> bool:
+    def add(self, entry: tuple, base_idx: int) -> bool:
         """Insert ``entry`` (a delivery or a deferred call, see above).
 
         ``base_idx`` is ``int(now * inv_width)``.  Returns False when
@@ -167,27 +169,23 @@ class DeliveryTimeline:
         if idx - base_idx >= self.horizon:
             return False
         cur_idx = self.cur_idx
-        if idx > cur_idx:
-            slot = self._ring[idx & self._mask]
-            if not slot:
-                heappush(self._order, idx)
-            slot.append(entry)
-        elif idx == cur_idx:
+        if idx == cur_idx:
             # Lands in the bucket being drained: its seq exceeds every
             # existing entry's and its time is >= now, so it sorts in at
             # or after the cursor.
             insort(self.cur, entry, self.cur_pos)
         else:
-            # The cursor skipped this (then-empty) bucket; rewind.  The
-            # current bucket cannot have been touched yet: an entry of
-            # it having fired would put ``now`` (and hence ``entry``)
-            # past this bucket.
-            if self.cur_pos < len(self.cur):
-                self._ring[cur_idx & self._mask] = self.cur
-                heappush(self._order, cur_idx)
-            self.cur = []
-            self.cur_pos = 0
-            self.cur_idx = idx - 1
+            if idx < cur_idx:
+                # The cursor skipped this (then-empty) bucket; rewind.
+                # The current bucket cannot have been touched yet: an
+                # entry of it having fired would put ``now`` (and hence
+                # ``entry``) past this bucket.
+                if self.cur_pos < len(self.cur):
+                    self._ring[cur_idx & self._mask] = self.cur
+                    heappush(self._order, cur_idx)
+                self.cur = []
+                self.cur_pos = 0
+                self.cur_idx = idx - 1
             slot = self._ring[idx & self._mask]
             if not slot:
                 heappush(self._order, idx)
@@ -267,10 +265,10 @@ class Simulator:
         back when a heap event is due first, an entry is due past
         ``until``, ``budget`` entries have fired, or the timeline is
         exhausted — and return how many entries it fired.  An entry
-        whose ``dst`` slot is :data:`DEFERRED` is a call filed by
-        :meth:`call_later`: the drain must run ``entry[2](*entry[4])``
-        and count it as one fired entry.  The network owns the drain so
-        delivery semantics stay out of the engine.
+        (a five-slot tuple) whose ``dst`` slot is :data:`DEFERRED` is a
+        call filed by :meth:`call_later`: the drain must run
+        ``entry[2](*entry[4])`` and count it as one fired entry.  The
+        network owns the drain so delivery semantics stay out of the engine.
         """
         require(self._timeline is None, "a delivery timeline is already attached")
         require(self.now >= 0.0, "delivery timeline requires a non-negative clock")
@@ -344,7 +342,7 @@ class Simulator:
             # DeliveryTimeline.add with its common branch inlined, as on
             # the network's send path: a future in-horizon bucket costs
             # one append and no frame.
-            entry = [time, self._sequence, callback, DEFERRED, args]
+            entry = (time, self._sequence, callback, DEFERRED, args)
             inv_width = timeline.inv_width
             idx = int(time * inv_width)
             base_idx = int(now * inv_width)

@@ -240,28 +240,19 @@ class Network:
         dropped = 0
         tl = self._timeline
         if tl is not None:
-            cur, pos = tl.cur, tl.cur_pos
-            if pos < len(cur):
-                kept = [e for e in cur[pos:] if e[3] != node]
-                removed = (len(cur) - pos) - len(kept)
+            # The undrained tail of the current bucket, then every filled
+            # bucket of the ring (the current one is never among them).
+            undrained = [(tl.cur, tl.cur_pos)] + [(b, 0) for b in tl._ring if b]
+            for bucket, start in undrained:
+                kept = [e for e in bucket[start:] if e[3] != node]
+                removed = len(bucket) - start - len(kept)
                 if removed:
-                    for e in cur[pos:]:
-                        if e[3] == node:
-                            lost[e[4].__class__] += 1
-                    cur[pos:] = kept
-                    dropped += removed
-            for bucket in tl._ring:
-                if not bucket:
-                    continue
-                kept = [e for e in bucket if e[3] != node]
-                removed = len(bucket) - len(kept)
-                if removed:
-                    for e in bucket:
+                    for e in bucket[start:]:
                         if e[3] == node:
                             lost[e[4].__class__] += 1
                     # In place: bucket identity is aliased by the
                     # timeline's occupied-index heap bookkeeping.
-                    bucket[:] = kept
+                    bucket[start:] = kept
                     dropped += removed
             tl.count -= dropped
         # The heap tier (past-horizon outliers; everything without a
@@ -492,9 +483,9 @@ class Network:
                     slot = tl_ring[idx & tl_mask]
                     if not slot:
                         heappush(tl_order, idx)
-                    slot.append([arrival, sim._sequence, src, dst, message])
+                    slot.append((arrival, sim._sequence, src, dst, message))
                     tl_added += 1
-                elif not tl.add([arrival, sim._sequence, src, dst, message], base_idx):
+                elif not tl.add((arrival, sim._sequence, src, dst, message), base_idx):
                     heappush(queue, [arrival, sim._sequence, deliver, (src, dst, message)])
             else:
                 heappush(queue, [arrival, sim._sequence, deliver, (src, dst, message)])

@@ -1,8 +1,11 @@
 """Unit tests for the verification engine (§5.2) against a fake host."""
 
 from collections import deque
+from dataclasses import dataclass, replace
+from typing import Set
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.blames import (
     REASON_FANOUT_DECREASE,
@@ -10,9 +13,10 @@ from repro.core.blames import (
     REASON_NO_ACK,
     REASON_PARTIAL_SERVE,
     REASON_WITNESS_CONTRADICTION,
+    fanout_decrease_blame,
 )
 from repro.core.verification import VerificationEngine
-from repro.wire import Ack, Confirm, ConfirmResponse
+from repro.wire import UDP, Ack, Confirm, ConfirmResponse
 
 
 @pytest.fixture
@@ -26,6 +30,11 @@ FANOUT = 4  # from the fake host's gossip params
 
 def full_partners():
     return tuple(range(10, 10 + FANOUT))
+
+
+def waiting(round_state):
+    """The witnesses a confirm round still waits on."""
+    return set(round_state.witnesses) - set(round_state.answered)
 
 
 class TestAckHappyPath:
@@ -267,7 +276,7 @@ class TestBookkeeping:
         engine.on_confirm_response(10, ConfirmResponse(5, True))
         engine.on_confirm_response(10, ConfirmResponse(5, True))
         (round_state,) = engine._confirm_rounds[5]
-        assert round_state.valid == 1 and round_state.waiting == {11, 12, 13}
+        assert round_state.valid == 1 and waiting(round_state) == {11, 12, 13}
         assert round_state.asked == FANOUT
         fake_host.sim.run()
         assert fake_host.blames == [(5, 3.0, REASON_WITNESS_CONTRADICTION)]
@@ -277,7 +286,7 @@ class TestBookkeeping:
         engine.on_confirm_response(99, ConfirmResponse(5, True))  # not a witness
         engine.on_confirm_response(10, ConfirmResponse(6, True))  # no round about 6
         (round_state,) = engine._confirm_rounds[5]
-        assert round_state.valid == 0 and round_state.waiting == set(full_partners())
+        assert round_state.valid == 0 and waiting(round_state) == set(full_partners())
         fake_host.sim.run()
         assert fake_host.blames == [(5, 4.0, REASON_WITNESS_CONTRADICTION)]
 
@@ -288,9 +297,9 @@ class TestBookkeeping:
         engine.on_ack(5, Ack(chunk_ids=(2,), partners=(10, 14, 15, 16)))
         older, newer = engine._confirm_rounds[5]
         engine.on_confirm_response(10, ConfirmResponse(5, True))
-        assert (older.waiting, newer.waiting) == ({11, 12, 13}, {10, 14, 15, 16})
+        assert (waiting(older), waiting(newer)) == ({11, 12, 13}, {10, 14, 15, 16})
         engine.on_confirm_response(10, ConfirmResponse(5, True))
-        assert (older.waiting, newer.waiting) == ({11, 12, 13}, {14, 15, 16})
+        assert (waiting(older), waiting(newer)) == ({11, 12, 13}, {14, 15, 16})
         engine.on_confirm_response(11, ConfirmResponse(5, True))
         # Each round is tallied at its own timeout, the older first.
         fake_host.sim.run(until=timeout + 0.01)
@@ -362,3 +371,119 @@ class TestOrderContracts:
         fake_host.sim.run(until=fake_host.lifting.ack_timeout + 0.1)
         engine.on_period_tick()
         assert [t for t, _v, r in fake_host.blames if r == REASON_NO_ACK] == [5, 7, 9]
+
+
+@dataclass(slots=True)
+class _SetRound:
+    proposer: int
+    waiting: Set[int]
+    asked: int
+    valid: int = 0
+
+
+class SetRoundEngine(VerificationEngine):
+    """The confirm chain as it was with a ``set`` of waited-on witnesses
+    per round: the reference the tuple rounds must match."""
+
+    def on_ack(self, src, ack):
+        host = self.host
+        fanout = host.gossip.fanout
+        witnesses = set(ack.partners)
+        witnesses -= {src}
+        reached = len(witnesses)
+        if reached < fanout:
+            value = fanout_decrease_blame(fanout, reached)
+            if value > 0:
+                host.send_blame(src, value, REASON_FANOUT_DECREASE)
+        if witnesses and self._random() < host.lifting.p_dcc:
+            round_state = _SetRound(src, witnesses, reached)
+            self._confirm_rounds.setdefault(src, []).append(round_state)
+            self._send_many(
+                self._node_id, witnesses, Confirm(proposer=src, chunk_ids=ack.chunk_ids), UDP
+            )
+            self._call_later(host.lifting.confirm_timeout, self._finish_confirm_round, round_state)
+
+    def on_confirm_response(self, src, response):
+        for round_state in self._confirm_rounds.get(response.proposer, ()):
+            if src in round_state.waiting:
+                round_state.waiting -= {src}
+                if response.valid:
+                    round_state.valid += 1
+                return
+
+    def _finish_confirm_round(self, round_state):
+        proposer = round_state.proposer
+        rounds = self._confirm_rounds
+        if proposer not in rounds or rounds[proposer][0] is not round_state:
+            return
+        del rounds[proposer][0]
+        if not rounds[proposer]:
+            del rounds[proposer]
+        contradictions = round_state.asked - round_state.valid
+        if contradictions > 0:
+            self.host.send_blame(
+                proposer, contradictions * self._contradiction_value, REASON_WITNESS_CONTRADICTION
+            )
+
+
+# Node ids 1..5: the two proposers are among the possible witnesses, so
+# an ack can list its own sender, or the other proposer.
+CONFIRM_IDS = st.integers(1, 5)
+CONFIRM_STEPS = st.one_of(
+    # an ack: partners duplicated, self-listed or absent
+    st.tuples(st.just("ack"), st.integers(1, 2), st.lists(CONFIRM_IDS, max_size=7)),
+    # a response, sent once or twice: duplicate, unsolicited (about
+    # proposer 3, or from no witness) or, after a wait, late
+    st.tuples(
+        st.just("response"), CONFIRM_IDS, st.integers(1, 3), st.booleans(), st.integers(1, 2)
+    ),
+    # a wait, in tenths of the confirm timeout: two rounds about one
+    # proposer overlap, or one closes before its answers come
+    st.tuples(st.just("wait"), st.integers(1, 12)),
+)
+
+
+class TestConfirmRoundDifferential:
+    """A round keeps its witnesses and who answered as tuples; through
+    ``on_ack`` → ``on_confirm_response`` → ``_finish_confirm_round`` it
+    must send, credit and blame exactly as the set-based round did."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        # the fixture is read, never changed: it only names the host class
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(steps=st.lists(CONFIRM_STEPS, min_size=4, max_size=40))
+    def test_tuple_rounds_match_set_rounds(self, fake_host, steps):
+        # p_dcc one half: both engines draw from identically seeded
+        # streams, so they open the same rounds only if they draw at the
+        # same acks.
+        lifting = replace(fake_host.lifting, p_dcc=0.5)
+        hosts = [type(fake_host)(fake_host.gossip, lifting) for _ in range(2)]
+        engines = [VerificationEngine(hosts[0]), SetRoundEngine(hosts[1])]
+        for step in steps:
+            for host, engine in zip(hosts, engines):
+                if step[0] == "ack":
+                    engine.on_ack(step[1], Ack(chunk_ids=(7,), partners=tuple(step[2])))
+                elif step[0] == "response":
+                    for _ in range(step[4]):
+                        engine.on_confirm_response(step[1], ConfirmResponse(step[2], step[3]))
+                else:
+                    host.sim.run(until=host.sim.now + step[1] * lifting.confirm_timeout / 10)
+            # the same Confirms to the same witnesses in the same order,
+            # the same blames, and the same credits so far
+            assert hosts[0].sent == hosts[1].sent
+            assert hosts[0].blames == hosts[1].blames
+            assert {
+                proposer: [(r.valid, waiting(r)) for r in rounds]
+                for proposer, rounds in engines[0]._confirm_rounds.items()
+            } == {
+                proposer: [(r.valid, r.waiting) for r in rounds]
+                for proposer, rounds in engines[1]._confirm_rounds.items()
+            }
+        for host in hosts:
+            host.sim.run()
+        assert hosts[0].blames == hosts[1].blames
+        assert engines[0]._confirm_rounds == engines[1]._confirm_rounds == {}

@@ -14,6 +14,7 @@ from repro.core import blames
 from repro.experiments.cluster import ClusterConfig, SimCluster
 from repro.gossip.chunks import SOURCE_ID
 from repro.scenarios import run_scenario
+from repro.sim.engine import DEFERRED
 from repro.wire import WIRE_MESSAGE_CLASSES
 
 
@@ -487,6 +488,43 @@ class TestBoundedState:
                 "blames_by_reason",  # a diagnostic, bounded by its keys
             }
             assert set(node.engine.blames_by_reason) <= BLAME_REASONS
+
+    def test_in_flight_work_holds_references(self, steady_run):
+        """What waits for a timeout costs its references, not containers
+        of its own: an open confirm round keeps its witnesses and who
+        answered as tuples (~226 B a round here, ~792 with a set of
+        waited-on witnesses), a calendar entry is one tuple, and a
+        node's pending timers of one kind share one bound callback."""
+        cluster, _sizes = steady_run
+        rounds = [
+            round_state
+            for node in cluster.nodes.values()
+            for open_rounds in node.engine._confirm_rounds.values()
+            for round_state in open_rounds
+        ]
+        assert rounds
+        assert deep_size(rounds) / len(rounds) <= 300
+        timeline = cluster.sim.timeline
+        entries = [
+            entry
+            for bucket in (timeline.cur[timeline.cur_pos :], *timeline._ring)
+            for entry in bucket
+        ]
+        assert entries and all(type(entry) is tuple for entry in entries)
+        # owner and function -> the callback objects its pending calls hold
+        callbacks = {}
+        for entry in entries:
+            callback = entry[2]
+            if entry[3] is DEFERRED and hasattr(callback, "__self__"):
+                key = (id(callback.__self__), callback.__func__.__qualname__)
+                callbacks.setdefault(key, []).append(callback)
+        assert all(all(c is held[0] for c in held) for held in callbacks.values())
+        # each kind has an owner with more than one pending call of it
+        assert {name for (_owner, name), held in callbacks.items() if len(held) > 1} >= {
+            "GossipNode._close_window",
+            "GossipNode._answer_confirm",
+            "VerificationEngine._finish_confirm_round",
+        }
 
     @pytest.fixture(scope="class")
     def long_run(self):

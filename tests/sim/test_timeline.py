@@ -25,10 +25,10 @@ class TestDeliveryTimelineUnit:
     def test_entries_fire_in_time_seq_order_across_buckets(self):
         tl = self.make()
         entries = [
-            [0.35, 3, 0, 0, "c"],
-            [0.05, 1, 0, 0, "a"],
-            [0.35, 2, 0, 0, "b"],
-            [0.61, 4, 0, 0, "d"],
+            (0.35, 3, 0, 0, "c"),
+            (0.05, 1, 0, 0, "a"),
+            (0.35, 2, 0, 0, "b"),
+            (0.61, 4, 0, 0, "d"),
         ]
         for e in entries:
             assert tl.add(e, 0)
@@ -43,15 +43,15 @@ class TestDeliveryTimelineUnit:
 
     def test_same_bucket_insert_during_drain_lands_after_cursor(self):
         tl = self.make(width=1.0)
-        tl.add([0.1, 1, 0, 0, "a"], 0)
-        tl.add([0.5, 2, 0, 0, "c"], 0)
+        tl.add((0.1, 1, 0, 0, "a"), 0)
+        tl.add((0.5, 2, 0, 0, "c"), 0)
         assert tl.advance()
         assert tl.cur[tl.cur_pos][4] == "a"
         tl.cur_pos += 1
         tl.count -= 1
         # Re-entrant: an event fired at 0.1 schedules a same-bucket
         # delivery at 0.3 — it must sort in before "c".
-        tl.add([0.3, 3, 0, 0, "b"], 0)
+        tl.add((0.3, 3, 0, 0, "b"), 0)
         order = []
         while tl.advance():
             order.append(tl.cur[tl.cur_pos][4])
@@ -61,12 +61,12 @@ class TestDeliveryTimelineUnit:
 
     def test_gap_bucket_rewind(self):
         tl = self.make(width=0.1)
-        tl.add([0.55, 1, 0, 0, "late"], 0)
+        tl.add((0.55, 1, 0, 0, "late"), 0)
         assert tl.advance()  # cursor jumps to bucket 5 over empty gaps
         assert tl.cur_idx == 5
         # A timer callback inside the gap now schedules a delivery due
         # *before* the cursor's bucket: the cursor must rewind.
-        assert tl.add([0.25, 2, 0, 0, "early"], 2)
+        assert tl.add((0.25, 2, 0, 0, "early"), 2)
         order = []
         while tl.advance():
             order.append(tl.cur[tl.cur_pos][4])
@@ -77,9 +77,9 @@ class TestDeliveryTimelineUnit:
     def test_past_horizon_rejected(self):
         tl = self.make(width=0.1, ring_size=8)
         assert tl.horizon == 7
-        assert not tl.add([10.0, 1, 0, 0, "far"], 0)
+        assert not tl.add((10.0, 1, 0, 0, "far"), 0)
         assert len(tl) == 0
-        assert tl.add([0.65, 2, 0, 0, "near"], 0)
+        assert tl.add((0.65, 2, 0, 0, "near"), 0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(Exception):
