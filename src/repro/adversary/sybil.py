@@ -44,6 +44,8 @@ class StuffingCampaign:
 class SybilStufferBehavior(FreeriderBehavior):
     """One stuffing identity: freerides and defames the victims."""
 
+    __slots__ = ("campaign", "members")
+
     name = "sybil_stuffer"
 
     def __init__(

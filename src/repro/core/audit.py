@@ -123,6 +123,8 @@ class Auditor:
     wires to the expulsion controller).
     """
 
+    __slots__ = ("host", "_active", "results")
+
     #: a node with fewer propose events than this fraction of the
     #: requested window fails the gossip-period check.
     PERIOD_COUNT_TOLERANCE = 0.5
@@ -314,6 +316,8 @@ class AuditScheduler:
     """Sporadic audits: each period, with probability ``p_audit``, the
     hosting node audits a uniformly random peer (§5: "run sporadically").
     """
+
+    __slots__ = ("host", "p_audit")
 
     def __init__(self, host, p_audit: float = 0.01) -> None:
         self.host = host

@@ -149,6 +149,12 @@ class ReputationManager:
         closed form when omitted.  Pass 0.0 to ablate compensation.
     """
 
+    __slots__ = (
+        "owner", "assignment", "gossip", "lifting", "now", "compensation", "records",
+        "_quorum_votes", "audit_log", "quarantines_started", "quarantines_discarded",
+        "quarantines_released", "rejected_blames",
+    )
+
     def __init__(
         self,
         owner: NodeId,
@@ -411,6 +417,8 @@ class ScoreReader:
     the replies.  Hosted by a protocol node (same host facade as the
     verification engine).
     """
+
+    __slots__ = ("host", "_queries", "_counter")
 
     def __init__(self, host) -> None:
         self.host = host

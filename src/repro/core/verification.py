@@ -69,6 +69,12 @@ class _ConfirmRound:
 class VerificationEngine:
     """Per-node state machine for §5.2's verifications."""
 
+    __slots__ = (
+        "host", "_timeline", "_call_later", "_node_id", "_send_many", "_random", "_finish_round_cb",
+        "_no_ack_value", "_contradiction_value", "_pending_acks", "_confirm_rounds",
+        "blames_by_reason",
+    )
+
     def __init__(self, host) -> None:
         self.host = host
         # Hot-path shortcuts mirroring the host's own: its ``timeline``

@@ -238,6 +238,9 @@ class Deployment:
         self.nodes: Dict[NodeId, GossipNode] = {}
         self.managers: Dict[NodeId, ReputationManager] = {}
         self.scoreboard = ScoreBoard(self.managers)
+        # The two callbacks every node is handed, bound once for all.
+        self._on_expel_quorum = self.on_expel_quorum
+        self._on_membership_event = self.on_membership_event
 
     def add_node(self, node_id: NodeId) -> GossipNode:
         """Construct, wire and record one protocol node (not started).
@@ -261,10 +264,10 @@ class Deployment:
             rng=self.seeds.generator("node", node_id),
             lifting_enabled=config.lifting_enabled,
             compensation=self.compensation,
-            on_expel_quorum=self.on_expel_quorum,
+            on_expel_quorum=self._on_expel_quorum,
             p_audit=config.p_audit,
             detector=config.failure_detector,
-            on_membership_event=self.on_membership_event,
+            on_membership_event=self._on_membership_event,
         )
         self.nodes[node_id] = node
         if node.manager is not None:

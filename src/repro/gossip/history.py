@@ -57,7 +57,7 @@ SHORT_IDS = 64
 WITNESS_PERIODS = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class PeriodRecord:
     """Everything a node logs about one gossip period."""
 
@@ -78,6 +78,11 @@ class PeriodRecord:
 
 class LocalHistory:
     """Ring buffer of :class:`PeriodRecord`, bounded to ``n_h`` periods."""
+
+    __slots__ = (
+        "max_periods", "_slots", "_current", "fanin", "confirm_senders", "received_proposals",
+        "witness_window", "_seq",
+    )
 
     def __init__(self, max_periods: int) -> None:
         require(max_periods >= 1, "max_periods must be >= 1, got %d", max_periods)

@@ -107,7 +107,7 @@ class _SentProposal:
     at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeStats:
     """Per-node counters the metrics layer reads."""
 
@@ -123,6 +123,19 @@ class NodeStats:
 
 class GossipNode:
     """A protocol participant (honest or not — the behaviour decides)."""
+
+    # One slot per field: past CPython's 30 shared keys a dict costs a
+    # table per node.  ``__weakref__`` lets a dropped run be shown to
+    # free its nodes.
+    __slots__ = (
+        "node_id", "transport", "timeline", "_send_many", "call_later", "sampler", "gossip",
+        "lifting", "behavior", "_serve_filter", "_serve_origin", "_confirm_answer", "_should_blame",
+        "assignment", "rng", "random", "on_expel_quorum", "store", "history", "stats", "period",
+        "_history_open", "_fresh", "_awaited", "_blame_outbox", "_sent_proposals",
+        "_proposal_counter", "_timer", "_offers", "_close_window_cb", "_answer_confirm_cb",
+        "engine", "auditor", "score_reader", "manager", "audit_scheduler", "on_membership_event",
+        "failure_detector", "dispatch_table", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -172,7 +185,6 @@ class GossipNode:
         #: ``random()``: one uniform [0, 1) draw (a Python float) from
         #: the node's stream, the generator's own method bound once.
         self.random = self.rng.random
-        self.lifting_enabled = lifting_enabled
         self.on_expel_quorum = on_expel_quorum
 
         self.store = ChunkStore()
@@ -233,10 +245,9 @@ class GossipNode:
             self.failure_detector = SwimFailureDetector(
                 self, detector, on_change=self._on_detector_event
             )
-        self._dispatch = self._build_dispatch()
-        #: public alias the network uses to deliver straight to handlers
+        #: what both planes deliver through, straight to the handlers
         #: (must not be mutated after the node registers).
-        self.dispatch_table = self._dispatch
+        self.dispatch_table = self._build_dispatch()
         behavior.bind(self)
 
     def _build_dispatch(self) -> Dict[type, Callable]:
@@ -430,7 +441,7 @@ class GossipNode:
             self.timeline.now,
         )
 
-        if self.lifting_enabled:
+        if self.engine is not None:
             reported = self.behavior.ack_partners(partners)
             for server, ids in filtered.items():
                 if server == SOURCE_ID or server == self.node_id:
@@ -491,7 +502,7 @@ class GossipNode:
     # ------------------------------------------------------------------
     def on_message(self, src: NodeId, message: object) -> None:
         """Network entry point (exact-type dispatch; see _build_dispatch)."""
-        handler = self._dispatch.get(message.__class__)
+        handler = self.dispatch_table.get(message.__class__)
         if handler is not None:
             handler(src, message)
 

@@ -27,6 +27,8 @@ class Behavior:
     randomness.
     """
 
+    __slots__ = ("node",)
+
     name = "honest"
 
     def __init__(self) -> None:
@@ -119,5 +121,7 @@ def own_hook(behavior: Behavior, name: str):
 
 class HonestBehavior(Behavior):
     """Alias for the honest default, for explicitness at call sites."""
+
+    __slots__ = ()
 
     name = "honest"

@@ -52,6 +52,10 @@ class Coalition:
 class ColludingBehavior(FreeriderBehavior):
     """A coalition member; extends the Δ-freerider with cover-ups."""
 
+    __slots__ = (
+        "coalition", "bias", "man_in_the_middle", "forge_history", "launder", "credits_sent",
+    )
+
     name = "colluder"
 
     def __init__(

@@ -27,6 +27,8 @@ from repro.nodes.behavior import Behavior, ChunkId, NodeId
 class FreeriderBehavior(Behavior):
     """Implements the Δ-degree freerider."""
 
+    __slots__ = ("degree", "_stride")
+
     name = "freerider"
 
     def __init__(self, degree: FreeriderDegree, period_stride: int = 1) -> None:

@@ -13,6 +13,8 @@ import pytest
 from repro.config import GossipParams, LiftingParams, planetlab_params
 from repro.experiments.cluster import ClusterConfig, SimCluster
 
+from object_fields import fields_of
+
 
 def _assert_results_identical(a, b, path="result"):
     """Structural, value-exact equality of two experiment results.
@@ -45,8 +47,11 @@ def _assert_results_identical(a, b, path="result"):
             _assert_results_identical(
                 getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}"
             )
-    elif hasattr(a, "__dict__") and not isinstance(a, type):
-        _assert_results_identical(vars(a), vars(b), path)
+    elif not isinstance(a, type) and (
+        # a slotted object with an equality of its own compares with it
+        hasattr(a, "__dict__") or (hasattr(a, "__slots__") and type(a).__eq__ is object.__eq__)
+    ):
+        _assert_results_identical(fields_of(a), fields_of(b), path)
     else:
         assert a == b, f"{path}: {a!r} vs {b!r}"
 

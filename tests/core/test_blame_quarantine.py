@@ -29,11 +29,9 @@ def manager():
     gossip = replace(gossip, n=20)
     lifting = replace(lifting, managers=4, min_periods_before_expel=5, expel_quorum=0.5)
     assignment = ManagerAssignment(range(20), managers=4, seed=7)
-    clock = FakeClock()
     owner = 0
-    mgr = ReputationManager(owner, assignment, gossip, lifting, now=clock)
-    mgr.clock = clock  # test hook: drive the clock directly
-    return mgr
+    # ``manager.now`` is the FakeClock: a test drives it through ``now.now``.
+    return ReputationManager(owner, assignment, gossip, lifting, now=FakeClock())
 
 
 def a_target(manager):
@@ -101,7 +99,7 @@ class TestVotingInteraction:
         target = a_target(manager)
         # Pile on enough blame that the compensated score is far below η.
         manager.on_blame(target, 1e6)
-        manager.clock.now = 100.0  # past the grace period
+        manager.now.now = 100.0  # past the grace period
         manager.quarantine_target(target)
         assert target not in manager.expulsion_candidates()
         # Released blames make it votable again.
@@ -110,7 +108,7 @@ class TestVotingInteraction:
 
     def test_released_blames_count_toward_score(self, manager):
         target = a_target(manager)
-        manager.clock.now = 10.0
+        manager.now.now = 10.0
         baseline = manager.normalized_score(target)
         manager.quarantine_target(target)
         manager.on_blame(target, 50.0)

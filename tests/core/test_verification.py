@@ -18,6 +18,8 @@ from repro.core.blames import (
 from repro.core.verification import VerificationEngine
 from repro.wire import UDP, Ack, Confirm, ConfirmResponse
 
+from object_fields import fields_of
+
 
 @pytest.fixture
 def engine(fake_host):
@@ -345,7 +347,7 @@ class TestBookkeeping:
         fake_host.sim.run()
         leftovers = {
             name: value
-            for name, value in vars(engine).items()
+            for name, value in fields_of(engine).items()
             if isinstance(value, (dict, set, list, deque)) and value
         }
         assert set(leftovers) == {"blames_by_reason"}  # the diagnostic

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import FreeriderDegree, planetlab_params
 from repro.core.blames import REASON_PARTIAL_SERVE
-from repro.core.reputation import ManagerAssignment
+from repro.core.reputation import ManagerAssignment, ReputationManager
 from repro.gossip import protocol
 from repro.gossip.chunks import SOURCE_ID, ChunkStore
 from repro.gossip.history import SHORT_IDS, LocalHistory
@@ -215,11 +215,11 @@ class TestDispatchTable:
             wire.HistoryPollRequest, wire.HistoryPollResponse,
             wire.Ping, wire.PingAck, wire.PingReq, wire.MembershipUpdate,
         }
-        assert set(node._dispatch.keys()) == expected
+        assert set(node.dispatch_table.keys()) == expected
         # SWIM messages are only handled when a failure detector is
         # configured; without one they pre-seed to the drop path.
         for cls in (wire.Ping, wire.PingAck, wire.PingReq, wire.MembershipUpdate):
-            assert node._dispatch[cls] is None
+            assert node.dispatch_table[cls] is None
 
 
 class TestOfferPruning:
@@ -318,12 +318,16 @@ class TestBlameGuards:
     """The two guards between a blame and the managers: a behaviour may
     withhold a blame, and a target whose period nets to zero is not sent."""
 
-    def _node(self, behavior=None):
+    def _node(self, monkeypatch, behavior=None):
         host = HandClockHost()
         assignment = ManagerAssignment(range(12), managers=3, seed=5)
         node = node_on(host, behavior, assignment=assignment)
         applied = []
-        node.manager.on_blame_batch = lambda targets, values: applied.append((targets, values))
+        monkeypatch.setattr(
+            ReputationManager,
+            "on_blame_batch",
+            lambda manager, targets, values: applied.append((targets, values)),
+        )
         return node, host, applied
 
     def _flushed(self, node, host, applied):
@@ -337,9 +341,9 @@ class TestBlameGuards:
             out.update(zip(targets, values))
         return out
 
-    def test_a_withheld_blame_is_neither_counted_nor_sent(self):
+    def test_a_withheld_blame_is_neither_counted_nor_sent(self, monkeypatch):
         coalition = ColludingBehavior(FreeriderDegree(), Coalition({0, 7}))
-        node, host, applied = self._node(coalition)
+        node, host, applied = self._node(monkeypatch, coalition)
         node.send_blame(7, 2.0, "test")  # a co-member: withheld
         node.send_blame(3, 1.0, "test")
         node.send_blame(7, -0.5, "test")  # a credit is not a blame
@@ -347,8 +351,8 @@ class TestBlameGuards:
         assert node.stats.blames_emitted == 1.0
         assert self._flushed(node, host, applied) == {3: 1.0, 7: -0.5}
 
-    def test_a_target_netting_zero_is_skipped(self):
-        node, host, applied = self._node()
+    def test_a_target_netting_zero_is_skipped(self, monkeypatch):
+        node, host, applied = self._node(monkeypatch)
         node.send_blame(7, 1.0, "test")
         node.send_blame(3, 2.0, "test")
         node.send_blame(7, -1.0, "test")
@@ -680,17 +684,27 @@ class TimerHost(HandClockHost):
 FANOUT = 4
 
 
-def requester(lifting_enabled=True):
-    """A node that requests what it is proposed, and the blames it emits."""
-    host = TimerHost()
-    gossip, lifting = planetlab_params()
-    node = GossipNode(
-        0, host, None, replace(gossip, fanout=FANOUT), lifting, HonestBehavior(),
-        rng=np.random.default_rng(0), lifting_enabled=lifting_enabled,
-    )
+@pytest.fixture
+def requester(monkeypatch):
+    """Build a node that requests what it is proposed, and the blames it
+    emits (``send_blame`` records them: a node has no per-instance method)."""
     blames = []
-    node.send_blame = lambda target, value, reason: blames.append((target, value, reason))
-    return host, node, blames
+    monkeypatch.setattr(
+        GossipNode,
+        "send_blame",
+        lambda node, target, value, reason: blames.append((target, value, reason)),
+    )
+
+    def build(lifting_enabled=True):
+        host = TimerHost()
+        gossip, lifting = planetlab_params()
+        node = GossipNode(
+            0, host, None, replace(gossip, fanout=FANOUT), lifting, HonestBehavior(),
+            rng=np.random.default_rng(0), lifting_enabled=lifting_enabled,
+        )
+        return host, node, blames
+
+    return build
 
 
 def serve(node, src, proposal_id, chunk_id):
@@ -702,7 +716,7 @@ class TestDirectVerification:
     after a request, each chunk its proposer has not served draws
     ``f/|R|``; a fully ignored request draws ``f``."""
 
-    def test_all_chunks_served_no_blame(self):
+    def test_all_chunks_served_no_blame(self, requester):
         host, node, blames = requester()
         node.on_message(7, Propose(42, (1, 2, 3)))
         for chunk_id in (1, 2, 3):
@@ -711,7 +725,7 @@ class TestDirectVerification:
         host.run(until=10.0)
         assert blames == []
 
-    def test_partial_serve_blame_value(self):
+    def test_partial_serve_blame_value(self, requester):
         host, node, blames = requester()
         node.on_message(7, Propose(42, (1, 2, 3, 4)))
         serve(node, 7, 42, 1)
@@ -719,19 +733,19 @@ class TestDirectVerification:
         assert blames == [(7, pytest.approx(FANOUT * 3 / 4), REASON_PARTIAL_SERVE)]
         assert node.engine.blames_by_reason[REASON_PARTIAL_SERVE] == FANOUT * 3 / 4
 
-    def test_fully_ignored_request_blamed_f(self):
+    def test_fully_ignored_request_blamed_f(self, requester):
         host, node, blames = requester()
         node.on_message(7, Propose(42, (1, 2)))
         host.run(until=10.0)
         assert blames == [(7, float(FANOUT), REASON_PARTIAL_SERVE)]
 
-    def test_repeated_id_counts_once(self):
+    def test_repeated_id_counts_once(self, requester):
         host, node, blames = requester()
         node.on_message(7, Propose(42, (1,) * 4))
         host.run(until=10.0)
         assert blames == [(7, float(FANOUT), REASON_PARTIAL_SERVE)]
 
-    def test_missing_chunks_retried_elsewhere(self):
+    def test_missing_chunks_retried_elsewhere(self, requester):
         host, node, _blames = requester()
         node.on_message(7, Propose(42, (1, 2, 3)))
         node.on_message(8, Propose(43, (1, 2, 3)))  # the alternative
@@ -740,7 +754,7 @@ class TestDirectVerification:
         assert host.sent == [(8, Request(43, (1, 3)))]
         assert {c: w.proposer for c, w in node._awaited.items()} == {1: 8, 3: 8}
 
-    def test_serve_for_unknown_proposal_ignored(self):
+    def test_serve_for_unknown_proposal_ignored(self, requester):
         host, node, blames = requester()
         serve(node, 9, 999, 5)  # answers no request: must not raise
         node.on_message(7, Propose(42, (1,)))
@@ -757,7 +771,7 @@ class TestRequestWindows:
 
     @pytest.mark.parametrize("lifting_enabled", [True, False], ids=["lifting", "no-lifting"])
     def test_two_windows_under_one_proposal_id_close_on_their_own_timers(
-        self, lifting_enabled
+        self, requester, lifting_enabled
     ):
         host, node, blames = requester(lifting_enabled)
         timeout = node.lifting.serve_timeout

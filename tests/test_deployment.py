@@ -18,7 +18,7 @@ from repro.config import FreeriderDegree, GossipParams, LiftingParams, planetlab
 from repro.core.auditlog import AuditLog
 from repro.deployment import Deployment, assign_roles, loopback_config
 from repro.experiments.cluster import ClusterConfig
-from repro.gossip.protocol import _SentProposal, _Window
+from repro.gossip.protocol import GossipNode, _SentProposal, _Window
 from repro.membership.base import STATUS_ALIVE, STATUS_SUSPECT
 from repro.membership.failure_detector import FailureDetectorParams
 from repro.nodes.behavior import HonestBehavior
@@ -442,10 +442,10 @@ class TestSilentFailureLifecycle:
         deployment.crash(2)
         assert deployment.may_restart(2)
 
-    def test_restarted_brings_up_a_fresh_incarnation(self, deployment):
+    def test_restarted_brings_up_a_fresh_incarnation(self, deployment, monkeypatch):
         victim, peer = deployment.nodes[2], deployment.nodes[4]
         starts = []
-        victim.start = lambda: starts.append(1)
+        monkeypatch.setattr(GossipNode, "start", lambda node: starts.append(node.node_id))
         deployment.crash(2)
         deployment.membership.mark_dead(2)  # confirmed while down
         peer.engine.on_serve_sent(2, 55)  # the dead incarnation's debt
@@ -465,7 +465,7 @@ class TestSilentFailureLifecycle:
         assert victim.engine.pending_ack_count == 0
         assert victim._sent_proposals == {}
         assert (victim._fresh, victim._awaited, victim._blame_outbox) == ({}, {}, {})
-        assert starts == [1]
+        assert starts == [victim.node_id]
         assert deployment.churn_monitor.restarts == 1
 
 

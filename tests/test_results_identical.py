@@ -46,3 +46,20 @@ def test_any_value_difference_is_caught(assert_results_identical, mutate):
     other["curves"][1] = mutate(other["curves"][1])
     with pytest.raises(AssertionError, match=r"result\['curves'\]\[1\]"):
         assert_results_identical(base, other)
+
+
+class _Slotted:
+    """A plain object that keeps its fields in slots, equal by identity."""
+
+    __slots__ = ("lags", "label")
+
+    def __init__(self, lags, label):
+        self.lags = lags
+        self.label = label
+
+
+def test_a_slotted_object_compares_by_its_fields(assert_results_identical):
+    lags = np.array([0.0, 2.0])
+    assert_results_identical(_Slotted(lags, "a"), _Slotted(lags.copy(), "a"))
+    with pytest.raises(AssertionError, match=r"result\['label'\]"):
+        assert_results_identical(_Slotted(lags, "a"), _Slotted(lags, "b"))
